@@ -24,15 +24,18 @@ use crate::rules::Diagnostic;
 use crate::scan::ScannedFile;
 use crate::token::TokKind;
 
-/// Reachability roots: the DES dispatch path and the rollout workers.
+/// Reachability roots: the DES dispatch path, the rollout workers, the
+/// fleet window and the one window loop under all of them (which also
+/// covers `figures`, `fleetio-store record` and `replay` runs).
 /// Every simulated decision flows through one of these.
-pub const TAINT_ROOTS: [&str; 6] = [
+pub const TAINT_ROOTS: [&str; 7] = [
     "Engine::dispatch_event",
     "Engine::run_until",
     "collect_frozen",
     "collect_parallel",
     "collect_parallel_envs",
     "FleetRuntime::run_window",
+    "Colocation::advance",
 ];
 
 /// One nondeterminism source occurrence.

@@ -258,7 +258,9 @@ impl FleetRuntime {
     /// Installs a [`FingerprintSink`] on every shard.
     pub fn install_fingerprint_sinks(&mut self) {
         for shard in &mut self.shards {
-            let _ = shard.set_obs_sink(Box::new(FingerprintSink::new()));
+            let _ = shard
+                .engine_mut()
+                .set_obs_sink(Box::new(FingerprintSink::new()));
         }
     }
 
@@ -273,6 +275,7 @@ impl FleetRuntime {
             .iter_mut()
             .map(|s| {
                 let sink = s
+                    .engine_mut()
                     .take_obs_sink()
                     .into_any()
                     .downcast::<FingerprintSink>()
@@ -285,12 +288,12 @@ impl FleetRuntime {
     /// Installs `sink` on shard `shard`, returning the previous one
     /// (store wiring: one `StoreSink` per shard).
     pub fn set_shard_sink(&mut self, shard: usize, sink: Box<dyn ObsSink>) -> Box<dyn ObsSink> {
-        self.shards[shard].set_obs_sink(sink)
+        self.shards[shard].engine_mut().set_obs_sink(sink)
     }
 
     /// Removes shard `shard`'s sink for export.
     pub fn take_shard_sink(&mut self, shard: usize) -> Box<dyn ObsSink> {
-        self.shards[shard].take_obs_sink()
+        self.shards[shard].engine_mut().take_obs_sink()
     }
 
     /// Runs the spec's full window count.
@@ -356,9 +359,9 @@ impl FleetRuntime {
             // Annotated migration event into the *source* shard's obs
             // stream — this phase is serial, so the stream stays
             // deterministic across worker counts.
-            let at = self.shards[m.from.shard as usize].now();
-            self.shards[m.from.shard as usize].emit_obs(ObsEvent::FleetMigration {
-                at,
+            let engine = self.shards[m.from.shard as usize].engine_mut();
+            engine.emit_obs(ObsEvent::FleetMigration {
+                at: engine.now(),
                 window: m.window,
                 tenant: m.tenant,
                 from_shard: m.from.shard,
@@ -559,9 +562,9 @@ impl FleetRuntime {
             .obs
             .record_window(self.window_idx, reports, &utils, executed.len());
         for o in outcomes {
-            let at = self.shards[o.shard as usize].now();
-            self.shards[o.shard as usize].emit_obs(ObsEvent::SloWindow {
-                at,
+            let engine = self.shards[o.shard as usize].engine_mut();
+            engine.emit_obs(ObsEvent::SloWindow {
+                at: engine.now(),
                 tenant: o.tenant,
                 window: o.verdict.window,
                 ops: o.verdict.ops,

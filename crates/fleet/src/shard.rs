@@ -1,47 +1,30 @@
-//! One fleet shard: an SSD engine with fixed vSSD slots that tenants
-//! attach to and detach from at window boundaries.
+//! One fleet shard: an SSD with fixed vSSD slots that tenants attach to
+//! and detach from at window boundaries.
 //!
-//! The tick loop is `fleetio::Colocation::run_window` adapted to
-//! optional occupancy: empty slots stay provisioned (their window
-//! summaries flush as idle), and a freshly detached slot keeps
-//! completing in-flight requests — the drain the control plane waits
-//! out before reusing the slot. Migration is control-plane only: no
-//! engine state moves, the tenant's generator restarts at the
-//! destination from an epoch-derived seed, fast-forwarded to the
-//! shard's current simulated time.
+//! A shard *is* a [`fleetio::Colocation`] plus tenancy: the driver owns
+//! the engine, the workload sources and the window loop; the shard owns
+//! which fleet tenant sits in which slot, the phase rotation a tenant
+//! starts with, and the fixed-shape per-window report the fleet's merge
+//! reads. Empty slots stay provisioned (their window summaries flush as
+//! idle), and a freshly detached slot keeps completing in-flight
+//! requests — the drain the control plane waits out before reusing the
+//! slot. Migration is control-plane only: no engine state moves, the
+//! tenant's generator restarts at the destination from an epoch-derived
+//! seed, fast-forwarded to the shard's current simulated time.
 
 use fleetio_des::window::WindowSummary;
 use fleetio_des::{LatencyHistogram, SimDuration};
-use fleetio_obs::{ObsEvent, ObsSink};
 use fleetio_vssd::engine::{Engine, EngineConfig, VssdSnapshot};
-use fleetio_vssd::request::{IoOp, IoRequest};
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
-use fleetio_workloads::gen::ClosedLoopWorkload;
-use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind};
+use fleetio_workloads::{TraceRecord, WorkloadKind};
 
 use fleetio::actions::AgentAction;
-
-#[derive(Debug)]
-enum Source {
-    Open(SyntheticWorkload),
-    Closed {
-        gen: ClosedLoopWorkload,
-        outstanding: u32,
-    },
-}
-
-#[derive(Debug)]
-struct Resident {
-    tenant: u32,
-    kind: WorkloadKind,
-    source: Source,
-    trace: Vec<TraceRecord>,
-}
+use fleetio::Colocation;
 
 #[derive(Debug)]
 struct Slot {
     vssd: VssdId,
-    resident: Option<Resident>,
+    tenant: Option<u32>,
 }
 
 /// One shard's per-window report: all slots in slot order, occupied or
@@ -71,11 +54,8 @@ pub struct ShardWindowReport {
 #[derive(Debug)]
 pub struct Shard {
     id: u32,
-    engine: Engine,
+    coloc: Colocation,
     slots: Vec<Slot>,
-    window: SimDuration,
-    tick: SimDuration,
-    trace_cap: usize,
 }
 
 impl Shard {
@@ -92,21 +72,17 @@ impl Shard {
         slot_configs: Vec<VssdConfig>,
         window: SimDuration,
     ) -> Self {
-        assert!(!window.is_zero(), "window must be positive");
         let slots = slot_configs
             .iter()
             .map(|c| Slot {
                 vssd: c.id,
-                resident: None,
+                tenant: None,
             })
             .collect();
         Shard {
             id,
-            engine: Engine::new(engine_cfg, slot_configs),
+            coloc: Colocation::vacant(engine_cfg, slot_configs, window),
             slots,
-            window,
-            tick: SimDuration::from_millis(1),
-            trace_cap: 100_000,
         }
     }
 
@@ -120,19 +96,22 @@ impl Shard {
         self.slots.len()
     }
 
-    /// The engine's current simulated time.
-    pub fn now(&self) -> fleetio_des::SimTime {
-        self.engine.now()
+    /// The shard's engine: clock, event counter, capacities.
+    pub fn engine(&self) -> &Engine {
+        self.coloc.engine()
+    }
+
+    /// The shard's engine, for sink installation and control-plane obs
+    /// events (SLO verdicts, migrations). Emit only from the fleet's
+    /// serial phases, so per-shard streams stay deterministic across
+    /// worker counts.
+    pub fn engine_mut(&mut self) -> &mut Engine {
+        self.coloc.engine_mut()
     }
 
     /// The resident tenant of `slot`, if any.
     pub fn tenant_at(&self, slot: usize) -> Option<u32> {
-        self.slots[slot].resident.as_ref().map(|r| r.tenant)
-    }
-
-    /// The workload kind running in `slot`, if occupied.
-    pub fn kind_at(&self, slot: usize) -> Option<WorkloadKind> {
-        self.slots[slot].resident.as_ref().map(|r| r.kind)
+        self.slots[slot].tenant
     }
 
     /// The I/O trace collected for the resident of `slot` (newest
@@ -143,24 +122,17 @@ impl Shard {
     ///
     /// Panics if the slot is empty.
     pub fn trace_at(&self, slot: usize) -> &[TraceRecord] {
-        &self.slots[slot]
-            .resident
-            .as_ref()
-            .expect("slot is occupied")
-            .trace
+        self.coloc.trace_of(self.slots[slot].vssd)
     }
 
     /// The logical capacity of `slot`'s vSSD in bytes.
     pub fn slot_capacity_bytes(&self, slot: usize) -> u64 {
-        self.engine.logical_capacity_bytes(self.slots[slot].vssd)
+        self.engine().logical_capacity_bytes(self.slots[slot].vssd)
     }
 
     /// Pre-fills every slot to `fraction` of its logical space.
     pub fn warm_up_all(&mut self, fraction: f64) {
-        for i in 0..self.slots.len() {
-            let vssd = self.slots[i].vssd;
-            self.engine.warm_up(vssd, fraction);
-        }
+        self.coloc.warm_up(fraction);
     }
 
     /// Attaches `tenant` running `kind` to `slot`, its generator seeded
@@ -180,31 +152,10 @@ impl Shard {
         seed: u64,
         phase_rotation: u32,
     ) {
-        assert!(
-            self.slots[slot].resident.is_none(),
-            "slot {}/{slot} is occupied",
-            self.id
-        );
-        let vssd = self.slots[slot].vssd;
-        let capacity = self.engine.logical_capacity_bytes(vssd);
         let mut spec = kind.spec();
         spec.rotate_phases(phase_rotation as usize);
-        let source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding: 0,
-            }
-        } else {
-            let mut gen = SyntheticWorkload::new(spec, capacity, seed);
-            let _ = gen.requests_until(self.engine.now());
-            Source::Open(gen)
-        };
-        self.slots[slot].resident = Some(Resident {
-            tenant,
-            kind,
-            source,
-            trace: Vec::new(),
-        });
+        self.coloc.attach(self.slots[slot].vssd, kind, spec, seed);
+        self.slots[slot].tenant = Some(tenant);
     }
 
     /// Detaches the resident of `slot`, returning the tenant index and
@@ -216,159 +167,48 @@ impl Shard {
     ///
     /// Panics if the slot is empty.
     pub fn detach(&mut self, slot: usize) -> (u32, Vec<TraceRecord>) {
-        let resident = self.slots[slot]
-            .resident
+        let tenant = self.slots[slot]
+            .tenant
             .take()
             .expect("detach of an empty slot");
-        (resident.tenant, resident.trace)
+        (tenant, self.coloc.detach(self.slots[slot].vssd))
     }
 
-    /// Applies one tenant's RL decision to `slot`: priority plus the
-    /// two harvest admission actions, denominated in channels of
-    /// bandwidth exactly as `fleetio::env` does.
+    /// Applies one tenant's RL decision to `slot`.
     pub fn apply_action(&mut self, slot: usize, action: AgentAction) {
-        let vssd = self.slots[slot].vssd;
-        let ch_bw = self.engine.channel_peak_bytes_per_sec();
-        self.engine.set_priority(vssd, action.priority);
-        self.engine
-            .submit_action(action.make_harvestable_action(vssd, ch_bw));
-        self.engine
-            .submit_action(action.harvest_action(vssd, ch_bw));
-    }
-
-    /// Installs an observability sink on the shard's engine, returning
-    /// the previous one. Per-shard streams are deterministic regardless
-    /// of which worker thread advances the shard.
-    pub fn set_obs_sink(&mut self, sink: Box<dyn ObsSink>) -> Box<dyn ObsSink> {
-        self.engine.set_obs_sink(sink)
-    }
-
-    /// Removes the shard's sink (restoring the no-op default).
-    pub fn take_obs_sink(&mut self) -> Box<dyn ObsSink> {
-        self.engine.take_obs_sink()
-    }
-
-    /// Cumulative engine events processed.
-    pub fn events_processed(&self) -> u64 {
-        self.engine.events_processed()
+        action.apply(self.coloc.engine_mut(), self.slots[slot].vssd);
     }
 
     /// Advances one decision window and freezes every slot's summary
     /// (idle slots flush as idle — the fleet's merge sees a fixed-shape
     /// report every window).
     pub fn run_window(&mut self) -> ShardWindowReport {
-        let end = self.engine.now() + self.window;
-        while self.engine.now() < end {
-            let t = (self.engine.now() + self.tick).min(end);
-            // Open-loop arrivals up to t.
-            for slot in &mut self.slots {
-                let Some(res) = slot.resident.as_mut() else {
-                    continue;
-                };
-                if let Source::Open(gen) = &mut res.source {
-                    for rec in gen.requests_until(t) {
-                        push_trace(&mut res.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(slot.vssd, rec));
-                    }
-                }
-            }
-            self.engine.run_until(t);
-            // Account completions against closed-loop windows. A
-            // completion on a detached slot belongs to a drained
-            // tenant; nothing to account.
-            for c in self.engine.drain_completed() {
-                if let Some(slot) = self.slots.iter_mut().find(|s| s.vssd == c.vssd) {
-                    if let Some(Resident {
-                        source: Source::Closed { outstanding, .. },
-                        ..
-                    }) = slot.resident.as_mut()
-                    {
-                        *outstanding = outstanding.saturating_sub(1);
-                    }
-                }
-            }
-            // Top closed-loop sources up to their phase concurrency.
-            let now = self.engine.now();
-            for slot in &mut self.slots {
-                let Some(res) = slot.resident.as_mut() else {
-                    continue;
-                };
-                if let Source::Closed { gen, outstanding } = &mut res.source {
-                    let target = gen.concurrency_at(now);
-                    while *outstanding < target {
-                        let rec = gen.make_request(now);
-                        push_trace(&mut res.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(slot.vssd, rec));
-                        *outstanding += 1;
-                    }
-                }
-            }
-        }
-        // Latency histograms and queue depths are read before
-        // `finish_window` resets the per-window accumulators.
-        let latencies: Vec<LatencyHistogram> = self
+        self.coloc.advance();
+        // Latency histograms and queue depths are read before the flush
+        // resets the per-window accumulators.
+        let engine = self.coloc.engine();
+        let latencies = self
             .slots
             .iter()
-            .map(|s| self.engine.window_latency(s.vssd).clone())
+            .map(|s| engine.window_latency(s.vssd).clone())
             .collect();
         let queue_depth = self
             .slots
             .iter()
-            .map(|s| self.engine.queued_ops(s.vssd) as u64)
+            .map(|s| engine.queued_ops(s.vssd) as u64)
             .sum();
-        let summaries: Vec<(VssdId, WindowSummary)> = self
-            .slots
-            .iter()
-            .map(|s| s.vssd)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|vssd| (vssd, self.engine.finish_window(vssd)))
-            .collect();
-        let snapshots = self
-            .slots
-            .iter()
-            .map(|s| self.engine.snapshot(s.vssd))
-            .collect();
+        let summaries = self.coloc.flush();
+        let engine = self.coloc.engine();
         ShardWindowReport {
             shard: self.id,
-            tenants: self
-                .slots
-                .iter()
-                .map(|s| s.resident.as_ref().map(|r| r.tenant))
-                .collect(),
+            tenants: self.slots.iter().map(|s| s.tenant).collect(),
             summaries,
-            snapshots,
+            snapshots: self.slots.iter().map(|s| engine.snapshot(s.vssd)).collect(),
             latencies,
             queue_depth,
-            events_processed: self.engine.events_processed(),
+            events_processed: engine.events_processed(),
         }
     }
-
-    /// Records a control-plane event (SLO verdict, migration) into the
-    /// shard's obs stream. Called only from the fleet's serial phases,
-    /// so per-shard streams stay deterministic across worker counts.
-    pub fn emit_obs(&mut self, ev: ObsEvent) {
-        self.engine.emit_obs(ev);
-    }
-}
-
-fn to_request(vssd: VssdId, rec: TraceRecord) -> IoRequest {
-    IoRequest {
-        vssd,
-        op: if rec.is_read { IoOp::Read } else { IoOp::Write },
-        offset: rec.offset,
-        len: rec.len,
-        arrival: rec.at,
-    }
-}
-
-fn push_trace(trace: &mut Vec<TraceRecord>, cap: usize, rec: TraceRecord) {
-    if trace.len() >= cap {
-        // Keep the newest half when full.
-        let half = cap / 2;
-        trace.drain(..half);
-    }
-    trace.push(rec);
 }
 
 #[cfg(test)]
@@ -413,29 +253,43 @@ mod tests {
     }
 
     #[test]
-    fn detach_drains_and_slot_reattaches() {
+    fn detach_frees_the_slot_and_returns_its_tenant() {
         let mut s = shard();
         s.attach(0, 3, WorkloadKind::TeraSort, 5, 0);
         s.run_window();
         let (tenant, trace) = s.detach(0);
         assert_eq!(tenant, 3);
         assert!(!trace.is_empty());
-        // Drain window: in-flight requests finish, no new arrivals.
-        s.run_window();
-        let quiet = s.run_window();
-        assert_eq!(quiet.summaries[0].1.total_ops, 0, "slot fully drained");
-        // The slot is reusable; the open-loop clock starts at now.
+        assert_eq!(s.tenant_at(0), None);
+        assert_eq!(s.run_window().tenants[0], None);
+        // The slot hosts again (drain and clock restart: driver tests).
         s.attach(0, 9, WorkloadKind::Ycsb, 6, 0);
-        let busy = s.run_window();
-        assert!(busy.summaries[0].1.total_ops > 0);
+        assert_eq!(s.run_window().tenants[0], Some(9));
     }
 
     #[test]
-    #[should_panic(expected = "is occupied")]
-    fn double_attach_panics() {
+    fn phase_rotation_starts_the_tenant_mid_job() {
+        let first_window = |rotation| {
+            let mut s = shard();
+            s.attach(0, 0, WorkloadKind::TeraSort, 5, rotation);
+            s.run_window().summaries[0].1.clone()
+        };
+        assert_ne!(first_window(0), first_window(1));
+    }
+
+    #[test]
+    fn report_reads_latencies_before_the_flush() {
         let mut s = shard();
-        s.attach(0, 1, WorkloadKind::Ycsb, 1, 0);
-        s.attach(0, 2, WorkloadKind::Ycsb, 2, 0);
+        s.attach(2, 4, WorkloadKind::Ycsb, 7, 0);
+        let report = s.run_window();
+        assert_eq!(report.latencies.len(), 4);
+        assert_eq!(
+            report.latencies[2].count(),
+            report.summaries[2].1.total_ops,
+            "histogram holds the window's requests"
+        );
+        assert_eq!(report.latencies[0].count(), 0);
+        assert_eq!(report.events_processed, s.engine().events_processed());
     }
 
     #[test]

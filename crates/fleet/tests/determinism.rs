@@ -5,12 +5,21 @@
 //!   threads (the CI determinism matrix);
 //! * two same-seed fleet runs recorded through per-shard `StoreSink`s
 //!   diff as `Identical` — the fleet layer composes with the run store
-//!   without disturbing its byte-exactness guarantee.
+//!   without disturbing its byte-exactness guarantee;
+//! * a fully attached shard is a `Colocation` of the same tenants: equal
+//!   window summaries and equal obs stream hashes.
 
 use std::path::PathBuf;
 
-use fleetio_fleet::{default_model, FleetRuntime, FleetSpec};
+use fleetio::{Colocation, TenantSpec};
+use fleetio_des::SimDuration;
+use fleetio_flash::addr::ChannelId;
+use fleetio_flash::config::FlashConfig;
+use fleetio_fleet::{default_model, FingerprintSink, FleetRuntime, FleetSpec, Shard};
 use fleetio_store::{diff_stores, DiffOutcome, RunStore, StoreSink};
+use fleetio_vssd::engine::EngineConfig;
+use fleetio_vssd::vssd::{VssdConfig, VssdId};
+use fleetio_workloads::WorkloadKind;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fleetio-fleet-it-{tag}-{}", std::process::id()));
@@ -133,4 +142,59 @@ fn same_seed_fleet_stores_diff_as_identical() {
     for dir in a.iter().chain(&b) {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+#[test]
+fn fully_attached_shard_equals_a_colocation_of_the_same_tenants() {
+    let engine_cfg = || EngineConfig {
+        flash: FlashConfig::training_test(),
+        ..EngineConfig::default()
+    };
+    let window = SimDuration::from_millis(500);
+    // Two open-loop and two closed-loop tenants, one channel each.
+    let kinds = [
+        WorkloadKind::Ycsb,
+        WorkloadKind::TeraSort,
+        WorkloadKind::VdiWeb,
+        WorkloadKind::MlPrep,
+    ];
+    let configs: Vec<VssdConfig> = (0..kinds.len() as u16)
+        .map(|i| {
+            VssdConfig::hardware(VssdId(u32::from(i)), vec![ChannelId(i)])
+                .with_slo(SimDuration::from_millis(2))
+        })
+        .collect();
+    let seed = |i: usize| 100 + i as u64;
+
+    let mut shard = Shard::new(0, engine_cfg(), configs.clone(), window);
+    for (i, kind) in kinds.iter().enumerate() {
+        shard.attach(i, i as u32, *kind, seed(i), 0);
+    }
+    let tenants = configs
+        .into_iter()
+        .zip(kinds)
+        .enumerate()
+        .map(|(i, (config, kind))| TenantSpec::new(config, kind, seed(i)))
+        .collect();
+    let mut coloc = Colocation::new(engine_cfg(), tenants, window);
+
+    let _ = shard
+        .engine_mut()
+        .set_obs_sink(Box::new(FingerprintSink::new()));
+    let _ = coloc.set_obs_sink(Box::new(FingerprintSink::new()));
+    for w in 0..4 {
+        let report = shard.run_window();
+        assert_eq!(report.summaries, coloc.run_window(), "window {w}");
+        assert!(report.summaries.iter().all(|(_, s)| s.total_ops > 0));
+    }
+    let hash = |sink: Box<dyn fleetio_obs::ObsSink>| {
+        let sink = sink
+            .into_any()
+            .downcast::<FingerprintSink>()
+            .expect("a FingerprintSink was installed");
+        (sink.fingerprint(), sink.event_count())
+    };
+    let shard_hash = hash(shard.engine_mut().take_obs_sink());
+    assert!(shard_hash.1 > 0, "the stream is not empty");
+    assert_eq!(shard_hash, hash(coloc.take_obs_sink()));
 }

@@ -6,6 +6,7 @@
 //! dividing by the per-channel bandwidth, §3.6), and the I/O priority.
 
 use fleetio_vssd::admission::HarvestAction;
+use fleetio_vssd::engine::Engine;
 use fleetio_vssd::request::Priority;
 use fleetio_vssd::vssd::VssdId;
 
@@ -72,6 +73,16 @@ impl AgentAction {
             vssd,
             bytes_per_sec: self.harvestable_channels as f64 * channel_bw,
         }
+    }
+
+    /// Applies the decision to `vssd`: the priority takes effect at once,
+    /// the two harvest actions go through admission control, denominated
+    /// in channels of the engine's per-channel peak bandwidth.
+    pub fn apply(self, engine: &mut Engine, vssd: VssdId) {
+        let ch_bw = engine.channel_peak_bytes_per_sec();
+        engine.set_priority(vssd, self.priority);
+        engine.submit_action(self.make_harvestable_action(vssd, ch_bw));
+        engine.submit_action(self.harvest_action(vssd, ch_bw));
     }
 
     /// A no-op action (no harvesting, medium priority).

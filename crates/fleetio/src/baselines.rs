@@ -257,7 +257,6 @@ pub fn proportional_split(weights: &[f64], total: usize) -> Vec<usize> {
 /// learned policy should approach it.
 #[derive(Debug)]
 pub struct HeuristicPolicy {
-    cfg: FleetIoConfig,
     /// Per-tenant reference parameters (guarantee, α, β-altruism).
     params: Vec<crate::agent::ReferenceParams>,
 }
@@ -277,7 +276,7 @@ impl HeuristicPolicy {
                 altruistic: cfg.beta < 0.999,
             })
             .collect();
-        HeuristicPolicy { cfg, params }
+        HeuristicPolicy { params }
     }
 }
 
@@ -293,15 +292,9 @@ impl WindowPolicy for HeuristicPolicy {
             "one param set per tenant"
         );
         let states = extract_states(coloc.engine(), summaries);
-        let ch_bw = coloc.engine().channel_peak_bytes_per_sec();
         for ((p, (id, _)), state) in self.params.iter().zip(summaries).zip(states) {
-            let action = crate::agent::reference_action(&state, p);
-            let engine = coloc.engine_mut();
-            engine.set_priority(*id, action.priority);
-            engine.submit_action(action.make_harvestable_action(*id, ch_bw));
-            engine.submit_action(action.harvest_action(*id, ch_bw));
+            crate::agent::reference_action(&state, p).apply(coloc.engine_mut(), *id);
         }
-        let _ = &self.cfg;
     }
 }
 
@@ -309,7 +302,6 @@ impl WindowPolicy for HeuristicPolicy {
 /// harvest actions through admission control.
 #[derive(Debug)]
 pub struct FleetIoPolicy {
-    cfg: FleetIoConfig,
     agents: Vec<FleetIoAgent>,
 }
 
@@ -319,7 +311,7 @@ impl FleetIoPolicy {
         let agents = (0..n_tenants)
             .map(|_| FleetIoAgent::new(model, cfg.history_windows))
             .collect();
-        FleetIoPolicy { cfg, agents }
+        FleetIoPolicy { agents }
     }
 
     /// Resets every agent's history (e.g. at a workload swap).
@@ -338,15 +330,9 @@ impl WindowPolicy for FleetIoPolicy {
     fn on_window(&mut self, coloc: &mut Colocation, summaries: &[(VssdId, WindowSummary)]) {
         assert_eq!(summaries.len(), self.agents.len(), "one agent per tenant");
         let states = extract_states(coloc.engine(), summaries);
-        let ch_bw = coloc.engine().channel_peak_bytes_per_sec();
         for ((agent, (id, _)), state) in self.agents.iter_mut().zip(summaries).zip(states) {
-            let action = agent.decide(state);
-            let engine = coloc.engine_mut();
-            engine.set_priority(*id, action.priority);
-            engine.submit_action(action.make_harvestable_action(*id, ch_bw));
-            engine.submit_action(action.harvest_action(*id, ch_bw));
+            agent.decide(state).apply(coloc.engine_mut(), *id);
         }
-        let _ = &self.cfg;
     }
 }
 

@@ -8,12 +8,12 @@
 //! decision boundary.
 
 use fleetio_des::window::WindowSummary;
-use fleetio_des::SimDuration;
+use fleetio_des::{SimDuration, SimTime};
 use fleetio_vssd::engine::{Engine, EngineConfig};
 use fleetio_vssd::request::{IoOp, IoRequest};
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::gen::ClosedLoopWorkload;
-use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind};
+use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind, WorkloadSpec};
 
 /// One tenant of a collocation: a vSSD plus the workload running on it.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +50,13 @@ impl TenantSpec {
     }
 }
 
+/// The polling step of the window loop: sources are fed and topped up
+/// once per tick.
+const TICK: SimDuration = SimDuration::from_millis(1);
+/// Requests kept per workload for typing; the oldest half is dropped
+/// when the ring fills.
+const TRACE_CAP: usize = 100_000;
+
 #[derive(Debug)]
 enum Source {
     Open(SyntheticWorkload),
@@ -59,12 +66,46 @@ enum Source {
     },
 }
 
+impl Source {
+    /// The one place a spec becomes a request source. `start`
+    /// fast-forwards an open-loop clock so no arrival predates it;
+    /// `outstanding` is a closed loop's initial in-flight count.
+    fn new(
+        spec: WorkloadSpec,
+        capacity: u64,
+        seed: u64,
+        outstanding: u32,
+        start: Option<SimTime>,
+    ) -> Self {
+        if spec.is_closed_loop() {
+            Source::Closed {
+                gen: ClosedLoopWorkload::new(spec, capacity, seed),
+                outstanding,
+            }
+        } else {
+            let mut gen = SyntheticWorkload::new(spec, capacity, seed);
+            if let Some(now) = start {
+                let _ = gen.requests_until(now);
+            }
+            Source::Open(gen)
+        }
+    }
+}
+
 #[derive(Debug)]
-struct Tenant {
-    id: VssdId,
+struct Workload {
     kind: WorkloadKind,
     source: Source,
     trace: Vec<TraceRecord>,
+}
+
+/// One registered vSSD. Without a workload it stays provisioned: its
+/// windows flush as idle, and completions still arriving for it are a
+/// detached workload's drain.
+#[derive(Debug)]
+struct Tenant {
+    id: VssdId,
+    workload: Option<Workload>,
 }
 
 /// A running collocation experiment.
@@ -73,48 +114,44 @@ pub struct Colocation {
     engine: Engine,
     tenants: Vec<Tenant>,
     window: SimDuration,
-    tick: SimDuration,
-    trace_cap: usize,
 }
 
 impl Colocation {
-    /// Builds a collocation on an engine described by `engine_cfg`.
+    /// Builds a collocation on an engine described by `engine_cfg`, every
+    /// tenant's workload attached at time zero.
     ///
     /// # Panics
     ///
     /// Panics on invalid configurations (see [`Engine::new`]).
     pub fn new(engine_cfg: EngineConfig, tenants: Vec<TenantSpec>, window: SimDuration) -> Self {
+        let configs = tenants.iter().map(|t| t.config.clone()).collect();
+        let mut coloc = Colocation::vacant(engine_cfg, configs, window);
+        for t in tenants {
+            // Not fast-forwarded: an arrival at exactly 0 ns is served.
+            coloc.install(t.config.id, t.kind, t.kind.spec(), t.seed, None);
+        }
+        coloc
+    }
+
+    /// Builds a collocation whose vSSDs all start without a workload
+    /// (see [`Colocation::attach`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on invalid configurations (see [`Engine::new`]).
+    pub fn vacant(engine_cfg: EngineConfig, configs: Vec<VssdConfig>, window: SimDuration) -> Self {
         assert!(!window.is_zero(), "window must be positive");
-        let configs: Vec<VssdConfig> = tenants.iter().map(|t| t.config.clone()).collect();
-        let engine = Engine::new(engine_cfg, configs);
-        let tenants = tenants
-            .into_iter()
-            .map(|spec| {
-                let id = spec.config.id;
-                let capacity = engine.logical_capacity_bytes(id);
-                let spec_w = spec.kind.spec();
-                let source = if spec_w.is_closed_loop() {
-                    Source::Closed {
-                        gen: ClosedLoopWorkload::new(spec_w, capacity, spec.seed),
-                        outstanding: 0,
-                    }
-                } else {
-                    Source::Open(SyntheticWorkload::new(spec_w, capacity, spec.seed))
-                };
-                Tenant {
-                    id,
-                    kind: spec.kind,
-                    source,
-                    trace: Vec::new(),
-                }
+        let tenants = configs
+            .iter()
+            .map(|c| Tenant {
+                id: c.id,
+                workload: None,
             })
             .collect();
         Colocation {
-            engine,
+            engine: Engine::new(engine_cfg, configs),
             tenants,
             window,
-            tick: SimDuration::from_millis(1),
-            trace_cap: 100_000,
         }
     }
 
@@ -150,51 +187,99 @@ impl Colocation {
         self.tenants.iter().map(|t| t.id).collect()
     }
 
+    fn slot_mut(&mut self, id: VssdId) -> &mut Option<Workload> {
+        let tenant = self.tenants.iter_mut().find(|t| t.id == id);
+        &mut tenant
+            .unwrap_or_else(|| panic!("unknown tenant {id}"))
+            .workload
+    }
+
+    fn workload_mut(&mut self, id: VssdId) -> &mut Workload {
+        self.slot_mut(id)
+            .as_mut()
+            .unwrap_or_else(|| panic!("tenant {id} is vacant"))
+    }
+
+    fn workload(&self, id: VssdId) -> &Workload {
+        let tenant = self.tenants.iter().find(|t| t.id == id);
+        tenant
+            .unwrap_or_else(|| panic!("unknown tenant {id}"))
+            .workload
+            .as_ref()
+            .unwrap_or_else(|| panic!("tenant {id} is vacant"))
+    }
+
+    fn install(
+        &mut self,
+        id: VssdId,
+        kind: WorkloadKind,
+        spec: WorkloadSpec,
+        seed: u64,
+        start: Option<SimTime>,
+    ) {
+        let capacity = self.engine.logical_capacity_bytes(id);
+        let slot = self.slot_mut(id);
+        assert!(slot.is_none(), "tenant {id} is occupied");
+        *slot = Some(Workload {
+            kind,
+            source: Source::new(spec, capacity, seed, 0, start),
+            trace: Vec::new(),
+        });
+    }
+
+    /// Starts `spec`, reported as `kind`, on the vacant tenant `id` at a
+    /// window boundary. The stream starts at the current simulated time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a tenant, already runs a workload, or the
+    /// spec is invalid.
+    pub fn attach(&mut self, id: VssdId, kind: WorkloadKind, spec: WorkloadSpec, seed: u64) {
+        self.install(id, kind, spec, seed, Some(self.engine.now()));
+    }
+
+    /// Stops tenant `id`'s workload at a window boundary and returns its
+    /// collected trace. In-flight requests drain over the following
+    /// window; the vSSD stays registered and can be attached again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a tenant or is vacant.
+    pub fn detach(&mut self, id: VssdId) -> Vec<TraceRecord> {
+        let workload = self.slot_mut(id).take();
+        workload
+            .unwrap_or_else(|| panic!("tenant {id} is vacant"))
+            .trace
+    }
+
     /// The workload kind running on `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a tenant.
+    /// Panics if `id` is not a tenant or is vacant.
     pub fn kind_of(&self, id: VssdId) -> WorkloadKind {
-        self.tenants
-            .iter()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"))
-            .kind
+        self.workload(id).kind
     }
 
     /// Swaps the workload on tenant `id` (used by the Figure 17 robustness
-    /// experiment). The new stream starts at the current simulated time.
+    /// experiment). The new stream starts at the current simulated time;
+    /// the collected trace continues.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a tenant.
+    /// Panics if `id` is not a tenant or is vacant.
     pub fn swap_workload(&mut self, id: VssdId, kind: WorkloadKind, seed: u64) {
         let capacity = self.engine.logical_capacity_bytes(id);
-        let tenant = self
-            .tenants
-            .iter_mut()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"));
-        let spec = kind.spec();
+        let now = self.engine.now();
+        let workload = self.workload_mut(id);
         // Carry over the outstanding count so in-flight requests drain
         // naturally under the new source.
-        let outstanding = match &tenant.source {
-            Source::Closed { outstanding, .. } => *outstanding,
+        let outstanding = match workload.source {
+            Source::Closed { outstanding, .. } => outstanding,
             Source::Open(_) => 0,
         };
-        tenant.kind = kind;
-        tenant.source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding,
-            }
-        } else {
-            let mut gen = SyntheticWorkload::new(spec, capacity, seed);
-            // Fast-forward the open-loop clock to now.
-            let _ = gen.requests_until(self.engine.now());
-            Source::Open(gen)
-        };
+        workload.kind = kind;
+        workload.source = Source::new(kind.spec(), capacity, seed, outstanding, Some(now));
     }
 
     /// Replaces tenant `id`'s generator with an arbitrary spec (used by
@@ -203,22 +288,10 @@ impl Colocation {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a tenant or the spec is invalid.
-    pub fn override_spec(&mut self, id: VssdId, spec: fleetio_workloads::WorkloadSpec, seed: u64) {
+    /// Panics if `id` is not a tenant, is vacant, or the spec is invalid.
+    pub fn override_spec(&mut self, id: VssdId, spec: WorkloadSpec, seed: u64) {
         let capacity = self.engine.logical_capacity_bytes(id);
-        let tenant = self
-            .tenants
-            .iter_mut()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"));
-        tenant.source = if spec.is_closed_loop() {
-            Source::Closed {
-                gen: ClosedLoopWorkload::new(spec, capacity, seed),
-                outstanding: 0,
-            }
-        } else {
-            Source::Open(SyntheticWorkload::new(spec, capacity, seed))
-        };
+        self.workload_mut(id).source = Source::new(spec, capacity, seed, 0, None);
     }
 
     /// The decision-window length.
@@ -229,9 +302,8 @@ impl Colocation {
     /// Pre-fills every tenant's vSSD to `fraction` of its logical space
     /// (§4.1 warm-up).
     pub fn warm_up(&mut self, fraction: f64) {
-        let ids = self.tenant_ids();
-        for id in ids {
-            self.engine.warm_up(id, fraction);
+        for t in &self.tenants {
+            self.engine.warm_up(t.id, fraction);
         }
     }
 
@@ -240,37 +312,50 @@ impl Colocation {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a tenant.
+    /// Panics if `id` is not a tenant or is vacant.
     pub fn trace_of(&self, id: VssdId) -> &[TraceRecord] {
-        &self
-            .tenants
-            .iter()
-            .find(|t| t.id == id)
-            .unwrap_or_else(|| panic!("unknown tenant {id}"))
-            .trace
+        &self.workload(id).trace
     }
 
     /// Advances one decision window, feeding workloads and returning the
     /// per-tenant window summaries in tenant order.
     pub fn run_window(&mut self) -> Vec<(VssdId, WindowSummary)> {
+        self.advance();
+        self.flush()
+    }
+
+    /// The window loop: feeds every workload across one decision window
+    /// in 1 ms ticks, leaving the engine's per-window accumulators
+    /// (`window_latency`, `queued_ops`) readable until
+    /// [`Colocation::flush`]. This is the determinism-taint root of
+    /// every driven run.
+    pub fn advance(&mut self) {
         let end = self.engine.now() + self.window;
         while self.engine.now() < end {
-            let t = (self.engine.now() + self.tick).min(end);
+            let t = (self.engine.now() + TICK).min(end);
             // Open-loop arrivals up to t.
             for tenant in &mut self.tenants {
-                if let Source::Open(gen) = &mut tenant.source {
+                if let Some(Workload {
+                    source: Source::Open(gen),
+                    trace,
+                    ..
+                }) = &mut tenant.workload
+                {
                     for rec in gen.requests_until(t) {
-                        push_trace(&mut tenant.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(tenant.id, rec));
+                        submit(&mut self.engine, tenant.id, trace, rec);
                     }
                 }
             }
             self.engine.run_until(t);
-            // Account completions against closed-loop windows.
-            let completed = self.engine.drain_completed();
-            for c in completed {
+            // Account completions against closed-loop windows; one for a
+            // vacant tenant is a detached workload draining.
+            for c in self.engine.drain_completed() {
                 if let Some(tenant) = self.tenants.iter_mut().find(|x| x.id == c.vssd) {
-                    if let Source::Closed { outstanding, .. } = &mut tenant.source {
+                    if let Some(Workload {
+                        source: Source::Closed { outstanding, .. },
+                        ..
+                    }) = &mut tenant.workload
+                    {
                         *outstanding = outstanding.saturating_sub(1);
                     }
                 }
@@ -278,23 +363,29 @@ impl Colocation {
             // Top closed-loop sources up to their phase concurrency.
             let now = self.engine.now();
             for tenant in &mut self.tenants {
-                if let Source::Closed { gen, outstanding } = &mut tenant.source {
+                if let Some(Workload {
+                    source: Source::Closed { gen, outstanding },
+                    trace,
+                    ..
+                }) = &mut tenant.workload
+                {
                     let target = gen.concurrency_at(now);
                     while *outstanding < target {
-                        let rec = gen.make_request(now);
-                        push_trace(&mut tenant.trace, self.trace_cap, rec);
-                        self.engine.submit(to_request(tenant.id, rec));
+                        submit(&mut self.engine, tenant.id, trace, gen.make_request(now));
                         *outstanding += 1;
                     }
                 }
             }
         }
+    }
+
+    /// Freezes every tenant's window summary (vacant ones flush as
+    /// idle), in registration order.
+    pub fn flush(&mut self) -> Vec<(VssdId, WindowSummary)> {
+        let engine = &mut self.engine;
         self.tenants
             .iter()
-            .map(|t| t.id)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|id| (id, self.engine.finish_window(id)))
+            .map(|t| (t.id, engine.finish_window(t.id)))
             .collect()
     }
 
@@ -306,29 +397,25 @@ impl Colocation {
     }
 }
 
-fn to_request(vssd: VssdId, rec: TraceRecord) -> IoRequest {
-    IoRequest {
+/// Records `rec` in the workload's trace ring and submits it on `vssd`.
+fn submit(engine: &mut Engine, vssd: VssdId, trace: &mut Vec<TraceRecord>, rec: TraceRecord) {
+    if trace.len() >= TRACE_CAP {
+        // Keep the newest half when full.
+        trace.drain(..TRACE_CAP / 2);
+    }
+    trace.push(rec);
+    engine.submit(IoRequest {
         vssd,
         op: if rec.is_read { IoOp::Read } else { IoOp::Write },
         offset: rec.offset,
         len: rec.len,
         arrival: rec.at,
-    }
-}
-
-fn push_trace(trace: &mut Vec<TraceRecord>, cap: usize, rec: TraceRecord) {
-    if trace.len() >= cap {
-        // Keep the newest half when full.
-        let half = cap / 2;
-        trace.drain(..half);
-    }
-    trace.push(rec);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleetio_des::SimTime;
     use fleetio_flash::addr::ChannelId;
     use fleetio_flash::config::FlashConfig;
 
@@ -433,6 +520,120 @@ mod tests {
         assert_eq!(c.kind_of(VssdId(0)), WorkloadKind::VdiWeb);
         let out = c.run_window();
         assert!(out[0].1.total_ops > 0);
+    }
+
+    /// Four single-channel vSSDs, none running a workload.
+    fn vacant() -> Colocation {
+        let configs = (0..4u16)
+            .map(|i| {
+                VssdConfig::hardware(VssdId(u32::from(i)), vec![ChannelId(i)])
+                    .with_slo(SimDuration::from_millis(2))
+            })
+            .collect();
+        Colocation::vacant(small_cfg(), configs, SimDuration::from_millis(500))
+    }
+
+    #[test]
+    fn vacant_tenants_flush_idle_windows() {
+        let mut c = vacant();
+        let out = c.run_window();
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|(_, w)| w.total_ops == 0));
+        assert_eq!(c.engine().now(), SimTime::from_nanos(500_000_000));
+    }
+
+    #[test]
+    fn attached_workload_runs_beside_vacant_tenants() {
+        let mut c = vacant();
+        c.attach(VssdId(1), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 99);
+        let out = c.run_window();
+        assert!(out[1].1.total_ops > 0);
+        assert_eq!(out[0].1.total_ops, 0);
+        assert_eq!(c.kind_of(VssdId(1)), WorkloadKind::Ycsb);
+        assert!(!c.trace_of(VssdId(1)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "is occupied")]
+    fn attach_on_an_occupied_tenant_panics() {
+        let mut c = vacant();
+        c.attach(VssdId(0), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 1);
+        c.attach(VssdId(0), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "is vacant")]
+    fn detach_of_a_vacant_tenant_panics() {
+        let _ = vacant().detach(VssdId(0));
+    }
+
+    #[test]
+    fn detach_drains_and_tenant_reattaches() {
+        let mut c = vacant();
+        c.attach(
+            VssdId(0),
+            WorkloadKind::TeraSort,
+            WorkloadKind::TeraSort.spec(),
+            5,
+        );
+        c.run_window();
+        let trace = c.detach(VssdId(0));
+        assert!(!trace.is_empty());
+        // Drain window: in-flight requests finish, no new arrivals.
+        c.run_window();
+        let quiet = c.run_window();
+        assert_eq!(quiet[0].1.total_ops, 0, "tenant fully drained");
+        // The vSSD is reusable; the open-loop clock starts at now.
+        c.attach(VssdId(0), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 6);
+        let busy = c.run_window();
+        assert!(busy[0].1.total_ops > 0);
+        let now = c.engine().now();
+        let window = c.window();
+        assert!(c.trace_of(VssdId(0)).iter().all(|r| r.at + window > now));
+    }
+
+    #[test]
+    fn advance_then_flush_is_run_window() {
+        let tenants = || {
+            vec![
+                TenantSpec::new(
+                    VssdConfig::hardware(VssdId(0), chans(0..2)),
+                    WorkloadKind::Ycsb,
+                    4,
+                ),
+                TenantSpec::new(
+                    VssdConfig::hardware(VssdId(1), chans(2..4)),
+                    WorkloadKind::TeraSort,
+                    5,
+                ),
+            ]
+        };
+        let mut whole = Colocation::new(small_cfg(), tenants(), SimDuration::from_secs(1));
+        let mut split = Colocation::new(small_cfg(), tenants(), SimDuration::from_secs(1));
+        for _ in 0..2 {
+            split.advance();
+            // Between the two halves the window accumulators are live.
+            assert!(split.engine().window_latency(VssdId(0)).count() > 0);
+            assert_eq!(split.flush(), whole.run_window());
+        }
+    }
+
+    #[test]
+    fn override_spec_keeps_kind_and_swap_keeps_trace() {
+        let spec = TenantSpec::new(
+            VssdConfig::hardware(VssdId(0), chans(0..2)),
+            WorkloadKind::TeraSort,
+            6,
+        );
+        let mut c = Colocation::new(small_cfg(), vec![spec], SimDuration::from_secs(1));
+        c.run_window();
+        let collected = c.trace_of(VssdId(0)).len();
+        c.override_spec(VssdId(0), WorkloadKind::MlPrep.spec(), 7);
+        assert_eq!(c.kind_of(VssdId(0)), WorkloadKind::TeraSort);
+        c.swap_workload(VssdId(0), WorkloadKind::PageRank, 8);
+        assert_eq!(c.trace_of(VssdId(0)).len(), collected);
+        c.run_window();
+        assert!(c.trace_of(VssdId(0)).len() > collected);
     }
 
     #[test]

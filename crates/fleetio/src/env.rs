@@ -14,7 +14,7 @@ use crate::actions::AgentAction;
 use crate::config::FleetIoConfig;
 use crate::driver::{Colocation, TenantSpec};
 use crate::reward::RewardParams;
-use crate::states::{StateHistory, StateVector};
+use crate::states::{extract_states, StateHistory, StateVector};
 
 /// A FleetIO training/evaluation environment.
 #[derive(Debug)]
@@ -159,33 +159,16 @@ impl FleetIoEnv {
     /// that need the un-normalized states).
     pub fn step_decoded(&mut self, actions: &[AgentAction]) -> (Vec<StateVector>, StepResult) {
         assert_eq!(actions.len(), self.tenants.len(), "one action per agent");
-        let ids = self.coloc.tenant_ids();
-        let ch_bw = self.coloc.engine().channel_peak_bytes_per_sec();
-        for (id, action) in ids.iter().zip(actions) {
-            let engine = self.coloc.engine_mut();
-            engine.set_priority(*id, action.priority);
-            engine.submit_action(action.make_harvestable_action(*id, ch_bw));
-            engine.submit_action(action.harvest_action(*id, ch_bw));
+        for (id, action) in self.coloc.tenant_ids().into_iter().zip(actions) {
+            action.apply(self.coloc.engine_mut(), id);
         }
         let summaries = self.coloc.run_window();
         self.windows_done += 1;
 
-        // Shared states: sums across collocated agents (§3.3.1).
-        let total_iops: f64 = summaries.iter().map(|(_, w)| w.avg_iops).sum();
-        let total_vio: f64 = summaries.iter().map(|(_, w)| w.slo_violation_rate).sum();
-
-        let mut states = Vec::with_capacity(ids.len());
-        let mut rewards = Vec::with_capacity(ids.len());
-        for (i, (id, window)) in summaries.iter().enumerate() {
-            let snap = self.coloc.engine().snapshot(*id);
-            let state = StateVector::from_window(
-                window,
-                &snap,
-                total_iops - window.avg_iops,
-                total_vio - window.slo_violation_rate,
-            );
-            self.histories[i].push(state);
-            states.push(state);
+        let states = extract_states(self.coloc.engine(), &summaries);
+        let mut rewards = Vec::with_capacity(states.len());
+        for (i, ((_, window), state)) in summaries.iter().zip(&states).enumerate() {
+            self.histories[i].push(*state);
             rewards.push(self.rewards[i].reward(window.avg_bandwidth, window.slo_violation_rate));
         }
         let mixed = mix_rewards(&rewards, self.cfg.beta);

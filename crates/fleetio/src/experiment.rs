@@ -249,23 +249,32 @@ fn saturating_spec() -> WorkloadSpec {
     }
 }
 
+/// `kind` running alone as vSSD 0 on the device's first `n_channels`
+/// channels, hardware-isolated and pre-filled to `warm_fraction`.
+fn solo_colocation(
+    cfg: &FleetIoConfig,
+    kind: WorkloadKind,
+    n_channels: usize,
+    seed: u64,
+    warm_fraction: f64,
+) -> Colocation {
+    let chans = (0..n_channels as u16).map(ChannelId).collect();
+    let vc = VssdConfig::hardware(VssdId(0), chans);
+    let tenant = TenantSpec::new(vc, kind, seed);
+    let mut coloc = Colocation::new(cfg.engine.clone(), vec![tenant], cfg.decision_interval);
+    coloc.warm_up(warm_fraction);
+    coloc
+}
+
 /// Measures the device's peak deliverable bandwidth (bytes/second) with a
 /// saturating sequential-read run over all channels. Utilization numbers
 /// are reported against this, as on real hardware.
 pub fn measure_device_peak(cfg: &FleetIoConfig, seed: u64) -> f64 {
-    let all: Vec<ChannelId> = (0..cfg.engine.flash.channels).map(ChannelId).collect();
-    let vc = VssdConfig::hardware(VssdId(0), all);
-    // Feed the saturating spec through a one-tenant colocation by
-    // registering it under a synthetic kind-independent tenant: reuse the
-    // driver with TeraSort's slot but swap the generator via a dedicated
-    // mini-driver below.
-    let mut coloc = Colocation::new(
-        cfg.engine.clone(),
-        vec![TenantSpec::new(vc, WorkloadKind::TeraSort, seed)],
-        cfg.decision_interval,
-    );
+    // The saturating spec is outside the named catalogue: register the
+    // tenant as TeraSort, then replace its generator.
+    let all = usize::from(cfg.engine.flash.channels);
+    let mut coloc = solo_colocation(cfg, WorkloadKind::TeraSort, all, seed, 0.3);
     coloc.override_spec(VssdId(0), saturating_spec(), seed);
-    coloc.warm_up(0.3);
     let mut best: f64 = 0.0;
     for _ in 0..4 {
         let out = coloc.run_window();
@@ -283,14 +292,7 @@ pub fn calibrate_slo(
     windows: usize,
     seed: u64,
 ) -> SimDuration {
-    let chans: Vec<ChannelId> = (0..n_channels as u16).map(ChannelId).collect();
-    let vc = VssdConfig::hardware(VssdId(0), chans);
-    let mut coloc = Colocation::new(
-        cfg.engine.clone(),
-        vec![TenantSpec::new(vc, kind, seed)],
-        cfg.decision_interval,
-    );
-    coloc.warm_up(0.5);
+    let mut coloc = solo_colocation(cfg, kind, n_channels, seed, 0.5);
     for _ in 0..windows {
         let _ = coloc.run_window();
     }
@@ -316,14 +318,7 @@ pub fn workload_feature_windows(
     window_requests: usize,
     seed: u64,
 ) -> Vec<WindowFeatures> {
-    let chans: Vec<ChannelId> = (0..n_channels as u16).map(ChannelId).collect();
-    let vc = VssdConfig::hardware(VssdId(0), chans);
-    let mut coloc = Colocation::new(
-        cfg.engine.clone(),
-        vec![TenantSpec::new(vc, kind, seed)],
-        cfg.decision_interval,
-    );
-    coloc.warm_up(0.3);
+    let mut coloc = solo_colocation(cfg, kind, n_channels, seed, 0.3);
     let needed = feature_windows * window_requests;
     // Generous bound: stop either when the trace suffices or after enough
     // simulated time that a pathologically slow stream cannot stall us.
@@ -352,14 +347,7 @@ pub fn profile_channel_demand(
     assert!(!candidates.is_empty(), "need candidate channel counts");
     let mut results: Vec<(usize, f64, SimDuration)> = Vec::new();
     for &n in candidates {
-        let chans: Vec<ChannelId> = (0..n as u16).map(ChannelId).collect();
-        let vc = VssdConfig::hardware(VssdId(0), chans);
-        let mut coloc = Colocation::new(
-            cfg.engine.clone(),
-            vec![TenantSpec::new(vc, kind, seed)],
-            cfg.decision_interval,
-        );
-        coloc.warm_up(0.3);
+        let mut coloc = solo_colocation(cfg, kind, n, seed, 0.3);
         let mut bw = 0.0;
         for _ in 0..windows {
             let out = coloc.run_window();

@@ -44,6 +44,8 @@ pub struct SyntheticWorkload {
     zipf: Option<(u64, ZipfSampler)>,
     /// Align all addresses to this many bytes (page size by default).
     align: u64,
+    /// A generated request `requests_until` found to lie past its bound.
+    peeked: Option<TraceRecord>,
 }
 
 impl SyntheticWorkload {
@@ -74,6 +76,7 @@ impl SyntheticWorkload {
             seq_cursors,
             zipf: None,
             align: 4096,
+            peeked: None,
         }
     }
 
@@ -103,6 +106,9 @@ impl SyntheticWorkload {
 
     /// Generates the next request, advancing simulated arrival time.
     pub fn next_request(&mut self) -> TraceRecord {
+        if let Some(r) = self.peeked.take() {
+            return r;
+        }
         // Skip through idle (rate 0) phases.
         loop {
             let rate = self.phase().arrival_rate;
@@ -133,36 +139,17 @@ impl SyntheticWorkload {
     }
 
     /// Generates every request arriving up to `until` (exclusive of later
-    /// ones; the stream position advances past them).
+    /// ones; the first of those is held back for the next call).
     pub fn requests_until(&mut self, until: SimTime) -> Vec<TraceRecord> {
         let mut out = Vec::new();
         loop {
-            let save = self.clone_position();
             let r = self.next_request();
             if r.at > until {
-                self.restore_position(save);
+                self.peeked = Some(r);
                 return out;
             }
             out.push(r);
         }
-    }
-
-    fn clone_position(&self) -> (SimTime, usize, SimTime, SmallRng, Vec<u64>) {
-        (
-            self.now,
-            self.phase_idx,
-            self.phase_end,
-            self.rng.clone(),
-            self.seq_cursors.clone(),
-        )
-    }
-
-    fn restore_position(&mut self, save: (SimTime, usize, SimTime, SmallRng, Vec<u64>)) {
-        self.now = save.0;
-        self.phase_idx = save.1;
-        self.phase_end = save.2;
-        self.rng = save.3;
-        self.seq_cursors = save.4;
     }
 
     fn sample_size(&mut self, dist: &SizeDist) -> u64 {
