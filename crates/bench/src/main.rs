@@ -87,8 +87,13 @@ fn cmd_perf(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    for (name, rate) in &report.metrics {
-        println!("{name:>24}: {rate:.1}/s");
+    for (name, value) in &report.metrics {
+        let unit = if perf::lower_is_better(name) {
+            ""
+        } else {
+            "/s"
+        };
+        println!("{name:>24}: {value:.1}{unit}");
     }
     println!("\nprofiled pass (span tree):\n{}", tree.to_text());
     println!("wrote {out_path}");

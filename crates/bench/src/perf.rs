@@ -2,13 +2,15 @@
 //! a schema-versioned `BENCH_fleetio.json` report, and a thresholded
 //! comparator for CI gating.
 //!
-//! [`run_perf`] measures five scenarios — a two-tenant colocation run, a
-//! parallel rollout collection, a PPO update microbench, an event-queue
-//! microbench, and a run-store ingest microbench — in two passes: a **timing pass** with the profiler disabled (so the throughput
-//! numbers carry no instrumentation overhead) and a **profiling pass**
-//! with `obs::prof` enabled that yields the span tree embedded in the
-//! report and the folded stacks for flamegraphs. [`compare`] diffs two
-//! reports metric by metric: every metric is a higher-is-better rate, a
+//! [`run_perf`] measures its scenarios — a two-tenant colocation run, a
+//! fleet run, a parallel rollout collection, a PPO update microbench, an
+//! event-queue microbench, a run-store ingest microbench, and an engine
+//! build + warm-up — in two passes: a **timing pass** with the profiler
+//! disabled (so the throughput numbers carry no instrumentation overhead)
+//! and a **profiling pass** with `obs::prof` enabled that yields the span
+//! tree embedded in the report and the folded stacks for flamegraphs.
+//! [`compare`] diffs two reports metric by metric: metrics are
+//! higher-is-better rates unless [`lower_is_better`] says otherwise, a
 //! regression past [`WARN_THRESHOLD`] warns and past [`FAIL_THRESHOLD`]
 //! fails (nonzero CI exit).
 
@@ -20,11 +22,14 @@ use fleetio::baselines::StaticPolicy;
 use fleetio::experiment::{hardware_layout, run_collocation, ExperimentOptions};
 use fleetio::{Colocation, FleetIoConfig, FleetIoEnv};
 use fleetio_des::rng::{Rng, SmallRng};
+use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
 use fleetio_obs::prof;
 use fleetio_obs::prof::ProfReport;
 use fleetio_rl::parallel::collect_parallel_envs;
 use fleetio_rl::{ObsNormalizer, PpoPolicy, PpoTrainer, RolloutBuffer, Transition};
+use fleetio_vssd::engine::{Engine, EngineConfig};
+use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::WorkloadKind;
 
 use crate::report::{json_num, json_str};
@@ -138,7 +143,8 @@ pub struct SpanSummary {
 pub struct PerfReport {
     /// Format version ([`SCHEMA`]).
     pub schema: String,
-    /// Metric name → rate (all higher-is-better, units/second).
+    /// Metric name → value (a higher-is-better rate in units/second
+    /// unless [`lower_is_better`]).
     pub metrics: BTreeMap<String, f64>,
     /// Top spans by self time from the profiled pass.
     pub spans: Vec<SpanSummary>,
@@ -353,9 +359,16 @@ impl CompareResult {
     }
 }
 
-/// Compares two reports. Metrics are higher-is-better rates, except
-/// names starting with `allocs_` (heap traffic), which are
-/// lower-is-better and compared inverted. The regression fraction is
+/// Whether `metric` is a cost (heap traffic `allocs_*` / `*_allocs`, or a
+/// host time per unit `*_ns_per_*`) rather than a rate: more is worse, so
+/// [`compare`] inverts it.
+pub fn lower_is_better(metric: &str) -> bool {
+    metric.starts_with("allocs_") || metric.ends_with("_allocs") || metric.contains("_ns_per_")
+}
+
+/// Compares two reports. Metrics are higher-is-better rates, except the
+/// [`lower_is_better`] costs, which are compared inverted. The regression
+/// fraction is
 /// `(old - new) / old` (or its negation for inverted metrics). Metrics
 /// present in the baseline but absent from the new report fail outright;
 /// metrics present only in the new report fail unless `allow_new` is set.
@@ -372,11 +385,9 @@ pub fn compare(
         match new.metrics.get(name) {
             None => missing.push(name.clone()),
             Some(&new_rate) => {
-                // `allocs_*` counts heap traffic: more is worse.
-                let lower_is_better = name.starts_with("allocs_");
                 let regression = if old_rate > 0.0 {
                     let drop = (old_rate - new_rate) / old_rate;
-                    if lower_is_better {
+                    if lower_is_better(name) {
                         -drop
                     } else {
                         drop
@@ -581,7 +592,49 @@ fn ppo_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
     );
 }
 
+/// Engine build + warm-up scenario, at one fixed scale: `Engine::new` on
+/// the experiment device with two 8-channel vSSDs, each pre-filled to
+/// half its logical space — what every figure run, SLO calibration and RL
+/// environment does before its first window. Fills `warm_up_ns_per_page`
+/// (host time per pre-filled page; warm-up is bookkeeping only) and, under
+/// `prof-alloc`, the wall-clock-free `engine_build_allocs` (allocations of
+/// the build plus the warm-up).
+fn warm_up_scenario(metrics: &mut BTreeMap<String, f64>) {
+    let _prof = prof::span("perf.warm_up");
+    let cfg = EngineConfig {
+        flash: FlashConfig::experiment_default(),
+        ..Default::default()
+    };
+    let vssds: Vec<VssdConfig> = (0..2u16)
+        .map(|v| {
+            let channels = (v * 8..v * 8 + 8).map(ChannelId).collect();
+            VssdConfig::hardware(VssdId(u32::from(v)), channels)
+        })
+        .collect();
+    #[cfg(feature = "prof-alloc")]
+    let allocs0 = prof::alloc::counters().0;
+    let mut engine = Engine::new(cfg, vssds);
+    let t0 = Instant::now();
+    for id in engine.vssd_ids() {
+        engine.warm_up(id, 0.5);
+    }
+    let nanos = t0.elapsed().as_nanos() as f64;
+    #[cfg(feature = "prof-alloc")]
+    metrics.insert(
+        "engine_build_allocs".to_string(),
+        prof::alloc::counters().0.saturating_sub(allocs0) as f64,
+    );
+    // Half of each vSSD's logical pages were written.
+    let pages: u64 = engine
+        .vssd_ids()
+        .into_iter()
+        .map(|id| engine.logical_capacity_pages(id) / 2)
+        .sum();
+    metrics.insert("warm_up_ns_per_page".to_string(), nanos / pages as f64);
+}
+
 fn run_scenarios(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
+    warm_up_scenario(metrics);
     colocation_scenario(opts, metrics);
     fleet_scenario(opts, metrics);
     rollout_scenario(opts, metrics);
@@ -895,30 +948,35 @@ mod tests {
             .contains("new metric (no baseline)"));
     }
 
-    /// `allocs_*` metrics are lower-is-better: an increase regresses, a
+    /// Cost metrics are lower-is-better: an increase regresses, a
     /// decrease improves, and the thresholds gate in that direction.
     #[test]
-    fn alloc_metrics_compare_inverted() {
-        let mut old = sample_report();
-        old.metrics.insert("allocs_per_sim_event".to_string(), 10.0);
-        let mut new = old.clone();
+    fn cost_metrics_compare_inverted() {
+        for name in [
+            "allocs_per_sim_event",
+            "engine_build_allocs",
+            "warm_up_ns_per_page",
+        ] {
+            assert!(lower_is_better(name));
+            let mut old = sample_report();
+            old.metrics.insert(name.to_string(), 10.0);
+            let mut new = old.clone();
 
-        new.metrics.insert("allocs_per_sim_event".to_string(), 5.0);
-        let result = compare(&old, &new, WARN_THRESHOLD, FAIL_THRESHOLD, true);
-        assert!(
-            !result.failed() && !result.warned(),
-            "halving heap traffic is an improvement"
-        );
+            new.metrics.insert(name.to_string(), 5.0);
+            let result = compare(&old, &new, WARN_THRESHOLD, FAIL_THRESHOLD, true);
+            assert!(
+                !result.failed() && !result.warned(),
+                "halving {name} is an improvement"
+            );
 
-        new.metrics.insert("allocs_per_sim_event".to_string(), 14.0);
-        let result = compare(&old, &new, WARN_THRESHOLD, FAIL_THRESHOLD, true);
-        let delta = result
-            .deltas
-            .iter()
-            .find(|d| d.name == "allocs_per_sim_event")
-            .unwrap();
-        assert_eq!(delta.severity, Severity::Fail, "+40% heap traffic fails");
-        assert!(result.failed());
+            new.metrics.insert(name.to_string(), 14.0);
+            let result = compare(&old, &new, WARN_THRESHOLD, FAIL_THRESHOLD, true);
+            let delta = result.deltas.iter().find(|d| d.name == name).unwrap();
+            assert_eq!(delta.severity, Severity::Fail, "+40% {name} fails");
+            assert!(result.failed());
+        }
+        assert!(!lower_is_better("sim_events_per_sec"));
+        assert!(!lower_is_better("fleet_windows_per_sec"));
     }
 
     #[test]
@@ -935,6 +993,7 @@ mod tests {
             "ppo_updates_per_sec",
             "queue_ops_per_sec",
             "store_ingest_events_per_sec",
+            "warm_up_ns_per_page",
         ] {
             let rate = report.metrics.get(metric).copied().unwrap_or(0.0);
             assert!(rate > 0.0, "{metric} should be positive, got {rate}");

@@ -1,9 +1,11 @@
-//! Flash block state: valid-page bitmaps, append points, free lists.
+//! Flash block state: a flat per-chip page-state arena, append points,
+//! free lists.
 //!
 //! Flash writes are out-of-place: a page is programmed once per erase cycle,
 //! overwrites invalidate the old physical page, and whole blocks are erased
-//! to reclaim space. [`BlockState`] tracks one block's lifecycle;
-//! [`ChipBlocks`] tracks every block on one chip plus its free list.
+//! to reclaim space. [`BlockState`] tracks one block's lifecycle counters;
+//! [`ChipBlocks`] owns every block on one chip, the page state behind them
+//! and the free list.
 
 use crate::addr::Lpa;
 
@@ -18,40 +20,20 @@ pub enum BlockPhase {
     Full,
 }
 
-/// State of one physical flash block.
+/// Lifecycle counters of one physical flash block. The per-page state
+/// (which pages are live, and for which LPA) lives in the owning
+/// [`ChipBlocks`]' arena, so every page-level operation goes through the
+/// chip.
 #[derive(Debug, Clone)]
 pub struct BlockState {
     phase: BlockPhase,
     /// Next unwritten page (append point).
     next_page: u32,
-    /// Which written pages still hold live data.
-    valid: Vec<bool>,
-    /// LPA stored in each written page (for GC migration).
-    page_lpa: Vec<Option<Lpa>>,
     valid_count: u32,
     erase_count: u32,
-    pages: u32,
 }
 
 impl BlockState {
-    /// Creates a fresh (never-programmed) block with `pages` pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages` is zero.
-    pub fn new(pages: u32) -> Self {
-        assert!(pages > 0, "a block needs at least one page");
-        BlockState {
-            phase: BlockPhase::Free,
-            next_page: 0,
-            valid: vec![false; pages as usize],
-            page_lpa: vec![None; pages as usize],
-            valid_count: 0,
-            erase_count: 0,
-            pages,
-        }
-    }
-
     /// Current lifecycle phase.
     pub fn phase(&self) -> BlockPhase {
         self.phase
@@ -67,108 +49,53 @@ impl BlockState {
         self.next_page
     }
 
-    /// Pages still available for appending.
-    pub fn free_pages(&self) -> u32 {
-        self.pages - self.next_page
-    }
-
     /// Times this block has been erased.
     pub fn erase_count(&self) -> u32 {
         self.erase_count
     }
-
-    /// Marks the block as allocated (taken off the free list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is not free.
-    pub fn open(&mut self) {
-        assert_eq!(self.phase, BlockPhase::Free, "opening a non-free block");
-        self.phase = BlockPhase::Open;
-    }
-
-    /// Appends one page holding `lpa`, returning the page index written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is full or not open.
-    pub fn append(&mut self, lpa: Lpa) -> u32 {
-        assert_eq!(
-            self.phase,
-            BlockPhase::Open,
-            "appending to a non-open block"
-        );
-        let page = self.next_page;
-        self.valid[page as usize] = true;
-        self.page_lpa[page as usize] = Some(lpa);
-        self.valid_count += 1;
-        self.next_page += 1;
-        if self.next_page == self.pages {
-            self.phase = BlockPhase::Full;
-        }
-        page
-    }
-
-    /// Invalidates the page at `page` (its LPA was overwritten or trimmed).
-    ///
-    /// Idempotent: invalidating an already-invalid page is a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` was never written.
-    pub fn invalidate(&mut self, page: u32) {
-        assert!(page < self.next_page, "invalidating an unwritten page");
-        let p = page as usize;
-        if self.valid[p] {
-            self.valid[p] = false;
-            self.page_lpa[p] = None;
-            self.valid_count -= 1;
-        }
-    }
-
-    /// Whether the page at `page` currently holds live data.
-    pub fn is_valid(&self, page: u32) -> bool {
-        self.valid.get(page as usize).copied().unwrap_or(false)
-    }
-
-    /// Iterates over `(page, lpa)` pairs of all live pages.
-    pub fn valid_pages(&self) -> impl Iterator<Item = (u32, Lpa)> + '_ {
-        self.page_lpa
-            .iter()
-            .enumerate()
-            .take(self.next_page as usize)
-            .filter_map(|(i, lpa)| lpa.map(|l| (i as u32, l)))
-    }
-
-    /// Erases the block, returning it to the free phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if live pages remain (callers must migrate them first).
-    pub fn erase(&mut self) {
-        assert_eq!(self.valid_count, 0, "erasing a block with live pages");
-        self.phase = BlockPhase::Free;
-        self.next_page = 0;
-        self.valid.fill(false);
-        self.page_lpa.fill(None);
-        self.erase_count += 1;
-    }
 }
 
-/// All blocks on one chip, with a free list.
+/// All blocks on one chip, with their page state and a free list.
+///
+/// Page state is one `u64` per physical page in a single arena indexed by
+/// `block * pages_per_block + page`: `0` means *empty* (never written this
+/// erase cycle, or invalidated since), anything else is the live page's
+/// `lpa + 1`. Validity is derived from the slot, so there is no separate
+/// bitmap to keep in step; the arena is allocated zeroed, so pages a run
+/// never touches cost no resident memory; and because a block can only be
+/// erased once every page in it has been invalidated, erase leaves nothing
+/// to clear.
 #[derive(Debug, Clone)]
 pub struct ChipBlocks {
     blocks: Vec<BlockState>,
     free: Vec<u32>,
+    pages_per_block: u32,
+    /// `lpa + 1` of each live page, `0` for an empty one.
+    page_state: Vec<u64>,
 }
 
 impl ChipBlocks {
     /// Creates `count` fresh blocks of `pages` pages each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pages` is zero.
     pub fn new(count: u32, pages: u32) -> Self {
+        assert!(pages > 0, "a block needs at least one page");
         ChipBlocks {
-            blocks: (0..count).map(|_| BlockState::new(pages)).collect(),
+            blocks: vec![
+                BlockState {
+                    phase: BlockPhase::Free,
+                    next_page: 0,
+                    valid_count: 0,
+                    erase_count: 0,
+                };
+                count as usize
+            ],
             // Pop from the back: allocate low block ids first.
             free: (0..count).rev().collect(),
+            pages_per_block: pages,
+            page_state: vec![0; count as usize * pages as usize],
         }
     }
 
@@ -209,21 +136,30 @@ impl ChipBlocks {
             return None;
         }
         let id = self.free.pop()?;
-        self.blocks[id as usize].open();
+        let b = &mut self.blocks[id as usize];
+        assert_eq!(b.phase, BlockPhase::Free, "opening a non-free block");
+        b.phase = BlockPhase::Open;
         Some(id)
     }
 
-    /// Returns an erased block to the free list.
+    /// Erases `block` and returns it to the free list. Its page state is
+    /// already all-empty (every page was invalidated), so a later
+    /// re-append starts from zeroed slots without any clearing here.
     ///
     /// # Panics
     ///
-    /// Panics if the block still has live pages (erase first).
+    /// Panics if the block still has live pages (callers must migrate
+    /// them first).
     pub fn release(&mut self, block: u32) {
-        self.blocks[block as usize].erase();
+        let b = &mut self.blocks[block as usize];
+        assert_eq!(b.valid_count, 0, "erasing a block with live pages");
+        b.phase = BlockPhase::Free;
+        b.next_page = 0;
+        b.erase_count += 1;
         self.free.push(block);
     }
 
-    /// Immutable access to a block.
+    /// Lifecycle counters of a block.
     ///
     /// # Panics
     ///
@@ -232,13 +168,77 @@ impl ChipBlocks {
         &self.blocks[block as usize]
     }
 
-    /// Mutable access to a block.
+    /// Pages of `block` still available for appending.
     ///
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn block_mut(&mut self, block: u32) -> &mut BlockState {
-        &mut self.blocks[block as usize]
+    pub fn free_pages(&self, block: u32) -> u32 {
+        self.pages_per_block - self.blocks[block as usize].next_page
+    }
+
+    /// Arena index of `(block, page)`.
+    #[inline]
+    fn slot(&self, block: u32, page: u32) -> usize {
+        block as usize * self.pages_per_block as usize + page as usize
+    }
+
+    /// Appends one page holding `lpa` to `block`, returning the page index
+    /// written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is full or not open, or if `lpa` is `u64::MAX`
+    /// (its `lpa + 1` encoding would collide with the empty slot value).
+    pub fn append(&mut self, block: u32, lpa: Lpa) -> u32 {
+        assert!(
+            lpa.0 != u64::MAX,
+            "LPA u64::MAX collides with the empty page-state encoding"
+        );
+        let b = &mut self.blocks[block as usize];
+        assert_eq!(b.phase, BlockPhase::Open, "appending to a non-open block");
+        let page = b.next_page;
+        b.valid_count += 1;
+        b.next_page += 1;
+        if b.next_page == self.pages_per_block {
+            b.phase = BlockPhase::Full;
+        }
+        let slot = self.slot(block, page);
+        self.page_state[slot] = lpa.0 + 1;
+        page
+    }
+
+    /// Invalidates `page` of `block` (its LPA was overwritten or trimmed).
+    ///
+    /// Idempotent: invalidating an already-invalid page is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` was never written.
+    pub fn invalidate(&mut self, block: u32, page: u32) {
+        let slot = self.slot(block, page);
+        let b = &mut self.blocks[block as usize];
+        assert!(page < b.next_page, "invalidating an unwritten page");
+        if self.page_state[slot] != 0 {
+            self.page_state[slot] = 0;
+            b.valid_count -= 1;
+        }
+    }
+
+    /// Whether `page` of `block` currently holds live data.
+    pub fn is_valid(&self, block: u32, page: u32) -> bool {
+        page < self.pages_per_block && self.page_state[self.slot(block, page)] != 0
+    }
+
+    /// Iterates over `(page, lpa)` pairs of all live pages of `block`.
+    pub fn valid_pages(&self, block: u32) -> impl Iterator<Item = (u32, Lpa)> + '_ {
+        let start = self.slot(block, 0);
+        let written = self.blocks[block as usize].next_page as usize;
+        self.page_state[start..start + written]
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s != 0)
+            .map(|(i, &s)| (i as u32, Lpa(s - 1)))
     }
 
     /// Audits the chip's structural invariants (the `audit` feature's
@@ -247,7 +247,9 @@ impl ChipBlocks {
     /// * the free list and the per-block phases agree — every free-list
     ///   entry is in [`BlockPhase::Free`], no duplicates, and the cached
     ///   count matches a full census;
-    /// * every block's `valid_count` matches its validity bitmap.
+    /// * every block's `valid_count` matches the live slots of its written
+    ///   pages in the arena, and every slot past its append point is empty
+    ///   (what lets erase skip clearing).
     ///
     /// All checks are `debug_assert!`s; in release builds this is a no-op.
     #[cfg(feature = "audit")]
@@ -282,11 +284,20 @@ impl ChipBlocks {
             self.free.len()
         );
         for (id, b) in self.blocks.iter().enumerate() {
-            let bitmap = (0..b.written_count()).filter(|p| b.is_valid(*p)).count() as u32;
+            let start = self.slot(id as u32, 0);
+            let (written, unwritten) = self.page_state
+                [start..start + self.pages_per_block as usize]
+                .split_at(b.next_page as usize);
+            let live = written.iter().filter(|&&s| s != 0).count() as u32;
             debug_assert!(
-                bitmap == b.valid_count(),
-                "block {id}: valid_count {} disagrees with bitmap census {bitmap}",
-                b.valid_count()
+                live == b.valid_count,
+                "block {id}: valid_count {} disagrees with arena census {live}",
+                b.valid_count
+            );
+            debug_assert!(
+                unwritten.iter().all(|&s| s == 0),
+                "block {id}: non-empty page state past append point {}",
+                b.next_page
             );
         }
     }
@@ -323,64 +334,130 @@ mod tests {
     use super::*;
     use fleetio_des::rng::{Rng, SmallRng};
 
+    /// A chip with one allocated (open) block of `pages` pages.
+    fn one_open_block(pages: u32) -> ChipBlocks {
+        let mut c = ChipBlocks::new(1, pages);
+        assert_eq!(c.allocate(), Some(0));
+        c
+    }
+
     #[test]
     fn block_lifecycle() {
-        let mut b = BlockState::new(4);
-        assert_eq!(b.phase(), BlockPhase::Free);
-        b.open();
-        assert_eq!(b.append(Lpa(10)), 0);
-        assert_eq!(b.append(Lpa(11)), 1);
-        assert_eq!(b.valid_count(), 2);
-        assert_eq!(b.free_pages(), 2);
-        b.invalidate(0);
-        assert_eq!(b.valid_count(), 1);
-        assert!(!b.is_valid(0));
-        assert!(b.is_valid(1));
-        b.append(Lpa(12));
-        b.append(Lpa(13));
-        assert_eq!(b.phase(), BlockPhase::Full);
-        let live: Vec<_> = b.valid_pages().collect();
+        let mut c = ChipBlocks::new(1, 4);
+        assert_eq!(c.block(0).phase(), BlockPhase::Free);
+        c.allocate();
+        assert_eq!(c.append(0, Lpa(10)), 0);
+        assert_eq!(c.append(0, Lpa(11)), 1);
+        assert_eq!(c.block(0).valid_count(), 2);
+        assert_eq!(c.free_pages(0), 2);
+        c.invalidate(0, 0);
+        assert_eq!(c.block(0).valid_count(), 1);
+        assert!(!c.is_valid(0, 0));
+        assert!(c.is_valid(0, 1));
+        assert!(!c.is_valid(0, 2), "unwritten pages are not valid");
+        c.append(0, Lpa(12));
+        c.append(0, Lpa(13));
+        assert_eq!(c.block(0).phase(), BlockPhase::Full);
+        let live: Vec<_> = c.valid_pages(0).collect();
         assert_eq!(live, vec![(1, Lpa(11)), (2, Lpa(12)), (3, Lpa(13))]);
     }
 
     #[test]
+    fn lpa_zero_is_a_live_page() {
+        // The empty encoding is the slot value 0, not LPA 0.
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(0));
+        assert!(c.is_valid(0, 0));
+        assert_eq!(c.valid_pages(0).collect::<Vec<_>>(), vec![(0, Lpa(0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with the empty page-state encoding")]
+    fn lpa_colliding_with_the_empty_encoding_panics() {
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(u64::MAX));
+    }
+
+    #[test]
     fn invalidate_is_idempotent() {
-        let mut b = BlockState::new(2);
-        b.open();
-        b.append(Lpa(1));
-        b.invalidate(0);
-        b.invalidate(0);
-        assert_eq!(b.valid_count(), 0);
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(1));
+        c.invalidate(0, 0);
+        c.invalidate(0, 0);
+        assert_eq!(c.block(0).valid_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unwritten page")]
+    fn invalidating_an_unwritten_page_panics() {
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(1));
+        c.invalidate(0, 1);
     }
 
     #[test]
     fn erase_resets_and_counts() {
-        let mut b = BlockState::new(2);
-        b.open();
-        b.append(Lpa(1));
-        b.invalidate(0);
-        b.erase();
-        assert_eq!(b.phase(), BlockPhase::Free);
-        assert_eq!(b.erase_count(), 1);
-        assert_eq!(b.free_pages(), 2);
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(1));
+        c.invalidate(0, 0);
+        c.release(0);
+        assert_eq!(c.block(0).phase(), BlockPhase::Free);
+        assert_eq!(c.block(0).erase_count(), 1);
+        assert_eq!(c.free_pages(0), 2);
+    }
+
+    /// Erase clears nothing, so a re-allocated block must find its slots
+    /// already empty: no page of the previous cycle may read back as live.
+    #[test]
+    fn erase_then_reappend_reuses_zeroed_state() {
+        let mut c = ChipBlocks::new(2, 4);
+        let a = c.allocate().unwrap();
+        for i in 0..4 {
+            c.append(a, Lpa(100 + i));
+        }
+        for p in 0..4 {
+            c.invalidate(a, p);
+        }
+        c.release(a);
+        assert_eq!(c.allocate(), Some(a), "the released block is reused first");
+        assert_eq!(c.block(a).written_count(), 0);
+        assert_eq!(c.valid_pages(a).count(), 0);
+        assert_eq!(c.append(a, Lpa(7)), 0);
+        assert_eq!(c.valid_pages(a).collect::<Vec<_>>(), vec![(0, Lpa(7))]);
+        assert!((1..4).all(|p| !c.is_valid(a, p)));
+        // The neighbouring block's slots were never touched.
+        assert_eq!(c.valid_pages(1).count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "live pages")]
     fn erase_with_live_pages_panics() {
-        let mut b = BlockState::new(2);
-        b.open();
-        b.append(Lpa(1));
-        b.erase();
+        let mut c = one_open_block(2);
+        c.append(0, Lpa(1));
+        c.release(0);
     }
 
     #[test]
     #[should_panic(expected = "non-open block")]
     fn append_to_full_block_panics() {
-        let mut b = BlockState::new(1);
-        b.open();
-        b.append(Lpa(1));
-        b.append(Lpa(2));
+        let mut c = one_open_block(1);
+        c.append(0, Lpa(1));
+        c.append(0, Lpa(2));
+    }
+
+    #[test]
+    fn blocks_do_not_share_page_state() {
+        let mut c = ChipBlocks::new(3, 2);
+        for _ in 0..3 {
+            c.allocate();
+        }
+        c.append(1, Lpa(5));
+        c.append(1, Lpa(6));
+        c.append(2, Lpa(9));
+        c.invalidate(1, 1);
+        assert_eq!(c.valid_pages(0).count(), 0);
+        assert_eq!(c.valid_pages(1).collect::<Vec<_>>(), vec![(0, Lpa(5))]);
+        assert_eq!(c.valid_pages(2).collect::<Vec<_>>(), vec![(0, Lpa(9))]);
     }
 
     #[test]
@@ -391,8 +468,8 @@ mod tests {
         assert_eq!(a, 0); // low ids first
         assert_eq!(c.free_count(), 3);
         assert_eq!(c.block(a).phase(), BlockPhase::Open);
-        c.block_mut(a).append(Lpa(1));
-        c.block_mut(a).invalidate(0);
+        c.append(a, Lpa(1));
+        c.invalidate(a, 0);
         c.release(a);
         assert_eq!(c.free_count(), 4);
         assert!((c.free_fraction() - 1.0).abs() < 1e-12);
@@ -413,19 +490,19 @@ mod tests {
         }
         // Block 0: 4 valid; block 1: 1 valid; block 2: 2 valid.
         for i in 0..4 {
-            c.block_mut(0).append(Lpa(i));
+            c.append(0, Lpa(i));
         }
         for i in 0..4 {
-            c.block_mut(1).append(Lpa(10 + i));
+            c.append(1, Lpa(10 + i));
         }
         for p in 0..3 {
-            c.block_mut(1).invalidate(p as u32);
+            c.invalidate(1, p);
         }
         for i in 0..4 {
-            c.block_mut(2).append(Lpa(20 + i));
+            c.append(2, Lpa(20 + i));
         }
         for p in 0..2 {
-            c.block_mut(2).invalidate(p as u32);
+            c.invalidate(2, p);
         }
         assert_eq!(c.greedy_victim(0..3, false), Some(1));
     }
@@ -436,29 +513,83 @@ mod tests {
         assert_eq!(c.greedy_victim(0..3, false), None);
     }
 
-    /// Property: the valid-count counter always matches the bitmap.
+    #[cfg(feature = "audit")]
     #[test]
-    fn prop_valid_count_matches_bitmap() {
+    fn audit_accepts_a_lifecycle() {
+        let mut c = ChipBlocks::new(2, 4);
+        c.audit_invariants();
+        let a = c.allocate().unwrap();
+        c.append(a, Lpa(1));
+        c.append(a, Lpa(2));
+        c.invalidate(a, 0);
+        c.audit_invariants();
+        c.invalidate(a, 1);
+        c.release(a);
+        c.audit_invariants();
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    #[should_panic(expected = "disagrees with arena census")]
+    fn audit_catches_valid_count_drift() {
+        let mut c = one_open_block(4);
+        c.append(0, Lpa(1));
+        c.blocks[0].valid_count = 2;
+        c.audit_invariants();
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    #[should_panic(expected = "past append point")]
+    fn audit_catches_state_past_the_append_point() {
+        let mut c = one_open_block(4);
+        c.append(0, Lpa(1));
+        c.page_state[2] = 9;
+        c.audit_invariants();
+    }
+
+    /// Property: each block's valid-count counter always matches the live
+    /// slots of its slice of the arena, through appends, invalidations and
+    /// erase cycles interleaved across blocks.
+    #[test]
+    fn prop_valid_count_matches_arena() {
         let mut rng = SmallRng::seed_from_u64(0xb10c);
         for _case in 0..256 {
-            let n_ops = rng.gen_range(1usize..64);
-            let mut b = BlockState::new(64);
-            b.open();
-            let mut written = 0u32;
+            let n_ops = rng.gen_range(1usize..96);
+            let mut c = ChipBlocks::new(3, 16);
+            for _ in 0..3 {
+                c.allocate();
+            }
+            let mut next_lpa = 0u64;
             for _ in 0..n_ops {
-                let op = rng.gen_range(0u32..8);
-                if op < 6 {
-                    if b.free_pages() > 0 {
-                        b.append(Lpa(u64::from(written)));
-                        written += 1;
+                let blk = rng.gen_range(0u32..3);
+                let op = rng.gen_range(0u32..9);
+                let written = c.block(blk).written_count();
+                if c.block(blk).phase() == BlockPhase::Free {
+                    // Re-allocation pops the most recently released block.
+                    let got = c.allocate().expect("a block was released");
+                    assert_eq!(c.block(got).written_count(), 0);
+                } else if op < 6 {
+                    if c.free_pages(blk) > 0 {
+                        c.append(blk, Lpa(next_lpa));
+                        next_lpa += 1;
                     }
-                } else if written > 0 {
-                    b.invalidate(op % written);
+                } else if op < 8 {
+                    if written > 0 {
+                        c.invalidate(blk, op % written);
+                    }
+                } else if c.block(blk).valid_count() == 0 && written > 0 {
+                    c.release(blk);
+                }
+                for b in 0..3 {
+                    let census = (0..c.block(b).written_count())
+                        .filter(|p| c.is_valid(b, *p))
+                        .count() as u32;
+                    assert_eq!(census, c.block(b).valid_count());
+                    assert_eq!(c.valid_pages(b).count() as u32, c.block(b).valid_count());
+                    assert!((c.block(b).written_count()..16).all(|p| !c.is_valid(b, p)));
                 }
             }
-            let bitmap_count = (0..b.written_count()).filter(|p| b.is_valid(*p)).count() as u32;
-            assert_eq!(bitmap_count, b.valid_count());
-            assert_eq!(b.valid_pages().count() as u32, b.valid_count());
         }
     }
 }

@@ -384,10 +384,11 @@ impl FlashDevice {
     ///
     /// # Panics
     ///
-    /// Panics if the block is not open or the address is out of range.
+    /// Panics if the block is not open, the address is out of range, or
+    /// `lpa` is `u64::MAX` (reserved by the page-state encoding).
     pub fn append_page(&mut self, block: BlockAddr, lpa: Lpa) -> u32 {
         let i = self.chip_index(block.channel, block.chip);
-        self.chips[i].block_mut(block.block).append(lpa)
+        self.chips[i].append(block.block, lpa)
     }
 
     /// Invalidates one page (its LPA was overwritten or trimmed).
@@ -397,7 +398,7 @@ impl FlashDevice {
     /// Panics if the page was never written or the address is out of range.
     pub fn invalidate_page(&mut self, block: BlockAddr, page: u32) {
         let i = self.chip_index(block.channel, block.chip);
-        self.chips[i].block_mut(block.block).invalidate(page);
+        self.chips[i].invalidate(block.block, page);
     }
 
     /// Free-block fraction of the least-free chip among `channels`.
@@ -424,7 +425,7 @@ impl FlashDevice {
     }
 
     /// Audits every chip's block accounting (free list vs phases, valid
-    /// counts vs bitmaps). Called from the `audit` feature's periodic
+    /// counts vs the page-state arena). Called from the `audit` feature's periodic
     /// structural sweep; all checks are `debug_assert!`s.
     #[cfg(feature = "audit")]
     pub fn audit_invariants(&self) {

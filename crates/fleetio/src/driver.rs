@@ -10,7 +10,7 @@
 use fleetio_des::window::WindowSummary;
 use fleetio_des::{SimDuration, SimTime};
 use fleetio_vssd::engine::{Engine, EngineConfig};
-use fleetio_vssd::request::{IoOp, IoRequest};
+use fleetio_vssd::request::{CompletedRequest, IoOp, IoRequest};
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::gen::ClosedLoopWorkload;
 use fleetio_workloads::{SyntheticWorkload, TraceRecord, WorkloadKind, WorkloadSpec};
@@ -114,6 +114,8 @@ pub struct Colocation {
     engine: Engine,
     tenants: Vec<Tenant>,
     window: SimDuration,
+    /// Reused per-tick buffer for the engine's completions.
+    completed: Vec<CompletedRequest>,
 }
 
 impl Colocation {
@@ -152,6 +154,7 @@ impl Colocation {
             engine: Engine::new(engine_cfg, configs),
             tenants,
             window,
+            completed: Vec::new(),
         }
     }
 
@@ -349,7 +352,8 @@ impl Colocation {
             self.engine.run_until(t);
             // Account completions against closed-loop windows; one for a
             // vacant tenant is a detached workload draining.
-            for c in self.engine.drain_completed() {
+            self.engine.drain_completed_into(&mut self.completed);
+            for c in self.completed.drain(..) {
                 if let Some(tenant) = self.tenants.iter_mut().find(|x| x.id == c.vssd) {
                     if let Some(Workload {
                         source: Source::Closed { outstanding, .. },

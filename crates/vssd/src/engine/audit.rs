@@ -11,10 +11,14 @@
 //!   reads via `free_fraction()`, so drift here silently breaks GC timing.
 //! * **Block registry consistency** — `block_meta` and `chip_blocks` hold
 //!   exactly the same blocks, each filed under its own chip, each in a
-//!   non-free device phase, and each `gsb` back-reference resolves.
+//!   non-free device phase, and each `gsb` back-reference resolves (or the
+//!   block is the victim of an in-flight GC job, detached at job start).
 //! * **gSB harvest conservation** — the pool's `harvester` fields and the
 //!   per-vSSD `harvested` lists are two views of one relation; a gSB is
 //!   harvested by exactly the vSSD that lists it (§3.6).
+//! * **Write-stripe coherence** — each vSSD's cached write stripe equals a
+//!   from-scratch rebuild from its home channels, its `harvested` list and
+//!   the pool, so no page can be placed through a stale slot.
 //!
 //! Checks are `debug_assert!`s: release builds with the feature enabled
 //! still skip them, and default builds do not compile this module at all.
@@ -53,6 +57,30 @@ impl Engine {
         self.pool.audit_invariants();
         self.audit_block_registry();
         self.audit_gsb_conservation();
+        self.audit_stripes();
+    }
+
+    /// Every vSSD's cached write stripe must equal what the per-page
+    /// candidate rebuild used to produce: its home channels, then one slot
+    /// per channel of each harvested gSB still in the pool, in acquisition
+    /// order. A mismatch means `harvested` or the pool changed without a
+    /// `rebuild_stripe`.
+    fn audit_stripes(&self) {
+        for v in &self.vssds {
+            let homes = v.cfg.channels.iter().map(|&c| (c, None));
+            let harvested = v
+                .harvested
+                .iter()
+                .filter_map(|&g| self.pool.get(g))
+                .flat_map(|gsb| gsb.channels.iter().map(|&c| (c, Some(gsb.id))));
+            debug_assert!(
+                v.stripe.iter().copied().eq(homes.chain(harvested)),
+                "{}: cached write stripe {:?} is stale (harvested {:?})",
+                v.cfg.id,
+                v.stripe,
+                v.harvested
+            );
+        }
     }
 
     /// Free-block accounting and `block_meta`/`chip_blocks` agreement.
@@ -103,8 +131,12 @@ impl Engine {
                     "{blk:?} is in chip_blocks but has no block_meta"
                 );
                 if let Some(gsb) = meta.and_then(|m| m.gsb) {
+                    // A GC victim is detached from its gSB when the job
+                    // starts and keeps its metadata until the erase
+                    // completes, so it may outlive a gSB it emptied.
                     debug_assert!(
-                        self.pool.get(gsb).is_some(),
+                        self.pool.get(gsb).is_some()
+                            || self.gc_jobs.values().any(|j| j.victim == *blk),
                         "{blk:?} references {gsb} which is not in the pool"
                     );
                 }

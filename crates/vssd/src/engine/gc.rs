@@ -62,8 +62,7 @@ impl Engine {
         let live: Vec<(u32, u64)> = self
             .device
             .chip(victim.channel, victim.chip)
-            .block(victim.block)
-            .valid_pages()
+            .valid_pages(victim.block)
             .map(|(p, lpa)| (p, lpa.0))
             .collect();
         let data_owner = self
@@ -387,8 +386,7 @@ impl Engine {
         let live: Vec<(u32, u64)> = self
             .device
             .chip(victim.channel, victim.chip)
-            .block(victim.block)
-            .valid_pages()
+            .valid_pages(victim.block)
             .map(|(p, lpa)| (p, lpa.0))
             .collect();
         let data_owner = self

@@ -77,7 +77,7 @@ impl Engine {
                 match self.pool.harvest(id, n_chls - current) {
                     Ok(gsb) => {
                         self.vssds[idx].harvested.push(gsb);
-                        self.rebuild_stripe_of(idx);
+                        self.vssds[idx].rebuild_stripe(&self.pool);
                         if self.obs_on {
                             if let Some(g) = self.pool.get(gsb) {
                                 let ev = fleetio_obs::ObsEvent::GsbTransition {
@@ -99,18 +99,12 @@ impl Engine {
                     .harvested
                     .pop()
                     .expect("branch checked harvested non-empty");
-                self.rebuild_stripe_of(idx);
+                self.vssds[idx].rebuild_stripe(&self.pool);
                 self.release_harvested_gsb(gsb);
             } else {
                 return;
             }
         }
-    }
-
-    pub(crate) fn rebuild_stripe_of(&mut self, idx: usize) {
-        let pool = &self.pool;
-        let chans = |g: GsbId| pool.get(g).map_or(0, |x| x.n_chls());
-        self.vssds[idx].rebuild_stripe(chans);
     }
 
     /// Creates one gSB spanning up to `want_chls` of the vSSD's home
@@ -320,7 +314,7 @@ impl Engine {
                 let idx = self.idx(harvester);
                 if self.vssds[idx].harvested.contains(&id) {
                     self.vssds[idx].harvested.retain(|x| *x != id);
-                    self.rebuild_stripe_of(idx);
+                    self.vssds[idx].rebuild_stripe(&self.pool);
                 }
                 self.pool.destroy_harvested(id);
             } else {

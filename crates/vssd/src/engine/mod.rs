@@ -6,7 +6,7 @@
 //! FleetIO's RL agents) interact with it through four surfaces:
 //!
 //! 1. **I/O**: [`Engine::submit`] requests, [`Engine::run_until`] advances
-//!    simulated time, [`Engine::drain_completed`] collects results.
+//!    simulated time, [`Engine::drain_completed_into`] collects results.
 //! 2. **Scheduling**: [`Engine::set_priority`] (the `Set_Priority` action).
 //! 3. **Harvesting**: [`Engine::submit_action`] routes `Harvest` /
 //!    `Make_Harvestable` actions through admission control;
@@ -287,7 +287,6 @@ pub struct Engine {
     pub(crate) arrival_touched: Vec<u16>,
     pub(crate) gc_op_buf: Vec<(u16, PageOp)>,
     pub(crate) gc_touched: Vec<u16>,
-    pub(crate) stripe_candidates: Vec<(ChannelId, Option<crate::gsb::GsbId>)>,
     pub(crate) home_candidates: Vec<(ChannelId, u16)>,
     pub(crate) runnable_buf: Vec<usize>,
     /// Observability sink. [`NullSink`] by default; every emission site
@@ -300,6 +299,10 @@ pub struct Engine {
     /// Runtime invariant auditor (see [`audit`]).
     #[cfg(feature = "audit")]
     pub(crate) auditor: fleetio_des::audit::SimAuditor,
+    /// Makes this engine pick stripe targets with the per-page reference
+    /// walk, for the differential striping test.
+    #[cfg(test)]
+    pub(crate) stripe_oracle: bool,
 }
 
 impl Engine {
@@ -391,13 +394,14 @@ impl Engine {
             arrival_touched: Vec::new(),
             gc_op_buf: Vec::new(),
             gc_touched: Vec::new(),
-            stripe_candidates: Vec::new(),
             home_candidates: Vec::new(),
             runnable_buf: Vec::new(),
             obs: Box::new(NullSink),
             obs_on: false,
             #[cfg(feature = "audit")]
             auditor: fleetio_des::audit::SimAuditor::new(),
+            #[cfg(test)]
+            stripe_oracle: false,
         }
     }
 
@@ -664,9 +668,19 @@ impl Engine {
         self.events.popped()
     }
 
-    /// Drains all requests completed since the last call.
+    /// Moves all requests completed since the last call onto the end of
+    /// `out`. Both vectors keep their capacity, so a caller draining every
+    /// tick into one reused buffer costs no allocation at steady state.
+    pub fn drain_completed_into(&mut self, out: &mut Vec<CompletedRequest>) {
+        out.append(&mut self.completed);
+    }
+
+    /// Drains all requests completed since the last call into a fresh
+    /// vector.
     pub fn drain_completed(&mut self) -> Vec<CompletedRequest> {
-        std::mem::take(&mut self.completed)
+        let mut out = Vec::new();
+        self.drain_completed_into(&mut out);
+        out
     }
 
     /// Sets a vSSD's I/O priority (the RL `Set_Priority(level)` action).
@@ -864,6 +878,7 @@ impl Engine {
         );
         let idx = self.idx(id);
         let pages = (self.logical_capacity_pages(id) as f64 * fraction) as u64;
+        self.vssds[idx].map.grow_to(pages as usize);
         self.warming = true;
         for lpa in 0..pages {
             self.write_page_bookkeeping(idx, lpa);
@@ -964,6 +979,120 @@ mod tests {
         // Warm-up must not advance time or consume device bus accounting.
         assert_eq!(e.now(), SimTime::ZERO);
         assert_eq!(e.device().stats().host_write_bytes, 0);
+    }
+
+    #[test]
+    fn warm_up_of_nothing_is_a_no_op() {
+        let mut e = engine_2vssd();
+        e.warm_up(VssdId(0), 0.0);
+        assert_eq!(e.vssds[0].mapped_pages, 0);
+        assert!(e.vssds[0].map.get(0).is_none());
+        assert_eq!(e.vssds[0].stripe_pos, 0);
+        assert_eq!(e.n_block_meta, 0, "no block may be opened");
+        assert_eq!(e.device().chip(ChannelId(0), 0).free_count(), 16);
+    }
+
+    /// Warming twice rewrites the same LPAs: the mapped count stays, and
+    /// exactly the first pass's physical pages are invalidated.
+    #[test]
+    fn second_warm_up_invalidates_exactly_the_first_pass() {
+        let mut e = engine_2vssd();
+        e.warm_up(VssdId(0), 0.4);
+        let pages = e.vssds[0].mapped_pages;
+        assert_eq!(pages, (2 * 2 * 12 * 32) * 2 / 5);
+        let first: Vec<_> = (0..pages)
+            .map(|l| e.vssds[0].map.get(l).expect("warmed"))
+            .collect();
+        let live = |e: &Engine, p: &fleetio_flash::addr::Ppa| {
+            e.device()
+                .chip(p.channel(), p.chip())
+                .is_valid(p.block.block, p.page)
+        };
+        assert!(first.iter().all(|p| live(&e, p)));
+        e.warm_up(VssdId(0), 0.4);
+        assert_eq!(e.vssds[0].mapped_pages, pages);
+        assert!(e.vssds[0].map.get(pages).is_none());
+        assert!(first.iter().all(|p| !live(&e, p)));
+        let second: Vec<_> = (0..pages)
+            .map(|l| e.vssds[0].map.get(l).expect("still mapped"))
+            .collect();
+        assert!(second.iter().all(|p| live(&e, p)));
+        // Every page written is one pass's or the other's, nothing else
+        // was invalidated and nothing was collected.
+        let (mut written, mut valid) = (0u64, 0u64);
+        for ch in 0..2 {
+            for chip in 0..2 {
+                let c = e.device().chip(ChannelId(ch), chip);
+                for b in 0..c.len() as u32 {
+                    written += u64::from(c.block(b).written_count());
+                    valid += u64::from(c.block(b).valid_count());
+                }
+            }
+        }
+        assert_eq!((written, valid), (2 * pages, pages));
+        assert_eq!(e.device().stats().gc_runs, 0);
+    }
+
+    /// Warm-up is the foreground striping walk with the GC triggers off:
+    /// with a gSB harvested it stripes over the loaned channels too, and
+    /// the per-page reference walk places every page identically.
+    #[test]
+    fn warm_up_stripes_over_a_harvested_gsb_like_any_write() {
+        let mut placed = Vec::new();
+        for oracle in [false, true] {
+            let mut e = engine_2vssd();
+            e.stripe_oracle = oracle;
+            e.set_harvestable_target(VssdId(0), 2);
+            e.set_harvest_target(VssdId(1), 2);
+            assert_eq!(e.vssds[1].stripe.len(), 4);
+            e.warm_up(VssdId(1), 0.25);
+            let pages = e.vssds[1].mapped_pages;
+            assert_eq!(pages, 2 * 2 * 12 * 32 / 4);
+            let ppas: Vec<_> = (0..pages).map(|l| e.vssds[1].map.get(l)).collect();
+            let loaned = ppas.iter().flatten().filter(|p| p.channel().0 < 2).count();
+            assert!(loaned > 0, "warm-up never used the harvested channels");
+            placed.push(ppas);
+        }
+        assert_eq!(placed[0], placed[1]);
+    }
+
+    #[test]
+    fn drain_completed_into_appends_and_keeps_capacity() {
+        let mut e = engine_2vssd();
+        let write = |e: &mut Engine, n: u64| {
+            for i in 0..n {
+                e.submit(IoRequest {
+                    vssd: VssdId(0),
+                    op: IoOp::Write,
+                    offset: i * 16 * 1024,
+                    len: 16 * 1024,
+                    arrival: e.now(),
+                });
+            }
+            e.run_until(e.now() + SimDuration::from_millis(20));
+        };
+        write(&mut e, 5);
+        let mut out = Vec::new();
+        e.drain_completed_into(&mut out);
+        assert_eq!(out.len(), 5);
+        assert!(e.completed.is_empty() && e.completed.capacity() >= 5);
+        write(&mut e, 3);
+        e.drain_completed_into(&mut out);
+        assert_eq!(out.len(), 8, "draining appends");
+        assert!(e.drain_completed().is_empty());
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    #[should_panic(expected = "cached write stripe")]
+    fn audit_sweep_catches_a_stale_stripe() {
+        let mut e = engine_2vssd();
+        e.set_harvestable_target(VssdId(0), 2);
+        e.set_harvest_target(VssdId(1), 2);
+        e.audit_sweep();
+        // Drop the gSB from the list without rebuilding the stripe.
+        e.vssds[1].harvested.clear();
+        e.audit_sweep();
     }
 
     #[test]

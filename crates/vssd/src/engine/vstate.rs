@@ -4,19 +4,15 @@ use fleetio_des::window::WindowStats;
 use fleetio_des::LatencyHistogram;
 use fleetio_flash::addr::{BlockAddr, ChannelId, Ppa};
 
-use crate::gsb::GsbId;
+use crate::gsb::{GsbId, GsbPool};
 use crate::request::Priority;
 use crate::token_bucket::TokenBucket;
 use crate::vssd::{VssdConfig, VssdId};
 
-/// One slot of a vSSD's write-striping rotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum StripeTarget {
-    /// Append to the vSSD's own blocks on this home channel.
-    Home(ChannelId),
-    /// Append into a harvested ghost superblock (one slot per gSB channel).
-    Gsb(GsbId),
-}
+/// One slot of a vSSD's write stripe: a channel to append on, through the
+/// vSSD's own blocks (`None`) or through a harvested ghost superblock
+/// striped over that channel.
+pub(crate) type StripeTarget = (ChannelId, Option<GsbId>);
 
 /// Metadata the engine keeps per allocated physical block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,12 +33,11 @@ const UNMAPPED: u32 = u32::MAX;
 /// Dense LPA → PPA mapping table.
 ///
 /// The FTL map is touched once or twice per written page (lookup + insert)
-/// and once per read — the single hottest lookup in the engine. A `Vec`
-/// indexed by LPA with an in-band "unmapped" sentinel replaces the old
-/// `BTreeMap<u64, Ppa>`'s pointer-chasing walk with one array index, and
-/// its ~3× per-entry node overhead with 12 bytes per page slot. The table
-/// grows geometrically to the highest LPA actually written, so sparse
-/// address spaces do not pay for their holes up front.
+/// and once per read — the single hottest lookup in the engine — so it is
+/// one array index into a `Vec` of 12-byte slots with an in-band
+/// "unmapped" sentinel. [`PageMap::grow_to`] sizes it once for a known
+/// range (warm-up's pre-fill); a write past the end at least doubles it,
+/// so a foreground write stream regrows it O(log n) times.
 #[derive(Debug, Default)]
 pub(crate) struct PageMap {
     pages: Vec<Ppa>,
@@ -61,9 +56,17 @@ impl PageMap {
         debug_assert!(ppa.page != UNMAPPED, "real pages never use the sentinel");
         let i = lpa as usize;
         if i >= self.pages.len() {
-            let new_len = (i + 1).max(self.pages.len() * 2);
+            self.grow_to((i + 1).max(self.pages.len() * 2));
+        }
+        self.pages[i] = ppa;
+    }
+
+    /// Grows the table to cover LPAs `0..len` (new slots unmapped). Never
+    /// shrinks.
+    pub fn grow_to(&mut self, len: usize) {
+        if len > self.pages.len() {
             self.pages.resize(
-                new_len,
+                len,
                 Ppa {
                     block: BlockAddr {
                         channel: ChannelId(0),
@@ -74,7 +77,6 @@ impl PageMap {
                 },
             );
         }
-        self.pages[i] = ppa;
     }
 }
 
@@ -100,7 +102,13 @@ pub(crate) struct VssdState {
     /// Open append block per device chip slot (`channel × chips + chip`);
     /// `None` until the vSSD first writes there.
     pub open_blocks: Vec<Option<BlockAddr>>,
-    /// Write-striping rotation (home channels + harvested gSB slots).
+    /// The write stripe every page append walks: home channels first (so
+    /// load ties favour them), then one slot per channel of each gSB in
+    /// `harvested`. A cache of `cfg.channels` × `harvested` × the pool,
+    /// rebuilt by [`VssdState::rebuild_stripe`] at every change of
+    /// `harvested` — the only way a slot can go stale, because a gSB
+    /// leaves the pool only after leaving `harvested` and its channel
+    /// list never changes.
     pub stripe: Vec<StripeTarget>,
     pub stripe_pos: usize,
     /// Ghost superblocks currently harvested and active for writes,
@@ -127,11 +135,7 @@ impl VssdState {
         let bucket = cfg
             .rate_limit
             .map(|rate| TokenBucket::new(rate, rate * 0.05));
-        let stripe = cfg
-            .channels
-            .iter()
-            .map(|&c| StripeTarget::Home(c))
-            .collect();
+        let stripe = cfg.channels.iter().map(|&c| (c, None)).collect();
         VssdState {
             cfg,
             map: PageMap::default(),
@@ -148,21 +152,18 @@ impl VssdState {
         }
     }
 
-    /// Rebuilds the striping rotation from home channels plus one slot per
-    /// channel of each active harvested gSB.
-    pub(crate) fn rebuild_stripe(&mut self, gsb_channels: impl Fn(GsbId) -> usize) {
-        let mut stripe: Vec<StripeTarget> = self
-            .cfg
-            .channels
-            .iter()
-            .map(|&c| StripeTarget::Home(c))
-            .collect();
+    /// Rebuilds the write stripe after `harvested` changed and restarts
+    /// the rotation.
+    pub(crate) fn rebuild_stripe(&mut self, pool: &GsbPool) {
+        self.stripe.clear();
+        self.stripe
+            .extend(self.cfg.channels.iter().map(|&c| (c, None)));
         for &id in &self.harvested {
-            for _ in 0..gsb_channels(id) {
-                stripe.push(StripeTarget::Gsb(id));
+            if let Some(gsb) = pool.get(id) {
+                self.stripe
+                    .extend(gsb.channels.iter().map(|&c| (c, Some(id))));
             }
         }
-        self.stripe = stripe;
         self.stripe_pos = 0;
     }
 
@@ -183,13 +184,7 @@ mod tests {
     #[test]
     fn stripe_starts_on_home_channels() {
         let st = VssdState::new(cfg(), 4);
-        assert_eq!(
-            st.stripe,
-            vec![
-                StripeTarget::Home(ChannelId(0)),
-                StripeTarget::Home(ChannelId(1))
-            ]
-        );
+        assert_eq!(st.stripe, vec![(ChannelId(0), None), (ChannelId(1), None)]);
         assert!(st.bucket.is_none());
         assert!(st.open_blocks.iter().all(Option::is_none));
     }
@@ -202,12 +197,34 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_stripe_adds_gsb_slots() {
+    fn rebuild_stripe_adds_one_slot_per_gsb_channel() {
+        let blk = |ch| BlockAddr {
+            channel: ChannelId(ch),
+            chip: 0,
+            block: 0,
+        };
+        let mut pool = GsbPool::new(8);
+        let g = pool.create(
+            VssdId(1),
+            vec![ChannelId(6), ChannelId(4)],
+            vec![blk(6), blk(4)],
+        );
         let mut st = VssdState::new(cfg(), 4);
-        st.harvested.push(GsbId(5));
-        st.rebuild_stripe(|_| 2);
-        assert_eq!(st.stripe.len(), 4);
-        assert_eq!(st.stripe[2], StripeTarget::Gsb(GsbId(5)));
+        st.harvested.push(g);
+        // An id the pool does not know contributes no slot.
+        st.harvested.push(GsbId(99));
+        st.stripe_pos = 3;
+        st.rebuild_stripe(&pool);
+        assert_eq!(
+            st.stripe,
+            vec![
+                (ChannelId(0), None),
+                (ChannelId(1), None),
+                (ChannelId(6), Some(g)),
+                (ChannelId(4), Some(g)),
+            ]
+        );
+        assert_eq!(st.stripe_pos, 0);
     }
 
     #[test]
@@ -239,5 +256,11 @@ mod tests {
         m.set(100_000, ppa(1));
         assert_eq!(m.get(100_000), Some(ppa(1)));
         assert!(m.get(99_999).is_none());
+        // Pre-sizing maps nothing, keeps what is mapped and never shrinks.
+        m.grow_to(300_000);
+        assert!(m.get(299_999).is_none());
+        m.grow_to(8);
+        assert_eq!(m.get(7), Some(ppa(10)));
+        assert_eq!(m.get(100_000), Some(ppa(1)));
     }
 }
