@@ -4,9 +4,10 @@
 //!
 //! [`run_perf`] measures its scenarios — a two-tenant colocation run, a
 //! fleet run, a parallel rollout collection, a PPO update microbench, an
-//! event-queue microbench, a run-store ingest microbench, and an engine
-//! build + warm-up — in two passes: a **timing pass** with the profiler
-//! disabled (so the throughput numbers carry no instrumentation overhead)
+//! event-queue microbench, a run-store ingest + read-back microbench, and
+//! an engine build + warm-up — in two passes: a **timing pass** with the
+//! profiler disabled (so the throughput numbers carry no instrumentation
+//! overhead)
 //! and a **profiling pass** with `obs::prof` enabled that yields the span
 //! tree embedded in the report and the folded stacks for flamegraphs.
 //! [`compare`] diffs two reports metric by metric: metrics are
@@ -359,11 +360,11 @@ impl CompareResult {
     }
 }
 
-/// Whether `metric` is a cost (heap traffic `allocs_*` / `*_allocs`, or a
-/// host time per unit `*_ns_per_*`) rather than a rate: more is worse, so
+/// Whether `metric` is a cost (heap traffic, any `*allocs*`, or a host
+/// time per unit `*_ns_per_*`) rather than a rate: more is worse, so
 /// [`compare`] inverts it.
 pub fn lower_is_better(metric: &str) -> bool {
-    metric.starts_with("allocs_") || metric.ends_with("_allocs") || metric.contains("_ns_per_")
+    metric.contains("allocs") || metric.contains("_ns_per_")
 }
 
 /// Compares two reports. Metrics are higher-is-better rates, except the
@@ -673,15 +674,23 @@ fn fleet_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
     );
 }
 
-/// Run-store ingest microbench: a representative event mix streamed
-/// through a `StoreSink` (encode + CRC framing + fingerprint + segment
-/// seals with fsync) into a throwaway directory. Fills
+/// Run-store microbench. Ingest half: a representative event mix
+/// streamed through a `StoreSink` (encode + CRC framing + fingerprint +
+/// segment seals with fsync) into a throwaway directory, filling
 /// `store_ingest_events_per_sec` so recording overhead regressions are
-/// caught even though the simulator never waits on the store.
+/// caught even though the simulator never waits on the store. Read-back
+/// half, over the store just written: `store_verify_events_per_sec`
+/// (`RunStore::verify`), `store_diff_events_per_sec` (`diff_stores` of the
+/// store against itself — two independent cursors, the cost of diffing two
+/// identical runs), under `prof-alloc` the wall-clock-free
+/// `store_diff_allocs_per_event`, and the integrity kernel alone as
+/// `crc32_ns_per_byte` over 34-byte records (the mean event payload).
 fn store_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
+    use fleetio_des::hash::crc32;
     use fleetio_des::SimTime;
     use fleetio_obs::{ObsEvent, ObsSink};
-    use fleetio_store::StoreSink;
+    use fleetio_store::{diff_stores, DiffOutcome, RunStore, StoreSink};
+    use std::hint::black_box;
 
     let _prof = prof::span("perf.store");
     let dir = std::env::temp_dir().join(format!(
@@ -754,7 +763,54 @@ fn store_scenario(opts: &PerfOptions, metrics: &mut BTreeMap<String, f64>) {
         "store_ingest_events_per_sec".to_string(),
         opts.store_events as f64 / secs,
     );
+
+    let store = RunStore::open(&dir).expect("open bench store");
+    let t0 = Instant::now();
+    let report = store.verify();
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    assert!(report.clean(), "bench store must verify clean");
+    metrics.insert(
+        "store_verify_events_per_sec".to_string(),
+        opts.store_events as f64 / secs,
+    );
+
+    #[cfg(feature = "prof-alloc")]
+    let allocs0 = prof::alloc::counters().0;
+    let t0 = Instant::now();
+    let outcome = diff_stores(&store, &store).expect("diff bench store");
+    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    #[cfg(feature = "prof-alloc")]
+    metrics.insert(
+        "store_diff_allocs_per_event".to_string(),
+        prof::alloc::counters().0.saturating_sub(allocs0) as f64 / opts.store_events as f64,
+    );
+    assert!(
+        matches!(outcome, DiffOutcome::Identical { events } if events == manifest.total_events)
+    );
+    metrics.insert(
+        "store_diff_events_per_sec".to_string(),
+        opts.store_events as f64 / secs,
+    );
     std::fs::remove_dir_all(&dir).ok();
+
+    const RECORD_LEN: usize = 34;
+    let records: Vec<u8> = (0..RECORD_LEN * 4096)
+        .map(|i| (i * 31 % 251) as u8)
+        .collect();
+    let passes = opts.store_events.div_ceil(4096);
+    let t0 = Instant::now();
+    let mut acc = 0u32;
+    for _ in 0..passes {
+        for record in records.chunks_exact(RECORD_LEN) {
+            acc ^= crc32(black_box(record));
+        }
+    }
+    black_box(acc);
+    let nanos = t0.elapsed().as_nanos() as f64;
+    metrics.insert(
+        "crc32_ns_per_byte".to_string(),
+        nanos / (passes * records.len()) as f64,
+    );
 }
 
 /// Event-queue microbench: steady-state push/pop pairs over an
@@ -956,6 +1012,8 @@ mod tests {
             "allocs_per_sim_event",
             "engine_build_allocs",
             "warm_up_ns_per_page",
+            "store_diff_allocs_per_event",
+            "crc32_ns_per_byte",
         ] {
             assert!(lower_is_better(name));
             let mut old = sample_report();
@@ -977,6 +1035,7 @@ mod tests {
         }
         assert!(!lower_is_better("sim_events_per_sec"));
         assert!(!lower_is_better("fleet_windows_per_sec"));
+        assert!(!lower_is_better("store_diff_events_per_sec"));
     }
 
     #[test]
@@ -993,6 +1052,9 @@ mod tests {
             "ppo_updates_per_sec",
             "queue_ops_per_sec",
             "store_ingest_events_per_sec",
+            "store_verify_events_per_sec",
+            "store_diff_events_per_sec",
+            "crc32_ns_per_byte",
             "warm_up_ns_per_page",
         ] {
             let rate = report.metrics.get(metric).copied().unwrap_or(0.0);

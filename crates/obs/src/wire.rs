@@ -576,6 +576,24 @@ pub fn push_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Appends `ev` to `out` as one framed record, encoding the payload in
+/// place behind a reserved frame header that is patched once the length
+/// and CRC are known — byte-for-byte what [`encode_event`] into a scratch
+/// buffer followed by [`push_record`] appends, without the scratch copy.
+/// Returns the payload's byte range in `out`.
+pub fn push_event_record(out: &mut Vec<u8>, ev: &ObsEvent) -> Range<usize> {
+    let head = out.len();
+    out.extend_from_slice(&[0; REC_HEADER_LEN]);
+    encode_event(ev, out);
+    let start = head + REC_HEADER_LEN;
+    let len = out.len() - start;
+    debug_assert!(len as u64 <= u64::from(MAX_RECORD_LEN));
+    let crc = crc32(&out[start..]);
+    out[head..head + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[head + 4..start].copy_from_slice(&crc.to_le_bytes());
+    start..out.len()
+}
+
 /// Appends the 12-byte segment header for segment `seq` to `out`.
 pub fn push_segment_header(out: &mut Vec<u8>, seq: u32) {
     out.extend_from_slice(&SEG_MAGIC);
@@ -883,6 +901,20 @@ mod tests {
                 bad[bit / 8] ^= 1 << (bit % 8);
                 let _ = decode_event(&bad); // must not panic; may or may not error
             }
+        }
+    }
+
+    #[test]
+    fn in_place_framing_equals_encode_then_push_record() {
+        let mut in_place = vec![0xAA; 3];
+        let mut copied = in_place.clone();
+        for ev in sample_events() {
+            let range = push_event_record(&mut in_place, &ev);
+            let mut payload = Vec::new();
+            encode_event(&ev, &mut payload);
+            push_record(&mut copied, &payload);
+            assert_eq!(in_place, copied, "{}", ev.tag());
+            assert_eq!(&in_place[range], &payload[..], "{}", ev.tag());
         }
     }
 

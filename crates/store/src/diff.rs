@@ -2,9 +2,10 @@
 //!
 //! Determinism makes equality checkable at the byte level: two runs of
 //! the same spec and seed must produce *identical* encoded event
-//! streams. The diff walks both stores' payloads in stream order and
-//! reports the first index where they disagree, with the decoded event
-//! from each side and a ring of the last few shared events for context.
+//! streams. The diff walks both stores' payloads in stream order —
+//! streaming, one segment of each side in memory — and reports the
+//! first index where they disagree, with the decoded event from each
+//! side and a ring of the last few shared events for context.
 //! Anything weaker (field-by-field tolerance, reordering) would paper
 //! over exactly the bugs the store exists to catch.
 
@@ -52,44 +53,60 @@ fn render_payload(payload: &[u8]) -> String {
     }
 }
 
-/// Compares two stores' event streams byte-for-byte, in stream order.
+/// The last [`CONTEXT_EVENTS`] shared payloads, overwritten in place.
+#[derive(Default)]
+struct ContextRing {
+    slots: [Vec<u8>; CONTEXT_EVENTS],
+    pushed: usize,
+}
+
+impl ContextRing {
+    fn push(&mut self, payload: &[u8]) {
+        let slot = &mut self.slots[self.pushed % CONTEXT_EVENTS];
+        slot.clear();
+        slot.extend_from_slice(payload);
+        self.pushed += 1;
+    }
+
+    /// The held events rendered, oldest first.
+    fn render(&self) -> Vec<String> {
+        (self.pushed.saturating_sub(CONTEXT_EVENTS)..self.pushed)
+            .map(|i| render_payload(&self.slots[i % CONTEXT_EVENTS]))
+            .collect()
+    }
+}
+
+/// Compares two stores' event streams byte-for-byte, in stream order,
+/// pulling both in lockstep one segment at a time (the stores need not
+/// be segmented alike).
 ///
 /// # Errors
 ///
-/// Damage or I/O failure in either store — a diff over corrupt inputs
-/// would be meaningless.
+/// Damage or I/O failure anywhere in either store, also past the first
+/// divergence — a diff over corrupt inputs would be meaningless.
 pub fn diff_stores(a: &RunStore, b: &RunStore) -> Result<DiffOutcome, StoreError> {
-    let pa = a.payloads()?;
-    let pb = b.payloads()?;
-    let shared = pa.len().min(pb.len());
-    let mut context: Vec<&[u8]> = Vec::with_capacity(CONTEXT_EVENTS);
-    for i in 0..shared {
-        if pa[i] != pb[i] {
-            return Ok(DiffOutcome::Diverged(Box::new(Divergence {
-                index: i as u64,
-                a_event: Some(render_payload(&pa[i])),
-                b_event: Some(render_payload(&pb[i])),
-                context: context.iter().map(|p| render_payload(p)).collect(),
-                a_total: pa.len() as u64,
-                b_total: pb.len() as u64,
-            })));
+    let mut ca = a.payload_cursor();
+    let mut cb = b.payload_cursor();
+    let mut context = ContextRing::default();
+    let mut index = 0u64;
+    loop {
+        match (ca.next_payload()?, cb.next_payload()?) {
+            (None, None) => return Ok(DiffOutcome::Identical { events: index }),
+            (Some(pa), Some(pb)) if pa == pb => {
+                context.push(pa);
+                index += 1;
+            }
+            (pa, pb) => {
+                let (a_event, b_event) = (pa.map(render_payload), pb.map(render_payload));
+                return Ok(DiffOutcome::Diverged(Box::new(Divergence {
+                    index,
+                    a_event,
+                    b_event,
+                    context: context.render(),
+                    a_total: ca.drain()?,
+                    b_total: cb.drain()?,
+                })));
+            }
         }
-        if context.len() == CONTEXT_EVENTS {
-            context.remove(0);
-        }
-        context.push(&pa[i]);
     }
-    if pa.len() != pb.len() {
-        return Ok(DiffOutcome::Diverged(Box::new(Divergence {
-            index: shared as u64,
-            a_event: pa.get(shared).map(|p| render_payload(p)),
-            b_event: pb.get(shared).map(|p| render_payload(p)),
-            context: context.iter().map(|p| render_payload(p)).collect(),
-            a_total: pa.len() as u64,
-            b_total: pb.len() as u64,
-        })));
-    }
-    Ok(DiffOutcome::Identical {
-        events: shared as u64,
-    })
 }

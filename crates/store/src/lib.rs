@@ -40,6 +40,6 @@ pub use manifest::{
     STORE_VERSION,
 };
 pub use query::{aggregate_windows, query, EventFilter, QueryResult, WindowAggregate};
-pub use read::{RunStore, SegmentVerify, StoreError, VerifyReport};
+pub use read::{PayloadCursor, RunStore, SegmentVerify, StoreError, VerifyReport};
 pub use run::{record_run, replay_run, RecordReport, ReplayReport};
 pub use sink::{tenant_of, StoreSink, DEFAULT_SEGMENT_BYTES};

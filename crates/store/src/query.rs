@@ -117,12 +117,13 @@ pub fn query(store: &RunStore, filter: &EventFilter) -> Result<QueryResult, Stor
     let manifest = store.manifest();
     let mut events = Vec::new();
     let mut segments_scanned = 0usize;
+    let mut buf = Vec::new();
     for meta in &manifest.segments {
         if !filter.may_match_segment(meta) {
             continue;
         }
         segments_scanned += 1;
-        for ev in store.segment_events(meta)? {
+        for ev in store.segment_events_via(meta, &mut buf)? {
             if filter.matches(&ev) {
                 events.push(ev);
             }

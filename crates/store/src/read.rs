@@ -9,6 +9,9 @@
 //! reports the sim-time ranges that remain recoverable.
 
 use std::fmt;
+use std::fs::File;
+use std::io::Read;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use fleetio::RunSpec;
@@ -137,16 +140,32 @@ impl RunStore {
         Ok(spec)
     }
 
-    /// Reads one segment's raw bytes.
-    fn segment_bytes(&self, seq: u32) -> Result<Vec<u8>, StoreError> {
+    /// Reads one segment's raw bytes into `buf`, replacing its contents
+    /// and keeping its capacity: a pass over the store reuses one buffer
+    /// instead of allocating a segment-sized `Vec` per file.
+    fn read_segment(&self, seq: u32, buf: &mut Vec<u8>) -> Result<(), StoreError> {
         let path = self.manifest.segment_path(&self.dir, seq);
-        std::fs::read(&path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))
+        buf.clear();
+        File::open(&path)
+            .and_then(|mut f| f.read_to_end(buf))
+            .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
+        Ok(())
     }
 
     /// Decodes one segment strictly: any damage is an error.
     pub fn segment_events(&self, meta: &SegmentMeta) -> Result<Vec<ObsEvent>, StoreError> {
-        let bytes = self.segment_bytes(meta.seq)?;
-        let (events, damage) = wire::events_in_segment(&bytes);
+        self.segment_events_via(meta, &mut Vec::new())
+    }
+
+    /// [`RunStore::segment_events`] reading through the caller's buffer,
+    /// for passes over many segments.
+    pub(crate) fn segment_events_via(
+        &self,
+        meta: &SegmentMeta,
+        buf: &mut Vec<u8>,
+    ) -> Result<Vec<ObsEvent>, StoreError> {
+        self.read_segment(meta.seq, buf)?;
+        let (events, damage) = wire::events_in_segment(buf);
         match damage {
             Some(d) => Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name()))),
             None => {
@@ -163,46 +182,31 @@ impl RunStore {
         }
     }
 
-    /// Every encoded event payload of the whole run, in stream order.
-    /// Strict: damage anywhere is an error. This is the byte-exact view
-    /// `diff` and `replay` compare against.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure, damage, or a segment disagreeing with its index
-    /// entry.
-    pub fn payloads(&self) -> Result<Vec<Vec<u8>>, StoreError> {
-        let mut out = Vec::with_capacity(self.manifest.total_events as usize);
-        for meta in &self.manifest.segments {
-            let bytes = self.segment_bytes(meta.seq)?;
-            let scan = wire::scan_segment(&bytes);
-            if let Some(d) = scan.damage {
-                return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
-            }
-            if scan.records.len() as u64 != meta.events {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: {} records on disk, manifest says {}",
-                    meta.file_name(),
-                    scan.records.len(),
-                    meta.events
-                )));
-            }
-            for r in scan.records {
-                out.push(bytes[r].to_vec());
-            }
+    /// A cursor over every encoded event payload of the whole run, in
+    /// stream order — the byte-exact view `diff` and `replay` compare
+    /// against, one segment in memory at a time.
+    pub fn payload_cursor(&self) -> PayloadCursor {
+        PayloadCursor {
+            store: self.clone(),
+            next_segment: 0,
+            bytes: Vec::new(),
+            records: Vec::new(),
+            next_record: 0,
+            yielded: 0,
         }
-        Ok(out)
     }
 
     /// Every event of the whole run, decoded, in stream order. Strict.
     ///
     /// # Errors
     ///
-    /// As [`RunStore::payloads`], plus undecodable records.
+    /// I/O failure, damage, undecodable records, or a segment
+    /// disagreeing with its index entry.
     pub fn events(&self) -> Result<Vec<ObsEvent>, StoreError> {
         let mut out = Vec::with_capacity(self.manifest.total_events as usize);
+        let mut buf = Vec::new();
         for meta in &self.manifest.segments {
-            out.extend(self.segment_events(meta)?);
+            out.extend(self.segment_events_via(meta, &mut buf)?);
         }
         Ok(out)
     }
@@ -213,9 +217,10 @@ impl RunStore {
         let mut segments = Vec::with_capacity(self.manifest.segments.len());
         let mut fp = Fnv64::new();
         let mut all_intact = true;
+        let mut bytes = Vec::new();
         for meta in &self.manifest.segments {
-            let (events_read, damage) = match self.segment_bytes(meta.seq) {
-                Ok(bytes) => {
+            let (events_read, damage) = match self.read_segment(meta.seq, &mut bytes) {
+                Ok(()) => {
                     let scan = wire::scan_segment(&bytes);
                     let mut damage = scan.damage.map(|d| d.to_string());
                     if damage.is_none() && scan.seq != Some(meta.seq) {
@@ -268,6 +273,88 @@ impl RunStore {
             recoverable_ns,
             sealed: self.manifest.sealed,
             fingerprint_ok,
+        }
+    }
+}
+
+/// An owning, strict, segment-at-a-time cursor over a store's encoded
+/// event payloads (see [`RunStore::payload_cursor`]). It holds one
+/// segment's bytes and record ranges, reading each file into the same
+/// buffer. Strict: frame or CRC damage anywhere, or a segment whose
+/// record count disagrees with its index entry, is an error — and a
+/// caller that stops early must [`drain`](PayloadCursor::drain) before
+/// trusting what it saw, so damage past its stopping point still counts.
+#[derive(Debug)]
+pub struct PayloadCursor {
+    store: RunStore,
+    /// Index into the manifest's segment list of the next file to load.
+    next_segment: usize,
+    /// The loaded segment's bytes.
+    bytes: Vec<u8>,
+    /// Payload ranges into `bytes`, in file order.
+    records: Vec<Range<usize>>,
+    next_record: usize,
+    yielded: u64,
+}
+
+impl PayloadCursor {
+    /// Loads the next segment; `false` once the manifest is exhausted.
+    fn load_next_segment(&mut self) -> Result<bool, StoreError> {
+        let Some(meta) = self.store.manifest.segments.get(self.next_segment) else {
+            return Ok(false);
+        };
+        self.store.read_segment(meta.seq, &mut self.bytes)?;
+        let scan = wire::scan_segment(&self.bytes);
+        if let Some(d) = scan.damage {
+            return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
+        }
+        if scan.records.len() as u64 != meta.events {
+            return Err(StoreError::Corrupt(format!(
+                "{}: {} records on disk, manifest says {}",
+                meta.file_name(),
+                scan.records.len(),
+                meta.events
+            )));
+        }
+        self.records = scan.records;
+        self.next_record = 0;
+        self.next_segment += 1;
+        Ok(true)
+    }
+
+    /// The next payload in stream order, `None` at the end of the run.
+    /// The slice is valid until the next call.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure, damage, or a segment disagreeing with its index
+    /// entry. The cursor does not move past a failing segment: every
+    /// later call re-reads it and fails again.
+    pub fn next_payload(&mut self) -> Result<Option<&[u8]>, StoreError> {
+        while self.next_record == self.records.len() {
+            if !self.load_next_segment()? {
+                return Ok(None);
+            }
+        }
+        let range = self.records[self.next_record].clone();
+        self.next_record += 1;
+        self.yielded += 1;
+        Ok(Some(&self.bytes[range]))
+    }
+
+    /// Checks every remaining segment and returns the run's total
+    /// record count (yielded plus drained).
+    ///
+    /// # Errors
+    ///
+    /// As [`PayloadCursor::next_payload`].
+    pub fn drain(&mut self) -> Result<u64, StoreError> {
+        loop {
+            self.yielded += (self.records.len() - self.next_record) as u64;
+            self.next_record = self.records.len();
+            if !self.load_next_segment()? {
+                return Ok(self.yielded);
+            }
         }
     }
 }

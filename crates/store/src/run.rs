@@ -26,7 +26,7 @@ use fleetio_des::hash::Fnv64;
 use fleetio_obs::{wire, ObsEvent, ObsSink};
 
 use crate::manifest::Manifest;
-use crate::read::{RunStore, StoreError};
+use crate::read::{PayloadCursor, RunStore, StoreError};
 use crate::sink::StoreSink;
 
 /// Outcome of [`record_run`].
@@ -121,10 +121,15 @@ impl ReplayReport {
 }
 
 /// Verification sink installed during replay: fingerprints the
-/// pre-anchor prefix, byte-compares everything after.
+/// pre-anchor prefix, byte-compares everything after against the stored
+/// stream, pulled in lockstep through a [`PayloadCursor`].
 #[derive(Debug)]
 struct CheckSink {
-    stored: Vec<Vec<u8>>,
+    stored: PayloadCursor,
+    /// First failure reading the store. A sink cannot return it, so it is
+    /// latched (the cursor is not pulled again) and `replay_run` surfaces
+    /// it in place of a report.
+    error: Option<StoreError>,
     anchor_count: u64,
     anchor_fp: u64,
     fp: Fnv64,
@@ -143,12 +148,21 @@ impl ObsSink for CheckSink {
     fn record(&mut self, ev: ObsEvent) {
         self.scratch.clear();
         wire::encode_event(&ev, &mut self.scratch);
+        // Pulled for the prefix too, to stay in step with the stream.
+        let stored = if self.error.is_some() {
+            None
+        } else {
+            self.stored.next_payload().unwrap_or_else(|e| {
+                self.error = Some(e);
+                None
+            })
+        };
         if self.index < self.anchor_count {
             self.fp.update(&self.scratch);
             if self.index + 1 == self.anchor_count && self.fp.finish() != self.anchor_fp {
                 self.prefix_ok = false;
             }
-        } else if let Some(stored) = self.stored.get(self.index as usize) {
+        } else if let Some(stored) = stored {
             self.compared += 1;
             if self.mismatch.is_none() && *stored != self.scratch {
                 self.mismatch = Some(self.index);
@@ -188,7 +202,6 @@ pub fn replay_run(dir: &Path, target_ns: u64) -> Result<ReplayReport, StoreError
         ));
     }
     let spec = store.spec()?;
-    let stored = store.payloads()?;
 
     let (anchor_window, anchor_count, anchor_fp) = match manifest.nearest_anchor(target_ns) {
         Some(meta) => {
@@ -217,7 +230,8 @@ pub fn replay_run(dir: &Path, target_ns: u64) -> Result<ReplayReport, StoreError
 
     let mut colo = spec.build();
     colo.set_obs_sink(Box::new(CheckSink {
-        stored,
+        stored: store.payload_cursor(),
+        error: None,
         anchor_count,
         anchor_fp,
         fp: Fnv64::new(),
@@ -238,11 +252,18 @@ pub fn replay_run(dir: &Path, target_ns: u64) -> Result<ReplayReport, StoreError
             break;
         }
     }
-    let check = colo
+    let mut check = colo
         .take_obs_sink()
         .into_any()
         .downcast::<CheckSink>()
         .map_err(|_| StoreError::Io("engine returned a foreign sink".into()))?;
+    // Strict as a whole-store read: damage the replay met, or damage in
+    // segments past the target it never reached, is an error — not a
+    // report over a partly checked stream.
+    if let Some(e) = check.error.take() {
+        return Err(e);
+    }
+    check.stored.drain()?;
 
     Ok(ReplayReport {
         target_ns,

@@ -67,7 +67,6 @@ pub struct StoreSink {
     next_seq: u32,
     total_events: u64,
     fp: Fnv64,
-    scratch: Vec<u8>,
     /// First I/O failure; latches the sink into a no-op.
     error: Option<String>,
 }
@@ -118,7 +117,6 @@ impl StoreSink {
             next_seq: 0,
             total_events: 0,
             fp: Fnv64::new(),
-            scratch: Vec::with_capacity(128),
             error: None,
         };
         sink.begin_segment();
@@ -238,9 +236,8 @@ impl ObsSink for StoreSink {
         if self.error.is_some() {
             return;
         }
-        self.scratch.clear();
-        wire::encode_event(&ev, &mut self.scratch);
-        self.fp.update(&self.scratch);
+        let payload = wire::push_event_record(&mut self.seg_buf, &ev);
+        self.fp.update(&self.seg_buf[payload]);
         let at = ev.at().as_nanos();
         self.seg_min_at = self.seg_min_at.min(at);
         self.seg_max_at = self.seg_max_at.max(at);
@@ -248,9 +245,6 @@ impl ObsSink for StoreSink {
             self.seg_tenant_bits |= 1u64 << (t % 64);
         }
         self.seg_kind_bits |= 1u32 << ev.kind_index();
-        let scratch = std::mem::take(&mut self.scratch);
-        wire::push_record(&mut self.seg_buf, &scratch);
-        self.scratch = scratch;
         self.seg_events += 1;
         self.total_events += 1;
         if self.seg_buf.len() >= self.seg_target {

@@ -1,0 +1,107 @@
+//! On-disk format compatibility against bytes an older build wrote.
+//!
+//! `fixtures/recorded-by-pr13/` is a tiny sealed store (four 1 ms
+//! windows of `RunSpec::demo(7, 4, 2)` filled to 0.9, 4 KiB segments:
+//! 299 events in three segments, one anchor) recorded by the commit
+//! before the table-driven CRC-32 and the in-place record framing
+//! landed. Reading it back proves the new kernels against frames the
+//! bit-at-a-time kernel checksummed, not only against themselves.
+//!
+//! The first test is a pure format property and must hold until
+//! `SEG_VERSION` / `STORE_VERSION` change. The second also pins
+//! simulated behaviour, like every other golden: a PR that
+//! intentionally re-baselines the goldens keeps the fixture (and the
+//! first test) and re-pins only the second.
+
+use std::path::{Path, PathBuf};
+
+use fleetio_des::hash::Fnv64;
+use fleetio_store::{diff_stores, record_run, replay_run, DiffOutcome, RunStore};
+
+const STREAM_FINGERPRINT: u64 = 0x335d_5c9d_0b2a_dea9;
+/// FNV-1a over `seg-00000.seg ‖ seg-00001.seg ‖ seg-00002.seg`.
+const SEGMENT_FILES_FNV: u64 = 0x2350_8136_7412_3880;
+const SEGMENT_BYTES: usize = 4096;
+
+fn fixture_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/recorded-by-pr13")
+}
+
+/// File names in `dir`, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list store directory")
+        .map(|e| {
+            let name = e.expect("directory entry").file_name();
+            name.to_string_lossy().into_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn parent_recorded_fixture_verifies_and_fingerprints() {
+    let dir = fixture_dir();
+    let store = RunStore::open(&dir).expect("open fixture");
+    let manifest = store.manifest();
+    assert!(manifest.sealed);
+    assert_eq!(manifest.total_events, 299);
+    assert_eq!(manifest.segments.len(), 3);
+    assert_eq!(manifest.anchors.len(), 1);
+    assert_eq!(manifest.stream_fingerprint, STREAM_FINGERPRINT);
+
+    let report = store.verify();
+    assert!(report.clean(), "fixture must verify clean: {report:?}");
+
+    // The strict streaming view recomputes the manifest's fingerprint.
+    let mut cursor = store.payload_cursor();
+    let mut fp = Fnv64::new();
+    while let Some(payload) = cursor.next_payload().expect("intact fixture") {
+        fp.update(payload);
+    }
+    assert_eq!(fp.finish(), STREAM_FINGERPRINT);
+    assert_eq!(cursor.drain().expect("intact fixture"), 299);
+
+    let mut files = Fnv64::new();
+    for meta in &manifest.segments {
+        files.update(&std::fs::read(manifest.segment_path(&dir, meta.seq)).expect("read segment"));
+    }
+    assert_eq!(files.finish(), SEGMENT_FILES_FNV);
+}
+
+#[test]
+fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
+    let fixture = fixture_dir();
+    let old = RunStore::open(&fixture).expect("open fixture");
+    let spec = old.spec().expect("embedded spec decodes");
+
+    let fresh = std::env::temp_dir().join(format!(
+        "fleetio-store-fixture-fresh-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&fresh).ok();
+    record_run(&spec, &fresh, SEGMENT_BYTES).expect("record the fixture's spec");
+    let new = RunStore::open(&fresh).expect("open fresh recording");
+
+    match diff_stores(&old, &new).expect("diff") {
+        DiffOutcome::Identical { events } => assert_eq!(events, 299),
+        DiffOutcome::Diverged(d) => panic!("fresh recording diverged at {}", d.index),
+    }
+    // Segments, manifest and anchor: the same files with the same bytes.
+    let names = file_names(&fixture);
+    assert_eq!(file_names(&fresh), names);
+    for name in &names {
+        assert_eq!(
+            std::fs::read(fresh.join(name)).expect("read fresh file"),
+            std::fs::read(fixture.join(name)).expect("read fixture file"),
+            "{name} differs from the parent-recorded bytes"
+        );
+    }
+    // And this build regenerates the parent-recorded stream from its anchor.
+    let anchor_ns = old.manifest().anchors[0].at_ns;
+    let replay = replay_run(&fixture, anchor_ns + 1).expect("replay fixture");
+    assert!(replay.ok(), "{replay:?}");
+    assert!(replay.compared > 0);
+    std::fs::remove_dir_all(&fresh).ok();
+}

@@ -6,14 +6,20 @@
 //! * indexed `query` returns exactly what a full linear scan returns,
 //!   while reading strictly fewer segments;
 //! * `replay` from the nearest checkpoint anchor regenerates the
-//!   stored stream exactly.
+//!   stored stream exactly;
+//! * the streaming diff's edges: differently segmented stores, a
+//!   one-event-shorter stream, and damage in the last segment (an error
+//!   from `diff` and `replay`, never a partial answer).
 
 use std::path::PathBuf;
 
 use fleetio::RunSpec;
-use fleetio_obs::ObsEvent;
+use fleetio_des::SimTime;
+use fleetio_obs::{ObsEvent, ObsSink};
+use fleetio_store::diff::CONTEXT_EVENTS;
 use fleetio_store::{
-    diff_stores, query, record_run, replay_run, DiffOutcome, EventFilter, RunStore,
+    diff_stores, query, record_run, replay_run, DiffOutcome, EventFilter, RunStore, StoreSink,
+    DEFAULT_SEGMENT_BYTES,
 };
 
 /// Small segments force a multi-segment store quickly.
@@ -158,4 +164,119 @@ fn replay_from_anchor_regenerates_stored_stream() {
     assert!(early.ok());
     assert!(early.compared > 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn differently_segmented_recordings_diff_identical() {
+    let spec = RunSpec::demo(11, 2, 1);
+    let small = tmp("seg-small");
+    let large = tmp("seg-large");
+    let a = record_run(&spec, &small, 4 * 1024).expect("record at 4 KiB");
+    let b = record_run(&spec, &large, DEFAULT_SEGMENT_BYTES).expect("record at 256 KiB");
+    assert!(
+        a.manifest.segments.len() > 8 * b.manifest.segments.len(),
+        "the two stores must be segmented very differently"
+    );
+    let sa = RunStore::open(&small).expect("open small");
+    let sb = RunStore::open(&large).expect("open large");
+    for (x, y) in [(&sa, &sb), (&sb, &sa)] {
+        match diff_stores(x, y).expect("diff") {
+            DiffOutcome::Identical { events } => assert_eq!(events, a.manifest.total_events),
+            DiffOutcome::Diverged(d) => panic!("segmenting changed the stream at {}", d.index),
+        }
+    }
+    std::fs::remove_dir_all(&small).ok();
+    std::fs::remove_dir_all(&large).ok();
+}
+
+fn throttle(i: u64) -> ObsEvent {
+    ObsEvent::Throttle {
+        at: SimTime::from_nanos(i * 100),
+        channel: (i % 8) as u16,
+        until: SimTime::from_nanos(i * 100 + 40),
+    }
+}
+
+/// A synthetic sealed store of `throttle(0..events)`.
+fn throttle_store(tag: &str, events: u64, segment_bytes: usize) -> RunStore {
+    let dir = tmp(tag);
+    let mut sink = StoreSink::create(&dir, vec![1], 0x51, 5, 1_000, segment_bytes).expect("create");
+    for i in 0..events {
+        sink.record(throttle(i));
+    }
+    let manifest = sink.finish().expect("finish");
+    assert!(manifest.segments.len() >= 3);
+    RunStore::open(&dir).expect("open")
+}
+
+#[test]
+fn one_event_shorter_store_diverges_at_its_end_with_context() {
+    const EVENTS: u64 = 200;
+    // Different segment sizes: the last shared events straddle a segment
+    // boundary on at least one side.
+    let full = throttle_store("short-full", EVENTS, 256);
+    let short = throttle_store("short-short", EVENTS - 1, 300);
+    let shared = EVENTS - 1;
+    let context: Vec<String> = (shared - CONTEXT_EVENTS as u64..shared)
+        .map(|i| format!("{:?}", throttle(i)))
+        .collect();
+    for (a, b, a_total, b_total) in [
+        (&full, &short, EVENTS, shared),
+        (&short, &full, shared, EVENTS),
+    ] {
+        let DiffOutcome::Diverged(d) = diff_stores(a, b).expect("diff") else {
+            panic!("a shorter stream must diverge");
+        };
+        assert_eq!(d.index, shared);
+        assert_eq!((d.a_total, d.b_total), (a_total, b_total));
+        let last = Some(format!("{:?}", throttle(shared)));
+        let (longer, shorter) = if a_total > b_total {
+            (&d.a_event, &d.b_event)
+        } else {
+            (&d.b_event, &d.a_event)
+        };
+        assert_eq!(longer, &last);
+        assert_eq!(shorter, &None);
+        assert_eq!(d.context, context, "last five shared events, oldest first");
+    }
+    std::fs::remove_dir_all(full.dir()).ok();
+    std::fs::remove_dir_all(short.dir()).ok();
+}
+
+#[test]
+fn damage_in_the_last_segment_fails_diff_and_replay() {
+    let a = record("tail-a", 31, 2, 1);
+    let same = record("tail-same", 31, 2, 1);
+    let other = record("tail-other", 32, 2, 1);
+    let sa = RunStore::open(&a).expect("open a");
+    let last = sa.manifest().segments.last().expect("segments");
+    let victim = sa.manifest().segment_path(&a, last.seq);
+    let mut bytes = std::fs::read(&victim).expect("read last segment");
+    let at = bytes.len() - 3;
+    bytes[at] ^= 0x10;
+    std::fs::write(&victim, bytes).expect("write damaged segment");
+
+    // The cursor refuses to step past the damaged segment.
+    let mut cursor = sa.payload_cursor();
+    assert!(cursor.drain().is_err());
+    assert!(cursor.next_payload().is_err());
+
+    // Equal up to the damage, and diverging long before it: both sides
+    // of the streaming diff must still read every segment strictly.
+    for b in [&same, &other] {
+        let sb = RunStore::open(b).expect("open b");
+        for (x, y) in [(&sa, &sb), (&sb, &sa)] {
+            let err = diff_stores(x, y).expect_err("damaged input must fail the diff");
+            assert!(err.to_string().contains("CRC"), "{err}");
+        }
+    }
+    // Replay to a target the first window covers never reaches the last
+    // segment while comparing; the damage is an error all the same.
+    let err = replay_run(&a, 0).expect_err("damaged store must fail replay");
+    assert!(err.to_string().contains("CRC"), "{err}");
+    let err = replay_run(&a, u64::MAX).expect_err("damaged store must fail replay");
+    assert!(err.to_string().contains("CRC"), "{err}");
+    for dir in [&a, &same, &other] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
