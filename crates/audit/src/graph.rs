@@ -651,7 +651,7 @@ mod tests {
                 "impl Engine {\n pub fn dispatch_event(&mut self) { measure(); }\n }\n",
             ),
             (
-                "crates/bench/src/harness.rs",
+                "crates/bench/src/figures.rs",
                 "pub fn measure() { let t = std::time::Instant::now(); }\n",
             ),
         ];

@@ -611,7 +611,7 @@ mod tests {
     fn raw_time_exempts_time_rs_and_bench() {
         assert!(diags("crates/des/src/time.rs", "let ns = secs * 1e9;").is_empty());
         assert!(diags(
-            "crates/bench/src/harness.rs",
+            "crates/bench/src/figures.rs",
             "let s = ns / 1_000_000_000.0;"
         )
         .is_empty());
@@ -699,7 +699,7 @@ mod tests {
         assert_eq!(diags("crates/workloads/src/gen.rs", src).len(), 1);
         assert_eq!(diags("crates/workloads/src/gen.rs", src)[0].rule, "entropy");
         assert!(diags("crates/des/src/rng.rs", src).is_empty());
-        assert!(diags("crates/bench/src/harness.rs", src).is_empty());
+        assert!(diags("crates/bench/src/figures.rs", src).is_empty());
     }
 
     #[test]
@@ -724,7 +724,7 @@ mod tests {
             "host-time-scope"
         );
         // The two sanctioned homes for wall clock.
-        assert!(diags("crates/bench/src/harness.rs", src).is_empty());
+        assert!(diags("crates/bench/src/figures.rs", src).is_empty());
         assert!(diags("crates/obs/src/prof.rs", src).is_empty());
         assert!(diags("crates/obs/src/prof/alloc.rs", src).is_empty());
     }
@@ -742,7 +742,7 @@ mod tests {
         assert_eq!(diags("crates/des/src/queue.rs", src).len(), 1);
         assert_eq!(diags("crates/rl/src/ppo.rs", src).len(), 1);
         assert_eq!(diags("crates/obs/src/main.rs", src).len(), 1);
-        assert!(diags("crates/bench/src/harness.rs", src).is_empty());
+        assert!(diags("crates/bench/src/figures.rs", src).is_empty());
         assert!(diags("crates/fleetio/src/driver.rs", src).is_empty());
     }
 
@@ -794,7 +794,7 @@ mod tests {
     fn atomic_io_exempts_writer_tests_and_wall_clock_crates() {
         let src = "fn f() { let f = File::create(p)?; }\n";
         assert!(diags("crates/model/src/atomic.rs", src).is_empty());
-        assert!(diags("crates/bench/src/harness.rs", src).is_empty());
+        assert!(diags("crates/bench/src/figures.rs", src).is_empty());
         assert!(diags("crates/audit/src/scan.rs", src).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n fn t() { std::fs::write(p, b); }\n}\n";
         assert!(diags("crates/model/src/registry.rs", in_test).is_empty());

@@ -1,9 +1,9 @@
 //! Regenerates the FleetIO paper's tables and figures.
 //!
 //! ```text
-//! figures <target> [--full|--tiny] [--json]
+//! figures [<target>] [--full|--tiny] [--json]
 //!   target: fig2 fig3 fig6 fig10 fig11 fig12 fig13 fig14 fig15 fig16
-//!           fig17 overheads tables all
+//!           fig17 overheads tables all (default)
 //! ```
 //!
 //! Default scale is `quick` (minutes, preserves orderings/crossovers);
@@ -14,15 +14,60 @@ use fleetio_bench::report::FigureReport;
 use fleetio_bench::{Scale, SharedContext};
 use fleetio_obs::prof;
 
+const USAGE: &str = "usage: figures [<target>] [--full|--tiny] [--json]
+  target: fig2 fig3 fig6 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
+          overheads tables all (default)";
+
+/// What one invocation asks for.
+#[derive(Debug, PartialEq, Eq)]
+struct Invocation {
+    target: String,
+    scale: Scale,
+    json: bool,
+}
+
+/// Parses the command line; anything it does not understand is an error,
+/// so a typo can never fall back to a 17-minute default run.
+fn parse_args(args: &[String]) -> Result<Invocation, String> {
+    let mut target: Option<&str> = None;
+    let mut scale: Option<Scale> = None;
+    let mut json = false;
+    for arg in args {
+        match arg.as_str() {
+            "--json" => json = true,
+            "--full" | "--tiny" if scale.is_some() => {
+                return Err("give at most one of --full and --tiny".to_string());
+            }
+            "--full" => scale = Some(Scale::Full),
+            "--tiny" => scale = Some(Scale::Tiny),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            name => {
+                if let Some(first) = target {
+                    return Err(format!("two targets given: '{first}' and '{name}'"));
+                }
+                target = Some(name);
+            }
+        }
+    }
+    Ok(Invocation {
+        target: target.unwrap_or("all").to_string(),
+        scale: scale.unwrap_or(Scale::Quick),
+        json,
+    })
+}
+
+fn usage_exit(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let scale = Scale::from_args(&args);
-    let json = args.iter().any(|a| a == "--json");
+    let Invocation {
+        target,
+        scale,
+        json,
+    } = parse_args(&args).unwrap_or_else(|e| usage_exit(&e));
     let mut ctx = SharedContext::new(scale, 0xF1EE710);
 
     prof::enable();
@@ -50,13 +95,7 @@ fn main() {
             all.push(figures::overheads(&mut ctx));
             all
         }
-        other => {
-            eprintln!("unknown target '{other}'");
-            eprintln!(
-                "targets: fig2 fig3 fig6 fig10..fig13 fig14 fig15 fig16 fig17 overheads tables all"
-            );
-            std::process::exit(2);
-        }
+        other => usage_exit(&format!("unknown target '{other}'")),
     };
     drop(run);
     for r in &reports {
@@ -78,4 +117,45 @@ fn main() {
         scale,
         timing.to_text()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Invocation, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn well_formed_lines_parse() {
+        let invocation = |target: &str, scale, json| Invocation {
+            target: target.to_string(),
+            scale,
+            json,
+        };
+        assert_eq!(parse(""), Ok(invocation("all", Scale::Quick, false)));
+        assert_eq!(
+            parse("fig10 --tiny"),
+            Ok(invocation("fig10", Scale::Tiny, false))
+        );
+        assert_eq!(
+            parse("--json --full overheads"),
+            Ok(invocation("overheads", Scale::Full, true))
+        );
+    }
+
+    #[test]
+    fn garbage_is_rejected() {
+        for line in [
+            "all --ful",
+            "fig10 fig12",
+            "--full --tiny",
+            "--tiny --tiny",
+            "fig6 -x",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} must not parse");
+        }
+    }
 }

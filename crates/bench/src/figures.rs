@@ -598,8 +598,10 @@ pub fn fig17(ctx: &mut SharedContext) -> FigureReport {
 }
 
 /// §4.7: overhead microbenchmarks (gSB creation, admission batches,
-/// inference), measured in wall-clock time on this machine.
+/// inference, fine-tuning), measured in wall-clock time on this machine.
 pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
+    use fleetio::agent::ppo_config;
+    use fleetio_rl::{PpoTrainer, RolloutBuffer, Transition};
     use fleetio_vssd::admission::{AdmissionControl, HarvestAction};
     use fleetio_vssd::engine::{Engine, EngineConfig};
     use fleetio_vssd::vssd::{VssdConfig, VssdId};
@@ -672,13 +674,40 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
     });
     report.row("inference_per_decision", vec![infer_us, 1.0]);
 
+    // Fine-tuning: one PPO update over ten windows of experience (51.2 ms
+    // in the paper).
+    let obs_dim = ctx.cfg.obs_dim();
+    let mut trainer = PpoTrainer::new(
+        model.policy.clone(),
+        obs_dim,
+        ppo_config(&ctx.cfg),
+        ctx.seed,
+    );
+    let mut windows = RolloutBuffer::new();
+    for i in 0..10 {
+        windows.push(Transition {
+            obs: vec![0.1; obs_dim],
+            action: vec![0; ctx.cfg.action_dims().len()],
+            logp: -1.0,
+            reward: 0.5 + 0.01 * f64::from(i),
+            value: 0.4,
+            done: i == 9,
+            advantage: 0.0,
+            ret: 0.0,
+        });
+    }
+    let finetune_us = per_op_us("overheads.finetune", 50, || {
+        let _ = trainer.update(windows.clone());
+    });
+    report.row("finetune_10_windows", vec![finetune_us, 1.0]);
+
     // Model footprint (2.2 MB / ~9 K parameters in the paper).
     report.row(
         "model_parameters",
         vec![model.policy.n_params() as f64, 0.0],
     );
     report.row("model_bytes", vec![model.approx_size_bytes() as f64, 0.0]);
-    report.note("paper: gSB creation <1us, admission 0.8ms/1000 actions, inference 1.1ms, model 2.2MB/9K params".into());
+    report.note("paper: gSB creation <1us, admission 0.8ms/1000 actions, inference 1.1ms, fine-tuning 51.2ms/10 windows, model 2.2MB/9K params".into());
     report
 }
 

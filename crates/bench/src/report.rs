@@ -102,7 +102,7 @@ impl FigureReport {
 }
 
 /// Escapes a string into a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -121,7 +121,7 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 /// Renders an f64 as a JSON number (JSON has no NaN/Inf — map to null).
-pub(crate) fn json_num(v: f64) -> String {
+fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

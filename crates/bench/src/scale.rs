@@ -17,22 +17,11 @@ pub enum Scale {
     Quick,
     /// Paper-scale measurement spans and training budget.
     Full,
-    /// Minimal: smoke-test scale for Criterion benches.
+    /// Minimal: seconds per figure, for smoke tests and CI.
     Tiny,
 }
 
 impl Scale {
-    /// Parses `--full`/`--tiny` style flags.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else if args.iter().any(|a| a == "--tiny") {
-            Scale::Tiny
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// Experiment options (measurement spans) for this scale.
     pub fn experiment_options(self, cfg: &FleetIoConfig, seed: u64) -> ExperimentOptions {
         let (measure, ramp) = match self {
@@ -103,16 +92,6 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn flag_parsing() {
-        assert_eq!(Scale::from_args(&[]), Scale::Quick);
-        assert_eq!(Scale::from_args(&["--full".into()]), Scale::Full);
-        assert_eq!(
-            Scale::from_args(&["x".into(), "--tiny".into()]),
-            Scale::Tiny
-        );
-    }
 
     #[test]
     fn scales_are_ordered() {

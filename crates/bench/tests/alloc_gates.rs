@@ -1,0 +1,216 @@
+//! Wall-clock-free perf gates: heap allocations on three hot paths, each
+//! held under a ceiling constant. The counts repeat to the last digit run
+//! after run, in the debug and the release profile alike, so they need no
+//! baseline file and no comparator — host *time* is `benchmark/`'s job.
+//!
+//! A ceiling is the measured value (`-- --nocapture` prints it) rounded up
+//! by at most 5 %. A change that lowers a count should lower its ceiling in
+//! the same PR; a new wall-clock-free proxy is one more `#[test]` here.
+
+use std::sync::{Mutex, PoisonError};
+
+use fleetio::baselines::StaticPolicy;
+use fleetio::experiment::{hardware_layout, run_collocation, ExperimentOptions};
+use fleetio::{Colocation, FleetIoConfig};
+use fleetio_des::SimTime;
+use fleetio_flash::addr::ChannelId;
+use fleetio_flash::config::FlashConfig;
+use fleetio_obs::prof::alloc::{counters, CountingAllocator};
+use fleetio_obs::{NandKind, ObsEvent, ObsSink};
+use fleetio_store::{diff_stores, DiffOutcome, RunStore, StoreSink, DEFAULT_SEGMENT_BYTES};
+use fleetio_vssd::engine::{Engine, EngineConfig};
+use fleetio_vssd::vssd::{VssdConfig, VssdId};
+use fleetio_workloads::WorkloadKind;
+
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Allocations per simulated event of a colocation run with no obs sink
+/// (measured 0.20021206695753446: 34 554 allocations over 172 587 events).
+const ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.21;
+
+/// Allocations of `Engine::new` plus a half-capacity warm-up (measured 652).
+const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
+
+/// Allocations per event of diffing a store against itself
+/// (measured 0.004845: 1 938 allocations over 400 000 events).
+const STORE_DIFF_ALLOCS_PER_EVENT_MAX: f64 = 0.005;
+
+const SEED: u64 = 42;
+
+/// Runs `f` and returns how many heap allocations it made, after proving
+/// the counting allocator is installed (so a ceiling cannot pass on a
+/// counter that never moves). The counters are per-thread, so concurrent
+/// tests cannot leak into each other's counts; the lock only keeps the
+/// three scenarios from sharing the CI box's two cores and memory.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let before = counters().0;
+    drop(std::hint::black_box(Box::new(0u8)));
+    assert_eq!(
+        counters().0,
+        before + 1,
+        "CountingAllocator is not the global allocator"
+    );
+    let start = counters().0;
+    let out = f();
+    (counters().0 - start, out)
+}
+
+/// Prints the measured value (shown by `--nocapture`) and holds it under
+/// its ceiling.
+fn hold(metric: &str, measured: f64, ceiling: f64) {
+    println!("{metric} = {measured}");
+    assert!(
+        measured <= ceiling,
+        "{metric} = {measured} is over its ceiling {ceiling}"
+    );
+}
+
+/// Hardware-isolated VDI + TeraSort on the training device under a static
+/// policy: 1 ramp + 6 measured windows, no obs sink attached.
+#[test]
+fn colocation_allocs_per_sim_event() {
+    let mut cfg = FleetIoConfig::default();
+    cfg.engine.flash = FlashConfig::training_test();
+    let opts = ExperimentOptions {
+        cfg: cfg.clone(),
+        measure_windows: 6,
+        ramp_windows: 1,
+        warm_fraction: 0.3,
+        seed: SEED,
+    };
+    let tenants = hardware_layout(
+        &cfg,
+        &[WorkloadKind::VdiWeb, WorkloadKind::TeraSort],
+        &[None, None],
+        SEED,
+    );
+    let peak = cfg.engine.flash.device_peak_bytes_per_sec();
+    let mut events = 0u64;
+    let mut hook = |_w: usize, c: &mut Colocation| events = c.engine().events_processed();
+    let (allocs, _) = allocs_during(|| {
+        run_collocation(
+            &mut StaticPolicy::hardware(),
+            tenants,
+            &opts,
+            peak,
+            Some(&mut hook),
+        )
+    });
+    assert!(events > 100_000, "scenario shrank: {events} events");
+    hold(
+        &format!("allocs_per_sim_event ({allocs} / {events})"),
+        allocs as f64 / events as f64,
+        ALLOCS_PER_SIM_EVENT_MAX,
+    );
+}
+
+/// `Engine::new` on the experiment device with two 8-channel vSSDs, each
+/// pre-filled to half its logical space — what every figure run, SLO
+/// calibration and RL environment does before its first window.
+#[test]
+fn engine_build_and_warm_up_allocs() {
+    let cfg = EngineConfig {
+        flash: FlashConfig::experiment_default(),
+        ..Default::default()
+    };
+    let vssds: Vec<VssdConfig> = (0..2u16)
+        .map(|v| {
+            let channels = (v * 8..v * 8 + 8).map(ChannelId).collect();
+            VssdConfig::hardware(VssdId(u32::from(v)), channels)
+        })
+        .collect();
+    let (allocs, _engine) = allocs_during(|| {
+        let mut engine = Engine::new(cfg, vssds);
+        for id in engine.vssd_ids() {
+            engine.warm_up(id, 0.5);
+        }
+        engine
+    });
+    hold(
+        "engine_build_allocs",
+        allocs as f64,
+        ENGINE_BUILD_ALLOCS_MAX,
+    );
+}
+
+/// A 400 000-event store (a fixed mix weighted toward the hot event kinds)
+/// diffed against itself: two independent payload cursors in lockstep.
+#[test]
+fn store_diff_allocs_per_event() {
+    const EVENTS: u64 = 400_000;
+    let dir = std::env::temp_dir().join(format!("fleetio-alloc-gate-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut sink = StoreSink::create(
+        &dir,
+        vec![0; 64],
+        0x5707_e9e9,
+        SEED,
+        500_000_000,
+        DEFAULT_SEGMENT_BYTES,
+    )
+    .expect("create store");
+    for i in 0..EVENTS {
+        let at = SimTime::from_nanos(i * 1_000);
+        let (vssd, read) = ((i % 4) as u32, i % 3 != 0);
+        let (channel, chip) = ((i % 8) as u16, (i % 4) as u16);
+        sink.record(match i % 8 {
+            0 => ObsEvent::RequestSubmit {
+                at,
+                req: i,
+                vssd,
+                read,
+                bytes: 4096,
+            },
+            1 => ObsEvent::RequestAdmit {
+                at,
+                req: i,
+                vssd,
+                pages: 1,
+            },
+            2 | 3 => ObsEvent::ChipIssue {
+                at,
+                req: i,
+                vssd,
+                channel,
+                chip,
+                read,
+            },
+            4 | 5 => ObsEvent::NandOp {
+                start: at,
+                end: SimTime::from_nanos(i * 1_000 + 40_000),
+                vssd,
+                channel,
+                chip,
+                kind: NandKind::Read,
+                gc: false,
+                bytes: 4096,
+            },
+            _ => ObsEvent::RequestComplete {
+                at,
+                req: i,
+                vssd,
+                read,
+                bytes: 4096,
+                arrival: SimTime::from_nanos(i.saturating_sub(50) * 1_000),
+                service_start: at,
+            },
+        });
+    }
+    let manifest = sink.finish().expect("seal store");
+    assert_eq!(manifest.total_events, EVENTS);
+    let store = RunStore::open(&dir).expect("open store");
+    let (allocs, outcome) = allocs_during(|| diff_stores(&store, &store));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(matches!(
+        outcome.expect("diff store"),
+        DiffOutcome::Identical { events: EVENTS }
+    ));
+    hold(
+        &format!("store_diff_allocs_per_event ({allocs} / {EVENTS})"),
+        allocs as f64 / EVENTS as f64,
+        STORE_DIFF_ALLOCS_PER_EVENT_MAX,
+    );
+}

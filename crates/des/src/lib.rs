@@ -40,7 +40,7 @@ pub mod time;
 pub mod window;
 
 pub use hist::LatencyHistogram;
-pub use queue::{BinaryHeapQueue, Event, EventQueue};
+pub use queue::{Event, EventQueue};
 pub use slab::{Handle, Slab};
 pub use time::{SimDuration, SimTime};
 pub use window::WindowStats;

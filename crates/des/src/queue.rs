@@ -1,21 +1,18 @@
 //! Deterministic time-ordered event queues.
 //!
-//! Both queues in this module order events by `(at, seq)`: timestamp
-//! first, then insertion sequence, so events scheduled for the same
-//! instant pop in FIFO order and whole simulations reproduce
-//! bit-for-bit across runs.
+//! Events order by `(at, seq)`: timestamp first, then insertion
+//! sequence, so events scheduled for the same instant pop in FIFO order
+//! and whole simulations reproduce bit-for-bit across runs.
 //!
-//! * [`EventQueue`] — the production **calendar queue**: events hash into
-//!   fixed-width time buckets on a ring, the active bucket is sorted once
-//!   and drained by cursor, and only far-future events (beyond the ring
-//!   horizon) or same/past-time cascades touch a heap. For the engine's
-//!   heavily time-clustered event distribution this replaces the
-//!   per-event `O(log n)` heap percolation of a binary heap with `O(1)`
-//!   pushes and amortized `O(1)` pops.
-//! * [`BinaryHeapQueue`] — the straightforward binary-heap
-//!   implementation the calendar queue replaced, kept as the **reference
-//!   semantics** for differential testing (`prop_calendar_matches_heap`)
-//!   and as a fallback for workloads without time clustering.
+//! [`EventQueue`] is a **calendar queue**: events hash into fixed-width
+//! time buckets on a ring, the active bucket is sorted once and drained by
+//! cursor, and only far-future events (beyond the ring horizon) or
+//! same/past-time cascades touch a heap. For the engine's heavily
+//! time-clustered event distribution this replaces the per-event
+//! `O(log n)` heap percolation of a binary heap with `O(1)` pushes and
+//! amortized `O(1)` pops. The straightforward binary-heap queue it
+//! replaced lives on in this module's tests as the **reference semantics**
+//! for differential testing (`prop_calendar_matches_heap`).
 //!
 //! See DESIGN.md § "DES internals" for the ordering argument and the
 //! bucket-width selection.
@@ -77,8 +74,8 @@ const DEFAULT_RING: usize = 4096;
 
 /// A deterministic calendar queue of timed events.
 ///
-/// Same `(at, seq)` total order as [`BinaryHeapQueue`] — the two are
-/// interchangeable, and a differential property test holds them identical.
+/// Same `(at, seq)` total order as a binary heap keyed on it; a
+/// differential property test holds the two identical.
 ///
 /// # Example
 ///
@@ -146,12 +143,6 @@ impl<T> EventQueue<T> {
     /// 67 ms ring horizon).
     pub fn new() -> Self {
         Self::with_geometry(DEFAULT_SHIFT, DEFAULT_RING)
-    }
-
-    /// Creates an empty queue; `capacity` is advisory (the ring geometry
-    /// is fixed, bucket vectors grow on demand and keep their capacity).
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::new()
     }
 
     /// Creates a queue with `1 << shift` ns buckets on a ring of
@@ -466,82 +457,52 @@ impl<T> EventQueue<T> {
     }
 }
 
-/// The reference binary-heap event queue: identical `(at, seq)` semantics
-/// to [`EventQueue`], kept for differential testing and as the simplest
-/// correct implementation.
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-    next_seq: u64,
-    popped: u64,
-}
-
-impl<T> std::fmt::Debug for BinaryHeapQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("len", &self.heap.len())
-            .field("next_seq", &self.next_seq)
-            .finish()
-    }
-}
-
-impl<T> Default for BinaryHeapQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            popped: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `at`; returns its sequence number.
-    pub fn push(&mut self, at: SimTime, payload: T) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(HeapEntry(Event { at, seq, payload }));
-        seq
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<Event<T>> {
-        let ev = self.heap.pop().map(|e| e.0);
-        if ev.is_some() {
-            self.popped += 1;
-        }
-        ev
-    }
-
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Lifetime count of popped events.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::{Rng, SmallRng};
+
+    /// The binary-heap event queue the calendar queue replaced: the
+    /// simplest correct `(at, seq)` implementation, kept as the oracle the
+    /// differential tests below hold [`EventQueue`] to.
+    struct BinaryHeapQueue<T> {
+        heap: BinaryHeap<HeapEntry<T>>,
+        next_seq: u64,
+        popped: u64,
+    }
+
+    impl<T> BinaryHeapQueue<T> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+                popped: 0,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, payload: T) {
+            self.heap.push(HeapEntry(Event {
+                at,
+                seq: self.next_seq,
+                payload,
+            }));
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<Event<T>> {
+            let ev = self.heap.pop().map(|e| e.0);
+            self.popped += u64::from(ev.is_some());
+            ev
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.0.at)
+        }
+
+        fn is_empty(&self) -> bool {
+            self.heap.is_empty()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -748,7 +709,7 @@ mod tests {
                 _ => panic!("queues disagree on length"),
             }
         }
-        assert_eq!(cal.popped(), heap.popped());
+        assert_eq!(cal.popped(), heap.popped);
         (pushed, popped)
     }
 

@@ -422,22 +422,34 @@ impl FleetRuntime {
 
     /// Advances every shard one window on a scoped worker pool. Shards
     /// are partitioned by index into contiguous chunks; workers write
-    /// into disjoint report slices, and the implicit scope join is the
-    /// only synchronization. Deliberately free of float arithmetic —
-    /// all merging math runs serially after the scope exits.
+    /// into disjoint report slices, and the join is the only
+    /// synchronization. Deliberately free of float arithmetic — all
+    /// merging math runs serially after the scope exits.
     fn advance_shards(&mut self) -> Vec<ShardWindowReport> {
         let workers = self.workers.min(self.shards.len()).max(1);
         let chunk = self.shards.len().div_ceil(workers);
         let mut out: Vec<Option<ShardWindowReport>> = Vec::new();
         out.resize_with(self.shards.len(), || None);
         std::thread::scope(|scope| {
-            for (shards, slots) in self.shards.chunks_mut(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let _prof = fleetio_obs::prof::span("fleet.shard");
-                    for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                        *slot = Some(shard.run_window());
-                    }
-                });
+            let handles: Vec<_> = self
+                .shards
+                .chunks_mut(chunk)
+                .zip(out.chunks_mut(chunk))
+                .map(|(shards, slots)| {
+                    scope.spawn(move || {
+                        let _prof = fleetio_obs::prof::span("fleet.shard");
+                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
+                            *slot = Some(shard.run_window());
+                        }
+                    })
+                })
+                .collect();
+            // Joined by handle: the scope's implicit join returns once the
+            // closures have, before the workers' thread-local destructors
+            // flush their `fleet.shard` spans, and a profile taken right
+            // after the last window would miss them.
+            for handle in handles {
+                handle.join().expect("shard worker panicked");
             }
         });
         out.into_iter()

@@ -15,8 +15,6 @@
 //!   id) and emergency-GC instants.
 //! * pid 4 `requests` — one thread per vSSD: request arrival→completion
 //!   spans and per-window counter series.
-//! * pid 5 `host` — aggregated host-time profiler spans (wall clock, not
-//!   sim time), present only via [`chrome_trace_with_host`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -24,13 +22,11 @@ use std::fmt::Write as _;
 use fleetio_des::SimTime;
 
 use crate::event::{NandKind, ObsEvent};
-use crate::prof::ProfReport;
 
 const PID_DEVICE: u32 = 1;
 const PID_BUS: u32 = 2;
 const PID_GC: u32 = 3;
 const PID_REQUESTS: u32 = 4;
-const PID_HOST: u32 = 5;
 
 /// Renders events as JSONL, one event per line, in emission order.
 pub fn jsonl<'a, I>(events: I) -> String
@@ -117,28 +113,6 @@ fn device_tid(channel: u16, chip: u16) -> u64 {
 /// unmatched starts (run still in flight, or emergency GC) render as
 /// instants so nothing is silently dropped.
 pub fn chrome_trace<'a, I>(events: I) -> String
-where
-    I: IntoIterator<Item = &'a ObsEvent>,
-{
-    chrome_trace_impl(events, None)
-}
-
-/// Like [`chrome_trace`], plus a `host` process (pid 5) carrying the
-/// host-time profiler's aggregated spans next to the sim-time tracks.
-///
-/// Profiler spans are aggregates, not raw events, so each one renders as
-/// a single synthetic `X` span with `dur` equal to its total wall time,
-/// nested inside its parent by cumulative offset from time zero. The
-/// track shows *where host time went*, not when; its timestamps share an
-/// axis with sim time only by construction.
-pub fn chrome_trace_with_host<'a, I>(events: I, prof: &ProfReport) -> String
-where
-    I: IntoIterator<Item = &'a ObsEvent>,
-{
-    chrome_trace_impl(events, Some(prof))
-}
-
-fn chrome_trace_impl<'a, I>(events: I, prof: Option<&ProfReport>) -> String
 where
     I: IntoIterator<Item = &'a ObsEvent>,
 {
@@ -345,10 +319,6 @@ where
         thread_name(&mut out, pid, tid, &name);
     }
 
-    if let Some(report) = prof {
-        host_track(&mut out, report);
-    }
-
     // Drop the final ",\n" and close the document.
     if out.ends_with(",\n") {
         out.truncate(out.len() - 2);
@@ -358,42 +328,9 @@ where
     out
 }
 
-/// Appends the aggregated host-time spans as pid 5. Layout: siblings are
-/// laid out sequentially from their parent's start offset, so nesting in
-/// the viewer mirrors the call tree and widths are proportional to total
-/// wall time.
-fn host_track(out: &mut String, report: &ProfReport) {
-    if report.spans.is_empty() {
-        return;
-    }
-    process_name(out, PID_HOST, "host (profiler)");
-    thread_name(out, PID_HOST, 0, "aggregated spans");
-    // Next free offset inside each span (keyed by path); the empty path
-    // is the root cursor.
-    let mut cursor: BTreeMap<Vec<String>, u64> = BTreeMap::new();
-    for s in &report.spans {
-        let parent = s.path[..s.path.len() - 1].to_vec();
-        let start = cursor.get(&parent).copied().unwrap_or(0);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{PID_HOST},\"tid\":0,\"ts\":",
-            s.name()
-        );
-        write_us(out, start);
-        out.push_str(",\"dur\":");
-        write_us(out, s.stats.total_ns);
-        out.push_str("},\n");
-        // Children begin at this span's start; the next sibling follows
-        // this span's extent.
-        cursor.insert(s.path.clone(), start);
-        cursor.insert(parent, start + s.stats.total_ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prof::{ProfSpan, SpanStats};
     use fleetio_des::SimDuration;
 
     #[test]
@@ -489,63 +426,6 @@ mod tests {
         let obj = gc.as_object().unwrap();
         assert_eq!(obj.get("ph").and_then(|p| p.as_str()), Some("X"));
         assert_eq!(obj.get("dur").and_then(|d| d.as_f64()), Some(7.0));
-    }
-
-    #[test]
-    fn host_track_nests_profiler_spans_by_cumulative_offset() {
-        let report = ProfReport {
-            spans: vec![
-                ProfSpan {
-                    path: vec!["run".into()],
-                    stats: SpanStats {
-                        calls: 1,
-                        total_ns: 5_000,
-                        child_ns: 3_000,
-                        ..Default::default()
-                    },
-                },
-                ProfSpan {
-                    path: vec!["run".into(), "dispatch".into()],
-                    stats: SpanStats {
-                        calls: 2,
-                        total_ns: 2_000,
-                        ..Default::default()
-                    },
-                },
-                ProfSpan {
-                    path: vec!["run".into(), "flush".into()],
-                    stats: SpanStats {
-                        calls: 1,
-                        total_ns: 1_000,
-                        ..Default::default()
-                    },
-                },
-            ],
-        };
-        let doc = chrome_trace_with_host(std::iter::empty(), &report);
-        let v = crate::json::parse(&doc).expect("trace parses as JSON");
-        let arr = v
-            .as_object()
-            .and_then(|o| o.get("traceEvents"))
-            .and_then(|t| t.as_array())
-            .expect("traceEvents array");
-        let find = |name: &str| {
-            arr.iter()
-                .map(|e| e.as_object().expect("object"))
-                .find(|o| o.get("name").and_then(|n| n.as_str()) == Some(name))
-                .unwrap_or_else(|| panic!("span {name} present"))
-        };
-        let run = find("run");
-        let dispatch = find("dispatch");
-        let flush = find("flush");
-        // run [0, 5); dispatch nests at run's start, flush follows it.
-        assert_eq!(run.get("ts").and_then(|t| t.as_f64()), Some(0.0));
-        assert_eq!(run.get("dur").and_then(|t| t.as_f64()), Some(5.0));
-        assert_eq!(dispatch.get("ts").and_then(|t| t.as_f64()), Some(0.0));
-        assert_eq!(flush.get("ts").and_then(|t| t.as_f64()), Some(2.0));
-        assert_eq!(flush.get("dur").and_then(|t| t.as_f64()), Some(1.0));
-        // Plain chrome_trace emits no host pid at all.
-        assert!(!chrome_trace(std::iter::empty()).contains("\"pid\":5"));
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!   per call, and (with the `prof-alloc` feature) allocation count and
 //!   bytes attributed to the span (inclusive of children).
 //! * Per-thread trees merge into a process-global table — automatically
-//!   at thread exit (covering `std::thread::scope` rollout workers) or
-//!   explicitly via [`flush_thread`]. Merging only sums, mins and maxes,
-//!   so aggregate counts are independent of thread join order.
+//!   at thread exit or explicitly via [`flush_thread`]. Thread exit is
+//!   what `JoinHandle::join` waits for; `std::thread::scope`'s implicit
+//!   join returns earlier, when the closure does, so scoped workers whose
+//!   spans must be in the next report are joined by handle. Merging only
+//!   sums, mins and maxes, so aggregate counts are independent of thread
+//!   join order.
 //! * Profiling is off by default behind a cached [`enabled`] flag (the
 //!   same trick as `ObsSink`): a disabled [`span`] call is one relaxed
 //!   atomic load and touches no thread-local state.
 //!
-//! Reports export as an indented text tree ([`ProfReport::to_text`]),
-//! folded stacks for flamegraph tooling ([`ProfReport::folded`]), and a
-//! host-time track merged into the Chrome trace document
-//! ([`crate::export::chrome_trace_with_host`]).
+//! Reports export as an indented text tree ([`ProfReport::to_text`]) and
+//! as folded stacks for flamegraph tooling ([`ProfReport::folded`]).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -221,7 +222,9 @@ impl ThreadProfiler {
 }
 
 /// Wrapper whose `Drop` flushes the thread's tree into the global table
-/// at thread exit, so scoped worker threads merge automatically at join.
+/// at thread exit. Thread-local destructors run after a scoped thread's
+/// closure returns, so only an explicit `join()` on its handle — not the
+/// scope's implicit join — guarantees the flush has happened.
 struct TlsProfiler(RefCell<ThreadProfiler>);
 
 impl Drop for TlsProfiler {
@@ -336,7 +339,7 @@ pub fn time<T, F: FnOnce() -> T>(name: &str, f: F) -> T {
 
 /// Records an externally measured duration as one call of a leaf span
 /// under the current innermost span. For timings the guard API cannot
-/// capture (e.g. per-sample harness loops).
+/// capture (e.g. the per-op loops of `figures overheads`).
 pub fn record_span(name: &str, wall: Duration) {
     if !enabled() {
         return;
@@ -356,9 +359,9 @@ pub fn flush_thread() {
 }
 
 /// Flushes the calling thread and returns the merged report, clearing
-/// the global table. Worker threads that already exited (e.g.
-/// `std::thread::scope` rollouts) are included; other still-live threads
-/// must [`flush_thread`] first to be seen.
+/// the global table. Worker threads that already exited — whose handles
+/// were `join()`ed — are included; other still-live threads must
+/// [`flush_thread`] first to be seen.
 pub fn take_report() -> ProfReport {
     flush_thread();
     let map = std::mem::take(&mut *global_lock());
@@ -442,19 +445,6 @@ impl ProfReport {
         })
     }
 
-    /// The `n` spans with the most self time, descending.
-    pub fn top_by_self(&self, n: usize) -> Vec<&ProfSpan> {
-        let mut sorted: Vec<&ProfSpan> = self.spans.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.stats
-                .self_ns()
-                .cmp(&a.stats.self_ns())
-                .then_with(|| a.path.cmp(&b.path))
-        });
-        sorted.truncate(n);
-        sorted
-    }
-
     /// Renders the call tree as indented text with per-span statistics.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -520,7 +510,7 @@ impl ProfReport {
 }
 
 /// Formats a nanosecond quantity with an adaptive unit (the one timing
-/// formatter for all bench/profiling output).
+/// formatter for all figure/profiling output).
 pub fn format_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.0} ns")
@@ -530,40 +520,6 @@ pub fn format_ns(ns: f64) -> String {
         format!("{:.2} ms", ns / 1_000_000.0)
     } else {
         format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Sample statistics over nanosecond timings (sorts `samples` in place).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NsSummary {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Median sample.
-    pub median: f64,
-    /// 95th-percentile sample.
-    pub p95: f64,
-    /// Number of samples summarized.
-    pub samples: usize,
-}
-
-/// Computes mean/median/p95 over `samples`, the shared statistics step
-/// of the bench harness. Returns zeros for an empty slice.
-pub fn summarize_ns(samples: &mut [f64]) -> NsSummary {
-    if samples.is_empty() {
-        return NsSummary {
-            mean: 0.0,
-            median: 0.0,
-            p95: 0.0,
-            samples: 0,
-        };
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let n = samples.len();
-    NsSummary {
-        mean: samples.iter().sum::<f64>() / n as f64,
-        median: samples[n / 2],
-        p95: samples[(n * 95 / 100).min(n - 1)],
-        samples: n,
     }
 }
 
@@ -691,17 +647,27 @@ mod tests {
     fn per_thread_trees_merge_deterministic_counts() {
         let _s = scoped();
         let per_thread = [3usize, 5, 7, 11];
-        std::thread::scope(|scope| {
-            for &reps in &per_thread {
-                scope.spawn(move || {
-                    for _ in 0..reps {
-                        let _work = span("work");
-                        let _step = span("step");
-                    }
-                    // No explicit flush: thread exit flushes.
-                });
-            }
-        });
+        // No explicit flush: thread exit flushes, and joining by handle
+        // (unlike the scope's implicit join) waits for thread exit.
+        let run = |order: &[usize]| {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = order
+                    .iter()
+                    .map(|&reps| {
+                        scope.spawn(move || {
+                            for _ in 0..reps {
+                                let _work = span("work");
+                                let _step = span("step");
+                            }
+                        })
+                    })
+                    .collect();
+                for handle in handles {
+                    handle.join().expect("worker panicked");
+                }
+            });
+        };
+        run(&per_thread);
         let report = take_report();
         let total: u64 = per_thread.iter().map(|&r| r as u64).sum();
         assert_eq!(report.find(&["work"]).expect("work").stats.calls, total);
@@ -709,17 +675,9 @@ mod tests {
             report.find(&["work", "step"]).expect("step").stats.calls,
             total
         );
-        // Merge is commutative: a second identical run aggregates the same.
-        std::thread::scope(|scope| {
-            for &reps in per_thread.iter().rev() {
-                scope.spawn(move || {
-                    for _ in 0..reps {
-                        let _work = span("work");
-                        let _step = span("step");
-                    }
-                });
-            }
-        });
+        // Merge is commutative: the same work spawned in reverse order
+        // aggregates the same.
+        run(&[11, 7, 5, 3]);
         let again = take_report();
         assert_eq!(again.find(&["work"]).expect("work").stats.calls, total);
     }
@@ -789,33 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn top_by_self_sorts_descending() {
-        let report = ProfReport {
-            spans: vec![
-                ProfSpan {
-                    path: vec!["small".into()],
-                    stats: SpanStats {
-                        calls: 1,
-                        total_ns: 10,
-                        ..Default::default()
-                    },
-                },
-                ProfSpan {
-                    path: vec!["big".into()],
-                    stats: SpanStats {
-                        calls: 1,
-                        total_ns: 100,
-                        ..Default::default()
-                    },
-                },
-            ],
-        };
-        let top = report.top_by_self(1);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].name(), "big");
-    }
-
-    #[test]
     fn merge_combines_min_max_and_sums() {
         let mut a = SpanStats {
             calls: 2,
@@ -847,17 +778,6 @@ mod tests {
         assert_eq!(format_ns(1_500.0), "1.50 us");
         assert_eq!(format_ns(2_500_000.0), "2.50 ms");
         assert_eq!(format_ns(3_000_000_000.0), "3.000 s");
-    }
-
-    #[test]
-    fn summarize_ns_computes_order_statistics() {
-        let mut samples = vec![3.0, 1.0, 2.0];
-        let s = summarize_ns(&mut samples);
-        assert_eq!(s.samples, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.median, 2.0);
-        assert_eq!(s.p95, 3.0);
-        assert_eq!(summarize_ns(&mut []).samples, 0);
     }
 
     #[test]
