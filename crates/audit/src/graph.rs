@@ -25,10 +25,11 @@ use crate::scan::ScannedFile;
 use crate::token::TokKind;
 
 /// Reachability roots: the DES dispatch path, the rollout workers, the
-/// fleet window and the one window loop under all of them (which also
-/// covers `figures`, `fleetio-store record` and `replay` runs).
+/// fleet window, the one window loop under all of them (which also
+/// covers `figures`, `fleetio-store record` and `replay` runs) and
+/// pre-training, whose behaviour-cloning collection runs on workers.
 /// Every simulated decision flows through one of these.
-pub const TAINT_ROOTS: [&str; 7] = [
+pub const TAINT_ROOTS: [&str; 8] = [
     "Engine::dispatch_event",
     "Engine::run_until",
     "collect_frozen",
@@ -36,6 +37,7 @@ pub const TAINT_ROOTS: [&str; 7] = [
     "collect_parallel_envs",
     "FleetRuntime::run_window",
     "Colocation::advance",
+    "pretrain_trainer",
 ];
 
 /// One nondeterminism source occurrence.

@@ -1,4 +1,4 @@
-//! Wall-clock-free perf gates: heap allocations on three hot paths, each
+//! Wall-clock-free perf gates: heap allocations on four hot paths, each
 //! held under a ceiling constant. The counts repeat to the last digit run
 //! after run, in the debug and the release profile alike, so they need no
 //! baseline file and no comparator — host *time* is `benchmark/`'s job.
@@ -12,7 +12,7 @@ use std::sync::{Mutex, PoisonError};
 use fleetio::baselines::StaticPolicy;
 use fleetio::experiment::{hardware_layout, run_collocation, ExperimentOptions};
 use fleetio::{Colocation, FleetIoConfig};
-use fleetio_des::SimTime;
+use fleetio_des::{SimDuration, SimTime};
 use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
 use fleetio_obs::prof::alloc::{counters, CountingAllocator};
@@ -26,8 +26,13 @@ use fleetio_workloads::WorkloadKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per simulated event of a colocation run with no obs sink
-/// (measured 0.20021206695753446: 34 554 allocations over 172 587 events).
-const ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.21;
+/// (measured 0.020244862011623125: 3 494 allocations over 172 587 events).
+const ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.0212;
+
+/// Allocations per simulated event of an open-loop-only colocation, the
+/// load a fleet shard runs (measured 0.013025373542930421: 904 allocations
+/// over 69 403 events; 40 168 before the arrival feed stopped allocating).
+const OPEN_LOOP_ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.0136;
 
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured 652).
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
@@ -42,7 +47,7 @@ const SEED: u64 = 42;
 /// the counting allocator is installed (so a ceiling cannot pass on a
 /// counter that never moves). The counters are per-thread, so concurrent
 /// tests cannot leak into each other's counts; the lock only keeps the
-/// three scenarios from sharing the CI box's two cores and memory.
+/// scenarios from sharing the CI box's two cores and memory.
 fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
     static SERIAL: Mutex<()> = Mutex::new(());
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
@@ -104,6 +109,38 @@ fn colocation_allocs_per_sim_event() {
         &format!("allocs_per_sim_event ({allocs} / {events})"),
         allocs as f64 / events as f64,
         ALLOCS_PER_SIM_EVENT_MAX,
+    );
+}
+
+/// What most fleet shards run: light interactive open-loop tenants on
+/// single channels, attached to a vacant colocation mid-run. Every request
+/// here comes through the 1 ms arrival feed, which allocated per request
+/// and per tick before it pulled one record at a time; the first window
+/// (trace rings and engine pools growing to size) is not counted.
+#[test]
+fn open_loop_colocation_allocs_per_sim_event() {
+    let engine_cfg = EngineConfig {
+        flash: FlashConfig::training_test(),
+        ..Default::default()
+    };
+    let kinds = [WorkloadKind::VdiWeb, WorkloadKind::Tpce, WorkloadKind::Ycsb];
+    let ids = || (0..kinds.len() as u16).map(|i| (VssdId(u32::from(i)), ChannelId(i)));
+    let configs = ids()
+        .map(|(id, channel)| VssdConfig::hardware(id, vec![channel]))
+        .collect();
+    let mut coloc = Colocation::vacant(engine_cfg, configs, SimDuration::from_millis(500));
+    for ((id, _), kind) in ids().zip(kinds) {
+        coloc.attach(id, kind, kind.spec(), SEED + u64::from(id.0));
+    }
+    coloc.run_windows(1);
+    let before = coloc.engine().events_processed();
+    let (allocs, ()) = allocs_during(|| coloc.run_windows(6));
+    let events = coloc.engine().events_processed() - before;
+    assert!(events > 50_000, "scenario shrank: {events} events");
+    hold(
+        &format!("open_loop_allocs_per_sim_event ({allocs} / {events})"),
+        allocs as f64 / events as f64,
+        OPEN_LOOP_ALLOCS_PER_SIM_EVENT_MAX,
     );
 }
 

@@ -15,7 +15,9 @@
 //!   violations) matching the paper's 2-second RL state windows,
 //! * [`summary`] — small numeric summaries (mean/std, exact percentiles),
 //! * [`hash`] — stable CRC-32/FNV-1a digests for on-disk framing and
-//!   determinism fingerprints.
+//!   determinism fingerprints,
+//! * [`par`] — the deterministic work queue every simulation worker
+//!   thread in the workspace runs on (results by item index).
 //!
 //! # Example
 //!
@@ -32,6 +34,7 @@
 pub mod audit;
 pub mod hash;
 pub mod hist;
+pub mod par;
 pub mod queue;
 pub mod rng;
 pub mod slab;

@@ -1,4 +1,4 @@
-//! The fleet runtime: shards on a scoped worker pool, one deterministic
+//! The fleet runtime: shards on the shared work queue, one deterministic
 //! control plane at every window boundary.
 //!
 //! # Determinism argument
@@ -6,18 +6,20 @@
 //! Shards share no state while a window runs — each engine advances its
 //! own simulated clock against its own slots, so a shard's window
 //! report (and its obs stream) is a pure function of the spec, the
-//! seed, and the control-plane inputs applied at the boundary. Workers
-//! write reports into disjoint index-addressed slices; the merge then
-//! reads them **in shard-index order**. No host time, no channel-recv
-//! ordering, no thread identity ever feeds a decision, so the worker
-//! count can only change wall-clock time, never results — which the
-//! determinism test matrix (1/2/8 workers) pins.
+//! seed, and the control-plane inputs applied at the boundary. The queue
+//! ([`fleetio_des::par`]) returns reports by shard index whichever
+//! worker ran them and in whatever order they were claimed; the merge
+//! then reads them **in shard-index order**. No host time, no
+//! channel-recv ordering, no thread identity ever feeds a decision, so
+//! the worker count can only change wall-clock time, never results —
+//! which the determinism test matrix (1/2/3/8/32 workers) pins.
 
 use fleetio::actions::AgentAction;
 use fleetio::agent::PretrainedModel;
 use fleetio::config::FleetIoConfig;
 use fleetio::states::StateVector;
 use fleetio::warmstart::warm_start_model;
+use fleetio_des::par;
 use fleetio_des::rng::derive_seed_indexed;
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
@@ -106,6 +108,10 @@ pub struct FleetRuntime {
     bank: PolicyBank,
     registry: Option<ModelRegistry>,
     workers: usize,
+    /// Engine events each shard processed in its previous window: the
+    /// claim-order key of [`FleetRuntime::advance_shards`]. Host-only —
+    /// it schedules threads and feeds nothing simulated.
+    shard_cost: Vec<u64>,
     window_idx: u32,
     pending_actions: Vec<(u32, AgentAction)>,
     pending_migrations: Vec<MigrationDecision>,
@@ -151,9 +157,11 @@ impl FleetRuntime {
                 Shard::new(s, engine_cfg, slots, spec.window)
             })
             .collect();
-        for shard in &mut shards {
+        let workers = workers.max(1);
+        // Warm-ups touch one shard each; attaching below stays serial.
+        par::map_mut(&mut shards, workers, 0..spec.shards as usize, |_, shard| {
             shard.warm_up_all(spec.warm_fraction);
-        }
+        });
         let placement = spec.initial_placement();
         let tenants: Vec<TenantMeta> = spec
             .tenants
@@ -184,7 +192,8 @@ impl FleetRuntime {
             bank: PolicyBank::new(model, tenants.len(), history),
             tenants,
             registry: None,
-            workers: workers.max(1),
+            workers,
+            shard_cost: vec![0; spec.shards as usize],
             window_idx: 0,
             pending_actions: Vec::new(),
             pending_migrations: Vec::new(),
@@ -420,41 +429,25 @@ impl FleetRuntime {
         }
     }
 
-    /// Advances every shard one window on a scoped worker pool. Shards
-    /// are partitioned by index into contiguous chunks; workers write
-    /// into disjoint report slices, and the join is the only
-    /// synchronization. Deliberately free of float arithmetic — all
-    /// merging math runs serially after the scope exits.
+    /// Advances every shard one window on the shared work queue
+    /// ([`par::map_mut`]), heaviest first: shards are claimed by
+    /// descending event count of their previous window (index order in
+    /// window 0), so packed load at low indices spreads over all workers
+    /// instead of landing on the first contiguous chunk. The order only
+    /// decides which thread runs what; reports come back in shard-index
+    /// order. Deliberately free of float arithmetic — all merging math
+    /// runs serially afterwards.
     fn advance_shards(&mut self) -> Vec<ShardWindowReport> {
-        let workers = self.workers.min(self.shards.len()).max(1);
-        let chunk = self.shards.len().div_ceil(workers);
-        let mut out: Vec<Option<ShardWindowReport>> = Vec::new();
-        out.resize_with(self.shards.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks_mut(chunk)
-                .zip(out.chunks_mut(chunk))
-                .map(|(shards, slots)| {
-                    scope.spawn(move || {
-                        let _prof = fleetio_obs::prof::span("fleet.shard");
-                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                            *slot = Some(shard.run_window());
-                        }
-                    })
-                })
-                .collect();
-            // Joined by handle: the scope's implicit join returns once the
-            // closures have, before the workers' thread-local destructors
-            // flush their `fleet.shard` spans, and a profile taken right
-            // after the last window would miss them.
-            for handle in handles {
-                handle.join().expect("shard worker panicked");
-            }
+        let order = par::heavy_first(&self.shard_cost);
+        let reports = par::map_mut(&mut self.shards, self.workers, order, |_, shard| {
+            let _prof = fleetio_obs::prof::span("fleet.shard");
+            let before = shard.engine().events_processed();
+            let report = shard.run_window();
+            (report.events_processed - before, report)
         });
-        out.into_iter()
-            .map(|r| r.expect("every shard reported"))
-            .collect()
+        let (costs, reports) = reports.into_iter().unzip();
+        self.shard_cost = costs;
+        reports
     }
 
     /// The serial window merge, shard-index order throughout: extract
@@ -675,6 +668,32 @@ mod tests {
         // agrees with the runtime's placement map.
         let m = report.migrations[0];
         assert_eq!(rt.tenant_location(m.tenant), m.to);
+    }
+
+    #[test]
+    fn shards_are_claimed_by_their_previous_window_events() {
+        // One slot per shard: the light tenant on shard 0, the busier
+        // one on shard 1.
+        let mut spec = FleetSpec::sized(17, 2, 1, 2);
+        spec.tenants[0].kind = WorkloadKind::VdiWeb;
+        spec.tenants[1].kind = WorkloadKind::Ycsb;
+        spec.placement = Placement::Packed;
+        let mut rt = FleetRuntime::new(&spec, default_model(1), 2);
+        assert_eq!(par::heavy_first(&rt.shard_cost), vec![0, 1], "window 0");
+        let first = rt.run_window();
+        assert_eq!(rt.shard_cost.iter().sum::<u64>(), first.events_processed);
+        assert_eq!(
+            par::heavy_first(&rt.shard_cost),
+            vec![1, 0],
+            "window 1 claims the busier shard first: {:?}",
+            rt.shard_cost
+        );
+        // The key is the last window's events, not the cumulative count.
+        let second = rt.run_window();
+        assert_eq!(
+            rt.shard_cost.iter().sum::<u64>(),
+            second.events_processed - first.events_processed
+        );
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Fleet-level determinism acceptance tests:
 //!
 //! * a 64-vSSD fleet produces byte-identical per-shard observability
-//!   streams and identical migration logs for 1, 2 and 8 worker
-//!   threads (the CI determinism matrix);
+//!   streams and identical migration logs for 1, 2, 3, 8 and 32 worker
+//!   threads (the CI determinism matrix), on an evenly loaded spec and
+//!   on a skewed one whose heavy-first claim order changes between
+//!   windows;
 //! * two same-seed fleet runs recorded through per-shard `StoreSink`s
 //!   diff as `Identical` — the fleet layer composes with the run store
 //!   without disturbing its byte-exactness guarantee;
@@ -15,7 +17,7 @@ use fleetio::{Colocation, TenantSpec};
 use fleetio_des::SimDuration;
 use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
-use fleetio_fleet::{default_model, FingerprintSink, FleetRuntime, FleetSpec, Shard};
+use fleetio_fleet::{default_model, FingerprintSink, FleetReport, FleetRuntime, FleetSpec, Shard};
 use fleetio_store::{diff_stores, DiffOutcome, RunStore, StoreSink};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
@@ -35,16 +37,42 @@ fn matrix_spec(seed: u64) -> FleetSpec {
     spec
 }
 
+/// The hotspot fleet (three heavies packed on shard 0, light tenants on
+/// shards 1–11, shards 12–15 empty until migrations land) trimmed to
+/// the six windows it takes for the first migrations to execute: shard
+/// event counts are unequal and shift as tenants move, so the claim
+/// order is not index order and not the same every window.
+fn skewed_spec(seed: u64) -> FleetSpec {
+    let mut spec = FleetSpec::hotspot(seed);
+    spec.windows = 6;
+    spec
+}
+
 #[test]
 fn worker_thread_count_never_changes_a_64_vssd_fleet() {
-    let spec = matrix_spec(41);
+    assert_matrix_is_byte_identical(&matrix_spec(41));
+}
+
+#[test]
+fn worker_thread_count_never_changes_a_skewed_migrating_fleet() {
+    let report = assert_matrix_is_byte_identical(&skewed_spec(41));
+    assert!(!report.migrations.is_empty(), "migrations must fire");
+    assert!(
+        report.windows[0].util_spread() > 0.2,
+        "load must be skewed: {:?}",
+        report.windows[0].shard_utils
+    );
+}
+
+/// Runs `spec` at 1, 2, 3 (does not divide 16 shards), 8 and 32 (more
+/// workers than shards) workers, plus a same-seed rerun at 2: every run
+/// must be byte-identical, including the SLO time-series and the
+/// rendered health report. Returns the common report.
+fn assert_matrix_is_byte_identical(spec: &FleetSpec) -> FleetReport {
     assert_eq!(spec.total_slots(), 64);
-    // 1, 2 and 8 workers, plus a same-seed rerun at 2 workers: every
-    // run must be byte-identical, including the SLO time-series and
-    // the rendered health report.
     let mut baseline = None;
-    for workers in [1usize, 2, 8, 2] {
-        let mut rt = FleetRuntime::new(&spec, default_model(7), workers);
+    for workers in [1usize, 2, 3, 8, 32, 2] {
+        let mut rt = FleetRuntime::new(spec, default_model(7), workers);
         rt.install_fingerprint_sinks();
         let report = rt.run();
         let fingerprints = rt.take_fingerprints();
@@ -90,6 +118,7 @@ fn worker_thread_count_never_changes_a_64_vssd_fleet() {
             }
         }
     }
+    baseline.expect("the matrix ran").0
 }
 
 #[test]

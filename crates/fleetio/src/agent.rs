@@ -7,6 +7,7 @@
 //! Ray stand-in), and [`FleetIoAgent`] wraps the frozen model for
 //! per-window greedy inference.
 
+use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
 use fleetio_rl::parallel::collect_parallel_envs;
 use fleetio_rl::{MultiAgentEnv, ObsNormalizer, PpoConfig, PpoPolicy, PpoTrainer};
@@ -161,56 +162,47 @@ pub fn pretrain_trainer(
     // Behaviour-cloning warm-start: collect reference-policy rollouts
     // (DAgger-style: ε-greedy execution, reference labels at the visited
     // states), then fit the actor by cross-entropy.
+    let n_envs = envs.len();
     if opts.bc_rounds > 0 {
         use fleetio_des::rng::Rng;
-        let ch_bw = cfg.engine.flash.channel_peak_bytes_per_sec();
+        // `bc_rng` never reads the simulation, so every ε-greedy override
+        // is drawn up front, serially, in the (round, env, step, agent,
+        // head) order the rollouts consume them. Each environment then
+        // owns its draws and can run all its rounds on any worker.
         let mut bc_rng = SmallRng::seed_from_u64(seed ^ 0xBC0);
-        let mut raw_pairs: Vec<(Vec<f32>, Vec<usize>)> = Vec::new();
+        let dims = cfg.action_dims();
+        let mut overrides: Vec<Vec<Option<usize>>> = vec![Vec::new(); n_envs];
         for _ in 0..opts.bc_rounds {
-            for (ei, env) in envs.iter_mut().enumerate() {
-                let params: Vec<ReferenceParams> = scenarios[ei]
-                    .iter()
-                    .map(|t| ReferenceParams {
-                        bw_guarantee: t.config.channels.len() as f64 * ch_bw,
-                        slo_vio_guarantee: cfg.slo_violation_guarantee,
-                        max_channels: cfg.max_action_channels,
-                        alpha: crate::typing::alpha_for_kind(cfg, t.kind),
-                        altruistic: cfg.beta < 0.999,
-                    })
-                    .collect();
-                let _ = env.reset();
-                let mut actions: Vec<AgentAction> =
-                    scenarios[ei].iter().map(|_| AgentAction::idle()).collect();
-                for _ in 0..horizon {
-                    let (states, step) = env.step_decoded(&actions);
-                    let labels: Vec<AgentAction> = states
-                        .iter()
-                        .zip(&params)
-                        .map(|(st, p)| reference_action(st, p))
-                        .collect();
-                    for (o, l) in step.observations.iter().zip(&labels) {
-                        trainer.normalizer.update(o);
-                        raw_pairs.push((o.clone(), l.to_heads().to_vec()));
-                    }
-                    actions = labels
-                        .iter()
-                        .map(|l| {
-                            let mut h = l.to_heads();
-                            for (hi, dim) in cfg.action_dims().iter().enumerate() {
-                                if bc_rng.gen_range(0.0..1.0) < opts.bc_epsilon {
-                                    h[hi] = bc_rng.gen_range(0..*dim);
-                                }
-                            }
-                            AgentAction::from_heads(&h)
-                        })
-                        .collect();
-                    if step.done {
-                        break;
+            for (draws, tenants) in overrides.iter_mut().zip(scenarios) {
+                for _ in 0..horizon * tenants.len() {
+                    for dim in &dims {
+                        let explore = bc_rng.gen_range(0.0..1.0) < opts.bc_epsilon;
+                        draws.push(explore.then(|| bc_rng.gen_range(0..*dim)));
                     }
                 }
             }
         }
-        let samples: Vec<(Vec<f32>, Vec<usize>)> = raw_pairs
+        let workers = if opts.parallel { n_envs } else { 1 };
+        let mut collected = par::map_mut(&mut envs, workers, 0..n_envs, |ei, env| {
+            let _prof = fleetio_obs::prof::span("rollout.bc");
+            let mut draws = overrides[ei].iter().copied();
+            let rounds: Vec<Vec<BcSample>> = (0..opts.bc_rounds)
+                .map(|_| bc_rollout(cfg, &scenarios[ei], env, horizon, &mut draws))
+                .collect();
+            rounds.into_iter()
+        });
+        // The running normalizer is order-sensitive: feed it serially in
+        // (round, env, step, agent) order, whatever the workers did.
+        let mut raw_pairs: Vec<BcSample> = Vec::new();
+        for _ in 0..opts.bc_rounds {
+            for rounds in &mut collected {
+                for (o, l) in rounds.next().expect("one rollout per round") {
+                    trainer.normalizer.update(&o);
+                    raw_pairs.push((o, l));
+                }
+            }
+        }
+        let samples: Vec<BcSample> = raw_pairs
             .iter()
             .map(|(o, l)| (trainer.normalizer.normalize(o), l.clone()))
             .collect();
@@ -220,7 +212,6 @@ pub fn pretrain_trainer(
     }
 
     // Serial warm-up: feed the running normalizer real observations.
-    let n_envs = envs.len();
     for it in 0..opts.warmup_iterations.min(opts.iterations) {
         let env = &mut envs[it % n_envs];
         let stats = trainer.train_iteration(env, horizon);
@@ -257,6 +248,52 @@ pub fn pretrain_trainer(
         }
     }
     trainer
+}
+
+/// One behaviour-cloning sample: an observation and the reference
+/// policy's action heads for it.
+type BcSample = (Vec<f32>, Vec<usize>);
+
+/// One reference-policy rollout of `env` (whose horizon is `horizon`, so
+/// the episode is exactly that many windows): the reference labels every
+/// visited state, and the executed action is the label with the next
+/// three `overrides` (one per head, `Some` = explore) applied.
+fn bc_rollout(
+    cfg: &FleetIoConfig,
+    tenants: &[TenantSpec],
+    env: &mut FleetIoEnv,
+    horizon: usize,
+    overrides: &mut impl Iterator<Item = Option<usize>>,
+) -> Vec<BcSample> {
+    let ch_bw = cfg.engine.flash.channel_peak_bytes_per_sec();
+    let params: Vec<ReferenceParams> = tenants
+        .iter()
+        .map(|t| ReferenceParams {
+            bw_guarantee: t.config.channels.len() as f64 * ch_bw,
+            slo_vio_guarantee: cfg.slo_violation_guarantee,
+            max_channels: cfg.max_action_channels,
+            alpha: crate::typing::alpha_for_kind(cfg, t.kind),
+            altruistic: cfg.beta < 0.999,
+        })
+        .collect();
+    let mut samples = Vec::new();
+    let _ = env.reset();
+    let mut actions = vec![AgentAction::idle(); tenants.len()];
+    for _ in 0..horizon {
+        let (states, step) = env.step_decoded(&actions);
+        actions.clear();
+        for ((state, p), obs) in states.iter().zip(&params).zip(step.observations) {
+            let mut heads = reference_action(state, p).to_heads();
+            samples.push((obs, heads.to_vec()));
+            for head in &mut heads {
+                if let Some(explored) = overrides.next().expect("one draw per head") {
+                    *head = explored;
+                }
+            }
+            actions.push(AgentAction::from_heads(&heads));
+        }
+    }
+    samples
 }
 
 /// Parameters conditioning the scripted reference policy on the paper's
@@ -424,6 +461,10 @@ mod tests {
         ]
     }
 
+    /// FNV-1a of the BC-only trainer state, captured at the parent of the
+    /// commit that moved BC collection onto the work queue.
+    const GOLDEN_BC_TRAINER: u64 = 0x857a_2b90_a3fc_a950;
+
     fn quick_opts() -> PretrainOptions {
         PretrainOptions {
             iterations: 3,
@@ -456,6 +497,54 @@ mod tests {
         };
         let model = pretrain(&cfg, &[scenario(), scenario()], 0.0, opts, 12);
         assert!(model.normalizer.is_frozen());
+    }
+
+    /// A second scenario, unlike [`scenario`] in kinds and seeds, so the
+    /// two environments' observations cannot be swapped unnoticed.
+    fn other_scenario() -> Vec<TenantSpec> {
+        vec![
+            TenantSpec::new(
+                VssdConfig::hardware(VssdId(0), vec![ChannelId(0), ChannelId(1)])
+                    .with_slo(SimDuration::from_millis(2)),
+                WorkloadKind::VdiWeb,
+                3,
+            ),
+            TenantSpec::new(
+                VssdConfig::hardware(VssdId(1), vec![ChannelId(2), ChannelId(3)]),
+                WorkloadKind::TeraSort,
+                4,
+            ),
+        ]
+    }
+
+    /// Behaviour cloning alone (`iterations: 0`): collecting on workers
+    /// must leave the policy, the optimizers and the running normalizer
+    /// bit-identical to serial collection — and to the trainer state of
+    /// the last commit that drew `bc_rng` inside the rollout loop, so
+    /// pre-drawing the ε-greedy overrides is proven not to reorder it.
+    #[test]
+    fn bc_collection_is_bit_identical_parallel_serial_and_golden() {
+        let cfg = tiny_cfg();
+        let bc_only = |parallel| {
+            let opts = PretrainOptions {
+                iterations: 0,
+                windows_per_rollout: 3,
+                bc_rounds: 2,
+                bc_epsilon: 0.3,
+                parallel,
+                ..quick_opts()
+            };
+            let scenarios = [scenario(), other_scenario()];
+            let trainer = pretrain_trainer(&cfg, &scenarios, 0.0, opts, 15);
+            format!("{:?}", trainer.export_state())
+        };
+        let serial = bc_only(false);
+        assert_eq!(serial, bc_only(true), "workers changed BC collection");
+        assert_eq!(
+            fleetio_des::hash::fnv1a64(serial.as_bytes()),
+            GOLDEN_BC_TRAINER,
+            "BC collection drifted from the pre-queue trainer state"
+        );
     }
 
     #[test]

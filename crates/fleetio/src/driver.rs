@@ -85,7 +85,7 @@ impl Source {
         } else {
             let mut gen = SyntheticWorkload::new(spec, capacity, seed);
             if let Some(now) = start {
-                let _ = gen.requests_until(now);
+                while gen.next_until(now).is_some() {}
             }
             Source::Open(gen)
         }
@@ -344,7 +344,7 @@ impl Colocation {
                     ..
                 }) = &mut tenant.workload
                 {
-                    for rec in gen.requests_until(t) {
+                    while let Some(rec) = gen.next_until(t) {
                         submit(&mut self.engine, tenant.id, trace, rec);
                     }
                 }

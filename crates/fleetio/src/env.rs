@@ -5,7 +5,7 @@
 //! runs, Table 1 states are extracted per agent, and rewards follow
 //! Equation 1 mixed by Equation 2.
 
-use fleetio_des::SimDuration;
+use fleetio_des::{SimDuration, SimTime};
 use fleetio_rl::env::{MultiAgentEnv, StepResult};
 use fleetio_rl::reward::mix_rewards;
 use fleetio_vssd::engine::EngineConfig;
@@ -37,7 +37,11 @@ pub struct FleetIoEnv {
 
 impl FleetIoEnv {
     /// Builds an environment over `tenants` with per-tenant reward
-    /// parameters (α per workload type).
+    /// parameters (α per workload type), and with it episode 1's device:
+    /// the first `reset` adopts that device untouched instead of building
+    /// a second one, so devices are built where the environment is, not
+    /// on whichever rollout worker resets it first (whose allocator arena
+    /// would keep the memory after the worker is gone).
     ///
     /// # Panics
     ///
@@ -62,7 +66,7 @@ impl FleetIoEnv {
             cfg.decision_interval,
             warm_fraction,
             seed,
-            0,
+            1,
         );
         let histories = tenants
             .iter()
@@ -204,7 +208,9 @@ impl MultiAgentEnv for FleetIoEnv {
 
     fn reset(&mut self) -> Vec<Vec<f32>> {
         self.episode += 1;
-        if !self.persistent || self.episode == 1 {
+        // Only a device that has run is replaced; `new` built episode 1's.
+        let used = self.coloc.engine().now() > SimTime::ZERO;
+        if (!self.persistent || self.episode == 1) && used {
             self.coloc = Self::build(
                 &self.cfg.engine,
                 &self.tenants,
@@ -282,6 +288,18 @@ mod tests {
         // The seeded window put real traffic into the newest slice.
         let newest = &obs[0][22..33];
         assert!(newest.iter().any(|v| *v != 0.0), "observation all zero");
+    }
+
+    #[test]
+    fn first_reset_adopts_an_unused_device_and_replaces_a_used_one() {
+        let idle = [AgentAction::idle(), AgentAction::idle()];
+        let reset_obs = env().reset();
+        // `new` builds episode 1's device: stepping it without a reset
+        // runs the very window `reset` opens the episode with.
+        let mut stepped = env();
+        assert_eq!(stepped.step_decoded(&idle).1.observations, reset_obs);
+        // Now used, it is rebuilt, and episode 1 starts afresh.
+        assert_eq!(stepped.reset(), reset_obs);
     }
 
     #[test]

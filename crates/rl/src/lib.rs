@@ -13,7 +13,7 @@
 //! * [`ppo`] — the clipped-surrogate PPO trainer,
 //! * [`reward`] — the paper's multi-agent reward mixing (Equation 2),
 //! * [`normalize`] — running observation normalization,
-//! * [`parallel`] — crossbeam-based parallel rollout collection (the
+//! * [`parallel`] — parallel rollout collection on `fleetio_des::par` (the
 //!   stand-in for the paper's Ray pre-training cluster).
 
 pub mod buffer;

@@ -1,11 +1,14 @@
 //! Parallel rollout collection (the stand-in for the paper's Ray cluster).
 //!
-//! Workers each own an environment instance and a clone of the current
-//! policy; they collect rollouts concurrently with std scoped
-//! threads. Observation-normalizer statistics are frozen during parallel
-//! collection so every worker normalizes identically (the trainer's serial
-//! warm-up collections feed the statistics).
+//! Workers each own an environment instance and share the current
+//! policy; they collect rollouts concurrently on the workspace's work
+//! queue ([`fleetio_des::par`]), which returns the buffers in
+//! environment order whatever the threads did. Observation-normalizer
+//! statistics are frozen during parallel collection so every worker
+//! normalizes identically (the trainer's serial warm-up collections feed
+//! the statistics).
 
+use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
 
 use crate::buffer::{RolloutBuffer, Transition};
@@ -105,37 +108,15 @@ where
     E: MultiAgentEnv,
     F: FnOnce() -> E + Send,
 {
-    let mut merged = RolloutBuffer::new();
-    let results: Vec<RolloutBuffer> = std::thread::scope(|scope| {
-        let handles: Vec<_> = factories
-            .into_iter()
-            .enumerate()
-            .map(|(i, factory)| {
-                let policy = policy.clone();
-                let normalizer = normalizer.clone();
-                scope.spawn(move || {
-                    let _prof = fleetio_obs::prof::span("rollout.worker");
-                    let mut env = factory();
-                    collect_frozen(
-                        &mut env,
-                        &policy,
-                        &normalizer,
-                        steps_per_worker,
-                        gamma,
-                        seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+    let mut factories: Vec<Option<F>> = factories.into_iter().map(Some).collect();
+    let n = factories.len();
+    let buffers = par::map_mut(&mut factories, n, 0..n, |i, factory| {
+        let _prof = fleetio_obs::prof::span("rollout.worker");
+        let mut env = factory.take().expect("the queue runs each item once")();
+        let seed = worker_seed(seed, i);
+        collect_frozen(&mut env, policy, normalizer, steps_per_worker, gamma, seed)
     });
-    for b in results {
-        merged.extend(b);
-    }
-    merged
+    merge(buffers)
 }
 
 /// Collects rollouts from long-lived environments in parallel (one thread
@@ -153,33 +134,24 @@ pub fn collect_parallel_envs<E>(
 where
     E: MultiAgentEnv + Send,
 {
-    let mut merged = RolloutBuffer::new();
-    let results: Vec<RolloutBuffer> = std::thread::scope(|scope| {
-        let handles: Vec<_> = envs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, env)| {
-                let policy = policy.clone();
-                let normalizer = normalizer.clone();
-                scope.spawn(move || {
-                    let _prof = fleetio_obs::prof::span("rollout.worker");
-                    collect_frozen(
-                        env,
-                        &policy,
-                        &normalizer,
-                        steps_per_env,
-                        gamma,
-                        seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
+    let n = envs.len();
+    let buffers = par::map_mut(envs, n, 0..n, |i, env| {
+        let _prof = fleetio_obs::prof::span("rollout.worker");
+        let seed = worker_seed(seed, i);
+        collect_frozen(env, policy, normalizer, steps_per_env, gamma, seed)
     });
-    for b in results {
+    merge(buffers)
+}
+
+/// Worker `i`'s RNG stream.
+fn worker_seed(seed: u64, i: usize) -> u64 {
+    seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9)
+}
+
+/// Concatenates per-worker buffers in worker-index order.
+fn merge(buffers: Vec<RolloutBuffer>) -> RolloutBuffer {
+    let mut merged = RolloutBuffer::new();
+    for b in buffers {
         merged.extend(b);
     }
     merged

@@ -44,7 +44,7 @@ pub struct SyntheticWorkload {
     zipf: Option<(u64, ZipfSampler)>,
     /// Align all addresses to this many bytes (page size by default).
     align: u64,
-    /// A generated request `requests_until` found to lie past its bound.
+    /// A generated request `next_until` found to lie past its bound.
     peeked: Option<TraceRecord>,
 }
 
@@ -126,10 +126,18 @@ impl SyntheticWorkload {
             self.now = self.phase_end;
             self.advance_phase();
         }
-        let phase = self.phase().clone();
-        let len = self.sample_size(&phase.size);
+        let phase = &self.spec.phases[self.phase_idx];
+        let len = sample_size(&mut self.rng, &phase.size);
         let is_read = self.rng.gen_range(0.0..1.0) < phase.read_fraction;
-        let offset = self.sample_offset(&phase.addr, len);
+        let offset = sample_offset(
+            &mut self.rng,
+            &mut self.seq_cursors,
+            &mut self.zipf,
+            self.capacity,
+            self.align,
+            &phase.addr,
+            len,
+        );
         TraceRecord {
             at: self.now,
             is_read,
@@ -138,78 +146,22 @@ impl SyntheticWorkload {
         }
     }
 
+    /// The next request if it arrives at or before `until`; a later one
+    /// is held back for the next call. The allocation-free way to drain
+    /// a tick: `while let Some(r) = w.next_until(t) { .. }`.
+    pub fn next_until(&mut self, until: SimTime) -> Option<TraceRecord> {
+        let r = self.next_request();
+        if r.at > until {
+            self.peeked = Some(r);
+            return None;
+        }
+        Some(r)
+    }
+
     /// Generates every request arriving up to `until` (exclusive of later
     /// ones; the first of those is held back for the next call).
     pub fn requests_until(&mut self, until: SimTime) -> Vec<TraceRecord> {
-        let mut out = Vec::new();
-        loop {
-            let r = self.next_request();
-            if r.at > until {
-                self.peeked = Some(r);
-                return out;
-            }
-            out.push(r);
-        }
-    }
-
-    fn sample_size(&mut self, dist: &SizeDist) -> u64 {
-        match dist {
-            SizeDist::Fixed(b) => *b,
-            SizeDist::Choice(items) => {
-                let total: f64 = items.iter().map(|(_, w)| w).sum();
-                let mut pick = self.rng.gen_range(0.0..total);
-                for (b, w) in items {
-                    if pick < *w {
-                        return *b;
-                    }
-                    pick -= w;
-                }
-                items.last().expect("non-empty").0
-            }
-        }
-    }
-
-    fn sample_offset(&mut self, addr: &AddrPattern, len: u64) -> u64 {
-        let space = self.capacity.saturating_sub(len).max(self.align);
-        let aligned = |x: u64, align: u64| (x / align) * align;
-        match addr {
-            AddrPattern::Sequential { region } => {
-                let cur = self.seq_cursors[*region];
-                let next = cur + len;
-                self.seq_cursors[*region] = if next >= space { 0 } else { next };
-                aligned(cur.min(space), self.align)
-            }
-            AddrPattern::UniformRandom => aligned(self.rng.gen_range(0..space), self.align),
-            AddrPattern::Zipf { theta } => {
-                let items = (self.capacity / self.align).max(1);
-                let needs_new = match &self.zipf {
-                    Some((n, _)) => *n != items,
-                    None => true,
-                };
-                if needs_new {
-                    self.zipf = Some((items, ZipfSampler::new(items, *theta)));
-                }
-                let (_, sampler) = self.zipf.as_ref().expect("sampler built");
-                // Ranks map to addresses directly (no scrambling): the hot
-                // set occupies a compact region, giving key-value workloads
-                // the low LPA entropy that separates YCSB-B in Figure 6.
-                let rank = sampler.sample(&mut self.rng);
-                (rank * self.align).min(space)
-            }
-            AddrPattern::HotSpot {
-                hot_fraction,
-                hot_access,
-            } => {
-                let hot_space = ((space as f64) * hot_fraction) as u64;
-                let in_hot = self.rng.gen_range(0.0..1.0) < *hot_access;
-                let off = if in_hot && hot_space > 0 {
-                    self.rng.gen_range(0..hot_space.max(1))
-                } else {
-                    self.rng.gen_range(0..space)
-                };
-                aligned(off, self.align)
-            }
-        }
+        std::iter::from_fn(|| self.next_until(until)).collect()
     }
 }
 
@@ -288,20 +240,21 @@ impl ClosedLoopWorkload {
         &self.spec
     }
 
-    fn phase_at(&self, now: SimTime) -> &PhaseSpec {
+    /// Index of the phase active at `now`.
+    fn phase_at(&self, now: SimTime) -> usize {
         let mut t = SimDuration::from_nanos(now.as_nanos() % self.cycle.as_nanos().max(1));
-        for p in &self.spec.phases {
+        for (i, p) in self.spec.phases.iter().enumerate() {
             if t < p.duration {
-                return p;
+                return i;
             }
             t = t.saturating_sub(p.duration);
         }
-        self.spec.phases.last().expect("non-empty phases")
+        self.spec.phases.len() - 1
     }
 
     /// Target outstanding-request count at `now` (0 = idle phase).
     pub fn concurrency_at(&self, now: SimTime) -> u32 {
-        self.phase_at(now).concurrency
+        self.spec.phases[self.phase_at(now)].concurrency
     }
 
     /// Time when the current phase (at `now`) ends — the driver re-checks
@@ -322,7 +275,7 @@ impl ClosedLoopWorkload {
     /// Produces the next request for submission at `now`, using the phase
     /// active at that instant.
     pub fn make_request(&mut self, now: SimTime) -> TraceRecord {
-        let phase = self.phase_at(now).clone();
+        let phase = &self.spec.phases[self.phase_at(now)];
         let len = sample_size(&mut self.rng, &phase.size);
         let is_read = self.rng.gen_range(0.0..1.0) < phase.read_fraction;
         let offset = sample_offset(
@@ -390,6 +343,9 @@ fn sample_offset<R: Rng>(
                 *zipf = Some((items, ZipfSampler::new(items, *theta)));
             }
             let (_, sampler) = zipf.as_ref().expect("sampler built");
+            // Ranks map to addresses directly (no scrambling): the hot
+            // set occupies a compact region, giving key-value workloads
+            // the low LPA entropy that separates YCSB-B in Figure 6.
             let rank = sampler.sample(rng);
             (rank * align).min(space)
         }
@@ -516,6 +472,24 @@ mod tests {
         let mut w2 = SyntheticWorkload::new(steady_spec(500.0), 1 << 30, 4);
         let a2 = w2.requests_until(SimTime::from_secs(1));
         assert_eq!(a, a2);
+    }
+
+    #[test]
+    fn next_until_drains_ticks_into_the_plain_stream() {
+        let mut ticked = SyntheticWorkload::new(bursty_spec(), 1 << 30, 9);
+        let mut plain = ticked.clone();
+        let mut drained = 0;
+        // 1 ms ticks across a burst, an idle phase and a second burst.
+        for ms in 1..=3_000u64 {
+            let t = SimTime::from_nanos(ms * 1_000_000);
+            while let Some(r) = ticked.next_until(t) {
+                assert!(r.at <= t, "arrival {:?} past tick {t:?}", r.at);
+                assert_eq!(r, plain.next_request());
+                drained += 1;
+            }
+        }
+        assert!(drained > 1_500, "drained {drained}");
+        assert!(plain.next_request().at > SimTime::from_secs(3));
     }
 
     #[test]
