@@ -1,5 +1,9 @@
 //! Row-oriented result reporting (text tables + JSON).
 
+use std::fmt::Write as _;
+
+use fleetio_obs::json::write_str;
+
 /// One figure's regenerated rows.
 #[derive(Debug, Clone)]
 pub struct FigureReport {
@@ -74,67 +78,48 @@ impl FigureReport {
     /// Renders the report as JSON (hand-rolled; the workspace builds with
     /// no external crates).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
-        out.push_str("  \"columns\": [");
-        push_joined(&mut out, self.columns.iter().map(|c| json_str(c)));
+        let mut out = String::from("{\n  \"id\": ");
+        write_str(&mut out, &self.id);
+        out.push_str(",\n  \"title\": ");
+        write_str(&mut out, &self.title);
+        out.push_str(",\n  \"columns\": [");
+        push_joined(&mut out, &self.columns, |out, c| write_str(out, c));
         out.push_str("],\n  \"rows\": [");
         for (i, (label, values)) in self.rows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\n    {{\"label\": {}, \"values\": [",
-                json_str(label)
-            ));
-            push_joined(&mut out, values.iter().map(|v| json_num(*v)));
+            out.push_str("\n    {\"label\": ");
+            write_str(&mut out, label);
+            out.push_str(", \"values\": [");
+            push_joined(&mut out, values, |out, v| write_num(out, *v));
             out.push_str("]}");
         }
         if !self.rows.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("],\n  \"notes\": [");
-        push_joined(&mut out, self.notes.iter().map(|n| json_str(n)));
+        push_joined(&mut out, &self.notes, |out, n| write_str(out, n));
         out.push_str("]\n}\n");
         out
     }
 }
 
-/// Escapes a string into a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an f64 as a JSON number (JSON has no NaN/Inf — map to null).
-fn json_num(v: f64) -> String {
+/// Appends an f64 as a JSON number (JSON has no NaN/Inf — map to null).
+fn write_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
-fn push_joined(out: &mut String, items: impl Iterator<Item = String>) {
-    for (i, item) in items.enumerate() {
+fn push_joined<T>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, &T)) {
+    for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&item);
+        write(out, item);
     }
 }
 

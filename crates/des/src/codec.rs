@@ -1,7 +1,14 @@
-//! The `FIOM` binary checkpoint container and its primitive codec.
+//! The workspace's one binary codec: the `FIOM` container and the
+//! little-endian primitive writer/reader under every on-disk record.
 //!
-//! Every artifact the registry stores — PPO trainer checkpoints and the
-//! workload-typing index — is one container:
+//! It lives beside [`crate::hash`] at the bottom of the dependency
+//! graph so that everything that serializes — model checkpoints and
+//! run anchors (`fleetio-model`), run and fleet specs, the run-store
+//! manifest, and the observability event wire (`fleetio_obs::wire`) —
+//! shares one [`Enc`]/[`Dec`] pair and one [`DecodeError`].
+//!
+//! Every standalone artifact (trainer checkpoint, workload-typing
+//! index, run anchor, store manifest) is one container:
 //!
 //! ```text
 //! offset  size  field
@@ -14,8 +21,10 @@
 //! 21      n     payload
 //! ```
 //!
-//! The payload itself is a flat little-endian stream written by [`Enc`]
-//! and read back by [`Dec`]. Floating-point values travel as raw IEEE-754
+//! The payload itself is a flat little-endian stream appended to a
+//! caller-owned `Vec<u8>` by [`Enc`] (so a record can be encoded in
+//! place behind a frame header that is patched afterwards) and read
+//! back by [`Dec`]. Floating-point values travel as raw IEEE-754
 //! bits (`f64::to_bits`), so every value — including NaNs, infinities and
 //! subnormals — round-trips bit-exactly. `f32` network parameters are
 //! widened to `f64` on the wire; the widening is exact for every finite
@@ -27,6 +36,8 @@
 //! a partially-initialized model.
 
 use std::fmt;
+
+use crate::hash::crc32;
 
 /// First four bytes of every checkpoint file.
 pub const MAGIC: [u8; 4] = *b"FIOM";
@@ -40,16 +51,17 @@ pub const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 4;
 /// What a container's payload encodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// A full PPO trainer checkpoint ([`crate::ModelCheckpoint`]).
+    /// A full PPO trainer checkpoint (`fleetio_model::ModelCheckpoint`).
     ModelCheckpoint,
-    /// The workload-typing index ([`crate::TypingIndex`]).
+    /// The workload-typing index (`fleetio_model::TypingIndex`).
     TypingIndex,
-    /// A run-store replay anchor ([`crate::RunAnchor`]): the sim-time
-    /// position and stream fingerprint a recorded run can be re-verified
-    /// from.
+    /// A run-store replay anchor (`fleetio_model::RunAnchor`): the
+    /// sim-time position and stream fingerprint a recorded run can be
+    /// re-verified from.
     RunAnchor,
-    /// A `fleetio-store` run manifest. The payload layout is owned by
-    /// `crates/store`; this crate only frames and checksums it.
+    /// A `fleetio-store` run manifest. Like every payload layout it is
+    /// owned by the crate that writes it; this module only frames and
+    /// checksums it.
     StoreManifest,
 }
 
@@ -97,6 +109,15 @@ pub enum DecodeError {
     BadVersion(u32),
     /// Unknown payload-kind tag.
     BadKind(u8),
+    /// A one-byte tag inside a payload — a bool, an `Option` flag, a
+    /// field-less enum — outside its range. Allocation-free, so readers
+    /// on a per-record hot path can return it without a call.
+    BadTag {
+        /// What the byte was supposed to encode.
+        what: &'static str,
+        /// The byte found.
+        tag: u8,
+    },
     /// Stored CRC disagrees with the payload's actual CRC.
     CrcMismatch {
         /// CRC recorded in the header.
@@ -117,6 +138,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadMagic(m) => write!(f, "bad magic {m:02x?}, expected {MAGIC:02x?}"),
             DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             DecodeError::BadKind(k) => write!(f, "unknown payload kind tag {k}"),
+            DecodeError::BadTag { what, tag } => write!(f, "{what} tag byte {tag} out of range"),
             DecodeError::CrcMismatch { stored, computed } => write!(
                 f,
                 "CRC mismatch: header says {stored:#010x}, payload hashes to {computed:#010x}"
@@ -127,13 +149,7 @@ impl fmt::Display for DecodeError {
     }
 }
 
-/// CRC-32/IEEE (poly `0xEDB88320`, reflected, init/xorout `0xFFFFFFFF`) —
-/// the same parameterization as zlib's `crc32`. Re-exported shim over
-/// [`fleetio_des::hash::crc32`] so every on-disk frame in the workspace
-/// shares one implementation.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    fleetio_des::hash::crc32(bytes)
-}
+impl std::error::Error for DecodeError {}
 
 /// Wraps a payload in the `FIOM` container (header + checksum).
 pub fn encode_container(kind: PayloadKind, payload: &[u8]) -> Vec<u8> {
@@ -192,21 +208,16 @@ pub fn decode_container(bytes: &[u8]) -> Result<(PayloadKind, &[u8]), DecodeErro
     Ok((kind, payload))
 }
 
-/// Little-endian payload writer.
-#[derive(Debug, Default)]
-pub struct Enc {
-    buf: Vec<u8>,
+/// Little-endian payload writer appending to a caller-owned buffer.
+#[derive(Debug)]
+pub struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    /// An empty payload buffer.
-    pub fn new() -> Self {
-        Enc::default()
-    }
-
-    /// Consumes the writer, yielding the payload bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+impl<'a> Enc<'a> {
+    /// A writer that appends to `buf`, leaving what it holds untouched.
+    pub fn new(buf: &'a mut Vec<u8>) -> Self {
+        Enc { buf }
     }
 
     /// Appends a byte.
@@ -217,6 +228,11 @@ impl Enc {
     /// Appends a bool as one byte (0 or 1).
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
+    }
+
+    /// Appends a `u16`, little-endian.
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
@@ -251,6 +267,13 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// Appends a UTF-8 string behind a `u32` length — the compact form
+    /// for short strings inside small records ([`Dec::str32`]).
+    pub fn str32(&mut self, s: &str) {
+        self.u32(s.len() as u32);
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
     /// Appends a length-prefixed `f64` slice.
     pub fn f64s(&mut self, v: &[f64]) {
         self.usize(v.len());
@@ -271,28 +294,38 @@ impl Enc {
 /// Little-endian payload reader over a borrowed byte slice.
 #[derive(Debug)]
 pub struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Dec<'a> {
     /// A reader positioned at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+        Dec { rest: buf }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.remaining() < n {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(DecodeError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes, for the fixed-width readers.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk()
+            .ok_or(DecodeError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     /// Succeeds only when every byte has been consumed.
@@ -305,7 +338,8 @@ impl<'a> Dec<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        let [b] = self.array()?;
+        Ok(b)
     }
 
     /// Reads a bool, rejecting any byte other than 0 or 1.
@@ -313,22 +347,23 @@ impl<'a> Dec<'a> {
         match self.u8()? {
             0 => Ok(false),
             1 => Ok(true),
-            other => Err(DecodeError::Malformed(format!("bool byte {other}"))),
+            tag => Err(DecodeError::BadTag { what: "bool", tag }),
         }
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads an element count written by [`Enc::usize`], bounded by the
@@ -374,6 +409,22 @@ impl<'a> Dec<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DecodeError> {
         let n = self.len(1)?;
+        self.utf8(n)
+    }
+
+    /// Reads a string written by [`Enc::str32`], rejecting a length
+    /// above `cap` bytes before looking at the bytes.
+    pub fn str32(&mut self, cap: usize) -> Result<String, DecodeError> {
+        let n = self.u32()? as usize;
+        if n > cap {
+            return Err(DecodeError::Malformed(format!(
+                "string length {n} exceeds cap {cap}"
+            )));
+        }
+        self.utf8(n)
+    }
+
+    fn utf8(&mut self, n: usize) -> Result<String, DecodeError> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|e| DecodeError::Malformed(format!("string not UTF-8: {e}")))
@@ -403,13 +454,13 @@ impl<'a> Dec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fleetio_des::rng::{Rng, SmallRng};
+    use crate::rng::{Rng, SmallRng};
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// Runs `fill` over a fresh buffer and returns the bytes.
+    fn enc(fill: impl FnOnce(&mut Enc<'_>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        fill(&mut Enc::new(&mut buf));
+        buf
     }
 
     #[test]
@@ -453,10 +504,11 @@ mod tests {
     /// Property: every strict prefix of a valid container fails to decode.
     #[test]
     fn every_truncation_rejected() {
-        let mut enc = Enc::new();
-        enc.f64s(&[1.0, -2.5, f64::NAN]);
-        enc.str("lc1");
-        let bytes = encode_container(PayloadKind::ModelCheckpoint, &enc.into_bytes());
+        let payload = enc(|e| {
+            e.f64s(&[1.0, -2.5, f64::NAN]);
+            e.str("lc1");
+        });
+        let bytes = encode_container(PayloadKind::ModelCheckpoint, &payload);
         for cut in 0..bytes.len() {
             assert!(
                 decode_container(&bytes[..cut]).is_err(),
@@ -475,11 +527,12 @@ mod tests {
     /// before touching the payload.
     #[test]
     fn every_bit_flip_rejected() {
-        let mut enc = Enc::new();
-        enc.u64(0xDEAD_BEEF);
-        enc.f64s(&[0.25, 3.5e-9]);
-        enc.bool(true);
-        let bytes = encode_container(PayloadKind::TypingIndex, &enc.into_bytes());
+        let payload = enc(|e| {
+            e.u64(0xDEAD_BEEF);
+            e.f64s(&[0.25, 3.5e-9]);
+            e.bool(true);
+        });
+        let bytes = encode_container(PayloadKind::TypingIndex, &payload);
         const KIND_BYTE: usize = 8;
         for byte in 0..bytes.len() {
             for bit in 0..8 {
@@ -517,9 +570,7 @@ mod tests {
             f64::MIN,
             f64::EPSILON,
         ];
-        let mut enc = Enc::new();
-        enc.f64s(&specials);
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| e.f64s(&specials));
         let mut dec = Dec::new(&bytes);
         let back = dec.f64s().expect("special values decode");
         dec.finish().expect("no trailing bytes");
@@ -534,9 +585,7 @@ mod tests {
     fn f64_random_bits_roundtrip() {
         let mut rng = SmallRng::seed_from_u64(0x0DEC_0DEC);
         let vals: Vec<f64> = (0..512).map(|_| f64::from_bits(rng.next_u64())).collect();
-        let mut enc = Enc::new();
-        enc.f64s(&vals);
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| e.f64s(&vals));
         let back = Dec::new(&bytes).f64s().expect("random values decode");
         for (a, b) in vals.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -555,26 +604,22 @@ mod tests {
             f32::MAX,
             f32::MIN,
         ];
-        let mut enc = Enc::new();
-        enc.f32s(&specials);
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| e.f32s(&specials));
         let back = Dec::new(&bytes).f32s().expect("f32 specials decode");
         for (a, b) in specials.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // A f64 that is not an exactly-widened f32 is rejected.
-        let mut enc = Enc::new();
-        enc.usize(1);
-        enc.f64(0.1); // 0.1f64 != widened 0.1f32
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| {
+            e.usize(1);
+            e.f64(0.1); // 0.1f64 != widened 0.1f32
+        });
         assert!(Dec::new(&bytes).f32s().is_err());
     }
 
     #[test]
     fn corrupt_length_field_cannot_overallocate() {
-        let mut enc = Enc::new();
-        enc.usize(usize::MAX); // claims ~1.8e19 elements
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| e.usize(usize::MAX)); // claims ~1.8e19 elements
         assert_eq!(Dec::new(&bytes).f64s(), Err(DecodeError::Truncated));
     }
 
@@ -582,10 +627,10 @@ mod tests {
     fn bool_rejects_junk_bytes() {
         let bytes = [2u8];
         assert!(Dec::new(&bytes).bool().is_err());
-        let mut enc = Enc::new();
-        enc.bool(false);
-        enc.bool(true);
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| {
+            e.bool(false);
+            e.bool(true);
+        });
         let mut dec = Dec::new(&bytes);
         assert_eq!(dec.bool(), Ok(false));
         assert_eq!(dec.bool(), Ok(true));
@@ -593,19 +638,39 @@ mod tests {
 
     #[test]
     fn strings_roundtrip_and_reject_bad_utf8() {
-        let mut enc = Enc::new();
-        enc.str("lc1");
-        enc.str("");
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| {
+            e.str("lc1");
+            e.str("");
+        });
         let mut dec = Dec::new(&bytes);
         assert_eq!(dec.str().expect("ascii string decodes"), "lc1");
         assert_eq!(dec.str().expect("empty string decodes"), "");
         dec.finish().expect("no trailing bytes");
-        let mut enc = Enc::new();
-        enc.usize(2);
-        enc.u8(0xFF);
-        enc.u8(0xFE);
-        let bytes = enc.into_bytes();
+        let bytes = enc(|e| {
+            e.usize(2);
+            e.u8(0xFF);
+            e.u8(0xFE);
+        });
         assert!(Dec::new(&bytes).str().is_err());
+    }
+
+    #[test]
+    fn u16_and_capped_strings_append_behind_existing_bytes() {
+        let mut buf = vec![0xAA; 3];
+        let mut e = Enc::new(&mut buf);
+        e.u16(0xBEEF);
+        e.str32("lc1");
+        assert_eq!(buf[..5], [0xAA, 0xAA, 0xAA, 0xEF, 0xBE]);
+        assert_eq!(buf[5..], [3, 0, 0, 0, b'l', b'c', b'1']);
+        let mut dec = Dec::new(&buf[3..]);
+        assert_eq!(dec.u16(), Ok(0xBEEF));
+        assert_eq!(dec.str32(3).expect("at the cap"), "lc1");
+        dec.finish().expect("no trailing bytes");
+        // One byte over the cap is refused before the bytes are read,
+        // whether or not they are there.
+        assert!(Dec::new(&buf[5..]).str32(2).is_err());
+        let huge = enc(|e| e.u32(u32::MAX));
+        assert!(Dec::new(&huge).str32(4096).is_err());
+        assert_eq!(Dec::new(&buf[5..9]).str32(3), Err(DecodeError::Truncated));
     }
 }

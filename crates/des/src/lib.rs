@@ -16,6 +16,9 @@
 //! * [`summary`] — small numeric summaries (mean/std, exact percentiles),
 //! * [`hash`] — stable CRC-32/FNV-1a digests for on-disk framing and
 //!   determinism fingerprints,
+//! * [`codec`] — the workspace's one binary codec: the `FIOM` container
+//!   and the little-endian [`codec::Enc`]/[`codec::Dec`] pair under
+//!   every checkpoint, spec, manifest and observability record,
 //! * [`par`] — the deterministic work queue every simulation worker
 //!   thread in the workspace runs on (results by item index).
 //!
@@ -32,6 +35,7 @@
 
 #[cfg(feature = "audit")]
 pub mod audit;
+pub mod codec;
 pub mod hash;
 pub mod hist;
 pub mod par;

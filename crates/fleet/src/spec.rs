@@ -9,9 +9,9 @@
 //! encoding so stored fleet shards are diffable and attributable.
 
 use fleetio::runspec::FlashPreset;
+use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::rng::{derive_seed_indexed, stream, Rng};
 use fleetio_des::SimDuration;
-use fleetio_model::codec::{Dec, DecodeError, Enc};
 use fleetio_obs::SloSpec;
 use fleetio_workloads::WorkloadKind;
 
@@ -345,8 +345,9 @@ impl FleetSpec {
 
     /// Encodes the spec as a flat `FIOM`-style payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.u8(self.flash.wire_tag());
+        let mut out = Vec::new();
+        let mut enc = Enc::new(&mut out);
+        enc.u8(self.flash.tag());
         enc.u32(self.shards);
         enc.u32(self.slots_per_shard);
         match self.slot_slo {
@@ -381,7 +382,7 @@ impl FleetSpec {
             }
             enc.u32(t.phase_rotation);
         }
-        enc.into_bytes()
+        out
     }
 
     /// Decodes a spec written by [`FleetSpec::encode`].
@@ -392,7 +393,7 @@ impl FleetSpec {
     /// tags, or a spec failing [`FleetSpec::validate`].
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut dec = Dec::new(payload);
-        let flash = FlashPreset::from_wire_tag(dec.u8()?)?;
+        let flash = FlashPreset::from_tag(dec.u8()?)?;
         let shards = dec.u32()?;
         let slots_per_shard = dec.u32()?;
         let slot_slo = if dec.bool()? {
@@ -465,34 +466,6 @@ impl FleetSpec {
     /// manifests.
     pub fn fingerprint(&self) -> u32 {
         fleetio_des::hash::crc32(&self.encode())
-    }
-}
-
-// `FlashPreset`'s wire tags are private to `fleetio::runspec`; mirror
-// them here against the same enum so both specs stay byte-compatible.
-trait PresetTag: Sized {
-    fn wire_tag(self) -> u8;
-    fn from_wire_tag(tag: u8) -> Result<Self, DecodeError>;
-}
-
-impl PresetTag for FlashPreset {
-    fn wire_tag(self) -> u8 {
-        match self {
-            FlashPreset::Default => 0,
-            FlashPreset::Experiment => 1,
-            FlashPreset::TrainingTest => 2,
-            FlashPreset::SmallTest => 3,
-        }
-    }
-
-    fn from_wire_tag(tag: u8) -> Result<Self, DecodeError> {
-        match tag {
-            0 => Ok(FlashPreset::Default),
-            1 => Ok(FlashPreset::Experiment),
-            2 => Ok(FlashPreset::TrainingTest),
-            3 => Ok(FlashPreset::SmallTest),
-            other => Err(DecodeError::Malformed(format!("flash preset tag {other}"))),
-        }
     }
 }
 

@@ -15,10 +15,10 @@
 //! driven by hand-tuned engine knobs are out of the store's replay scope
 //! (see DESIGN.md "Run store" caveats).
 
+use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::SimDuration;
 use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
-use fleetio_model::codec::{Dec, DecodeError, Enc};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{IsolationMode, VssdConfig, VssdId};
 use fleetio_workloads::WorkloadKind;
@@ -39,7 +39,9 @@ pub enum FlashPreset {
 }
 
 impl FlashPreset {
-    fn tag(self) -> u8 {
+    /// The preset's stable byte in an encoded spec ([`RunSpec::encode`]
+    /// and the fleet spec share it). Never renumber released values.
+    pub fn tag(self) -> u8 {
         match self {
             FlashPreset::Default => 0,
             FlashPreset::Experiment => 1,
@@ -48,7 +50,12 @@ impl FlashPreset {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, DecodeError> {
+    /// Inverse of [`FlashPreset::tag`].
+    ///
+    /// # Errors
+    ///
+    /// An unknown tag byte.
+    pub fn from_tag(tag: u8) -> Result<Self, DecodeError> {
         match tag {
             0 => Ok(FlashPreset::Default),
             1 => Ok(FlashPreset::Experiment),
@@ -136,7 +143,8 @@ impl RunSpec {
 
     /// Encodes the spec as a flat `FIOM`-style payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut out = Vec::new();
+        let mut enc = Enc::new(&mut out);
         enc.u8(self.flash.tag());
         enc.u64(self.window.as_nanos());
         enc.f64(self.warm_fraction);
@@ -182,7 +190,7 @@ impl RunSpec {
                 None => enc.bool(false),
             }
         }
-        enc.into_bytes()
+        out
     }
 
     /// Decodes a spec written by [`RunSpec::encode`].

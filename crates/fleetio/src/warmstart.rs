@@ -21,8 +21,8 @@
 //!   and the caller should fall back to the unified model or train from
 //!   scratch.
 
+use fleetio_des::codec::DecodeError;
 use fleetio_ml::{KMeans, StandardScaler};
-use fleetio_model::codec::DecodeError;
 use fleetio_model::{CheckpointMeta, ModelCheckpoint, ModelRegistry, RegistryError, TypingIndex};
 use fleetio_rl::PpoTrainer;
 use fleetio_workloads::WindowFeatures;

@@ -25,8 +25,9 @@
 use std::io;
 use std::path::Path;
 
+use fleetio_des::codec::{decode_container, encode_container, Dec, DecodeError, Enc, PayloadKind};
+
 use crate::atomic::atomic_write;
-use crate::codec::{decode_container, encode_container, Dec, DecodeError, Enc, PayloadKind};
 
 /// A replay anchor recorded at a decision-window boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +54,8 @@ pub struct RunAnchor {
 impl RunAnchor {
     /// Encodes the anchor payload (no container framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut out = Vec::new();
+        let mut enc = Enc::new(&mut out);
         enc.u64(self.window);
         enc.u64(self.at_ns);
         enc.u64(self.event_count);
@@ -61,7 +63,7 @@ impl RunAnchor {
         enc.u32(self.spec_fingerprint);
         enc.u64(self.seed);
         enc.str(&self.model_tag);
-        enc.into_bytes()
+        out
     }
 
     /// Decodes an anchor payload written by [`RunAnchor::encode`].

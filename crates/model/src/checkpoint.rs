@@ -7,11 +7,10 @@
 //! a payload that passes the container CRC can still be rejected here if
 //! its pieces are mutually inconsistent.
 
+use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_ml::{Activation, AdamState, DenseState, MlpState};
 use fleetio_rl::ppo::TrainerState;
 use fleetio_rl::{NormalizerState, PolicyState, PpoConfig};
-
-use crate::codec::{Dec, DecodeError, Enc};
 
 /// Training provenance stored alongside the trainer state.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,13 +33,14 @@ pub struct ModelCheckpoint {
 
 impl ModelCheckpoint {
     /// Serializes the checkpoint payload (container framing is applied by
-    /// the registry/CLI via [`crate::codec::encode_container`]).
+    /// the registry/CLI via [`fleetio_des::codec::encode_container`]).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut out = Vec::new();
+        let mut e = Enc::new(&mut out);
         e.u64(self.meta.seed);
         e.str(&self.meta.tag);
         encode_trainer(&mut e, &self.trainer);
-        e.into_bytes()
+        out
     }
 
     /// Deserializes a checkpoint payload, consuming every byte.
@@ -62,7 +62,7 @@ impl ModelCheckpoint {
     }
 }
 
-fn encode_mlp(e: &mut Enc, s: &MlpState) {
+fn encode_mlp(e: &mut Enc<'_>, s: &MlpState) {
     e.usize(s.layers.len());
     for layer in &s.layers {
         e.usize(layer.in_dim);
@@ -95,7 +95,7 @@ fn decode_mlp(d: &mut Dec<'_>) -> Result<MlpState, DecodeError> {
     Ok(MlpState { layers })
 }
 
-fn encode_adam(e: &mut Enc, s: &AdamState) {
+fn encode_adam(e: &mut Enc<'_>, s: &AdamState) {
     e.f32(s.lr);
     e.f32(s.beta1);
     e.f32(s.beta2);
@@ -117,7 +117,7 @@ fn decode_adam(d: &mut Dec<'_>) -> Result<AdamState, DecodeError> {
     })
 }
 
-fn encode_trainer(e: &mut Enc, s: &TrainerState) {
+fn encode_trainer(e: &mut Enc<'_>, s: &TrainerState) {
     encode_mlp(e, &s.policy.actor);
     encode_mlp(e, &s.policy.critic);
     e.usize(s.policy.action_dims.len());
@@ -284,7 +284,8 @@ impl TypingIndex {
 
     /// Serializes the typing-index payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut out = Vec::new();
+        let mut e = Enc::new(&mut out);
         e.f64s(&self.scaler_mean);
         e.f64s(&self.scaler_std);
         e.usize(self.centroids.len());
@@ -296,7 +297,7 @@ impl TypingIndex {
             e.str(t);
         }
         e.f64(self.unknown_distance);
-        e.into_bytes()
+        out
     }
 
     /// Deserializes and validates a typing-index payload.

@@ -22,6 +22,7 @@
 
 use std::collections::VecDeque;
 
+use fleetio_des::codec::DecodeError;
 use fleetio_des::{SimDuration, SimTime};
 use fleetio_obs::sink::{NullSink, ObsSink};
 use fleetio_obs::{ModelKind, ObsEvent};
@@ -29,7 +30,6 @@ use fleetio_rl::ppo::PpoStats;
 use fleetio_rl::PpoTrainer;
 
 use crate::checkpoint::{CheckpointMeta, ModelCheckpoint};
-use crate::codec::DecodeError;
 use crate::registry::{ModelRegistry, RegistryError};
 
 /// Knobs for [`FineTuneManager`].

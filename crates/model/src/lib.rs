@@ -3,13 +3,15 @@
 //! FleetIO's deployment story (§3.7, Figure 17) separates *pre-training*
 //! — one PPO model per workload type, trained offline on representative
 //! traces — from *online fine-tuning* against live tenant traffic. This
-//! crate provides the machinery between those phases:
+//! crate provides the machinery between those phases. Everything it
+//! writes is framed by the workspace's one binary codec,
+//! [`fleetio_des::codec`] — the `FIOM` container (magic + version +
+//! payload kind + length + CRC-32) over a flat little-endian payload in
+//! which every float travels as raw IEEE-754 bits — so checkpoints
+//! restore bit-exactly and any torn write or bit flip is detected
+//! before a single field is interpreted. This crate owns the payloads
+//! and their lifecycle:
 //!
-//! * [`codec`] — the `FIOM` container: magic + version + payload kind +
-//!   length + CRC-32 over a flat little-endian payload. Every float
-//!   travels as raw IEEE-754 bits, so checkpoints restore bit-exactly
-//!   and any torn write or bit flip is detected before a single field
-//!   is interpreted.
 //! * [`ModelCheckpoint`] — a complete `PpoTrainer` snapshot (networks,
 //!   Adam moments, observation-normalizer statistics, RNG state, update
 //!   count, hyper-parameters) plus provenance ([`CheckpointMeta`]: seed
@@ -39,13 +41,11 @@
 pub mod anchor;
 pub mod atomic;
 pub mod checkpoint;
-pub mod codec;
 pub mod finetune;
 pub mod registry;
 
 pub use anchor::RunAnchor;
 pub use atomic::atomic_write;
 pub use checkpoint::{CheckpointMeta, ModelCheckpoint, TypingIndex};
-pub use codec::{crc32, decode_container, encode_container, DecodeError, PayloadKind};
 pub use finetune::{FineTuneAction, FineTuneConfig, FineTuneManager};
 pub use registry::{validate_tag, ModelRegistry, RegistryError};

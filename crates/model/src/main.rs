@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use fleetio_model::codec::{decode_container, PayloadKind};
+use fleetio_des::codec::{decode_container, PayloadKind};
 use fleetio_model::{ModelCheckpoint, ModelRegistry, RunAnchor, TypingIndex};
 
 fn main() -> ExitCode {

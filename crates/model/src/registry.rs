@@ -23,9 +23,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use fleetio_des::codec::{decode_container, encode_container, DecodeError, PayloadKind};
+
 use crate::atomic::atomic_write;
 use crate::checkpoint::{ModelCheckpoint, TypingIndex};
-use crate::codec::{decode_container, encode_container, DecodeError, PayloadKind};
 
 /// Why a registry operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

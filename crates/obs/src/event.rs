@@ -1,4 +1,4 @@
-//! Typed observability events and their JSONL encoding.
+//! Typed observability events: one table, every encoding.
 //!
 //! One [`ObsEvent`] is one fact about the simulation, timestamped in
 //! simulated time. The set mirrors the paper's moving parts: the request
@@ -6,209 +6,409 @@
 //! GC runs, gSB harvest/lend/reclaim transitions, token-bucket throttles
 //! and per-window statistics flushes.
 //!
-//! Encoding is hand-rolled JSON (pure std): integers and `bool`s render
-//! exactly, `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
-//! deterministic), and non-finite floats are clamped to `0` so a line is
-//! always parseable.
+//! Every kind is declared exactly once, as a row of the `obs_events!`
+//! table at the bottom of this file: wire tag, variant, JSON `type` tag,
+//! the field attributing it to a tenant, and its documented fields. The
+//! enum, [`ObsEvent::KIND_TAGS`], [`ObsEvent::kind_index`],
+//! [`ObsEvent::at`], [`ObsEvent::tenant`], the JSONL form
+//! ([`ObsEvent::write_json`]) and the binary form ([`crate::wire`]) are
+//! all generated from that row, so they cannot drift apart: fields
+//! appear in JSON and on the wire in declaration order under their own
+//! names, and how a value looks in either form is a function of its
+//! Rust type alone (the private `Field` trait).
+//!
+//! JSON is hand-rolled (pure std): integers and `bool`s render exactly,
+//! `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
+//! deterministic) with non-finite values clamped to `0` so a line is
+//! always parseable, and strings go through [`json::write_str`]. On the
+//! wire integers are little-endian fixed-width, `f64` travels as its
+//! IEEE bits, times as `u64` nanoseconds, `Option` as a one-byte flag,
+//! sub-enums as one tag byte and strings behind a `u32` length.
 
 use std::fmt::Write as _;
 
+use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::{SimDuration, SimTime};
 
-/// What a [`ObsEvent::NandOp`] span occupied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NandKind {
-    /// Whole-page read (cell read + bus transfer).
-    Read,
-    /// Whole-page program (bus transfer + cell program).
-    Program,
-    /// One bus grant of a time-sliced transfer.
-    BusGrant,
-    /// Cell-only occupancy (the chip half of a time-sliced op).
-    ChipOccupy,
+use crate::json;
+
+/// Longest string field [`ObsEvent::decode`] accepts, in bytes.
+const STR_CAP: usize = 4096;
+
+/// How one field type of an [`ObsEvent`] looks on the wire and in JSON.
+pub(crate) trait Field: Sized {
+    /// Appends the wire form.
+    fn put(&self, e: &mut Enc<'_>);
+    /// Reads the wire form back.
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+    /// Appends the JSON value.
+    fn write_json(&self, out: &mut String);
 }
 
-impl NandKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            NandKind::Read => "read",
-            NandKind::Program => "program",
-            NandKind::BusGrant => "bus_grant",
-            NandKind::ChipOccupy => "chip_occupy",
+/// Types whose wire form is the [`Enc`]/[`Dec`] method named after them
+/// and whose JSON form is their `Display`.
+macro_rules! plain_field {
+    ($($t:ident),+) => {$(
+        impl Field for $t {
+            fn put(&self, e: &mut Enc<'_>) {
+                e.$t(*self);
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                d.$t()
+            }
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
         }
-    }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            NandKind::Read => 0,
-            NandKind::Program => 1,
-            NandKind::BusGrant => 2,
-            NandKind::ChipOccupy => 3,
-        }
-    }
-
-    /// Inverse of [`NandKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(NandKind::Read),
-            1 => Some(NandKind::Program),
-            2 => Some(NandKind::BusGrant),
-            3 => Some(NandKind::ChipOccupy),
-            _ => None,
-        }
-    }
+    )+};
 }
+plain_field!(bool, u16, u32, u64);
 
-/// A ghost-superblock lifecycle transition (§3.6 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GsbKind {
-    /// `Make_Harvestable` materialized a new gSB into the pool.
-    Created,
-    /// A harvester acquired the gSB (`Harvest`).
-    Harvested,
-    /// The harvester released the gSB back (level decrease).
-    Released,
-    /// The home vSSD asked for it back; live data drains through GC.
-    ReclaimRequested,
-    /// The gSB's last block was returned; it no longer exists.
-    Destroyed,
+/// Simulated times and durations: `u64` nanoseconds in both forms.
+macro_rules! nanos_field {
+    ($($t:ident),+) => {$(
+        impl Field for $t {
+            fn put(&self, e: &mut Enc<'_>) {
+                e.u64(self.as_nanos());
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                d.u64().map($t::from_nanos)
+            }
+            fn write_json(&self, out: &mut String) {
+                self.as_nanos().write_json(out);
+            }
+        }
+    )+};
 }
+nanos_field!(SimTime, SimDuration);
 
-impl GsbKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            GsbKind::Created => "created",
-            GsbKind::Harvested => "harvested",
-            GsbKind::Released => "released",
-            GsbKind::ReclaimRequested => "reclaim_requested",
-            GsbKind::Destroyed => "destroyed",
-        }
+impl Field for f64 {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.f64(*self);
     }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            GsbKind::Created => 0,
-            GsbKind::Harvested => 1,
-            GsbKind::Released => 2,
-            GsbKind::ReclaimRequested => 3,
-            GsbKind::Destroyed => 4,
-        }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.f64()
     }
-
-    /// Inverse of [`GsbKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(GsbKind::Created),
-            1 => Some(GsbKind::Harvested),
-            2 => Some(GsbKind::Released),
-            3 => Some(GsbKind::ReclaimRequested),
-            4 => Some(GsbKind::Destroyed),
-            _ => None,
+    fn write_json(&self, out: &mut String) {
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push('0');
         }
     }
 }
 
-/// A model-lifecycle action (checkpoint management in `fleetio-model`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelKind {
-    /// A checkpoint was written (atomic tmp + sync + rename).
-    Saved,
-    /// A checkpoint was decoded and a trainer/agent restored from it.
-    Loaded,
-    /// The trainer was rolled back to the last-good snapshot after a
-    /// reward regression.
-    RolledBack,
-    /// A checkpoint failed verification (bad magic/CRC/truncation).
-    CorruptDetected,
+impl Field for String {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.str32(self);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.str32(STR_CAP)
+    }
+    fn write_json(&self, out: &mut String) {
+        json::write_str(out, self);
+    }
 }
 
-impl ModelKind {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ModelKind::Saved => "saved",
-            ModelKind::Loaded => "loaded",
-            ModelKind::RolledBack => "rolled_back",
-            ModelKind::CorruptDetected => "corrupt_detected",
+impl<T: Field> Field for Option<T> {
+    fn put(&self, e: &mut Enc<'_>) {
+        e.bool(self.is_some());
+        if let Some(v) = self {
+            v.put(e);
         }
     }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            ModelKind::Saved => 0,
-            ModelKind::Loaded => 1,
-            ModelKind::RolledBack => 2,
-            ModelKind::CorruptDetected => 3,
-        }
+    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(if d.bool()? { Some(T::get(d)?) } else { None })
     }
-
-    /// Inverse of [`ModelKind::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(ModelKind::Saved),
-            1 => Some(ModelKind::Loaded),
-            2 => Some(ModelKind::RolledBack),
-            3 => Some(ModelKind::CorruptDetected),
-            _ => None,
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
 
-/// Which hotspot rule was the binding constraint when the control
-/// plane planned a migration. A shard qualifies as hot only when it
-/// exceeds **both** the absolute utilization threshold and the
-/// spread-factor multiple of the fleet mean; the cause names the rule
-/// with the smaller margin — the one that would have released the
-/// shard first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationCause {
-    /// The absolute `hot_util` threshold was the tighter bound.
-    HotUtil,
-    /// The `spread_factor × mean` bound was the tighter one.
-    SpreadFactor,
+/// Declares a field-less enum that travels as one wire byte and renders
+/// as a lowercase tag: `wire-byte Variant "tag"` per row. Never renumber
+/// released wire bytes.
+macro_rules! tagged_enum {
+    (
+        $(#[$doc:meta])*
+        $name:ident {
+            $( $(#[$vdoc:meta])* $wire:literal $variant:ident $tag:literal, )+
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( $(#[$vdoc])* $variant, )+
+        }
+
+        impl $name {
+            /// Stable lowercase tag used in exports.
+            pub fn tag(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $tag, )+
+                }
+            }
+        }
+
+        impl Field for $name {
+            fn put(&self, e: &mut Enc<'_>) {
+                e.u8(match self {
+                    $( $name::$variant => $wire, )+
+                });
+            }
+            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                match d.u8()? {
+                    $( $wire => Ok($name::$variant), )+
+                    tag => Err(DecodeError::BadTag {
+                        what: stringify!($name),
+                        tag,
+                    }),
+                }
+            }
+            fn write_json(&self, out: &mut String) {
+                json::write_str(out, self.tag());
+            }
+        }
+    };
 }
 
-impl MigrationCause {
-    /// Stable lowercase tag used in exports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            MigrationCause::HotUtil => "hot_util",
-            MigrationCause::SpreadFactor => "spread_factor",
-        }
-    }
-
-    /// Stable one-byte tag used by the binary wire encoding
-    /// ([`crate::wire`]). Never renumber released values.
-    pub fn wire_tag(self) -> u8 {
-        match self {
-            MigrationCause::HotUtil => 0,
-            MigrationCause::SpreadFactor => 1,
-        }
-    }
-
-    /// Inverse of [`MigrationCause::wire_tag`].
-    pub fn from_wire_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(MigrationCause::HotUtil),
-            1 => Some(MigrationCause::SpreadFactor),
-            _ => None,
-        }
+tagged_enum! {
+    /// What a [`ObsEvent::NandOp`] span occupied.
+    NandKind {
+        /// Whole-page read (cell read + bus transfer).
+        0 Read "read",
+        /// Whole-page program (bus transfer + cell program).
+        1 Program "program",
+        /// One bus grant of a time-sliced transfer.
+        2 BusGrant "bus_grant",
+        /// Cell-only occupancy (the chip half of a time-sliced op).
+        3 ChipOccupy "chip_occupy",
     }
 }
 
-/// One structured observability record. All timestamps are simulated time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObsEvent {
+tagged_enum! {
+    /// A ghost-superblock lifecycle transition (§3.6 of the paper).
+    GsbKind {
+        /// `Make_Harvestable` materialized a new gSB into the pool.
+        0 Created "created",
+        /// A harvester acquired the gSB (`Harvest`).
+        1 Harvested "harvested",
+        /// The harvester released the gSB back (level decrease).
+        2 Released "released",
+        /// The home vSSD asked for it back; live data drains through GC.
+        3 ReclaimRequested "reclaim_requested",
+        /// The gSB's last block was returned; it no longer exists.
+        4 Destroyed "destroyed",
+    }
+}
+
+tagged_enum! {
+    /// A model-lifecycle action (checkpoint management in `fleetio-model`).
+    ModelKind {
+        /// A checkpoint was written (atomic tmp + sync + rename).
+        0 Saved "saved",
+        /// A checkpoint was decoded and a trainer/agent restored from it.
+        1 Loaded "loaded",
+        /// The trainer was rolled back to the last-good snapshot after a
+        /// reward regression.
+        2 RolledBack "rolled_back",
+        /// A checkpoint failed verification (bad magic/CRC/truncation).
+        3 CorruptDetected "corrupt_detected",
+    }
+}
+
+tagged_enum! {
+    /// Which hotspot rule was the binding constraint when the control
+    /// plane planned a migration. A shard qualifies as hot only when it
+    /// exceeds **both** the absolute utilization threshold and the
+    /// spread-factor multiple of the fleet mean; the cause names the rule
+    /// with the smaller margin — the one that would have released the
+    /// shard first.
+    MigrationCause {
+        /// The absolute `hot_util` threshold was the tighter bound.
+        0 HotUtil "hot_util",
+        /// The `spread_factor × mean` bound was the tighter one.
+        1 SpreadFactor "spread_factor",
+    }
+}
+
+/// The tenant expression of one `obs_events!` row.
+macro_rules! tenant_of {
+    () => {
+        None
+    };
+    ($field:ident) => {
+        Some(*$field)
+    };
+}
+
+/// Declares [`ObsEvent`] and everything derived from its shape. One row
+/// per kind:
+///
+/// ```text
+/// /// docs
+/// wire-tag Variant "type_tag" tenant(field-or-nothing) {
+///     /// docs
+///     timestamp: SimTime,
+///     /// docs
+///     field: Type,
+/// }
+/// ```
+///
+/// The wire tag is also the kind index and the run store's kind-bitmap
+/// bit, so rows are dense, in order, and only ever appended. The first
+/// field is the event's primary timestamp; `tenant(f)` names the `u32`
+/// field holding the vSSD the event is attributed to, `tenant()` says
+/// there is none. Every other field type needs a `Field` impl.
+macro_rules! obs_events {
+    ($(
+        $(#[$vdoc:meta])*
+        $wire:literal $variant:ident $tag:literal tenant($($tenant:ident)?) {
+            $(#[$atdoc:meta])*
+            $at:ident: SimTime,
+            $( $(#[$fdoc:meta])* $field:ident: $ty:ty, )*
+        }
+    )+) => {
+        /// One structured observability record. All timestamps are
+        /// simulated time.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum ObsEvent {
+            $(
+                $(#[$vdoc])*
+                $variant {
+                    $(#[$atdoc])*
+                    $at: SimTime,
+                    $( $(#[$fdoc])* $field: $ty, )*
+                },
+            )+
+        }
+
+        impl ObsEvent {
+            /// Number of distinct event kinds ([`ObsEvent::kind_index`]
+            /// range).
+            pub const KIND_COUNT: usize = [$($wire),+].len();
+
+            /// Stable `type` tags indexed by [`ObsEvent::kind_index`].
+            pub const KIND_TAGS: [&'static str; Self::KIND_COUNT] = [$($tag),+];
+
+            /// Stable dense index of the event's kind, `0..KIND_COUNT`.
+            /// Doubles as the binary wire tag ([`crate::wire`]) and the
+            /// bit position in the run store's per-segment kind bitmap —
+            /// never renumber released values; append new kinds at the
+            /// end.
+            pub fn kind_index(&self) -> u8 {
+                match self {
+                    $( ObsEvent::$variant { .. } => $wire, )+
+                }
+            }
+
+            /// The event's primary timestamp (span events use their
+            /// start).
+            pub fn at(&self) -> SimTime {
+                match self {
+                    $( ObsEvent::$variant { $at, .. } => *$at, )+
+                }
+            }
+
+            /// The vSSD the event is attributed to, if it names one. The
+            /// run store's tenant bitmap and its query filter both ask
+            /// here, so skip decisions and match decisions can never
+            /// disagree.
+            pub fn tenant(&self) -> Option<u32> {
+                match self {
+                    $( ObsEvent::$variant { $($tenant,)? .. } => tenant_of!($($tenant)?), )+
+                }
+            }
+
+            /// Appends the event's one-line JSON encoding (no trailing
+            /// newline): `type`, then every field under its own name in
+            /// declaration order.
+            pub fn write_json(&self, out: &mut String) {
+                out.push_str("{\"type\":\"");
+                out.push_str(self.tag());
+                out.push('"');
+                match self {
+                    $( ObsEvent::$variant { $at, $($field,)* } => {
+                        out.push_str(concat!(",\"", stringify!($at), "\":"));
+                        $at.write_json(out);
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_json(out);
+                        )*
+                    } )+
+                }
+                out.push('}');
+            }
+
+            /// Appends the binary payload ([`crate::wire::encode_event`]):
+            /// the kind byte, then every field in declaration order.
+            pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+                let e = &mut Enc::new(out);
+                e.u8(self.kind_index());
+                match self {
+                    $( ObsEvent::$variant { $at, $($field,)* } => {
+                        $at.put(e);
+                        $( $field.put(e); )*
+                    } )+
+                }
+            }
+
+            /// Reads back one whole payload written by
+            /// [`ObsEvent::encode`] ([`crate::wire::decode_event`]).
+            pub(crate) fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
+                let mut d = Dec::new(payload);
+                let ev = match d.u8()? {
+                    $( $wire => ObsEvent::$variant {
+                        $at: Field::get(&mut d)?,
+                        $( $field: Field::get(&mut d)?, )*
+                    }, )+
+                    t => return Err(DecodeError::BadKind(t)),
+                };
+                d.finish()?;
+                Ok(ev)
+            }
+        }
+
+        // Wire tags index `KIND_TAGS` and the store's kind bitmap.
+        const _: () = {
+            let wire: [u8; ObsEvent::KIND_COUNT] = [$($wire),+];
+            let mut i = 0;
+            while i < wire.len() {
+                assert!(wire[i] as usize == i, "obs_events! rows must carry dense, ordered wire tags");
+                i += 1;
+            }
+        };
+    };
+}
+
+impl ObsEvent {
+    /// Looks up a kind index by its stable `type` tag (CLI filters).
+    pub fn kind_index_of_tag(tag: &str) -> Option<u8> {
+        Self::KIND_TAGS
+            .iter()
+            .position(|t| *t == tag)
+            .map(|i| i as u8)
+    }
+
+    /// Stable `type` tag of the event's JSONL encoding.
+    pub fn tag(&self) -> &'static str {
+        Self::KIND_TAGS[usize::from(self.kind_index())]
+    }
+
+    /// The event's one-line JSON encoding.
+    pub fn to_json(&self) -> String {
+        let mut s = String::with_capacity(128);
+        self.write_json(&mut s);
+        s
+    }
+}
+
+obs_events! {
     /// A host request entered the engine (`Engine::submit`).
-    RequestSubmit {
+    0 RequestSubmit "request_submit" tenant(vssd) {
         /// Arrival time the request was stamped with.
         at: SimTime,
         /// Engine-assigned request id.
@@ -219,9 +419,9 @@ pub enum ObsEvent {
         read: bool,
         /// Request length in bytes.
         bytes: u64,
-    },
+    }
     /// The request's arrival was processed and its page ops were queued.
-    RequestAdmit {
+    1 RequestAdmit "request_admit" tenant(vssd) {
         /// Admission time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -230,9 +430,9 @@ pub enum ObsEvent {
         vssd: u32,
         /// Page operations the request fanned out into.
         pages: u32,
-    },
+    }
     /// One of the request's page ops was issued to a chip.
-    ChipIssue {
+    2 ChipIssue "chip_issue" tenant(vssd) {
         /// Issue time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -245,9 +445,9 @@ pub enum ObsEvent {
         chip: u16,
         /// Read (`true`) or program.
         read: bool,
-    },
+    }
     /// The request's last page op finished.
-    RequestComplete {
+    3 RequestComplete "request_complete" tenant(vssd) {
         /// Completion time.
         at: SimTime,
         /// Engine-assigned request id.
@@ -262,10 +462,10 @@ pub enum ObsEvent {
         arrival: SimTime,
         /// First time any of its ops touched hardware.
         service_start: SimTime,
-    },
+    }
     /// A NAND-level occupancy span (device timing, one track per
     /// channel/chip in the Chrome exporter).
-    NandOp {
+    4 NandOp "nand_op" tenant(vssd) {
         /// When the op began occupying its first resource.
         start: SimTime,
         /// When it released its last resource.
@@ -282,9 +482,9 @@ pub enum ObsEvent {
         gc: bool,
         /// Bytes moved (0 for cell-only occupancy).
         bytes: u64,
-    },
+    }
     /// A garbage-collection job started on `(channel, chip)`.
-    GcStart {
+    5 GcStart "gc_start" tenant(vssd) {
         /// Start time.
         at: SimTime,
         /// Job id, or `None` for the synchronous emergency path.
@@ -299,9 +499,9 @@ pub enum ObsEvent {
         live_pages: u32,
         /// Whether this was an out-of-space emergency collection.
         emergency: bool,
-    },
+    }
     /// A garbage-collection job finished (victim erased and released).
-    GcEnd {
+    6 GcEnd "gc_end" tenant(vssd) {
         /// Completion time.
         at: SimTime,
         /// Job id.
@@ -314,9 +514,9 @@ pub enum ObsEvent {
         chip: u16,
         /// Wall-to-wall busy time of the job.
         busy: SimDuration,
-    },
+    }
     /// A ghost-superblock transition.
-    GsbTransition {
+    7 GsbTransition "gsb" tenant(home) {
         /// Transition time.
         at: SimTime,
         /// gSB id.
@@ -329,19 +529,19 @@ pub enum ObsEvent {
         kind: GsbKind,
         /// Channels the gSB spans.
         channels: u16,
-    },
+    }
     /// Every runnable op on a channel was token-bucket blocked; a retry
     /// was scheduled.
-    Throttle {
+    8 Throttle "throttle" tenant() {
         /// When the dispatcher gave up.
         at: SimTime,
         /// The starved channel.
         channel: u16,
         /// Earliest token-availability time (the retry time).
         until: SimTime,
-    },
+    }
     /// A per-vSSD statistics window was frozen (`Engine::finish_window`).
-    WindowFlush {
+    9 WindowFlush "window_flush" tenant(vssd) {
         /// Window end time.
         at: SimTime,
         /// vSSD the window belongs to.
@@ -360,26 +560,26 @@ pub enum ObsEvent {
         total_bytes: u64,
         /// Operations completed in the window.
         total_ops: u64,
-    },
+    }
     /// A model checkpoint was saved, loaded or rolled back
     /// (`fleetio-model`). Timestamped in simulated time because autosaves
     /// ride the sim-time cadence of online fine-tuning.
-    ModelLifecycle {
+    10 ModelLifecycle "model" tenant() {
         /// When the lifecycle action happened (sim time of the driving
         /// training loop; [`SimTime::ZERO`] for offline tooling).
         at: SimTime,
         /// Which action.
         kind: ModelKind,
-        /// Registry tag of the checkpoint. Must stay within
-        /// `[a-z0-9_-]` (enforced by `fleetio-model`): the JSON encoder
-        /// does not escape strings.
+        /// Registry tag of the checkpoint: `[a-z0-9_-]` when it comes
+        /// from `fleetio-model`, but any string up to 4 096 bytes is
+        /// legal here and is escaped in JSON.
         tag: String,
         /// Trainer update counter at the time of the action.
         update: u64,
-    },
+    }
     /// A per-tenant SLO verdict for one decision window, emitted at the
     /// fleet's serial window merge.
-    SloWindow {
+    11 SloWindow "slo_window" tenant(tenant) {
         /// Window end time on the tenant's resident shard.
         at: SimTime,
         /// Fleet-wide tenant index.
@@ -402,10 +602,10 @@ pub enum ObsEvent {
         throughput_ok: bool,
         /// Rolling violation fraction after this window (burn rate).
         burn: f64,
-    },
+    }
     /// A tenant migration executed at a window boundary, with the
     /// hotspot-rule cause and the utilizations the planner saw.
-    FleetMigration {
+    12 FleetMigration "fleet_migration" tenant(tenant) {
         /// Execution time (the boundary entering the next window).
         at: SimTime,
         /// Window whose statistics planned the move.
@@ -432,360 +632,13 @@ pub enum ObsEvent {
         src_util_after: f64,
         /// Projected destination utilization after the move.
         dst_util_after: f64,
-    },
-}
-
-impl ObsEvent {
-    /// Number of distinct event kinds ([`ObsEvent::kind_index`] range).
-    pub const KIND_COUNT: usize = 13;
-
-    /// Stable `type` tags indexed by [`ObsEvent::kind_index`].
-    pub const KIND_TAGS: [&'static str; Self::KIND_COUNT] = [
-        "request_submit",
-        "request_admit",
-        "chip_issue",
-        "request_complete",
-        "nand_op",
-        "gc_start",
-        "gc_end",
-        "gsb",
-        "throttle",
-        "window_flush",
-        "model",
-        "slo_window",
-        "fleet_migration",
-    ];
-
-    /// Stable dense index of the event's kind, `0..KIND_COUNT`. Doubles
-    /// as the binary wire tag ([`crate::wire`]) and the bit position in
-    /// the run store's per-segment kind bitmap — never renumber released
-    /// values; append new kinds at the end.
-    pub fn kind_index(&self) -> u8 {
-        match self {
-            ObsEvent::RequestSubmit { .. } => 0,
-            ObsEvent::RequestAdmit { .. } => 1,
-            ObsEvent::ChipIssue { .. } => 2,
-            ObsEvent::RequestComplete { .. } => 3,
-            ObsEvent::NandOp { .. } => 4,
-            ObsEvent::GcStart { .. } => 5,
-            ObsEvent::GcEnd { .. } => 6,
-            ObsEvent::GsbTransition { .. } => 7,
-            ObsEvent::Throttle { .. } => 8,
-            ObsEvent::WindowFlush { .. } => 9,
-            ObsEvent::ModelLifecycle { .. } => 10,
-            ObsEvent::SloWindow { .. } => 11,
-            ObsEvent::FleetMigration { .. } => 12,
-        }
-    }
-
-    /// Looks up a kind index by its stable `type` tag (CLI filters).
-    pub fn kind_index_of_tag(tag: &str) -> Option<u8> {
-        Self::KIND_TAGS
-            .iter()
-            .position(|t| *t == tag)
-            .map(|i| i as u8)
-    }
-
-    /// Stable `type` tag of the event's JSONL encoding.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            ObsEvent::RequestSubmit { .. } => "request_submit",
-            ObsEvent::RequestAdmit { .. } => "request_admit",
-            ObsEvent::ChipIssue { .. } => "chip_issue",
-            ObsEvent::RequestComplete { .. } => "request_complete",
-            ObsEvent::NandOp { .. } => "nand_op",
-            ObsEvent::GcStart { .. } => "gc_start",
-            ObsEvent::GcEnd { .. } => "gc_end",
-            ObsEvent::GsbTransition { .. } => "gsb",
-            ObsEvent::Throttle { .. } => "throttle",
-            ObsEvent::WindowFlush { .. } => "window_flush",
-            ObsEvent::ModelLifecycle { .. } => "model",
-            ObsEvent::SloWindow { .. } => "slo_window",
-            ObsEvent::FleetMigration { .. } => "fleet_migration",
-        }
-    }
-
-    /// The event's primary timestamp (span events use their start).
-    pub fn at(&self) -> SimTime {
-        match *self {
-            ObsEvent::RequestSubmit { at, .. }
-            | ObsEvent::RequestAdmit { at, .. }
-            | ObsEvent::ChipIssue { at, .. }
-            | ObsEvent::RequestComplete { at, .. }
-            | ObsEvent::GcStart { at, .. }
-            | ObsEvent::GcEnd { at, .. }
-            | ObsEvent::GsbTransition { at, .. }
-            | ObsEvent::Throttle { at, .. }
-            | ObsEvent::WindowFlush { at, .. }
-            | ObsEvent::ModelLifecycle { at, .. }
-            | ObsEvent::SloWindow { at, .. }
-            | ObsEvent::FleetMigration { at, .. } => at,
-            ObsEvent::NandOp { start, .. } => start,
-        }
-    }
-
-    /// Appends the event's one-line JSON encoding (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"type\":\"");
-        out.push_str(self.tag());
-        out.push('"');
-        match *self {
-            ObsEvent::RequestSubmit {
-                at,
-                req,
-                vssd,
-                read,
-                bytes,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_bool(out, "read", read);
-                field_u64(out, "bytes", bytes);
-            }
-            ObsEvent::RequestAdmit {
-                at,
-                req,
-                vssd,
-                pages,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "pages", u64::from(pages));
-            }
-            ObsEvent::ChipIssue {
-                at,
-                req,
-                vssd,
-                channel,
-                chip,
-                read,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_bool(out, "read", read);
-            }
-            ObsEvent::RequestComplete {
-                at,
-                req,
-                vssd,
-                read,
-                bytes,
-                arrival,
-                service_start,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "req", req);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_bool(out, "read", read);
-                field_u64(out, "bytes", bytes);
-                field_u64(out, "arrival", arrival.as_nanos());
-                field_u64(out, "service_start", service_start.as_nanos());
-            }
-            ObsEvent::NandOp {
-                start,
-                end,
-                vssd,
-                channel,
-                chip,
-                kind,
-                gc,
-                bytes,
-            } => {
-                field_u64(out, "start", start.as_nanos());
-                field_u64(out, "end", end.as_nanos());
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_str(out, "kind", kind.tag());
-                field_bool(out, "gc", gc);
-                field_u64(out, "bytes", bytes);
-            }
-            ObsEvent::GcStart {
-                at,
-                job,
-                vssd,
-                channel,
-                chip,
-                live_pages,
-                emergency,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                match job {
-                    Some(j) => field_u64(out, "job", j),
-                    None => out.push_str(",\"job\":null"),
-                }
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_u64(out, "live_pages", u64::from(live_pages));
-                field_bool(out, "emergency", emergency);
-            }
-            ObsEvent::GcEnd {
-                at,
-                job,
-                vssd,
-                channel,
-                chip,
-                busy,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "job", job);
-                field_u64(out, "vssd", u64::from(vssd));
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "chip", u64::from(chip));
-                field_u64(out, "busy", busy.as_nanos());
-            }
-            ObsEvent::GsbTransition {
-                at,
-                gsb,
-                home,
-                harvester,
-                kind,
-                channels,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "gsb", gsb);
-                field_u64(out, "home", u64::from(home));
-                match harvester {
-                    Some(h) => field_u64(out, "harvester", u64::from(h)),
-                    None => out.push_str(",\"harvester\":null"),
-                }
-                field_str(out, "kind", kind.tag());
-                field_u64(out, "channels", u64::from(channels));
-            }
-            ObsEvent::Throttle { at, channel, until } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "channel", u64::from(channel));
-                field_u64(out, "until", until.as_nanos());
-            }
-            ObsEvent::WindowFlush {
-                at,
-                vssd,
-                avg_bandwidth,
-                avg_iops,
-                p99_latency,
-                slo_violation_rate,
-                gc_busy_frac,
-                total_bytes,
-                total_ops,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "vssd", u64::from(vssd));
-                field_f64(out, "avg_bandwidth", avg_bandwidth);
-                field_f64(out, "avg_iops", avg_iops);
-                field_u64(out, "p99_latency", p99_latency.as_nanos());
-                field_f64(out, "slo_violation_rate", slo_violation_rate);
-                field_f64(out, "gc_busy_frac", gc_busy_frac);
-                field_u64(out, "total_bytes", total_bytes);
-                field_u64(out, "total_ops", total_ops);
-            }
-            ObsEvent::ModelLifecycle {
-                at,
-                kind,
-                ref tag,
-                update,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_str(out, "kind", kind.tag());
-                field_str(out, "tag", tag);
-                field_u64(out, "update", update);
-            }
-            ObsEvent::SloWindow {
-                at,
-                tenant,
-                window,
-                ops,
-                p95,
-                p99,
-                throughput,
-                p95_ok,
-                p99_ok,
-                throughput_ok,
-                burn,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "tenant", u64::from(tenant));
-                field_u64(out, "window", u64::from(window));
-                field_u64(out, "ops", ops);
-                field_u64(out, "p95", p95.as_nanos());
-                field_u64(out, "p99", p99.as_nanos());
-                field_f64(out, "throughput", throughput);
-                field_bool(out, "p95_ok", p95_ok);
-                field_bool(out, "p99_ok", p99_ok);
-                field_bool(out, "throughput_ok", throughput_ok);
-                field_f64(out, "burn", burn);
-            }
-            ObsEvent::FleetMigration {
-                at,
-                window,
-                tenant,
-                from_shard,
-                from_slot,
-                to_shard,
-                to_slot,
-                cause,
-                mean_util,
-                src_util,
-                dst_util,
-                src_util_after,
-                dst_util_after,
-            } => {
-                field_u64(out, "at", at.as_nanos());
-                field_u64(out, "window", u64::from(window));
-                field_u64(out, "tenant", u64::from(tenant));
-                field_u64(out, "from_shard", u64::from(from_shard));
-                field_u64(out, "from_slot", u64::from(from_slot));
-                field_u64(out, "to_shard", u64::from(to_shard));
-                field_u64(out, "to_slot", u64::from(to_slot));
-                field_str(out, "cause", cause.tag());
-                field_f64(out, "mean_util", mean_util);
-                field_f64(out, "src_util", src_util);
-                field_f64(out, "dst_util", dst_util);
-                field_f64(out, "src_util_after", src_util_after);
-                field_f64(out, "dst_util_after", dst_util_after);
-            }
-        }
-        out.push('}');
-    }
-
-    /// The event's one-line JSON encoding.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        self.write_json(&mut s);
-        s
-    }
-}
-
-fn field_u64(out: &mut String, key: &str, v: u64) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn field_bool(out: &mut String, key: &str, v: bool) {
-    let _ = write!(out, ",\"{key}\":{v}");
-}
-
-fn field_str(out: &mut String, key: &str, v: &str) {
-    let _ = write!(out, ",\"{key}\":\"{v}\"");
-}
-
-/// Writes a finite float; non-finite values clamp to `0` so the line
-/// stays valid JSON.
-fn field_f64(out: &mut String, key: &str, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, ",\"{key}\":{v}");
-    } else {
-        let _ = write!(out, ",\"{key}\":0");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::samples::sample_events;
 
     #[test]
     fn submit_encodes_all_fields() {
@@ -806,119 +659,9 @@ mod tests {
 
     #[test]
     fn every_event_parses_as_json() {
-        let events = vec![
-            ObsEvent::RequestAdmit {
-                at: SimTime::ZERO,
-                req: 0,
-                vssd: 0,
-                pages: 2,
-            },
-            ObsEvent::ChipIssue {
-                at: SimTime::ZERO,
-                req: 0,
-                vssd: 0,
-                channel: 1,
-                chip: 2,
-                read: false,
-            },
-            ObsEvent::RequestComplete {
-                at: SimTime::from_micros(9),
-                req: 0,
-                vssd: 0,
-                read: false,
-                bytes: 512,
-                arrival: SimTime::ZERO,
-                service_start: SimTime::from_micros(1),
-            },
-            ObsEvent::NandOp {
-                start: SimTime::ZERO,
-                end: SimTime::from_micros(5),
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                kind: NandKind::BusGrant,
-                gc: true,
-                bytes: 4096,
-            },
-            ObsEvent::GcStart {
-                at: SimTime::ZERO,
-                job: None,
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                live_pages: 3,
-                emergency: true,
-            },
-            ObsEvent::GcEnd {
-                at: SimTime::from_millis(1),
-                job: 4,
-                vssd: 0,
-                channel: 0,
-                chip: 0,
-                busy: SimDuration::from_micros(800),
-            },
-            ObsEvent::GsbTransition {
-                at: SimTime::ZERO,
-                gsb: 1,
-                home: 0,
-                harvester: Some(1),
-                kind: GsbKind::Harvested,
-                channels: 2,
-            },
-            ObsEvent::Throttle {
-                at: SimTime::ZERO,
-                channel: 3,
-                until: SimTime::from_micros(50),
-            },
-            ObsEvent::WindowFlush {
-                at: SimTime::from_secs(2),
-                vssd: 1,
-                avg_bandwidth: 1.5e8,
-                avg_iops: 4000.0,
-                p99_latency: SimDuration::from_micros(900),
-                slo_violation_rate: 0.01,
-                gc_busy_frac: f64::NAN,
-                total_bytes: 1 << 30,
-                total_ops: 12345,
-            },
-            ObsEvent::ModelLifecycle {
-                at: SimTime::from_secs(3),
-                kind: ModelKind::RolledBack,
-                tag: "lc1".to_string(),
-                update: 42,
-            },
-            ObsEvent::SloWindow {
-                at: SimTime::from_secs(4),
-                tenant: 17,
-                window: 3,
-                ops: 900,
-                p95: SimDuration::from_micros(850),
-                p99: SimDuration::from_millis(3),
-                throughput: 2.5e7,
-                p95_ok: true,
-                p99_ok: false,
-                throughput_ok: true,
-                burn: 0.25,
-            },
-            ObsEvent::FleetMigration {
-                at: SimTime::from_secs(5),
-                window: 4,
-                tenant: 17,
-                from_shard: 2,
-                from_slot: 1,
-                to_shard: 7,
-                to_slot: 0,
-                cause: MigrationCause::SpreadFactor,
-                mean_util: 0.22,
-                src_util: 0.81,
-                dst_util: 0.05,
-                src_util_after: 0.44,
-                dst_util_after: 0.42,
-            },
-        ];
-        for ev in events {
+        for ev in sample_events() {
             let line = ev.to_json();
-            let v = crate::json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let v = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let obj = v.as_object().expect("event encodes as a JSON object");
             assert_eq!(
                 obj.get("type").and_then(|t| t.as_str()),
@@ -928,6 +671,40 @@ mod tests {
             let idx = usize::from(ev.kind_index());
             assert_eq!(ObsEvent::KIND_TAGS[idx], ev.tag());
             assert_eq!(ObsEvent::kind_index_of_tag(ev.tag()), Some(idx as u8));
+        }
+    }
+
+    /// `ObsEvent` is publicly constructible and the wire accepts any
+    /// UTF-8, so a string field can hold what JSON must escape.
+    #[test]
+    fn hostile_string_fields_survive_json() {
+        let tag = "a\"b\\c\nd\u{1}".to_string();
+        let ev = ObsEvent::ModelLifecycle {
+            at: SimTime::ZERO,
+            kind: ModelKind::Saved,
+            tag: tag.clone(),
+            update: 1,
+        };
+        let line = ev.to_json();
+        assert!(!line.contains('\n'), "{line}");
+        let v = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let obj = v.as_object().expect("object");
+        assert_eq!(obj.get("tag").and_then(|t| t.as_str()), Some(tag.as_str()));
+        assert_eq!(obj.get("update").and_then(|u| u.as_u64()), Some(1));
+    }
+
+    #[test]
+    fn tenant_names_the_attributed_vssd() {
+        for ev in sample_events() {
+            let want = match ev.tag() {
+                "throttle" | "model" => None,
+                "gc_start" | "gc_end" => Some(0),
+                "nand_op" => Some(2),
+                "gsb" => Some(3),
+                "slo_window" | "fleet_migration" => Some(17),
+                _ => Some(1),
+            };
+            assert_eq!(ev.tenant(), want, "{}", ev.tag());
         }
     }
 }

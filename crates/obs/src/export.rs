@@ -260,6 +260,8 @@ where
                     .or_insert_with(|| "gsb".to_string());
                 instant(&mut out, &format!("model_{}", kind.tag()), PID_GC, 0, at);
             }
+            // Only violations are worth a mark in the timeline; the
+            // JSONL export retains every verdict.
             ObsEvent::SloWindow {
                 at,
                 tenant,
@@ -268,21 +270,17 @@ where
                 p99_ok,
                 throughput_ok,
                 ..
-            } => {
-                // Only violations are worth a mark in the timeline; the
-                // JSONL export retains every verdict.
-                if !(p95_ok && p99_ok && throughput_ok) {
-                    named
-                        .entry((PID_GC, 0))
-                        .or_insert_with(|| "gsb".to_string());
-                    instant(
-                        &mut out,
-                        &format!("slo_violation_t{tenant}_w{window}"),
-                        PID_GC,
-                        0,
-                        at,
-                    );
-                }
+            } if !(p95_ok && p99_ok && throughput_ok) => {
+                named
+                    .entry((PID_GC, 0))
+                    .or_insert_with(|| "gsb".to_string());
+                instant(
+                    &mut out,
+                    &format!("slo_violation_t{tenant}_w{window}"),
+                    PID_GC,
+                    0,
+                    at,
+                );
             }
             ObsEvent::FleetMigration {
                 at,
@@ -302,11 +300,11 @@ where
                     at,
                 );
             }
-            // Per-request bookkeeping events add noise in the timeline
-            // view; the JSONL export retains them in full.
-            ObsEvent::RequestSubmit { .. }
-            | ObsEvent::RequestAdmit { .. }
-            | ObsEvent::ChipIssue { .. } => {}
+            // A kind is drawn only if it has an arm above. Per-request
+            // bookkeeping (submit, admit, chip-issue) would add noise in
+            // the timeline view; the JSONL export retains every kind in
+            // full.
+            _ => {}
         }
     }
 

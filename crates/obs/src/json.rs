@@ -1,12 +1,17 @@
-//! Minimal recursive-descent JSON parser (pure std).
+//! Minimal recursive-descent JSON parser (pure std) and the string
+//! escaper its writers share.
 //!
 //! Exists so the `fleetio-obs summarize` CLI and the exporter tests can
 //! validate emitted JSON without external crates. Supports the full
 //! JSON grammar the exporters produce: objects, arrays, strings with
 //! escapes, numbers (parsed as `f64`), booleans and `null`. Rejects
-//! trailing input.
+//! trailing input. [`write_str`] is the inverse of the string rule:
+//! every JSON writer that interpolates a caller-supplied string
+//! (`ObsEvent::write_json`, `SeriesSet::to_jsonl`, `fleetio-bench`
+//! reports) goes through it.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,6 +80,27 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Appends `s` as a JSON string literal, quotes included. Strings that
+/// need no escaping (every registry tag and series name the workspace
+/// itself produces) come out verbatim between the quotes.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses `input` as a single JSON value, rejecting trailing input.
@@ -272,6 +298,24 @@ mod tests {
         assert_eq!(parse("{}").unwrap(), Value::Obj(BTreeMap::new()));
         assert_eq!(parse("[]").unwrap(), Value::Arr(Vec::new()));
         assert_eq!(parse("\"\\u0041é\"").unwrap().as_str(), Some("Aé"));
+    }
+
+    #[test]
+    fn written_strings_parse_back_to_themselves() {
+        for s in [
+            "",
+            "lc1-v2_ok",
+            "a\"b\\c",
+            "x\ny\rz\t",
+            "\u{1}\u{1f}é\u{1F600}",
+        ] {
+            let mut lit = String::new();
+            write_str(&mut lit, s);
+            assert_eq!(parse(&lit).unwrap().as_str(), Some(s), "{lit}");
+        }
+        let mut lit = String::new();
+        write_str(&mut lit, "lc1-v2_ok");
+        assert_eq!(lit, "\"lc1-v2_ok\"");
     }
 
     #[test]

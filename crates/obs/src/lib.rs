@@ -10,9 +10,9 @@
 //!   default [`NullSink`] makes every hook a predictable no-op branch;
 //!   installing a [`RecordingSink`] turns the same hooks into a bounded
 //!   ring of typed [`ObsEvent`] records plus a [`MetricsRegistry`].
-//! * [`MetricsRegistry`] — counters, gauges and fixed-bucket log2
-//!   histograms ([`Log2Histogram`], P50/P95/P99 extraction) with typed
-//!   handles registered per vSSD / per channel / per chip.
+//! * [`MetricsRegistry`] — counters, gauges and latency histograms
+//!   ([`fleetio_des::LatencyHistogram`], the workspace's one histogram)
+//!   with typed handles registered per vSSD / per channel / per chip.
 //! * [`export`] — JSONL event dumps, Chrome `trace_event` JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one track per
 //!   channel/chip) and a plain-text metrics snapshot.
@@ -40,6 +40,8 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod prof;
+#[cfg(test)]
+mod samples;
 pub mod series;
 pub mod sink;
 pub mod slo;
@@ -47,7 +49,7 @@ pub mod training;
 pub mod wire;
 
 pub use event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
-pub use metrics::{CounterId, GaugeId, HistogramId, Log2Histogram, MetricsRegistry};
+pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use prof::{ProfReport, ProfSpan, SpanGuard, SpanStats};
 pub use series::{SeriesId, SeriesSet};
 pub use sink::{NullSink, ObsSink, RecordingSink};

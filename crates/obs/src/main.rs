@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use fleetio_des::{LatencyHistogram, SimDuration};
 use fleetio_obs::json::{self, Value};
-use fleetio_obs::{export, wire, Log2Histogram};
+use fleetio_obs::{export, wire};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
@@ -142,8 +142,8 @@ fn summarize(path: &str, by_tenant: bool) -> ExitCode {
     };
 
     let mut type_counts: BTreeMap<String, u64> = BTreeMap::new();
-    let mut latency = Log2Histogram::new();
-    let mut queue_delay = Log2Histogram::new();
+    let mut latency = LatencyHistogram::new();
+    let mut queue_delay = LatencyHistogram::new();
     let mut per_vssd: BTreeMap<u64, VssdStats> = BTreeMap::new();
     let mut per_tenant: BTreeMap<u64, TenantStats> = BTreeMap::new();
     let mut gc_starts = 0u64;
@@ -181,8 +181,9 @@ fn summarize(path: &str, by_tenant: bool) -> ExitCode {
                     .get("service_start")
                     .and_then(Value::as_u64)
                     .unwrap_or(at);
-                latency.record(at.saturating_sub(arrival));
-                queue_delay.record(service.saturating_sub(arrival));
+                let request_latency = SimDuration::from_nanos(at.saturating_sub(arrival));
+                latency.record(request_latency);
+                queue_delay.record(SimDuration::from_nanos(service.saturating_sub(arrival)));
                 let vssd = obj.get("vssd").and_then(Value::as_u64).unwrap_or(0);
                 let bytes = obj.get("bytes").and_then(Value::as_u64).unwrap_or(0);
                 let entry = per_vssd.entry(vssd).or_default();
@@ -193,8 +194,7 @@ fn summarize(path: &str, by_tenant: bool) -> ExitCode {
                 }
                 if by_tenant {
                     let t = per_tenant.entry(vssd).or_default();
-                    t.hist
-                        .record(SimDuration::from_nanos(at.saturating_sub(arrival)));
+                    t.hist.record(request_latency);
                     t.bytes += bytes;
                     t.first_arrival = t.first_arrival.min(arrival);
                     t.last_complete = t.last_complete.max(at);
@@ -243,23 +243,27 @@ fn summarize(path: &str, by_tenant: bool) -> ExitCode {
     for (ty, n) in &type_counts {
         let _ = writeln!(out, "  {ty:<18} {n}");
     }
-    if latency.count() > 0 {
-        let _ = writeln!(out, "\nrequest latency (ns, log2-bucket upper bounds):");
+    if !latency.is_empty() {
+        let ns = |d: Option<SimDuration>| d.map_or(0, SimDuration::as_nanos);
         let _ = writeln!(
             out,
-            "  count {}  mean {:.0}  p50 {}  p95 {}  p99 {}  max {}",
+            "\nrequest latency (ns, bucket upper bounds, at most 1.6 % high):"
+        );
+        let _ = writeln!(
+            out,
+            "  count {}  mean {}  p50 {}  p95 {}  p99 {}  max {}",
             latency.count(),
-            latency.mean().unwrap_or(0.0),
-            latency.p50().unwrap_or(0),
-            latency.p95().unwrap_or(0),
-            latency.p99().unwrap_or(0),
-            latency.max().unwrap_or(0),
+            ns(latency.mean()),
+            ns(latency.percentile(50.0)),
+            ns(latency.percentile(95.0)),
+            ns(latency.percentile(99.0)),
+            ns(latency.max()),
         );
         let _ = writeln!(
             out,
             "queue delay (ns): p50 {}  p99 {}",
-            queue_delay.p50().unwrap_or(0),
-            queue_delay.p99().unwrap_or(0),
+            ns(queue_delay.percentile(50.0)),
+            ns(queue_delay.percentile(99.0)),
         );
     }
     if !per_vssd.is_empty() {

@@ -1,4 +1,4 @@
-//! Metrics registry: counters, gauges, and fixed-bucket log2 histograms.
+//! Metrics registry: counters, gauges, and latency histograms.
 //!
 //! Handles are registered by name once (typically per vSSD / per channel /
 //! per chip, e.g. `chan3.queue_depth`) and then updated through cheap
@@ -9,6 +9,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use fleetio_des::{LatencyHistogram, SimDuration};
+
 /// Handle to a monotonically increasing counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(usize);
@@ -17,7 +19,7 @@ pub struct CounterId(usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GaugeId(usize);
 
-/// Handle to a [`Log2Histogram`].
+/// Handle to a [`LatencyHistogram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramId(usize);
 
@@ -26,129 +28,6 @@ enum Kind {
     Counter,
     Gauge,
     Histogram,
-}
-
-/// A fixed-size base-2 histogram over `u64` values.
-///
-/// Bucket 0 holds the value `0`; bucket `b >= 1` covers
-/// `[2^(b-1), 2^b - 1]`. With 65 buckets the full `u64` range is covered,
-/// so `record` never saturates or drops. Percentiles return the *upper
-/// bound* of the bucket containing the requested rank, clamped to the
-/// maximum recorded value — a deterministic, conservative estimate whose
-/// error is bounded by the bucket width (< 2x).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Log2Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn bucket_index(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Inclusive upper bound of bucket `idx`.
-    fn bucket_high(idx: usize) -> u64 {
-        if idx >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << idx) - 1
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of recorded observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded value, `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded value, `None` when empty.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Mean of recorded values, `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Upper-bound estimate of the `pct`-th percentile (0 < pct <= 100).
-    ///
-    /// Returns `None` when the histogram is empty. The estimate is the
-    /// containing bucket's upper bound, clamped to the recorded maximum,
-    /// so `percentile(100) == max()` exactly.
-    pub fn percentile(&self, pct: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((pct / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let rank = rank.min(self.count);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return Some(Self::bucket_high(idx).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// P50 upper-bound estimate.
-    pub fn p50(&self) -> Option<u64> {
-        self.percentile(50.0)
-    }
-
-    /// P95 upper-bound estimate.
-    pub fn p95(&self) -> Option<u64> {
-        self.percentile(95.0)
-    }
-
-    /// P99 upper-bound estimate.
-    pub fn p99(&self) -> Option<u64> {
-        self.percentile(99.0)
-    }
 }
 
 /// Name-addressed collection of counters, gauges, and histograms.
@@ -161,7 +40,7 @@ pub struct MetricsRegistry {
     names: BTreeMap<String, (Kind, usize)>,
     counters: Vec<u64>,
     gauges: Vec<i64>,
-    histograms: Vec<Log2Histogram>,
+    histograms: Vec<LatencyHistogram>,
 }
 
 impl MetricsRegistry {
@@ -205,7 +84,7 @@ impl MetricsRegistry {
             Some(&(kind, _)) => panic!("metric {name:?} already registered as {kind:?}"),
             None => {
                 let idx = self.histograms.len();
-                self.histograms.push(Log2Histogram::new());
+                self.histograms.push(LatencyHistogram::new());
                 self.names.insert(name.to_string(), (Kind::Histogram, idx));
                 HistogramId(idx)
             }
@@ -233,12 +112,12 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into a histogram.
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
+    pub fn observe(&mut self, id: HistogramId, value: SimDuration) {
         self.histograms[id.0].record(value);
     }
 
     /// Read access to a histogram.
-    pub fn histogram_ref(&self, id: HistogramId) -> &Log2Histogram {
+    pub fn histogram_ref(&self, id: HistogramId) -> &LatencyHistogram {
         &self.histograms[id.0]
     }
 
@@ -255,7 +134,8 @@ impl MetricsRegistry {
     /// Renders every metric as plain text, sorted by name.
     ///
     /// Counters: `name = value`. Gauges: `name = value (gauge)`.
-    /// Histograms: one line with count/mean/min/p50/p95/p99/max.
+    /// Histograms: one line with count/mean/min/p50/p95/p99/max in
+    /// nanoseconds (percentiles are bucket upper bounds, ≤ 1.6 % high).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, &(kind, idx)) in &self.names {
@@ -268,19 +148,20 @@ impl MetricsRegistry {
                 }
                 Kind::Histogram => {
                     let h = &self.histograms[idx];
-                    if h.count() == 0 {
+                    let ns = |d: Option<SimDuration>| d.map_or(0, SimDuration::as_nanos);
+                    if h.is_empty() {
                         let _ = writeln!(out, "{name} = empty (histogram)");
                     } else {
                         let _ = writeln!(
                             out,
-                            "{name} = count {} mean {:.1} min {} p50 {} p95 {} p99 {} max {} (histogram)",
+                            "{name} = count {} mean {} min {} p50 {} p95 {} p99 {} max {} (histogram)",
                             h.count(),
-                            h.mean().unwrap_or(0.0),
-                            h.min().unwrap_or(0),
-                            h.p50().unwrap_or(0),
-                            h.p95().unwrap_or(0),
-                            h.p99().unwrap_or(0),
-                            h.max().unwrap_or(0),
+                            ns(h.mean()),
+                            ns(h.min()),
+                            ns(h.percentile(50.0)),
+                            ns(h.percentile(95.0)),
+                            ns(h.percentile(99.0)),
+                            ns(h.max()),
                         );
                     }
                 }
@@ -295,75 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_histogram_has_no_stats() {
-        let h = Log2Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.percentile(50.0), None);
-        assert_eq!(h.p99(), None);
-    }
-
-    #[test]
-    fn single_value_is_every_percentile() {
-        let mut h = Log2Histogram::new();
-        h.record(1000);
-        assert_eq!(h.p50(), Some(1000));
-        assert_eq!(h.p95(), Some(1000));
-        assert_eq!(h.p99(), Some(1000));
-        assert_eq!(h.percentile(100.0), Some(1000));
-    }
-
-    #[test]
-    fn bucket_boundaries_are_exact_powers_of_two() {
-        // 2^k lands in bucket k+1 (covering [2^k, 2^(k+1)-1]);
-        // 2^k - 1 lands in bucket k.
-        assert_eq!(Log2Histogram::bucket_index(0), 0);
-        assert_eq!(Log2Histogram::bucket_index(1), 1);
-        assert_eq!(Log2Histogram::bucket_index(2), 2);
-        assert_eq!(Log2Histogram::bucket_index(3), 2);
-        assert_eq!(Log2Histogram::bucket_index(4), 3);
-        assert_eq!(Log2Histogram::bucket_index(1023), 10);
-        assert_eq!(Log2Histogram::bucket_index(1024), 11);
-        assert_eq!(Log2Histogram::bucket_index(u64::MAX), 64);
-        assert_eq!(Log2Histogram::bucket_high(64), u64::MAX);
-    }
-
-    #[test]
-    fn known_distribution_percentiles_hit_bucket_bounds() {
-        // 100 values: 90 in bucket 7 ([64,127]) and 10 in bucket 11
-        // ([1024,2047]). Ranks: p50 -> rank 50 (bucket 7), p95/p99 ->
-        // ranks 95/99 (bucket 11).
-        let mut h = Log2Histogram::new();
-        for _ in 0..90 {
-            h.record(100);
-        }
-        for _ in 0..10 {
-            h.record(2000);
-        }
-        assert_eq!(h.count(), 100);
-        // Bucket 7 upper bound is 127.
-        assert_eq!(h.p50(), Some(127));
-        // Bucket 11 upper bound is 2047, clamped to the recorded max 2000.
-        assert_eq!(h.p95(), Some(2000));
-        assert_eq!(h.p99(), Some(2000));
-        assert_eq!(h.min(), Some(100));
-        assert_eq!(h.max(), Some(2000));
-    }
-
-    #[test]
-    fn percentile_upper_bound_is_within_2x() {
-        let mut h = Log2Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let p50 = h.p50().unwrap();
-        // True p50 is 500; estimate must be >= 500 and < 1000 (2x).
-        assert!((500..1000).contains(&p50), "p50 estimate {p50}");
-    }
-
-    #[test]
     fn registry_handles_round_trip() {
         let mut reg = MetricsRegistry::new();
         let c = reg.counter("vssd0.requests");
@@ -372,7 +184,7 @@ mod tests {
         reg.add(c, 3);
         reg.add(c, 2);
         reg.set(g, -4);
-        reg.observe(h, 500);
+        reg.observe(h, SimDuration::from_nanos(500));
         assert_eq!(reg.counter_value(c), 5);
         assert_eq!(reg.gauge_value(g), -4);
         assert_eq!(reg.histogram_ref(h).count(), 1);
@@ -382,7 +194,7 @@ mod tests {
         let text = reg.render_text();
         assert!(text.contains("vssd0.requests = 5"));
         assert!(text.contains("chan0.queue_depth = -4 (gauge)"));
-        assert!(text.contains("vssd0.latency_ns = count 1"));
+        assert!(text.contains("vssd0.latency_ns = count 1 mean 500 min 500 p50 500"));
     }
 
     #[test]

@@ -1,0 +1,201 @@
+//! The one list of sample events every encoding test in this crate
+//! draws from, and the absolute pin on what each variant looks like on
+//! the wire and as JSONL.
+
+use fleetio_des::hash::fnv1a64;
+use fleetio_des::{SimDuration, SimTime};
+
+use crate::event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
+use crate::wire;
+
+/// Every [`ObsEvent`] variant at least once, both arms of each
+/// `Option` field, every value of the four sub-enums, and a NaN, a
+/// `-0.0` and an infinity among the floats.
+pub(crate) fn sample_events() -> Vec<ObsEvent> {
+    let us = SimTime::from_micros;
+    let mut events = vec![
+        ObsEvent::RequestSubmit {
+            at: us(3),
+            req: 7,
+            vssd: 1,
+            read: true,
+            bytes: 4096,
+        },
+        ObsEvent::RequestAdmit {
+            at: us(4),
+            req: 7,
+            vssd: 1,
+            pages: 2,
+        },
+        ObsEvent::ChipIssue {
+            at: us(5),
+            req: 7,
+            vssd: 1,
+            channel: 3,
+            chip: 2,
+            read: false,
+        },
+        ObsEvent::RequestComplete {
+            at: us(9),
+            req: 7,
+            vssd: 1,
+            read: false,
+            bytes: 512,
+            arrival: us(3),
+            service_start: us(5),
+        },
+        ObsEvent::GcStart {
+            at: SimTime::ZERO,
+            job: None,
+            vssd: 0,
+            channel: 0,
+            chip: 0,
+            live_pages: 3,
+            emergency: true,
+        },
+        ObsEvent::GcStart {
+            at: us(1),
+            job: Some(11),
+            vssd: 0,
+            channel: 0,
+            chip: 1,
+            live_pages: 9,
+            emergency: false,
+        },
+        ObsEvent::GcEnd {
+            at: SimTime::from_millis(1),
+            job: 4,
+            vssd: 0,
+            channel: 0,
+            chip: 0,
+            busy: SimDuration::from_micros(800),
+        },
+        ObsEvent::Throttle {
+            at: SimTime::ZERO,
+            channel: 3,
+            until: us(50),
+        },
+        ObsEvent::WindowFlush {
+            at: SimTime::from_secs(2),
+            vssd: 1,
+            avg_bandwidth: 1.5e8,
+            avg_iops: f64::INFINITY,
+            p99_latency: SimDuration::from_micros(900),
+            slo_violation_rate: -0.0,
+            gc_busy_frac: f64::NAN,
+            total_bytes: 1 << 30,
+            total_ops: 12345,
+        },
+        ObsEvent::SloWindow {
+            at: SimTime::from_secs(4),
+            tenant: 17,
+            window: 3,
+            ops: 900,
+            p95: SimDuration::from_micros(850),
+            p99: SimDuration::from_millis(3),
+            throughput: 2.5e7,
+            p95_ok: true,
+            p99_ok: false,
+            throughput_ok: true,
+            burn: 0.25,
+        },
+    ];
+    let nand = [
+        NandKind::Read,
+        NandKind::Program,
+        NandKind::BusGrant,
+        NandKind::ChipOccupy,
+    ];
+    for (i, kind) in (0u16..).zip(nand) {
+        events.push(ObsEvent::NandOp {
+            start: us(u64::from(i)),
+            end: us(u64::from(i) + 5),
+            vssd: 2,
+            channel: i,
+            chip: 1,
+            kind,
+            gc: i % 2 == 1,
+            bytes: 4096 * u64::from(i),
+        });
+    }
+    let gsb = [
+        GsbKind::Created,
+        GsbKind::Harvested,
+        GsbKind::Released,
+        GsbKind::ReclaimRequested,
+        GsbKind::Destroyed,
+    ];
+    for (i, kind) in (0u32..).zip(gsb) {
+        events.push(ObsEvent::GsbTransition {
+            at: us(u64::from(i)),
+            gsb: 1,
+            home: 3,
+            harvester: (i % 2 == 1).then_some(i),
+            kind,
+            channels: 2,
+        });
+    }
+    let model = [
+        ModelKind::Saved,
+        ModelKind::Loaded,
+        ModelKind::RolledBack,
+        ModelKind::CorruptDetected,
+    ];
+    for (i, kind) in (0u64..).zip(model) {
+        events.push(ObsEvent::ModelLifecycle {
+            at: SimTime::from_secs(i),
+            kind,
+            tag: format!("lc1-v{i}_ok"),
+            update: 42 + i,
+        });
+    }
+    for cause in [MigrationCause::HotUtil, MigrationCause::SpreadFactor] {
+        events.push(ObsEvent::FleetMigration {
+            at: SimTime::from_secs(5),
+            window: 4,
+            tenant: 17,
+            from_shard: 2,
+            from_slot: 1,
+            to_shard: 7,
+            to_slot: 0,
+            cause,
+            mean_util: 0.22,
+            src_util: 0.81,
+            dst_util: 0.05,
+            src_util_after: 0.44,
+            dst_util_after: f64::NEG_INFINITY,
+        });
+    }
+    events
+}
+
+/// Captured at the parent of the PR that made [`ObsEvent`] one table:
+/// the hand-written encoders produced exactly these bytes.
+#[test]
+fn every_variant_bytes_and_text_are_pinned() {
+    let events = sample_events();
+    let mut seen = [false; ObsEvent::KIND_COUNT];
+    let mut bytes = Vec::new();
+    let mut text = String::new();
+    for ev in &events {
+        seen[usize::from(ev.kind_index())] = true;
+        wire::encode_event(ev, &mut bytes);
+        ev.write_json(&mut text);
+        text.push('\n');
+    }
+    assert_eq!(
+        seen,
+        [true; ObsEvent::KIND_COUNT],
+        "a variant has no sample"
+    );
+    assert_eq!(
+        (bytes.len(), fnv1a64(&bytes)),
+        (907, 0x346f_7cd1_d2c2_4ded),
+        "wire bytes"
+    );
+    assert_eq!(
+        (text.len(), fnv1a64(text.as_bytes())),
+        (2739, 0x64b4_12d0_01f5_c628),
+        "JSONL text"
+    );
+}

@@ -15,6 +15,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json;
+
 /// Handle returned by [`SeriesSet::register`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesId(usize);
@@ -126,13 +128,9 @@ impl SeriesSet {
         let mut out = String::new();
         for (i, s) in self.series.iter().enumerate() {
             for (w, v) in self.points(SeriesId(i)) {
-                let _ = writeln!(
-                    out,
-                    "{{\"series\":\"{}\",\"window\":{},\"value\":{}}}",
-                    escape(&s.name),
-                    w,
-                    finite(v)
-                );
+                out.push_str("{\"series\":");
+                json::write_str(&mut out, &s.name);
+                let _ = writeln!(out, ",\"window\":{},\"value\":{}}}", w, finite(v));
             }
         }
         if self.total_dropped() > 0 {
@@ -154,22 +152,6 @@ fn finite(v: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

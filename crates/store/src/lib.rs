@@ -14,9 +14,9 @@
 //!   while skipping whole segments the index rules out — with the
 //!   guarantee (conservative bitmaps, closed time ranges) that the
 //!   result equals a full linear scan;
-//! * [`diff_stores`](diff::diff_stores) compares two same-seed runs
+//! * [`diff_stores`] compares two same-seed runs
 //!   byte-for-byte and pinpoints the first divergent event;
-//! * [`replay_run`](run::replay_run) re-simulates to a target sim-time
+//! * [`replay_run`] re-simulates to a target sim-time
 //!   and proves the regenerated stream is the stored one, using the
 //!   nearest anchor's fingerprint for the prefix and byte equality for
 //!   the suffix;
@@ -42,4 +42,4 @@ pub use manifest::{
 pub use query::{aggregate_windows, query, EventFilter, QueryResult, WindowAggregate};
 pub use read::{PayloadCursor, RunStore, SegmentVerify, StoreError, VerifyReport};
 pub use run::{record_run, replay_run, RecordReport, ReplayReport};
-pub use sink::{tenant_of, StoreSink, DEFAULT_SEGMENT_BYTES};
+pub use sink::{StoreSink, DEFAULT_SEGMENT_BYTES};

@@ -22,10 +22,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use fleetio_des::codec::{decode_container, encode_container, Dec, DecodeError, Enc, PayloadKind};
 use fleetio_model::atomic_write;
-use fleetio_model::codec::{
-    decode_container, encode_container, Dec, DecodeError, Enc, PayloadKind,
-};
 
 /// Store format version carried in the manifest payload.
 pub const STORE_VERSION: u32 = 1;
@@ -112,7 +110,8 @@ pub struct Manifest {
 impl Manifest {
     /// Encodes the manifest payload (no container framing).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut out = Vec::new();
+        let mut enc = Enc::new(&mut out);
         enc.u32(self.version);
         enc.u64(self.seed);
         enc.u64(self.window_ns);
@@ -141,7 +140,7 @@ impl Manifest {
             enc.u64(a.at_ns);
             enc.u64(a.event_count);
         }
-        enc.into_bytes()
+        out
     }
 
     /// Decodes a payload written by [`Manifest::encode`].

@@ -13,7 +13,6 @@ use fleetio_obs::ObsEvent;
 
 use crate::manifest::SegmentMeta;
 use crate::read::{RunStore, StoreError};
-use crate::sink::tenant_of;
 
 /// Which events a query selects. Empty filter selects everything.
 #[derive(Debug, Clone, Default)]
@@ -48,7 +47,7 @@ impl EventFilter {
             }
         }
         if let Some(tenant) = self.tenant {
-            if tenant_of(ev) != Some(tenant) {
+            if ev.tenant() != Some(tenant) {
                 return false;
             }
         }

@@ -30,27 +30,6 @@ use crate::manifest::{anchor_file_name, AnchorMeta, Manifest, SegmentMeta, STORE
 /// Default segment target size (256 KiB ≈ a few thousand events).
 pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
 
-/// The vSSD an event is attributed to, if it names one. Shared by the
-/// sink's tenant bitmap and the query filter so skip decisions and
-/// match decisions can never disagree.
-pub fn tenant_of(ev: &ObsEvent) -> Option<u32> {
-    match *ev {
-        ObsEvent::RequestSubmit { vssd, .. }
-        | ObsEvent::RequestAdmit { vssd, .. }
-        | ObsEvent::ChipIssue { vssd, .. }
-        | ObsEvent::RequestComplete { vssd, .. }
-        | ObsEvent::NandOp { vssd, .. }
-        | ObsEvent::GcStart { vssd, .. }
-        | ObsEvent::GcEnd { vssd, .. }
-        | ObsEvent::WindowFlush { vssd, .. } => Some(vssd),
-        ObsEvent::GsbTransition { home, .. } => Some(home),
-        ObsEvent::SloWindow { tenant, .. } | ObsEvent::FleetMigration { tenant, .. } => {
-            Some(tenant)
-        }
-        ObsEvent::Throttle { .. } | ObsEvent::ModelLifecycle { .. } => None,
-    }
-}
-
 /// A streaming run-store writer.
 #[derive(Debug)]
 pub struct StoreSink {
@@ -241,7 +220,7 @@ impl ObsSink for StoreSink {
         let at = ev.at().as_nanos();
         self.seg_min_at = self.seg_min_at.min(at);
         self.seg_max_at = self.seg_max_at.max(at);
-        if let Some(t) = tenant_of(&ev) {
+        if let Some(t) = ev.tenant() {
             self.seg_tenant_bits |= 1u64 << (t % 64);
         }
         self.seg_kind_bits |= 1u32 << ev.kind_index();

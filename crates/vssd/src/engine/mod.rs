@@ -796,7 +796,7 @@ impl Engine {
         let gc_events = reg.counter(&format!("vssd{vssd}.gc_events"));
         reg.add(gc_events, summary.gc_events);
         let p99 = reg.histogram(&format!("vssd{vssd}.window_p99_ns"));
-        reg.observe(p99, summary.p99_latency.as_nanos());
+        reg.observe(p99, summary.p99_latency);
         for (ch, (obs, qd)) in chan_obs.iter().zip(&queue_depths).enumerate() {
             let g = reg.gauge(&format!("chan{ch}.queue_depth"));
             reg.set(g, i64::from(*qd));

@@ -15,6 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fleetio_suite::des::codec::{decode_container, DecodeError};
 use fleetio_suite::des::{SimDuration, SimTime};
 use fleetio_suite::flash::addr::ChannelId;
 use fleetio_suite::flash::config::FlashConfig;
@@ -25,9 +26,7 @@ use fleetio_suite::fleetio::experiment::{hardware_layout, workload_feature_windo
 use fleetio_suite::fleetio::typing::TypingModel;
 use fleetio_suite::fleetio::warmstart::{checkpoint_from_trainer, typing_index, warm_start};
 use fleetio_suite::fleetio::FleetIoConfig;
-use fleetio_suite::model::{
-    decode_container, DecodeError, FineTuneConfig, FineTuneManager, ModelRegistry,
-};
+use fleetio_suite::model::{FineTuneConfig, FineTuneManager, ModelRegistry};
 use fleetio_suite::obs::{ObsEvent, RecordingSink};
 use fleetio_suite::vssd::vssd::{VssdConfig, VssdId};
 use fleetio_suite::workloads::WorkloadKind;

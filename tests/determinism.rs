@@ -223,7 +223,8 @@ fn fresh_trainer(seed: u64) -> PpoTrainer {
 /// re-derived optimizer moment — diverges the resumed run.
 #[test]
 fn checkpoint_resume_is_bit_identical_to_uninterrupted_run() {
-    use fleetio_suite::model::{decode_container, encode_container, ModelCheckpoint, PayloadKind};
+    use fleetio_suite::des::codec::{decode_container, encode_container, PayloadKind};
+    use fleetio_suite::model::ModelCheckpoint;
 
     const TOTAL_ITERS: usize = 4;
     const SPLIT: usize = 2;
