@@ -25,14 +25,26 @@ use fleetio_workloads::WorkloadKind;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Allocations per simulated event of a colocation run with no obs sink
-/// (measured 0.020244862011623125: 3 494 allocations over 172 587 events).
-const ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.0212;
+/// Allocations per completed request of a colocation run with no obs sink
+/// (measured 0.17932958008367336: 3 472 allocations over 19 361 requests).
+/// Per request, not per simulated event: how many events a request costs
+/// is the engine's business — PR 21 took the time-sliced transfers' grants
+/// off the queue and this run went from 172 587 events to 162 257 without
+/// one more allocation — whereas the requests a seeded run completes do
+/// not move.
+const ALLOCS_PER_REQUEST_MAX: f64 = 0.188;
 
-/// Allocations per simulated event of an open-loop-only colocation, the
-/// load a fleet shard runs (measured 0.013025373542930421: 904 allocations
-/// over 69 403 events; 40 168 before the arrival feed stopped allocating).
-const OPEN_LOOP_ALLOCS_PER_SIM_EVENT_MAX: f64 = 0.0136;
+/// The same run's allocations outright, as measured before the events
+/// were removed: the ratio above must not pass by its denominator alone.
+const ALLOCS_MAX: u64 = 3_494;
+
+/// Allocations per completed request of an open-loop-only colocation, the
+/// load a fleet shard runs (measured 0.03230879199428163: 904 allocations
+/// over 27 980 requests; 40 168 before the arrival feed stopped allocating).
+const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.0339;
+
+/// That run's allocations outright (see [`ALLOCS_MAX`]).
+const OPEN_LOOP_ALLOCS_MAX: u64 = 904;
 
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured 652).
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
@@ -76,7 +88,7 @@ fn hold(metric: &str, measured: f64, ceiling: f64) {
 /// Hardware-isolated VDI + TeraSort on the training device under a static
 /// policy: 1 ramp + 6 measured windows, no obs sink attached.
 #[test]
-fn colocation_allocs_per_sim_event() {
+fn colocation_allocs_per_request() {
     let mut cfg = FleetIoConfig::default();
     cfg.engine.flash = FlashConfig::training_test();
     let opts = ExperimentOptions {
@@ -93,22 +105,19 @@ fn colocation_allocs_per_sim_event() {
         SEED,
     );
     let peak = cfg.engine.flash.device_peak_bytes_per_sec();
-    let mut events = 0u64;
-    let mut hook = |_w: usize, c: &mut Colocation| events = c.engine().events_processed();
-    let (allocs, _) = allocs_during(|| {
-        run_collocation(
-            &mut StaticPolicy::hardware(),
-            tenants,
-            &opts,
-            peak,
-            Some(&mut hook),
-        )
+    let (allocs, metrics) = allocs_during(|| {
+        run_collocation(&mut StaticPolicy::hardware(), tenants, &opts, peak, None)
     });
-    assert!(events > 100_000, "scenario shrank: {events} events");
+    let requests: u64 = metrics.tenants.iter().map(|t| t.requests).sum();
+    assert!(requests > 10_000, "scenario shrank: {requests} requests");
     hold(
-        &format!("allocs_per_sim_event ({allocs} / {events})"),
-        allocs as f64 / events as f64,
-        ALLOCS_PER_SIM_EVENT_MAX,
+        &format!("allocs_per_request ({allocs} / {requests})"),
+        allocs as f64 / requests as f64,
+        ALLOCS_PER_REQUEST_MAX,
+    );
+    assert!(
+        allocs <= ALLOCS_MAX,
+        "{allocs} allocations, {ALLOCS_MAX} before"
     );
 }
 
@@ -118,7 +127,7 @@ fn colocation_allocs_per_sim_event() {
 /// and per tick before it pulled one record at a time; the first window
 /// (trace rings and engine pools growing to size) is not counted.
 #[test]
-fn open_loop_colocation_allocs_per_sim_event() {
+fn open_loop_colocation_allocs_per_request() {
     let engine_cfg = EngineConfig {
         flash: FlashConfig::training_test(),
         ..Default::default()
@@ -133,14 +142,23 @@ fn open_loop_colocation_allocs_per_sim_event() {
         coloc.attach(id, kind, kind.spec(), SEED + u64::from(id.0));
     }
     coloc.run_windows(1);
-    let before = coloc.engine().events_processed();
+    let completed = |c: &Colocation| -> u64 {
+        ids()
+            .map(|(id, _)| c.engine().cumulative(id).requests)
+            .sum()
+    };
+    let before = completed(&coloc);
     let (allocs, ()) = allocs_during(|| coloc.run_windows(6));
-    let events = coloc.engine().events_processed() - before;
-    assert!(events > 50_000, "scenario shrank: {events} events");
+    let requests = completed(&coloc) - before;
+    assert!(requests > 5_000, "scenario shrank: {requests} requests");
     hold(
-        &format!("open_loop_allocs_per_sim_event ({allocs} / {events})"),
-        allocs as f64 / events as f64,
-        OPEN_LOOP_ALLOCS_PER_SIM_EVENT_MAX,
+        &format!("open_loop_allocs_per_request ({allocs} / {requests})"),
+        allocs as f64 / requests as f64,
+        OPEN_LOOP_ALLOCS_PER_REQUEST_MAX,
+    );
+    assert!(
+        allocs <= OPEN_LOOP_ALLOCS_MAX,
+        "{allocs} allocations, {OPEN_LOOP_ALLOCS_MAX} before"
     );
 }
 

@@ -224,6 +224,16 @@ impl<T> EventQueue<T> {
         seq
     }
 
+    /// Takes the sequence number the next [`EventQueue::push`] would have
+    /// got and schedules nothing: for a caller that keeps an event of its
+    /// own off the queue but in the queue's order (see
+    /// [`EventQueue::pop_if_before`]).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
     /// Advances `cur` until the active bucket (`cur_vec`/`late`) holds the
     /// queue's earliest event. Returns `false` when the queue is empty.
     ///
@@ -372,10 +382,18 @@ impl<T> EventQueue<T> {
     /// *before* `deadline`. Used by the engine loop to interleave newly
     /// scheduled events with an already-drained batch.
     pub fn pop_strictly_before(&mut self, deadline: SimTime) -> Option<Event<T>> {
+        self.pop_if_before((deadline, 0))
+    }
+
+    /// Removes and returns the earliest event only if it orders before
+    /// `key` in the queue's own `(at, seq)` order. With `seq`s drawn from
+    /// [`EventQueue::reserve_seq`], this is how a caller merges events it
+    /// keeps elsewhere into this queue's order.
+    pub fn pop_if_before(&mut self, key: (SimTime, u64)) -> Option<Event<T>> {
         if !self.ensure_front() {
             return None;
         }
-        if self.front_key().0 >= deadline {
+        if self.front_key() >= key {
             return None;
         }
         Some(self.pop_front())
@@ -552,6 +570,24 @@ mod tests {
     }
 
     #[test]
+    fn reserved_seqs_merge_an_outside_event_into_queue_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_micros(10);
+        let a = q.push(t, "a");
+        let kept_outside = q.reserve_seq();
+        let c = q.push(t, "c");
+        assert!(a < kept_outside && kept_outside < c);
+        // "a" precedes the outside event, "c" does not.
+        assert_eq!(
+            q.pop_if_before((t, kept_outside)).map(|e| e.payload),
+            Some("a")
+        );
+        assert!(q.pop_if_before((t, kept_outside)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().map(|e| (e.seq, e.payload)), Some((c, "c")));
+    }
+
+    #[test]
     fn peek_time_matches_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
@@ -627,23 +663,51 @@ mod tests {
     }
 
     /// Generates an engine-like schedule: bursts of same-time events,
-    /// short cascades, occasional far-future jumps. Interleaves pushes
-    /// and pops so the ring rotates and overflow migrates mid-stream.
+    /// short cascades, occasional far-future jumps — and events the
+    /// caller keeps *outside* the calendar under reserved sequence
+    /// numbers, merged back in with `pop_if_before` the way the engine
+    /// merges its bus arbiter. Interleaves pushes and pops so the ring
+    /// rotates and overflow migrates mid-stream. Returns `(pushed, popped,
+    /// popped from outside)`.
     #[allow(clippy::type_complexity)]
     fn adversarial_case(
         rng: &mut SmallRng,
         shift: u32,
         ring: usize,
-    ) -> (Vec<(SimTime, u32)>, Vec<(SimTime, u64, u32)>) {
+    ) -> (Vec<(SimTime, u32)>, Vec<(SimTime, u64, u32)>, usize) {
         let mut cal = EventQueue::with_geometry(shift, ring);
         let mut heap = BinaryHeapQueue::new();
+        // Events kept outside the calendar: `(at, seq, payload)`.
+        let mut outside: Vec<(SimTime, u64, u32)> = Vec::new();
+        let mut from_outside = 0usize;
         let mut pushed = Vec::new();
         let mut popped = Vec::new();
         let mut now = 0u64;
         let mut payload = 0u32;
+        // One merged pop: whichever of calendar and outside list holds the
+        // smaller `(at, seq)`; must equal the reference heap's pop.
+        let mut pop_both = |cal: &mut EventQueue<u32>,
+                            heap: &mut BinaryHeapQueue<u32>,
+                            outside: &mut Vec<(SimTime, u64, u32)>|
+         -> Option<(SimTime, u64, u32)> {
+            let first = (0..outside.len()).min_by_key(|&i| (outside[i].0, outside[i].1));
+            let got = match first {
+                None => cal.pop().map(|e| (e.at, e.seq, e.payload)),
+                Some(i) => match cal.pop_if_before((outside[i].0, outside[i].1)) {
+                    Some(e) => Some((e.at, e.seq, e.payload)),
+                    None => {
+                        from_outside += 1;
+                        Some(outside.swap_remove(i))
+                    }
+                },
+            };
+            let want = heap.pop().map(|e| (e.at, e.seq, e.payload));
+            assert_eq!(got, want, "merged order differs from one queue's");
+            got
+        };
         let n_ops = rng.gen_range(10usize..400);
         for _ in 0..n_ops {
-            match rng.gen_range(0u64..10) {
+            match rng.gen_range(0u64..12) {
                 // Burst: several events at one instant (FIFO tie-break).
                 0..=2 => {
                     let t = now + rng.gen_range(0u64..(1 << (shift + 2)));
@@ -672,65 +736,66 @@ mod tests {
                     pushed.push((at, payload));
                     payload += 1;
                 }
+                // An event kept outside under a reserved seq, often at an
+                // instant the calendar also holds events for.
+                7..=8 => {
+                    let at = match pushed.last() {
+                        Some(&(at, _)) if at.as_nanos() >= now && rng.gen_range(0u32..2) == 0 => at,
+                        _ => SimTime::from_nanos(now + rng.gen_range(0u64..(1 << (shift + 1)))),
+                    };
+                    outside.push((at, cal.reserve_seq(), payload));
+                    heap.push(at, payload);
+                    pushed.push((at, payload));
+                    payload += 1;
+                }
                 // Pop a few: time advances to what pops (monotone driver),
                 // which rotates the ring across bucket boundaries.
                 _ => {
                     for _ in 0..rng.gen_range(1u64..4) {
-                        let a = cal.pop();
-                        let b = heap.pop();
-                        match (a, b) {
-                            (None, None) => break,
-                            (Some(x), Some(y)) => {
-                                assert_eq!((x.at, x.seq), (y.at, y.seq));
-                                assert_eq!(x.payload, y.payload);
-                                now = now.max(x.at.as_nanos());
-                                popped.push((x.at, x.seq, x.payload));
-                            }
-                            (a, b) => panic!(
-                                "queues disagree on emptiness: cal={:?} heap={:?}",
-                                a.map(|e| e.at),
-                                b.map(|e| e.at)
-                            ),
-                        }
+                        let Some(x) = pop_both(&mut cal, &mut heap, &mut outside) else {
+                            break;
+                        };
+                        now = now.max(x.0.as_nanos());
+                        popped.push(x);
                     }
                 }
             }
         }
         // Drain the rest.
-        loop {
-            let (a, b) = (cal.pop(), heap.pop());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!((x.at, x.seq), (y.at, y.seq));
-                    assert_eq!(x.payload, y.payload);
-                    popped.push((x.at, x.seq, x.payload));
-                }
-                _ => panic!("queues disagree on length"),
-            }
+        while let Some(x) = pop_both(&mut cal, &mut heap, &mut outside) {
+            popped.push(x);
         }
-        assert_eq!(cal.popped(), heap.popped);
-        (pushed, popped)
+        assert!(cal.is_empty() && heap.is_empty());
+        assert_eq!(cal.popped() + from_outside as u64, heap.popped);
+        (pushed, popped, from_outside)
     }
 
-    /// Differential property: the calendar queue pops the exact
-    /// `(at, seq, payload)` stream of the reference binary heap over
-    /// randomized clustered/adversarial schedules, across bucket
-    /// rollover and far-future overflow, for several ring geometries.
+    /// Differential property: the calendar queue, merged by key with
+    /// events held outside it under reserved sequence numbers, pops the
+    /// exact `(at, seq, payload)` stream of one reference binary heap
+    /// holding everything — over randomized clustered/adversarial
+    /// schedules, across bucket rollover and far-future overflow, for
+    /// several ring geometries.
     #[test]
     fn prop_calendar_matches_heap() {
         let mut rng = SmallRng::seed_from_u64(0xca1e_0dae);
         // Tiny rings force constant rollover + overflow migration; the
         // default geometry exercises the production fast paths.
         for (shift, ring) in [(4, 2), (6, 4), (10, 16), (DEFAULT_SHIFT, DEFAULT_RING)] {
+            let mut merged = 0;
             for _case in 0..128 {
-                let (pushed, popped) = adversarial_case(&mut rng, shift, ring);
+                let (pushed, popped, from_outside) = adversarial_case(&mut rng, shift, ring);
                 assert_eq!(pushed.len(), popped.len());
                 // Sorted by time, FIFO among equal stamps.
                 for w in popped.windows(2) {
                     assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
                 }
+                merged += from_outside;
             }
+            assert!(
+                merged > 1_000,
+                "geometry ({shift}, {ring}): {merged} merged"
+            );
         }
     }
 

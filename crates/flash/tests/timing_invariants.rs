@@ -87,6 +87,71 @@ fn bus_free_clock_is_monotone() {
     }
 }
 
+/// Time-sliced transfers — each booking its next 4 KiB grant at the bus
+/// tail the moment its previous one ends — interleaved with every other
+/// op: the bus clock stays monotone, no grant overlaps the booking before
+/// it, and every byte joined is moved exactly once.
+#[test]
+fn sliced_transfers_conserve_bytes_and_order() {
+    const GRANT: u64 = 4096;
+    let mut rng = SmallRng::seed_from_u64(0x51_1ce);
+    let timing = FlashTiming::default();
+    for _case in 0..64 {
+        let mut ch = ChannelSim::new(4);
+        // In-flight transfers as (next grant's booking instant, bytes left).
+        let mut sliced: Vec<(SimTime, u64)> = Vec::new();
+        let (mut now, mut joined, mut other) = (SimTime::ZERO, 0u64, 0u64);
+        for _ in 0..rng.gen_range(20usize..200) {
+            now += SimDuration::from_micros(rng.gen_range(0u64..300));
+            // Every grant due by now, earliest first.
+            while let Some(i) = (0..sliced.len())
+                .filter(|&i| sliced[i].0 <= now)
+                .min_by_key(|&i| sliced[i].0)
+            {
+                let (at, left) = sliced[i];
+                let before = ch.bus_free_at();
+                let g = ch.bus_grant(at, GRANT.min(left), &timing);
+                assert!(g.start >= before && g.start >= at && ch.bus_free_at() == g.end);
+                sliced[i] = (g.end, left - GRANT.min(left));
+                if sliced[i].1 == 0 {
+                    sliced.swap_remove(i);
+                }
+            }
+            if sliced.len() < 3 && rng.gen_range(0u32..3) == 0 {
+                let bytes = rng.gen_range(GRANT + 1..5 * GRANT);
+                sliced.push((now, bytes));
+                joined += bytes;
+                continue;
+            }
+            let before = ch.bus_free_at();
+            match random_op(&mut rng, 4) {
+                Op::Read { chip, bytes } => {
+                    ch.read_page(now, chip, bytes, &timing);
+                    other += bytes;
+                }
+                Op::Write { chip, bytes } => {
+                    ch.write_page(now, chip, bytes, &timing);
+                    other += bytes;
+                }
+                Op::HighRead { chip, bytes } => {
+                    ch.read_page_preempting(now, chip, bytes, &timing);
+                    other += bytes;
+                }
+                Op::Erase { chip } => {
+                    ch.erase_block(now, chip, &timing);
+                }
+                Op::Grant { bytes } => {
+                    ch.bus_grant(now, bytes, &timing);
+                    other += bytes;
+                }
+            }
+            assert!(ch.bus_free_at() >= before, "bus_free went backwards");
+        }
+        let waiting: u64 = sliced.iter().map(|s| s.1).sum();
+        assert_eq!(ch.bytes_moved() + waiting, joined + other);
+    }
+}
+
 /// Preempting reads really do beat plain reads when the chip is busy
 /// with a suspendable background operation.
 #[test]

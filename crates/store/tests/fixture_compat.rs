@@ -7,10 +7,17 @@
 //! landed. Reading it back proves the new kernels against frames the
 //! bit-at-a-time kernel checksummed, not only against themselves.
 //!
+//! `fixtures/recorded-by-pr20/` is the same spec on a *full* device (fill
+//! 1.0: 337 events in four segments, one anchor), recorded by the commit
+//! before the bus arbiter took time-sliced transfers' grants off the event
+//! queue. GC runs from the first write there, and GC migrations are
+//! time-sliced, so 75 of its events are `bus_grant` records — the one kind
+//! no other golden in the repository contains.
+//!
 //! The first test is a pure format property and must hold until
 //! `SEG_VERSION` / `STORE_VERSION` change. The second also pins
 //! simulated behaviour, like every other golden: a PR that
-//! intentionally re-baselines the goldens keeps the fixture (and the
+//! intentionally re-baselines the goldens keeps the fixtures (and the
 //! first test) and re-pins only the second.
 
 use std::path::{Path, PathBuf};
@@ -23,8 +30,10 @@ const STREAM_FINGERPRINT: u64 = 0x335d_5c9d_0b2a_dea9;
 const SEGMENT_FILES_FNV: u64 = 0x2350_8136_7412_3880;
 const SEGMENT_BYTES: usize = 4096;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/recorded-by-pr13")
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
 }
 
 /// File names in `dir`, sorted.
@@ -42,7 +51,7 @@ fn file_names(dir: &Path) -> Vec<String> {
 
 #[test]
 fn parent_recorded_fixture_verifies_and_fingerprints() {
-    let dir = fixture_dir();
+    let dir = fixture("recorded-by-pr13");
     let store = RunStore::open(&dir).expect("open fixture");
     let manifest = store.manifest();
     assert!(manifest.sealed);
@@ -72,36 +81,60 @@ fn parent_recorded_fixture_verifies_and_fingerprints() {
 
 #[test]
 fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
-    let fixture = fixture_dir();
-    let old = RunStore::open(&fixture).expect("open fixture");
-    let spec = old.spec().expect("embedded spec decodes");
+    for (name, events) in [("recorded-by-pr13", 299), ("recorded-by-pr20", 337)] {
+        let fixture = fixture(name);
+        let old = RunStore::open(&fixture).expect("open fixture");
+        let spec = old.spec().expect("embedded spec decodes");
 
-    let fresh = std::env::temp_dir().join(format!(
-        "fleetio-store-fixture-fresh-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&fresh).ok();
-    record_run(&spec, &fresh, SEGMENT_BYTES).expect("record the fixture's spec");
-    let new = RunStore::open(&fresh).expect("open fresh recording");
+        let fresh = std::env::temp_dir().join(format!(
+            "fleetio-store-fixture-fresh-{}-{name}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&fresh).ok();
+        record_run(&spec, &fresh, SEGMENT_BYTES).expect("record the fixture's spec");
+        let new = RunStore::open(&fresh).expect("open fresh recording");
 
-    match diff_stores(&old, &new).expect("diff") {
-        DiffOutcome::Identical { events } => assert_eq!(events, 299),
-        DiffOutcome::Diverged(d) => panic!("fresh recording diverged at {}", d.index),
+        match diff_stores(&old, &new).expect("diff") {
+            DiffOutcome::Identical { events: n } => assert_eq!(n, events, "{name}"),
+            DiffOutcome::Diverged(d) => panic!("{name}: fresh recording diverged at {}", d.index),
+        }
+        // Segments, manifest and anchor: the same files with the same bytes.
+        let names = file_names(&fixture);
+        assert_eq!(file_names(&fresh), names);
+        for file in &names {
+            assert_eq!(
+                std::fs::read(fresh.join(file)).expect("read fresh file"),
+                std::fs::read(fixture.join(file)).expect("read fixture file"),
+                "{name}/{file} differs from the parent-recorded bytes"
+            );
+        }
+        // And this build regenerates the parent-recorded stream from its anchor.
+        let anchor_ns = old.manifest().anchors[0].at_ns;
+        let replay = replay_run(&fixture, anchor_ns + 1).expect("replay fixture");
+        assert!(replay.ok(), "{name}: {replay:?}");
+        assert!(replay.compared > 0);
+        std::fs::remove_dir_all(&fresh).ok();
     }
-    // Segments, manifest and anchor: the same files with the same bytes.
-    let names = file_names(&fixture);
-    assert_eq!(file_names(&fresh), names);
-    for name in &names {
-        assert_eq!(
-            std::fs::read(fresh.join(name)).expect("read fresh file"),
-            std::fs::read(fixture.join(name)).expect("read fixture file"),
-            "{name} differs from the parent-recorded bytes"
+}
+
+/// The PR 20 fixture is only worth having for its time-sliced transfers.
+#[test]
+fn pr20_fixture_holds_bus_grants() {
+    use fleetio_obs::{NandKind, ObsEvent};
+
+    let store = RunStore::open(&fixture("recorded-by-pr20")).expect("open fixture");
+    let mut cursor = store.payload_cursor();
+    let mut grants = 0;
+    while let Some(payload) = cursor.next_payload().expect("intact fixture") {
+        let ev = fleetio_obs::wire::decode_event(payload).expect("fixture event decodes");
+        let is_grant = matches!(
+            ev,
+            ObsEvent::NandOp {
+                kind: NandKind::BusGrant,
+                ..
+            }
         );
+        grants += u32::from(is_grant);
     }
-    // And this build regenerates the parent-recorded stream from its anchor.
-    let anchor_ns = old.manifest().anchors[0].at_ns;
-    let replay = replay_run(&fixture, anchor_ns + 1).expect("replay fixture");
-    assert!(replay.ok(), "{replay:?}");
-    assert!(replay.compared > 0);
-    std::fs::remove_dir_all(&fresh).ok();
+    assert_eq!(grants, 75);
 }

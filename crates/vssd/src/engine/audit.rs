@@ -19,6 +19,11 @@
 //! * **Write-stripe coherence** — each vSSD's cached write stripe equals a
 //!   from-scratch rebuild from its home channels, its `harvested` list and
 //!   the pool, so no page can be placed through a stale slot.
+//! * **Bus arbiter** — its steps are in key order, none is overdue (the
+//!   run loop merges the arbiter into the event queue's order, so a step
+//!   left in the past is a grant booked late), every sliced byte ever
+//!   joined is booked or still waiting, and no channel holds more sliced
+//!   transfers than ops in flight.
 //!
 //! Checks are `debug_assert!`s: release builds with the feature enabled
 //! still skip them, and default builds do not compile this module at all.
@@ -58,6 +63,50 @@ impl Engine {
         self.audit_block_registry();
         self.audit_gsb_conservation();
         self.audit_stripes();
+        self.audit_arbiter();
+    }
+
+    /// The arbiter's steps are all due now or later, account for every
+    /// sliced byte, and fit inside their channels' in-flight counts.
+    fn audit_arbiter(&self) {
+        // The eager reference model keeps its transfers elsewhere.
+        #[cfg(test)]
+        if self.eager_oracle {
+            return;
+        }
+        let mut per_channel = vec![0u32; self.chans.len()];
+        let mut waiting = 0u64;
+        debug_assert!(
+            self.sliced
+                .iter()
+                .zip(self.sliced.iter().skip(1))
+                .all(|(a, b)| a.key() < b.key()),
+            "arbiter steps out of order"
+        );
+        for step in &self.sliced {
+            debug_assert!(
+                step.at >= self.now,
+                "arbiter step on channel {} was due at {} but it is {}",
+                step.ch,
+                step.at,
+                self.now
+            );
+            per_channel[usize::from(step.ch)] += 1;
+            waiting += step.remaining;
+        }
+        debug_assert!(
+            self.sliced_booked + waiting == self.sliced_joined,
+            "sliced bytes: {} booked + {waiting} waiting != {} joined",
+            self.sliced_booked,
+            self.sliced_joined
+        );
+        for (ch, (sliced, chan)) in per_channel.iter().zip(&self.chans).enumerate() {
+            debug_assert!(
+                *sliced <= chan.in_flight,
+                "channel {ch}: {sliced} sliced transfers but {} ops in flight",
+                chan.in_flight
+            );
+        }
     }
 
     /// Every vSSD's cached write stripe must equal what the per-page

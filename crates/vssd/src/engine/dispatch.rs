@@ -5,7 +5,8 @@ use fleetio_flash::addr::ChannelId;
 
 use crate::request::CompletedRequest;
 
-use super::{Engine, Ev, GrantOp, PageOp};
+use super::arbiter::{Sliced, GRANT_BYTES};
+use super::{Engine, Ev, PageOp};
 
 /// High bit of a `PageDone` tag marks a GC op (low bits = GC job handle).
 const GC_OP_BIT: u64 = 1 << 63;
@@ -13,12 +14,6 @@ const GC_OP_BIT: u64 = 1 << 63;
 /// `PageDone` tag meaning "no attached request or GC job". Slab handles
 /// never collide with it: their slot half is never `u32::MAX`.
 const NONE_TAG: u64 = u64::MAX;
-
-/// Bus-grant granularity for time-sliced low-priority transfers. Real
-/// controllers arbitrate the channel bus in sub-page units, which is what
-/// keeps a bulk transfer from head-of-line-blocking a latency-critical
-/// request for a whole page time.
-const GRANT_BYTES: u64 = 4096;
 
 impl Engine {
     /// Packs a page op's owner into a `PageDone` tag: request handle bits,
@@ -42,10 +37,12 @@ impl Engine {
     pub(crate) fn try_dispatch(&mut self, ch: u16) {
         // When a high-priority tenant is active on this channel, keep one
         // in-flight slot in reserve for it: combined with time-sliced bus
-        // grants this bounds both the bus wait (one grant) and the number
-        // of concurrent low-priority chip programs a latency-critical read
-        // can collide with. Computed lazily: most calls select nothing (or
-        // only rank-0 ops) and never need the membership scan.
+        // grants this bounds both the bus wait (one booked grant per
+        // low-priority transfer in flight, so `low_cap` grants) and the
+        // number of concurrent low-priority chip programs a
+        // latency-critical read can collide with. Computed lazily: most
+        // calls select nothing (or only rank-0 ops) and never need the
+        // membership scan.
         let mut high_present: Option<bool> = None;
         let low_cap = self.cfg.dispatch_ahead.saturating_sub(1).max(1);
         loop {
@@ -129,10 +126,13 @@ impl Engine {
 
     /// Issues one page op on the device and schedules its completion.
     ///
-    /// Low-priority multi-grant transfers are time-sliced: the bus is
-    /// booked one [`GRANT_BYTES`] grant at a time, so a high-priority op
-    /// arriving mid-transfer waits at most one grant rather than a full
-    /// page time.
+    /// Low-priority and GC transfers longer than a grant are time-sliced:
+    /// the bus is booked one [`GRANT_BYTES`] grant at a time, each at the
+    /// bus tail when the previous one ends, so a high-priority op arriving
+    /// mid-transfer queues behind at most one booked grant per sliced
+    /// transfer in flight — `low_cap` grants — rather than whole page
+    /// times. The steps in between are the arbiter's
+    /// (`super::arbiter`), not queue events.
     fn issue_op(&mut self, ch: u16, op: PageOp, rank: usize) {
         let now = self.now;
         if op.gc.is_none() {
@@ -167,15 +167,8 @@ impl Engine {
                     r.first_start = Some(r.first_start.map_or(now, |t| t.min(now)));
                 }
             }
-            let grant = GrantOp {
-                vssd: op.vssd,
-                read: op.read,
-                chip: op.chip,
-                tag,
-                gc: op.gc.is_some(),
-                remaining: op.bytes,
-            };
-            let t0 = if op.read {
+            let gc = op.gc.is_some();
+            let first_at = if op.read {
                 // Cell read first; transfers start when the data is in the
                 // chip register.
                 let occupy = self.device.chip_read_occupy(now, channel, op.chip);
@@ -187,7 +180,7 @@ impl Engine {
                         channel: ch,
                         chip: op.chip,
                         kind: fleetio_obs::NandKind::ChipOccupy,
-                        gc: grant.gc,
+                        gc,
                         bytes: 0,
                     });
                 }
@@ -195,8 +188,17 @@ impl Engine {
             } else {
                 now
             };
-            let h = self.grants.insert(grant);
-            self.events.push(t0, Ev::Grant { ch, h });
+            self.join_sliced(Sliced {
+                at: first_at,
+                seq: 0,
+                ch,
+                chip: op.chip,
+                vssd: vssd_id,
+                read: op.read,
+                gc,
+                tag,
+                remaining: op.bytes,
+            });
             return;
         }
         let times = match (op.read, op.gc.is_some()) {
@@ -235,54 +237,6 @@ impl Engine {
             }
         }
         self.events.push(times.end, Ev::PageDone { ch, tag });
-    }
-
-    /// Advances a time-sliced transfer by one bus grant; finishes the op
-    /// (program for writes) when the last grant lands.
-    pub(crate) fn process_grant(&mut self, ch: u16, h: Handle) {
-        let channel = ChannelId(ch);
-        let op = self.grants[h];
-        let vssd_id = self.vssds[op.vssd].cfg.id.0;
-        if op.remaining == 0 {
-            self.grants.remove(h);
-            if op.read {
-                self.events.push(self.now, Ev::PageDone { ch, tag: op.tag });
-            } else {
-                let p = self.device.chip_program_occupy(self.now, channel, op.chip);
-                if self.obs_on {
-                    self.obs.record(fleetio_obs::ObsEvent::NandOp {
-                        start: p.start,
-                        end: p.end,
-                        vssd: vssd_id,
-                        channel: ch,
-                        chip: op.chip,
-                        kind: fleetio_obs::NandKind::ChipOccupy,
-                        gc: op.gc,
-                        bytes: 0,
-                    });
-                }
-                self.events.push(p.end, Ev::PageDone { ch, tag: op.tag });
-            }
-            return;
-        }
-        let bytes = GRANT_BYTES.min(op.remaining);
-        let g = self
-            .device
-            .bus_grant(self.now, channel, bytes, op.read, op.gc);
-        if self.obs_on {
-            self.obs.record(fleetio_obs::ObsEvent::NandOp {
-                start: g.start,
-                end: g.end,
-                vssd: vssd_id,
-                channel: ch,
-                chip: op.chip,
-                kind: fleetio_obs::NandKind::BusGrant,
-                gc: op.gc,
-                bytes,
-            });
-        }
-        self.grants[h].remaining -= bytes;
-        self.events.push(g.end, Ev::Grant { ch, h });
     }
 
     /// Handles a page-op completion: frees the slot, finishes the request

@@ -15,14 +15,18 @@
 //! 4. **Observation**: [`Engine::finish_window`] freezes per-vSSD window
 //!    statistics; [`Engine::snapshot`] exposes the remaining RL states.
 
+mod arbiter;
 mod arrival;
 #[cfg(feature = "audit")]
 pub mod audit;
 mod dispatch;
 mod gc;
 mod harvest;
+#[cfg(test)]
+mod lockstep;
 mod vstate;
 
+pub use arbiter::GRANT_BYTES;
 pub use vstate::VssdCumulative;
 
 use fleetio_des::window::WindowSummary;
@@ -39,6 +43,7 @@ use crate::request::{CompletedRequest, IoOp, IoRequest, Priority, RequestId};
 use crate::stride::DenseStride;
 use crate::vssd::{VssdConfig, VssdId};
 
+use self::arbiter::Sliced;
 use self::vstate::{BlockMeta, VssdState};
 
 /// Engine-level configuration.
@@ -135,10 +140,12 @@ impl ChanState {
 /// Engine events.
 ///
 /// Payloads are small `Copy` values — state that used to ride inside the
-/// event (the full `IoRequest`, the whole `GrantOp`) now lives in engine
-/// slabs, referenced by generation-checked handles. That keeps queue
-/// buckets compact and makes a stale reference a loud panic instead of
-/// silent aliasing.
+/// event (the full `IoRequest`) lives in engine slabs, referenced by
+/// generation-checked handles. That keeps queue buckets compact and makes
+/// a stale reference a loud panic instead of silent aliasing.
+///
+/// The steps of a time-sliced transfer are not events: the bus arbiter
+/// ([`arbiter`]) keeps them, under keys from this queue's own counter.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     /// A submitted request reaches its arrival time; `h` is its
@@ -162,25 +169,12 @@ pub(crate) enum Ev {
     TokenRetry {
         ch: u16,
     },
-    /// Next bus grant of a time-sliced low-priority transfer; `h` is the
-    /// [`GrantOp`] slab handle (progress is mutated in place per grant).
+    /// Reference model only: one step of a time-sliced transfer as a
+    /// queue event of its own; `h` indexes [`Engine::grants`].
+    #[cfg(test)]
     Grant {
-        ch: u16,
         h: Handle,
     },
-}
-
-/// State of a time-sliced (grant-by-grant) page operation in flight.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GrantOp {
-    /// Index of the vSSD the op was issued for (observability attribution).
-    pub vssd: usize,
-    pub read: bool,
-    pub chip: u16,
-    /// Packed PageDone tag (see [`Engine::page_done_tag`]).
-    pub tag: u64,
-    pub gc: bool,
-    pub remaining: u64,
 }
 
 /// One in-flight garbage-collection job.
@@ -262,8 +256,10 @@ pub struct Engine {
     pub(crate) gc_running: Vec<bool>,
     pub(crate) gc_jobs: Slab<GcJob>,
     pub(crate) next_gc_job: u64,
-    /// In-flight time-sliced transfers (see [`GrantOp`]).
-    pub(crate) grants: Slab<GrantOp>,
+    /// The bus arbiter: the next step of every time-sliced transfer in
+    /// flight, in `(at, seq)` order (see [`arbiter`]). At most
+    /// `dispatch_ahead` per channel, so a few dozen entries.
+    pub(crate) sliced: std::collections::VecDeque<Sliced>,
     /// Persistent per-vSSD (harvest, make-harvestable) channel targets,
     /// reconciled at every admission tick. Dense over the vSSD index;
     /// `None` until the first admission decision touches a vSSD (untouched
@@ -299,10 +295,28 @@ pub struct Engine {
     /// Runtime invariant auditor (see [`audit`]).
     #[cfg(feature = "audit")]
     pub(crate) auditor: fleetio_des::audit::SimAuditor,
+    /// Bytes ever handed to the arbiter, and bytes it has booked grant by
+    /// grant, for the conservation check.
+    #[cfg(feature = "audit")]
+    pub(crate) sliced_joined: u64,
+    #[cfg(feature = "audit")]
+    pub(crate) sliced_booked: u64,
     /// Makes this engine pick stripe targets with the per-page reference
     /// walk, for the differential striping test.
     #[cfg(test)]
     pub(crate) stripe_oracle: bool,
+    /// Makes this engine run every step of a time-sliced transfer as an
+    /// [`Ev::Grant`] through the event queue, the way it was done before
+    /// the arbiter: the reference the lockstep tests hold the arbiter to.
+    #[cfg(test)]
+    pub(crate) eager_oracle: bool,
+    /// The eager reference's transfers in flight.
+    #[cfg(test)]
+    pub(crate) grants: Slab<Sliced>,
+    /// How many of the eager reference's [`Ev::Grant`]s fired in the same
+    /// nanosecond as the event dispatched just before them.
+    #[cfg(test)]
+    pub(crate) same_instant_grants: u64,
 }
 
 impl Engine {
@@ -383,7 +397,7 @@ impl Engine {
             gc_running: vec![false; chip_slots],
             gc_jobs: Slab::new(),
             next_gc_job: 0,
-            grants: Slab::new(),
+            sliced: std::collections::VecDeque::new(),
             harvest_targets: vec![None; n_vssds],
             window_start: vec![SimTime::ZERO; n_vssds],
             warming: false,
@@ -400,8 +414,18 @@ impl Engine {
             obs_on: false,
             #[cfg(feature = "audit")]
             auditor: fleetio_des::audit::SimAuditor::new(),
+            #[cfg(feature = "audit")]
+            sliced_joined: 0,
+            #[cfg(feature = "audit")]
+            sliced_booked: 0,
             #[cfg(test)]
             stripe_oracle: false,
+            #[cfg(test)]
+            eager_oracle: false,
+            #[cfg(test)]
+            grants: Slab::new(),
+            #[cfg(test)]
+            same_instant_grants: 0,
         }
     }
 
@@ -604,7 +628,9 @@ impl Engine {
     /// Ordering is identical to one-at-a-time popping: a drained batch
     /// took every event at each covered timestamp in seq order, and any
     /// event pushed afterwards carries a larger seq, so among equal
-    /// timestamps the batch legitimately runs first.
+    /// timestamps the batch legitimately runs first. The bus arbiter's
+    /// steps are a third source under the same `(at, seq)` order, with
+    /// seqs of any age, so they are merged in by full key.
     ///
     /// # Panics
     ///
@@ -616,25 +642,50 @@ impl Engine {
         loop {
             batch.clear();
             self.events.drain_before(t, &mut batch);
-            if batch.is_empty() {
-                break;
-            }
             for ev in &batch {
-                // Newly scheduled events that fire strictly before this
-                // batch entry run first (equal-time pushes have larger
-                // seqs and correctly wait their turn).
-                while let Some(inner) = self.events.pop_strictly_before(ev.at) {
-                    self.dispatch_event(inner.at, inner.payload);
-                }
+                self.run_all_before(ev.at, ev.seq);
                 self.dispatch_event(ev.at, ev.payload);
+            }
+            // Nothing queued is left before `t`; an arbiter step may be,
+            // and may in turn schedule events before `t`.
+            if batch.is_empty() {
+                if self.sliced.front().is_none_or(|s| s.at > t) {
+                    break;
+                }
+                self.step_sliced();
             }
         }
         self.batch = batch;
         self.now = t;
     }
 
+    /// Runs every newly scheduled event and every arbiter step that
+    /// orders before `(at, seq)`, a drained batch entry about to run.
+    fn run_all_before(&mut self, at: SimTime, seq: u64) {
+        loop {
+            let step = self.sliced.front().map(Sliced::key);
+            match step.filter(|k| *k < (at, seq)) {
+                // Queued events that fire strictly before the batch entry
+                // run first (equal-time pushes have larger seqs and
+                // correctly wait their turn).
+                None => match self.events.pop_strictly_before(at) {
+                    Some(inner) => self.dispatch_event(inner.at, inner.payload),
+                    None => return,
+                },
+                Some(key) => match self.events.pop_if_before(key) {
+                    Some(inner) => self.dispatch_event(inner.at, inner.payload),
+                    None => self.step_sliced(),
+                },
+            }
+        }
+    }
+
     /// Dispatches one event at its timestamp.
     fn dispatch_event(&mut self, at: SimTime, ev: Ev) {
+        #[cfg(test)]
+        if matches!(ev, Ev::Grant { .. }) && self.now == at {
+            self.same_instant_grants += 1;
+        }
         self.now = at;
         // One host-time span per event kind: the DES dispatch loop is
         // the simulator's hottest path, and the per-kind breakdown is
@@ -645,6 +696,7 @@ impl Engine {
             Ev::GcDone { .. } => "engine.ev.gc_done",
             Ev::AdmissionTick => "engine.ev.admission_tick",
             Ev::TokenRetry { .. } => "engine.ev.token_retry",
+            #[cfg(test)]
             Ev::Grant { .. } => "engine.ev.grant",
         });
         match ev {
@@ -656,14 +708,17 @@ impl Engine {
                 self.chans[usize::from(ch)].retry_pending = false;
                 self.try_dispatch(ch);
             }
-            Ev::Grant { ch, h } => self.process_grant(ch, h),
+            #[cfg(test)]
+            Ev::Grant { h } => self.process_grant(h),
         }
         #[cfg(feature = "audit")]
         self.audit_event();
     }
 
     /// Lifetime count of DES events processed by this engine (the
-    /// sim-events/sec numerator for throughput reporting).
+    /// sim-events/sec numerator for throughput reporting). The bus
+    /// arbiter's steps — the grants of time-sliced transfers — are not
+    /// queue events and are not counted.
     pub fn events_processed(&self) -> u64 {
         self.events.popped()
     }
@@ -1092,6 +1147,27 @@ mod tests {
         e.audit_sweep();
         // Drop the gSB from the list without rebuilding the stripe.
         e.vssds[1].harvested.clear();
+        e.audit_sweep();
+    }
+
+    #[cfg(feature = "audit")]
+    #[test]
+    #[should_panic(expected = "was due at")]
+    fn audit_sweep_catches_an_overdue_arbiter_step() {
+        let mut e = engine_2vssd();
+        e.run_until(SimTime::from_millis(1));
+        e.chans[0].in_flight = 1;
+        e.sliced.push_back(Sliced {
+            at: SimTime::from_micros(999),
+            seq: 0,
+            ch: 0,
+            chip: 0,
+            vssd: 0,
+            read: true,
+            gc: false,
+            tag: 0,
+            remaining: 0,
+        });
         e.audit_sweep();
     }
 
