@@ -26,27 +26,25 @@ use fleetio_workloads::WorkloadKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per completed request of a colocation run with no obs sink
-/// (measured 0.17932958008367336: 3 472 allocations over 19 361 requests).
+/// (measured 0.04633025153659418: 897 allocations over 19 361 requests).
 /// Per request, not per simulated event: how many events a request costs
-/// is the engine's business — PR 21 took the time-sliced transfers' grants
-/// off the queue and this run went from 172 587 events to 162 257 without
-/// one more allocation — whereas the requests a seeded run completes do
-/// not move.
-const ALLOCS_PER_REQUEST_MAX: f64 = 0.188;
+/// is the engine's business, whereas the requests a seeded run completes
+/// do not move.
+const ALLOCS_PER_REQUEST_MAX: f64 = 0.0486;
 
-/// The same run's allocations outright, as measured before the events
-/// were removed: the ratio above must not pass by its denominator alone.
-const ALLOCS_MAX: u64 = 3_494;
+/// The same run's allocations outright: the ratio above must not pass by
+/// its denominator alone.
+const ALLOCS_MAX: u64 = 941;
 
 /// Allocations per completed request of an open-loop-only colocation, the
-/// load a fleet shard runs (measured 0.03230879199428163: 904 allocations
-/// over 27 980 requests; 40 168 before the arrival feed stopped allocating).
-const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.0339;
+/// load a fleet shard runs (measured 0.004288777698355968: 120 allocations
+/// over 27 980 requests).
+const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.0045;
 
 /// That run's allocations outright (see [`ALLOCS_MAX`]).
-const OPEN_LOOP_ALLOCS_MAX: u64 = 904;
+const OPEN_LOOP_ALLOCS_MAX: u64 = 126;
 
-/// Allocations of `Engine::new` plus a half-capacity warm-up (measured 652).
+/// Allocations of `Engine::new` plus a half-capacity warm-up (measured 651).
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
 
 /// Allocations per event of diffing a store against itself
@@ -117,7 +115,7 @@ fn colocation_allocs_per_request() {
     );
     assert!(
         allocs <= ALLOCS_MAX,
-        "{allocs} allocations, {ALLOCS_MAX} before"
+        "{allocs} allocations, ceiling {ALLOCS_MAX}"
     );
 }
 
@@ -158,7 +156,7 @@ fn open_loop_colocation_allocs_per_request() {
     );
     assert!(
         allocs <= OPEN_LOOP_ALLOCS_MAX,
-        "{allocs} allocations, {OPEN_LOOP_ALLOCS_MAX} before"
+        "{allocs} allocations, ceiling {OPEN_LOOP_ALLOCS_MAX}"
     );
 }
 

@@ -6,7 +6,7 @@
 //! `checkpoint_every`-window boundary.
 //!
 //! `replay_run` is time travel with an honesty clause. FleetIO's
-//! engine state is deliberately not snapshotable (event calendar,
+//! engine state is deliberately not snapshotable (event queue,
 //! slab request state and per-chip timing are live DES structures), so
 //! replay re-simulates from `t = 0` — what the anchor buys is *trust*,
 //! not wall-clock: the regenerated stream's FNV-1a fingerprint is

@@ -6,7 +6,7 @@
 //! moment the previous one ends — so that a latency-critical op arriving
 //! mid-transfer queues behind at most one booked grant per sliced transfer
 //! in flight. Every such booking used to be an event in the engine's
-//! calendar queue: five pushes and pops per 16 KiB page for steps that
+//! event queue: five pushes and pops per 16 KiB page for steps that
 //! only ever touch the transfer itself and one bus clock.
 //!
 //! The arbiter holds those steps instead, in a sorted list a few entries

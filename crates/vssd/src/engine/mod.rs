@@ -30,7 +30,7 @@ pub use arbiter::GRANT_BYTES;
 pub use vstate::VssdCumulative;
 
 use fleetio_des::window::WindowSummary;
-use fleetio_des::{Event, EventQueue, Handle, SimDuration, SimTime, Slab};
+use fleetio_des::{EventQueue, Handle, SimDuration, SimTime, Slab};
 use fleetio_flash::addr::{BlockAddr, ChannelId};
 use fleetio_flash::config::FlashConfig;
 use fleetio_flash::device::FlashDevice;
@@ -274,8 +274,6 @@ pub struct Engine {
     /// bookkeeping (they have not reached the queues yet, but write
     /// placement must see them to spread a multi-page request).
     pub(crate) planned: Vec<u32>,
-    /// Reusable event batch for [`Engine::run_until`].
-    pub(crate) batch: Vec<Event<Ev>>,
     /// Scratch buffers for the per-event hot paths. All are drained before
     /// their owning call returns; keeping them on the engine makes the
     /// steady-state event loop allocation-free.
@@ -403,7 +401,6 @@ impl Engine {
             warming: false,
             in_emergency: false,
             planned: vec![0; n_channels],
-            batch: Vec::new(),
             arrival_ops: Vec::new(),
             arrival_touched: Vec::new(),
             gc_op_buf: Vec::new(),
@@ -622,15 +619,11 @@ impl Engine {
 
     /// Advances simulated time to `t`, processing every event in order.
     ///
-    /// Events are drained from the calendar queue in whole-bucket batches
-    /// ([`EventQueue::drain_before`]); events a handler schedules *during*
-    /// the batch are interleaved back in by a strictly-before inner pop.
-    /// Ordering is identical to one-at-a-time popping: a drained batch
-    /// took every event at each covered timestamp in seq order, and any
-    /// event pushed afterwards carries a larger seq, so among equal
-    /// timestamps the batch legitimately runs first. The bus arbiter's
-    /// steps are a third source under the same `(at, seq)` order, with
-    /// seqs of any age, so they are merged in by full key.
+    /// Two sources share one `(at, seq)` order: the event queue and the
+    /// bus arbiter's steps, whose seqs come from the queue's own counter.
+    /// Each iteration runs whichever holds the smaller key, as long as it
+    /// is due by `t` — so everything runs where one queue holding both
+    /// would have popped it.
     ///
     /// # Panics
     ///
@@ -638,46 +631,19 @@ impl Engine {
     pub fn run_until(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot run backwards");
         let _prof = fleetio_obs::prof::span("engine.run_until");
-        let mut batch = std::mem::take(&mut self.batch);
         loop {
-            batch.clear();
-            self.events.drain_before(t, &mut batch);
-            for ev in &batch {
-                self.run_all_before(ev.at, ev.seq);
-                self.dispatch_event(ev.at, ev.payload);
-            }
-            // Nothing queued is left before `t`; an arbiter step may be,
-            // and may in turn schedule events before `t`.
-            if batch.is_empty() {
-                if self.sliced.front().is_none_or(|s| s.at > t) {
-                    break;
-                }
-                self.step_sliced();
+            let step = self.sliced.front().map(Sliced::key).filter(|k| k.0 <= t);
+            let ev = match step {
+                Some(key) => self.events.pop_if_before(key),
+                None => self.events.pop_before(t),
+            };
+            match (ev, step) {
+                (Some(ev), _) => self.dispatch_event(ev.at, ev.payload),
+                (None, Some(_)) => self.step_sliced(),
+                (None, None) => break,
             }
         }
-        self.batch = batch;
         self.now = t;
-    }
-
-    /// Runs every newly scheduled event and every arbiter step that
-    /// orders before `(at, seq)`, a drained batch entry about to run.
-    fn run_all_before(&mut self, at: SimTime, seq: u64) {
-        loop {
-            let step = self.sliced.front().map(Sliced::key);
-            match step.filter(|k| *k < (at, seq)) {
-                // Queued events that fire strictly before the batch entry
-                // run first (equal-time pushes have larger seqs and
-                // correctly wait their turn).
-                None => match self.events.pop_strictly_before(at) {
-                    Some(inner) => self.dispatch_event(inner.at, inner.payload),
-                    None => return,
-                },
-                Some(key) => match self.events.pop_if_before(key) {
-                    Some(inner) => self.dispatch_event(inner.at, inner.payload),
-                    None => self.step_sliced(),
-                },
-            }
-        }
     }
 
     /// Dispatches one event at its timestamp.

@@ -126,6 +126,7 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleetio_des::rng::Rng;
     use fleetio_des::SimDuration;
 
     #[test]
@@ -169,6 +170,51 @@ mod tests {
         let at = tb.ready_at(SimTime::ZERO, 100);
         assert_eq!(at, SimTime::ZERO + SimDuration::from_millis(100));
         assert!(tb.try_take(at, 100));
+    }
+
+    /// Closed-form oracle: a client that always has a request of at most
+    /// one burst waiting, and takes it the moment the tokens suffice, is
+    /// admitted `rate × H` bytes within one burst over every window of
+    /// length `H` — at most the burst it may enter the window with plus the
+    /// refill, at least the refill less the request still waiting at the
+    /// window's end.
+    #[test]
+    fn admitted_bytes_track_rate_within_one_burst() {
+        let mut rng = fleetio_des::rng::SmallRng::seed_from_u64(0x70_4e4);
+        let horizon = SimTime::from_secs(2);
+        for _case in 0..24 {
+            let rate = rng.gen_range(1e6..2e9);
+            let burst = rate * rng.gen_range(0.001..0.2);
+            let mut tb = TokenBucket::new(rate, burst);
+            // `(at, bytes admitted up to and including this take)`.
+            let mut takes = vec![(0u64, 0.0f64)];
+            let mut now = SimTime::ZERO;
+            while now <= horizon {
+                let bytes = rng.gen_range(1..burst as u64 + 1);
+                while !tb.try_take(now, bytes) {
+                    now = tb
+                        .ready_at(now, bytes)
+                        .max(now + SimDuration::from_nanos(1));
+                }
+                let total = takes.last().map_or(0.0, |t| t.1) + bytes as f64;
+                takes.push((now.as_nanos(), total));
+            }
+            let admitted_before = |ns: u64| takes[takes.partition_point(|t| t.0 < ns) - 1].1;
+            for _ in 0..2_000 {
+                // Window lengths log-uniform from 1 ns to the horizon.
+                let a = rng.gen_range(1..horizon.as_nanos());
+                let scale = rng.gen_range(0u32..31);
+                let len = rng.gen_range(0..horizon.as_nanos() >> scale);
+                let b = (a + len).min(horizon.as_nanos());
+                let admitted = admitted_before(b + 1) - admitted_before(a);
+                let refill = rate * (b - a) as f64 * 1e-9;
+                // One byte for the float refill's rounding.
+                assert!(
+                    (admitted - refill).abs() <= burst + 1.0,
+                    "rate {rate}, burst {burst}: {admitted} bytes in [{a}, {b}] ns, refill {refill}"
+                );
+            }
+        }
     }
 
     #[test]
