@@ -26,15 +26,15 @@ use fleetio_workloads::WorkloadKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per completed request of a colocation run with no obs sink
-/// (measured 0.04633025153659418: 897 allocations over 19 361 requests).
+/// (measured 0.04617530086255875: 894 allocations over 19 361 requests).
 /// Per request, not per simulated event: how many events a request costs
 /// is the engine's business, whereas the requests a seeded run completes
 /// do not move.
-const ALLOCS_PER_REQUEST_MAX: f64 = 0.0486;
+const ALLOCS_PER_REQUEST_MAX: f64 = 0.0484;
 
 /// The same run's allocations outright: the ratio above must not pass by
 /// its denominator alone.
-const ALLOCS_MAX: u64 = 941;
+const ALLOCS_MAX: u64 = 938;
 
 /// Allocations per completed request of an open-loop-only colocation, the
 /// load a fleet shard runs (measured 0.004288777698355968: 120 allocations
@@ -47,18 +47,26 @@ const OPEN_LOOP_ALLOCS_MAX: u64 = 126;
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured 651).
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
 
+/// Bytes those allocations request (measured 31 136 328). Nearly all of it
+/// is per-page state sized from the geometry: a 4-byte page-state slot per
+/// physical page (16 MiB) and a 4-byte L2P entry per logical page of each
+/// vSSD (2 × 6.4 MiB). With 8-byte slots and 12-byte entries grown to the
+/// warmed prefix the same build requested 54 598 152.
+const ENGINE_BUILD_BYTES_MAX: f64 = 32_600_000.0;
+
 /// Allocations per event of diffing a store against itself
 /// (measured 0.004845: 1 938 allocations over 400 000 events).
 const STORE_DIFF_ALLOCS_PER_EVENT_MAX: f64 = 0.005;
 
 const SEED: u64 = 42;
 
-/// Runs `f` and returns how many heap allocations it made, after proving
-/// the counting allocator is installed (so a ceiling cannot pass on a
-/// counter that never moves). The counters are per-thread, so concurrent
-/// tests cannot leak into each other's counts; the lock only keeps the
-/// scenarios from sharing the CI box's two cores and memory.
-fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+/// Runs `f` and returns how many heap allocations it made and how many
+/// bytes they requested, after proving the counting allocator is installed
+/// (so a ceiling cannot pass on a counter that never moves). The counters
+/// are per-thread, so concurrent tests cannot leak into each other's
+/// counts; the lock only keeps the scenarios from sharing the CI box's two
+/// cores and memory.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> ((u64, u64), T) {
     static SERIAL: Mutex<()> = Mutex::new(());
     let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let before = counters().0;
@@ -68,9 +76,10 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
         before + 1,
         "CountingAllocator is not the global allocator"
     );
-    let start = counters().0;
+    let (count, bytes) = counters();
     let out = f();
-    (counters().0 - start, out)
+    let (count_after, bytes_after) = counters();
+    ((count_after - count, bytes_after - bytes), out)
 }
 
 /// Prints the measured value (shown by `--nocapture`) and holds it under
@@ -103,7 +112,7 @@ fn colocation_allocs_per_request() {
         SEED,
     );
     let peak = cfg.engine.flash.device_peak_bytes_per_sec();
-    let (allocs, metrics) = allocs_during(|| {
+    let ((allocs, _), metrics) = allocs_during(|| {
         run_collocation(&mut StaticPolicy::hardware(), tenants, &opts, peak, None)
     });
     let requests: u64 = metrics.tenants.iter().map(|t| t.requests).sum();
@@ -146,7 +155,7 @@ fn open_loop_colocation_allocs_per_request() {
             .sum()
     };
     let before = completed(&coloc);
-    let (allocs, ()) = allocs_during(|| coloc.run_windows(6));
+    let ((allocs, _), ()) = allocs_during(|| coloc.run_windows(6));
     let requests = completed(&coloc) - before;
     assert!(requests > 5_000, "scenario shrank: {requests} requests");
     hold(
@@ -162,9 +171,9 @@ fn open_loop_colocation_allocs_per_request() {
 
 /// `Engine::new` on the experiment device with two 8-channel vSSDs, each
 /// pre-filled to half its logical space — what every figure run, SLO
-/// calibration and RL environment does before its first window.
-#[test]
-fn engine_build_and_warm_up_allocs() {
+/// calibration and RL environment does before its first window. Returns
+/// the allocation count and the bytes requested.
+fn engine_build_and_warm_up() -> (u64, u64) {
     let cfg = EngineConfig {
         flash: FlashConfig::experiment_default(),
         ..Default::default()
@@ -175,18 +184,32 @@ fn engine_build_and_warm_up_allocs() {
             VssdConfig::hardware(VssdId(u32::from(v)), channels)
         })
         .collect();
-    let (allocs, _engine) = allocs_during(|| {
+    let (counts, _engine) = allocs_during(|| {
         let mut engine = Engine::new(cfg, vssds);
         for id in engine.vssd_ids() {
             engine.warm_up(id, 0.5);
         }
         engine
     });
+    counts
+}
+
+#[test]
+fn engine_build_and_warm_up_allocs() {
+    let (allocs, _) = engine_build_and_warm_up();
     hold(
         "engine_build_allocs",
         allocs as f64,
         ENGINE_BUILD_ALLOCS_MAX,
     );
+}
+
+/// Bytes requested by the same build: nearly all of it is per-page state,
+/// the chips' page-state arenas and the vSSDs' L2P maps.
+#[test]
+fn engine_build_and_warm_up_bytes() {
+    let (_, bytes) = engine_build_and_warm_up();
+    hold("engine_build_bytes", bytes as f64, ENGINE_BUILD_BYTES_MAX);
 }
 
 /// A 400 000-event store (a fixed mix weighted toward the hot event kinds)
@@ -255,7 +278,7 @@ fn store_diff_allocs_per_event() {
     let manifest = sink.finish().expect("seal store");
     assert_eq!(manifest.total_events, EVENTS);
     let store = RunStore::open(&dir).expect("open store");
-    let (allocs, outcome) = allocs_during(|| diff_stores(&store, &store));
+    let ((allocs, _), outcome) = allocs_during(|| diff_stores(&store, &store));
     std::fs::remove_dir_all(&dir).ok();
     assert!(matches!(
         outcome.expect("diff store"),

@@ -6,6 +6,12 @@
 //! to reclaim space. [`BlockState`] tracks one block's lifecycle counters;
 //! [`ChipBlocks`] owns every block on one chip, the page state behind them
 //! and the free list.
+//!
+//! Page state costs 4 bytes per physical page, in one zeroed `u32` arena
+//! per chip, so pages a run never writes are never resident. A slot holds
+//! `lpa + 1`, which bounds an LPA below `u32::MAX`;
+//! [`FlashConfig::validate`](crate::config::FlashConfig::validate) holds a
+//! device's page count, and with it every in-range LPA, under `2^31`.
 
 use crate::addr::Lpa;
 
@@ -57,7 +63,7 @@ impl BlockState {
 
 /// All blocks on one chip, with their page state and a free list.
 ///
-/// Page state is one `u64` per physical page in a single arena indexed by
+/// Page state is one `u32` per physical page in a single arena indexed by
 /// `block * pages_per_block + page`: `0` means *empty* (never written this
 /// erase cycle, or invalidated since), anything else is the live page's
 /// `lpa + 1`. Validity is derived from the slot, so there is no separate
@@ -71,7 +77,7 @@ pub struct ChipBlocks {
     free: Vec<u32>,
     pages_per_block: u32,
     /// `lpa + 1` of each live page, `0` for an empty one.
-    page_state: Vec<u64>,
+    page_state: Vec<u32>,
 }
 
 impl ChipBlocks {
@@ -188,12 +194,13 @@ impl ChipBlocks {
     ///
     /// # Panics
     ///
-    /// Panics if the block is full or not open, or if `lpa` is `u64::MAX`
-    /// (its `lpa + 1` encoding would collide with the empty slot value).
+    /// Panics if the block is full or not open, or if `lpa` is `u32::MAX`
+    /// or more (its `lpa + 1` encoding would not fit the slot, or would
+    /// wrap to the empty value).
     pub fn append(&mut self, block: u32, lpa: Lpa) -> u32 {
         assert!(
-            lpa.0 != u64::MAX,
-            "LPA u64::MAX collides with the empty page-state encoding"
+            lpa.0 < u64::from(u32::MAX),
+            "{lpa} collides with the empty page-state encoding of a u32 slot"
         );
         let b = &mut self.blocks[block as usize];
         assert_eq!(b.phase, BlockPhase::Open, "appending to a non-open block");
@@ -204,7 +211,7 @@ impl ChipBlocks {
             b.phase = BlockPhase::Full;
         }
         let slot = self.slot(block, page);
-        self.page_state[slot] = lpa.0 + 1;
+        self.page_state[slot] = lpa.0 as u32 + 1;
         page
     }
 
@@ -238,7 +245,7 @@ impl ChipBlocks {
             .iter()
             .enumerate()
             .filter(|(_, &s)| s != 0)
-            .map(|(i, &s)| (i as u32, Lpa(s - 1)))
+            .map(|(i, &s)| (i as u32, Lpa(u64::from(s - 1))))
     }
 
     /// Audits the chip's structural invariants (the `audit` feature's
@@ -364,18 +371,24 @@ mod tests {
 
     #[test]
     fn lpa_zero_is_a_live_page() {
-        // The empty encoding is the slot value 0, not LPA 0.
+        // The empty encoding is the slot value 0, not LPA 0; the largest
+        // LPA a slot holds is one below the boundary.
+        let top = Lpa(u64::from(u32::MAX) - 1);
         let mut c = one_open_block(2);
         c.append(0, Lpa(0));
+        c.append(0, top);
         assert!(c.is_valid(0, 0));
-        assert_eq!(c.valid_pages(0).collect::<Vec<_>>(), vec![(0, Lpa(0))]);
+        assert_eq!(
+            c.valid_pages(0).collect::<Vec<_>>(),
+            vec![(0, Lpa(0)), (1, top)]
+        );
     }
 
     #[test]
     #[should_panic(expected = "collides with the empty page-state encoding")]
     fn lpa_colliding_with_the_empty_encoding_panics() {
         let mut c = one_open_block(2);
-        c.append(0, Lpa(u64::MAX));
+        c.append(0, Lpa(u64::from(u32::MAX)));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Device geometry and configuration.
 
+use crate::addr::PpaLayout;
 use crate::timing::FlashTiming;
 
 /// Full configuration of a simulated flash device.
@@ -125,12 +126,32 @@ impl FlashConfig {
         self.channel_peak_bytes_per_sec() * f64::from(self.channels)
     }
 
+    /// How this geometry packs a physical page address into a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the field widths when a packed address needs more than
+    /// [`PpaLayout::MAX_BITS`] bits, the most for which it + 1 always fits
+    /// a `u32`.
+    pub fn ppa_layout(&self) -> Result<PpaLayout, String> {
+        PpaLayout::new(
+            self.channels,
+            self.chips_per_channel,
+            self.blocks_per_chip,
+            self.pages_per_block,
+        )
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending field when any dimension is
-    /// zero or the over-provisioning ratio is outside `[0, 0.9]`.
+    /// zero or the over-provisioning ratio is outside `[0, 0.9]`, and the
+    /// field widths when a packed page address + 1 might not fit in a
+    /// `u32` ([`FlashConfig::ppa_layout`]) — the bound that lets every
+    /// per-page word (an L2P entry, a chip's page-state slot holding
+    /// `lpa + 1`) be four bytes.
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 {
             return Err("channels must be positive".into());
@@ -153,7 +174,7 @@ impl FlashConfig {
         if !(0.0..=0.9).contains(&self.overprovisioning) {
             return Err("overprovisioning must be in [0, 0.9]".into());
         }
-        Ok(())
+        self.ppa_layout().map(drop)
     }
 }
 
@@ -198,6 +219,32 @@ mod tests {
         c = FlashConfig::small_test();
         c.overprovisioning = 0.95;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_bounds_the_packed_page_address() {
+        // The paper's geometry needs 4 + 2 + 12 + 8 = 26 bits.
+        for c in [
+            FlashConfig::paper_default(),
+            FlashConfig::small_test(),
+            FlashConfig::training_test(),
+            FlashConfig::experiment_default(),
+        ] {
+            assert!(c.validate().is_ok());
+        }
+        // 32 times the paper's blocks per chip is 31 bits and fits; 64
+        // times is 4 + 2 + 18 + 8 = 32 and does not.
+        let blocks = |blocks_per_chip| FlashConfig {
+            blocks_per_chip,
+            ..FlashConfig::paper_default()
+        };
+        assert!(blocks(4096 * 32).validate().is_ok());
+        let err = blocks(4096 * 64).validate().unwrap_err();
+        assert!(err.contains("32 bits"), "{err}");
+        assert!(
+            err.contains("channel 4 + chip 2 + block 18 + page 8"),
+            "{err}"
+        );
     }
 
     #[test]

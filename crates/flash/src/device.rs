@@ -385,7 +385,7 @@ impl FlashDevice {
     /// # Panics
     ///
     /// Panics if the block is not open, the address is out of range, or
-    /// `lpa` is `u64::MAX` (reserved by the page-state encoding).
+    /// `lpa` is `u32::MAX` or more (outside the page-state encoding).
     pub fn append_page(&mut self, block: BlockAddr, lpa: Lpa) -> u32 {
         let i = self.chip_index(block.channel, block.chip);
         self.chips[i].append(block.block, lpa)

@@ -6,14 +6,15 @@
 //! * [`config::FlashConfig`] — geometry and NAND timing (Table 3 of the
 //!   paper: 16 channels, 4 chips per channel, 16 KB pages, 1 TB, queue
 //!   depth 16, 20 % over-provisioning),
-//! * [`addr`] — typed physical/logical addresses,
+//! * [`addr`] — typed physical/logical addresses, and the per-geometry
+//!   [`addr::PpaLayout`] that packs a physical one into a `u32`,
 //! * [`timing::FlashTiming`] — per-operation service times (cell read,
 //!   program, erase, channel-bus transfer),
 //! * [`channel::ChannelSim`] — per-channel bus and per-chip occupancy with
 //!   realistic pipelining (the bus can feed one chip while another
 //!   programs),
-//! * [`block`] — flash block state: valid-page bitmaps, append points,
-//!   erase counts, free lists,
+//! * [`block`] — flash block state: a 4-byte page-state slot per page,
+//!   append points, erase counts, free lists,
 //! * [`device::FlashDevice`] — the assembled device plus utilization and
 //!   write-amplification accounting.
 //!

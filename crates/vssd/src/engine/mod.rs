@@ -44,7 +44,7 @@ use crate::stride::DenseStride;
 use crate::vssd::{VssdConfig, VssdId};
 
 use self::arbiter::Sliced;
-use self::vstate::{BlockMeta, VssdState};
+use self::vstate::{BlockMeta, PageMap, VssdState};
 
 /// Engine-level configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +100,16 @@ impl EngineConfig {
         }
         Ok(())
     }
+}
+
+/// Logical capacity in pages of a vSSD with configuration `v` on a device
+/// `f`: its share of its channels' blocks after over-provisioning.
+fn logical_pages(f: &FlashConfig, v: &VssdConfig) -> u64 {
+    let full = v.channels.len() as u64
+        * u64::from(f.chips_per_channel)
+        * u64::from(f.logical_blocks_per_chip())
+        * u64::from(f.pages_per_block);
+    (full as f64 * v.capacity_share) as u64
 }
 
 /// A page-granularity operation queued on a channel.
@@ -332,6 +342,10 @@ impl Engine {
         let n_channels = usize::from(cfg.flash.channels);
         let chip_slots = n_channels * usize::from(cfg.flash.chips_per_channel);
         let total_blocks = chip_slots * cfg.flash.blocks_per_chip as usize;
+        let layout = cfg
+            .flash
+            .ppa_layout()
+            .expect("validate checked the packed address width");
         let mut states = Vec::with_capacity(vssds.len());
         let mut id_to_idx = Vec::with_capacity(vssds.len());
         for (idx, vc) in vssds.into_iter().enumerate() {
@@ -347,7 +361,8 @@ impl Engine {
                 );
             }
             id_to_idx.push((vc.id, idx));
-            states.push(VssdState::new(vc, chip_slots));
+            let map = PageMap::new(layout, logical_pages(&cfg.flash, &vc));
+            states.push(VssdState::new(vc, chip_slots, map));
         }
         id_to_idx.sort_unstable_by_key(|(id, _)| *id);
         for pair in id_to_idx.windows(2) {
@@ -553,15 +568,9 @@ impl Engine {
     }
 
     /// Logical capacity of a vSSD in pages, derived from its channel share
-    /// after over-provisioning.
+    /// after over-provisioning: the LPAs its map covers.
     pub fn logical_capacity_pages(&self, id: VssdId) -> u64 {
-        let v = &self.vssds[self.idx(id)];
-        let f = &self.cfg.flash;
-        let full = v.cfg.channels.len() as u64
-            * u64::from(f.chips_per_channel)
-            * u64::from(f.logical_blocks_per_chip())
-            * u64::from(f.pages_per_block);
-        (full as f64 * v.cfg.capacity_share) as u64
+        self.vssds[self.idx(id)].map.len()
     }
 
     /// Logical capacity of a vSSD in bytes.
@@ -582,7 +591,8 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the request's arrival is in the simulated past, its vSSD
-    /// is unknown, or its length is zero.
+    /// is unknown, its length is zero, or it ends past the vSSD's logical
+    /// capacity.
     pub fn submit(&mut self, req: IoRequest) -> RequestId {
         assert!(
             req.arrival >= self.now,
@@ -590,8 +600,14 @@ impl Engine {
             req.arrival,
             self.now
         );
-        assert!(req.len > 0, "request length must be positive");
         let idx = self.idx(req.vssd);
+        let (_, last) = req.page_span(u64::from(self.cfg.flash.page_bytes));
+        let pages = self.vssds[idx].map.len();
+        assert!(
+            last < pages,
+            "request ends at lpa {last}, past {}'s {pages} logical pages",
+            req.vssd
+        );
         let id = self.next_req;
         self.next_req += 1;
         if self.obs_on {
@@ -899,7 +915,6 @@ impl Engine {
         );
         let idx = self.idx(id);
         let pages = (self.logical_capacity_pages(id) as f64 * fraction) as u64;
-        self.vssds[idx].map.grow_to(pages as usize);
         self.warming = true;
         for lpa in 0..pages {
             self.write_page_bookkeeping(idx, lpa);
@@ -979,6 +994,25 @@ mod tests {
         };
         let v = VssdConfig::hardware(VssdId(0), vec![ChannelId(99)]);
         let _ = Engine::new(cfg, vec![v]);
+    }
+
+    /// The L2P map covers exactly the logical capacity: the last page is a
+    /// valid target, one byte past it is refused at submission.
+    #[test]
+    #[should_panic(expected = "past vssd0's 1536 logical pages")]
+    fn request_past_the_logical_capacity_panics() {
+        let mut e = engine_2vssd();
+        let page = u64::from(e.cfg.flash.page_bytes);
+        let mut req = IoRequest {
+            vssd: VssdId(0),
+            op: IoOp::Write,
+            offset: 1535 * page,
+            len: page,
+            arrival: SimTime::ZERO,
+        };
+        e.submit(req);
+        req.len += 1;
+        e.submit(req);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Per-vSSD runtime state inside the engine.
+//! Per-vSSD runtime state inside the engine: configuration, the L2P map,
+//! open blocks, the write stripe, priority, rate limiter and counters.
+//!
+//! The L2P map ([`PageMap`]) is the vSSD's per-page cost: 4 bytes per
+//! logical page, sized once from the logical capacity and zero (unmapped)
+//! until written, so only pages a run writes are resident.
 
 use fleetio_des::window::WindowStats;
 use fleetio_des::LatencyHistogram;
-use fleetio_flash::addr::{BlockAddr, ChannelId, Ppa};
+use fleetio_flash::addr::{BlockAddr, ChannelId, Ppa, PpaLayout};
 
 use crate::gsb::{GsbId, GsbPool};
 use crate::request::Priority;
@@ -26,57 +31,53 @@ pub(crate) struct BlockMeta {
     pub gsb: Option<GsbId>,
 }
 
-/// The sentinel page index marking an unmapped [`PageMap`] slot (no real
-/// page index comes near `u32::MAX`).
-const UNMAPPED: u32 = u32::MAX;
-
-/// Dense LPA → PPA mapping table.
+/// Dense LPA → PPA mapping table, one packed `u32` per logical page.
 ///
 /// The FTL map is touched once or twice per written page (lookup + insert)
 /// and once per read — the single hottest lookup in the engine — so it is
-/// one array index into a `Vec` of 12-byte slots with an in-band
-/// "unmapped" sentinel. [`PageMap::grow_to`] sizes it once for a known
-/// range (warm-up's pre-fill); a write past the end at least doubles it,
-/// so a foreground write stream regrows it O(log n) times.
-#[derive(Debug, Default)]
+/// one array index and a shift-and-mask unpack ([`PpaLayout`]). A slot
+/// holds the packed address + 1 and `0` means unmapped, so the table is
+/// allocated zeroed at its full logical size up front: it costs no
+/// resident memory until a page is written and never grows.
+#[derive(Debug)]
 pub(crate) struct PageMap {
-    pages: Vec<Ppa>,
+    layout: PpaLayout,
+    slots: Vec<u32>,
 }
 
 impl PageMap {
+    /// An all-unmapped table over LPAs `0..pages`.
+    pub fn new(layout: PpaLayout, pages: u64) -> Self {
+        PageMap {
+            layout,
+            slots: vec![0; pages as usize],
+        }
+    }
+
+    /// Number of LPAs the table covers.
+    pub fn len(&self) -> u64 {
+        self.slots.len() as u64
+    }
+
     /// The physical location of `lpa`, if mapped.
     #[inline]
     pub fn get(&self, lpa: u64) -> Option<Ppa> {
-        let ppa = *self.pages.get(lpa as usize)?;
-        (ppa.page != UNMAPPED).then_some(ppa)
+        let slot = *self.slots.get(lpa as usize)?;
+        (slot != 0).then(|| self.layout.unpack(slot - 1))
     }
 
     /// Maps `lpa` to `ppa` (insert or overwrite).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lpa` is past the end of the table.
     pub fn set(&mut self, lpa: u64, ppa: Ppa) {
-        debug_assert!(ppa.page != UNMAPPED, "real pages never use the sentinel");
-        let i = lpa as usize;
-        if i >= self.pages.len() {
-            self.grow_to((i + 1).max(self.pages.len() * 2));
-        }
-        self.pages[i] = ppa;
-    }
-
-    /// Grows the table to cover LPAs `0..len` (new slots unmapped). Never
-    /// shrinks.
-    pub fn grow_to(&mut self, len: usize) {
-        if len > self.pages.len() {
-            self.pages.resize(
-                len,
-                Ppa {
-                    block: BlockAddr {
-                        channel: ChannelId(0),
-                        chip: 0,
-                        block: 0,
-                    },
-                    page: UNMAPPED,
-                },
-            );
-        }
+        let len = self.slots.len();
+        let slot = self
+            .slots
+            .get_mut(lpa as usize)
+            .unwrap_or_else(|| panic!("lpa {lpa} is past the end of a {len}-page map"));
+        *slot = self.layout.pack(ppa) + 1;
     }
 }
 
@@ -130,15 +131,15 @@ pub(crate) struct VssdState {
 
 impl VssdState {
     /// Builds the state for one vSSD on a device with `chip_slots` total
-    /// chips (`channels × chips_per_channel`).
-    pub(crate) fn new(cfg: VssdConfig, chip_slots: usize) -> Self {
+    /// chips (`channels × chips_per_channel`), owning `map`.
+    pub(crate) fn new(cfg: VssdConfig, chip_slots: usize, map: PageMap) -> Self {
         let bucket = cfg
             .rate_limit
             .map(|rate| TokenBucket::new(rate, rate * 0.05));
         let stripe = cfg.channels.iter().map(|&c| (c, None)).collect();
         VssdState {
             cfg,
-            map: PageMap::default(),
+            map,
             open_blocks: vec![None; chip_slots],
             stripe,
             stripe_pos: 0,
@@ -176,14 +177,20 @@ impl VssdState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleetio_des::rng::{Rng, SmallRng};
+    use fleetio_flash::config::FlashConfig;
 
     fn cfg() -> VssdConfig {
         VssdConfig::hardware(VssdId(0), vec![ChannelId(0), ChannelId(1)])
     }
 
+    fn map() -> PageMap {
+        PageMap::new(FlashConfig::small_test().ppa_layout().expect("fits"), 0)
+    }
+
     #[test]
     fn stripe_starts_on_home_channels() {
-        let st = VssdState::new(cfg(), 4);
+        let st = VssdState::new(cfg(), 4, map());
         assert_eq!(st.stripe, vec![(ChannelId(0), None), (ChannelId(1), None)]);
         assert!(st.bucket.is_none());
         assert!(st.open_blocks.iter().all(Option::is_none));
@@ -192,7 +199,7 @@ mod tests {
     #[test]
     fn rate_limit_creates_bucket() {
         let c = cfg().with_rate_limit(1e6);
-        let st = VssdState::new(c, 4);
+        let st = VssdState::new(c, 4, map());
         assert!(st.bucket.is_some());
     }
 
@@ -209,7 +216,7 @@ mod tests {
             vec![ChannelId(6), ChannelId(4)],
             vec![blk(6), blk(4)],
         );
-        let mut st = VssdState::new(cfg(), 4);
+        let mut st = VssdState::new(cfg(), 4, map());
         st.harvested.push(g);
         // An id the pool does not know contributes no slot.
         st.harvested.push(GsbId(99));
@@ -229,38 +236,87 @@ mod tests {
 
     #[test]
     fn in_gc_tracks_counter() {
-        let mut st = VssdState::new(cfg(), 4);
+        let mut st = VssdState::new(cfg(), 4, map());
         assert!(!st.in_gc());
         st.gc_active = 2;
         assert!(st.in_gc());
     }
 
+    /// Property, on every preset geometry: the address `set` stores is the
+    /// address `get` returns — for every corner (first and last channel,
+    /// chip, block and page, in all 16 combinations) and for seeded random
+    /// addresses — an overwrite returns the new address, and nothing else
+    /// reads as mapped.
     #[test]
-    fn page_map_grows_and_overwrites() {
-        let mut m = PageMap::default();
-        assert!(m.get(0).is_none());
-        assert!(m.get(1_000).is_none());
-        let ppa = |page| Ppa {
-            block: BlockAddr {
-                channel: ChannelId(1),
-                chip: 2,
-                block: 3,
-            },
-            page,
-        };
-        m.set(7, ppa(9));
-        assert_eq!(m.get(7), Some(ppa(9)));
-        assert!(m.get(6).is_none(), "growth must not fabricate mappings");
-        m.set(7, ppa(10));
-        assert_eq!(m.get(7), Some(ppa(10)));
-        m.set(100_000, ppa(1));
-        assert_eq!(m.get(100_000), Some(ppa(1)));
-        assert!(m.get(99_999).is_none());
-        // Pre-sizing maps nothing, keeps what is mapped and never shrinks.
-        m.grow_to(300_000);
-        assert!(m.get(299_999).is_none());
-        m.grow_to(8);
-        assert_eq!(m.get(7), Some(ppa(10)));
-        assert_eq!(m.get(100_000), Some(ppa(1)));
+    fn page_map_round_trips_every_geometry() {
+        const LPAS: u64 = 4096;
+        let mut rng = SmallRng::seed_from_u64(0x12b_ab1e);
+        for flash in [
+            FlashConfig::small_test(),
+            FlashConfig::training_test(),
+            FlashConfig::experiment_default(),
+            FlashConfig::paper_default(),
+        ] {
+            let (ch, chips) = (flash.channels, flash.chips_per_channel);
+            let (blocks, pages) = (flash.blocks_per_chip, flash.pages_per_block);
+            let mut ppas = Vec::new();
+            for c in [0, ch - 1] {
+                for chip in [0, chips - 1] {
+                    for b in [0, blocks - 1] {
+                        for p in [0, pages - 1] {
+                            ppas.push(Ppa::new(ChannelId(c), chip, b, p));
+                        }
+                    }
+                }
+            }
+            for _ in 0..512 {
+                ppas.push(Ppa::new(
+                    ChannelId(rng.gen_range(0..ch)),
+                    rng.gen_range(0..chips),
+                    rng.gen_range(0..blocks),
+                    rng.gen_range(0..pages),
+                ));
+            }
+            let mut m = PageMap::new(flash.ppa_layout().expect("presets fit"), LPAS);
+            assert_eq!(m.len(), LPAS);
+            assert!(
+                (0..LPAS).all(|l| m.get(l).is_none()),
+                "a fresh table maps nothing"
+            );
+            let mut expect = vec![None; LPAS as usize];
+            // The first and last LPA, then random ones (some repeat, so
+            // some sets already overwrite).
+            for (i, &ppa) in ppas.iter().enumerate() {
+                let lpa = match i {
+                    0 => 0,
+                    1 => LPAS - 1,
+                    _ => rng.gen_range(0..LPAS),
+                };
+                m.set(lpa, ppa);
+                expect[lpa as usize] = Some(ppa);
+                assert_eq!(m.get(lpa), Some(ppa), "{ppa} at lpa {lpa}");
+            }
+            // Overwrite every mapped LPA with another address.
+            for lpa in 0..LPAS {
+                if expect[lpa as usize].is_some() {
+                    let ppa = ppas[rng.gen_range(0..ppas.len())];
+                    m.set(lpa, ppa);
+                    expect[lpa as usize] = Some(ppa);
+                }
+            }
+            for lpa in 0..LPAS {
+                assert_eq!(m.get(lpa), expect[lpa as usize], "lpa {lpa}");
+            }
+            for past_the_end in [LPAS, LPAS + 1, u64::MAX] {
+                assert_eq!(m.get(past_the_end), None);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end")]
+    fn page_map_set_past_the_end_panics() {
+        let layout = FlashConfig::small_test().ppa_layout().expect("fits");
+        PageMap::new(layout, 8).set(8, Ppa::new(ChannelId(0), 0, 0, 0));
     }
 }
