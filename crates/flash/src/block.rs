@@ -30,7 +30,7 @@ pub enum BlockPhase {
 /// (which pages are live, and for which LPA) lives in the owning
 /// [`ChipBlocks`]' arena, so every page-level operation goes through the
 /// chip.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockState {
     phase: BlockPhase,
     /// Next unwritten page (append point).
@@ -71,7 +71,10 @@ impl BlockState {
 /// never touches cost no resident memory; and because a block can only be
 /// erased once every page in it has been invalidated, erase leaves nothing
 /// to clear.
-#[derive(Debug, Clone)]
+///
+/// Two chips compare equal when every block's counters, the free list in
+/// allocation order and every page-state slot are equal.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChipBlocks {
     blocks: Vec<BlockState>,
     free: Vec<u32>,
@@ -212,6 +215,46 @@ impl ChipBlocks {
         }
         let slot = self.slot(block, page);
         self.page_state[slot] = lpa.0 as u32 + 1;
+        page
+    }
+
+    /// Appends `count` pages to `block` holding the LPAs `first`,
+    /// `first + stride`, `first + 2 × stride`, …, returning the page index
+    /// of the first. The result equals `count` calls of
+    /// [`ChipBlocks::append`]; the phase, room and encoding checks run once
+    /// for the run and the block's counters move once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not open, has fewer than `count` free pages,
+    /// or the run's last LPA is `u32::MAX` or more.
+    pub fn append_run(&mut self, block: u32, first: Lpa, stride: u64, count: u32) -> u32 {
+        let last = u64::from(count.saturating_sub(1))
+            .checked_mul(stride)
+            .and_then(|span| span.checked_add(first.0));
+        assert!(
+            last.is_some_and(|l| l < u64::from(u32::MAX)),
+            "a run of {count} from {first} by {stride} collides with the empty page-state \
+             encoding of a u32 slot"
+        );
+        let b = &mut self.blocks[block as usize];
+        assert_eq!(b.phase, BlockPhase::Open, "appending to a non-open block");
+        let page = b.next_page;
+        assert!(
+            count <= self.pages_per_block - page,
+            "a run of {count} pages overflows block {block} at page {page}"
+        );
+        b.valid_count += count;
+        b.next_page += count;
+        if b.next_page == self.pages_per_block {
+            b.phase = BlockPhase::Full;
+        }
+        let start = self.slot(block, page);
+        let mut lpa = first.0 + 1;
+        for s in &mut self.page_state[start..start + count as usize] {
+            *s = lpa as u32;
+            lpa = lpa.wrapping_add(stride);
+        }
         page
     }
 
@@ -389,6 +432,81 @@ mod tests {
     fn lpa_colliding_with_the_empty_encoding_panics() {
         let mut c = one_open_block(2);
         c.append(0, Lpa(u64::from(u32::MAX)));
+    }
+
+    /// A run equals its pages appended one by one: the same page indices,
+    /// slots, counters and phases, across a block filling up part-way
+    /// through a strided run and into the next block.
+    #[test]
+    fn append_run_equals_appends_one_by_one() {
+        let (stride, first) = (7u64, 3u64);
+        let (mut runs, mut pages) = (ChipBlocks::new(3, 8), ChipBlocks::new(3, 8));
+        for c in [&mut runs, &mut pages] {
+            c.allocate();
+            c.append(0, Lpa(1_000));
+        }
+        // 3 + 4 pages fill block 0 (a 0-page run between them is a no-op),
+        // 5 more go into block 1.
+        let mut lpa = first;
+        for (block, count) in [(0, 3u32), (0, 0), (0, 4), (1, 5)] {
+            if block == 1 {
+                assert_eq!(runs.allocate(), pages.allocate());
+            }
+            let got = runs.append_run(block, Lpa(lpa), stride, count);
+            let want: Vec<u32> = (0..u64::from(count))
+                .map(|i| pages.append(block, Lpa(lpa + i * stride)))
+                .collect();
+            assert_eq!(got, want.first().copied().unwrap_or(got));
+            assert_eq!(runs, pages, "after {count} pages into block {block}");
+            lpa += u64::from(count) * stride;
+        }
+        assert_eq!(runs.block(0).phase(), BlockPhase::Full);
+        assert_eq!(runs.block(1).valid_count(), 5);
+        assert_eq!(
+            runs.valid_pages(1).collect::<Vec<_>>(),
+            (0..5)
+                .map(|p| (p, Lpa(first + (7 + u64::from(p)) * stride)))
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "non-open block")]
+    fn append_run_to_a_non_open_block_panics() {
+        let mut c = ChipBlocks::new(2, 4);
+        c.append_run(1, Lpa(0), 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows block 0 at page 1")]
+    fn append_run_past_the_end_of_the_block_panics() {
+        let mut c = one_open_block(4);
+        c.append(0, Lpa(9));
+        c.append_run(0, Lpa(0), 2, 4);
+    }
+
+    /// The last LPA of a run is the one checked against the encoding: a
+    /// run ending one below `u32::MAX` fits, one more stride does not.
+    #[test]
+    fn append_run_stops_at_the_encoding_boundary() {
+        let top = u64::from(u32::MAX) - 1;
+        let mut c = one_open_block(4);
+        c.append_run(0, Lpa(top - 6), 3, 3);
+        assert_eq!(c.valid_pages(0).last(), Some((2, Lpa(top))));
+        let overflow = std::panic::catch_unwind(|| {
+            one_open_block(4).append_run(0, Lpa(top - 6), 3, 4);
+        });
+        let msg = overflow.expect_err("a run reaching u32::MAX must panic");
+        let msg = msg.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.contains("collides with the empty page-state encoding"),
+            "{msg}"
+        );
+        // A stride that overflows u64 is caught, not wrapped.
+        let wrap = std::panic::catch_unwind(|| {
+            one_open_block(4).append_run(0, Lpa(1), u64::MAX, 2);
+        });
+        assert!(wrap.is_err());
     }
 
     #[test]

@@ -108,6 +108,18 @@ impl ChannelSim {
         c
     }
 
+    /// The chip the next [`ChannelSim::rotate_chip`] will pick.
+    pub fn next_chip(&self) -> u16 {
+        self.next_chip
+    }
+
+    /// Advances the rotation by `n` picks, as `n` calls of
+    /// [`ChannelSim::rotate_chip`] would.
+    pub fn advance_rotation(&mut self, n: u64) {
+        let chips = u64::from(self.chips());
+        self.next_chip = ((u64::from(self.next_chip) + n % chips) % chips) as u16;
+    }
+
     /// Simulates reading `bytes` from one page on `chip`.
     ///
     /// The cell read occupies the chip; the data transfer then occupies the
@@ -340,6 +352,36 @@ mod tests {
         let mut ch = ChannelSim::new(3);
         let seq: Vec<u16> = (0..7).map(|_| ch.rotate_chip()).collect();
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
+    }
+
+    /// Advancing by `n` lands where `n` picks would, from every start and
+    /// for counts past several full turns, on chip counts that do and do
+    /// not divide them.
+    #[test]
+    fn advance_rotation_equals_n_picks() {
+        for chips in [1u16, 2, 3, 4] {
+            for start in 0..chips {
+                for n in [0u64, 1, 2, 3, 5, 8, 64, 10_007] {
+                    let (mut picked, mut advanced) =
+                        (ChannelSim::new(chips), ChannelSim::new(chips));
+                    for _ in 0..start {
+                        picked.rotate_chip();
+                        advanced.rotate_chip();
+                    }
+                    assert_eq!(advanced.next_chip(), start);
+                    for _ in 0..n {
+                        picked.rotate_chip();
+                    }
+                    advanced.advance_rotation(n);
+                    assert_eq!(
+                        advanced.next_chip(),
+                        picked.next_chip(),
+                        "{chips} chips, {start} + {n}"
+                    );
+                    assert_eq!(advanced.rotate_chip(), picked.rotate_chip());
+                }
+            }
+        }
     }
 
     #[test]

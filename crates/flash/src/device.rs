@@ -391,6 +391,20 @@ impl FlashDevice {
         self.chips[i].append(block.block, lpa)
     }
 
+    /// Appends the LPAs `first`, `first + stride`, … to `count` consecutive
+    /// pages of `block`, returning the first page index
+    /// ([`ChipBlocks::append_run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is not open or has fewer than `count` free
+    /// pages, the address is out of range, or the run's last LPA is
+    /// `u32::MAX` or more.
+    pub fn append_run(&mut self, block: BlockAddr, first: Lpa, stride: u64, count: u32) -> u32 {
+        let i = self.chip_index(block.channel, block.chip);
+        self.chips[i].append_run(block.block, first, stride, count)
+    }
+
     /// Invalidates one page (its LPA was overwritten or trimmed).
     ///
     /// # Panics

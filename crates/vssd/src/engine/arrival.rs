@@ -227,7 +227,7 @@ impl Engine {
 
     /// Queued + in-flight page ops on a channel (the write-placement load
     /// signal).
-    fn channel_load(&self, ch: ChannelId) -> u32 {
+    pub(crate) fn channel_load(&self, ch: ChannelId) -> u32 {
         let c = &self.chans[usize::from(ch.0)];
         c.pending.iter().sum::<u32>() + c.in_flight + self.planned[usize::from(ch.0)]
     }
@@ -361,32 +361,42 @@ impl Engine {
         chip: u16,
         lpa: u64,
     ) -> Option<(BlockAddr, u32)> {
-        let slot = self.chip_slot(ch.0, chip);
-        let need_new = match self.vssds[idx].open_blocks[slot] {
-            Some(blk) => self.device.chip(ch, chip).free_pages(blk.block) == 0,
-            None => true,
-        };
-        if need_new {
-            let blk = if self.in_emergency {
-                self.device.allocate_block_gc(ch, chip)?
-            } else {
-                self.device.allocate_block(ch, chip)?
-            };
-            let id = self.vssds[idx].cfg.id;
-            self.block_meta_insert(
-                blk,
-                BlockMeta {
-                    resource_owner: id,
-                    data_owner: id,
-                    gsb: None,
-                },
-            );
-            self.chip_blocks[slot].push(blk);
-            self.vssds[idx].open_blocks[slot] = Some(blk);
-        }
-        let blk = self.vssds[idx].open_blocks[slot].expect("open block exists");
+        let blk = self.open_block_with_room(idx, ch, chip)?;
         let page = self.device.append_page(blk, fleetio_flash::addr::Lpa(lpa));
         Some((blk, page))
+    }
+
+    /// The vSSD's open block on `(channel, chip)`, opening a new one if the
+    /// current one is full. Returns `None` when the chip is out of blocks.
+    pub(crate) fn open_block_with_room(
+        &mut self,
+        idx: usize,
+        ch: ChannelId,
+        chip: u16,
+    ) -> Option<BlockAddr> {
+        let slot = self.chip_slot(ch.0, chip);
+        if let Some(blk) = self.vssds[idx].open_blocks[slot] {
+            if self.device.chip(ch, chip).free_pages(blk.block) > 0 {
+                return Some(blk);
+            }
+        }
+        let blk = if self.in_emergency {
+            self.device.allocate_block_gc(ch, chip)?
+        } else {
+            self.device.allocate_block(ch, chip)?
+        };
+        let id = self.vssds[idx].cfg.id;
+        self.block_meta_insert(
+            blk,
+            BlockMeta {
+                resource_owner: id,
+                data_owner: id,
+                gsb: None,
+            },
+        );
+        self.chip_blocks[slot].push(blk);
+        self.vssds[idx].open_blocks[slot] = Some(blk);
+        Some(blk)
     }
 }
 

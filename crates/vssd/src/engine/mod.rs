@@ -25,6 +25,7 @@ mod harvest;
 #[cfg(test)]
 mod lockstep;
 mod vstate;
+mod warm;
 
 pub use arbiter::GRANT_BYTES;
 pub use vstate::VssdCumulative;
@@ -313,6 +314,14 @@ pub struct Engine {
     /// walk, for the differential striping test.
     #[cfg(test)]
     pub(crate) stripe_oracle: bool,
+    /// Makes this engine warm up with the page-by-page walk even where
+    /// the stream plan applies, for the differential warm-up test.
+    #[cfg(test)]
+    pub(crate) walk_oracle: bool,
+    /// Warm-ups that took the page walk because the stream plan did not
+    /// apply (a [`warm::WalkReason`]); `walk_oracle` warm-ups not counted.
+    #[cfg(test)]
+    pub(crate) warm_fallbacks: u32,
     /// Makes this engine run every step of a time-sliced transfer as an
     /// [`Ev::Grant`] through the event queue, the way it was done before
     /// the arbiter: the reference the lockstep tests hold the arbiter to.
@@ -432,6 +441,10 @@ impl Engine {
             sliced_booked: 0,
             #[cfg(test)]
             stripe_oracle: false,
+            #[cfg(test)]
+            walk_oracle: false,
+            #[cfg(test)]
+            warm_fallbacks: 0,
             #[cfg(test)]
             eager_oracle: false,
             #[cfg(test)]
@@ -899,27 +912,6 @@ impl Engine {
     /// Panics if `id` is unknown.
     pub fn cumulative(&self, id: VssdId) -> &VssdCumulative {
         &self.vssds[self.idx(id)].cumulative
-    }
-
-    /// Pre-fills `fraction` of the vSSD's logical space (bookkeeping only,
-    /// no simulated time), so GC pressure matches a warmed device as in
-    /// §4.1 of the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `[0, 1]` or `id` is unknown.
-    pub fn warm_up(&mut self, id: VssdId, fraction: f64) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        let idx = self.idx(id);
-        let pages = (self.logical_capacity_pages(id) as f64 * fraction) as u64;
-        self.warming = true;
-        for lpa in 0..pages {
-            self.write_page_bookkeeping(idx, lpa);
-        }
-        self.warming = false;
     }
 
     /// The per-channel peak bandwidth used for bandwidth↔channel

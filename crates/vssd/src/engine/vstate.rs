@@ -39,7 +39,7 @@ pub(crate) struct BlockMeta {
 /// holds the packed address + 1 and `0` means unmapped, so the table is
 /// allocated zeroed at its full logical size up front: it costs no
 /// resident memory until a page is written and never grows.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PageMap {
     layout: PpaLayout,
     slots: Vec<u32>,
@@ -78,6 +78,41 @@ impl PageMap {
             .get_mut(lpa as usize)
             .unwrap_or_else(|| panic!("lpa {lpa} is past the end of a {len}-page map"));
         *slot = self.layout.pack(ppa) + 1;
+    }
+
+    /// Maps the LPAs `first`, `first + stride`, … to `count` consecutive
+    /// pages of one block starting at `ppa`: `count` calls of
+    /// [`PageMap::set`] with the page index rising by one each. The page
+    /// index is the packed address's low field, so the run's slots are the
+    /// first packed value plus `0..count`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or the last LPA is past the end of the
+    /// table.
+    pub fn set_run(&mut self, first: u64, stride: u64, ppa: Ppa, count: u32) {
+        assert!(stride > 0, "a run needs a positive stride");
+        if count == 0 {
+            return;
+        }
+        let len = self.slots.len();
+        let last = stride * u64::from(count - 1) + first;
+        assert!(
+            last < len as u64,
+            "lpa {last} is past the end of a {len}-page map"
+        );
+        let packed = self.layout.pack(ppa);
+        debug_assert_eq!(
+            self.layout.unpack(packed + count - 1).block,
+            ppa.block,
+            "a run of {count} from {ppa} leaves its block"
+        );
+        let run = self.slots[first as usize..]
+            .iter_mut()
+            .step_by(stride as usize);
+        for (slot, v) in run.zip(packed + 1..=packed + count) {
+            *slot = v;
+        }
     }
 }
 
@@ -311,6 +346,39 @@ mod tests {
                 assert_eq!(m.get(past_the_end), None);
             }
         }
+    }
+
+    /// A run equals its LPAs set one by one, up to the last page of a
+    /// block and the last LPA of the table.
+    #[test]
+    fn page_map_set_run_equals_sets_one_by_one() {
+        let flash = FlashConfig::experiment_default();
+        let layout = flash.ppa_layout().expect("fits");
+        let last_page = flash.pages_per_block - 1;
+        let (mut runs, mut sets) = (PageMap::new(layout, 100), PageMap::new(layout, 100));
+        for (first, stride, ppa, count) in [
+            (35, 32, Ppa::new(ChannelId(15), 3, 255, last_page - 2), 3),
+            (5, 1, Ppa::new(ChannelId(0), 0, 0, 0), 0),
+            (0, 7, Ppa::new(ChannelId(2), 1, 17, 40), 15),
+        ] {
+            runs.set_run(first, stride, ppa, count);
+            for i in 0..count {
+                let page = Ppa::new(ppa.channel(), ppa.chip(), ppa.block.block, ppa.page + i);
+                sets.set(first + stride * u64::from(i), page);
+            }
+            assert!(runs == sets, "run of {count} from lpa {first} by {stride}");
+        }
+        assert_eq!(
+            runs.get(99),
+            Some(Ppa::new(ChannelId(15), 3, 255, last_page))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lpa 100 is past the end of a 100-page map")]
+    fn page_map_set_run_past_the_end_panics() {
+        let layout = FlashConfig::small_test().ppa_layout().expect("fits");
+        PageMap::new(layout, 100).set_run(10, 30, Ppa::new(ChannelId(0), 0, 0, 0), 4);
     }
 
     #[test]
