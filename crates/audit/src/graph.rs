@@ -26,7 +26,7 @@ use crate::token::TokKind;
 
 /// Reachability roots: the DES dispatch path, the rollout workers, the
 /// fleet window, the one window loop under all of them (which also
-/// covers `figures`, `fleetio-store record` and `replay` runs) and
+/// covers `fleetio figures`, `fleetio store record` and `replay` runs) and
 /// pre-training, whose behaviour-cloning collection runs on workers.
 /// Every simulated decision flows through one of these.
 pub const TAINT_ROOTS: [&str; 8] = [

@@ -86,9 +86,8 @@ fn in_engine_hot_path(path: &str) -> bool {
 
 /// Library crates whose sources must stay silent on stdout/stderr: the
 /// simulator core plus the ML/RL stack and the observability layer. All
-/// reporting goes through `fleetio-obs` sinks/exporters or the CLI bins;
-/// allowlisted bins (e.g. the `fleetio-obs summarize` entry point) are
-/// grandfathered via `audit.toml`.
+/// reporting goes through `fleetio-obs` sinks/exporters, and terminal
+/// output through the `fleetio` CLI, which lives outside `crates/`.
 fn in_quiet(path: &str) -> bool {
     [
         "crates/des/src/",
@@ -332,7 +331,7 @@ fn host_time_scope(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
 /// `no-println`: ad-hoc stdout/stderr writes in quiet library crates.
 /// Structured output belongs in `fleetio-obs` events/metrics; stray
 /// `println!` in the hot path skews timing-sensitive benchmarks and
-/// pollutes exporter streams. CLI bins are grandfathered in `audit.toml`.
+/// pollutes exporter streams. Terminal output belongs in the `fleetio` CLI.
 fn no_println(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_quiet(&file.path) {
         return;
@@ -347,7 +346,7 @@ fn no_println(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
                     line: line_no,
                     message: format!(
                         "`{mac}!` in a quiet library crate; emit a fleetio-obs event or \
-                         metric instead (CLI bins go through audit.toml)"
+                         metric instead (terminal output belongs in the fleetio CLI)"
                     ),
                     snippet: raw.trim().to_string(),
                     chain: Vec::new(),

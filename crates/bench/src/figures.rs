@@ -1,7 +1,7 @@
 //! One entry point per paper figure (§4 evaluation).
 //!
 //! Every function returns [`FigureReport`]s whose rows mirror the series
-//! the paper plots; the `figures` binary prints them and EXPERIMENTS.md
+//! the paper plots; `fleetio figures` prints them and EXPERIMENTS.md
 //! records paper-vs-measured. Absolute numbers reflect the simulated
 //! device, so the comparisons to track are the *ratios and orderings*.
 

@@ -1,8 +1,8 @@
 //! Regenerates every table and figure of the FleetIO paper's evaluation
 //! (§4), including all of §4.7's host-time overheads.
 //!
-//! The [`figures`] module contains one entry point per paper figure; the
-//! `figures` binary drives them from the command line.
+//! The [`figures`] module contains one entry point per paper figure;
+//! `fleetio figures` drives them from the command line.
 //! [`context::SharedContext`] caches the expensive shared artifacts —
 //! device-peak calibration, per-workload SLOs, the pre-trained RL models,
 //! the SSDKeeper planner — so a full `figures all` run trains once and

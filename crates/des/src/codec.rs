@@ -59,7 +59,7 @@ pub enum PayloadKind {
     /// sim-time position and stream fingerprint a recorded run can be
     /// re-verified from.
     RunAnchor,
-    /// A `fleetio-store` run manifest. Like every payload layout it is
+    /// A run-store manifest (`fleetio-store`). Like every payload layout it is
     /// owned by the crate that writes it; this module only frames and
     /// checksums it.
     StoreManifest,

@@ -2,7 +2,7 @@
 //!
 //! [`FingerprintSink`] folds every event's canonical wire encoding
 //! (`fleetio_obs::wire::encode_event`) into a streaming FNV-1a digest —
-//! the same byte form `fleetio-store` persists, so a fingerprint match
+//! the same byte form the run store persists, so a fingerprint match
 //! here implies the stored streams would be byte-identical too. One
 //! sink per shard makes "same seed ⇒ same per-shard stream, any worker
 //! count" a two-u64 comparison per shard.

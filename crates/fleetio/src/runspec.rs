@@ -1,6 +1,6 @@
 //! Serializable run specifications for the deterministic run store.
 //!
-//! A [`RunSpec`] is everything `fleetio-store` needs to *re-create* a
+//! A [`RunSpec`] is everything the run store needs to *re-create* a
 //! recorded collocation run bit-identically: the flash preset, every
 //! tenant's vSSD configuration + workload + seed, the decision window,
 //! warm-up fraction, window count and checkpoint cadence. The spec is
@@ -98,7 +98,7 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A small four-tenant mixed scenario at CI scale (training-test
-    /// flash, 500 ms windows) — the default subject for `fleetio-store
+    /// flash, 500 ms windows) — the default subject for `fleetio store
     /// record` and the ingest benchmark. Same shape as
     /// `examples/trace_colocation.rs`: two latency-sensitive and two
     /// bandwidth-intensive tenants, one hardware-isolated channel each.

@@ -18,7 +18,7 @@
 //! Replay re-simulates from the spec, hash-checks the prefix against the
 //! nearest anchor, and byte-compares the suffix against the stored
 //! stream. Anchors ride the same `FIOM` container format as model
-//! checkpoints ([`PayloadKind::RunAnchor`]), so `fleetio-model
+//! checkpoints ([`PayloadKind::RunAnchor`]), so `fleetio model
 //! inspect/verify` understands them and a torn write or bit flip is
 //! caught by the container CRC before any field is trusted.
 

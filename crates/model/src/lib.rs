@@ -34,9 +34,10 @@
 //!   threshold. Lifecycle transitions emit
 //!   [`fleetio_obs::ObsEvent::ModelLifecycle`] events.
 //!
-//! The `fleetio-model` binary inspects and verifies registries offline:
-//! `fleetio-model verify <file>` exits nonzero on any corrupt container,
-//! which CI uses to prove corruption detection end to end.
+//! `fleetio model` (the workspace's `fleetio` binary) inspects and
+//! verifies registries offline: `fleetio model verify <file>` exits
+//! nonzero on any corrupt container, which CI uses to prove corruption
+//! detection end to end.
 
 pub mod anchor;
 pub mod atomic;

@@ -1,7 +1,7 @@
 //! Minimal recursive-descent JSON parser (pure std) and the string
 //! escaper its writers share.
 //!
-//! Exists so the `fleetio-obs summarize` CLI and the exporter tests can
+//! Exists so `fleetio obs summarize` and the exporter tests can
 //! validate emitted JSON without external crates. Supports the full
 //! JSON grammar the exporters produce: objects, arrays, strings with
 //! escapes, numbers (parsed as `f64`), booleans and `null`. Rejects

@@ -31,9 +31,9 @@
 //! JSONL streams (enforced by `tests/determinism.rs` at the workspace
 //! root). Installing or removing a sink never changes simulation state.
 //!
-//! The `fleetio-obs` binary (`cargo run -p fleetio-obs -- summarize
-//! trace.jsonl`) validates a JSONL trace line by line and renders a
-//! human-readable report.
+//! `fleetio obs summarize trace.jsonl` (the workspace's `fleetio` binary)
+//! validates a JSONL trace line by line and renders a human-readable
+//! report.
 
 pub mod event;
 pub mod export;

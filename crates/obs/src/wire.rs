@@ -2,9 +2,8 @@
 //! segment framing built on top of it.
 //!
 //! This module is the single source of truth for how events look on
-//! disk, shared by the `fleetio-store` writer/reader and by
-//! `fleetio-obs summarize` (which can read a store directory without
-//! depending on the store crate). Three layers:
+//! disk, shared by the `fleetio-store` writer and reader (through which
+//! `fleetio obs summarize` reads a store directory). Three layers:
 //!
 //! 1. **Event payload** — one tag byte ([`ObsEvent::kind_index`])
 //!    followed by the variant's fields in declaration order, each in the

@@ -25,7 +25,8 @@
 //!   sim-time ranges that remain recoverable.
 //!
 //! Layout: `manifest.fiom`, `seg-<seq:05>.seg`, `anchor-<w:05>.fiom`.
-//! All writes go through `fleetio_model::atomic_write`.
+//! All writes go through `fleetio_model::atomic_write`. From the
+//! command line, `fleetio store record|info|query|diff|replay|verify`.
 
 pub mod diff;
 pub mod manifest;

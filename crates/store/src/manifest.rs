@@ -2,7 +2,7 @@
 //!
 //! One `manifest.fiom` per store directory, a `FIOM` container of kind
 //! [`PayloadKind::StoreManifest`] so the container framing + CRC are
-//! shared with model checkpoints (`fleetio-model verify` can sanity-check
+//! shared with model checkpoints (`fleetio model verify` can sanity-check
 //! a manifest without understanding its payload). The payload carries:
 //!
 //! * provenance — seed, decision-window length, the serialized

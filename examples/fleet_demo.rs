@@ -35,7 +35,7 @@ fn main() {
     let mut rt = FleetRuntime::new(&spec, default_model(1), 4);
 
     // Record every shard's obs stream into a run store so the offline
-    // dashboard (`fleetio-obs report target/fleet/store/shard-*`)
+    // dashboard (`fleetio obs report target/fleet/store/shard-*`)
     // reproduces the live health report from stored bytes alone.
     let store_root = std::path::Path::new("target/fleet/store");
     for s in 0..spec.shards as usize {

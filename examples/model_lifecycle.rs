@@ -188,7 +188,7 @@ fn build() -> ExitCode {
 
     // 5. Corruption is detected and falls back to last-good — proven here
     //    in-process against a scratch registry (CI repeats it against the
-    //    real one via `fleetio-model verify` + the `resume` mode).
+    //    real one via `fleetio model verify` + the `resume` mode).
     println!("\ncorruption drill (scratch registry):");
     let scratch = PathBuf::from("target/model-registry-scratch");
     let _ = std::fs::remove_dir_all(&scratch);

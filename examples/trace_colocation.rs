@@ -9,7 +9,7 @@
 //! Outputs land in `target/obs/`:
 //!
 //! * `events.jsonl` — one structured event per line (see
-//!   `fleetio-obs summarize target/obs/events.jsonl`).
+//!   `fleetio obs summarize target/obs/events.jsonl`).
 //! * `trace.json` — load in `chrome://tracing` or <https://ui.perfetto.dev>;
 //!   one track per channel/chip plus GC and per-request tracks.
 //! * `metrics.txt` — final counter/gauge/histogram snapshot.
@@ -80,7 +80,7 @@ fn main() {
         sink.events().len(),
         sink.completed_requests()
     );
-    println!("  target/obs/events.jsonl — fleetio-obs summarize target/obs/events.jsonl");
+    println!("  target/obs/events.jsonl — fleetio obs summarize target/obs/events.jsonl");
     println!("  target/obs/trace.json   — load in chrome://tracing or ui.perfetto.dev");
     println!("  target/obs/metrics.txt  — final metrics snapshot");
 }

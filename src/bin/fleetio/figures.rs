@@ -1,0 +1,93 @@
+//! `fleetio figures`: regenerates the FleetIO paper's tables and figures.
+//!
+//! Default scale is `quick` (minutes, preserves orderings/crossovers);
+//! `--full` runs paper-length spans and a larger training budget. Every
+//! report is collected first and printed at the end of the run.
+
+use fleetio_bench::figures;
+use fleetio_bench::report::FigureReport;
+use fleetio_bench::{Scale, SharedContext};
+use fleetio_obs::prof;
+
+use crate::args::Args;
+use crate::{Failure, Output, Verb, VerbResult};
+
+const TARGETS: &str =
+    "fig2 fig3 fig6 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 overheads tables";
+
+pub static VERBS: [Verb; 1] = [Verb::new(
+    "figures",
+    "",
+    "[<target>] [--full|--tiny] [--json]",
+    run,
+)];
+
+fn run(args: &Args) -> VerbResult {
+    let target = args.positionals.first().map_or("all", String::as_str);
+    if target != "all" && !TARGETS.split(' ').any(|t| t == target) {
+        let e = format!("unknown target '{target}'; targets: {TARGETS} all (default)");
+        return Err(Failure::Usage(e));
+    }
+    let scale = match (args.has("--full"), args.has("--tiny")) {
+        (true, true) => {
+            return Err(Failure::Usage(
+                "give at most one of --full and --tiny".into(),
+            ))
+        }
+        (true, false) => Scale::Full,
+        (false, true) => Scale::Tiny,
+        (false, false) => Scale::Quick,
+    };
+    let mut ctx = SharedContext::new(scale, 0xF1EE710);
+
+    prof::enable();
+    let run = prof::span(&format!("figures.{target}"));
+    let reports: Vec<FigureReport> = match target {
+        "fig2" | "fig3" => figures::fig2_3(&mut ctx),
+        "fig6" => vec![figures::fig6(&mut ctx)],
+        "fig10" | "fig11" | "fig12" | "fig13" => figures::fig10_13(&mut ctx),
+        "fig14" => figures::fig14(&mut ctx),
+        "fig15" => figures::fig15(&mut ctx),
+        "fig16" => vec![figures::fig16(&mut ctx)],
+        "fig17" => vec![figures::fig17(&mut ctx)],
+        "overheads" => vec![figures::overheads(&mut ctx)],
+        "tables" => vec![figures::tables(&mut ctx)],
+        _ => {
+            let mut all = vec![figures::tables(&mut ctx)];
+            all.extend(figures::fig2_3(&mut ctx));
+            all.push(figures::fig6(&mut ctx));
+            all.extend(figures::fig10_13(&mut ctx));
+            all.extend(figures::fig14(&mut ctx));
+            all.extend(figures::fig15(&mut ctx));
+            all.push(figures::fig16(&mut ctx));
+            all.push(figures::fig17(&mut ctx));
+            all.push(figures::overheads(&mut ctx));
+            all
+        }
+    };
+    drop(run);
+    let mut stdout = String::new();
+    for r in &reports {
+        stdout += &if args.has("--json") {
+            r.to_json()
+        } else {
+            r.to_text()
+        };
+        stdout.push('\n');
+    }
+    let timing = prof::take_report();
+    let run_key = format!("figures.{target}");
+    let total = timing
+        .find(&[run_key.as_str()])
+        .map(|s| prof::format_ns(s.stats.total_ns as f64))
+        .unwrap_or_else(|| "?".to_string());
+    Ok(Output {
+        code: 0,
+        stdout,
+        stderr: format!(
+            "[{} report(s) at {scale:?} scale in {total}]\n{}\n",
+            reports.len(),
+            timing.to_text()
+        ),
+    })
+}

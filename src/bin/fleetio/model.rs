@@ -1,0 +1,205 @@
+//! `fleetio model`: offline checkpoint and registry tooling.
+//!
+//! `inspect` decodes and describes one container, `verify` exits 1 if
+//! any container is corrupt (CI flips one byte of a saved checkpoint and
+//! asserts it does), `ls` lists a registry directory.
+
+use std::fmt::Write as _;
+
+use fleetio_des::codec::{decode_container, PayloadKind};
+use fleetio_model::{ModelCheckpoint, ModelRegistry, RunAnchor, TypingIndex};
+
+use crate::args::Args;
+use crate::{io, Output, Verb, VerbResult};
+
+pub static VERBS: [Verb; 3] = [
+    Verb::new("model", "inspect", "<file.ckpt>", inspect),
+    Verb::new("model", "verify", "<file.ckpt>...", verify),
+    Verb::new("model", "ls", "<registry-dir>", ls),
+];
+
+/// Decoded view of one container.
+enum Loaded {
+    Model(Box<ModelCheckpoint>),
+    Typing(TypingIndex),
+    Anchor(RunAnchor),
+    /// A store manifest: the payload layout belongs to `fleetio-store`,
+    /// so only the container framing + CRC are verified here.
+    Manifest {
+        payload_len: usize,
+    },
+}
+
+/// Loads one container, with its file length, or says why it failed.
+fn load(path: &str) -> Result<(Loaded, usize), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read: {e}"))?;
+    let (kind, payload) = decode_container(&bytes).map_err(|e| e.to_string())?;
+    let loaded = match kind {
+        PayloadKind::ModelCheckpoint => Loaded::Model(Box::new(
+            ModelCheckpoint::decode(payload).map_err(|e| e.to_string())?,
+        )),
+        PayloadKind::TypingIndex => {
+            Loaded::Typing(TypingIndex::decode(payload).map_err(|e| e.to_string())?)
+        }
+        PayloadKind::RunAnchor => {
+            Loaded::Anchor(RunAnchor::decode(payload).map_err(|e| e.to_string())?)
+        }
+        PayloadKind::StoreManifest => Loaded::Manifest {
+            payload_len: payload.len(),
+        },
+    };
+    Ok((loaded, bytes.len()))
+}
+
+fn describe(path: &str, loaded: &Loaded, file_len: usize) -> String {
+    match loaded {
+        Loaded::Model(ckpt) => {
+            let t = &ckpt.trainer;
+            let params = |layers: &[fleetio_ml::DenseState]| -> usize {
+                layers.iter().map(|l| l.w.len() + l.b.len()).sum()
+            };
+            let c = &t.cfg;
+            format!(
+                "{path}: model-checkpoint ({file_len} bytes)\n  \
+                 tag          {}\n  \
+                 seed         {}\n  \
+                 updates      {}\n  \
+                 actor        {} layers, {} params\n  \
+                 critic       {} layers, {} params\n  \
+                 action dims  {:?}\n  \
+                 obs dim      {} (normalizer count {})\n  \
+                 hyper-params lr {} critic_lr {} gamma {} lambda {} clip {} epochs {} minibatch {} \
+                 entropy {} grad_clip {}\n",
+                ckpt.meta.tag,
+                ckpt.meta.seed,
+                t.updates,
+                t.policy.actor.layers.len(),
+                params(&t.policy.actor.layers),
+                t.policy.critic.layers.len(),
+                params(&t.policy.critic.layers),
+                t.policy.action_dims,
+                t.normalizer.mean.len(),
+                t.normalizer.count,
+                c.lr,
+                c.critic_lr,
+                c.gamma,
+                c.lambda,
+                c.clip,
+                c.epochs,
+                c.minibatch,
+                c.entropy_coef,
+                c.max_grad_norm
+            )
+        }
+        Loaded::Typing(idx) => format!(
+            "{path}: typing-index ({file_len} bytes)\n  \
+             features     {}\n  \
+             clusters     {}\n  \
+             tags         {}\n  \
+             unknown_dist {}\n",
+            idx.scaler_mean.len(),
+            idx.centroids.len(),
+            idx.cluster_tags.join(", "),
+            idx.unknown_distance
+        ),
+        Loaded::Anchor(a) => format!(
+            "{path}: run-anchor ({file_len} bytes)\n  \
+             window       {}\n  \
+             at           {} ns\n  \
+             events       {}\n  \
+             stream_fp    {:#018x}\n  \
+             spec_fp      {:#010x}\n  \
+             seed         {}\n  \
+             model_tag    {}\n",
+            a.window,
+            a.at_ns,
+            a.event_count,
+            a.stream_fingerprint,
+            a.spec_fingerprint,
+            a.seed,
+            if a.model_tag.is_empty() {
+                "(none)"
+            } else {
+                &a.model_tag
+            }
+        ),
+        // The hint's wording is pinned by the CLI goldens.
+        Loaded::Manifest { payload_len } => format!(
+            "{path}: store-manifest ({file_len} bytes)\n  \
+             payload      {payload_len} bytes (CRC OK)\n  \
+             use `fleetio-store` to query this run\n"
+        ),
+    }
+}
+
+fn inspect(args: &Args) -> VerbResult {
+    let path = &args.positionals[0];
+    Ok(match load(path) {
+        Ok((loaded, len)) => Output::ok(describe(path, &loaded, len)),
+        Err(e) => Output {
+            code: 1,
+            stdout: String::new(),
+            stderr: format!("fleetio: {path}: {e}\n"),
+        },
+    })
+}
+
+fn verify(args: &Args) -> VerbResult {
+    let mut out = String::new();
+    let mut bad = 0u32;
+    for path in &args.positionals {
+        let _ = match load(path) {
+            Ok((loaded, _)) => {
+                let what = match loaded {
+                    Loaded::Model(ckpt) => format!("model-checkpoint tag={}", ckpt.meta.tag),
+                    Loaded::Typing(_) => "typing-index".to_string(),
+                    Loaded::Anchor(a) => format!("run-anchor window={}", a.window),
+                    Loaded::Manifest { .. } => "store-manifest".to_string(),
+                };
+                writeln!(out, "{path}: OK ({what})")
+            }
+            Err(e) => {
+                bad += 1;
+                writeln!(out, "{path}: CORRUPT ({e})")
+            }
+        };
+    }
+    Ok(Output::exit(if bad == 0 { 0 } else { 1 }, out))
+}
+
+fn ls(args: &Args) -> VerbResult {
+    let dir = &args.positionals[0];
+    let paths = ModelRegistry::open(dir)
+        .and_then(|registry| registry.ls())
+        .map_err(io)?;
+    if paths.is_empty() {
+        return Ok(Output::ok(format!("{dir}: empty registry\n")));
+    }
+    let mut out = String::new();
+    for path in paths {
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
+        let _ = match load(&path.to_string_lossy()) {
+            Ok((Loaded::Model(ckpt), len)) => writeln!(
+                out,
+                "  {name:<28} model  tag={} seed={} updates={} ({len} bytes)",
+                ckpt.meta.tag, ckpt.meta.seed, ckpt.trainer.updates
+            ),
+            Ok((Loaded::Typing(idx), len)) => writeln!(
+                out,
+                "  {name:<28} typing {} clusters -> [{}] ({len} bytes)",
+                idx.centroids.len(),
+                idx.cluster_tags.join(", ")
+            ),
+            Ok((Loaded::Anchor(a), len)) => writeln!(
+                out,
+                "  {name:<28} anchor window={} events={} ({len} bytes)",
+                a.window, a.event_count
+            ),
+            Ok((Loaded::Manifest { .. }, len)) => {
+                writeln!(out, "  {name:<28} store-manifest ({len} bytes)")
+            }
+            Err(e) => writeln!(out, "  {name:<28} CORRUPT ({e})"),
+        };
+    }
+    Ok(Output::ok(out))
+}

@@ -1,0 +1,117 @@
+//! The `fleetio` binary end to end: every golden under `tests/golden/cli`
+//! reproduced byte for byte, every malformed line refused with exit 2,
+//! and `store verify` exiting 1 on a damaged store. No simulation runs
+//! here, so the suite is fast in debug builds.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use fleetio_suite::des::SimTime;
+use fleetio_suite::obs::{ObsEvent, ObsSink};
+use fleetio_suite::store::{segment_file_name, RunStore, StoreSink};
+
+const FIXTURE: &str = "crates/store/tests/fixtures/recorded-by-pr20";
+
+/// Runs `fleetio` from the repository root, so golden paths stay relative.
+fn fleetio(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_fleetio"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("run fleetio")
+}
+
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fleetio-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+#[test]
+fn goldens_are_reproduced_byte_for_byte() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cli");
+    let cases = std::fs::read_to_string(golden.join("cases.txt")).expect("read cases.txt");
+    let mut checked = 0;
+    for line in cases
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let (name, code, args) = (words[0], words[1], &words[2..]);
+        let expected = std::fs::read(golden.join(format!("{name}.stdout"))).expect(name);
+        let out = fleetio(args);
+        assert_eq!(
+            out.status.code().map(|c| c.to_string()).as_deref(),
+            Some(code),
+            "{name}: exit code (stderr: {})",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stdout == expected,
+            "{name}: stdout differs from the golden:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, 13, "every golden case ran");
+}
+
+#[test]
+fn malformed_lines_exit_two_and_print_nothing() {
+    let dir = scratch_dir("usage");
+    let tmp = dir.to_str().expect("utf-8 temp path");
+    let rows: [&[&str]; 11] = [
+        &["store", "record", tmp, "--sed", "7"],
+        &["store", "record", tmp, "--windows", "4294967297"],
+        &["store", "record", "--seed", "4", tmp],
+        &["store", "query", FIXTURE, "--tenant", "4294967296"],
+        &["store", "info", FIXTURE, "--bogus"],
+        &["store", "verify", FIXTURE, "extra"],
+        &["obs", "summarize", FIXTURE, "--by-tenant", "--by-tenant"],
+        &["model", "inspect"],
+        &["figures", "all", "--ful"],
+        &["figures", "fig10", "fig12"],
+        &["figures", "--full", "--tiny"],
+    ];
+    for args in rows {
+        let out = fleetio(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(!out.stderr.is_empty(), "{args:?} explained nothing");
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    assert!(!root.join("--seed").exists(), "a flag became a directory");
+    assert!(!dir.exists(), "a refused record wrote a store");
+}
+
+#[test]
+fn verify_exits_one_on_damage() {
+    let dir = scratch_dir("verify");
+    let mut sink = StoreSink::create(&dir, vec![7, 7, 7], 0x51, 99, 1_000, 2_048).expect("create");
+    for i in 0..600u64 {
+        sink.record(ObsEvent::Throttle {
+            at: SimTime::from_nanos(i * 100),
+            channel: (i % 8) as u16,
+            until: SimTime::from_nanos(i * 100 + 40),
+        });
+    }
+    let manifest = sink.finish().expect("finish");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+
+    let ok = fleetio(&["store", "verify", dir_s]);
+    assert!(ok.status.success(), "clean store must verify with exit 0");
+
+    let last = manifest.segments.last().expect("segment").seq;
+    let victim = dir.join(segment_file_name(last));
+    let mut bytes = std::fs::read(&victim).expect("read");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&victim, &bytes).expect("corrupt");
+    assert!(RunStore::open(&dir).is_ok(), "the manifest is untouched");
+
+    let bad = fleetio(&["store", "verify", dir_s]);
+    let stdout = String::from_utf8_lossy(&bad.stdout);
+    assert_eq!(bad.status.code(), Some(1), "damage must exit 1 ({stdout})");
+    assert!(stdout.contains("DAMAGED") || stdout.contains("SHORT"));
+    std::fs::remove_dir_all(&dir).ok();
+}
