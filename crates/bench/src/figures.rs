@@ -607,16 +607,14 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
     use fleetio_vssd::vssd::{VssdConfig, VssdId};
     use std::time::Instant;
 
-    /// The one timed loop of this figure: runs `f` `ops` times, records
-    /// the total under a profiler span, returns mean microseconds/op.
-    fn per_op_us(span: &str, ops: u32, mut f: impl FnMut()) -> f64 {
+    /// The one timed loop of this figure: runs `f` `ops` times and returns
+    /// mean microseconds/op.
+    fn per_op_us(ops: u32, mut f: impl FnMut()) -> f64 {
         let t0 = Instant::now();
         for _ in 0..ops {
             f();
         }
-        let total = t0.elapsed();
-        fleetio_obs::prof::record_span(span, total);
-        total.as_secs_f64() * 1e6 / f64::from(ops)
+        t0.elapsed().as_secs_f64() * 1e6 / f64::from(ops)
     }
 
     let mut report = FigureReport::new(
@@ -637,7 +635,7 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
         ],
     );
     let mut i = 0u32;
-    let gsb_us = per_op_us("overheads.gsb_cycle", 2000, || {
+    let gsb_us = per_op_us(2000, || {
         engine.set_harvestable_target(VssdId(0), if i.is_multiple_of(2) { 4 } else { 0 });
         i += 1;
     });
@@ -646,7 +644,7 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
     // Admission control: a batch of 1 000 actions (0.8 ms in the paper).
     let mut ac = AdmissionControl::new();
     let ch_bw = ctx.cfg.engine.flash.channel_peak_bytes_per_sec();
-    let batch_us = per_op_us("overheads.admission_batch", 200, || {
+    let batch_us = per_op_us(200, || {
         for i in 0..1000u32 {
             let v = VssdId(i % 8);
             if i % 2 == 0 {
@@ -669,7 +667,7 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
     let model = ctx.model(ModelVariant::Full);
     let mut agent = fleetio::FleetIoAgent::new(&model, ctx.cfg.history_windows);
     let state = fleetio::StateVector::zero();
-    let infer_us = per_op_us("overheads.inference", 10_000, || {
+    let infer_us = per_op_us(10_000, || {
         let _ = agent.decide(state);
     });
     report.row("inference_per_decision", vec![infer_us, 1.0]);
@@ -696,7 +694,7 @@ pub fn overheads(ctx: &mut SharedContext) -> FigureReport {
             ret: 0.0,
         });
     }
-    let finetune_us = per_op_us("overheads.finetune", 50, || {
+    let finetune_us = per_op_us(50, || {
         let _ = trainer.update(windows.clone());
     });
     report.row("finetune_10_windows", vec![finetune_us, 1.0]);

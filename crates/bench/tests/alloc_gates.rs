@@ -1,4 +1,4 @@
-//! Wall-clock-free perf gates: heap allocations on four hot paths, each
+//! Wall-clock-free perf gates: heap allocations on five hot paths, each
 //! held under a ceiling constant. The counts repeat to the last digit run
 //! after run, in the debug and the release profile alike, so they need no
 //! baseline file and no comparator — host *time* is `benchmark/`'s job.
@@ -57,6 +57,12 @@ const ENGINE_BUILD_BYTES_MAX: f64 = 32_600_000.0;
 /// Allocations per event of diffing a store against itself
 /// (measured 0.004845: 1 938 allocations over 400 000 events).
 const STORE_DIFF_ALLOCS_PER_EVENT_MAX: f64 = 0.005;
+
+/// Bytes the recording thread requests to record, seal and finish that
+/// store (measured 1 026 315 over 64 seals). About half is the sink's two
+/// 256 KiB segment buffers, allocated once at `create`; a buffer allocated
+/// per seal would add 64 × 256 KiB.
+const STORE_RECORD_BYTES_MAX: f64 = 1_076_000.0;
 
 const SEED: u64 = 42;
 
@@ -212,15 +218,14 @@ fn engine_build_and_warm_up_bytes() {
     hold("engine_build_bytes", bytes as f64, ENGINE_BUILD_BYTES_MAX);
 }
 
-/// A 400 000-event store (a fixed mix weighted toward the hot event kinds)
-/// diffed against itself: two independent payload cursors in lockstep.
-#[test]
-fn store_diff_allocs_per_event() {
-    const EVENTS: u64 = 400_000;
-    let dir = std::env::temp_dir().join(format!("fleetio-alloc-gate-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+/// Events in the store mix the two store gates record.
+const STORE_EVENTS: u64 = 400_000;
+
+/// Records [`STORE_EVENTS`] events of a fixed mix weighted toward the hot
+/// event kinds into a new store at `dir` (default 256 KiB segments).
+fn record_store_mix(dir: &std::path::Path) -> fleetio_store::Manifest {
     let mut sink = StoreSink::create(
-        &dir,
+        dir,
         vec![0; 64],
         0x5707_e9e9,
         SEED,
@@ -228,7 +233,7 @@ fn store_diff_allocs_per_event() {
         DEFAULT_SEGMENT_BYTES,
     )
     .expect("create store");
-    for i in 0..EVENTS {
+    for i in 0..STORE_EVENTS {
         let at = SimTime::from_nanos(i * 1_000);
         let (vssd, read) = ((i % 4) as u32, i % 3 != 0);
         let (channel, chip) = ((i % 8) as u16, (i % 4) as u16);
@@ -276,17 +281,51 @@ fn store_diff_allocs_per_event() {
         });
     }
     let manifest = sink.finish().expect("seal store");
-    assert_eq!(manifest.total_events, EVENTS);
+    assert_eq!(manifest.total_events, STORE_EVENTS);
+    manifest
+}
+
+fn store_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fleetio-alloc-gate-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Bytes the recording thread requests while the mix is recorded, sealed
+/// and finished: its two segment buffers, one manifest snapshot per seal
+/// and the sink itself. The writer thread's own allocations (paths, file
+/// handles) are not on the recording thread and are not counted.
+#[test]
+fn store_record_bytes() {
+    let dir = store_dir("record");
+    let ((_, bytes), manifest) = allocs_during(|| record_store_mix(&dir));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(manifest.segments.len() > 40, "scenario shrank");
+    hold(
+        &format!("store_record_bytes ({} segments)", manifest.segments.len()),
+        bytes as f64,
+        STORE_RECORD_BYTES_MAX,
+    );
+}
+
+/// The same store diffed against itself: two independent payload cursors
+/// in lockstep.
+#[test]
+fn store_diff_allocs_per_event() {
+    let dir = store_dir("diff");
+    record_store_mix(&dir);
     let store = RunStore::open(&dir).expect("open store");
     let ((allocs, _), outcome) = allocs_during(|| diff_stores(&store, &store));
     std::fs::remove_dir_all(&dir).ok();
     assert!(matches!(
         outcome.expect("diff store"),
-        DiffOutcome::Identical { events: EVENTS }
+        DiffOutcome::Identical {
+            events: STORE_EVENTS
+        }
     ));
     hold(
-        &format!("store_diff_allocs_per_event ({allocs} / {EVENTS})"),
-        allocs as f64 / EVENTS as f64,
+        &format!("store_diff_allocs_per_event ({allocs} / {STORE_EVENTS})"),
+        allocs as f64 / STORE_EVENTS as f64,
         STORE_DIFF_ALLOCS_PER_EVENT_MAX,
     );
 }

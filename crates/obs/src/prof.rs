@@ -32,7 +32,7 @@ use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Process-wide on/off switch, read with a single relaxed load.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -192,16 +192,6 @@ impl ThreadProfiler {
         }
     }
 
-    /// Records a completed leaf span without touching the stack, for
-    /// timings measured externally (see [`record_span`]).
-    fn record_leaf(&mut self, name: &str, ns: u64) {
-        let idx = self.child_node(self.stack.last().copied(), name);
-        self.nodes[idx].stats.record(ns);
-        if let Some(p) = self.nodes[idx].parent {
-            self.nodes[p].stats.child_ns += ns;
-        }
-    }
-
     fn flush_into(&mut self, global: &mut BTreeMap<Vec<String>, SpanStats>) {
         for i in 0..self.nodes.len() {
             let stats = self.nodes[i].stats;
@@ -335,17 +325,6 @@ impl Drop for SpanGuard {
 pub fn time<T, F: FnOnce() -> T>(name: &str, f: F) -> T {
     let _guard = span(name);
     f()
-}
-
-/// Records an externally measured duration as one call of a leaf span
-/// under the current innermost span. For timings the guard API cannot
-/// capture (e.g. the per-op loops of `figures overheads`).
-pub fn record_span(name: &str, wall: Duration) {
-    if !enabled() {
-        return;
-    }
-    let ns = wall.as_nanos() as u64;
-    let _ = PROF.try_with(|h| h.0.borrow_mut().record_leaf(name, ns));
 }
 
 /// Merges the calling thread's completed span statistics into the global
@@ -589,6 +568,7 @@ pub mod alloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Profiler state is process-global; tests touching it serialize here.
     fn lock() -> MutexGuard<'static, ()> {
@@ -695,24 +675,6 @@ mod tests {
         // Generous smoke bound: 100k disabled spans in well under a
         // second even on a loaded CI machine (~10 µs/span budget).
         assert!(spent < Duration::from_secs(1), "took {spent:?}");
-    }
-
-    #[test]
-    fn record_span_attaches_leaf_under_current_span() {
-        let _s = scoped();
-        {
-            let _outer = span("phase");
-            record_span("sample", Duration::from_nanos(1500));
-            record_span("sample", Duration::from_nanos(500));
-        }
-        let report = take_report();
-        let leaf = report.find(&["phase", "sample"]).expect("leaf").stats;
-        assert_eq!(leaf.calls, 2);
-        assert_eq!(leaf.total_ns, 2000);
-        assert_eq!(leaf.min_ns, 500);
-        assert_eq!(leaf.max_ns, 1500);
-        let phase = report.find(&["phase"]).expect("phase").stats;
-        assert_eq!(phase.child_ns, 2000);
     }
 
     #[test]

@@ -16,8 +16,10 @@
 //!   `sealed` flag distinguishing a finished run from a crashed one.
 //!
 //! The manifest is rewritten via [`fleetio_model::atomic_write`] at every
-//! segment seal and anchor, so the on-disk index is never torn and at
-//! worst trails the newest (still unsealed) segment.
+//! segment seal and anchor, each time after the file it lists, so the
+//! on-disk index is never torn, lists only durable files, and at worst
+//! trails the unsealed tail and the one segment the sink's writer has in
+//! flight.
 
 use std::io;
 use std::path::{Path, PathBuf};

@@ -3,29 +3,48 @@
 //!
 //! Events are binary-encoded ([`fleetio_obs::wire`]), CRC-framed and
 //! buffered into a fixed-target-size segment; when the buffer reaches
-//! the target the segment is sealed — written via
-//! [`fleetio_model::atomic_write`] (tmp + fsync + rename, the only
-//! sanctioned file-write path in sim crates) and indexed in the
-//! manifest. Alongside the bytes the sink maintains the streaming
-//! FNV-1a fingerprint and per-segment sparse-index facts (min/max
-//! sim-time, tenant and kind bitmaps).
+//! the target the segment is sealed — indexed in the manifest, then
+//! written via [`fleetio_model::atomic_write`] (tmp + fsync + rename, the
+//! only sanctioned file-write path in sim crates) followed by the
+//! manifest snapshot that lists it. Alongside the bytes the sink
+//! maintains the streaming FNV-1a fingerprint and per-segment
+//! sparse-index facts (min/max sim-time, tenant and kind bitmaps).
+//!
+//! The writes run on the sink's one writer thread, so recording goes on
+//! while a sealed segment is made durable. Every write is still made, in
+//! the order a synchronous writer would make it: jobs go down one FIFO
+//! queue, and each job is a file (segment or anchor) followed by the
+//! manifest that lists it, so the manifest on disk only ever lists files
+//! that are already durable. The sink owns exactly two segment buffers:
+//! it fills one while the writer holds the other, and the writer hands
+//! each back once it is written. So at most one segment is in flight, a
+//! seal waits only for the previous segment's writes, and no seal
+//! allocates a buffer.
 //!
 //! Sinks must never influence the simulation, and `ObsSink::record`
-//! returns nothing — so I/O errors are *latched*: the first failure
-//! stops all further writes and is surfaced when the recorder calls
-//! [`StoreSink::finish`]. A crashed or failed run leaves a manifest
-//! with `sealed = false`, which `verify`/`replay` refuse to trust.
+//! returns nothing — so I/O errors are *latched*: the writer stops at its
+//! first failure, the sink stops recording once it sees the writer gone,
+//! and the failure is surfaced when the recorder calls
+//! [`StoreSink::finish`]. A crashed or failed run leaves a manifest with
+//! `sealed = false`, which `verify`/`replay` refuse to trust. Dropping a
+//! sink without `finish` (a panicking recorder) waits for the writer to
+//! drain its queue, so it leaves every segment sealed so far.
 
 use std::any::Any;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::{self, JoinHandle};
 
 use fleetio_des::hash::Fnv64;
-use fleetio_model::RunAnchor;
+use fleetio_model::{atomic_write, RunAnchor};
 use fleetio_obs::wire;
 use fleetio_obs::{ObsEvent, ObsSink};
 
-use crate::manifest::{anchor_file_name, AnchorMeta, Manifest, SegmentMeta, STORE_VERSION};
+use crate::manifest::{
+    anchor_file_name, segment_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE,
+    STORE_VERSION,
+};
 
 /// Default segment target size (256 KiB ≈ a few thousand events).
 pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
@@ -33,7 +52,6 @@ pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
 /// A streaming run-store writer.
 #[derive(Debug)]
 pub struct StoreSink {
-    dir: PathBuf,
     manifest: Manifest,
     seg_target: usize,
     /// Current segment buffer, header included.
@@ -46,6 +64,7 @@ pub struct StoreSink {
     next_seq: u32,
     total_events: u64,
     fp: Fnv64,
+    writer: Writer,
     /// First I/O failure; latches the sink into a no-op.
     error: Option<String>,
 }
@@ -60,7 +79,8 @@ impl StoreSink {
     ///
     /// # Errors
     ///
-    /// Directory creation or the initial manifest write failing.
+    /// Directory creation, the initial manifest write or starting the
+    /// writer thread failing.
     pub fn create(
         dir: &Path,
         spec: Vec<u8>,
@@ -84,7 +104,6 @@ impl StoreSink {
         };
         manifest.save(dir)?;
         let mut sink = StoreSink {
-            dir: dir.to_path_buf(),
             manifest,
             seg_target: segment_bytes.max(wire::SEG_HEADER_LEN + 64),
             seg_buf: Vec::with_capacity(segment_bytes + 256),
@@ -96,6 +115,7 @@ impl StoreSink {
             next_seq: 0,
             total_events: 0,
             fp: Fnv64::new(),
+            writer: Writer::spawn(dir.to_path_buf(), Vec::with_capacity(segment_bytes + 256))?,
             error: None,
         };
         sink.begin_segment();
@@ -112,7 +132,8 @@ impl StoreSink {
         self.fp.finish()
     }
 
-    /// The first latched I/O error, if recording has failed.
+    /// The first latched I/O error, if recording has failed. A write
+    /// failure is seen by the sink at the next seal or anchor after it.
     pub fn error(&self) -> Option<&str> {
         self.error.as_deref()
     }
@@ -127,19 +148,27 @@ impl StoreSink {
         self.seg_kind_bits = 0;
     }
 
-    /// Seals the current segment (if it holds any events): atomic write
-    /// of the segment file, index entry, manifest rewrite.
+    /// Seals the current segment (if it holds any events): index entry,
+    /// then the segment and the manifest that lists it go to the writer,
+    /// and recording continues in the other buffer once the writer has
+    /// handed it back.
+    ///
+    /// # Errors
+    ///
+    /// The writer has stopped on a failure, which is then latched.
     fn seal_segment(&mut self) -> io::Result<()> {
         if self.seg_events == 0 {
             return Ok(());
         }
+        let Some(next) = self.writer.take_back() else {
+            return Err(self.writer_failed());
+        };
+        let bytes = std::mem::replace(&mut self.seg_buf, next);
         let seq = self.next_seq;
-        let path = self.dir.join(crate::manifest::segment_file_name(seq));
-        fleetio_model::atomic_write(&path, &self.seg_buf)?;
         self.manifest.segments.push(SegmentMeta {
             seq,
             events: self.seg_events,
-            bytes: self.seg_buf.len() as u64,
+            bytes: bytes.len() as u64,
             first_event: self.total_events - self.seg_events,
             min_at_ns: self.seg_min_at,
             max_at_ns: self.seg_max_at,
@@ -148,20 +177,40 @@ impl StoreSink {
         });
         self.manifest.total_events = self.total_events;
         self.manifest.stream_fingerprint = self.fp.finish();
-        self.manifest.save(&self.dir)?;
+        let manifest = self.manifest.to_container();
+        if !self.writer.send(Job::Segment {
+            seq,
+            bytes,
+            manifest,
+        }) {
+            return Err(self.writer_failed());
+        }
         self.next_seq += 1;
         self.begin_segment();
         Ok(())
     }
 
+    /// Joins the writer, which has stopped on its first failure, and
+    /// latches that failure.
+    fn writer_failed(&mut self) -> io::Error {
+        let e = match self.writer.close() {
+            Err(e) => e.to_string(),
+            Ok(()) => "the store writer has stopped".to_string(),
+        };
+        self.error = Some(e.clone());
+        io::Error::other(e)
+    }
+
     /// Writes a replay anchor at the current stream position: an
     /// `anchor-<window>.fiom` container (via `fleetio-model`) plus a
-    /// manifest entry. Call between windows, never mid-window.
+    /// manifest entry, queued behind the segments sealed so far. Call
+    /// between windows, never mid-window.
     ///
     /// # Errors
     ///
-    /// A previously latched failure, or the anchor/manifest write
-    /// failing.
+    /// A previously latched failure, or the writer having stopped on one.
+    /// A failure of the anchor's own writes surfaces at a later seal or
+    /// at [`StoreSink::finish`].
     pub fn anchor(&mut self, window: u64, at_ns: u64, model_tag: &str) -> io::Result<RunAnchor> {
         if let Some(e) = &self.error {
             return Err(io::Error::other(e.clone()));
@@ -175,24 +224,30 @@ impl StoreSink {
             seed: self.manifest.seed,
             model_tag: model_tag.to_string(),
         };
-        let path = self.dir.join(anchor_file_name(window));
-        anchor.save(&path)?;
         self.manifest.anchors.push(AnchorMeta {
             window,
             at_ns,
             event_count: self.total_events,
         });
-        self.manifest.save(&self.dir)?;
+        let job = Job::Anchor {
+            window,
+            bytes: anchor.to_container(),
+            manifest: self.manifest.to_container(),
+        };
+        if !self.writer.send(job) {
+            return Err(self.writer_failed());
+        }
         Ok(anchor)
     }
 
-    /// Seals the final segment, marks the manifest sealed and writes it.
-    /// Returns the final manifest.
+    /// Seals the final segment, marks the manifest sealed, waits for the
+    /// writer to make every queued write durable and returns the final
+    /// manifest.
     ///
     /// # Errors
     ///
-    /// A latched recording failure or the final writes failing — either
-    /// way the on-disk manifest stays `sealed = false`.
+    /// The first write failure of the run, naming what it was writing —
+    /// either way the on-disk manifest stays `sealed = false`.
     pub fn finish(mut self) -> io::Result<Manifest> {
         if let Some(e) = self.error.take() {
             return Err(io::Error::other(e));
@@ -201,7 +256,11 @@ impl StoreSink {
         self.manifest.sealed = true;
         self.manifest.total_events = self.total_events;
         self.manifest.stream_fingerprint = self.fp.finish();
-        self.manifest.save(&self.dir)?;
+        let manifest = self.manifest.to_container();
+        if !self.writer.send(Job::Seal { manifest }) {
+            return Err(self.writer_failed());
+        }
+        self.writer.close()?;
         Ok(self.manifest)
     }
 }
@@ -227,9 +286,8 @@ impl ObsSink for StoreSink {
         self.seg_events += 1;
         self.total_events += 1;
         if self.seg_buf.len() >= self.seg_target {
-            if let Err(e) = self.seal_segment() {
-                self.error = Some(format!("sealing segment {}: {e}", self.next_seq));
-            }
+            // A failure is latched in `self.error` and surfaces at `finish`.
+            let _ = self.seal_segment();
         }
     }
 
@@ -240,6 +298,132 @@ impl ObsSink for StoreSink {
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
+}
+
+/// One unit of the writer's queue: a file, then the manifest snapshot
+/// that lists it (or only the manifest), written in that order.
+#[derive(Debug)]
+enum Job {
+    /// Segment `seq`; its buffer goes back to the sink once written.
+    Segment {
+        seq: u32,
+        bytes: Vec<u8>,
+        manifest: Vec<u8>,
+    },
+    /// The replay anchor taken after `window`.
+    Anchor {
+        window: u64,
+        bytes: Vec<u8>,
+        manifest: Vec<u8>,
+    },
+    /// The sealed manifest, last.
+    Seal { manifest: Vec<u8> },
+}
+
+impl Job {
+    fn write(&self, dir: &Path) -> io::Result<()> {
+        let (file, manifest) = match self {
+            Job::Segment {
+                seq,
+                bytes,
+                manifest,
+            } => (Some((segment_file_name(*seq), bytes)), manifest),
+            Job::Anchor {
+                window,
+                bytes,
+                manifest,
+            } => (Some((anchor_file_name(*window), bytes)), manifest),
+            Job::Seal { manifest } => (None, manifest),
+        };
+        if let Some((name, bytes)) = file {
+            atomic_write(&dir.join(name), bytes)?;
+        }
+        atomic_write(&dir.join(MANIFEST_FILE), manifest)
+    }
+
+    /// What the job writes, as an error names it.
+    fn what(&self) -> String {
+        match self {
+            Job::Segment { seq, .. } => format!("sealing segment {seq}"),
+            Job::Anchor { window, .. } => format!("writing anchor {window}"),
+            Job::Seal { .. } => "sealing the manifest".to_string(),
+        }
+    }
+}
+
+/// The sink's writer thread and its two queues. Dropping it closes the
+/// job queue and waits for the thread to finish what was queued.
+#[derive(Debug)]
+struct Writer {
+    /// Jobs in write order; `None` once closed.
+    jobs: Option<Sender<Job>>,
+    /// Segment buffers coming back once written.
+    written: Receiver<Vec<u8>>,
+    thread: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl Writer {
+    /// Starts the writer with `spare` already handed back, so the first
+    /// seal takes it without waiting.
+    fn spawn(dir: PathBuf, spare: Vec<u8>) -> io::Result<Writer> {
+        let (jobs, queue) = mpsc::channel();
+        let (give_back, written) = mpsc::channel();
+        // Cannot fail: `written` is alive.
+        let _ = give_back.send(spare);
+        let thread = thread::Builder::new()
+            .name("store-writer".to_string())
+            .spawn(move || write_jobs(&dir, queue, give_back))?;
+        Ok(Writer {
+            jobs: Some(jobs),
+            written,
+            thread: Some(thread),
+        })
+    }
+
+    /// Queues `job`; false if the writer has stopped.
+    fn send(&self, job: Job) -> bool {
+        self.jobs.as_ref().is_some_and(|q| q.send(job).is_ok())
+    }
+
+    /// Takes back the spare buffer, waiting for the segment in flight (if
+    /// any) to be written; `None` if the writer stopped first.
+    fn take_back(&self) -> Option<Vec<u8>> {
+        self.written.recv().ok()
+    }
+
+    /// Closes the queue, waits for the writer to drain it and returns its
+    /// first failure.
+    fn close(&mut self) -> io::Result<()> {
+        self.jobs = None;
+        match self.thread.take() {
+            Some(t) => t
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("the store writer panicked"))),
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for Writer {
+    fn drop(&mut self) {
+        // The sink was dropped without `finish`: what was queued is still
+        // written, and a failure leaves the manifest unsealed.
+        let _ = self.close();
+    }
+}
+
+/// The writer thread: performs each job's writes in queue order, hands
+/// each segment buffer back, and stops at the first failure.
+fn write_jobs(dir: &Path, queue: Receiver<Job>, give_back: Sender<Vec<u8>>) -> io::Result<()> {
+    for job in queue {
+        job.write(dir)
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", job.what())))?;
+        if let Job::Segment { bytes, .. } = job {
+            // The sink keeps the receiver until it has joined this thread.
+            let _ = give_back.send(bytes);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

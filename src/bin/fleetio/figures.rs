@@ -2,10 +2,14 @@
 //!
 //! Default scale is `quick` (minutes, preserves orderings/crossovers);
 //! `--full` runs paper-length spans and a larger training budget. Every
-//! report is collected first and printed at the end of the run.
+//! report is collected first and printed at the end of the run; stderr
+//! gets one line with the total wall-clock time. The run is not profiled
+//! (host time is the `benchmark/` workspace's job).
 
 use fleetio_bench::figures;
 use fleetio_bench::report::FigureReport;
+use std::time::Instant;
+
 use fleetio_bench::{Scale, SharedContext};
 use fleetio_obs::prof;
 
@@ -40,8 +44,7 @@ fn run(args: &Args) -> VerbResult {
     };
     let mut ctx = SharedContext::new(scale, 0xF1EE710);
 
-    prof::enable();
-    let run = prof::span(&format!("figures.{target}"));
+    let t0 = Instant::now();
     let reports: Vec<FigureReport> = match target {
         "fig2" | "fig3" => figures::fig2_3(&mut ctx),
         "fig6" => vec![figures::fig6(&mut ctx)],
@@ -65,7 +68,7 @@ fn run(args: &Args) -> VerbResult {
             all
         }
     };
-    drop(run);
+    let total = prof::format_ns(t0.elapsed().as_nanos() as f64);
     let mut stdout = String::new();
     for r in &reports {
         stdout += &if args.has("--json") {
@@ -75,19 +78,12 @@ fn run(args: &Args) -> VerbResult {
         };
         stdout.push('\n');
     }
-    let timing = prof::take_report();
-    let run_key = format!("figures.{target}");
-    let total = timing
-        .find(&[run_key.as_str()])
-        .map(|s| prof::format_ns(s.stats.total_ns as f64))
-        .unwrap_or_else(|| "?".to_string());
     Ok(Output {
         code: 0,
         stdout,
         stderr: format!(
-            "[{} report(s) at {scale:?} scale in {total}]\n{}\n",
-            reports.len(),
-            timing.to_text()
+            "[{} report(s) at {scale:?} scale in {total}]\n",
+            reports.len()
         ),
     })
 }

@@ -127,7 +127,7 @@ fn describe(path: &str, loaded: &Loaded, file_len: usize) -> String {
         Loaded::Manifest { payload_len } => format!(
             "{path}: store-manifest ({file_len} bytes)\n  \
              payload      {payload_len} bytes (CRC OK)\n  \
-             use `fleetio-store` to query this run\n"
+             use `fleetio store` to query this run\n"
         ),
     }
 }

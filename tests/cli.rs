@@ -1,10 +1,12 @@
 //! The `fleetio` binary end to end: every golden under `tests/golden/cli`
 //! reproduced byte for byte, every malformed line refused with exit 2,
-//! and `store verify` exiting 1 on a damaged store. No simulation runs
-//! here, so the suite is fast in debug builds.
+//! `store verify` exiting 1 on a damaged store, and a `store record`
+//! killed mid-run leaving a readable store. Only the kill test simulates,
+//! and only until its store holds ten segments.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 use fleetio_suite::des::SimTime;
 use fleetio_suite::obs::{ObsEvent, ObsSink};
@@ -114,4 +116,48 @@ fn verify_exits_one_on_damage() {
     assert_eq!(bad.status.code(), Some(1), "damage must exit 1 ({stdout})");
     assert!(stdout.contains("DAMAGED") || stdout.contains("SHORT"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The crash contract: `store record` killed at an arbitrary point once
+/// the manifest on disk lists `k` segments leaves an unsealed store whose
+/// manifest lists only durable segments, each whole and holding exactly
+/// its indexed event count.
+#[test]
+fn a_killed_recording_leaves_only_durable_segments() {
+    for k in [1usize, 3, 10] {
+        let dir = scratch_dir(&format!("kill-{k}"));
+        let dir_s = dir.to_str().expect("utf-8 temp path");
+        let mut child = Command::new(env!("CARGO_BIN_EXE_fleetio"))
+            .args(["store", "record", dir_s, "--windows", "200"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn fleetio store record");
+        let deadline = Instant::now() + Duration::from_secs(600);
+        loop {
+            let listed = RunStore::open(&dir).map_or(0, |s| s.manifest().segments.len());
+            if listed >= k {
+                break;
+            }
+            if let Some(status) = child.try_wait().expect("poll the recorder") {
+                panic!("the recorder exited ({status}) before listing {k} segments");
+            }
+            assert!(Instant::now() < deadline, "no {k} segments in time");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        child.kill().expect("kill the recorder");
+        child.wait().expect("reap the recorder");
+
+        let store = RunStore::open(&dir).expect("the manifest on disk is whole");
+        let report = store.verify();
+        assert!(!report.sealed, "k = {k}: a killed run is not sealed");
+        assert!(report.segments.len() >= k, "k = {k}");
+        for (seg, meta) in report.segments.iter().zip(&store.manifest().segments) {
+            assert!(dir.join(segment_file_name(meta.seq)).exists());
+            assert_eq!(seg.damage, None, "k = {k}: segment {}", seg.seq);
+            assert_eq!(seg.events_read, meta.events, "k = {k}: segment {}", seg.seq);
+        }
+        assert_eq!(report.fingerprint_ok, Some(true), "k = {k}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
