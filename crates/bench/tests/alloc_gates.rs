@@ -1,7 +1,8 @@
-//! Wall-clock-free perf gates: heap allocations on five hot paths, each
-//! held under a ceiling constant. The counts repeat to the last digit run
-//! after run, in the debug and the release profile alike, so they need no
-//! baseline file and no comparator — host *time* is `benchmark/`'s job.
+//! Wall-clock-free perf gates: heap allocations and the bytes they request
+//! on six hot paths, each held under a ceiling constant. The counts repeat
+//! to the last digit run after run, in the debug and the release profile
+//! alike, so they need no baseline file and no comparator — host *time* is
+//! `benchmark/`'s job.
 //!
 //! A ceiling is the measured value (`-- --nocapture` prints it) rounded up
 //! by at most 5 %. A change that lowers a count should lower its ceiling in
@@ -26,23 +27,30 @@ use fleetio_workloads::WorkloadKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per completed request of a colocation run with no obs sink
-/// (measured 0.04617530086255875: 894 allocations over 19 361 requests).
+/// (measured 0.044935695470275296: 870 allocations over 19 361 requests;
+/// 894 while every tenant's trace ring grew).
 /// Per request, not per simulated event: how many events a request costs
 /// is the engine's business, whereas the requests a seeded run completes
 /// do not move.
-const ALLOCS_PER_REQUEST_MAX: f64 = 0.0484;
+const ALLOCS_PER_REQUEST_MAX: f64 = 0.0471;
 
 /// The same run's allocations outright: the ratio above must not pass by
 /// its denominator alone.
-const ALLOCS_MAX: u64 = 938;
+const ALLOCS_MAX: u64 = 913;
 
 /// Allocations per completed request of an open-loop-only colocation, the
-/// load a fleet shard runs (measured 0.004288777698355968: 120 allocations
-/// over 27 980 requests).
-const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.0045;
+/// load a fleet shard runs (measured 0.003967119370979271: 111 allocations
+/// over 27 980 requests; 120 while every tenant's trace ring grew).
+const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.00416;
 
 /// That run's allocations outright (see [`ALLOCS_MAX`]).
-const OPEN_LOOP_ALLOCS_MAX: u64 = 126;
+const OPEN_LOOP_ALLOCS_MAX: u64 = 116;
+
+/// Bytes requested per submitted request of a four-tenant colocation run
+/// (measured 52.11174735380878: 1 501 600 bytes over 28 815 requests).
+/// A 32-byte trace record kept for every request of every tenant, in
+/// rings grown by doubling, made it 143.6.
+const BYTES_PER_REQUEST_MAX: f64 = 54.7;
 
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured 651).
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
@@ -134,11 +142,58 @@ fn colocation_allocs_per_request() {
     );
 }
 
+/// Four hardware-isolated tenants on the training device, three open-loop
+/// and one closed-loop, none of whose traces is kept: the bytes every
+/// request costs the driver and the engine. The engine is built outside
+/// the count, and the tenants are detached and drained inside it, so
+/// every request counted was submitted and completed there.
+#[test]
+fn colocation_bytes_per_request() {
+    let engine_cfg = EngineConfig {
+        flash: FlashConfig::training_test(),
+        ..Default::default()
+    };
+    let kinds = [
+        WorkloadKind::VdiWeb,
+        WorkloadKind::Tpce,
+        WorkloadKind::Ycsb,
+        WorkloadKind::TeraSort,
+    ];
+    let ids = || (0..kinds.len() as u16).map(|i| (VssdId(u32::from(i)), ChannelId(i)));
+    let configs = ids()
+        .map(|(id, channel)| VssdConfig::hardware(id, vec![channel]))
+        .collect();
+    let mut coloc = Colocation::vacant(engine_cfg, configs, SimDuration::from_millis(500));
+    let ((_, bytes), ()) = allocs_during(|| {
+        for ((id, _), kind) in ids().zip(kinds) {
+            coloc.attach(id, kind, kind.spec(), SEED + u64::from(id.0));
+        }
+        coloc.run_windows(6);
+        for (id, _) in ids() {
+            let _ = coloc.detach(id);
+        }
+        coloc.run_windows(2);
+    });
+    let requests: u64 = ids()
+        .map(|(id, _)| coloc.engine().cumulative(id).requests)
+        .sum();
+    assert!(requests > 10_000, "scenario shrank: {requests} requests");
+    assert!(
+        ids().all(|(id, _)| coloc.engine().queued_ops(id) == 0),
+        "tenants drained"
+    );
+    hold(
+        &format!("bytes_per_request ({bytes} / {requests})"),
+        bytes as f64 / requests as f64,
+        BYTES_PER_REQUEST_MAX,
+    );
+}
+
 /// What most fleet shards run: light interactive open-loop tenants on
 /// single channels, attached to a vacant colocation mid-run. Every request
 /// here comes through the 1 ms arrival feed, which allocated per request
 /// and per tick before it pulled one record at a time; the first window
-/// (trace rings and engine pools growing to size) is not counted.
+/// (engine pools growing to size) is not counted.
 #[test]
 fn open_loop_colocation_allocs_per_request() {
     let engine_cfg = EngineConfig {

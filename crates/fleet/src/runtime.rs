@@ -205,10 +205,15 @@ impl FleetRuntime {
     }
 
     /// Attaches a model registry: migrating tenants are then classified
-    /// from their collected trace and warm-started from the matching
-    /// checkpoint (`fleetio::warmstart`). Without a registry, migration
-    /// keeps the tenant's current model and just resets its history.
+    /// from their trace and warm-started from the matching checkpoint
+    /// (`fleetio::warmstart`). Every slot keeps its trace from here on,
+    /// the only reader being that classification. Without a registry no
+    /// trace is kept, and migration keeps the tenant's current model and
+    /// just resets its history.
     pub fn set_registry(&mut self, registry: ModelRegistry) {
+        for shard in &mut self.shards {
+            shard.keep_traces(TYPING_WINDOW);
+        }
         self.registry = Some(registry);
     }
 
@@ -694,6 +699,27 @@ mod tests {
             rt.shard_cost.iter().sum::<u64>(),
             second.events_processed - first.events_processed
         );
+    }
+
+    #[test]
+    fn only_a_registry_keeps_traces() {
+        let spec = mini_hotspot(11);
+        let traced = |registry: bool| {
+            let mut rt = FleetRuntime::new(&spec, default_model(1), 1);
+            let dir = std::env::temp_dir()
+                .join(format!("fleetio-runtime-registry-{}", std::process::id()));
+            if registry {
+                rt.set_registry(ModelRegistry::open(&dir).expect("registry opens"));
+            }
+            rt.run_window();
+            let _ = std::fs::remove_dir_all(&dir);
+            let at = rt.tenant_location(2);
+            !rt.shards[at.shard as usize]
+                .trace_at(at.slot as usize)
+                .is_empty()
+        };
+        assert!(traced(true));
+        assert!(!traced(false));
     }
 
     #[test]

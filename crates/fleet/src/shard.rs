@@ -114,15 +114,24 @@ impl Shard {
         self.slots[slot].tenant
     }
 
-    /// The I/O trace collected for the resident of `slot` (newest
-    /// requests up to an internal cap), for workload typing at
-    /// migration time.
+    /// The I/O trace kept for the resident of `slot` (newest requests up
+    /// to the ring's cap), for workload typing at migration time. Empty
+    /// unless [`Shard::keep_traces`] was called.
     ///
     /// # Panics
     ///
     /// Panics if the slot is empty.
     pub fn trace_at(&self, slot: usize) -> &[TraceRecord] {
         self.coloc.trace_of(self.slots[slot].vssd)
+    }
+
+    /// Keeps every slot's trace from now on, for this resident and every
+    /// later one, in rings that never drop a record before they hold
+    /// `min_len` (see [`Colocation::keep_trace`]).
+    pub fn keep_traces(&mut self, min_len: usize) {
+        for slot in &self.slots {
+            self.coloc.keep_trace(slot.vssd, min_len);
+        }
     }
 
     /// The logical capacity of `slot`'s vSSD in bytes.
@@ -159,9 +168,9 @@ impl Shard {
     }
 
     /// Detaches the resident of `slot`, returning the tenant index and
-    /// its collected trace. In-flight requests drain naturally over the
-    /// following window; the control plane holds the slot out of
-    /// service until then.
+    /// its kept trace (empty unless [`Shard::keep_traces`] was called).
+    /// In-flight requests drain naturally over the following window; the
+    /// control plane holds the slot out of service until then.
     ///
     /// # Panics
     ///
@@ -243,6 +252,7 @@ mod tests {
     #[test]
     fn attached_tenant_produces_traffic_and_trace() {
         let mut s = shard();
+        s.keep_traces(0);
         s.attach(1, 7, WorkloadKind::Ycsb, 99, 0);
         assert_eq!(s.tenant_at(1), Some(7));
         let report = s.run_window();
@@ -255,6 +265,7 @@ mod tests {
     #[test]
     fn detach_frees_the_slot_and_returns_its_tenant() {
         let mut s = shard();
+        s.keep_traces(0);
         s.attach(0, 3, WorkloadKind::TeraSort, 5, 0);
         s.run_window();
         let (tenant, trace) = s.detach(0);
@@ -265,6 +276,15 @@ mod tests {
         // The slot hosts again (drain and clock restart: driver tests).
         s.attach(0, 9, WorkloadKind::Ycsb, 6, 0);
         assert_eq!(s.run_window().tenants[0], Some(9));
+    }
+
+    #[test]
+    fn untraced_slots_keep_nothing() {
+        let mut s = shard();
+        s.attach(1, 7, WorkloadKind::Ycsb, 99, 0);
+        assert!(s.run_window().summaries[1].1.total_ops > 0);
+        assert!(s.trace_at(1).is_empty());
+        assert_eq!(s.detach(1), (7, Vec::new()));
     }
 
     #[test]

@@ -53,9 +53,9 @@ impl TenantSpec {
 /// The polling step of the window loop: sources are fed and topped up
 /// once per tick.
 const TICK: SimDuration = SimDuration::from_millis(1);
-/// Requests kept per workload for typing; the oldest half is dropped
-/// when the ring fills.
-const TRACE_CAP: usize = 100_000;
+/// Requests a kept trace holds (see [`Colocation::keep_trace`]); the
+/// oldest half is dropped when the ring fills.
+pub const TRACE_CAP: usize = 100_000;
 
 #[derive(Debug)]
 enum Source {
@@ -96,6 +96,8 @@ impl Source {
 struct Workload {
     kind: WorkloadKind,
     source: Source,
+    /// The kept trace; stays empty (and unallocated) unless the vSSD
+    /// keeps one.
     trace: Vec<TraceRecord>,
 }
 
@@ -105,6 +107,8 @@ struct Workload {
 #[derive(Debug)]
 struct Tenant {
     id: VssdId,
+    /// The kept trace's ring size; zero, the default, keeps none.
+    trace_cap: usize,
     workload: Option<Workload>,
 }
 
@@ -147,6 +151,7 @@ impl Colocation {
             .iter()
             .map(|c| Tenant {
                 id: c.id,
+                trace_cap: 0,
                 workload: None,
             })
             .collect();
@@ -190,11 +195,13 @@ impl Colocation {
         self.tenants.iter().map(|t| t.id).collect()
     }
 
-    fn slot_mut(&mut self, id: VssdId) -> &mut Option<Workload> {
+    fn tenant_mut(&mut self, id: VssdId) -> &mut Tenant {
         let tenant = self.tenants.iter_mut().find(|t| t.id == id);
-        &mut tenant
-            .unwrap_or_else(|| panic!("unknown tenant {id}"))
-            .workload
+        tenant.unwrap_or_else(|| panic!("unknown tenant {id}"))
+    }
+
+    fn slot_mut(&mut self, id: VssdId) -> &mut Option<Workload> {
+        &mut self.tenant_mut(id).workload
     }
 
     fn workload_mut(&mut self, id: VssdId) -> &mut Workload {
@@ -242,8 +249,9 @@ impl Colocation {
     }
 
     /// Stops tenant `id`'s workload at a window boundary and returns its
-    /// collected trace. In-flight requests drain over the following
-    /// window; the vSSD stays registered and can be attached again.
+    /// kept trace, empty unless [`Colocation::keep_trace`] was called for
+    /// `id`. In-flight requests drain over the following window; the vSSD
+    /// stays registered and can be attached again.
     ///
     /// # Panics
     ///
@@ -310,8 +318,24 @@ impl Colocation {
         }
     }
 
-    /// The I/O trace collected for tenant `id` (most recent requests, up
-    /// to an internal cap), for workload typing.
+    /// Keeps tenant `id`'s I/O trace for workload typing, from its next
+    /// request on and for every workload attached to it later. Nothing
+    /// is recorded for a tenant nobody asked about. The kept trace is a
+    /// ring of the newest requests: it holds [`TRACE_CAP`] of them, or
+    /// `2 × min_len` if that is more, and drops its oldest half when
+    /// full, so it never drops a record before it holds `min_len`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a tenant.
+    pub fn keep_trace(&mut self, id: VssdId, min_len: usize) {
+        let tenant = self.tenant_mut(id);
+        tenant.trace_cap = tenant.trace_cap.max(TRACE_CAP.max(2 * min_len));
+    }
+
+    /// The I/O trace kept for tenant `id` (most recent requests; see
+    /// [`Colocation::keep_trace`]), for workload typing. Empty unless
+    /// the trace of `id` is kept.
     ///
     /// # Panics
     ///
@@ -345,7 +369,8 @@ impl Colocation {
                 }) = &mut tenant.workload
                 {
                     while let Some(rec) = gen.next_until(t) {
-                        submit(&mut self.engine, tenant.id, trace, rec);
+                        keep(trace, tenant.trace_cap, rec);
+                        submit(&mut self.engine, tenant.id, rec);
                     }
                 }
             }
@@ -375,7 +400,9 @@ impl Colocation {
                 {
                     let target = gen.concurrency_at(now);
                     while *outstanding < target {
-                        submit(&mut self.engine, tenant.id, trace, gen.make_request(now));
+                        let rec = gen.make_request(now);
+                        keep(trace, tenant.trace_cap, rec);
+                        submit(&mut self.engine, tenant.id, rec);
                         *outstanding += 1;
                     }
                 }
@@ -401,13 +428,21 @@ impl Colocation {
     }
 }
 
-/// Records `rec` in the workload's trace ring and submits it on `vssd`.
-fn submit(engine: &mut Engine, vssd: VssdId, trace: &mut Vec<TraceRecord>, rec: TraceRecord) {
-    if trace.len() >= TRACE_CAP {
+/// Records `rec` in a trace ring of `cap` records; a zero `cap` keeps
+/// nothing.
+fn keep(trace: &mut Vec<TraceRecord>, cap: usize, rec: TraceRecord) {
+    if cap == 0 {
+        return;
+    }
+    if trace.len() >= cap {
         // Keep the newest half when full.
-        trace.drain(..TRACE_CAP / 2);
+        trace.drain(..cap / 2);
     }
     trace.push(rec);
+}
+
+/// Submits `rec` on `vssd`.
+fn submit(engine: &mut Engine, vssd: VssdId, rec: TraceRecord) {
     engine.submit(IoRequest {
         vssd,
         op: if rec.is_read { IoOp::Read } else { IoOp::Write },
@@ -442,6 +477,7 @@ mod tests {
             1,
         );
         let mut c = Colocation::new(small_cfg(), vec![spec], SimDuration::from_secs(2));
+        c.keep_trace(VssdId(0), 0);
         let out = c.run_window();
         assert_eq!(out.len(), 1);
         let (id, w) = &out[0];
@@ -549,6 +585,7 @@ mod tests {
     #[test]
     fn attached_workload_runs_beside_vacant_tenants() {
         let mut c = vacant();
+        c.keep_trace(VssdId(1), 0);
         c.attach(VssdId(1), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 99);
         let out = c.run_window();
         assert!(out[1].1.total_ops > 0);
@@ -574,6 +611,7 @@ mod tests {
     #[test]
     fn detach_drains_and_tenant_reattaches() {
         let mut c = vacant();
+        c.keep_trace(VssdId(0), 0);
         c.attach(
             VssdId(0),
             WorkloadKind::TeraSort,
@@ -594,6 +632,54 @@ mod tests {
         let now = c.engine().now();
         let window = c.window();
         assert!(c.trace_of(VssdId(0)).iter().all(|r| r.at + window > now));
+    }
+
+    #[test]
+    fn untraced_tenants_keep_nothing() {
+        let mut c = vacant();
+        c.attach(VssdId(0), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 3);
+        c.attach(VssdId(1), WorkloadKind::Ycsb, WorkloadKind::Ycsb.spec(), 4);
+        c.keep_trace(VssdId(1), 0);
+        let out = c.run_window();
+        assert!(out[0].1.total_ops > 0);
+        assert!(c.trace_of(VssdId(0)).is_empty());
+        assert!(!c.trace_of(VssdId(1)).is_empty());
+        assert_eq!(c.detach(VssdId(0)), Vec::new());
+        // The kept trace belongs to the vSSD: a later attach keeps one.
+        let kept = c.detach(VssdId(1));
+        assert!(!kept.is_empty());
+        c.attach(VssdId(1), WorkloadKind::Tpce, WorkloadKind::Tpce.spec(), 5);
+        c.run_window();
+        assert!(!c.trace_of(VssdId(1)).is_empty());
+    }
+
+    #[test]
+    fn kept_trace_drops_its_oldest_half_when_full() {
+        let rec = |i: usize| TraceRecord {
+            at: SimTime::from_nanos(i as u64),
+            is_read: true,
+            offset: 0,
+            len: 4096,
+        };
+        let mut trace = Vec::new();
+        for i in 0..=TRACE_CAP {
+            keep(&mut trace, TRACE_CAP, rec(i));
+        }
+        assert_eq!(trace.len(), TRACE_CAP / 2 + 1);
+        let newest = (TRACE_CAP / 2..=TRACE_CAP).map(rec);
+        assert!(trace.iter().copied().eq(newest));
+        let mut untraced = Vec::new();
+        keep(&mut untraced, 0, rec(0));
+        assert!(untraced.is_empty());
+    }
+
+    #[test]
+    fn keep_trace_sizes_the_ring_for_its_reader() {
+        let mut c = vacant();
+        c.keep_trace(VssdId(0), 64);
+        c.keep_trace(VssdId(1), 3 * TRACE_CAP);
+        let caps: Vec<usize> = c.tenants.iter().map(|t| t.trace_cap).collect();
+        assert_eq!(caps, vec![TRACE_CAP, 6 * TRACE_CAP, 0, 0]);
     }
 
     #[test]
@@ -630,6 +716,7 @@ mod tests {
             6,
         );
         let mut c = Colocation::new(small_cfg(), vec![spec], SimDuration::from_secs(1));
+        c.keep_trace(VssdId(0), 0);
         c.run_window();
         let collected = c.trace_of(VssdId(0)).len();
         c.override_spec(VssdId(0), WorkloadKind::MlPrep.spec(), 7);

@@ -320,18 +320,25 @@ pub fn workload_feature_windows(
 ) -> Vec<WindowFeatures> {
     let mut coloc = solo_colocation(cfg, kind, n_channels, seed, 0.3);
     let needed = feature_windows * window_requests;
-    // Generous bound: stop either when the trace suffices or after enough
-    // simulated time that a pathologically slow stream cannot stall us.
-    for _ in 0..4096 {
-        if coloc.trace_of(VssdId(0)).len() >= needed {
-            break;
-        }
-        let _ = coloc.run_window();
-    }
+    let _ = trace_requests(&mut coloc, needed);
     let space = coloc.engine().logical_capacity_bytes(VssdId(0));
     let mut feats = windowed_features(coloc.trace_of(VssdId(0)), space, window_requests);
     feats.truncate(feature_windows);
     feats
+}
+
+/// Keeps the solo tenant's trace and runs windows until it holds `needed`
+/// requests, returning how many windows that took. Generous bound: after
+/// 4 096 windows a pathologically slow stream stops short.
+fn trace_requests(coloc: &mut Colocation, needed: usize) -> usize {
+    coloc.keep_trace(VssdId(0), needed);
+    for windows in 0..4096 {
+        if coloc.trace_of(VssdId(0)).len() >= needed {
+            return windows;
+        }
+        let _ = coloc.run_window();
+    }
+    4096
 }
 
 /// Profiles a workload's channel demand for SSDKeeper: the smallest
@@ -460,6 +467,8 @@ pub fn run_collocation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::TRACE_CAP;
+    use fleetio_des::SimTime;
     use fleetio_flash::config::FlashConfig;
     use fleetio_vssd::vssd::IsolationMode;
 
@@ -623,5 +632,28 @@ mod tests {
             "size {}",
             f[0].avg_io_size
         );
+    }
+
+    /// More requests than [`TRACE_CAP`]: the collecting tenant's ring
+    /// must not halve itself before it holds them, or the loop never
+    /// sees enough and runs all 4 096 windows to return too few. 100-ms
+    /// windows of YCSB stop within a few hundred requests of the goal.
+    #[test]
+    fn feature_collection_past_the_default_cap_stops_once_it_has_enough() {
+        let mut cfg = tiny_opts().cfg;
+        cfg.decision_interval = SimDuration::from_millis(100);
+        let (windows, reqs) = (11, 10_000);
+        let needed = windows * reqs;
+        assert!(needed > TRACE_CAP);
+        let mut coloc = solo_colocation(&cfg, WorkloadKind::Ycsb, 2, 5, 0.3);
+        let ran = trace_requests(&mut coloc, needed);
+        let trace = coloc.trace_of(VssdId(0));
+        assert!(trace.len() >= needed, "{} of {needed}", trace.len());
+        // Nothing was dropped, and one window fewer had not been enough.
+        assert!(trace[0].at < SimTime::ZERO + cfg.decision_interval);
+        let last = SimTime::from_nanos(cfg.decision_interval.as_nanos() * (ran as u64 - 1));
+        assert!(trace.iter().filter(|r| r.at < last).count() < needed);
+        let f = workload_feature_windows(&cfg, WorkloadKind::Ycsb, 2, windows, reqs, 5);
+        assert_eq!(f.len(), windows);
     }
 }

@@ -3,6 +3,7 @@
 //! reservation — the mechanisms that let FleetIO keep tail latency near
 //! hardware isolation while harvesting (Figure 12).
 
+use fleetio_des::rng::{Rng, SmallRng};
 use fleetio_des::{SimDuration, SimTime};
 use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
@@ -323,4 +324,91 @@ fn device_peak_is_derived_from_flash_timing() {
         * channel_peak(&flash, IoOp::Read).min(channel_peak(&flash, IoOp::Write));
     assert!((peak / 1e6 - 1_074.0).abs() < 1.0, "derived peak {peak}");
     assert!((peak / flash.device_peak_bytes_per_sec() - 1.0).abs() < 1e-9);
+}
+
+/// Mean queueing wait of `n` open-loop Poisson 16 KiB reads at load `rho`
+/// against one chip, with the batch-means standard error of that mean:
+/// `(mean wait, standard error, service time)`, all in nanoseconds. The
+/// vSSD owns one channel of `training_test`; every read is of an even,
+/// never-written logical page, which reads from chip 0, so one chip and
+/// its bus serve every request one after another in arrival order, each
+/// for tR plus one page transfer.
+fn poisson_reads_on_one_chip(rho: f64, n: usize, seed: u64) -> (f64, f64, f64) {
+    let cfg = EngineConfig {
+        flash: FlashConfig::training_test(),
+        ..Default::default()
+    };
+    let timing = cfg.flash.timing.clone();
+    let service = (timing.read_latency + timing.transfer(PAGE)).as_nanos() as f64;
+    let mut e = Engine::new(
+        cfg,
+        vec![VssdConfig::hardware(VssdId(0), vec![ChannelId(0)])],
+    );
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mean_gap = service / rho;
+    let mut at = 0.0f64;
+    for i in 0..n as u64 {
+        let u: f64 = rng.gen_range(0.0..1.0);
+        at += -(1.0 - u).ln() * mean_gap;
+        e.submit(IoRequest {
+            vssd: VssdId(0),
+            op: IoOp::Read,
+            offset: (i % 64) * 2 * PAGE,
+            len: PAGE,
+            arrival: SimTime::from_nanos(at as u64),
+        });
+    }
+    e.run_until(SimTime::from_nanos(at as u64) + SimDuration::from_secs(1));
+    let mut done = e.drain_completed();
+    assert_eq!(done.len(), n);
+    done.sort_unstable_by_key(|c| c.arrival);
+    let waits: Vec<f64> = done
+        .iter()
+        .map(|c| c.completion.saturating_since(c.arrival).as_nanos() as f64 - service)
+        .collect();
+    assert!(
+        waits.iter().all(|&w| w >= 0.0),
+        "a read finished faster than tR plus one transfer"
+    );
+    // The engine's own histogram carries the mean the oracle checks.
+    let latency = &e.cumulative(VssdId(0)).latency;
+    assert_eq!(latency.count(), n as u64);
+    let mean = latency.mean().expect("samples").as_nanos() as f64 - service;
+    // Successive waits are correlated, so the spread of the mean comes
+    // from 20 batch means, each far longer than the queue's relaxation
+    // time, not from the per-request variance.
+    let batch = n / 20;
+    let batch_means: Vec<f64> = waits
+        .chunks_exact(batch)
+        .map(|b| b.iter().sum::<f64>() / batch as f64)
+        .collect();
+    let k = batch_means.len() as f64;
+    let grand = batch_means.iter().sum::<f64>() / k;
+    let var = batch_means.iter().map(|m| (m - grand).powi(2)).sum::<f64>() / (k - 1.0);
+    (mean, (var / k).sqrt(), service)
+}
+
+/// The last timing oracle: open-loop Poisson 16 KiB reads against one
+/// chip at ρ = 0.3 / 0.6 / 0.8 wait, on average, what M/D/1 says,
+/// ρS / (2(1 − ρ)) with S = tR + one page transfer. Tolerance: a 99 %
+/// confidence interval of the sample mean (2.86 batch-means standard
+/// errors, Student t with 19 degrees of freedom) plus
+/// `LatencyHistogram`'s 1.6 % bucket error.
+#[test]
+fn poisson_reads_on_one_chip_wait_as_m_d_1() {
+    for (rho, seed) in [(0.3, 3), (0.6, 6), (0.8, 8)] {
+        let (wait, se, service) = poisson_reads_on_one_chip(rho, 100_000, seed);
+        let want = rho * service / (2.0 * (1.0 - rho));
+        let tolerance = 2.86 * se + 0.016 * want;
+        println!(
+            "rho {rho}: mean wait {:.2} us, M/D/1 {:.2} us, tolerance {:.2} us",
+            wait / 1e3,
+            want / 1e3,
+            tolerance / 1e3
+        );
+        assert!(
+            (wait - want).abs() <= tolerance,
+            "rho {rho}: mean wait {wait:.0} ns, M/D/1 {want:.0} ns, tolerance {tolerance:.0} ns"
+        );
+    }
 }

@@ -11,7 +11,9 @@ use fleetio_des::rng::Rng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^θ`: a draw with `u·ζ(n)` under it (and at least 1) is
+    /// rank 1.
+    rank1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -30,10 +32,9 @@ impl ZipfSampler {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        let _ = zeta2;
         ZipfSampler {
             n,
-            theta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -64,7 +65,7 @@ impl ZipfSampler {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let v = ((self.eta * u - self.eta + 1.0).powf(self.alpha) * self.n as f64) as u64;
