@@ -46,7 +46,7 @@ pub mod finetune;
 pub mod registry;
 
 pub use anchor::RunAnchor;
-pub use atomic::atomic_write;
+pub use atomic::{atomic_write, AtomicBatch};
 pub use checkpoint::{CheckpointMeta, ModelCheckpoint, TypingIndex};
 pub use finetune::{FineTuneAction, FineTuneConfig, FineTuneManager};
 pub use registry::{validate_tag, ModelRegistry, RegistryError};

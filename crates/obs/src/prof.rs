@@ -298,7 +298,21 @@ fn span_enabled(name: &str) -> SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    /// Inlined so a disabled guard costs one check at its drop site.
+    #[inline]
     fn drop(&mut self) {
+        if self.start.is_some() {
+            self.record_exit();
+        }
+    }
+}
+
+impl SpanGuard {
+    /// Records the finished activation; only guards opened while
+    /// profiling was enabled get here.
+    #[cold]
+    #[inline(never)]
+    fn record_exit(&mut self) {
         let Some(start) = self.start else { return };
         // Taken first so guard bookkeeping is excluded from the span.
         let ns = start.elapsed().as_nanos() as u64;
@@ -516,18 +530,24 @@ pub fn format_ns(ns: f64) -> String {
 pub mod alloc {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     thread_local! {
         static COUNT: Cell<u64> = const { Cell::new(0) };
         static BYTES: Cell<u64> = const { Cell::new(0) };
     }
 
-    /// Delegates to [`System`] while counting allocations per thread.
-    /// Deallocation is free (counters are cumulative-alloc, not live).
+    static PROCESS_COUNT: AtomicU64 = AtomicU64::new(0);
+    static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
+
+    /// Delegates to [`System`] while counting allocations per thread and
+    /// for the whole process. Deallocation is free (counters are
+    /// cumulative-alloc, not live).
     pub struct CountingAllocator;
 
     // SAFETY: delegates allocation to `System` unchanged; the counters
-    // are plain thread-local cells and never allocate themselves.
+    // are plain thread-local cells and statics that publish no other data
+    // (hence `Relaxed`), and never allocate themselves.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             note(layout.size() as u64);
@@ -554,6 +574,8 @@ pub mod alloc {
         // try_with: allocations during TLS teardown are simply uncounted.
         let _ = COUNT.try_with(|c| c.set(c.get().wrapping_add(1)));
         let _ = BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes)));
+        PROCESS_COUNT.fetch_add(1, Ordering::Relaxed);
+        PROCESS_BYTES.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// This thread's cumulative (allocation count, bytes requested).
@@ -561,6 +583,15 @@ pub mod alloc {
         (
             COUNT.try_with(Cell::get).unwrap_or(0),
             BYTES.try_with(Cell::get).unwrap_or(0),
+        )
+    }
+
+    /// Every thread's cumulative (allocation count, bytes requested):
+    /// what a call costs including the helper threads it runs work on.
+    pub fn process_counters() -> (u64, u64) {
+        (
+            PROCESS_COUNT.load(Ordering::Relaxed),
+            PROCESS_BYTES.load(Ordering::Relaxed),
         )
     }
 }

@@ -215,7 +215,12 @@ pub fn scan_segment(bytes: &[u8]) -> SegmentScan {
 /// fails to decode (possible only via a CRC collision or a
 /// writer/reader version skew) is reported as damage at its offset.
 pub fn events_in_segment(bytes: &[u8]) -> (Vec<ObsEvent>, Option<SegmentDamage>) {
-    let scan = scan_segment(bytes);
+    events_in_scan(bytes, scan_segment(bytes))
+}
+
+/// [`events_in_segment`] for bytes already scanned: `scan` must be
+/// [`scan_segment`]`(bytes)`, taken where the bytes were read.
+pub fn events_in_scan(bytes: &[u8], scan: SegmentScan) -> (Vec<ObsEvent>, Option<SegmentDamage>) {
     let mut events = Vec::with_capacity(scan.records.len());
     for r in &scan.records {
         match decode_event(&bytes[r.clone()]) {

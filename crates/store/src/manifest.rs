@@ -15,11 +15,12 @@
 //! * stream totals (`total_events`, FNV-1a `stream_fingerprint`) plus a
 //!   `sealed` flag distinguishing a finished run from a crashed one.
 //!
-//! The manifest is rewritten via [`fleetio_model::atomic_write`] at every
-//! segment seal and anchor, each time after the file it lists, so the
-//! on-disk index is never torn, lists only durable files, and at worst
-//! trails the unsealed tail and the one segment the sink's writer has in
-//! flight.
+//! The manifest is rewritten via [`fleetio_model::AtomicBatch::commit`]
+//! once per group of segment seals, at every anchor and at the final
+//! seal, each time after the directory sync that makes the files it lists
+//! durable, so the on-disk index is never torn, lists only durable files,
+//! and at worst trails the unsealed tail and the six sealed segments the
+//! sink's writer may have queued or uncommitted (see `sink`).
 
 use std::io;
 use std::path::{Path, PathBuf};

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use fleetio_obs::ObsEvent;
 
 use crate::manifest::SegmentMeta;
-use crate::read::{RunStore, StoreError};
+use crate::read::{decode_strictly, RunStore, StoreError};
 
 /// Which events a query selects. Empty filter selects everything.
 #[derive(Debug, Clone, Default)]
@@ -114,15 +114,19 @@ pub struct WindowAggregate {
 /// I/O failure or damage in a segment the query had to read.
 pub fn query(store: &RunStore, filter: &EventFilter) -> Result<QueryResult, StoreError> {
     let manifest = store.manifest();
+    let wanted: Vec<&SegmentMeta> = manifest
+        .segments
+        .iter()
+        .filter(|meta| filter.may_match_segment(meta))
+        .collect();
+    // The helper reads and CRC-scans the next segment while this thread
+    // decodes and filters the current one.
+    let mut source = store.read_ahead(wanted.iter().copied());
+    let mut bytes = Vec::new();
     let mut events = Vec::new();
-    let mut segments_scanned = 0usize;
-    let mut buf = Vec::new();
-    for meta in &manifest.segments {
-        if !filter.may_match_segment(meta) {
-            continue;
-        }
-        segments_scanned += 1;
-        for ev in store.segment_events_via(meta, &mut buf)? {
+    for meta in &wanted {
+        let scan = source.next(&mut bytes)?;
+        for ev in decode_strictly(meta, &bytes, scan)? {
             if filter.matches(&ev) {
                 events.push(ev);
             }
@@ -130,7 +134,7 @@ pub fn query(store: &RunStore, filter: &EventFilter) -> Result<QueryResult, Stor
     }
     Ok(QueryResult {
         events,
-        segments_scanned,
+        segments_scanned: wanted.len(),
         segments_total: manifest.segments.len(),
     })
 }

@@ -7,16 +7,27 @@
 //! panics. [`RunStore::verify`] cross-checks the scanned reality
 //! against the manifest index (event counts, stream fingerprint) and
 //! reports the sim-time ranges that remain recoverable.
+//!
+//! Every pass over many segments — `verify`, `query`, `events` and the
+//! [`PayloadCursor`] under `diff` and `replay` — reads through a
+//! `ReadAhead`: a helper thread reads and CRC-scans segment k+1 while
+//! the caller fingerprints, compares or decodes segment k. The caller
+//! still takes the segments one at a time in list order and makes every
+//! check itself, so reports, skipping and the first error are those of a
+//! sequential pass.
 
 use std::fmt;
 use std::fs::File;
 use std::io::Read;
+use std::mem;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::thread::{self, JoinHandle};
 
 use fleetio::RunSpec;
 use fleetio_des::hash::Fnv64;
-use fleetio_obs::wire;
+use fleetio_obs::wire::{self, SegmentScan};
 use fleetio_obs::ObsEvent;
 
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
@@ -140,46 +151,24 @@ impl RunStore {
         Ok(spec)
     }
 
-    /// Reads one segment's raw bytes into `buf`, replacing its contents
-    /// and keeping its capacity: a pass over the store reuses one buffer
-    /// instead of allocating a segment-sized `Vec` per file.
-    fn read_segment(&self, seq: u32, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        let path = self.manifest.segment_path(&self.dir, seq);
-        buf.clear();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(buf))
-            .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
-        Ok(())
+    /// A read-ahead pass over the segments `metas`, in order.
+    pub(crate) fn read_ahead<'m>(
+        &self,
+        metas: impl IntoIterator<Item = &'m SegmentMeta>,
+    ) -> ReadAhead {
+        ReadAhead::spawn(
+            metas
+                .into_iter()
+                .map(|m| self.manifest.segment_path(&self.dir, m.seq))
+                .collect(),
+        )
     }
 
     /// Decodes one segment strictly: any damage is an error.
     pub fn segment_events(&self, meta: &SegmentMeta) -> Result<Vec<ObsEvent>, StoreError> {
-        self.segment_events_via(meta, &mut Vec::new())
-    }
-
-    /// [`RunStore::segment_events`] reading through the caller's buffer,
-    /// for passes over many segments.
-    pub(crate) fn segment_events_via(
-        &self,
-        meta: &SegmentMeta,
-        buf: &mut Vec<u8>,
-    ) -> Result<Vec<ObsEvent>, StoreError> {
-        self.read_segment(meta.seq, buf)?;
-        let (events, damage) = wire::events_in_segment(buf);
-        match damage {
-            Some(d) => Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name()))),
-            None => {
-                if events.len() as u64 != meta.events {
-                    return Err(StoreError::Corrupt(format!(
-                        "{}: {} events on disk, manifest says {}",
-                        meta.file_name(),
-                        events.len(),
-                        meta.events
-                    )));
-                }
-                Ok(events)
-            }
-        }
+        let mut buf = Vec::new();
+        read_file(&self.manifest.segment_path(&self.dir, meta.seq), &mut buf)?;
+        decode_strictly(meta, &buf, wire::scan_segment(&buf))
     }
 
     /// A cursor over every encoded event payload of the whole run, in
@@ -189,6 +178,7 @@ impl RunStore {
         PayloadCursor {
             store: self.clone(),
             next_segment: 0,
+            source: None,
             bytes: Vec::new(),
             records: Vec::new(),
             next_record: 0,
@@ -203,10 +193,13 @@ impl RunStore {
     /// I/O failure, damage, undecodable records, or a segment
     /// disagreeing with its index entry.
     pub fn events(&self) -> Result<Vec<ObsEvent>, StoreError> {
+        let segments = &self.manifest.segments;
         let mut out = Vec::with_capacity(self.manifest.total_events as usize);
-        let mut buf = Vec::new();
-        for meta in &self.manifest.segments {
-            out.extend(self.segment_events_via(meta, &mut buf)?);
+        let mut source = self.read_ahead(segments);
+        let mut bytes = Vec::new();
+        for meta in segments {
+            let scan = source.next(&mut bytes)?;
+            out.extend(decode_strictly(meta, &bytes, scan)?);
         }
         Ok(out)
     }
@@ -217,11 +210,11 @@ impl RunStore {
         let mut segments = Vec::with_capacity(self.manifest.segments.len());
         let mut fp = Fnv64::new();
         let mut all_intact = true;
+        let mut source = self.read_ahead(&self.manifest.segments);
         let mut bytes = Vec::new();
         for meta in &self.manifest.segments {
-            let (events_read, damage) = match self.read_segment(meta.seq, &mut bytes) {
-                Ok(()) => {
-                    let scan = wire::scan_segment(&bytes);
+            let (events_read, damage) = match source.next(&mut bytes) {
+                Ok(scan) => {
                     let mut damage = scan.damage.map(|d| d.to_string());
                     if damage.is_none() && scan.seq != Some(meta.seq) {
                         damage = Some(format!(
@@ -279,9 +272,9 @@ impl RunStore {
 
 /// An owning, strict, segment-at-a-time cursor over a store's encoded
 /// event payloads (see [`RunStore::payload_cursor`]). It holds one
-/// segment's bytes and record ranges, reading each file into the same
-/// buffer. Strict: frame or CRC damage anywhere, or a segment whose
-/// record count disagrees with its index entry, is an error — and a
+/// segment's bytes and record ranges while a read-ahead helper reads and
+/// scans the next. Strict: frame or CRC damage anywhere, or a segment
+/// whose record count disagrees with its index entry, is an error — and a
 /// caller that stops early must [`drain`](PayloadCursor::drain) before
 /// trusting what it saw, so damage past its stopping point still counts.
 #[derive(Debug)]
@@ -289,6 +282,10 @@ pub struct PayloadCursor {
     store: RunStore,
     /// Index into the manifest's segment list of the next file to load.
     next_segment: usize,
+    /// Reads on from `next_segment`. Started at the first load, and
+    /// dropped at a failure, so that a retry reads the failing segment
+    /// again.
+    source: Option<ReadAhead>,
     /// The loaded segment's bytes.
     bytes: Vec<u8>,
     /// Payload ranges into `bytes`, in file order.
@@ -300,26 +297,39 @@ pub struct PayloadCursor {
 impl PayloadCursor {
     /// Loads the next segment; `false` once the manifest is exhausted.
     fn load_next_segment(&mut self) -> Result<bool, StoreError> {
-        let Some(meta) = self.store.manifest.segments.get(self.next_segment) else {
+        let segments = &self.store.manifest.segments;
+        let Some(meta) = segments.get(self.next_segment) else {
             return Ok(false);
         };
-        self.store.read_segment(meta.seq, &mut self.bytes)?;
-        let scan = wire::scan_segment(&self.bytes);
-        if let Some(d) = scan.damage {
-            return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
+        let source = self
+            .source
+            .get_or_insert_with(|| self.store.read_ahead(&segments[self.next_segment..]));
+        let scan = source.next(&mut self.bytes).and_then(|scan| {
+            if let Some(d) = scan.damage {
+                return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
+            }
+            if scan.records.len() as u64 != meta.events {
+                return Err(StoreError::Corrupt(format!(
+                    "{}: {} records on disk, manifest says {}",
+                    meta.file_name(),
+                    scan.records.len(),
+                    meta.events
+                )));
+            }
+            Ok(scan)
+        });
+        match scan {
+            Ok(scan) => {
+                self.records = scan.records;
+                self.next_record = 0;
+                self.next_segment += 1;
+                Ok(true)
+            }
+            Err(e) => {
+                self.source = None;
+                Err(e)
+            }
         }
-        if scan.records.len() as u64 != meta.events {
-            return Err(StoreError::Corrupt(format!(
-                "{}: {} records on disk, manifest says {}",
-                meta.file_name(),
-                scan.records.len(),
-                meta.events
-            )));
-        }
-        self.records = scan.records;
-        self.next_record = 0;
-        self.next_segment += 1;
-        Ok(true)
     }
 
     /// The next payload in stream order, `None` at the end of the run.
@@ -355,6 +365,120 @@ impl PayloadCursor {
             if !self.load_next_segment()? {
                 return Ok(self.yielded);
             }
+        }
+    }
+}
+
+/// Reads the file at `path` into `buf`, replacing its contents and
+/// keeping its capacity, so a pass over the store reuses its buffers
+/// instead of allocating a segment-sized `Vec` per file.
+fn read_file(path: &Path, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    buf.clear();
+    File::open(path)
+        .and_then(|mut f| f.read_to_end(buf))
+        .map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
+    Ok(())
+}
+
+/// Decodes a scanned segment strictly: damage, an undecodable record, or
+/// an event count other than the index entry's, is an error.
+pub(crate) fn decode_strictly(
+    meta: &SegmentMeta,
+    bytes: &[u8],
+    scan: SegmentScan,
+) -> Result<Vec<ObsEvent>, StoreError> {
+    let (events, damage) = wire::events_in_scan(bytes, scan);
+    if let Some(d) = damage {
+        return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
+    }
+    if events.len() as u64 != meta.events {
+        return Err(StoreError::Corrupt(format!(
+            "{}: {} events on disk, manifest says {}",
+            meta.file_name(),
+            events.len(),
+            meta.events
+        )));
+    }
+    Ok(events)
+}
+
+/// A segment as the read-ahead helper hands it over: its bytes, and their
+/// scan or why the file could not be read.
+type Loaded = (Vec<u8>, Result<SegmentScan, StoreError>);
+
+/// Reads a list of segments in order on a helper thread, one ahead of
+/// the caller: while the caller consumes segment k, the helper reads and
+/// CRC-scans segment k+1. Two byte buffers circulate — the caller's and
+/// one seeded here — so neither side allocates one per segment. Dropping
+/// it stops the helper and joins it.
+#[derive(Debug)]
+pub(crate) struct ReadAhead {
+    /// Loaded segments coming in, and the caller's spent buffers going
+    /// back; `None` once dropped.
+    link: Option<(Receiver<Loaded>, Sender<Vec<u8>>)>,
+    helper: Option<JoinHandle<()>>,
+}
+
+impl ReadAhead {
+    fn spawn(paths: Vec<PathBuf>) -> Self {
+        let (ready, loaded) = mpsc::sync_channel(1);
+        let (spent, buffers) = mpsc::channel();
+        // Cannot fail: `buffers` is alive.
+        let _ = spent.send(Vec::new());
+        let helper = thread::Builder::new()
+            .name("store-read-ahead".to_string())
+            .spawn(move || read_ahead(&paths, &ready, &buffers))
+            .expect("start the store read-ahead thread");
+        ReadAhead {
+            link: Some((loaded, spent)),
+            helper: Some(helper),
+        }
+    }
+
+    /// The next segment's scan, its bytes swapped into `buf` and `buf`'s
+    /// old contents handed back to the helper.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of the helper; and panics when called past the
+    /// end of the list.
+    pub(crate) fn next(&mut self, buf: &mut Vec<u8>) -> Result<SegmentScan, StoreError> {
+        let (loaded, spent) = self.link.as_ref().expect("the link lives until drop");
+        let Ok((bytes, scan)) = loaded.recv() else {
+            if let Some(Err(panic)) = self.helper.take().map(JoinHandle::join) {
+                std::panic::resume_unwind(panic);
+            }
+            panic!("read past the end of the read-ahead list");
+        };
+        // The helper stops taking buffers once the list is done.
+        let _ = spent.send(mem::replace(buf, bytes));
+        scan
+    }
+}
+
+impl Drop for ReadAhead {
+    fn drop(&mut self) {
+        // Closing both channels unblocks a helper waiting on either.
+        self.link = None;
+        if let Some(helper) = self.helper.take() {
+            // A panic of the helper after the caller stopped reading has
+            // nothing left to report to.
+            let _ = helper.join();
+        }
+    }
+}
+
+/// The read-ahead helper: reads each segment into a spent buffer, scans
+/// it and hands both over, until the list ends or the caller drops its
+/// end.
+fn read_ahead(paths: &[PathBuf], ready: &SyncSender<Loaded>, buffers: &Receiver<Vec<u8>>) {
+    for path in paths {
+        let Ok(mut bytes) = buffers.recv() else {
+            return;
+        };
+        let scan = read_file(path, &mut bytes).map(|()| wire::scan_segment(&bytes));
+        if ready.send((bytes, scan)).is_err() {
+            return;
         }
     }
 }

@@ -4,69 +4,109 @@
 //! Events are binary-encoded ([`fleetio_obs::wire`]), CRC-framed and
 //! buffered into a fixed-target-size segment; when the buffer reaches
 //! the target the segment is sealed — indexed in the manifest, then
-//! written via [`fleetio_model::atomic_write`] (tmp + fsync + rename, the
-//! only sanctioned file-write path in sim crates) followed by the
-//! manifest snapshot that lists it. Alongside the bytes the sink
+//! written via [`fleetio_model::AtomicBatch`] (tmp + fsync + rename, the
+//! group form of the only sanctioned file-write path in sim crates) and
+//! listed by a later manifest snapshot. Alongside the bytes the sink
 //! maintains the streaming FNV-1a fingerprint and per-segment
 //! sparse-index facts (min/max sim-time, tenant and kind bitmaps).
 //!
-//! The writes run on the sink's one writer thread, so recording goes on
-//! while a sealed segment is made durable. Every write is still made, in
-//! the order a synchronous writer would make it: jobs go down one FIFO
-//! queue, and each job is a file (segment or anchor) followed by the
-//! manifest that lists it, so the manifest on disk only ever lists files
-//! that are already durable. The sink owns exactly two segment buffers:
-//! it fills one while the writer holds the other, and the writer hands
-//! each back once it is written. So at most one segment is in flight, a
-//! seal waits only for the previous segment's writes, and no seal
-//! allocates a buffer.
+//! The work runs in three stages, each on its own thread, joined by FIFO
+//! queues, so every byte is produced and written in the order a
+//! synchronous sink would produce and write it:
+//!
+//! * **Recording** (the caller's thread) only appends each event to a
+//!   batch. A full batch goes to the encoder and an emptied one comes
+//!   back; the pool is `BATCHES` batches of `BATCH_EVENTS` events,
+//!   and a recorder that needs an empty batch blocks until one returns.
+//! * **Encoding** frames, fingerprints, indexes and seals, filling one of
+//!   `SEGMENT_BUFFERS` segment buffers; the writer hands each back once
+//!   its file is written, so no seal allocates a buffer. Anchors, the
+//!   final seal and [`StoreSink::error`] are round trips through it.
+//! * **Writing** makes each segment or anchor file durable as it arrives
+//!   and, once per group, syncs the directory and writes the group's one
+//!   manifest snapshot. A group ends at every `GROUP_SEALS`-th seal,
+//!   at every anchor and at the final seal — positions in the stream, not
+//!   queue timing. The writer keeps the manifest itself and updates it
+//!   only for files already written, so the manifest on disk only ever
+//!   lists durable files, also after a failed write: it then commits the
+//!   files written before the failure and stops.
 //!
 //! Sinks must never influence the simulation, and `ObsSink::record`
 //! returns nothing — so I/O errors are *latched*: the writer stops at its
-//! first failure, the sink stops recording once it sees the writer gone,
-//! and the failure is surfaced when the recorder calls
-//! [`StoreSink::finish`]. A crashed or failed run leaves a manifest with
+//! first failure, the encoder stops when it finds the writer gone, the
+//! recorder stops recording once it finds the encoder gone, and the
+//! failure is surfaced by [`StoreSink::finish`] (or sooner by
+//! [`StoreSink::error`]). A crashed or failed run leaves a manifest with
 //! `sealed = false`, which `verify`/`replay` refuse to trust. Dropping a
-//! sink without `finish` (a panicking recorder) waits for the writer to
-//! drain its queue, so it leaves every segment sealed so far.
+//! sink without `finish` (a panicking recorder) hands its partial batch
+//! on and waits for both threads to drain their queues, so it leaves
+//! every segment its events filled, listed.
 
 use std::any::Any;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::mem;
+use std::path::Path;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 
 use fleetio_des::hash::Fnv64;
-use fleetio_model::{atomic_write, RunAnchor};
+use fleetio_model::{AtomicBatch, RunAnchor};
 use fleetio_obs::wire;
 use fleetio_obs::{ObsEvent, ObsSink};
 
 use crate::manifest::{
-    anchor_file_name, segment_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE,
-    STORE_VERSION,
+    anchor_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE, STORE_VERSION,
 };
 
 /// Default segment target size (256 KiB ≈ a few thousand events).
 pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
 
-/// A streaming run-store writer.
+/// Events per batch the recording thread hands to the encoder (80 KiB).
+const BATCH_EVENTS: usize = 1024;
+
+/// Batches in the recording thread's pool.
+const BATCHES: usize = 4;
+
+/// Segment buffers in the encoder's pool: one filling, the others sealed
+/// and queued for, or being written by, the writer. A seal takes a free
+/// buffer before it hands the full one over.
+const SEGMENT_BUFFERS: usize = 3;
+
+/// Seals per group commit. A kill loses at most the sealed segments not
+/// yet listed — `SEGMENT_BUFFERS - 1` queued or being written plus
+/// `GROUP_SEALS` written but waiting for their group's manifest, 6 in
+/// all — and the events not yet sealed.
+const GROUP_SEALS: u32 = 4;
+
+/// A streaming run-store writer: the recording stage, and the handle to
+/// the encoding and writing stages behind it.
 #[derive(Debug)]
 pub struct StoreSink {
-    manifest: Manifest,
-    seg_target: usize,
-    /// Current segment buffer, header included.
-    seg_buf: Vec<u8>,
-    seg_events: u64,
-    seg_min_at: u64,
-    seg_max_at: u64,
-    seg_tenant_bits: u64,
-    seg_kind_bits: u32,
-    next_seq: u32,
+    /// Events not yet handed to the encoder.
+    batch: Vec<ObsEvent>,
+    /// Emptied batches coming back from the encoder.
+    empties: Receiver<Vec<ObsEvent>>,
+    /// The encoder's answers to round trips: the anchor it took, or
+    /// `None` for a sync.
+    answers: Receiver<Option<RunAnchor>>,
+    encoder: Stage<ToEncoder, Option<Manifest>>,
     total_events: u64,
-    fp: Fnv64,
-    writer: Writer,
     /// First I/O failure; latches the sink into a no-op.
     error: Option<String>,
+}
+
+/// What the recording thread sends the encoder, in stream order.
+#[derive(Debug)]
+enum ToEncoder {
+    Batch(Vec<ObsEvent>),
+    Anchor {
+        window: u64,
+        at_ns: u64,
+        model_tag: String,
+    },
+    /// Answered once every earlier write has been made or has failed.
+    Sync,
+    Finish,
 }
 
 impl StoreSink {
@@ -80,7 +120,7 @@ impl StoreSink {
     /// # Errors
     ///
     /// Directory creation, the initial manifest write or starting the
-    /// writer thread failing.
+    /// encoder or writer thread failing.
     pub fn create(
         dir: &Path,
         spec: Vec<u8>,
@@ -103,10 +143,19 @@ impl StoreSink {
             anchors: Vec::new(),
         };
         manifest.save(dir)?;
-        let mut sink = StoreSink {
-            manifest,
-            seg_target: segment_bytes.max(wire::SEG_HEADER_LEN + 64),
-            seg_buf: Vec::with_capacity(segment_bytes + 256),
+        let seg_target = segment_bytes.max(wire::SEG_HEADER_LEN + 64);
+        let seg_capacity = seg_target + 256;
+
+        let (give_back, written) = mpsc::channel();
+        let (ack, synced) = mpsc::channel();
+        let files = AtomicBatch::new(dir);
+        let writer = Stage::spawn("store-writer", move |jobs| {
+            write_jobs(files, manifest, seg_capacity, jobs, &give_back, &ack)
+        })?;
+        let enc = Encoder {
+            seg_target,
+            seg_capacity,
+            seg_buf: Vec::new(),
             seg_events: 0,
             seg_min_at: u64::MAX,
             seg_max_at: 0,
@@ -115,11 +164,30 @@ impl StoreSink {
             next_seq: 0,
             total_events: 0,
             fp: Fnv64::new(),
-            writer: Writer::spawn(dir.to_path_buf(), Vec::with_capacity(segment_bytes + 256))?,
-            error: None,
+            seed,
+            spec_fingerprint,
+            written,
+            synced,
+            writer,
         };
-        sink.begin_segment();
-        Ok(sink)
+
+        let (give_empty, empties) = mpsc::channel();
+        for _ in 1..BATCHES {
+            // Cannot fail: `empties` is alive.
+            let _ = give_empty.send(Vec::with_capacity(BATCH_EVENTS));
+        }
+        let (answer, answers) = mpsc::channel();
+        let encoder = Stage::spawn("store-encoder", move |queue| {
+            encode(enc, queue, &give_empty, &answer)
+        })?;
+        Ok(StoreSink {
+            batch: Vec::with_capacity(BATCH_EVENTS),
+            empties,
+            answers,
+            encoder,
+            total_events: 0,
+            error: None,
+        })
     }
 
     /// Events recorded so far.
@@ -127,75 +195,52 @@ impl StoreSink {
         self.total_events
     }
 
-    /// The streaming FNV-1a fingerprint over all encoded payloads so far.
-    pub fn fingerprint(&self) -> u64 {
-        self.fp.finish()
-    }
-
-    /// The first latched I/O error, if recording has failed. A write
-    /// failure is seen by the sink at the next seal or anchor after it.
-    pub fn error(&self) -> Option<&str> {
+    /// The first latched I/O error, if recording has failed. Waits until
+    /// every event recorded so far is encoded and every file it filled
+    /// has been written or has failed, so a failure is never missed.
+    pub fn error(&mut self) -> Option<&str> {
+        if self.error.is_none() {
+            // A failure is latched in `self.error`.
+            let _ = self.ask(ToEncoder::Sync);
+        }
         self.error.as_deref()
     }
 
-    fn begin_segment(&mut self) {
-        self.seg_buf.clear();
-        wire::push_segment_header(&mut self.seg_buf, self.next_seq);
-        self.seg_events = 0;
-        self.seg_min_at = u64::MAX;
-        self.seg_max_at = 0;
-        self.seg_tenant_bits = 0;
-        self.seg_kind_bits = 0;
-    }
-
-    /// Seals the current segment (if it holds any events): index entry,
-    /// then the segment and the manifest that lists it go to the writer,
-    /// and recording continues in the other buffer once the writer has
-    /// handed it back.
-    ///
-    /// # Errors
-    ///
-    /// The writer has stopped on a failure, which is then latched.
-    fn seal_segment(&mut self) -> io::Result<()> {
-        if self.seg_events == 0 {
+    /// Hands the current batch to the encoder and takes an emptied one,
+    /// waiting for it if the encoder holds the whole pool.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.batch.is_empty() {
             return Ok(());
         }
-        let Some(next) = self.writer.take_back() else {
-            return Err(self.writer_failed());
+        let Ok(empty) = self.empties.recv() else {
+            return Err(self.encoder_failed());
         };
-        let bytes = std::mem::replace(&mut self.seg_buf, next);
-        let seq = self.next_seq;
-        self.manifest.segments.push(SegmentMeta {
-            seq,
-            events: self.seg_events,
-            bytes: bytes.len() as u64,
-            first_event: self.total_events - self.seg_events,
-            min_at_ns: self.seg_min_at,
-            max_at_ns: self.seg_max_at,
-            tenant_bits: self.seg_tenant_bits,
-            kind_bits: self.seg_kind_bits,
-        });
-        self.manifest.total_events = self.total_events;
-        self.manifest.stream_fingerprint = self.fp.finish();
-        let manifest = self.manifest.to_container();
-        if !self.writer.send(Job::Segment {
-            seq,
-            bytes,
-            manifest,
-        }) {
-            return Err(self.writer_failed());
+        let full = mem::replace(&mut self.batch, empty);
+        if self.encoder.send(ToEncoder::Batch(full)) {
+            Ok(())
+        } else {
+            Err(self.encoder_failed())
         }
-        self.next_seq += 1;
-        self.begin_segment();
-        Ok(())
     }
 
-    /// Joins the writer, which has stopped on its first failure, and
-    /// latches that failure.
-    fn writer_failed(&mut self) -> io::Error {
-        let e = match self.writer.close() {
+    /// Flushes, sends `request` and waits for the encoder's answer.
+    fn ask(&mut self, request: ToEncoder) -> io::Result<Option<RunAnchor>> {
+        if let Some(e) = &self.error {
+            return Err(io::Error::other(e.clone()));
+        }
+        self.flush()?;
+        if !self.encoder.send(request) {
+            return Err(self.encoder_failed());
+        }
+        self.answers.recv().map_err(|_| self.encoder_failed())
+    }
+
+    /// Joins the encoder, which has stopped on its first failure (or the
+    /// writer's), and latches that failure.
+    fn encoder_failed(&mut self) -> io::Error {
+        let e = match self.encoder.close() {
             Err(e) => e.to_string(),
-            Ok(()) => "the store writer has stopped".to_string(),
+            Ok(_) => "the store encoder has stopped".to_string(),
         };
         self.error = Some(e.clone());
         io::Error::other(e)
@@ -208,41 +253,21 @@ impl StoreSink {
     ///
     /// # Errors
     ///
-    /// A previously latched failure, or the writer having stopped on one.
-    /// A failure of the anchor's own writes surfaces at a later seal or
-    /// at [`StoreSink::finish`].
+    /// A previously latched failure, or the encoder or writer having
+    /// stopped on one. A failure of the anchor's own writes surfaces at
+    /// a later call or at [`StoreSink::finish`].
     pub fn anchor(&mut self, window: u64, at_ns: u64, model_tag: &str) -> io::Result<RunAnchor> {
-        if let Some(e) = &self.error {
-            return Err(io::Error::other(e.clone()));
-        }
-        let anchor = RunAnchor {
+        let anchor = self.ask(ToEncoder::Anchor {
             window,
             at_ns,
-            event_count: self.total_events,
-            stream_fingerprint: self.fp.finish(),
-            spec_fingerprint: self.manifest.spec_fingerprint,
-            seed: self.manifest.seed,
             model_tag: model_tag.to_string(),
-        };
-        self.manifest.anchors.push(AnchorMeta {
-            window,
-            at_ns,
-            event_count: self.total_events,
-        });
-        let job = Job::Anchor {
-            window,
-            bytes: anchor.to_container(),
-            manifest: self.manifest.to_container(),
-        };
-        if !self.writer.send(job) {
-            return Err(self.writer_failed());
-        }
-        Ok(anchor)
+        })?;
+        Ok(anchor.expect("the encoder answers an anchor request with the anchor"))
     }
 
     /// Seals the final segment, marks the manifest sealed, waits for the
-    /// writer to make every queued write durable and returns the final
-    /// manifest.
+    /// encoder and the writer to make every queued write durable and
+    /// returns the final manifest.
     ///
     /// # Errors
     ///
@@ -252,16 +277,24 @@ impl StoreSink {
         if let Some(e) = self.error.take() {
             return Err(io::Error::other(e));
         }
-        self.seal_segment()?;
-        self.manifest.sealed = true;
-        self.manifest.total_events = self.total_events;
-        self.manifest.stream_fingerprint = self.fp.finish();
-        let manifest = self.manifest.to_container();
-        if !self.writer.send(Job::Seal { manifest }) {
-            return Err(self.writer_failed());
+        self.flush()?;
+        if !self.encoder.send(ToEncoder::Finish) {
+            return Err(self.encoder_failed());
         }
-        self.writer.close()?;
-        Ok(self.manifest)
+        self.encoder
+            .close()?
+            .ok_or_else(|| io::Error::other("the store encoder stopped before sealing"))
+    }
+}
+
+impl Drop for StoreSink {
+    fn drop(&mut self) {
+        // Dropped without `finish`: the partial batch is still encoded,
+        // and every segment it fills written, before `encoder` joins.
+        if !self.batch.is_empty() {
+            self.encoder
+                .send(ToEncoder::Batch(mem::take(&mut self.batch)));
+        }
     }
 }
 
@@ -274,20 +307,11 @@ impl ObsSink for StoreSink {
         if self.error.is_some() {
             return;
         }
-        let payload = wire::push_event_record(&mut self.seg_buf, &ev);
-        self.fp.update(&self.seg_buf[payload]);
-        let at = ev.at().as_nanos();
-        self.seg_min_at = self.seg_min_at.min(at);
-        self.seg_max_at = self.seg_max_at.max(at);
-        if let Some(t) = ev.tenant() {
-            self.seg_tenant_bits |= 1u64 << (t % 64);
-        }
-        self.seg_kind_bits |= 1u32 << ev.kind_index();
-        self.seg_events += 1;
+        self.batch.push(ev);
         self.total_events += 1;
-        if self.seg_buf.len() >= self.seg_target {
+        if self.batch.len() == BATCH_EVENTS {
             // A failure is latched in `self.error` and surfaces at `finish`.
-            let _ = self.seal_segment();
+            let _ = self.flush();
         }
     }
 
@@ -300,136 +324,365 @@ impl ObsSink for StoreSink {
     }
 }
 
-/// One unit of the writer's queue: a file, then the manifest snapshot
-/// that lists it (or only the manifest), written in that order.
+/// A pipeline thread fed by one FIFO queue. Dropping it closes the queue
+/// and waits for the thread to finish what was queued.
+#[derive(Debug)]
+struct Stage<In, Out> {
+    name: &'static str,
+    /// `None` once closed.
+    queue: Option<Sender<In>>,
+    thread: Option<JoinHandle<io::Result<Out>>>,
+}
+
+impl<In: Send + 'static, Out: Send + 'static> Stage<In, Out> {
+    fn spawn(
+        name: &'static str,
+        body: impl FnOnce(Receiver<In>) -> io::Result<Out> + Send + 'static,
+    ) -> io::Result<Self> {
+        let (queue, work) = mpsc::channel();
+        let thread = thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || body(work))?;
+        Ok(Stage {
+            name,
+            queue: Some(queue),
+            thread: Some(thread),
+        })
+    }
+
+    /// Queues `item`; false if the thread has stopped.
+    fn send(&self, item: In) -> bool {
+        self.queue.as_ref().is_some_and(|q| q.send(item).is_ok())
+    }
+
+    /// Closes the queue, waits for the thread to drain it and returns
+    /// what the thread returned.
+    fn close(&mut self) -> io::Result<Out> {
+        self.queue = None;
+        match self.thread.take() {
+            Some(t) => t
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other(format!("the {} panicked", self.name)))),
+            None => Err(io::Error::other(format!("the {} has stopped", self.name))),
+        }
+    }
+}
+
+impl<In, Out> Drop for Stage<In, Out> {
+    fn drop(&mut self) {
+        self.queue = None;
+        if let Some(t) = self.thread.take() {
+            // A failure leaves the manifest unsealed; `finish` reports it.
+            let _ = t.join();
+        }
+    }
+}
+
+/// The encoding stage's state: the current segment and the stream so far.
+#[derive(Debug)]
+struct Encoder {
+    seg_target: usize,
+    seg_capacity: usize,
+    /// Current segment buffer, header included.
+    seg_buf: Vec<u8>,
+    seg_events: u64,
+    seg_min_at: u64,
+    seg_max_at: u64,
+    seg_tenant_bits: u64,
+    seg_kind_bits: u32,
+    next_seq: u32,
+    total_events: u64,
+    fp: Fnv64,
+    seed: u64,
+    spec_fingerprint: u32,
+    /// Segment buffers coming back once written.
+    written: Receiver<Vec<u8>>,
+    /// The writer's answers to [`Job::Sync`].
+    synced: Receiver<()>,
+    writer: Stage<Job, Manifest>,
+}
+
+/// The encoder thread: encodes each batch and answers each request in
+/// queue order, handing every batch back emptied.
+fn encode(
+    mut enc: Encoder,
+    queue: Receiver<ToEncoder>,
+    empties: &Sender<Vec<ObsEvent>>,
+    answers: &Sender<Option<RunAnchor>>,
+) -> io::Result<Option<Manifest>> {
+    enc.seg_buf = Vec::with_capacity(enc.seg_capacity);
+    enc.begin_segment();
+    // The recorder keeps both receivers until it has joined this thread.
+    for msg in queue {
+        match msg {
+            ToEncoder::Batch(mut events) => {
+                for ev in &events {
+                    enc.record(ev)?;
+                }
+                events.clear();
+                let _ = empties.send(events);
+            }
+            ToEncoder::Anchor {
+                window,
+                at_ns,
+                model_tag,
+            } => {
+                let anchor = enc.anchor(window, at_ns, model_tag)?;
+                let _ = answers.send(Some(anchor));
+            }
+            ToEncoder::Sync => {
+                enc.sync()?;
+                let _ = answers.send(None);
+            }
+            ToEncoder::Finish => return enc.finish().map(Some),
+        }
+    }
+    // Dropped without `finish`: the writer commits what it wrote.
+    enc.writer.close().map(|_| None)
+}
+
+impl Encoder {
+    fn begin_segment(&mut self) {
+        self.seg_buf.clear();
+        wire::push_segment_header(&mut self.seg_buf, self.next_seq);
+        self.seg_events = 0;
+        self.seg_min_at = u64::MAX;
+        self.seg_max_at = 0;
+        self.seg_tenant_bits = 0;
+        self.seg_kind_bits = 0;
+    }
+
+    fn record(&mut self, ev: &ObsEvent) -> io::Result<()> {
+        let payload = wire::push_event_record(&mut self.seg_buf, ev);
+        self.fp.update(&self.seg_buf[payload]);
+        let at = ev.at().as_nanos();
+        self.seg_min_at = self.seg_min_at.min(at);
+        self.seg_max_at = self.seg_max_at.max(at);
+        if let Some(t) = ev.tenant() {
+            self.seg_tenant_bits |= 1u64 << (t % 64);
+        }
+        self.seg_kind_bits |= 1u32 << ev.kind_index();
+        self.seg_events += 1;
+        self.total_events += 1;
+        if self.seg_buf.len() >= self.seg_target {
+            self.seal_segment()?;
+        }
+        Ok(())
+    }
+
+    /// Seals the current segment (if it holds any events): the segment
+    /// and its index entry go to the writer, and encoding continues in a
+    /// buffer the writer has handed back.
+    ///
+    /// # Errors
+    ///
+    /// The writer has stopped on a failure.
+    fn seal_segment(&mut self) -> io::Result<()> {
+        if self.seg_events == 0 {
+            return Ok(());
+        }
+        let Ok(next) = self.written.recv() else {
+            return Err(self.writer_failed());
+        };
+        let bytes = mem::replace(&mut self.seg_buf, next);
+        let seq = self.next_seq;
+        let meta = SegmentMeta {
+            seq,
+            events: self.seg_events,
+            bytes: bytes.len() as u64,
+            first_event: self.total_events - self.seg_events,
+            min_at_ns: self.seg_min_at,
+            max_at_ns: self.seg_max_at,
+            tenant_bits: self.seg_tenant_bits,
+            kind_bits: self.seg_kind_bits,
+        };
+        let job = Job::Segment {
+            bytes,
+            meta,
+            fingerprint: self.fp.finish(),
+            commit: (seq + 1).is_multiple_of(GROUP_SEALS),
+        };
+        if !self.writer.send(job) {
+            return Err(self.writer_failed());
+        }
+        self.next_seq += 1;
+        self.begin_segment();
+        Ok(())
+    }
+
+    /// Joins the writer, which has stopped on its first failure, and
+    /// returns that failure.
+    fn writer_failed(&mut self) -> io::Error {
+        match self.writer.close() {
+            Err(e) => e,
+            Ok(_) => io::Error::other("the store writer has stopped"),
+        }
+    }
+
+    /// The replay anchor at the current stream position, queued behind
+    /// the segments sealed so far.
+    fn anchor(&mut self, window: u64, at_ns: u64, model_tag: String) -> io::Result<RunAnchor> {
+        let anchor = RunAnchor {
+            window,
+            at_ns,
+            event_count: self.total_events,
+            stream_fingerprint: self.fp.finish(),
+            spec_fingerprint: self.spec_fingerprint,
+            seed: self.seed,
+            model_tag,
+        };
+        let job = Job::Anchor {
+            bytes: anchor.to_container(),
+            meta: AnchorMeta {
+                window,
+                at_ns,
+                event_count: self.total_events,
+            },
+        };
+        if !self.writer.send(job) {
+            return Err(self.writer_failed());
+        }
+        Ok(anchor)
+    }
+
+    /// Waits for the writer to make or fail every write queued so far.
+    fn sync(&mut self) -> io::Result<()> {
+        if self.writer.send(Job::Sync) && self.synced.recv().is_ok() {
+            Ok(())
+        } else {
+            Err(self.writer_failed())
+        }
+    }
+
+    /// Seals the final segment and the manifest and waits for the writer.
+    fn finish(mut self) -> io::Result<Manifest> {
+        self.seal_segment()?;
+        let job = Job::Seal {
+            total_events: self.total_events,
+            fingerprint: self.fp.finish(),
+        };
+        if !self.writer.send(job) {
+            return Err(self.writer_failed());
+        }
+        self.writer.close()
+    }
+}
+
+/// One unit of the writer's queue.
 #[derive(Debug)]
 enum Job {
-    /// Segment `seq`; its buffer goes back to the sink once written.
+    /// A sealed segment, with its index entry and the stream fingerprint
+    /// through it; its buffer goes back to the encoder once written.
+    /// `commit` ends a group.
     Segment {
-        seq: u32,
         bytes: Vec<u8>,
-        manifest: Vec<u8>,
+        meta: SegmentMeta,
+        fingerprint: u64,
+        commit: bool,
     },
-    /// The replay anchor taken after `window`.
-    Anchor {
-        window: u64,
-        bytes: Vec<u8>,
-        manifest: Vec<u8>,
-    },
-    /// The sealed manifest, last.
-    Seal { manifest: Vec<u8> },
+    /// A replay anchor's container; ends a group.
+    Anchor { bytes: Vec<u8>, meta: AnchorMeta },
+    /// The end of the run; ends the last group with the sealed manifest.
+    Seal { total_events: u64, fingerprint: u64 },
+    /// Answered on the writer's `synced` channel.
+    Sync,
 }
 
 impl Job {
-    fn write(&self, dir: &Path) -> io::Result<()> {
-        let (file, manifest) = match self {
+    /// Writes the job's file, records it in `manifest` and commits the
+    /// group if the job ends one.
+    fn write(&self, files: &mut AtomicBatch, manifest: &mut Manifest) -> io::Result<()> {
+        let commit = match self {
             Job::Segment {
-                seq,
                 bytes,
-                manifest,
-            } => (Some((segment_file_name(*seq), bytes)), manifest),
-            Job::Anchor {
-                window,
-                bytes,
-                manifest,
-            } => (Some((anchor_file_name(*window), bytes)), manifest),
-            Job::Seal { manifest } => (None, manifest),
+                meta,
+                fingerprint,
+                commit,
+            } => {
+                files.write(&meta.file_name(), bytes)?;
+                manifest.segments.push(meta.clone());
+                manifest.total_events = meta.first_event + meta.events;
+                manifest.stream_fingerprint = *fingerprint;
+                *commit
+            }
+            Job::Anchor { bytes, meta } => {
+                files.write(&anchor_file_name(meta.window), bytes)?;
+                manifest.anchors.push(meta.clone());
+                true
+            }
+            Job::Seal {
+                total_events,
+                fingerprint,
+            } => {
+                manifest.sealed = true;
+                manifest.total_events = *total_events;
+                manifest.stream_fingerprint = *fingerprint;
+                true
+            }
+            Job::Sync => false,
         };
-        if let Some((name, bytes)) = file {
-            atomic_write(&dir.join(name), bytes)?;
+        if commit {
+            files.commit(MANIFEST_FILE, &manifest.to_container())?;
         }
-        atomic_write(&dir.join(MANIFEST_FILE), manifest)
+        Ok(())
     }
 
     /// What the job writes, as an error names it.
     fn what(&self) -> String {
         match self {
-            Job::Segment { seq, .. } => format!("sealing segment {seq}"),
-            Job::Anchor { window, .. } => format!("writing anchor {window}"),
+            Job::Segment { meta, .. } => format!("sealing segment {}", meta.seq),
+            Job::Anchor { meta, .. } => format!("writing anchor {}", meta.window),
             Job::Seal { .. } => "sealing the manifest".to_string(),
+            Job::Sync => "syncing".to_string(),
         }
     }
 }
 
-/// The sink's writer thread and its two queues. Dropping it closes the
-/// job queue and waits for the thread to finish what was queued.
-#[derive(Debug)]
-struct Writer {
-    /// Jobs in write order; `None` once closed.
-    jobs: Option<Sender<Job>>,
-    /// Segment buffers coming back once written.
-    written: Receiver<Vec<u8>>,
-    thread: Option<JoinHandle<io::Result<()>>>,
-}
-
-impl Writer {
-    /// Starts the writer with `spare` already handed back, so the first
-    /// seal takes it without waiting.
-    fn spawn(dir: PathBuf, spare: Vec<u8>) -> io::Result<Writer> {
-        let (jobs, queue) = mpsc::channel();
-        let (give_back, written) = mpsc::channel();
-        // Cannot fail: `written` is alive.
-        let _ = give_back.send(spare);
-        let thread = thread::Builder::new()
-            .name("store-writer".to_string())
-            .spawn(move || write_jobs(&dir, queue, give_back))?;
-        Ok(Writer {
-            jobs: Some(jobs),
-            written,
-            thread: Some(thread),
-        })
+/// The writer thread: seeds the encoder's buffer pool, performs each
+/// job's writes in queue order, hands each segment buffer back, and stops
+/// at the first failure — after committing the files written before it.
+fn write_jobs(
+    mut files: AtomicBatch,
+    mut manifest: Manifest,
+    seg_capacity: usize,
+    jobs: Receiver<Job>,
+    give_back: &Sender<Vec<u8>>,
+    synced: &Sender<()>,
+) -> io::Result<Manifest> {
+    // The encoder keeps both receivers until it has joined this thread.
+    for _ in 1..SEGMENT_BUFFERS {
+        let _ = give_back.send(Vec::with_capacity(seg_capacity));
     }
-
-    /// Queues `job`; false if the writer has stopped.
-    fn send(&self, job: Job) -> bool {
-        self.jobs.as_ref().is_some_and(|q| q.send(job).is_ok())
-    }
-
-    /// Takes back the spare buffer, waiting for the segment in flight (if
-    /// any) to be written; `None` if the writer stopped first.
-    fn take_back(&self) -> Option<Vec<u8>> {
-        self.written.recv().ok()
-    }
-
-    /// Closes the queue, waits for the writer to drain it and returns its
-    /// first failure.
-    fn close(&mut self) -> io::Result<()> {
-        self.jobs = None;
-        match self.thread.take() {
-            Some(t) => t
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("the store writer panicked"))),
-            None => Ok(()),
+    for job in jobs {
+        if let Err(e) = job.write(&mut files, &mut manifest) {
+            if files.pending() {
+                // Best-effort: the failure below is the one to report.
+                let _ = files.commit(MANIFEST_FILE, &manifest.to_container());
+            }
+            return Err(io::Error::new(e.kind(), format!("{}: {e}", job.what())));
+        }
+        match job {
+            Job::Segment { bytes, .. } => {
+                let _ = give_back.send(bytes);
+            }
+            Job::Sync => {
+                let _ = synced.send(());
+            }
+            Job::Anchor { .. } | Job::Seal { .. } => {}
         }
     }
-}
-
-impl Drop for Writer {
-    fn drop(&mut self) {
-        // The sink was dropped without `finish`: what was queued is still
-        // written, and a failure leaves the manifest unsealed.
-        let _ = self.close();
+    // Closed without a seal: list what was written.
+    if files.pending() {
+        files.commit(MANIFEST_FILE, &manifest.to_container())?;
     }
-}
-
-/// The writer thread: performs each job's writes in queue order, hands
-/// each segment buffer back, and stops at the first failure.
-fn write_jobs(dir: &Path, queue: Receiver<Job>, give_back: Sender<Vec<u8>>) -> io::Result<()> {
-    for job in queue {
-        job.write(dir)
-            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", job.what())))?;
-        if let Job::Segment { bytes, .. } = job {
-            // The sink keeps the receiver until it has joined this thread.
-            let _ = give_back.send(bytes);
-        }
-    }
-    Ok(())
+    Ok(manifest)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fleetio_des::SimTime;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

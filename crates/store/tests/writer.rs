@@ -7,6 +7,8 @@
 //!   replaced by a file, or a segment's temp name blocked — comes back as
 //!   an `Err` naming the segment from `finish` and from `record_run`, and
 //!   the manifest on disk stays unsealed;
+//! * a write failing in the middle of a group leaves a manifest listing
+//!   exactly the files written before it;
 //! * many seals and anchors interleaved on one queue run to completion.
 
 use std::path::{Path, PathBuf};
@@ -152,6 +154,44 @@ fn record_run_surfaces_a_failed_segment_write() {
     assert!(!left.sealed);
     assert_eq!(left.segments.len(), 2, "segments 0 and 1 are durable");
     assert!(!dir.join(segment_file_name(2)).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_failure_mid_group_commits_exactly_the_files_before_it() {
+    let full = reference("mid-group", 4_000);
+    let dir = tmp("mid-group");
+    // Segments 0, 1 and 2 are queued in one group; a directory squatting
+    // on the middle one's temp name fails its write.
+    let blocked = tmp_path(&dir.join(segment_file_name(1)));
+    std::fs::create_dir_all(&blocked).expect("block segment 1");
+    let mut s = sink(&dir);
+    record(&mut s, 0..full.segments[3].first_event + 1);
+    let err = s.finish().expect_err("segment 1 cannot be written");
+    assert!(
+        err.to_string().contains("sealing segment 1"),
+        "the error names the segment: {err}"
+    );
+
+    let left = Manifest::load(&dir).expect("the manifest is readable");
+    assert!(!left.sealed, "a failed run never seals");
+    assert_eq!(
+        left.segments,
+        full.segments[..1],
+        "exactly the files before it"
+    );
+    for meta in &left.segments {
+        assert!(!meta.file_name().ends_with(".tmp"));
+        assert!(dir.join(meta.file_name()).is_file());
+    }
+    let squatter = blocked.file_name().expect("a file name");
+    assert_eq!(temp_files(&dir), [squatter.to_string_lossy()]);
+    assert!(!dir.join(segment_file_name(1)).exists());
+    assert!(!dir.join(segment_file_name(2)).exists());
+    let report = RunStore::open(&dir).expect("open").verify();
+    assert!(!report.sealed);
+    assert!(report.segments.iter().all(|s| s.ok()));
+    assert_eq!(report.fingerprint_ok, Some(true));
     std::fs::remove_dir_all(&dir).ok();
 }
 
