@@ -28,8 +28,9 @@ use fleetio_workloads::WorkloadKind;
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per completed request of a colocation run with no obs sink
-/// (measured 0.044935695470275296: 870 allocations over 19 361 requests;
-/// 894 while every tenant's trace ring grew).
+/// (measured 0.04545219771706007: 880 allocations over 19 361 requests,
+/// 870 before each per-page table also had a chunk list; 894 while every
+/// tenant's trace ring grew).
 /// Per request, not per simulated event: how many events a request costs
 /// is the engine's business, whereas the requests a seeded run completes
 /// do not move.
@@ -53,15 +54,21 @@ const OPEN_LOOP_ALLOCS_MAX: u64 = 116;
 /// rings grown by doubling, made it 143.6.
 const BYTES_PER_REQUEST_MAX: f64 = 54.7;
 
-/// Allocations of `Engine::new` plus a half-capacity warm-up (measured 651).
-const ENGINE_BUILD_ALLOCS_MAX: f64 = 680.0;
+/// Allocations of `Engine::new` plus a half-capacity warm-up (measured
+/// 1 507): most are the 16 KiB page-state and L2P chunks the warm-up's
+/// writes allocate, one per chunk first written (651 while those tables
+/// were allocated whole). A `Vec` allocated per block opened made it
+/// 8 035.
+const ENGINE_BUILD_ALLOCS_MAX: f64 = 1_580.0;
 
-/// Bytes those allocations request (measured 31 136 328). Nearly all of it
-/// is per-page state sized from the geometry: a 4-byte page-state slot per
-/// physical page (16 MiB) and a 4-byte L2P entry per logical page of each
-/// vSSD (2 × 6.4 MiB). With 8-byte slots and 12-byte entries grown to the
-/// warmed prefix the same build requested 54 598 152.
-const ENGINE_BUILD_BYTES_MAX: f64 = 32_600_000.0;
+/// Bytes those allocations request (measured 15 044 968). Nearly all of it
+/// is per-page state: the chunks holding the pages the warm-up wrote, 4
+/// bytes per page-state slot and per L2P entry. Allocated whole — a slot
+/// per physical page (16 MiB) and an entry per logical page of each vSSD
+/// (2 × 6.4 MiB) — it was 31 136 328; with 8-byte slots and 12-byte
+/// entries grown to the warmed prefix, 54 598 152. A `Vec` allocated per
+/// block opened made it 21 729 640.
+const ENGINE_BUILD_BYTES_MAX: f64 = 15_790_000.0;
 
 /// Allocations per event of diffing a store against itself, counted over
 /// the whole process (measured 0.004935: 1 974 allocations over 400 000
@@ -301,7 +308,8 @@ fn engine_build_and_warm_up_allocs() {
 }
 
 /// Bytes requested by the same build: nearly all of it is per-page state,
-/// the chips' page-state arenas and the vSSDs' L2P maps.
+/// the chunks of the chips' page-state arenas and the vSSDs' L2P maps
+/// that the warm-up writes.
 #[test]
 fn engine_build_and_warm_up_bytes() {
     let _serial = serial();

@@ -19,6 +19,8 @@
 //! * [`codec`] — the workspace's one binary codec: the `FIOM` container
 //!   and the little-endian [`codec::Enc`]/[`codec::Dec`] pair under
 //!   every checkpoint, spec, manifest and observability record,
+//! * [`chunked`] — a `u32` table allocated in chunks on first write, under
+//!   the per-page tables (page state, L2P) sized from a device's geometry,
 //! * [`par`] — the deterministic work queue every simulation worker
 //!   thread in the workspace runs on (results by item index).
 //!
@@ -35,6 +37,7 @@
 
 #[cfg(feature = "audit")]
 pub mod audit;
+pub mod chunked;
 pub mod codec;
 pub mod hash;
 pub mod hist;

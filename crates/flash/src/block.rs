@@ -1,5 +1,5 @@
-//! Flash block state: a flat per-chip page-state arena, append points,
-//! free lists.
+//! Flash block state: a per-chip page-state arena, append points, free
+//! lists.
 //!
 //! Flash writes are out-of-place: a page is programmed once per erase cycle,
 //! overwrites invalidate the old physical page, and whole blocks are erased
@@ -7,11 +7,17 @@
 //! [`ChipBlocks`] owns every block on one chip, the page state behind them
 //! and the free list.
 //!
-//! Page state costs 4 bytes per physical page, in one zeroed `u32` arena
-//! per chip, so pages a run never writes are never resident. A slot holds
+//! Page state costs 4 bytes per physical page, in one `u32` arena per chip
+//! held in 16 KiB chunks that are allocated on their first write
+//! ([`ChunkedTable`]; an arena under 128 KiB is allocated whole), so only
+//! the chunks holding pages a run has written are resident — in every chip
+//! of every engine a process builds, whatever the allocator recycles. A
+//! slot holds
 //! `lpa + 1`, which bounds an LPA below `u32::MAX`;
 //! [`FlashConfig::validate`](crate::config::FlashConfig::validate) holds a
 //! device's page count, and with it every in-range LPA, under `2^31`.
+
+use fleetio_des::chunked::ChunkedTable;
 
 use crate::addr::Lpa;
 
@@ -64,13 +70,14 @@ impl BlockState {
 /// All blocks on one chip, with their page state and a free list.
 ///
 /// Page state is one `u32` per physical page in a single arena indexed by
-/// `block * pages_per_block + page`: `0` means *empty* (never written this
+/// `block * block_stride + page`: `0` means *empty* (never written this
 /// erase cycle, or invalidated since), anything else is the live page's
 /// `lpa + 1`. Validity is derived from the slot, so there is no separate
-/// bitmap to keep in step; the arena is allocated zeroed, so pages a run
-/// never touches cost no resident memory; and because a block can only be
-/// erased once every page in it has been invalidated, erase leaves nothing
-/// to clear.
+/// bitmap to keep in step. The arena's chunks are allocated on first write
+/// and hold whole blocks (the stride is the block size rounded up to a
+/// power of two), so pages a run never touches cost no resident memory and
+/// every block is one slice. Because a block can only be erased once every
+/// page in it has been invalidated, erase leaves nothing to clear.
 ///
 /// Two chips compare equal when every block's counters, the free list in
 /// allocation order and every page-state slot are equal.
@@ -79,8 +86,11 @@ pub struct ChipBlocks {
     blocks: Vec<BlockState>,
     free: Vec<u32>,
     pages_per_block: u32,
+    /// Arena slots per block: `pages_per_block` rounded up to a power of
+    /// two, so no block straddles two chunks.
+    block_stride: u32,
     /// `lpa + 1` of each live page, `0` for an empty one.
-    page_state: Vec<u32>,
+    page_state: ChunkedTable,
 }
 
 impl ChipBlocks {
@@ -91,6 +101,7 @@ impl ChipBlocks {
     /// Panics if `pages` is zero.
     pub fn new(count: u32, pages: u32) -> Self {
         assert!(pages > 0, "a block needs at least one page");
+        let block_stride = pages.next_power_of_two();
         ChipBlocks {
             blocks: vec![
                 BlockState {
@@ -104,7 +115,11 @@ impl ChipBlocks {
             // Pop from the back: allocate low block ids first.
             free: (0..count).rev().collect(),
             pages_per_block: pages,
-            page_state: vec![0; count as usize * pages as usize],
+            block_stride,
+            page_state: ChunkedTable::new(
+                count as usize * block_stride as usize,
+                block_stride as usize,
+            ),
         }
     }
 
@@ -189,7 +204,7 @@ impl ChipBlocks {
     /// Arena index of `(block, page)`.
     #[inline]
     fn slot(&self, block: u32, page: u32) -> usize {
-        block as usize * self.pages_per_block as usize + page as usize
+        block as usize * self.block_stride as usize + page as usize
     }
 
     /// Appends one page holding `lpa` to `block`, returning the page index
@@ -214,7 +229,7 @@ impl ChipBlocks {
             b.phase = BlockPhase::Full;
         }
         let slot = self.slot(block, page);
-        self.page_state[slot] = lpa.0 as u32 + 1;
+        self.page_state.set(slot, lpa.0 as u32 + 1);
         page
     }
 
@@ -249,9 +264,12 @@ impl ChipBlocks {
         if b.next_page == self.pages_per_block {
             b.phase = BlockPhase::Full;
         }
+        if count == 0 {
+            return page;
+        }
         let start = self.slot(block, page);
         let mut lpa = first.0 + 1;
-        for s in &mut self.page_state[start..start + count as usize] {
+        for s in &mut self.page_state.tail_mut(start)[..count as usize] {
             *s = lpa as u32;
             lpa = lpa.wrapping_add(stride);
         }
@@ -269,26 +287,36 @@ impl ChipBlocks {
         let slot = self.slot(block, page);
         let b = &mut self.blocks[block as usize];
         assert!(page < b.next_page, "invalidating an unwritten page");
-        if self.page_state[slot] != 0 {
-            self.page_state[slot] = 0;
+        // The page was written, so its chunk exists: this allocates nothing.
+        let state = &mut self.page_state.tail_mut(slot)[0];
+        if *state != 0 {
+            *state = 0;
             b.valid_count -= 1;
         }
     }
 
     /// Whether `page` of `block` currently holds live data.
     pub fn is_valid(&self, block: u32, page: u32) -> bool {
-        page < self.pages_per_block && self.page_state[self.slot(block, page)] != 0
+        page < self.pages_per_block && self.page_state.get(self.slot(block, page)) != 0
     }
 
     /// Iterates over `(page, lpa)` pairs of all live pages of `block`.
     pub fn valid_pages(&self, block: u32) -> impl Iterator<Item = (u32, Lpa)> + '_ {
-        let start = self.slot(block, 0);
         let written = self.blocks[block as usize].next_page as usize;
-        self.page_state[start..start + written]
+        // An unwritten chunk holds no live page.
+        self.block_slots(block)
+            .map_or(&[][..], |slots| &slots[..written])
             .iter()
             .enumerate()
             .filter(|(_, &s)| s != 0)
             .map(|(i, &s)| (i as u32, Lpa(u64::from(s - 1))))
+    }
+
+    /// The arena slots of `block`'s pages, or `None` while its chunk has
+    /// never been written (every slot empty).
+    fn block_slots(&self, block: u32) -> Option<&[u32]> {
+        let slots = self.page_state.tail(self.slot(block, 0))?;
+        Some(&slots[..self.pages_per_block as usize])
     }
 
     /// Audits the chip's structural invariants (the `audit` feature's
@@ -334,10 +362,15 @@ impl ChipBlocks {
             self.free.len()
         );
         for (id, b) in self.blocks.iter().enumerate() {
-            let start = self.slot(id as u32, 0);
-            let (written, unwritten) = self.page_state
-                [start..start + self.pages_per_block as usize]
-                .split_at(b.next_page as usize);
+            let Some(slots) = self.block_slots(id as u32) else {
+                debug_assert!(
+                    b.valid_count == 0,
+                    "block {id}: valid_count {} disagrees with arena census 0",
+                    b.valid_count
+                );
+                continue;
+            };
+            let (written, unwritten) = slots.split_at(b.next_page as usize);
             let live = written.iter().filter(|&&s| s != 0).count() as u32;
             debug_assert!(
                 live == b.valid_count,
@@ -468,6 +501,47 @@ mod tests {
                 .map(|p| (p, Lpa(first + (7 + u64::from(p)) * stride)))
                 .collect::<Vec<_>>()
         );
+    }
+
+    /// Every block is one slice of one chunk, for the presets' 32- and
+    /// 256-page blocks and for a block size that is not a power of two, in
+    /// arenas large enough (over 128 KiB) to be allocated chunk by chunk:
+    /// filling every block with one run reads back page for page.
+    #[test]
+    fn every_block_is_one_slice() {
+        for pages in [32u32, 256, 48] {
+            let blocks = 32 * 1024 / pages.next_power_of_two() + 8;
+            let mut c = ChipBlocks::new(blocks, pages);
+            for b in 0..blocks {
+                assert_eq!(c.allocate(), Some(b));
+                let first = Lpa(u64::from(b * pages));
+                assert_eq!(c.append_run(b, first, 1, pages), 0);
+            }
+            for b in 0..blocks {
+                let want: Vec<_> = (0..pages)
+                    .map(|p| (p, Lpa(u64::from(b * pages + p))))
+                    .collect();
+                assert_eq!(
+                    c.valid_pages(b).collect::<Vec<_>>(),
+                    want,
+                    "{pages}-page block {b}"
+                );
+            }
+        }
+    }
+
+    /// Equality is by value: a chunk allocated by a write and cleared
+    /// again equals one never written, and a live slot does not.
+    #[test]
+    fn chips_with_the_same_page_state_compare_equal() {
+        let fresh = ChipBlocks::new(256, 256);
+        let mut touched = fresh.clone();
+        let slot = touched.slot(40, 3);
+        touched.page_state.set(slot, 0);
+        assert_eq!(touched.page_state.allocated_chunks(), 1);
+        assert_eq!(touched, fresh);
+        touched.page_state.set(slot, 5);
+        assert_ne!(touched, fresh);
     }
 
     #[test]
@@ -675,7 +749,7 @@ mod tests {
     fn audit_catches_state_past_the_append_point() {
         let mut c = one_open_block(4);
         c.append(0, Lpa(1));
-        c.page_state[2] = 9;
+        c.page_state.set(2, 9);
         c.audit_invariants();
     }
 

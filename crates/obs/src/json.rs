@@ -5,7 +5,9 @@
 //! validate emitted JSON without external crates. Supports the full
 //! JSON grammar the exporters produce: objects, arrays, strings with
 //! escapes, numbers (parsed as `f64`), booleans and `null`. Rejects
-//! trailing input. [`write_str`] is the inverse of the string rule:
+//! trailing input, and nesting deeper than [`MAX_DEPTH`] (the parser
+//! recurses once per level, so unbounded nesting would overflow the
+//! stack). [`write_str`] is the inverse of the string rule:
 //! every JSON writer that interpolates a caller-supplied string
 //! (`ObsEvent::write_json`, `SeriesSet::to_jsonl`, `fleetio-bench`
 //! reports) goes through it.
@@ -103,11 +105,16 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses `input` as a single JSON value, rejecting trailing input.
+/// Deepest nesting of arrays and objects [`parse`] accepts: far deeper
+/// than any document the workspace writes.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses `input` as a single JSON value, rejecting trailing input and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing input at byte {pos}"));
@@ -121,12 +128,18 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` is how many more levels of arrays and
+/// objects may open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == 0 => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth - 1),
+        Some(b'[') => parse_array(b, pos, depth - 1),
         Some(b'"') => parse_string(b, pos).map(Value::Str),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -209,7 +222,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -228,7 +241,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         map.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -242,7 +255,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut arr = Vec::new();
     skip_ws(b, pos);
@@ -251,7 +264,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(arr));
     }
     loop {
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         arr.push(value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -291,6 +304,15 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |levels| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        assert!(parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -3,8 +3,12 @@
 //!
 //! The L2P map ([`PageMap`]) is the vSSD's per-page cost: 4 bytes per
 //! logical page, sized once from the logical capacity and zero (unmapped)
-//! until written, so only pages a run writes are resident.
+//! until written. It is held in 16 KiB chunks allocated on their first
+//! write ([`ChunkedTable`]; a map under 128 KiB is allocated whole), so
+//! only the chunks holding pages a run has written are resident, in every
+//! engine a process builds.
 
+use fleetio_des::chunked::ChunkedTable;
 use fleetio_des::window::WindowStats;
 use fleetio_des::LatencyHistogram;
 use fleetio_flash::addr::{BlockAddr, ChannelId, Ppa, PpaLayout};
@@ -35,14 +39,15 @@ pub(crate) struct BlockMeta {
 ///
 /// The FTL map is touched once or twice per written page (lookup + insert)
 /// and once per read — the single hottest lookup in the engine — so it is
-/// one array index and a shift-and-mask unpack ([`PpaLayout`]). A slot
-/// holds the packed address + 1 and `0` means unmapped, so the table is
-/// allocated zeroed at its full logical size up front: it costs no
-/// resident memory until a page is written and never grows.
+/// one chunk lookup and a shift-and-mask unpack ([`PpaLayout`]). A slot
+/// holds the packed address + 1 and `0` means unmapped, so the table
+/// covers the full logical size from the start and never grows, while a
+/// chunk costs memory only from its first written page
+/// ([`ChunkedTable`]). Two maps are equal when they map every LPA alike.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct PageMap {
     layout: PpaLayout,
-    slots: Vec<u32>,
+    slots: ChunkedTable,
 }
 
 impl PageMap {
@@ -50,7 +55,7 @@ impl PageMap {
     pub fn new(layout: PpaLayout, pages: u64) -> Self {
         PageMap {
             layout,
-            slots: vec![0; pages as usize],
+            slots: ChunkedTable::new(pages as usize, 1),
         }
     }
 
@@ -62,7 +67,10 @@ impl PageMap {
     /// The physical location of `lpa`, if mapped.
     #[inline]
     pub fn get(&self, lpa: u64) -> Option<Ppa> {
-        let slot = *self.slots.get(lpa as usize)?;
+        if lpa >= self.len() {
+            return None;
+        }
+        let slot = self.slots.get(lpa as usize);
         (slot != 0).then(|| self.layout.unpack(slot - 1))
     }
 
@@ -72,19 +80,17 @@ impl PageMap {
     ///
     /// Panics if `lpa` is past the end of the table.
     pub fn set(&mut self, lpa: u64, ppa: Ppa) {
-        let len = self.slots.len();
-        let slot = self
-            .slots
-            .get_mut(lpa as usize)
-            .unwrap_or_else(|| panic!("lpa {lpa} is past the end of a {len}-page map"));
-        *slot = self.layout.pack(ppa) + 1;
+        let len = self.len();
+        assert!(lpa < len, "lpa {lpa} is past the end of a {len}-page map");
+        self.slots.set(lpa as usize, self.layout.pack(ppa) + 1);
     }
 
     /// Maps the LPAs `first`, `first + stride`, … to `count` consecutive
     /// pages of one block starting at `ppa`: `count` calls of
     /// [`PageMap::set`] with the page index rising by one each. The page
     /// index is the packed address's low field, so the run's slots are the
-    /// first packed value plus `0..count`.
+    /// first packed value plus `0..count`. The run is written one chunk at
+    /// a time.
     ///
     /// # Panics
     ///
@@ -107,11 +113,17 @@ impl PageMap {
             ppa.block,
             "a run of {count} from {ppa} leaves its block"
         );
-        let run = self.slots[first as usize..]
-            .iter_mut()
-            .step_by(stride as usize);
-        for (slot, v) in run.zip(packed + 1..=packed + count) {
-            *slot = v;
+        let (mut lpa, mut value, end) = (first as usize, packed + 1, packed + 1 + count);
+        while value < end {
+            let chunk = self.slots.tail_mut(lpa);
+            // LPAs of the run inside this chunk.
+            let n = ((chunk.len() - 1) / stride as usize + 1).min((end - value) as usize);
+            let values = value..value + n as u32;
+            for (slot, v) in chunk.iter_mut().step_by(stride as usize).zip(values) {
+                *slot = v;
+            }
+            lpa += n * stride as usize;
+            value += n as u32;
         }
     }
 }
@@ -372,6 +384,31 @@ mod tests {
             runs.get(99),
             Some(Ppa::new(ChannelId(15), 3, 255, last_page))
         );
+    }
+
+    /// Equality is by value: a map whose chunk was written and cleared
+    /// equals one never written, and a run across several chunks equals
+    /// its sets one by one.
+    #[test]
+    fn page_maps_mapping_the_same_lpas_compare_equal() {
+        let layout = FlashConfig::experiment_default()
+            .ppa_layout()
+            .expect("fits");
+        // Over 128 KiB, so chunks are allocated at first write.
+        let pages = 9 * 4096 + 17;
+        let (mut runs, mut sets) = (PageMap::new(layout, pages), PageMap::new(layout, pages));
+        let ppa = Ppa::new(ChannelId(3), 1, 9, 0);
+        runs.set_run(100, 4096, ppa, 5);
+        for i in 0..5u32 {
+            sets.set(100 + 4096 * u64::from(i), Ppa::new(ChannelId(3), 1, 9, i));
+        }
+        assert!(runs == sets);
+        assert_eq!(runs.slots.allocated_chunks(), 5);
+        sets.slots.set(pages as usize - 1, 0);
+        assert_eq!(sets.slots.allocated_chunks(), 6);
+        assert!(runs == sets, "a cleared chunk equals an absent one");
+        sets.set(pages - 1, ppa);
+        assert!(runs != sets);
     }
 
     #[test]
