@@ -182,9 +182,12 @@ reason = "wall-clock progress logging"
     fn chain_key_is_optional() {
         let text =
             "[[allow]]\nrule = \"determinism-taint\"\npath = \"crates/rl/src/parallel.rs\"\n\
-                    max = 1\nreason = \"r\"\nchain = \"collect_parallel -> merge\"\n";
+                    max = 1\nreason = \"r\"\nchain = \"collect_parallel_envs -> merge\"\n";
         let e = parse_allowlist(text).unwrap();
-        assert_eq!(e[0].chain.as_deref(), Some("collect_parallel -> merge"));
+        assert_eq!(
+            e[0].chain.as_deref(),
+            Some("collect_parallel_envs -> merge")
+        );
         let without = "[[allow]]\nrule = \"x\"\npath = \"y\"\nmax = 1\nreason = \"r\"\n";
         assert_eq!(parse_allowlist(without).unwrap()[0].chain, None);
     }

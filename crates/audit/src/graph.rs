@@ -29,11 +29,10 @@ use crate::token::TokKind;
 /// covers `fleetio figures`, `fleetio store record` and `replay` runs) and
 /// pre-training, whose behaviour-cloning collection runs on workers.
 /// Every simulated decision flows through one of these.
-pub const TAINT_ROOTS: [&str; 8] = [
+pub const TAINT_ROOTS: [&str; 7] = [
     "Engine::dispatch_event",
     "Engine::run_until",
     "collect_frozen",
-    "collect_parallel",
     "collect_parallel_envs",
     "FleetRuntime::run_window",
     "Colocation::advance",
@@ -685,14 +684,14 @@ mod tests {
 
     #[test]
     fn float_join_requires_both_join_and_float_evidence() {
-        let float_join = "fn collect_parallel() {\n\
+        let float_join = "fn collect_parallel_envs() {\n\
              let mut total = 0.0f64;\n\
              for h in handles { total += h.join().unwrap(); }\n\
              }\n";
-        let int_join = "fn collect_parallel() {\n\
+        let int_join = "fn collect_parallel_envs() {\n\
              for h in handles { out.push(h.join().unwrap()); }\n\
              }\n";
-        let path_join = "fn collect_parallel() {\n\
+        let path_join = "fn collect_parallel_envs() {\n\
              let avg = 0.5f64;\n\
              let p = dir.join(name);\n\
              }\n";

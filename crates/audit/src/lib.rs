@@ -351,14 +351,14 @@ mod tests {
             path: "crates/rl/src/parallel.rs".to_string(),
             max: 1,
             reason: "r".to_string(),
-            chain: Some("collect_parallel -> merge".to_string()),
+            chain: Some("collect_parallel_envs -> merge".to_string()),
         }];
         // Matching chain is grandfathered; a different path through the
         // same file is not absorbed by the entry.
         let outcome = apply_allowlist(
             1,
             vec![
-                taint(&["collect_parallel", "merge", "leaf"]),
+                taint(&["collect_parallel_envs", "merge", "leaf"]),
                 taint(&["collect_frozen", "other"]),
             ],
             allow,

@@ -3,9 +3,13 @@
 //! The paper pre-trains one PPO model offline (RLlib + Ray) on a set of
 //! workloads disjoint from the evaluation set, then deploys an agent per
 //! vSSD. Here [`pretrain`] trains the shared policy over one or more
-//! collocation scenarios (optionally collecting rollouts in parallel, the
-//! Ray stand-in), and [`FleetIoAgent`] wraps the frozen model for
-//! per-window greedy inference.
+//! collocation scenarios in one schedule: behaviour cloning of
+//! [`reference_action`], then `iterations` PPO updates. The first
+//! `warmup_iterations` of those collect from one scenario at a time and
+//! feed the running observation normalizer; after them the normalizer
+//! freezes and each round collects from every scenario at once on the
+//! work queue (the Ray stand-in). [`FleetIoAgent`] wraps the frozen model
+//! for per-window greedy inference.
 
 use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
@@ -55,10 +59,13 @@ pub struct PretrainOptions {
     pub iterations: usize,
     /// Environment windows collected per iteration per worker.
     pub windows_per_rollout: usize,
-    /// Serial warm-up iterations that feed the observation normalizer
-    /// before it freezes for parallel collection.
+    /// Leading iterations that each collect from one scenario (in turn)
+    /// and feed the observation normalizer; the normalizer freezes after
+    /// them, and every later iteration collects from all scenarios.
     pub warmup_iterations: usize,
-    /// Collect rollouts from all scenarios in parallel (the Ray stand-in).
+    /// Run behaviour-cloning collection on one worker per scenario
+    /// instead of one worker. Either way the trained model is the same;
+    /// PPO rounds always run one worker per scenario.
     pub parallel: bool,
     /// Learning-rate override for scaled-down training budgets. The paper
     /// trains 2 000 iterations × batch 256 at 1e-4; shorter budgets need a
@@ -211,40 +218,27 @@ pub fn pretrain_trainer(
             .imitate(&samples, 40, cfg.batch_size, 3e-3, seed ^ 0xBC1);
     }
 
-    // Serial warm-up: feed the running normalizer real observations.
-    for it in 0..opts.warmup_iterations.min(opts.iterations) {
-        let env = &mut envs[it % n_envs];
-        let stats = trainer.train_iteration(env, horizon);
+    // PPO: the first `warmup_iterations` collect serially and feed the
+    // running normalizer; then it freezes and every round collects from
+    // all scenarios on the work queue.
+    for it in 0..opts.iterations {
+        let buffer = match it.checked_sub(opts.warmup_iterations) {
+            None => trainer.collect_rollout(&mut envs[it % n_envs], horizon),
+            Some(round) => {
+                trainer.normalizer.freeze();
+                collect_parallel_envs(
+                    &mut envs,
+                    &trainer.policy,
+                    &trainer.normalizer,
+                    horizon,
+                    trainer.config().gamma,
+                    seed.wrapping_add(round as u64),
+                )
+            }
+        };
+        let stats = trainer.update(buffer);
         if let Some(f) = opts.progress {
             f(it, stats.mean_reward);
-        }
-    }
-    let remaining = opts.iterations.saturating_sub(opts.warmup_iterations);
-    if opts.parallel && remaining > 0 {
-        trainer.normalizer.freeze();
-        for round in 0..remaining {
-            let buffer = collect_parallel_envs(
-                &mut envs,
-                &trainer.policy,
-                &trainer.normalizer,
-                horizon,
-                trainer.config().gamma,
-                seed.wrapping_add(round as u64),
-            );
-            let mean: f64 = buffer.transitions().iter().map(|t| t.reward).sum::<f64>()
-                / buffer.len().max(1) as f64;
-            trainer.update(buffer);
-            if let Some(f) = opts.progress {
-                f(opts.warmup_iterations + round, mean);
-            }
-        }
-    } else {
-        for it in 0..remaining {
-            let idx = (opts.warmup_iterations + it) % n_envs;
-            let stats = trainer.train_iteration(&mut envs[idx], horizon);
-            if let Some(f) = opts.progress {
-                f(opts.warmup_iterations + it, stats.mean_reward);
-            }
         }
     }
     trainer
@@ -522,12 +516,14 @@ mod tests {
     /// bit-identical to serial collection — and to the trainer state of
     /// the last commit that drew `bc_rng` inside the rollout loop, so
     /// pre-drawing the ε-greedy overrides is proven not to reorder it.
+    /// With a warm-up and frozen PPO rounds after BC, `parallel` still
+    /// changes nothing but the BC worker count.
     #[test]
     fn bc_collection_is_bit_identical_parallel_serial_and_golden() {
         let cfg = tiny_cfg();
-        let bc_only = |parallel| {
+        let train = |parallel, iterations| {
             let opts = PretrainOptions {
-                iterations: 0,
+                iterations,
                 windows_per_rollout: 3,
                 bc_rounds: 2,
                 bc_epsilon: 0.3,
@@ -538,13 +534,14 @@ mod tests {
             let trainer = pretrain_trainer(&cfg, &scenarios, 0.0, opts, 15);
             format!("{:?}", trainer.export_state())
         };
-        let serial = bc_only(false);
-        assert_eq!(serial, bc_only(true), "workers changed BC collection");
+        let serial = train(false, 0);
+        assert_eq!(serial, train(true, 0), "workers changed BC collection");
         assert_eq!(
             fleetio_des::hash::fnv1a64(serial.as_bytes()),
             GOLDEN_BC_TRAINER,
             "BC collection drifted from the pre-queue trainer state"
         );
+        assert_eq!(train(false, 3), train(true, 3), "workers changed PPO");
     }
 
     #[test]

@@ -1,12 +1,16 @@
-//! Parallel rollout collection (the stand-in for the paper's Ray cluster).
+//! Rollout collection (the stand-in for the paper's Ray cluster).
 //!
-//! Workers each own an environment instance and share the current
-//! policy; they collect rollouts concurrently on the workspace's work
-//! queue ([`fleetio_des::par`]), which returns the buffers in
-//! environment order whatever the threads did. Observation-normalizer
-//! statistics are frozen during parallel collection so every worker
-//! normalizes identically (the trainer's serial warm-up collections feed
-//! the statistics).
+//! One step loop, `rollout`, collects every PPO rollout. Its two callers
+//! differ only in the row normalizer and the RNG they hand it:
+//! [`collect_frozen`] passes a frozen normalizer and a seeded RNG, and
+//! [`crate::PpoTrainer::collect_rollout`] the trainer's running
+//! normalizer and its own RNG (the warm-up collections that feed the
+//! statistics). [`collect_parallel_envs`] gives each worker an
+//! environment and shares the current policy; the workers run
+//! [`collect_frozen`] concurrently on the workspace's work queue
+//! ([`fleetio_des::par`]), which returns the buffers in environment order
+//! whatever the threads did. The normalizer is frozen there, so every
+//! worker normalizes identically.
 
 use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
@@ -16,62 +20,51 @@ use crate::env::MultiAgentEnv;
 use crate::normalize::ObsNormalizer;
 use crate::policy::PpoPolicy;
 
-/// Standardizes per-agent observation rows with one batched normalizer
-/// apply (bit-identical per row to `normalizer.normalize`).
-fn normalize_rows(normalizer: &ObsNormalizer, rows: &[Vec<f32>]) -> Vec<Vec<f32>> {
-    let dim = normalizer.dim();
-    let flat: Vec<f32> = rows.concat();
-    let mut out = Vec::with_capacity(flat.len());
-    normalizer.normalize_batch(&flat, &mut out);
-    out.chunks_exact(dim).map(|c| c.to_vec()).collect()
-}
-
-/// Collects one rollout from `env` with a frozen normalizer. Used by the
-/// parallel workers and reusable for evaluation runs.
+/// The one rollout loop under every collector: `steps` environment steps
+/// of `policy`, with each raw observation row passed through `normalize`
+/// (in agent order, as the environment returns them) and every sampling
+/// draw taken from `rng`. Every agent contributes its own transition
+/// sequence, bootstrapped with the critic at truncation, so the returned
+/// buffer is GAE-ready.
 ///
-/// All per-agent policy inferences in a step run as one batched actor
-/// pass and one batched critic pass; RNG draws keep the per-agent order
-/// of the serial loop, so the collected rollout is byte-identical to
-/// per-agent inference while costing one matrix pass per network.
-pub fn collect_frozen<E: MultiAgentEnv>(
+/// All per-agent inferences in a step run as one batched actor pass and
+/// one batched critic pass; both are bit-identical per row to per-agent
+/// inference, and the RNG draws keep the per-agent order.
+pub(crate) fn rollout<E: MultiAgentEnv>(
     env: &mut E,
     policy: &PpoPolicy,
-    normalizer: &ObsNormalizer,
+    mut normalize: impl FnMut(&[f32]) -> Vec<f32>,
     steps: usize,
     gamma: f64,
-    seed: u64,
+    rng: &mut SmallRng,
 ) -> RolloutBuffer {
-    let mut rng = SmallRng::seed_from_u64(seed);
     let n = env.n_agents();
+    let mut rows =
+        |raw: &[Vec<f32>]| -> Vec<Vec<f32>> { raw.iter().map(|o| normalize(o)).collect() };
     let mut per_agent: Vec<Vec<Transition>> = vec![Vec::new(); n];
-    let mut obs: Vec<Vec<f32>> = normalize_rows(normalizer, &env.reset());
+    let mut obs = rows(&env.reset());
     for step in 0..steps {
         let flat: Vec<f32> = obs.concat();
         let values = policy.value_batch(&flat, n);
-        let mut actions = Vec::with_capacity(n);
-        let mut logps = Vec::with_capacity(n);
-        for (a, lp) in policy.sample_batch(&flat, n, &mut rng) {
-            actions.push(a);
-            logps.push(lp);
-        }
+        let (actions, logps): (Vec<Vec<usize>>, Vec<f64>) =
+            policy.sample_batch(&flat, n, rng).into_iter().unzip();
         let result = env.step(&actions);
-        let next_obs = normalize_rows(normalizer, &result.observations);
+        let next_obs = rows(&result.observations);
         let truncated = step + 1 == steps && !result.done;
         let bootstrap = if truncated {
-            let next_flat: Vec<f32> = next_obs.concat();
-            policy.value_batch(&next_flat, n)
+            policy.value_batch(&next_obs.concat(), n)
         } else {
             Vec::new()
         };
-        for i in 0..n {
+        for (i, (action, logp)) in actions.into_iter().zip(logps).enumerate() {
             let mut reward = result.rewards[i];
             if truncated {
                 reward += gamma * bootstrap[i];
             }
             per_agent[i].push(Transition {
                 obs: std::mem::take(&mut obs[i]),
-                action: actions[i].clone(),
-                logp: logps[i],
+                action,
+                logp,
                 reward,
                 value: values[i],
                 done: result.done || truncated,
@@ -81,46 +74,41 @@ pub fn collect_frozen<E: MultiAgentEnv>(
         }
         obs = next_obs;
         if result.done {
-            obs = normalize_rows(normalizer, &env.reset());
+            obs = rows(&env.reset());
         }
     }
     let mut buffer = RolloutBuffer::new();
-    for seq in per_agent {
-        for t in seq {
-            buffer.push(t);
-        }
+    for t in per_agent.into_iter().flatten() {
+        buffer.push(t);
     }
     buffer
 }
 
-/// Collects rollouts from several environments in parallel and merges
-/// them. Each factory builds one worker's environment; workers run on
-/// their own threads with distinct RNG streams derived from `seed`.
-pub fn collect_parallel<E, F>(
-    factories: Vec<F>,
+/// Collects one rollout from `env` with a frozen normalizer and an RNG
+/// seeded from `seed`. Used by the parallel workers and reusable for
+/// evaluation runs.
+pub fn collect_frozen<E: MultiAgentEnv>(
+    env: &mut E,
     policy: &PpoPolicy,
     normalizer: &ObsNormalizer,
-    steps_per_worker: usize,
+    steps: usize,
     gamma: f64,
     seed: u64,
-) -> RolloutBuffer
-where
-    E: MultiAgentEnv,
-    F: FnOnce() -> E + Send,
-{
-    let mut factories: Vec<Option<F>> = factories.into_iter().map(Some).collect();
-    let n = factories.len();
-    let buffers = par::map_mut(&mut factories, n, 0..n, |i, factory| {
-        let _prof = fleetio_obs::prof::span("rollout.worker");
-        let mut env = factory.take().expect("the queue runs each item once")();
-        let seed = worker_seed(seed, i);
-        collect_frozen(&mut env, policy, normalizer, steps_per_worker, gamma, seed)
-    });
-    merge(buffers)
+) -> RolloutBuffer {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    rollout(
+        env,
+        policy,
+        |o| normalizer.normalize(o),
+        steps,
+        gamma,
+        &mut rng,
+    )
 }
 
 /// Collects rollouts from long-lived environments in parallel (one thread
-/// per env) and merges them. Unlike [`collect_parallel`], the environments
+/// per env) and merges them. Worker `i` runs [`collect_frozen`] on
+/// `envs[i]` with its own RNG stream derived from `seed`. The environments
 /// persist across rounds, so continuing-task envs keep their state and
 /// expensive setup is paid once.
 pub fn collect_parallel_envs<E>(
@@ -137,19 +125,10 @@ where
     let n = envs.len();
     let buffers = par::map_mut(envs, n, 0..n, |i, env| {
         let _prof = fleetio_obs::prof::span("rollout.worker");
-        let seed = worker_seed(seed, i);
+        let seed = seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9);
         collect_frozen(env, policy, normalizer, steps_per_env, gamma, seed)
     });
-    merge(buffers)
-}
-
-/// Worker `i`'s RNG stream.
-fn worker_seed(seed: u64, i: usize) -> u64 {
-    seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9)
-}
-
-/// Concatenates per-worker buffers in worker-index order.
-fn merge(buffers: Vec<RolloutBuffer>) -> RolloutBuffer {
+    // Concatenated in environment order, whatever the workers did.
     let mut merged = RolloutBuffer::new();
     for b in buffers {
         merged.extend(b);
@@ -183,23 +162,6 @@ mod tests {
         let a = collect_frozen(&mut e1, &p, &norm, 16, 0.9, 5);
         let b = collect_frozen(&mut e2, &p, &norm, 16, 0.9, 5);
         assert_eq!(a.transitions(), b.transitions());
-    }
-
-    #[test]
-    fn parallel_collection_merges_all_workers() {
-        let p = policy();
-        let norm = ObsNormalizer::new(2, 10.0);
-        let factories: Vec<Box<dyn FnOnce() -> BanditEnv + Send>> = (0..4)
-            .map(|_| {
-                Box::new(|| BanditEnv {
-                    steps: 0,
-                    horizon: 8,
-                }) as _
-            })
-            .collect();
-        let buf = collect_parallel(factories, &p, &norm, 10, 0.9, 3);
-        // 4 workers × 10 steps × 2 agents.
-        assert_eq!(buf.len(), 80);
     }
 
     #[test]
@@ -237,17 +199,15 @@ mod tests {
         let warm = trainer.collect_rollout(&mut env, 16);
         trainer.update(warm);
         trainer.normalizer.freeze();
+        let mut envs: Vec<BanditEnv> = (0..4)
+            .map(|_| BanditEnv {
+                steps: 0,
+                horizon: 16,
+            })
+            .collect();
         for round in 0..50 {
-            let factories: Vec<Box<dyn FnOnce() -> BanditEnv + Send>> = (0..4)
-                .map(|_| {
-                    Box::new(|| BanditEnv {
-                        steps: 0,
-                        horizon: 16,
-                    }) as _
-                })
-                .collect();
-            let buf = collect_parallel(
-                factories,
+            let buf = collect_parallel_envs(
+                &mut envs,
                 &trainer.policy,
                 &trainer.normalizer,
                 16,

@@ -136,25 +136,7 @@ impl PpoPolicy {
 
     /// Samples an action per head; returns `(action, log_prob)`.
     pub fn sample<R: Rng>(&self, obs: &[f32], rng: &mut R) -> (Vec<usize>, f64) {
-        let logits = self.actor.forward(obs);
-        let mut action = Vec::with_capacity(self.action_dims.len());
-        let mut logp = 0.0f64;
-        for head in self.split_heads(&logits) {
-            let probs = softmax(head);
-            let mut u: f32 = rng.gen_range(0.0f32..1.0);
-            let mut chosen = probs.len() - 1;
-            for (i, p) in probs.iter().enumerate() {
-                if u < *p {
-                    chosen = i;
-                    break;
-                }
-                u -= p;
-            }
-            let lp = log_softmax(head);
-            logp += f64::from(lp[chosen]);
-            action.push(chosen);
-        }
-        (action, logp)
+        self.sample_logits(&self.actor.forward(obs), rng)
     }
 
     /// Samples actions for a whole row-major batch of observations with
@@ -172,27 +154,31 @@ impl PpoPolicy {
         let width = self.actor.out_dim();
         logits
             .chunks_exact(width.max(1))
-            .map(|row_logits| {
-                let mut action = Vec::with_capacity(self.action_dims.len());
-                let mut logp = 0.0f64;
-                for head in self.split_heads(row_logits) {
-                    let probs = softmax(head);
-                    let mut u: f32 = rng.gen_range(0.0f32..1.0);
-                    let mut chosen = probs.len() - 1;
-                    for (i, p) in probs.iter().enumerate() {
-                        if u < *p {
-                            chosen = i;
-                            break;
-                        }
-                        u -= p;
-                    }
-                    let lp = log_softmax(head);
-                    logp += f64::from(lp[chosen]);
-                    action.push(chosen);
-                }
-                (action, logp)
-            })
+            .map(|row_logits| self.sample_logits(row_logits, &mut *rng))
             .collect()
+    }
+
+    /// Draws one action per head from one row of actor logits (one RNG
+    /// draw per head, in head order); returns `(action, log_prob)`.
+    fn sample_logits<R: Rng>(&self, logits: &[f32], rng: &mut R) -> (Vec<usize>, f64) {
+        let mut action = Vec::with_capacity(self.action_dims.len());
+        let mut logp = 0.0f64;
+        for head in self.split_heads(logits) {
+            let probs = softmax(head);
+            let mut u: f32 = rng.gen_range(0.0f32..1.0);
+            let mut chosen = probs.len() - 1;
+            for (i, p) in probs.iter().enumerate() {
+                if u < *p {
+                    chosen = i;
+                    break;
+                }
+                u -= p;
+            }
+            let lp = log_softmax(head);
+            logp += f64::from(lp[chosen]);
+            action.push(chosen);
+        }
+        (action, logp)
     }
 
     /// Greedy (argmax) action, used at deployment time.

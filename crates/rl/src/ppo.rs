@@ -11,6 +11,7 @@ use fleetio_ml::Adam;
 use crate::buffer::{RolloutBuffer, Transition};
 use crate::env::MultiAgentEnv;
 use crate::normalize::{NormalizerState, ObsNormalizer};
+use crate::parallel::rollout;
 use crate::policy::{PolicyState, PpoPolicy};
 
 /// PPO hyper-parameters.
@@ -253,74 +254,27 @@ impl PpoTrainer {
         self.telemetry.take()
     }
 
-    /// Collects `steps` environment steps, updating the normalizer as it
-    /// goes. Every agent contributes its own transition sequence
-    /// (bootstrapped at truncation), so the returned buffer is GAE-ready.
+    /// Collects `steps` environment steps with the trainer's RNG, updating
+    /// the normalizer as it goes (see [`crate::parallel::collect_frozen`]
+    /// for the frozen form). Every agent contributes its own transition
+    /// sequence (bootstrapped at truncation), so the returned buffer is
+    /// GAE-ready.
     pub fn collect_rollout<E: MultiAgentEnv>(
         &mut self,
         env: &mut E,
         steps: usize,
     ) -> RolloutBuffer {
         let _prof = fleetio_obs::prof::span("rollout.collect");
-        let n = env.n_agents();
-        let mut per_agent: Vec<Vec<Transition>> = vec![Vec::new(); n];
-        let mut obs: Vec<Vec<f32>> = env
-            .reset()
-            .iter()
-            .map(|o| self.normalizer.observe(o))
-            .collect();
-        for step in 0..steps {
-            let mut actions = Vec::with_capacity(n);
-            let mut logps = Vec::with_capacity(n);
-            let mut values = Vec::with_capacity(n);
-            for o in &obs {
-                let (a, lp) = self.policy.sample(o, &mut self.rng);
-                values.push(self.policy.value(o));
-                actions.push(a);
-                logps.push(lp);
-            }
-            let result = env.step(&actions);
-            let next_obs: Vec<Vec<f32>> = result
-                .observations
-                .iter()
-                .map(|o| self.normalizer.observe(o))
-                .collect();
-            let truncated = step + 1 == steps && !result.done;
-            for i in 0..n {
-                let mut reward = result.rewards[i];
-                if truncated {
-                    // Bootstrap the truncated tail with the critic.
-                    reward += self.cfg.gamma * self.policy.value(&next_obs[i]);
-                }
-                per_agent[i].push(Transition {
-                    obs: std::mem::take(&mut obs[i]),
-                    action: actions[i].clone(),
-                    logp: logps[i],
-                    reward,
-                    value: values[i],
-                    done: result.done || truncated,
-                    advantage: 0.0,
-                    ret: 0.0,
-                });
-            }
-            obs = next_obs;
-            if result.done {
-                obs = env
-                    .reset()
-                    .iter()
-                    .map(|o| self.normalizer.observe(o))
-                    .collect();
-            }
-        }
-        let mut buffer = RolloutBuffer::new();
-        for seq in per_agent {
-            let mut b = RolloutBuffer::new();
-            for t in seq {
-                b.push(t);
-            }
-            buffer.extend(b);
-        }
-        buffer
+        let normalizer = &mut self.normalizer;
+        let observe = |o: &[f32]| normalizer.observe(o);
+        rollout(
+            env,
+            &self.policy,
+            observe,
+            steps,
+            self.cfg.gamma,
+            &mut self.rng,
+        )
     }
 
     /// Runs one PPO update over `buffer` (GAE is computed here).

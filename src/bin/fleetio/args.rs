@@ -103,6 +103,7 @@ pub fn number<T: FromStr>(text: &str, what: &str) -> Result<T, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fleetio_des::rng::{Rng, SmallRng};
 
     const FIGURES: &str = "[<target>] [--full|--tiny] [--json]";
     const RECORD: &str = "<dir> [--seed N] [--windows N] [--quiet]";
@@ -161,5 +162,112 @@ mod tests {
         let a = parse_line(RECORD, "run --windows 4294967297").expect("parses");
         assert!(a.number::<u32>("--windows").is_err());
         assert!(a.number::<u64>("--windows").is_ok());
+    }
+
+    /// A line `usage` accepts: every required positional, and each
+    /// optional positional, switch and value flag with probability ½.
+    fn well_formed(usage: &str, rng: &mut SmallRng) -> Vec<String> {
+        let mut line = Vec::new();
+        let mut words = usage.split_whitespace();
+        while let Some(word) = words.next() {
+            let Some(inner) = word.strip_prefix('[') else {
+                line.push(word.trim_end_matches("...").to_string());
+                continue;
+            };
+            let keep = rng.gen_bool(0.5);
+            match inner.strip_suffix(']') {
+                Some(switches) if switches.starts_with("--") => {
+                    let names: Vec<&str> = switches.split('|').collect();
+                    let name = names[rng.gen_range(0..names.len())];
+                    line.extend(keep.then(|| name.to_string()));
+                }
+                Some(_) => line.extend(keep.then(|| "pos".to_string())),
+                None => {
+                    words.next(); // the value's placeholder
+                    if keep {
+                        line.extend([inner.to_string(), rng.gen_range(0..99u64).to_string()]);
+                    }
+                }
+            }
+        }
+        line
+    }
+
+    /// Every verb's usage line, fed seeded random vectors (of its own
+    /// words and hostile ones) and mutated well-formed lines. `parse`
+    /// must never panic, must accept every well-formed line, and must
+    /// answer everything else with `Ok` or `Err`. Every refused line also
+    /// goes through `run`, the whole CLI short of writing its output:
+    /// it must exit 2 with nothing on stdout and a reason on stderr.
+    #[test]
+    fn fuzzed_lines_never_panic() {
+        let verbs = crate::figures::VERBS.iter().chain(&crate::store::VERBS);
+        let verbs = verbs.chain(&crate::obs::VERBS).chain(&crate::model::VERBS);
+        let hostile = [
+            "",
+            "-",
+            "--",
+            "---",
+            "-1",
+            "--seed=4",
+            "4294967296",
+            "1e3",
+            "\u{fc}",
+        ];
+        let mut rng = SmallRng::seed_from_u64(0xf1a9);
+        let (mut accepted, mut refused) = (0, 0);
+        for verb in verbs {
+            let mut vocab: Vec<String> = hostile.iter().map(|w| w.to_string()).collect();
+            let usage_words = verb.usage.split(['[', ']', '|', ' ']);
+            vocab.extend(usage_words.filter(|w| !w.is_empty()).map(str::to_string));
+            let values: Vec<&str> = vocab
+                .iter()
+                .filter(|w| w.starts_with("--"))
+                .map(String::as_str)
+                .collect();
+            for _ in 0..500 {
+                let mut line = well_formed(verb.usage, &mut rng);
+                assert!(parse(verb.usage, &line).is_ok(), "{line:?} must parse");
+                if rng.gen_bool(0.3) {
+                    line.clear();
+                }
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let word = vocab[rng.gen_range(0..vocab.len())].clone();
+                    let at = rng.gen_range(0..line.len() + 1);
+                    match rng.gen_range(0..4u32) {
+                        0 => line.insert(at, word),
+                        1 if at < line.len() => drop(line.remove(at)),
+                        2 if at < line.len() => line[at] = word,
+                        _ if !line.is_empty() => {
+                            let from = rng.gen_range(0..line.len());
+                            line.insert(at, line[from].clone());
+                        }
+                        _ => line.push(word),
+                    }
+                }
+                match parse(verb.usage, &line) {
+                    Ok(args) => {
+                        accepted += 1;
+                        for flag in &values {
+                            let _ = (args.has(flag), args.number::<u32>(flag));
+                        }
+                    }
+                    Err(message) => {
+                        refused += 1;
+                        assert!(!message.is_empty(), "{line:?}: empty refusal");
+                        let head = [verb.tool, verb.name].into_iter().filter(|w| !w.is_empty());
+                        let argv: Vec<String> = head.map(str::to_string).chain(line).collect();
+                        let out = crate::run(&argv);
+                        assert_eq!(out.code, 2, "{argv:?} must be a usage error");
+                        assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+                        assert!(out.stderr.contains(&message), "{argv:?}: {}", out.stderr);
+                    }
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && refused > 2_000,
+            "{accepted} accepted, {refused} refused"
+        );
     }
 }

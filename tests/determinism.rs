@@ -12,18 +12,21 @@
 
 use fleetio_suite::des::rng::SmallRng;
 use fleetio_suite::des::SimDuration;
+use fleetio_suite::flash::addr::ChannelId;
 use fleetio_suite::flash::config::FlashConfig;
+use fleetio_suite::fleetio::agent::{pretrain_trainer, PretrainOptions};
 use fleetio_suite::fleetio::baselines::HeuristicPolicy;
-use fleetio_suite::fleetio::driver::Colocation;
+use fleetio_suite::fleetio::driver::{Colocation, TenantSpec};
 use fleetio_suite::fleetio::env::FleetIoEnv;
 use fleetio_suite::fleetio::experiment::{
     hardware_layout, measure_device_peak, run_collocation, ExperimentOptions,
 };
 use fleetio_suite::fleetio::FleetIoConfig;
 use fleetio_suite::rl::normalize::ObsNormalizer;
-use fleetio_suite::rl::parallel::collect_parallel;
+use fleetio_suite::rl::parallel::collect_parallel_envs;
 use fleetio_suite::rl::policy::PpoPolicy;
 use fleetio_suite::rl::ppo::{PpoConfig, PpoTrainer};
+use fleetio_suite::vssd::vssd::{VssdConfig, VssdId};
 use fleetio_suite::workloads::WorkloadKind;
 
 fn small_cfg() -> FleetIoConfig {
@@ -72,21 +75,18 @@ fn serial_runs_are_bit_identical() {
 fn parallel_rollout_fingerprint(seed: u64) -> String {
     let cfg = small_cfg();
     let pair = [WorkloadKind::Ycsb, WorkloadKind::TeraSort];
-    let factories: Vec<_> = (0..2u64)
+    let mut envs: Vec<FleetIoEnv> = (0..2u64)
         .map(|worker| {
-            let cfg = cfg.clone();
             let tenants = hardware_layout(&cfg, &pair, &[None, None], seed ^ worker);
-            move || {
-                let rewards = FleetIoEnv::default_rewards(&cfg, &tenants);
-                FleetIoEnv::new(cfg.clone(), tenants, rewards, 0.3, 4, seed ^ worker)
-            }
+            let rewards = FleetIoEnv::default_rewards(&cfg, &tenants);
+            FleetIoEnv::new(cfg.clone(), tenants, rewards, 0.3, 4, seed ^ worker)
         })
         .collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let policy = PpoPolicy::new(cfg.obs_dim(), &cfg.action_dims(), &[16, 16], &mut rng);
     let mut normalizer = ObsNormalizer::new(cfg.obs_dim(), 5.0);
     normalizer.freeze();
-    let buffer = collect_parallel(factories, &policy, &normalizer, 3, 0.99, seed);
+    let buffer = collect_parallel_envs(&mut envs, &policy, &normalizer, 3, 0.99, seed);
     assert!(
         !buffer.is_empty(),
         "parallel collection produced no transitions"
@@ -276,6 +276,64 @@ fn checkpoint_resume_is_bit_identical_to_uninterrupted_run() {
         uninterrupted != shorter,
         "fingerprint insensitive to training length"
     );
+}
+
+/// The device and decision window of `fleetio::agent`'s unit tests.
+fn tiny_cfg() -> FleetIoConfig {
+    let mut cfg = FleetIoConfig::default();
+    cfg.engine.flash = FlashConfig::training_test();
+    cfg.decision_interval = SimDuration::from_millis(250);
+    cfg
+}
+
+/// A two-tenant hardware-isolated collocation: `lc` (with a 2 ms SLO) on
+/// channels 0–1 and `bi` on channels 2–3, seeded `seed` and `seed + 1`.
+fn two_tenants(lc: WorkloadKind, bi: WorkloadKind, seed: u64) -> Vec<TenantSpec> {
+    let half =
+        |id, first| VssdConfig::hardware(VssdId(id), vec![ChannelId(first), ChannelId(first + 1)]);
+    vec![
+        TenantSpec::new(half(0, 0).with_slo(SimDuration::from_millis(2)), lc, seed),
+        TenantSpec::new(half(1, 2), bi, seed + 1),
+    ]
+}
+
+/// FNV-1a goldens of the whole trainer state (policy, optimizers, RNG,
+/// normalizer) after BC and PPO on two unlike scenarios, captured before
+/// the PPO collectors shared one rollout loop. (warm-up, iterations) =
+/// (1, 3), (0, 2) and (2, 2) cover a warm-up followed by frozen rounds,
+/// frozen rounds only, and a warm-up only.
+#[test]
+fn pretrained_trainers_match_goldens() {
+    let cfg = tiny_cfg();
+    let scenarios = [
+        two_tenants(WorkloadKind::Tpce, WorkloadKind::BatchAnalytics, 1),
+        two_tenants(WorkloadKind::VdiWeb, WorkloadKind::TeraSort, 3),
+    ];
+    for (warmup_iterations, iterations, golden) in [
+        (1, 3, 0x9e7e_df9e_6d7d_ec8f_u64),
+        (0, 2, 0x0c85_f26b_75fe_8ee3),
+        (2, 2, 0xc8d7_f0ed_0e0f_e6a6),
+    ] {
+        let opts = PretrainOptions {
+            iterations,
+            windows_per_rollout: 3,
+            warmup_iterations,
+            parallel: true,
+            lr_override: Some(1e-3),
+            bc_rounds: 1,
+            bc_epsilon: 0.3,
+            progress: None,
+        };
+        let state = format!(
+            "{:?}",
+            pretrain_trainer(&cfg, &scenarios, 0.0, opts, 15).export_state()
+        );
+        assert_eq!(
+            fnv64(state.as_bytes()),
+            golden,
+            "pre-training with {warmup_iterations} warm-up of {iterations} iterations drifted"
+        );
+    }
 }
 
 /// With `--features audit`, every event of these runs flows through the
