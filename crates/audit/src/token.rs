@@ -500,4 +500,146 @@ mod tests {
         assert!(t.contains(&(TokKind::Ident, "tar".into())), "{t:?}");
         assert_eq!(t.iter().filter(|(k, _)| *k == TokKind::Str).count(), 2);
     }
+
+    /// A seeded xorshift64* stream: the auditor has no dependencies, so
+    /// no workspace RNG.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Characters the lexer branches on, plus plain and non-ASCII text.
+    const ALPHABET: [&str; 32] = [
+        "\"", "'", "r", "#", "b", "c", "/", "*", "\\", "\n", " ", "0", "9", ".", "e", "E", "_",
+        "x", "u", "{", "}", ":", "+", "=", "f64", "a", "é", "😀", "\u{0}", "\t", "r#\"", "*/",
+    ];
+
+    /// Every `.rs` file under the workspace's source directories.
+    fn workspace_sources() -> Vec<String> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut dirs: Vec<_> = ["crates", "src", "tests", "examples", "benchmark/src"]
+            .iter()
+            .map(|d| root.join(d))
+            .collect();
+        let mut sources = Vec::new();
+        while let Some(dir) = dirs.pop() {
+            let Ok(entries) = std::fs::read_dir(&dir) else {
+                continue;
+            };
+            let mut paths: Vec<_> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+            paths.sort();
+            for path in paths {
+                if path.is_dir() && !path.ends_with("target") {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|x| x == "rs") {
+                    sources.extend(std::fs::read_to_string(&path).ok());
+                }
+            }
+        }
+        sources
+    }
+
+    /// A char boundary of `s`, uniformly among its byte offsets.
+    fn boundary(rng: &mut Rng, s: &str) -> usize {
+        let mut at = rng.below(s.len() + 1);
+        while !s.is_char_boundary(at) {
+            at -= 1;
+        }
+        at
+    }
+
+    /// `src` truncated, spliced with `other` and edited, at char
+    /// boundaries: one to four edits.
+    fn mutate(rng: &mut Rng, src: &str, other: &str) -> String {
+        let mut s = src.to_string();
+        for _ in 0..1 + rng.below(4) {
+            let at = boundary(rng, &s);
+            match rng.below(4) {
+                0 => s.truncate(at),
+                1 => {
+                    let from = boundary(rng, other);
+                    let to = from + boundary(rng, &other[from..]);
+                    s.insert_str(at, &other[from..to]);
+                }
+                2 => {
+                    // Flip a bit of an ASCII byte (staying ASCII), or
+                    // replace a wider char.
+                    let Some(c) = s[at..].chars().next() else {
+                        continue;
+                    };
+                    let flipped = if c.is_ascii() {
+                        char::from(c as u8 ^ (1 << rng.below(7)))
+                    } else {
+                        'x'
+                    };
+                    s.replace_range(at..at + c.len_utf8(), flipped.encode_utf8(&mut [0; 4]));
+                }
+                _ => s.insert_str(at, ALPHABET[rng.below(ALPHABET.len())]),
+            }
+        }
+        s
+    }
+
+    /// Lexes `src` and checks what must hold of any input: every token
+    /// consumed at least one byte, and lines only count newlines.
+    fn lex(src: &str) {
+        let toks = tokenize(src);
+        assert!(
+            toks.len() <= src.len(),
+            "{} tokens from {} bytes",
+            toks.len(),
+            src.len()
+        );
+        let lines = src.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
+        assert!(
+            toks.iter().all(|t| (1..=lines).contains(&t.line)),
+            "{src:?}"
+        );
+    }
+
+    /// Seeded random strings and this workspace's own sources, truncated,
+    /// spliced and edited at char boundaries: the lexer never panics and
+    /// always returns (the whole corpus must finish within a minute on a
+    /// helper thread).
+    #[test]
+    fn fuzzed_sources_never_panic() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let fuzz = std::thread::spawn(move || {
+            let sources = workspace_sources();
+            assert!(sources.len() > 100, "found {} sources", sources.len());
+            let mut rng = Rng(0xa0d1_7e3e);
+            for _ in 0..3000 {
+                let s: String = (0..rng.below(200))
+                    .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                    .collect();
+                lex(&s);
+            }
+            for _ in 0..1000 {
+                let src = &sources[rng.below(sources.len())];
+                let other = &sources[rng.below(sources.len())];
+                lex(&mutate(&mut rng, src, other));
+            }
+            let _ = done.send(());
+        });
+        let timeout = std::sync::mpsc::RecvTimeoutError::Timeout;
+        let returned = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            returned != Err(timeout),
+            "the lexer did not return within a minute"
+        );
+        // Finished, or disconnected by a panic: re-raise it.
+        if let Err(panic) = fuzz.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
 }

@@ -216,33 +216,55 @@ pub struct Enc<'a> {
 
 impl<'a> Enc<'a> {
     /// A writer that appends to `buf`, leaving what it holds untouched.
+    #[inline]
     pub fn new(buf: &'a mut Vec<u8>) -> Self {
         Enc { buf }
     }
 
     /// Appends a byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a bool as one byte (0 or 1).
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Appends a `u16`, little-endian.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends raw bytes, for a caller-defined field form.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Appends the low `n` bytes of `word`, little-endian (`n` ≤ 8): a
+    /// variable-length field written as one 8-byte store (the event
+    /// wire's LEB128 integers).
+    #[inline]
+    pub fn le_prefix(&mut self, word: u64, n: usize) {
+        let len = self.buf.len() + n.min(8);
+        self.buf.extend_from_slice(&word.to_le_bytes());
+        self.buf.truncate(len);
     }
 
     /// Appends a `usize` as `u64` (sizes are platform-independent on disk).
@@ -252,6 +274,7 @@ impl<'a> Enc<'a> {
 
     /// Appends an `f64` as its raw IEEE-754 bits — bit-exact for every
     /// value, NaN payloads included.
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -300,16 +323,27 @@ pub struct Dec<'a> {
 
 impl<'a> Dec<'a> {
     /// A reader positioned at the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Dec { rest: buf }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// The bytes not yet consumed, without consuming them, for a
+    /// caller-defined field form (the event wire's LEB128 integers).
+    #[inline]
+    pub fn peek(&self) -> &'a [u8] {
+        self.rest
+    }
+
+    /// Consumes the next `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let (head, rest) = self
             .rest
             .split_at_checked(n)
@@ -319,6 +353,7 @@ impl<'a> Dec<'a> {
     }
 
     /// The next `N` bytes, for the fixed-width readers.
+    #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
         let (head, rest) = self
             .rest
@@ -329,6 +364,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Succeeds only when every byte has been consumed.
+    #[inline]
     pub fn finish(self) -> Result<(), DecodeError> {
         match self.remaining() {
             0 => Ok(()),
@@ -337,12 +373,14 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, DecodeError> {
         let [b] = self.array()?;
         Ok(b)
     }
 
     /// Reads a bool, rejecting any byte other than 0 or 1.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, DecodeError> {
         match self.u8()? {
             0 => Ok(false),
@@ -352,16 +390,19 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, DecodeError> {
         Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(self.array()?))
     }
@@ -389,6 +430,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Reads an `f64` from its raw IEEE-754 bits.
+    #[inline]
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64()?))
     }

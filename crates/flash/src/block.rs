@@ -329,10 +329,14 @@ impl ChipBlocks {
     ///   pages in the arena, and every slot past its append point is empty
     ///   (what lets erase skip clearing).
     ///
-    /// All checks are `debug_assert!`s; in release builds this is a no-op.
+    /// All checks are `debug_assert!`s. `marks` is scratch for the free
+    /// list's duplicate check, reused across calls so that a sweep
+    /// allocates nothing once it has grown to the largest chip.
     #[cfg(feature = "audit")]
-    pub fn audit_invariants(&self) {
-        let mut on_free_list = vec![false; self.blocks.len()];
+    pub fn audit_invariants(&self, marks: &mut Vec<bool>) {
+        marks.clear();
+        marks.resize(self.blocks.len(), false);
+        let on_free_list = marks;
         for &id in &self.free {
             let i = id as usize;
             debug_assert!(
@@ -722,15 +726,15 @@ mod tests {
     #[test]
     fn audit_accepts_a_lifecycle() {
         let mut c = ChipBlocks::new(2, 4);
-        c.audit_invariants();
+        c.audit_invariants(&mut Vec::new());
         let a = c.allocate().unwrap();
         c.append(a, Lpa(1));
         c.append(a, Lpa(2));
         c.invalidate(a, 0);
-        c.audit_invariants();
+        c.audit_invariants(&mut Vec::new());
         c.invalidate(a, 1);
         c.release(a);
-        c.audit_invariants();
+        c.audit_invariants(&mut Vec::new());
     }
 
     #[cfg(feature = "audit")]
@@ -740,7 +744,7 @@ mod tests {
         let mut c = one_open_block(4);
         c.append(0, Lpa(1));
         c.blocks[0].valid_count = 2;
-        c.audit_invariants();
+        c.audit_invariants(&mut Vec::new());
     }
 
     #[cfg(feature = "audit")]
@@ -750,7 +754,7 @@ mod tests {
         let mut c = one_open_block(4);
         c.append(0, Lpa(1));
         c.page_state.set(2, 9);
-        c.audit_invariants();
+        c.audit_invariants(&mut Vec::new());
     }
 
     /// Property: each block's valid-count counter always matches the live

@@ -440,11 +440,12 @@ impl FlashDevice {
 
     /// Audits every chip's block accounting (free list vs phases, valid
     /// counts vs the page-state arena). Called from the `audit` feature's periodic
-    /// structural sweep; all checks are `debug_assert!`s.
+    /// structural sweep; all checks are `debug_assert!`s. `marks` is the
+    /// chips' reused scratch ([`ChipBlocks::audit_invariants`]).
     #[cfg(feature = "audit")]
-    pub fn audit_invariants(&self) {
+    pub fn audit_invariants(&self, marks: &mut Vec<bool>) {
         for chip in &self.chips {
-            chip.audit_invariants();
+            chip.audit_invariants(marks);
         }
     }
 

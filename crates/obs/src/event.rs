@@ -21,9 +21,11 @@
 //! `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
 //! deterministic) with non-finite values clamped to `0` so a line is
 //! always parseable, and strings go through [`json::write_str`]. On the
-//! wire integers are little-endian fixed-width, `f64` travels as its
-//! IEEE bits, times as `u64` nanoseconds, `Option` as a one-byte flag,
-//! sub-enums as one tag byte and strings behind a `u32` length.
+//! wire integers take the payload's integer form (`wire::IntForm`):
+//! fixed-width little-endian in segment format 1, canonical LEB128 in
+//! format 2, with times as `u64` nanoseconds. `f64` travels as its IEEE
+//! bits, `Option` as a one-byte flag, sub-enums as one tag byte and
+//! strings behind a `u32` length, in every format.
 
 use std::fmt::Write as _;
 
@@ -31,30 +33,33 @@ use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::{SimDuration, SimTime};
 
 use crate::json;
+use crate::wire::IntForm;
 
 /// Longest string field [`ObsEvent::decode`] accepts, in bytes.
 const STR_CAP: usize = 4096;
 
 /// How one field type of an [`ObsEvent`] looks on the wire and in JSON.
+/// The wire methods take the payload's integer form `I`, chosen once per
+/// payload from the segment format.
 pub(crate) trait Field: Sized {
     /// Appends the wire form.
-    fn put(&self, e: &mut Enc<'_>);
+    fn put<I: IntForm>(&self, e: &mut Enc<'_>);
     /// Reads the wire form back.
-    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
+    fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
     /// Appends the JSON value.
     fn write_json(&self, out: &mut String);
 }
 
-/// Types whose wire form is the [`Enc`]/[`Dec`] method named after them
-/// and whose JSON form is their `Display`.
-macro_rules! plain_field {
-    ($($t:ident),+) => {$(
+/// Integers: written in the payload's integer form, rendered with their
+/// `Display`.
+macro_rules! int_field {
+    ($($t:ident $put:ident $get:ident),+) => {$(
         impl Field for $t {
-            fn put(&self, e: &mut Enc<'_>) {
-                e.$t(*self);
+            fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
+                I::$put(e, *self);
             }
-            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-                d.$t()
+            fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                I::$get(d)
             }
             fn write_json(&self, out: &mut String) {
                 let _ = write!(out, "{self}");
@@ -62,17 +67,29 @@ macro_rules! plain_field {
         }
     )+};
 }
-plain_field!(bool, u16, u32, u64);
+int_field!(u16 put_u16 get_u16, u32 put_u32 get_u32, u64 put_u64 get_u64);
+
+impl Field for bool {
+    fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
+        e.bool(*self);
+    }
+    fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        d.bool()
+    }
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
 
 /// Simulated times and durations: `u64` nanoseconds in both forms.
 macro_rules! nanos_field {
     ($($t:ident),+) => {$(
         impl Field for $t {
-            fn put(&self, e: &mut Enc<'_>) {
-                e.u64(self.as_nanos());
+            fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
+                I::put_u64(e, self.as_nanos());
             }
-            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-                d.u64().map($t::from_nanos)
+            fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+                I::get_u64(d).map($t::from_nanos)
             }
             fn write_json(&self, out: &mut String) {
                 self.as_nanos().write_json(out);
@@ -83,10 +100,10 @@ macro_rules! nanos_field {
 nanos_field!(SimTime, SimDuration);
 
 impl Field for f64 {
-    fn put(&self, e: &mut Enc<'_>) {
+    fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
         e.f64(*self);
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+    fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.f64()
     }
     fn write_json(&self, out: &mut String) {
@@ -99,10 +116,10 @@ impl Field for f64 {
 }
 
 impl Field for String {
-    fn put(&self, e: &mut Enc<'_>) {
+    fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
         e.str32(self);
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+    fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.str32(STR_CAP)
     }
     fn write_json(&self, out: &mut String) {
@@ -111,14 +128,18 @@ impl Field for String {
 }
 
 impl<T: Field> Field for Option<T> {
-    fn put(&self, e: &mut Enc<'_>) {
+    fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
         e.bool(self.is_some());
         if let Some(v) = self {
-            v.put(e);
+            v.put::<I>(e);
         }
     }
-    fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
-        Ok(if d.bool()? { Some(T::get(d)?) } else { None })
+    fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+        Ok(if d.bool()? {
+            Some(T::get::<I>(d)?)
+        } else {
+            None
+        })
     }
     fn write_json(&self, out: &mut String) {
         match self {
@@ -154,12 +175,12 @@ macro_rules! tagged_enum {
         }
 
         impl Field for $name {
-            fn put(&self, e: &mut Enc<'_>) {
+            fn put<I: IntForm>(&self, e: &mut Enc<'_>) {
                 e.u8(match self {
                     $( $name::$variant => $wire, )+
                 });
             }
-            fn get(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
+            fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
                 match d.u8()? {
                     $( $wire => Ok($name::$variant), )+
                     tag => Err(DecodeError::BadTag {
@@ -343,27 +364,29 @@ macro_rules! obs_events {
                 out.push('}');
             }
 
-            /// Appends the binary payload ([`crate::wire::encode_event`]):
-            /// the kind byte, then every field in declaration order.
-            pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+            /// Appends the binary payload in integer form `I`
+            /// ([`crate::wire::WireFormat::encode`]): the kind byte, then
+            /// every field in declaration order.
+            pub(crate) fn encode<I: IntForm>(&self, out: &mut Vec<u8>) {
                 let e = &mut Enc::new(out);
                 e.u8(self.kind_index());
                 match self {
                     $( ObsEvent::$variant { $at, $($field,)* } => {
-                        $at.put(e);
-                        $( $field.put(e); )*
+                        $at.put::<I>(e);
+                        $( $field.put::<I>(e); )*
                     } )+
                 }
             }
 
             /// Reads back one whole payload written by
-            /// [`ObsEvent::encode`] ([`crate::wire::decode_event`]).
-            pub(crate) fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
+            /// [`ObsEvent::encode`] in the same integer form
+            /// ([`crate::wire::WireFormat::decode`]).
+            pub(crate) fn decode<I: IntForm>(payload: &[u8]) -> Result<Self, DecodeError> {
                 let mut d = Dec::new(payload);
                 let ev = match d.u8()? {
                     $( $wire => ObsEvent::$variant {
-                        $at: Field::get(&mut d)?,
-                        $( $field: Field::get(&mut d)?, )*
+                        $at: Field::get::<I>(&mut d)?,
+                        $( $field: Field::get::<I>(&mut d)?, )*
                     }, )+
                     t => return Err(DecodeError::BadKind(t)),
                 };

@@ -6,7 +6,7 @@ use fleetio_des::hash::fnv1a64;
 use fleetio_des::{SimDuration, SimTime};
 
 use crate::event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
-use crate::wire;
+use crate::wire::{self, WireFormat};
 
 /// Every [`ObsEvent`] variant at least once, both arms of each
 /// `Option` field, every value of the four sub-enums, and a NaN, a
@@ -169,17 +169,21 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
     events
 }
 
-/// Captured at the parent of the PR that made [`ObsEvent`] one table:
-/// the hand-written encoders produced exactly these bytes.
+/// The format-1 bytes were captured at the parent of the PR that made
+/// [`ObsEvent`] one table (the hand-written encoders produced exactly
+/// these bytes) and now come from the format-1 encoder; the format-2
+/// bytes were captured when format 2 was introduced.
 #[test]
 fn every_variant_bytes_and_text_are_pinned() {
     let events = sample_events();
     let mut seen = [false; ObsEvent::KIND_COUNT];
-    let mut bytes = Vec::new();
+    let mut v1 = Vec::new();
+    let mut v2 = Vec::new();
     let mut text = String::new();
     for ev in &events {
         seen[usize::from(ev.kind_index())] = true;
-        wire::encode_event(ev, &mut bytes);
+        WireFormat::V1.encode(ev, &mut v1);
+        wire::encode_event(ev, &mut v2);
         ev.write_json(&mut text);
         text.push('\n');
     }
@@ -189,9 +193,14 @@ fn every_variant_bytes_and_text_are_pinned() {
         "a variant has no sample"
     );
     assert_eq!(
-        (bytes.len(), fnv1a64(&bytes)),
+        (v1.len(), fnv1a64(&v1)),
         (907, 0x346f_7cd1_d2c2_4ded),
-        "wire bytes"
+        "format-1 wire bytes"
+    );
+    assert_eq!(
+        (v2.len(), fnv1a64(&v2)),
+        (427, 0x7f23_631d_192f_364b),
+        "format-2 wire bytes"
     );
     assert_eq!(
         (text.len(), fnv1a64(text.as_bytes())),

@@ -7,9 +7,12 @@
 //! first index where they disagree, with the decoded event from each
 //! side and a ring of the last few shared events for context.
 //! Anything weaker (field-by-field tolerance, reordering) would paper
-//! over exactly the bugs the store exists to catch.
+//! over exactly the bugs the store exists to catch. The bytes compared
+//! are each event's current-format encoding: a segment in an older
+//! format is re-encoded as it is read, so a recording made before a
+//! format change still diffs against one made after it.
 
-use fleetio_obs::wire;
+use fleetio_obs::wire::{self, WireFormat};
 
 use crate::read::{RunStore, StoreError};
 
@@ -53,6 +56,24 @@ fn render_payload(payload: &[u8]) -> String {
     }
 }
 
+/// `payload` in [`WireFormat::CURRENT`]: itself, or re-encoded into
+/// `scratch` from an older format.
+fn current<'a>(
+    format: WireFormat,
+    payload: &'a [u8],
+    scratch: &'a mut Vec<u8>,
+) -> Result<&'a [u8], StoreError> {
+    if format == WireFormat::CURRENT {
+        return Ok(payload);
+    }
+    let ev = format
+        .decode(payload)
+        .map_err(|e| StoreError::Corrupt(format!("undecodable {format:?} record: {e}")))?;
+    scratch.clear();
+    WireFormat::CURRENT.encode(&ev, scratch);
+    Ok(scratch)
+}
+
 /// The last [`CONTEXT_EVENTS`] shared payloads, overwritten in place.
 #[derive(Default)]
 struct ContextRing {
@@ -78,19 +99,31 @@ impl ContextRing {
 
 /// Compares two stores' event streams byte-for-byte, in stream order,
 /// pulling both in lockstep one segment at a time (the stores need not
-/// be segmented alike).
+/// be segmented alike). The bytes are each event's
+/// [`WireFormat::CURRENT`] encoding, so a store in an older format diffs
+/// against a current one event for event.
 ///
 /// # Errors
 ///
 /// Damage or I/O failure anywhere in either store, also past the first
-/// divergence — a diff over corrupt inputs would be meaningless.
+/// divergence — a diff over corrupt inputs would be meaningless — and a
+/// record of an older format that does not decode.
 pub fn diff_stores(a: &RunStore, b: &RunStore) -> Result<DiffOutcome, StoreError> {
     let mut ca = a.payload_cursor();
     let mut cb = b.payload_cursor();
     let mut context = ContextRing::default();
+    let (mut scratch_a, mut scratch_b) = (Vec::new(), Vec::new());
     let mut index = 0u64;
     loop {
-        match (ca.next_payload()?, cb.next_payload()?) {
+        let pa = match ca.next_payload()? {
+            Some((format, payload)) => Some(current(format, payload, &mut scratch_a)?),
+            None => None,
+        };
+        let pb = match cb.next_payload()? {
+            Some((format, payload)) => Some(current(format, payload, &mut scratch_b)?),
+            None => None,
+        };
+        match (pa, pb) {
             (None, None) => return Ok(DiffOutcome::Identical { events: index }),
             (Some(pa), Some(pb)) if pa == pb => {
                 context.push(pa);

@@ -40,7 +40,7 @@ pub use manifest::{
     anchor_file_name, segment_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE,
     STORE_VERSION,
 };
-pub use query::{aggregate_windows, query, EventFilter, QueryResult, WindowAggregate};
+pub use query::{query, query_each, EventFilter, QueryResult, WindowAggregate, WindowAggregator};
 pub use read::{PayloadCursor, RunStore, SegmentVerify, StoreError, VerifyReport};
 pub use run::{record_run, replay_run, RecordReport, ReplayReport};
 pub use sink::{StoreSink, DEFAULT_SEGMENT_BYTES};

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use fleetio_obs::ObsEvent;
 
 use crate::manifest::SegmentMeta;
-use crate::read::{decode_strictly, RunStore, StoreError};
+use crate::read::{RunStore, StoreError};
 
 /// Which events a query selects. Empty filter selects everything.
 #[derive(Debug, Clone, Default)]
@@ -113,30 +113,42 @@ pub struct WindowAggregate {
 ///
 /// I/O failure or damage in a segment the query had to read.
 pub fn query(store: &RunStore, filter: &EventFilter) -> Result<QueryResult, StoreError> {
-    let manifest = store.manifest();
-    let wanted: Vec<&SegmentMeta> = manifest
+    let mut events = Vec::new();
+    let segments_scanned = query_each(store, filter, |ev| events.push(ev))?;
+    Ok(QueryResult {
+        events,
+        segments_scanned,
+        segments_total: store.manifest().segments.len(),
+    })
+}
+
+/// [`query`] without collecting: hands each matching event to `visit` in
+/// stream order as it is decoded, so memory stays one segment's bytes
+/// whatever the run's length. Returns the number of segments read.
+///
+/// # Errors
+///
+/// As [`query`]. The matches before the failing record or segment have
+/// been visited by then.
+pub fn query_each(
+    store: &RunStore,
+    filter: &EventFilter,
+    mut visit: impl FnMut(ObsEvent),
+) -> Result<usize, StoreError> {
+    let wanted: Vec<&SegmentMeta> = store
+        .manifest()
         .segments
         .iter()
         .filter(|meta| filter.may_match_segment(meta))
         .collect();
     // The helper reads and CRC-scans the next segment while this thread
     // decodes and filters the current one.
-    let mut source = store.read_ahead(wanted.iter().copied());
-    let mut bytes = Vec::new();
-    let mut events = Vec::new();
-    for meta in &wanted {
-        let scan = source.next(&mut bytes)?;
-        for ev in decode_strictly(meta, &bytes, scan)? {
-            if filter.matches(&ev) {
-                events.push(ev);
-            }
+    store.decode_each(wanted.iter().copied(), |ev| {
+        if filter.matches(&ev) {
+            visit(ev);
         }
-    }
-    Ok(QueryResult {
-        events,
-        segments_scanned: wanted.len(),
-        segments_total: manifest.segments.len(),
-    })
+    })?;
+    Ok(wanted.len())
 }
 
 /// The payload bytes an event accounts for, for window aggregation.
@@ -150,24 +162,43 @@ fn bytes_of(ev: &ObsEvent) -> u64 {
     }
 }
 
-/// Buckets events into decision windows of `window_ns`.
-pub fn aggregate_windows(events: &[ObsEvent], window_ns: u64) -> Vec<WindowAggregate> {
-    let window_ns = window_ns.max(1);
-    let mut buckets: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for ev in events {
-        let w = ev.at().as_nanos() / window_ns;
-        let slot = buckets.entry(w).or_insert((0, 0));
+/// Buckets events into decision windows of a fixed length, one event at
+/// a time.
+#[derive(Debug, Clone)]
+pub struct WindowAggregator {
+    window_ns: u64,
+    /// Per window: events and bytes.
+    buckets: BTreeMap<u64, (u64, u64)>,
+}
+
+impl WindowAggregator {
+    /// An empty aggregation into windows of `window_ns` (at least 1).
+    pub fn new(window_ns: u64) -> Self {
+        WindowAggregator {
+            window_ns: window_ns.max(1),
+            buckets: BTreeMap::new(),
+        }
+    }
+
+    /// Counts `ev` in its window.
+    pub fn add(&mut self, ev: &ObsEvent) {
+        let w = ev.at().as_nanos() / self.window_ns;
+        let slot = self.buckets.entry(w).or_insert((0, 0));
         slot.0 += 1;
         slot.1 += bytes_of(ev);
     }
-    buckets
-        .into_iter()
-        .map(|(window, (events, bytes))| WindowAggregate {
-            window,
-            events,
-            bytes,
-        })
-        .collect()
+
+    /// The windows that saw an event, in order.
+    pub fn finish(self) -> Vec<WindowAggregate> {
+        self.buckets
+            .into_iter()
+            .map(|(window, (events, bytes))| WindowAggregate {
+                window,
+                events,
+                bytes,
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -251,7 +282,9 @@ mod tests {
                 until: SimTime::from_nanos(i * 50 + 1),
             })
             .collect();
-        let agg = aggregate_windows(&evs, 100);
+        let mut agg = WindowAggregator::new(100);
+        evs.iter().for_each(|ev| agg.add(ev));
+        let agg = agg.finish();
         assert_eq!(agg.len(), 3);
         assert!(agg.iter().all(|w| w.events == 2));
         assert_eq!(agg[0].window, 0);

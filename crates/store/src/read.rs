@@ -27,7 +27,7 @@ use std::thread::{self, JoinHandle};
 
 use fleetio::RunSpec;
 use fleetio_des::hash::Fnv64;
-use fleetio_obs::wire::{self, SegmentScan};
+use fleetio_obs::wire::{self, SegmentDamage, SegmentScan, WireFormat};
 use fleetio_obs::ObsEvent;
 
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
@@ -168,7 +168,9 @@ impl RunStore {
     pub fn segment_events(&self, meta: &SegmentMeta) -> Result<Vec<ObsEvent>, StoreError> {
         let mut buf = Vec::new();
         read_file(&self.manifest.segment_path(&self.dir, meta.seq), &mut buf)?;
-        decode_strictly(meta, &buf, wire::scan_segment(&buf))
+        let mut events = Vec::with_capacity(meta.events as usize);
+        decode_segment(meta, &buf, wire::scan_segment(&buf), |ev| events.push(ev))?;
+        Ok(events)
     }
 
     /// A cursor over every encoded event payload of the whole run, in
@@ -180,6 +182,7 @@ impl RunStore {
             next_segment: 0,
             source: None,
             bytes: Vec::new(),
+            format: WireFormat::CURRENT,
             records: Vec::new(),
             next_record: 0,
             yielded: 0,
@@ -193,15 +196,30 @@ impl RunStore {
     /// I/O failure, damage, undecodable records, or a segment
     /// disagreeing with its index entry.
     pub fn events(&self) -> Result<Vec<ObsEvent>, StoreError> {
-        let segments = &self.manifest.segments;
         let mut out = Vec::with_capacity(self.manifest.total_events as usize);
-        let mut source = self.read_ahead(segments);
-        let mut bytes = Vec::new();
-        for meta in segments {
-            let scan = source.next(&mut bytes)?;
-            out.extend(decode_strictly(meta, &bytes, scan)?);
-        }
+        self.decode_each(&self.manifest.segments, |ev| out.push(ev))?;
         Ok(out)
+    }
+
+    /// Hands every event of the segments `metas` to `visit`, in stream
+    /// order, as it decodes, while the next segment is read ahead.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunStore::events`], for the segments in `metas`; the events
+    /// before the failing record or segment have been visited by then.
+    pub(crate) fn decode_each<'m>(
+        &self,
+        metas: impl IntoIterator<Item = &'m SegmentMeta> + Clone,
+        mut visit: impl FnMut(ObsEvent),
+    ) -> Result<(), StoreError> {
+        let mut source = self.read_ahead(metas.clone());
+        let mut bytes = Vec::new();
+        for meta in metas {
+            let scan = source.next(&mut bytes)?;
+            decode_segment(meta, &bytes, scan, &mut visit)?;
+        }
+        Ok(())
     }
 
     /// Scans every segment tolerantly, cross-checking the manifest:
@@ -288,6 +306,8 @@ pub struct PayloadCursor {
     source: Option<ReadAhead>,
     /// The loaded segment's bytes.
     bytes: Vec<u8>,
+    /// The loaded segment's format.
+    format: WireFormat,
     /// Payload ranges into `bytes`, in file order.
     records: Vec<Range<usize>>,
     next_record: usize,
@@ -320,6 +340,7 @@ impl PayloadCursor {
         });
         match scan {
             Ok(scan) => {
+                self.format = scan.format;
                 self.records = scan.records;
                 self.next_record = 0;
                 self.next_segment += 1;
@@ -332,15 +353,16 @@ impl PayloadCursor {
         }
     }
 
-    /// The next payload in stream order, `None` at the end of the run.
-    /// The slice is valid until the next call.
+    /// The next payload in stream order with the format of the segment
+    /// holding it, `None` at the end of the run. The slice is valid until
+    /// the next call.
     ///
     /// # Errors
     ///
     /// I/O failure, damage, or a segment disagreeing with its index
     /// entry. The cursor does not move past a failing segment: every
     /// later call re-reads it and fails again.
-    pub fn next_payload(&mut self) -> Result<Option<&[u8]>, StoreError> {
+    pub fn next_payload(&mut self) -> Result<Option<(WireFormat, &[u8])>, StoreError> {
         while self.next_record == self.records.len() {
             if !self.load_next_segment()? {
                 return Ok(None);
@@ -349,7 +371,7 @@ impl PayloadCursor {
         let range = self.records[self.next_record].clone();
         self.next_record += 1;
         self.yielded += 1;
-        Ok(Some(&self.bytes[range]))
+        Ok(Some((self.format, &self.bytes[range])))
     }
 
     /// Checks every remaining segment and returns the run's total
@@ -380,26 +402,40 @@ fn read_file(path: &Path, buf: &mut Vec<u8>) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Decodes a scanned segment strictly: damage, an undecodable record, or
-/// an event count other than the index entry's, is an error.
-pub(crate) fn decode_strictly(
+/// Hands each record of a scanned segment to `visit` as it decodes, in
+/// file order, then checks the segment whole. An undecodable record, then
+/// damage, then an event count other than the index entry's, is an error
+/// — after the records before it have been visited.
+fn decode_segment(
     meta: &SegmentMeta,
     bytes: &[u8],
     scan: SegmentScan,
-) -> Result<Vec<ObsEvent>, StoreError> {
-    let (events, damage) = wire::events_in_scan(bytes, scan);
-    if let Some(d) = damage {
-        return Err(StoreError::Corrupt(format!("{}: {d}", meta.file_name())));
+    mut visit: impl FnMut(ObsEvent),
+) -> Result<(), StoreError> {
+    let corrupt = |d: SegmentDamage| StoreError::Corrupt(format!("{}: {d}", meta.file_name()));
+    for r in &scan.records {
+        match scan.format.decode(&bytes[r.clone()]) {
+            Ok(ev) => visit(ev),
+            Err(e) => {
+                return Err(corrupt(SegmentDamage {
+                    offset: r.start,
+                    reason: format!("undecodable record: {e}"),
+                }))
+            }
+        }
     }
-    if events.len() as u64 != meta.events {
+    if let Some(d) = scan.damage {
+        return Err(corrupt(d));
+    }
+    if scan.records.len() as u64 != meta.events {
         return Err(StoreError::Corrupt(format!(
             "{}: {} events on disk, manifest says {}",
             meta.file_name(),
-            events.len(),
+            scan.records.len(),
             meta.events
         )));
     }
-    Ok(events)
+    Ok(())
 }
 
 /// A segment as the read-ahead helper hands it over: its bytes, and their

@@ -23,7 +23,8 @@ use std::path::Path;
 
 use fleetio::RunSpec;
 use fleetio_des::hash::Fnv64;
-use fleetio_obs::{wire, ObsEvent, ObsSink};
+use fleetio_obs::wire::WireFormat;
+use fleetio_obs::{ObsEvent, ObsSink};
 
 use crate::manifest::Manifest;
 use crate::read::{PayloadCursor, RunStore, StoreError};
@@ -122,7 +123,10 @@ impl ReplayReport {
 
 /// Verification sink installed during replay: fingerprints the
 /// pre-anchor prefix, byte-compares everything after against the stored
-/// stream, pulled in lockstep through a [`PayloadCursor`].
+/// stream, pulled in lockstep through a [`PayloadCursor`]. Each
+/// regenerated event is encoded in the format of the stored record it
+/// meets, so a store keeps verifying after the format writers use moves
+/// on.
 #[derive(Debug)]
 struct CheckSink {
     stored: PayloadCursor,
@@ -137,6 +141,8 @@ struct CheckSink {
     prefix_ok: bool,
     compared: u64,
     mismatch: Option<u64>,
+    /// The format of the last stored record pulled.
+    format: WireFormat,
     scratch: Vec<u8>,
 }
 
@@ -146,8 +152,6 @@ impl ObsSink for CheckSink {
     }
 
     fn record(&mut self, ev: ObsEvent) {
-        self.scratch.clear();
-        wire::encode_event(&ev, &mut self.scratch);
         // Pulled for the prefix too, to stay in step with the stream.
         let stored = if self.error.is_some() {
             None
@@ -157,12 +161,17 @@ impl ObsSink for CheckSink {
                 None
             })
         };
+        if let Some((format, _)) = stored {
+            self.format = format;
+        }
+        self.scratch.clear();
+        self.format.encode(&ev, &mut self.scratch);
         if self.index < self.anchor_count {
             self.fp.update(&self.scratch);
             if self.index + 1 == self.anchor_count && self.fp.finish() != self.anchor_fp {
                 self.prefix_ok = false;
             }
-        } else if let Some(stored) = stored {
+        } else if let Some((_, stored)) = stored {
             self.compared += 1;
             if self.mismatch.is_none() && *stored != self.scratch {
                 self.mismatch = Some(self.index);
@@ -239,6 +248,7 @@ pub fn replay_run(dir: &Path, target_ns: u64) -> Result<ReplayReport, StoreError
         prefix_ok: true,
         compared: 0,
         mismatch: None,
+        format: WireFormat::CURRENT,
         scratch: Vec::with_capacity(128),
     }));
     colo.warm_up(spec.warm_fraction);

@@ -1,7 +1,8 @@
 //! The streaming [`StoreSink`]: an [`ObsSink`] that appends a run's
 //! event stream to an on-disk segmented store as the simulation runs.
 //!
-//! Events are binary-encoded ([`fleetio_obs::wire`]), CRC-framed and
+//! Events are binary-encoded in the current segment format
+//! ([`fleetio_obs::wire::WireFormat::CURRENT`]), CRC-framed and
 //! buffered into a fixed-target-size segment; when the buffer reaches
 //! the target the segment is sealed — indexed in the manifest, then
 //! written via [`fleetio_model::AtomicBatch`] (tmp + fsync + rename, the
@@ -51,7 +52,7 @@ use std::thread::{self, JoinHandle};
 
 use fleetio_des::hash::Fnv64;
 use fleetio_model::{AtomicBatch, RunAnchor};
-use fleetio_obs::wire;
+use fleetio_obs::wire::{self, WireFormat};
 use fleetio_obs::{ObsEvent, ObsSink};
 
 use crate::manifest::{
@@ -444,7 +445,7 @@ fn encode(
 impl Encoder {
     fn begin_segment(&mut self) {
         self.seg_buf.clear();
-        wire::push_segment_header(&mut self.seg_buf, self.next_seq);
+        WireFormat::CURRENT.push_segment_header(&mut self.seg_buf, self.next_seq);
         self.seg_events = 0;
         self.seg_min_at = u64::MAX;
         self.seg_max_at = 0;
@@ -453,7 +454,7 @@ impl Encoder {
     }
 
     fn record(&mut self, ev: &ObsEvent) -> io::Result<()> {
-        let payload = wire::push_event_record(&mut self.seg_buf, ev);
+        let payload = WireFormat::CURRENT.push_event_record(&mut self.seg_buf, ev);
         self.fp.update(&self.seg_buf[payload]);
         let at = ev.at().as_nanos();
         self.seg_min_at = self.seg_min_at.min(at);

@@ -1,4 +1,4 @@
-//! On-disk format compatibility against bytes an older build wrote.
+//! On-disk format compatibility against bytes older builds wrote.
 //!
 //! `fixtures/recorded-by-pr13/` is a tiny sealed store (four 1 ms
 //! windows of `RunSpec::demo(7, 4, 2)` filled to 0.9, 4 KiB segments:
@@ -14,15 +14,22 @@
 //! time-sliced, so 75 of its events are `bus_grant` records — the one kind
 //! no other golden in the repository contains.
 //!
-//! The first test is a pure format property and must hold until
-//! `SEG_VERSION` / `STORE_VERSION` change. The second also pins
-//! simulated behaviour, like every other golden: a PR that
-//! intentionally re-baselines the goldens keeps the fixtures (and the
-//! first test) and re-pins only the second.
+//! Both are segment format 1 (fixed-width integers). `fixtures/
+//! recorded-by-pr37/` is the PR 20 spec recorded in format 2 (LEB128
+//! integers) by the commit that introduced it: the same 337 events in
+//! fewer bytes.
+//!
+//! The format-1 fixtures must open, verify, diff `Identical` against a
+//! fresh recording of their spec and replay for as long as this build
+//! reads format 1. A fresh recording must equal the newest fixture file
+//! by file, which also pins simulated behaviour, like every other golden:
+//! a PR that intentionally re-baselines the goldens, or changes the
+//! format writers write, keeps the old fixtures and adds a new one.
 
 use std::path::{Path, PathBuf};
 
 use fleetio_des::hash::Fnv64;
+use fleetio_obs::wire::WireFormat;
 use fleetio_store::{diff_stores, record_run, replay_run, DiffOutcome, RunStore};
 
 const STREAM_FINGERPRINT: u64 = 0x335d_5c9d_0b2a_dea9;
@@ -66,7 +73,8 @@ fn parent_recorded_fixture_verifies_and_fingerprints() {
     // The strict streaming view recomputes the manifest's fingerprint.
     let mut cursor = store.payload_cursor();
     let mut fp = Fnv64::new();
-    while let Some(payload) = cursor.next_payload().expect("intact fixture") {
+    while let Some((format, payload)) = cursor.next_payload().expect("intact fixture") {
+        assert_eq!(format, WireFormat::V1);
         fp.update(payload);
     }
     assert_eq!(fp.finish(), STREAM_FINGERPRINT);
@@ -79,42 +87,87 @@ fn parent_recorded_fixture_verifies_and_fingerprints() {
     assert_eq!(files.finish(), SEGMENT_FILES_FNV);
 }
 
+/// A fresh recording in the current format, in a scratch directory.
+fn record_fresh(spec: &fleetio::RunSpec, name: &str) -> PathBuf {
+    let fresh = std::env::temp_dir().join(format!(
+        "fleetio-store-fixture-fresh-{}-{name}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&fresh).ok();
+    record_run(spec, &fresh, SEGMENT_BYTES).expect("record the fixture's spec");
+    fresh
+}
+
 #[test]
 fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
-    for (name, events) in [("recorded-by-pr13", 299), ("recorded-by-pr20", 337)] {
+    for (name, events) in [
+        ("recorded-by-pr13", 299),
+        ("recorded-by-pr20", 337),
+        ("recorded-by-pr37", 337),
+    ] {
         let fixture = fixture(name);
         let old = RunStore::open(&fixture).expect("open fixture");
+        assert!(old.verify().clean(), "{name} verifies clean");
         let spec = old.spec().expect("embedded spec decodes");
-
-        let fresh = std::env::temp_dir().join(format!(
-            "fleetio-store-fixture-fresh-{}-{name}",
-            std::process::id()
-        ));
-        std::fs::remove_dir_all(&fresh).ok();
-        record_run(&spec, &fresh, SEGMENT_BYTES).expect("record the fixture's spec");
+        let fresh = record_fresh(&spec, name);
         let new = RunStore::open(&fresh).expect("open fresh recording");
 
         match diff_stores(&old, &new).expect("diff") {
             DiffOutcome::Identical { events: n } => assert_eq!(n, events, "{name}"),
             DiffOutcome::Diverged(d) => panic!("{name}: fresh recording diverged at {}", d.index),
         }
-        // Segments, manifest and anchor: the same files with the same bytes.
-        let names = file_names(&fixture);
-        assert_eq!(file_names(&fresh), names);
-        for file in &names {
-            assert_eq!(
-                std::fs::read(fresh.join(file)).expect("read fresh file"),
-                std::fs::read(fixture.join(file)).expect("read fixture file"),
-                "{name}/{file} differs from the parent-recorded bytes"
-            );
-        }
-        // And this build regenerates the parent-recorded stream from its anchor.
+        // And this build regenerates the recorded stream from its anchor,
+        // in the fixture's own format.
         let anchor_ns = old.manifest().anchors[0].at_ns;
         let replay = replay_run(&fixture, anchor_ns + 1).expect("replay fixture");
         assert!(replay.ok(), "{name}: {replay:?}");
         assert!(replay.compared > 0);
         std::fs::remove_dir_all(&fresh).ok();
     }
+
+    // Segments, manifest and anchor of the newest fixture: the same files
+    // with the same bytes.
+    let fixture = fixture("recorded-by-pr37");
+    let spec = RunStore::open(&fixture)
+        .and_then(|s| s.spec())
+        .expect("fixture spec");
+    let fresh = record_fresh(&spec, "file-by-file");
+    let names = file_names(&fixture);
+    assert_eq!(file_names(&fresh), names);
+    for file in &names {
+        assert_eq!(
+            std::fs::read(fresh.join(file)).expect("read fresh file"),
+            std::fs::read(fixture.join(file)).expect("read fixture file"),
+            "recorded-by-pr37/{file} differs from the recorded bytes"
+        );
+    }
+    std::fs::remove_dir_all(&fresh).ok();
+}
+
+/// One run in both formats: the same spec, the same events, and format 2
+/// in fewer bytes.
+#[test]
+fn format_2_fixture_is_the_format_1_run_in_fewer_bytes() {
+    let v1 = RunStore::open(&fixture("recorded-by-pr20")).expect("open the format-1 fixture");
+    let v2 = RunStore::open(&fixture("recorded-by-pr37")).expect("open the format-2 fixture");
+    let (m1, m2) = (v1.manifest(), v2.manifest());
+    assert_eq!(m1.spec, m2.spec);
+    assert_eq!(m1.total_events, m2.total_events);
+    let bytes = |m: &fleetio_store::Manifest| m.segments.iter().map(|s| s.bytes).sum::<u64>();
+    assert!(
+        2 * bytes(m2) < bytes(m1) + bytes(m1) / 5,
+        "format 2 holds the run in {} bytes, format 1 in {}",
+        bytes(m2),
+        bytes(m1)
+    );
+    let mut cursor = v2.payload_cursor();
+    while let Some((format, _)) = cursor.next_payload().expect("intact fixture") {
+        assert_eq!(format, WireFormat::V2);
+    }
+    assert!(matches!(
+        diff_stores(&v1, &v2).expect("diff"),
+        DiffOutcome::Identical { events: 337 }
+    ));
 }
 
 /// The PR 20 fixture is only worth having for its time-sliced transfers.
@@ -125,8 +178,8 @@ fn pr20_fixture_holds_bus_grants() {
     let store = RunStore::open(&fixture("recorded-by-pr20")).expect("open fixture");
     let mut cursor = store.payload_cursor();
     let mut grants = 0;
-    while let Some(payload) = cursor.next_payload().expect("intact fixture") {
-        let ev = fleetio_obs::wire::decode_event(payload).expect("fixture event decodes");
+    while let Some((format, payload)) = cursor.next_payload().expect("intact fixture") {
+        let ev = format.decode(payload).expect("fixture event decodes");
         let is_grant = matches!(
             ev,
             ObsEvent::NandOp {

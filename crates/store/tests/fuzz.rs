@@ -1,12 +1,14 @@
 //! Seeded fuzzing of the store read path on real segments.
 //!
-//! A short real recording is damaged one segment at a time — bit flips,
+//! A short real recording (segment format 2) and a copy of the committed
+//! format-1 fixture are damaged one segment at a time — bit flips,
 //! truncations, record frames whose length field lies (with and without
-//! a CRC recomputed to match the lie), a rewritten header and a missing
-//! file — and every reader is run on the result: `wire::scan_segment`
-//! and `wire::decode_event` directly, then `RunStore::verify`, `query`
-//! and the `PayloadCursor` (pulled to the end and drained), all of which
-//! read ahead on a helper thread. Oracles:
+//! a CRC recomputed to match the lie; in format 2 also a non-canonical or
+//! over-wide LEB128 length), a rewritten header and a missing file — and
+//! every reader is run on the result: `wire::scan_segment` and the
+//! format's decoder directly, then `RunStore::verify`, `query` and the
+//! `PayloadCursor` (pulled to the end and drained), all of which read
+//! ahead on a helper thread. Oracles:
 //!
 //! * nothing panics;
 //! * every verdict — per-segment damage and counts, the fingerprint
@@ -23,14 +25,18 @@ use std::path::{Path, PathBuf};
 use fleetio::RunSpec;
 use fleetio_des::hash::{crc32, Fnv64};
 use fleetio_des::SimDuration;
-use fleetio_obs::wire::{self, MAX_RECORD_LEN, REC_HEADER_LEN};
+use fleetio_obs::wire::{self, WireFormat, MAX_RECORD_LEN};
 use fleetio_obs::ObsEvent;
 use fleetio_store::{
     query, record_run, EventFilter, RunStore, SegmentMeta, StoreError, VerifyReport,
 };
 
-/// Iterations: each damages one segment and runs every reader.
+/// Iterations on the format-2 recording: each damages one segment and
+/// runs every reader.
 const ROUNDS: u64 = 160;
+
+/// Iterations on the four-segment format-1 fixture.
+const V1_ROUNDS: u64 = 40;
 
 /// Small segments: a few dozen records each, a couple of dozen files.
 const SEG_BYTES: usize = 4 * 1024;
@@ -166,9 +172,12 @@ fn query_sequentially(
     Ok((events, scanned))
 }
 
+/// A payload and the format of its segment.
+type Payload = (WireFormat, Vec<u8>);
+
 /// The cursor's stream, as a sequential pass: every payload before the
 /// first failing segment, and that failure.
-fn payloads_sequentially(store: &RunStore) -> (Vec<Vec<u8>>, Option<StoreError>) {
+fn payloads_sequentially(store: &RunStore) -> (Vec<Payload>, Option<StoreError>) {
     let mut out = Vec::new();
     for meta in &store.manifest().segments {
         let bytes = match read(store, meta) {
@@ -189,18 +198,22 @@ fn payloads_sequentially(store: &RunStore) -> (Vec<Vec<u8>>, Option<StoreError>)
             ));
             return (out, Some(e));
         }
-        out.extend(scan.records.iter().map(|r| bytes[r.clone()].to_vec()));
+        out.extend(
+            scan.records
+                .iter()
+                .map(|r| (scan.format, bytes[r.clone()].to_vec())),
+        );
     }
     (out, None)
 }
 
 /// The cursor pulled until it ends or fails; a failure must repeat.
-fn payloads_through_cursor(store: &RunStore) -> (Vec<Vec<u8>>, Option<StoreError>) {
+fn payloads_through_cursor(store: &RunStore) -> (Vec<Payload>, Option<StoreError>) {
     let mut cursor = store.payload_cursor();
     let mut out = Vec::new();
     loop {
         match cursor.next_payload() {
-            Ok(Some(payload)) => out.push(payload.to_vec()),
+            Ok(Some((format, payload))) => out.push((format, payload.to_vec())),
             Ok(None) => return (out, None),
             Err(e) => {
                 let again = cursor.next_payload().err();
@@ -225,9 +238,27 @@ fn assert_same_report(round: u64, got: &VerifyReport, want: &VerifyReport) {
     assert_eq!(got.fingerprint_ok, want.fingerprint_ok, "round {round}");
 }
 
+/// The length field of a `len`-byte record in `format`, spelled canonically.
+fn length_field(format: WireFormat, len: u32) -> Vec<u8> {
+    match format {
+        WireFormat::V1 => len.to_le_bytes().to_vec(),
+        WireFormat::V2 => {
+            let mut out = Vec::new();
+            let mut v = len;
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+            out
+        }
+    }
+}
+
 /// One damaged copy of `bytes`, described for failure messages.
 fn damage(rng: &mut Lcg, bytes: &[u8], seq: u32) -> (Option<Vec<u8>>, String) {
-    let records = wire::scan_segment(bytes).records;
+    let scan = wire::scan_segment(bytes);
+    let (format, records) = (scan.format, scan.records);
     let mut b = bytes.to_vec();
     match rng.below(6) {
         0 => {
@@ -243,28 +274,49 @@ fn damage(rng: &mut Lcg, bytes: &[u8], seq: u32) -> (Option<Vec<u8>>, String) {
         }
         2 | 3 => {
             let r = &records[rng.below(records.len() as u64) as usize];
-            let head = r.start - REC_HEADER_LEN;
             let len = r.len() as u32;
-            let lie = match rng.below(6) {
-                0 => 0,
-                1 => len - 1,
-                2 => len + 1 + rng.below(64) as u32,
-                3 => MAX_RECORD_LEN + 1,
-                4 => u32::MAX,
-                _ => (b.len() - r.start) as u32 + 1,
+            let crc_at = r.start - 4;
+            let head = crc_at - length_field(format, len).len();
+            let (lie, field) = match rng.below(8) {
+                6 if format == WireFormat::V2 => {
+                    // The true length with a redundant zero group.
+                    let mut field = length_field(format, len);
+                    *field.last_mut().expect("a length byte") |= 0x80;
+                    field.push(0);
+                    (len, field)
+                }
+                7 if format == WireFormat::V2 => {
+                    (u32::MAX, vec![0xff, 0xff, 0xff, 0xff, 0xff, 0x01])
+                }
+                pick => {
+                    let lie = match pick {
+                        0 => 0,
+                        1 => len - 1,
+                        2 => len + 1 + rng.below(64) as u32,
+                        3 => MAX_RECORD_LEN + 1,
+                        4 => u32::MAX,
+                        _ => (b.len() - r.start) as u32 + 1,
+                    };
+                    (lie, length_field(format, lie))
+                }
             };
-            b[head..head + 4].copy_from_slice(&lie.to_le_bytes());
+            let described = format!("{field:02x?}");
+            b.splice(head..crc_at, field.iter().copied());
+            let start = head + field.len() + 4;
             // Half the time the CRC is made to agree with the lie, so the
             // frame passes and the reader meets what follows it.
             let fix_crc = rng.below(2) == 0;
-            let end = r.start.checked_add(lie as usize);
+            let end = start.checked_add(lie as usize);
             if let Some(end) = end.filter(|&e| fix_crc && e <= b.len()) {
-                let crc = crc32(&b[r.start..end]);
-                b[head + 4..r.start].copy_from_slice(&crc.to_le_bytes());
+                let crc = crc32(&b[start..end]);
+                b[start - 4..start].copy_from_slice(&crc.to_le_bytes());
             }
             (
                 Some(b),
-                format!("record at {head} claims {lie} bytes, not {len} (crc fixed: {fix_crc})"),
+                format!(
+                    "record at {head} claims {lie} bytes as {described}, not {len} \
+                     (crc fixed: {fix_crc})"
+                ),
             )
         }
         4 => {
@@ -276,23 +328,21 @@ fn damage(rng: &mut Lcg, bytes: &[u8], seq: u32) -> (Option<Vec<u8>>, String) {
     }
 }
 
-#[test]
-fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
-    let dir = std::env::temp_dir().join(format!("fleetio-store-fuzz-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = recording(&dir);
+/// Damages `store` one segment at a time for `rounds` rounds, checks
+/// every reader against its sequential pass, and restores it.
+fn fuzz(store: &RunStore, rounds: u64, seed: u64) {
     let metas = store.manifest().segments.clone();
     let originals: Vec<Vec<u8>> = metas
         .iter()
-        .map(|meta| read(&store, meta).expect("read a clean segment"))
+        .map(|meta| read(store, meta).expect("read a clean segment"))
         .collect();
     assert!(store.verify().clean(), "the corpus verifies clean");
     let span = metas.last().expect("segments").max_at_ns;
 
-    let mut rng = Lcg(0x5eed_f1ee_7105);
-    for round in 0..ROUNDS {
+    let mut rng = Lcg(seed);
+    for round in 0..rounds {
         let victim = rng.below(metas.len() as u64) as usize;
-        let path = segment_path(&store, &metas[victim]);
+        let path = segment_path(store, &metas[victim]);
         let (damaged, what) = damage(&mut rng, &originals[victim], metas[victim].seq);
         let ctx = format!("round {round}: segment {victim} {what}");
 
@@ -302,7 +352,7 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
                 let scan = wire::scan_segment(bytes);
                 for r in &scan.records {
                     assert!(r.end <= bytes.len(), "{ctx}");
-                    let _ = wire::decode_event(&bytes[r.clone()]);
+                    let _ = scan.format.decode(&bytes[r.clone()]);
                 }
                 if let Some(d) = &scan.damage {
                     let last = scan.records.last().map_or(0, |r| r.end);
@@ -311,7 +361,9 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
                 for _ in 0..8 {
                     let from = rng.below(bytes.len() as u64 + 1) as usize;
                     let to = from + rng.below((bytes.len() - from) as u64 + 1) as usize;
-                    let _ = wire::decode_event(&bytes[from..to]);
+                    for format in [WireFormat::V1, WireFormat::V2] {
+                        let _ = format.decode(&bytes[from..to]);
+                    }
                 }
                 std::fs::write(&path, bytes).expect("write the damage");
             }
@@ -319,7 +371,7 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
         }
 
         // Every store reader against its sequential pass.
-        assert_same_report(round, &store.verify(), &verify_sequentially(&store));
+        assert_same_report(round, &store.verify(), &verify_sequentially(store));
         let filter = match rng.below(3) {
             0 => EventFilter::default(),
             1 => EventFilter {
@@ -332,11 +384,11 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
                 ..EventFilter::default()
             },
         };
-        let got = query(&store, &filter).map(|r| (encodings(&r.events), r.segments_scanned));
-        let want = query_sequentially(&store, &filter).map(|(evs, n)| (encodings(&evs), n));
+        let got = query(store, &filter).map(|r| (encodings(&r.events), r.segments_scanned));
+        let want = query_sequentially(store, &filter).map(|(evs, n)| (encodings(&evs), n));
         assert_eq!(got, want, "{ctx}: query {filter:?}");
-        let (payloads, failure) = payloads_through_cursor(&store);
-        let (want_payloads, want_failure) = payloads_sequentially(&store);
+        let (payloads, failure) = payloads_through_cursor(store);
+        let (want_payloads, want_failure) = payloads_sequentially(store);
         assert_eq!(failure, want_failure, "{ctx}");
         assert!(payloads == want_payloads, "{ctx}: cursor payloads differ");
         let drained = store.payload_cursor().drain();
@@ -351,10 +403,11 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
         let events = store
             .segment_events(meta)
             .expect("an untouched segment decodes");
+        let format = wire::scan_segment(&originals[kept]).format;
         let mut rebuilt = Vec::new();
-        wire::push_segment_header(&mut rebuilt, meta.seq);
+        format.push_segment_header(&mut rebuilt, meta.seq);
         for ev in &events {
-            wire::push_event_record(&mut rebuilt, ev);
+            format.push_event_record(&mut rebuilt, ev);
         }
         assert!(
             rebuilt == originals[kept],
@@ -364,5 +417,28 @@ fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
         std::fs::write(&path, &originals[victim]).expect("restore the segment");
     }
     assert!(store.verify().clean(), "the restored corpus verifies clean");
+}
+
+#[test]
+fn damaged_real_segments_read_as_a_sequential_pass_reads_them() {
+    let dir = std::env::temp_dir().join(format!("fleetio-store-fuzz-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = recording(&dir);
+    fuzz(&store, ROUNDS, 0x5eed_f1ee_7105);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn damaged_format_1_segments_read_as_a_sequential_pass_reads_them() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/recorded-by-pr20");
+    let dir = std::env::temp_dir().join(format!("fleetio-store-fuzz-v1-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create the copy");
+    for entry in std::fs::read_dir(&fixture).expect("list the fixture") {
+        let entry = entry.expect("fixture entry");
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy the fixture");
+    }
+    let store = RunStore::open(&dir).expect("open the copy");
+    fuzz(&store, V1_ROUNDS, 0x0f1e_e7f1);
     std::fs::remove_dir_all(&dir).ok();
 }

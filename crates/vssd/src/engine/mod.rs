@@ -304,6 +304,10 @@ pub struct Engine {
     /// Runtime invariant auditor (see [`audit`]).
     #[cfg(feature = "audit")]
     pub(crate) auditor: fleetio_des::audit::SimAuditor,
+    /// The periodic sweep's free-list census scratch, kept so that a
+    /// sweep allocates nothing.
+    #[cfg(feature = "audit")]
+    pub(crate) audit_marks: Vec<bool>,
     /// Bytes ever handed to the arbiter, and bytes it has booked grant by
     /// grant, for the conservation check.
     #[cfg(feature = "audit")]
@@ -435,6 +439,8 @@ impl Engine {
             obs_on: false,
             #[cfg(feature = "audit")]
             auditor: fleetio_des::audit::SimAuditor::new(),
+            #[cfg(feature = "audit")]
+            audit_marks: Vec::new(),
             #[cfg(feature = "audit")]
             sliced_joined: 0,
             #[cfg(feature = "audit")]

@@ -243,16 +243,6 @@ impl GsbPool {
         Err(HarvestError::NoneAvailable)
     }
 
-    /// Ids of every currently-harvested gSB (for conservation auditing).
-    #[cfg(feature = "audit")]
-    pub fn harvested_ids(&self) -> std::collections::BTreeSet<GsbId> {
-        self.gsbs
-            .values()
-            .filter(|g| g.in_use())
-            .map(|g| g.id)
-            .collect()
-    }
-
     /// Audits the pool's structural invariants (the `audit` feature's
     /// periodic sweep calls this):
     ///
@@ -261,13 +251,20 @@ impl GsbPool {
     /// * conversely, every unharvested gSB is listed (available ⇔ not
     ///   `in_use`), so harvest/destroy bookkeeping conserves gSBs.
     ///
-    /// All checks are `debug_assert!`s; in release builds this is a no-op.
+    /// All checks are `debug_assert!`s, made without allocating: a gSB has
+    /// one class, so it can sit only in its own list, where a duplicate is
+    /// a linear search away (lists hold a handful of gSBs); and distinct
+    /// listed gSBs, all unharvested and as many as the pool's unharvested
+    /// gSBs, are all of them.
     #[cfg(feature = "audit")]
     pub fn audit_invariants(&self) {
-        let mut listed = std::collections::BTreeSet::new();
         for (li, list) in self.lists.iter().enumerate() {
-            for id in list {
-                debug_assert!(listed.insert(*id), "{id} appears on two availability lists");
+            for (i, id) in list.iter().enumerate() {
+                debug_assert!(
+                    !list[..i].contains(id),
+                    "{id} appears twice on availability list {}",
+                    li + 1
+                );
                 match self.gsbs.get(id) {
                     None => debug_assert!(false, "{id} is listed but not in the pool map"),
                     Some(g) => {
@@ -282,12 +279,12 @@ impl GsbPool {
                 }
             }
         }
-        for (id, g) in &self.gsbs {
-            debug_assert!(
-                g.in_use() || listed.contains(id),
-                "{id} is unharvested but missing from the availability lists"
-            );
-        }
+        let listed: usize = self.lists.iter().map(Vec::len).sum();
+        let available = self.gsbs.values().filter(|g| !g.in_use()).count();
+        debug_assert!(
+            listed == available,
+            "{available} unharvested gSBs but {listed} on the availability lists"
+        );
     }
 
     /// Removes an *available* gSB from the pool entirely (destroy path of

@@ -10,6 +10,7 @@
 //! Every verb's usage line is also its grammar for the shared parser
 //! ([`args::parse`]). A verb renders its report into strings and hands
 //! them back with its exit code; `main` writes stdout and stderr once.
+//! `store query` alone streams its matches to stdout as it finds them.
 //! Exit codes: 0 = OK; 1 = a *finding* (streams diverge, replay
 //! mismatch, store or checkpoint damage); 2 = usage or I/O error.
 

@@ -1,8 +1,10 @@
 //! `fleetio obs`: turn an event trace into a readable report.
 //!
-//! The input is either a JSONL trace file or a run-store directory,
-//! read through [`RunStore::events`] and summarized through the exact
-//! same JSON aggregation path. A malformed line (reported by line
+//! The input is either a JSONL trace file, read one line at a time, or a
+//! run-store directory, read one segment at a time through
+//! [`query_each`] with each event rendered as its JSONL line; both are
+//! folded through the exact same JSON aggregation path, so memory stays
+//! flat whatever the run's length. A malformed line (reported by line
 //! number) or a damaged store exits 2; `fleetio store verify` localizes
 //! the damage.
 //!
@@ -16,12 +18,13 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use fleetio_des::{LatencyHistogram, SimDuration};
-use fleetio_obs::export;
 use fleetio_obs::json::{self, Value};
-use fleetio_store::RunStore;
+use fleetio_store::{query_each, EventFilter, RunStore};
 
 use crate::args::Args;
 use crate::{io, Failure, Output, Verb, VerbResult};
@@ -61,30 +64,58 @@ impl Event {
     }
 }
 
-/// Loads and parses one input, line order preserved.
-fn load_events(path: &str) -> Result<Vec<Event>, Failure> {
-    let text = if Path::new(path).is_dir() {
-        let events = RunStore::open(Path::new(path))
-            .and_then(|store| store.events())
-            .map_err(|e| io(format_args!("{path}: {e}")))?;
-        export::jsonl(events.iter())
-    } else {
-        std::fs::read_to_string(path).map_err(|e| io(format_args!("cannot read {path}: {e}")))?
-    };
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate().filter(|(_, l)| !l.is_empty()) {
-        match json::parse(line) {
-            Ok(Value::Obj(map)) => out.push(Event(map)),
-            Ok(_) => {
-                return Err(io(format_args!(
-                    "{path}:{}: line is not a JSON object",
-                    idx + 1
-                )))
+/// Parses line `idx` (0-based) of input `path`.
+fn parse_line(path: &str, idx: usize, line: &str) -> Result<Event, Failure> {
+    match json::parse(line) {
+        Ok(Value::Obj(map)) => Ok(Event(map)),
+        Ok(_) => Err(io(format_args!(
+            "{path}:{}: line is not a JSON object",
+            idx + 1
+        ))),
+        Err(e) => Err(io(format_args!("{path}:{}: invalid JSON: {e}", idx + 1))),
+    }
+}
+
+/// Hands every event of one input to `visit`, in line order: a store one
+/// segment at a time, each event as its JSONL line parses, and a JSONL
+/// file one line at a time. Blank lines are skipped but counted.
+fn for_each_event(path: &str, mut visit: impl FnMut(&Event)) -> Result<(), Failure> {
+    if Path::new(path).is_dir() {
+        let store = RunStore::open(Path::new(path)).map_err(|e| io(format_args!("{path}: {e}")))?;
+        let (mut line, mut idx, mut failure) = (String::new(), 0, None);
+        query_each(&store, &EventFilter::default(), |ev| {
+            if failure.is_none() {
+                line.clear();
+                ev.write_json(&mut line);
+                match parse_line(path, idx, &line) {
+                    Ok(ev) => visit(&ev),
+                    Err(e) => failure = Some(e),
+                }
             }
-            Err(e) => return Err(io(format_args!("{path}:{}: invalid JSON: {e}", idx + 1))),
+            idx += 1;
+        })
+        .map_err(|e| io(format_args!("{path}: {e}")))?;
+        return failure.map_or(Ok(()), Err);
+    }
+    let cannot_read = |e: std::io::Error| io(format_args!("cannot read {path}: {e}"));
+    let lines = BufReader::new(File::open(path).map_err(cannot_read)?).lines();
+    for (idx, line) in lines.enumerate() {
+        let line = line.map_err(cannot_read)?;
+        if !line.is_empty() {
+            visit(&parse_line(path, idx, &line)?);
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Adds one to `key`'s count.
+fn count(counts: &mut BTreeMap<String, u64>, key: &str) {
+    match counts.get_mut(key) {
+        Some(n) => *n += 1,
+        None => {
+            counts.insert(key.to_string(), 1);
+        }
+    }
 }
 
 #[derive(Default)]
@@ -116,20 +147,21 @@ impl Default for TenantStats {
 fn summarize(args: &Args) -> VerbResult {
     let path = &args.positionals[0];
     let by_tenant = args.has("--by-tenant");
-    let events = load_events(path)?;
 
-    let mut type_counts: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut events = 0u64;
+    let mut type_counts: BTreeMap<String, u64> = BTreeMap::new();
     let mut latency = LatencyHistogram::new();
     let mut queue_delay = LatencyHistogram::new();
     let mut per_vssd: BTreeMap<u64, VssdStats> = BTreeMap::new();
     let mut per_tenant: BTreeMap<u64, TenantStats> = BTreeMap::new();
     let (mut gc_starts, mut gc_emergencies, mut gc_busy_ns, mut gc_live_pages) = (0u64, 0, 0, 0);
-    let mut gsb: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut gsb: BTreeMap<String, u64> = BTreeMap::new();
     let (mut throttles, mut windows, mut evicted, mut last_ns) = (0u64, 0u64, 0, 0);
 
-    for ev in &events {
+    for_each_event(path, |ev| {
+        events += 1;
         let ty = ev.s("type");
-        *type_counts.entry(ty).or_insert(0) += 1;
+        count(&mut type_counts, ty);
         for key in ["at", "end", "start"] {
             last_ns = ev.opt(key).map_or(last_ns, |ns| ns.max(last_ns));
         }
@@ -160,17 +192,16 @@ fn summarize(args: &Args) -> VerbResult {
                 gc_live_pages += ev.u("live_pages");
             }
             "gc_end" => gc_busy_ns += ev.u("busy"),
-            "gsb" => *gsb.entry(ev.s("kind")).or_insert(0) += 1,
+            "gsb" => count(&mut gsb, ev.s("kind")),
             "throttle" => throttles += 1,
             "window_flush" => windows += 1,
             "trace_truncated" => evicted += ev.u("dropped"),
             _ => {}
         }
-    }
+    })?;
 
     let mut out = format!(
-        "trace: {path}\n  {} events, sim end {:.3} ms\n",
-        events.len(),
+        "trace: {path}\n  {events} events, sim end {:.3} ms\n",
         last_ns as f64 / 1e6
     );
     if evicted > 0 {
@@ -287,61 +318,59 @@ fn report(args: &Args) -> VerbResult {
     let mut migrations: Vec<([u64; 4], String)> = Vec::new();
     let mut window_flushes = 0u64;
     for path in paths {
-        for ev in &load_events(path)? {
-            match ev.s("type") {
-                "slo_window" => {
-                    let tenant = ev.u("tenant");
-                    let agg = tenants.entry(tenant).or_default();
-                    agg.windows += 1;
-                    agg.last_burn = ev.f("burn");
-                    if ev.b("p95_ok") && ev.b("p99_ok") && ev.b("throughput_ok") {
-                        agg.current_streak = 0;
-                        continue;
-                    }
-                    agg.violations += 1;
-                    agg.current_streak += 1;
-                    agg.longest_streak = agg.longest_streak.max(agg.current_streak);
-                    let p99 = ev.u("p99");
-                    if agg.worst.as_ref().is_none_or(|(worst, _)| p99 > *worst) {
-                        let line = format!(
-                            "t{tenant} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
-                             [p95_ok={} p99_ok={} tp_ok={}]",
-                            ev.u("window"),
-                            ev.u("p95") as f64 / 1e6,
-                            p99 as f64 / 1e6,
-                            ev.f("throughput") / 1e6,
-                            ev.u("ops"),
-                            ev.b("p95_ok"),
-                            ev.b("p99_ok"),
-                            ev.b("throughput_ok")
-                        );
-                        agg.worst = Some((p99, line));
-                    }
+        for_each_event(path, |ev| match ev.s("type") {
+            "slo_window" => {
+                let tenant = ev.u("tenant");
+                let agg = tenants.entry(tenant).or_default();
+                agg.windows += 1;
+                agg.last_burn = ev.f("burn");
+                if ev.b("p95_ok") && ev.b("p99_ok") && ev.b("throughput_ok") {
+                    agg.current_streak = 0;
+                    return;
                 }
-                "fleet_migration" => {
-                    let key = ["window", "tenant", "from_shard", "from_slot"].map(|k| ev.u(k));
+                agg.violations += 1;
+                agg.current_streak += 1;
+                agg.longest_streak = agg.longest_streak.max(agg.current_streak);
+                let p99 = ev.u("p99");
+                if agg.worst.as_ref().is_none_or(|(worst, _)| p99 > *worst) {
                     let line = format!(
-                        "w{}: t{} {}/{} -> {}/{} cause={} mean={:.3} src {:.3}->{:.3} \
-                         dst {:.3}->{:.3}",
-                        key[0],
-                        key[1],
-                        key[2],
-                        key[3],
-                        ev.u("to_shard"),
-                        ev.u("to_slot"),
-                        ev.s("cause"),
-                        ev.f("mean_util"),
-                        ev.f("src_util"),
-                        ev.f("src_util_after"),
-                        ev.f("dst_util"),
-                        ev.f("dst_util_after")
+                        "t{tenant} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
+                             [p95_ok={} p99_ok={} tp_ok={}]",
+                        ev.u("window"),
+                        ev.u("p95") as f64 / 1e6,
+                        p99 as f64 / 1e6,
+                        ev.f("throughput") / 1e6,
+                        ev.u("ops"),
+                        ev.b("p95_ok"),
+                        ev.b("p99_ok"),
+                        ev.b("throughput_ok")
                     );
-                    migrations.push((key, line));
+                    agg.worst = Some((p99, line));
                 }
-                "window_flush" => window_flushes += 1,
-                _ => {}
             }
-        }
+            "fleet_migration" => {
+                let key = ["window", "tenant", "from_shard", "from_slot"].map(|k| ev.u(k));
+                let line = format!(
+                    "w{}: t{} {}/{} -> {}/{} cause={} mean={:.3} src {:.3}->{:.3} \
+                         dst {:.3}->{:.3}",
+                    key[0],
+                    key[1],
+                    key[2],
+                    key[3],
+                    ev.u("to_shard"),
+                    ev.u("to_slot"),
+                    ev.s("cause"),
+                    ev.f("mean_util"),
+                    ev.f("src_util"),
+                    ev.f("src_util_after"),
+                    ev.f("dst_util"),
+                    ev.f("dst_util_after")
+                );
+                migrations.push((key, line));
+            }
+            "window_flush" => window_flushes += 1,
+            _ => {}
+        })?;
     }
     migrations.sort_by_key(|(key, _)| *key);
 

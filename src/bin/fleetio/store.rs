@@ -1,16 +1,20 @@
 //! `fleetio store`: record, inspect and interrogate run stores.
 //!
 //! `query` prints matching events as JSONL on stdout and a scan summary
-//! on stderr, so results pipe cleanly into `fleetio obs summarize`.
+//! on stderr, so results pipe cleanly into `fleetio obs summarize`. It
+//! is the one verb that writes stdout itself: each match is printed as
+//! its segment is decoded, so a query over a long run holds one segment,
+//! not the run.
 
 use std::fmt::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 use fleetio::RunSpec;
 use fleetio_obs::ObsEvent;
 use fleetio_store::{
-    aggregate_windows, diff_stores, query, record_run, replay_run, DiffOutcome, EventFilter,
-    RunStore, DEFAULT_SEGMENT_BYTES,
+    diff_stores, query_each, record_run, replay_run, DiffOutcome, EventFilter, RunStore,
+    WindowAggregator, DEFAULT_SEGMENT_BYTES,
 };
 
 use crate::args::{number, Args};
@@ -121,30 +125,39 @@ fn query_cmd(args: &Args) -> VerbResult {
         kind,
     };
     let store = open(&args.positionals[0])?;
-    let result = query(&store, &filter).map_err(|e| io(format_args!("query: {e}")))?;
-    let mut out = String::new();
-    if args.has("--windows") {
-        for w in aggregate_windows(&result.events, store.manifest().window_ns) {
-            let _ = writeln!(
-                out,
-                "{{\"window\":{},\"events\":{},\"bytes\":{}}}",
-                w.window, w.events, w.bytes
-            );
+    let mut windows = args
+        .has("--windows")
+        .then(|| WindowAggregator::new(store.manifest().window_ns));
+    // A closed pipe (`... | head`) is not an error: writes just stop landing.
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    let (mut line, mut matched) = (String::new(), 0u64);
+    let scanned = query_each(&store, &filter, |ev| {
+        matched += 1;
+        match &mut windows {
+            Some(windows) => windows.add(&ev),
+            None => {
+                line.clear();
+                ev.write_json(&mut line);
+                line.push('\n');
+                let _ = stdout.write_all(line.as_bytes());
+            }
         }
-    } else {
-        for ev in &result.events {
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
+    })
+    .map_err(|e| io(format_args!("query: {e}")))?;
+    for w in windows.map(WindowAggregator::finish).unwrap_or_default() {
+        let _ = writeln!(
+            stdout,
+            "{{\"window\":{},\"events\":{},\"bytes\":{}}}",
+            w.window, w.events, w.bytes
+        );
     }
+    let _ = stdout.flush();
     Ok(Output {
         code: 0,
-        stdout: out,
+        stdout: String::new(),
         stderr: format!(
-            "fleetio store query: {} events matched; scanned {}/{} segments\n",
-            result.events.len(),
-            result.segments_scanned,
-            result.segments_total
+            "fleetio store query: {matched} events matched; scanned {scanned}/{} segments\n",
+            store.manifest().segments.len()
         ),
     })
 }

@@ -1,9 +1,11 @@
 //! Seeded fuzzing of every `des::codec` payload the store fuzz does not
-//! reach, and of `obs::json::parse`.
+//! reach, of single event payloads in both run-store segment formats, and
+//! of `obs::json::parse`.
 //!
 //! Real values — a fleet spec, a run spec, a trained model checkpoint and
-//! a typing index, and the replay anchor and manifest of the committed
-//! store fixture — are encoded, then damaged: bit flips, truncations,
+//! a typing index, the replay anchor and manifest of the committed store
+//! fixture, and events of every integer, `Option`, string and float
+//! shape in segment formats 1 and 2 — are encoded, then damaged: bit flips, truncations,
 //! appended bytes, stored bytes, cut and repeated ranges, and length
 //! fields that lie. Each result is fed to `decode_container` and to the
 //! type's own `decode` — bare, and for the four container kinds also
@@ -14,7 +16,9 @@
 //!
 //! * nothing panics or aborts;
 //! * an undamaged value decodes and re-encodes to its exact bytes, bare
-//!   and in its container.
+//!   and in its container;
+//! * an event payload that decodes, damaged or not, re-encodes to its
+//!   exact bytes: each format spells each event one way only.
 //!
 //! The seed is fixed and the rounds bounded, so a failure reproduces
 //! exactly and the test stays in tier 1.
@@ -29,7 +33,8 @@ use fleetio_des::SimTime;
 use fleetio_fleet::FleetSpec;
 use fleetio_model::{CheckpointMeta, ModelCheckpoint, RunAnchor, TypingIndex};
 use fleetio_obs::json;
-use fleetio_obs::ObsEvent;
+use fleetio_obs::wire::WireFormat;
+use fleetio_obs::{GsbKind, ModelKind, ObsEvent};
 use fleetio_rl::{MultiAgentEnv, PpoConfig, PpoPolicy, PpoTrainer, StepResult};
 use fleetio_store::Manifest;
 
@@ -73,6 +78,74 @@ fn manifest(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
     let m = Manifest::decode(p)?;
     let _ = RunSpec::decode(&m.spec);
     Ok(m.encode())
+}
+
+/// An event payload in `format` and its re-encoding, which must be the
+/// payload itself.
+fn event_in(format: WireFormat, p: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    let ev = format.decode(p)?;
+    let mut out = Vec::new();
+    format.encode(&ev, &mut out);
+    assert_eq!(out, p, "{format:?}: {ev:?} has a second spelling");
+    Ok(out)
+}
+
+fn event_v1(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    event_in(WireFormat::V1, p)
+}
+
+fn event_v2(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    event_in(WireFormat::V2, p)
+}
+
+/// Events covering every field shape: wide and narrow integers and
+/// times, both arms of an `Option`, a string, and non-finite floats.
+fn sample_events() -> Vec<ObsEvent> {
+    vec![
+        ObsEvent::RequestComplete {
+            at: SimTime::from_nanos(81_234_567_890),
+            req: 1 << 40,
+            vssd: 3,
+            read: true,
+            bytes: 131_072,
+            arrival: SimTime::from_nanos(81_234_000_000),
+            service_start: SimTime::from_nanos(u64::MAX),
+        },
+        ObsEvent::GcStart {
+            at: SimTime::from_nanos(127),
+            job: Some(128),
+            vssd: u32::MAX,
+            channel: u16::MAX,
+            chip: 0,
+            live_pages: 16_384,
+            emergency: false,
+        },
+        ObsEvent::GsbTransition {
+            at: SimTime::ZERO,
+            gsb: 0,
+            home: 1,
+            harvester: None,
+            kind: GsbKind::ReclaimRequested,
+            channels: 2,
+        },
+        ObsEvent::ModelLifecycle {
+            at: SimTime::from_nanos(5),
+            kind: ModelKind::Loaded,
+            tag: "lc1-v2_ok".to_string(),
+            update: 0,
+        },
+        ObsEvent::WindowFlush {
+            at: SimTime::from_nanos(2_000_000_000),
+            vssd: 0,
+            avg_bandwidth: f64::NAN,
+            avg_iops: f64::NEG_INFINITY,
+            p99_latency: fleetio_des::SimDuration::from_nanos(900_000),
+            slo_violation_rate: -0.0,
+            gc_busy_frac: 0.25,
+            total_bytes: 1 << 30,
+            total_ops: 12_345,
+        },
+    ]
 }
 
 /// The decoder for a container's kind.
@@ -153,7 +226,7 @@ fn subjects() -> Vec<Subject> {
         cluster_tags: vec!["lc1".to_string(), "bi".to_string()],
         unknown_distance: 3.0,
     };
-    vec![
+    let mut subjects = vec![
         Subject {
             name: "run spec",
             kind: None,
@@ -190,7 +263,23 @@ fn subjects() -> Vec<Subject> {
             payload: fixture_payload("manifest.fiom", PayloadKind::StoreManifest),
             decode: manifest,
         },
-    ]
+    ];
+    for ev in sample_events() {
+        for (name, format, decode) in [
+            ("format-1 event", WireFormat::V1, event_v1 as Decode),
+            ("format-2 event", WireFormat::V2, event_v2),
+        ] {
+            let mut payload = Vec::new();
+            format.encode(&ev, &mut payload);
+            subjects.push(Subject {
+                name,
+                kind: None,
+                payload,
+                decode,
+            });
+        }
+    }
+    subjects
 }
 
 /// Values a lying length or count field takes: off by one either way,
