@@ -34,7 +34,8 @@ pub enum PolicySpec {
     SsdKeeper,
     /// FleetIO with a pre-trained model variant.
     FleetIo(ModelVariant),
-    /// The scripted reference policy (mechanism-level ablation).
+    /// The scripted reference policy: the teacher FleetIO's behaviour
+    /// cloning imitates, on FleetIO's hardware-isolated layout.
     Heuristic,
 }
 
@@ -62,6 +63,14 @@ impl PolicySpec {
             PolicySpec::Software,
             PolicySpec::FleetIo(ModelVariant::Full),
         ]
+    }
+
+    /// What fig10–14 run: the headline policies, then the teacher, so
+    /// that each pair and mix shows whether the learned policy beats the
+    /// rules it learned from.
+    pub fn plotted() -> [PolicySpec; 6] {
+        let [hw, keeper, adaptive, sw, fleetio] = Self::headline();
+        [hw, keeper, adaptive, sw, fleetio, PolicySpec::Heuristic]
     }
 }
 
@@ -253,8 +262,9 @@ pub fn fig6(ctx: &mut SharedContext) -> FigureReport {
     report
 }
 
-/// Figures 10–13: the headline comparison — five policies across the six
-/// evaluation pairs. One run per (pair, policy) feeds all four figures.
+/// Figures 10–13: the headline comparison — five policies and the
+/// teacher across the six evaluation pairs. One run per (pair, policy)
+/// feeds all four figures.
 pub fn fig10_13(ctx: &mut SharedContext) -> Vec<FigureReport> {
     let mut fig10 = FigureReport::new(
         "fig10",
@@ -280,7 +290,7 @@ pub fn fig10_13(ctx: &mut SharedContext) -> Vec<FigureReport> {
         let mut hw_p99 = 1.0;
         let mut hw_bw = 1.0;
         let mut hw_util = 1.0;
-        for spec in PolicySpec::headline() {
+        for spec in PolicySpec::plotted() {
             let m = run_combo(ctx, spec, &[lc, bi], i as u64 * 17);
             let label = format!("{}/{}", pair_label(lc, bi), spec.label());
             let p99 = m.lc_p99().expect("LC tenant").as_millis_f64();
@@ -332,7 +342,7 @@ pub fn fig14(ctx: &mut SharedContext) -> Vec<FigureReport> {
     );
     for (mi, mix) in table5_mixes().into_iter().enumerate() {
         let mut per_policy: Vec<(PolicySpec, RunMetrics)> = Vec::new();
-        for spec in PolicySpec::headline() {
+        for spec in PolicySpec::plotted() {
             let m = run_combo(ctx, spec, &mix.workloads, 1000 + mi as u64 * 31);
             per_policy.push((spec, m));
         }
@@ -776,6 +786,9 @@ mod tests {
         assert_eq!(h.len(), 5);
         assert_eq!(h[0], PolicySpec::Hardware);
         assert!(h.contains(&PolicySpec::FleetIo(ModelVariant::Full)));
+        let plotted = PolicySpec::plotted();
+        assert_eq!(plotted[..5], h, "the plots add the teacher, nothing else");
+        assert_eq!(plotted[5], PolicySpec::Heuristic);
     }
 
     #[test]

@@ -49,10 +49,12 @@ const OPEN_LOOP_ALLOCS_PER_REQUEST_MAX: f64 = 0.00416;
 const OPEN_LOOP_ALLOCS_MAX: u64 = 116;
 
 /// Bytes requested per submitted request of a four-tenant colocation run
-/// (measured 52.11174735380878: 1 501 600 bytes over 28 815 requests).
-/// A 32-byte trace record kept for every request of every tenant, in
-/// rings grown by doubling, made it 143.6.
-const BYTES_PER_REQUEST_MAX: f64 = 54.7;
+/// (measured 43.74943605760888: 1 260 640 bytes over 28 815 requests,
+/// 43.75 with the audit features). With 56-byte queued page ops and
+/// 64-byte in-flight requests it was 52.1; a 32-byte trace record kept
+/// for every request of every tenant, in rings grown by doubling, made
+/// it 143.6.
+const BYTES_PER_REQUEST_MAX: f64 = 45.9;
 
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured
 /// 1 507): most are the 16 KiB page-state and L2P chunks the warm-up's
@@ -78,18 +80,20 @@ const ENGINE_BUILD_BYTES_MAX: f64 = 15_790_000.0;
 const STORE_DIFF_ALLOCS_PER_EVENT_MAX: f64 = 0.00275;
 
 /// Bytes the whole process requests to record, seal and finish that store
-/// (measured 1 209 678 to 1 220 062 over 31 seals; the spread is the
-/// channels' and the test harness's own bookkeeping; 1 329 652 to
-/// 1 340 520 over the 64 seals of segment format 1). Most of it is the
-/// encoder's three 256 KiB segment buffers and the recording thread's
-/// four 80 KiB batches, allocated once per sink; a buffer allocated per
-/// seal would add 31 × 256 KiB.
-const STORE_RECORD_BYTES_MAX: f64 = 1_280_000.0;
+/// (measured 1 078 606 to 1 078 789 over 31 seals; the spread is the
+/// channels' and the test harness's own bookkeeping; 1 209 678 to
+/// 1 220 062 with 80-byte events, 1 329 652 to 1 340 520 over the 64
+/// seals of segment format 1). Most of it is the encoder's three 256 KiB
+/// segment buffers and the recording thread's four 48 KiB batches,
+/// allocated once per sink; a buffer allocated per seal would add
+/// 31 × 256 KiB.
+const STORE_RECORD_BYTES_MAX: f64 = 1_130_000.0;
 
-/// The recording thread's share of those bytes (measured 353 280): its
-/// batch pool and the sink. It held both segment buffers and encoded a
-/// manifest snapshot per seal before the encoder thread (1 026 315).
-const STORE_RECORDER_BYTES_MAX: f64 = 371_000.0;
+/// The recording thread's share of those bytes (measured 222 201): its
+/// batch pool of 1 024 events each and the sink. With 80-byte events it
+/// was 353 280; holding both segment buffers and encoding a manifest
+/// snapshot per seal before the encoder thread, 1 026 315.
+const STORE_RECORDER_BYTES_MAX: f64 = 233_000.0;
 
 const SEED: u64 = 42;
 

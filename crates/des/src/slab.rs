@@ -98,6 +98,10 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
+    /// Bytes one slot's entry takes in the dense array, live or free (its
+    /// 4-byte generation is kept beside it).
+    pub const SLOT_BYTES: usize = std::mem::size_of::<Entry<T>>();
+
     /// Creates an empty slab.
     pub fn new() -> Self {
         Slab {

@@ -23,7 +23,9 @@ use fleetio_des::par;
 use fleetio_des::rng::derive_seed_indexed;
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
-use fleetio_obs::{ObsEvent, ObsSink, SeriesSet, SloTracker, WindowVerdict};
+use fleetio_obs::{
+    FleetMigration, ObsEvent, ObsSink, SeriesSet, SloTracker, SloWindow, WindowVerdict,
+};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::features::windowed_features;
@@ -374,7 +376,7 @@ impl FleetRuntime {
             // stream — this phase is serial, so the stream stays
             // deterministic across worker counts.
             let engine = self.shards[m.from.shard as usize].engine_mut();
-            engine.emit_obs(ObsEvent::FleetMigration {
+            engine.emit_obs(ObsEvent::FleetMigration(Box::new(FleetMigration {
                 at: engine.now(),
                 window: m.window,
                 tenant: m.tenant,
@@ -388,7 +390,7 @@ impl FleetRuntime {
                 dst_util: m.dst_util,
                 src_util_after: m.src_util_after,
                 dst_util_after: m.dst_util_after,
-            });
+            })));
             self.migration_log.push(m);
             executed.push(m);
         }
@@ -573,7 +575,7 @@ impl FleetRuntime {
             .record_window(self.window_idx, reports, &utils, executed.len());
         for o in outcomes {
             let engine = self.shards[o.shard as usize].engine_mut();
-            engine.emit_obs(ObsEvent::SloWindow {
+            engine.emit_obs(ObsEvent::SloWindow(Box::new(SloWindow {
                 at: engine.now(),
                 tenant: o.tenant,
                 window: o.verdict.window,
@@ -585,7 +587,7 @@ impl FleetRuntime {
                 p99_ok: o.verdict.p99_ok,
                 throughput_ok: o.verdict.throughput_ok,
                 burn: o.burn,
-            });
+            })));
         }
 
         FleetWindowReport {

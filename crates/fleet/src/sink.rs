@@ -72,9 +72,10 @@ impl ObsSink for FingerprintSink {
 mod tests {
     use super::*;
     use fleetio_des::SimTime;
+    use fleetio_obs::WindowFlush;
 
     fn ev(at: u64) -> ObsEvent {
-        ObsEvent::WindowFlush {
+        ObsEvent::WindowFlush(Box::new(WindowFlush {
             at: SimTime::from_nanos(at),
             vssd: 0,
             avg_bandwidth: 0.0,
@@ -84,7 +85,7 @@ mod tests {
             gc_busy_frac: 0.0,
             total_bytes: 0,
             total_ops: 0,
-        }
+        }))
     }
 
     #[test]

@@ -266,12 +266,76 @@ macro_rules! tenant_of {
     };
 }
 
+/// The pattern for row `$variant` of [`ObsEvent`]. An inline row binds
+/// the listed fields; a `boxed` row binds its box as `$row`, and
+/// [`row_fields!`] then binds the same fields from it.
+macro_rules! row_pat {
+    (boxed $variant:ident $row:ident { $($fields:tt)* }) => {
+        ObsEvent::$variant($row)
+    };
+    ($variant:ident $row:ident { $($fields:tt)* }) => {
+        ObsEvent::$variant { $($fields)* }
+    };
+}
+
+/// Binds a `boxed` row's fields by reference, as [`row_pat!`] binds an
+/// inline row's; nothing for an inline row.
+macro_rules! row_fields {
+    (boxed $variant:ident $row:ident { $($fields:tt)* }) => {
+        let $variant { $($fields)* } = &**$row;
+    };
+    ($variant:ident $row:ident { $($fields:tt)* }) => {};
+}
+
+/// Builds row `$variant` of [`ObsEvent`] from its field initialisers.
+macro_rules! row_new {
+    (boxed $variant:ident { $($init:tt)* }) => {
+        ObsEvent::$variant(Box::new($variant { $($init)* }))
+    };
+    ($variant:ident { $($init:tt)* }) => {
+        ObsEvent::$variant { $($init)* }
+    };
+}
+
+/// Declares the struct behind a `boxed` row; nothing for an inline row.
+/// It carries the variant's name, so its derived `Debug` text is the
+/// variant's.
+macro_rules! row_struct {
+    (boxed $(#[$vdoc:meta])* $variant:ident { $($body:tt)* }) => {
+        $(#[$vdoc])*
+        ///
+        #[doc = concat!("The fields of [`ObsEvent::", stringify!($variant), "`], boxed so that")]
+        /// every [`ObsEvent`] stays 48 bytes.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $variant { $($body)* }
+    };
+    ($(#[$vdoc:meta])* $variant:ident { $($body:tt)* }) => {};
+}
+
+/// Accumulates [`ObsEvent`]'s variants row by row, then declares it: an
+/// inline row is a struct variant, a `boxed` row a variant holding its
+/// struct.
+macro_rules! obs_enum {
+    ([$($done:tt)*]) => {
+        /// One structured observability record. All timestamps are
+        /// simulated time.
+        #[derive(Clone, PartialEq)]
+        pub enum ObsEvent { $($done)* }
+    };
+    ([$($done:tt)*] [$(#[$vdoc:meta])*] $variant:ident boxed { $($body:tt)* } $($rest:tt)*) => {
+        obs_enum!([$($done)* $(#[$vdoc])* $variant(Box<$variant>),] $($rest)*);
+    };
+    ([$($done:tt)*] [$(#[$vdoc:meta])*] $variant:ident { $($body:tt)* } $($rest:tt)*) => {
+        obs_enum!([$($done)* $(#[$vdoc])* $variant { $($body)* },] $($rest)*);
+    };
+}
+
 /// Declares [`ObsEvent`] and everything derived from its shape. One row
 /// per kind:
 ///
 /// ```text
 /// /// docs
-/// wire-tag Variant "type_tag" tenant(field-or-nothing) {
+/// wire-tag Variant "type_tag" tenant(field-or-nothing) [boxed] {
 ///     /// docs
 ///     timestamp: SimTime,
 ///     /// docs
@@ -284,27 +348,50 @@ macro_rules! tenant_of {
 /// field is the event's primary timestamp; `tenant(f)` names the `u32`
 /// field holding the vSSD the event is attributed to, `tenant()` says
 /// there is none. Every other field type needs a `Field` impl.
+///
+/// A row whose fields take more than 48 bytes is declared `boxed`: its
+/// variant holds a `Box` of a struct of the same name and fields, so
+/// that the many small events are not padded to the few large ones.
+/// Nothing else sees the difference: wire bytes, JSON, `Debug` text,
+/// `at()` and `tenant()` are generated from the row either way
+/// (`event_is_48_bytes` holds every row to this).
 macro_rules! obs_events {
     ($(
         $(#[$vdoc:meta])*
-        $wire:literal $variant:ident $tag:literal tenant($($tenant:ident)?) {
+        $wire:literal $variant:ident $tag:literal tenant($($tenant:ident)?) $($boxed:ident)? {
             $(#[$atdoc:meta])*
             $at:ident: SimTime,
             $( $(#[$fdoc:meta])* $field:ident: $ty:ty, )*
         }
     )+) => {
-        /// One structured observability record. All timestamps are
-        /// simulated time.
-        #[derive(Debug, Clone, PartialEq)]
-        pub enum ObsEvent {
-            $(
-                $(#[$vdoc])*
-                $variant {
-                    $(#[$atdoc])*
-                    $at: SimTime,
-                    $( $(#[$fdoc])* $field: $ty, )*
-                },
-            )+
+        obs_enum!([] $(
+            [$(#[$vdoc])*] $variant $($boxed)? {
+                $(#[$atdoc])*
+                $at: SimTime,
+                $( $(#[$fdoc])* $field: $ty, )*
+            }
+        )+);
+
+        $(
+            row_struct!($($boxed)? $(#[$vdoc])* $variant {
+                $(#[$atdoc])*
+                pub $at: SimTime,
+                $( $(#[$fdoc])* pub $field: $ty, )*
+            });
+        )+
+
+        impl std::fmt::Debug for ObsEvent {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                match self {
+                    $( row_pat!($($boxed)? $variant row { $at, $($field,)* }) => {
+                        row_fields!($($boxed)? $variant row { $at, $($field,)* });
+                        f.debug_struct(stringify!($variant))
+                            .field(stringify!($at), $at)
+                            $( .field(stringify!($field), $field) )*
+                            .finish()
+                    } )+
+                }
+            }
         }
 
         impl ObsEvent {
@@ -330,7 +417,10 @@ macro_rules! obs_events {
             /// start).
             pub fn at(&self) -> SimTime {
                 match self {
-                    $( ObsEvent::$variant { $at, .. } => *$at, )+
+                    $( row_pat!($($boxed)? $variant row { $at, .. }) => {
+                        row_fields!($($boxed)? $variant row { $at, .. });
+                        *$at
+                    } )+
                 }
             }
 
@@ -340,7 +430,10 @@ macro_rules! obs_events {
             /// disagree.
             pub fn tenant(&self) -> Option<u32> {
                 match self {
-                    $( ObsEvent::$variant { $($tenant,)? .. } => tenant_of!($($tenant)?), )+
+                    $( row_pat!($($boxed)? $variant row { $($tenant,)? .. }) => {
+                        row_fields!($($boxed)? $variant row { $($tenant,)? .. });
+                        tenant_of!($($tenant)?)
+                    } )+
                 }
             }
 
@@ -352,7 +445,8 @@ macro_rules! obs_events {
                 out.push_str(self.tag());
                 out.push('"');
                 match self {
-                    $( ObsEvent::$variant { $at, $($field,)* } => {
+                    $( row_pat!($($boxed)? $variant row { $at, $($field,)* }) => {
+                        row_fields!($($boxed)? $variant row { $at, $($field,)* });
                         out.push_str(concat!(",\"", stringify!($at), "\":"));
                         $at.write_json(out);
                         $(
@@ -371,7 +465,8 @@ macro_rules! obs_events {
                 let e = &mut Enc::new(out);
                 e.u8(self.kind_index());
                 match self {
-                    $( ObsEvent::$variant { $at, $($field,)* } => {
+                    $( row_pat!($($boxed)? $variant row { $at, $($field,)* }) => {
+                        row_fields!($($boxed)? $variant row { $at, $($field,)* });
                         $at.put::<I>(e);
                         $( $field.put::<I>(e); )*
                     } )+
@@ -384,10 +479,10 @@ macro_rules! obs_events {
             pub(crate) fn decode<I: IntForm>(payload: &[u8]) -> Result<Self, DecodeError> {
                 let mut d = Dec::new(payload);
                 let ev = match d.u8()? {
-                    $( $wire => ObsEvent::$variant {
+                    $( $wire => row_new!($($boxed)? $variant {
                         $at: Field::get::<I>(&mut d)?,
                         $( $field: Field::get::<I>(&mut d)?, )*
-                    }, )+
+                    }), )+
                     t => return Err(DecodeError::BadKind(t)),
                 };
                 d.finish()?;
@@ -564,7 +659,7 @@ obs_events! {
         until: SimTime,
     }
     /// A per-vSSD statistics window was frozen (`Engine::finish_window`).
-    9 WindowFlush "window_flush" tenant(vssd) {
+    9 WindowFlush "window_flush" tenant(vssd) boxed {
         /// Window end time.
         at: SimTime,
         /// vSSD the window belongs to.
@@ -602,7 +697,7 @@ obs_events! {
     }
     /// A per-tenant SLO verdict for one decision window, emitted at the
     /// fleet's serial window merge.
-    11 SloWindow "slo_window" tenant(tenant) {
+    11 SloWindow "slo_window" tenant(tenant) boxed {
         /// Window end time on the tenant's resident shard.
         at: SimTime,
         /// Fleet-wide tenant index.
@@ -628,7 +723,7 @@ obs_events! {
     }
     /// A tenant migration executed at a window boundary, with the
     /// hotspot-rule cause and the utilizations the planner saw.
-    12 FleetMigration "fleet_migration" tenant(tenant) {
+    12 FleetMigration "fleet_migration" tenant(tenant) boxed {
         /// Execution time (the boundary entering the next window).
         at: SimTime,
         /// Window whose statistics planned the move.
@@ -714,6 +809,17 @@ mod tests {
         let obj = v.as_object().expect("object");
         assert_eq!(obj.get("tag").and_then(|t| t.as_str()), Some(tag.as_str()));
         assert_eq!(obj.get("update").and_then(|u| u.as_u64()), Some(1));
+    }
+
+    /// A recorder or a query result holds one `ObsEvent` per event, so a
+    /// wide row would pad every event to its width.
+    #[test]
+    fn event_is_48_bytes() {
+        let size = std::mem::size_of::<ObsEvent>();
+        assert!(
+            size <= 48,
+            "ObsEvent is {size} B: a row whose fields take more than 48 B must be declared `boxed`"
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use fleetio_des::SimTime;
 
-use crate::event::{NandKind, ObsEvent};
+use crate::event::{FleetMigration, NandKind, ObsEvent, WindowFlush};
 
 const PID_DEVICE: u32 = 1;
 const PID_BUS: u32 = 2;
@@ -215,13 +215,14 @@ where
                     .or_insert_with(|| format!("chan{channel}"));
                 instant(&mut out, "throttle", PID_BUS, tid, at);
             }
-            ObsEvent::WindowFlush {
-                at,
-                vssd,
-                total_ops,
-                total_bytes,
-                ..
-            } => {
+            ObsEvent::WindowFlush(ref w) => {
+                let WindowFlush {
+                    at,
+                    vssd,
+                    total_ops,
+                    total_bytes,
+                    ..
+                } = **w;
                 let tid = u64::from(vssd);
                 named
                     .entry((PID_REQUESTS, tid))
@@ -262,33 +263,26 @@ where
             }
             // Only violations are worth a mark in the timeline; the
             // JSONL export retains every verdict.
-            ObsEvent::SloWindow {
-                at,
-                tenant,
-                window,
-                p95_ok,
-                p99_ok,
-                throughput_ok,
-                ..
-            } if !(p95_ok && p99_ok && throughput_ok) => {
+            ObsEvent::SloWindow(ref w) if !(w.p95_ok && w.p99_ok && w.throughput_ok) => {
                 named
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());
                 instant(
                     &mut out,
-                    &format!("slo_violation_t{tenant}_w{window}"),
+                    &format!("slo_violation_t{}_w{}", w.tenant, w.window),
                     PID_GC,
                     0,
-                    at,
+                    w.at,
                 );
             }
-            ObsEvent::FleetMigration {
-                at,
-                tenant,
-                from_shard,
-                to_shard,
-                ..
-            } => {
+            ObsEvent::FleetMigration(ref m) => {
+                let FleetMigration {
+                    at,
+                    tenant,
+                    from_shard,
+                    to_shard,
+                    ..
+                } = **m;
                 named
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());

@@ -48,7 +48,9 @@ pub mod slo;
 pub mod training;
 pub mod wire;
 
-pub use event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
+pub use event::{
+    FleetMigration, GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent, SloWindow, WindowFlush,
+};
 pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use prof::{ProfReport, ProfSpan, SpanGuard, SpanStats};
 pub use series::{SeriesId, SeriesSet};

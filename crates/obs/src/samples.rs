@@ -5,7 +5,9 @@
 use fleetio_des::hash::fnv1a64;
 use fleetio_des::{SimDuration, SimTime};
 
-use crate::event::{GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent};
+use crate::event::{
+    FleetMigration, GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent, SloWindow, WindowFlush,
+};
 use crate::wire::{self, WireFormat};
 
 /// Every [`ObsEvent`] variant at least once, both arms of each
@@ -75,7 +77,7 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
             channel: 3,
             until: us(50),
         },
-        ObsEvent::WindowFlush {
+        ObsEvent::WindowFlush(Box::new(WindowFlush {
             at: SimTime::from_secs(2),
             vssd: 1,
             avg_bandwidth: 1.5e8,
@@ -85,8 +87,8 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
             gc_busy_frac: f64::NAN,
             total_bytes: 1 << 30,
             total_ops: 12345,
-        },
-        ObsEvent::SloWindow {
+        })),
+        ObsEvent::SloWindow(Box::new(SloWindow {
             at: SimTime::from_secs(4),
             tenant: 17,
             window: 3,
@@ -98,7 +100,7 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
             p99_ok: false,
             throughput_ok: true,
             burn: 0.25,
-        },
+        })),
     ];
     let nand = [
         NandKind::Read,
@@ -150,7 +152,7 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
         });
     }
     for cause in [MigrationCause::HotUtil, MigrationCause::SpreadFactor] {
-        events.push(ObsEvent::FleetMigration {
+        events.push(ObsEvent::FleetMigration(Box::new(FleetMigration {
             at: SimTime::from_secs(5),
             window: 4,
             tenant: 17,
@@ -164,7 +166,7 @@ pub(crate) fn sample_events() -> Vec<ObsEvent> {
             dst_util: 0.05,
             src_util_after: 0.44,
             dst_util_after: f64::NEG_INFINITY,
-        });
+        })));
     }
     events
 }
@@ -206,5 +208,71 @@ fn every_variant_bytes_and_text_are_pinned() {
         (text.len(), fnv1a64(text.as_bytes())),
         (2739, 0x64b4_12d0_01f5_c628),
         "JSONL text"
+    );
+}
+
+/// The `boxed` rows keep every byte and every character they had as
+/// struct variants: per sample, the format-1 and format-2 payloads and
+/// the JSON line, and for every sample the `Debug` text (`{:?}` and
+/// `{:#?}`), all captured before those rows were boxed.
+#[test]
+fn boxed_rows_keep_their_bytes_and_text() {
+    let pin = |bytes: &[u8]| (bytes.len(), fnv1a64(bytes));
+    let boxed: Vec<_> = sample_events()
+        .into_iter()
+        .filter(|ev| matches!(ev.tag(), "window_flush" | "slo_window" | "fleet_migration"))
+        .map(|ev| {
+            let (mut v1, mut v2) = (Vec::new(), Vec::new());
+            WireFormat::V1.encode(&ev, &mut v1);
+            wire::encode_event(&ev, &mut v2);
+            let json = ev.to_json();
+            (pin(&v1), pin(&v2), pin(json.as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        boxed,
+        [
+            (
+                (69, 0xd76d_4b17_cd87_3286),
+                (49, 0xd711_5532_7f60_2c17),
+                (192, 0x3772_9a72_a283_5292)
+            ),
+            (
+                (60, 0x67d3_551e_3e04_eab3),
+                (36, 0x8f76_9e8d_03d1_7da6),
+                (181, 0x05d4_b8a5_8e7b_beb8)
+            ),
+            (
+                (74, 0x8278_3aca_bee4_a373),
+                (53, 0x1c8b_911b_951b_69e0),
+                (228, 0x11dc_b27c_8f8c_621d)
+            ),
+            (
+                (74, 0x634e_da13_4cce_4b80),
+                (53, 0x00b3_7866_ebdc_7d53),
+                (233, 0x6ae3_af1d_8c61_2e72)
+            ),
+        ]
+    );
+    assert_eq!(
+        format!("{:?}", sample_events()[8]),
+        "WindowFlush { at: SimTime(2000000000), vssd: 1, avg_bandwidth: 150000000.0, \
+         avg_iops: inf, p99_latency: SimDuration(900000), slo_violation_rate: -0.0, \
+         gc_busy_frac: NaN, total_bytes: 1073741824, total_ops: 12345 }"
+    );
+    let (mut debug, mut pretty) = (String::new(), String::new());
+    for ev in sample_events() {
+        debug.push_str(&format!("{ev:?}\n"));
+        pretty.push_str(&format!("{ev:#?}\n"));
+    }
+    assert_eq!(
+        pin(debug.as_bytes()),
+        (2947, 0xe12c_52fc_eda4_5774),
+        "Debug text"
+    );
+    assert_eq!(
+        pin(pretty.as_bytes()),
+        (4233, 0xf55e_c194_10bc_f470),
+        "pretty Debug text"
     );
 }

@@ -157,7 +157,7 @@ fn bytes_of(ev: &ObsEvent) -> u64 {
         ObsEvent::RequestSubmit { bytes, .. }
         | ObsEvent::RequestComplete { bytes, .. }
         | ObsEvent::NandOp { bytes, .. } => bytes,
-        ObsEvent::WindowFlush { total_bytes, .. } => total_bytes,
+        ObsEvent::WindowFlush(ref w) => w.total_bytes,
         _ => 0,
     }
 }

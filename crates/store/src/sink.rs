@@ -62,7 +62,7 @@ use crate::manifest::{
 /// Default segment target size (256 KiB ≈ a few thousand events).
 pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
 
-/// Events per batch the recording thread hands to the encoder (80 KiB).
+/// Events per batch the recording thread hands to the encoder (48 KiB).
 const BATCH_EVENTS: usize = 1024;
 
 /// Batches in the recording thread's pool.

@@ -22,7 +22,8 @@ use super::{Engine, PageOp};
 impl Engine {
     pub(crate) fn process_arrival(&mut self, h: Handle) {
         let r = self.reqs[h];
-        let idx = r.vssd_idx as usize;
+        let idx = usize::from(r.vssd_idx);
+        let owner = PageOp::request_owner(h);
         let page_bytes = u64::from(self.cfg.flash.page_bytes);
         let first = r.offset / page_bytes;
         let last = (r.offset + r.len - 1) / page_bytes;
@@ -34,7 +35,7 @@ impl Engine {
             let page_start = lpa * page_bytes;
             let lo = r.offset.max(page_start);
             let hi = (r.offset + r.len).min(page_start + page_bytes);
-            let portion = hi - lo;
+            let portion = u32::try_from(hi - lo).expect("a page's share fits the u32 page size");
             match r.op {
                 IoOp::Read => {
                     let ppa = self.read_page_lookup(idx, lpa);
@@ -42,12 +43,11 @@ impl Engine {
                     ops.push((
                         ppa.channel().0,
                         PageOp {
-                            vssd: idx,
+                            vssd: u32::from(r.vssd_idx),
+                            chip: ppa.chip(),
                             read: true,
                             bytes: portion,
-                            chip: ppa.chip(),
-                            req: Some(h),
-                            gc: None,
+                            owner,
                         },
                     ));
                 }
@@ -58,12 +58,11 @@ impl Engine {
                     ops.push((
                         ppa.channel().0,
                         PageOp {
-                            vssd: idx,
-                            read: false,
-                            bytes: page_bytes,
+                            vssd: u32::from(r.vssd_idx),
                             chip: ppa.chip(),
-                            req: Some(h),
-                            gc: None,
+                            read: false,
+                            bytes: self.cfg.flash.page_bytes,
+                            owner,
                         },
                     ));
                 }

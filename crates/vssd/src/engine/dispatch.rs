@@ -6,32 +6,9 @@ use fleetio_flash::addr::ChannelId;
 use crate::request::CompletedRequest;
 
 use super::arbiter::{Sliced, GRANT_BYTES};
-use super::{Engine, Ev, PageOp};
-
-/// High bit of a `PageDone` tag marks a GC op (low bits = GC job handle).
-const GC_OP_BIT: u64 = 1 << 63;
-
-/// `PageDone` tag meaning "no attached request or GC job". Slab handles
-/// never collide with it: their slot half is never `u32::MAX`.
-const NONE_TAG: u64 = u64::MAX;
+use super::{Engine, Ev, PageOp, GC_OP_BIT};
 
 impl Engine {
-    /// Packs a page op's owner into a `PageDone` tag: request handle bits,
-    /// GC job handle bits with [`GC_OP_BIT`] set, or [`NONE_TAG`].
-    fn page_done_tag(op: &PageOp) -> u64 {
-        if let Some(h) = op.req {
-            let bits = h.to_bits();
-            debug_assert!(bits & GC_OP_BIT == 0, "request handle collides with GC bit");
-            bits
-        } else if let Some(g) = op.gc {
-            let bits = g.to_bits();
-            debug_assert!(bits & GC_OP_BIT == 0, "gc handle collides with GC bit");
-            GC_OP_BIT | bits
-        } else {
-            NONE_TAG
-        }
-    }
-
     /// Dispatches queued page ops on channel `ch` while in-flight slots
     /// remain, honouring priority levels, stride shares and token buckets.
     pub(crate) fn try_dispatch(&mut self, ch: u16) {
@@ -91,7 +68,7 @@ impl Engine {
                 let (head_bytes, is_gc) = {
                     let q = &self.chans[usize::from(ch)].queues[idx][rank];
                     match q.front() {
-                        Some(op) => (op.bytes, op.gc.is_some()),
+                        Some(op) => (u64::from(op.bytes), op.is_gc()),
                         None => continue,
                     }
                 };
@@ -135,18 +112,19 @@ impl Engine {
     /// (`super::arbiter`), not queue events.
     fn issue_op(&mut self, ch: u16, op: PageOp, rank: usize) {
         let now = self.now;
-        if op.gc.is_none() {
-            if let Some(bucket) = self.vssds[op.vssd].bucket.as_mut() {
+        let (gc, req, bytes) = (op.is_gc(), op.request(), u64::from(op.bytes));
+        let vssd = &mut self.vssds[op.vssd as usize];
+        if !gc {
+            if let Some(bucket) = vssd.bucket.as_mut() {
                 // Selection verified affordability; consume now.
-                let _ = bucket.try_take(now, op.bytes);
+                let _ = bucket.try_take(now, bytes);
             }
         }
+        let vssd_id = vssd.cfg.id.0;
         let channel = ChannelId(ch);
-        let tag = Self::page_done_tag(&op);
         self.chans[usize::from(ch)].in_flight += 1;
-        let vssd_id = self.vssds[op.vssd].cfg.id.0;
         if self.obs_on {
-            if let Some(h) = op.req {
+            if let Some(h) = req {
                 let ext_id = self.reqs[h].ext_id;
                 self.obs.record(fleetio_obs::ObsEvent::ChipIssue {
                     at: now,
@@ -158,16 +136,13 @@ impl Engine {
                 });
             }
         }
-        if (rank == crate::request::Priority::Low.rank() || op.gc.is_some())
-            && op.bytes > GRANT_BYTES
-        {
+        if (rank == crate::request::Priority::Low.rank() || gc) && bytes > GRANT_BYTES {
             // Time-sliced path.
-            if let Some(h) = op.req {
+            if let Some(h) = req {
                 if let Some(r) = self.reqs.get_mut(h) {
-                    r.first_start = Some(r.first_start.map_or(now, |t| t.min(now)));
+                    r.first_start = r.first_start.min(now);
                 }
             }
-            let gc = op.gc.is_some();
             let first_at = if op.read {
                 // Cell read first; transfers start when the data is in the
                 // chip register.
@@ -196,21 +171,21 @@ impl Engine {
                 vssd: vssd_id,
                 read: op.read,
                 gc,
-                tag,
-                remaining: op.bytes,
+                tag: op.owner,
+                remaining: bytes,
             });
             return;
         }
-        let times = match (op.read, op.gc.is_some()) {
+        let times = match (op.read, gc) {
             (true, false) if rank == 0 => {
                 // High-priority reads use program/erase suspend.
                 self.device
-                    .read_page_preempting(now, channel, op.chip, op.bytes)
+                    .read_page_preempting(now, channel, op.chip, bytes)
             }
-            (true, false) => self.device.read_page(now, channel, op.chip, op.bytes),
-            (false, false) => self.device.write_page(now, channel, op.chip, op.bytes),
-            (true, true) => self.device.gc_read_page(now, channel, op.chip, op.bytes),
-            (false, true) => self.device.gc_write_page(now, channel, op.chip, op.bytes),
+            (true, false) => self.device.read_page(now, channel, op.chip, bytes),
+            (false, false) => self.device.write_page(now, channel, op.chip, bytes),
+            (true, true) => self.device.gc_read_page(now, channel, op.chip, bytes),
+            (false, true) => self.device.gc_write_page(now, channel, op.chip, bytes),
         };
         if self.obs_on {
             self.obs.record(fleetio_obs::ObsEvent::NandOp {
@@ -224,29 +199,23 @@ impl Engine {
                 } else {
                     fleetio_obs::NandKind::Program
                 },
-                gc: op.gc.is_some(),
-                bytes: op.bytes,
+                gc,
+                bytes,
             });
         }
-        if let Some(h) = op.req {
+        if let Some(h) = req {
             if let Some(r) = self.reqs.get_mut(h) {
-                r.first_start = Some(match r.first_start {
-                    Some(t) => t.min(times.start),
-                    None => times.start,
-                });
+                r.first_start = r.first_start.min(times.start);
             }
         }
-        self.events.push(times.end, Ev::PageDone { ch, tag });
+        self.events
+            .push(times.end, Ev::PageDone { ch, tag: op.owner });
     }
 
     /// Handles a page-op completion: frees the slot, finishes the request
     /// if this was its last op, and keeps the channel busy.
     pub(crate) fn process_page_done(&mut self, ch: u16, tag: u64) {
         self.chans[usize::from(ch)].in_flight -= 1;
-        if tag == NONE_TAG {
-            self.try_dispatch(ch);
-            return;
-        }
         if tag & GC_OP_BIT != 0 {
             self.process_gc_op_done(Handle::from_bits(tag & !GC_OP_BIT));
             self.try_dispatch(ch);
@@ -260,7 +229,7 @@ impl Engine {
         };
         if finished {
             let r = self.reqs.remove(h);
-            let idx = r.vssd_idx as usize;
+            let idx = usize::from(r.vssd_idx);
             let vssd = self.vssds[idx].cfg.id;
             let completion = self.now;
             let record = CompletedRequest {
@@ -270,7 +239,11 @@ impl Engine {
                 offset: r.offset,
                 len: r.len,
                 arrival: r.arrival,
-                service_start: r.first_start.unwrap_or(r.arrival),
+                service_start: if r.first_start == SimTime::MAX {
+                    r.arrival
+                } else {
+                    r.first_start
+                },
                 completion,
             };
             let latency = record.latency();
@@ -324,7 +297,7 @@ impl Engine {
             let mut head: Option<u64> = None;
             for rank in 0..3 {
                 if let Some(op) = self.chans[usize::from(ch)].queues[idx][rank].front() {
-                    head = Some(op.bytes);
+                    head = Some(u64::from(op.bytes));
                     break;
                 }
             }

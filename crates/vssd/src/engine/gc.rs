@@ -58,7 +58,7 @@ impl Engine {
         self.vssds[owner_idx].gc_active += 1;
 
         let priority = self.gc_priority(ch, chip);
-        let page_bytes = u64::from(self.cfg.flash.page_bytes);
+        let page_bytes = self.cfg.flash.page_bytes;
         let live: Vec<(u32, u64)> = self
             .device
             .chip(victim.channel, victim.chip)
@@ -112,23 +112,21 @@ impl Engine {
             ops.push((
                 victim.channel.0,
                 PageOp {
-                    vssd: owner_idx,
+                    vssd: owner_idx as u32,
+                    chip: victim.chip,
                     read: true,
                     bytes: page_bytes,
-                    chip: victim.chip,
-                    req: None,
-                    gc: Some(job),
+                    owner: PageOp::gc_owner(job),
                 },
             ));
             ops.push((
                 dst_blk.channel.0,
                 PageOp {
-                    vssd: dst_idx,
+                    vssd: dst_idx as u32,
+                    chip: dst_blk.chip,
                     read: false,
                     bytes: page_bytes,
-                    chip: dst_blk.chip,
-                    req: None,
-                    gc: Some(job),
+                    owner: PageOp::gc_owner(job),
                 },
             ));
         }
@@ -143,13 +141,14 @@ impl Engine {
         let mut touched = std::mem::take(&mut self.gc_touched);
         touched.clear();
         for (channel, op) in ops.drain(..) {
-            let tickets = self.vssds[op.vssd].cfg.tickets;
+            let idx = op.vssd as usize;
+            let tickets = self.vssds[idx].cfg.tickets;
             let chan = &mut self.chans[usize::from(channel)];
-            if !chan.stride.contains(op.vssd) {
-                chan.stride.add_client(op.vssd, tickets);
-                chan.members.push(op.vssd);
+            if !chan.stride.contains(idx) {
+                chan.stride.add_client(idx, tickets);
+                chan.members.push(idx);
             }
-            chan.queues[op.vssd][rank].push_back(op);
+            chan.queues[idx][rank].push_back(op);
             chan.pending[rank] += 1;
             if !touched.contains(&channel) {
                 touched.push(channel);

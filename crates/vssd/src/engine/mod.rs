@@ -35,7 +35,7 @@ use fleetio_des::{EventQueue, Handle, SimDuration, SimTime, Slab};
 use fleetio_flash::addr::{BlockAddr, ChannelId};
 use fleetio_flash::config::FlashConfig;
 use fleetio_flash::device::FlashDevice;
-use fleetio_obs::{NullSink, ObsEvent, ObsSink};
+use fleetio_obs::{NullSink, ObsEvent, ObsSink, WindowFlush};
 
 use crate::admission::{AdmissionControl, HarvestAction};
 use crate::gsb::GsbPool;
@@ -113,18 +113,52 @@ fn logical_pages(f: &FlashConfig, v: &VssdConfig) -> u64 {
     (full as f64 * v.capacity_share) as u64
 }
 
-/// A page-granularity operation queued on a channel.
+/// A page-granularity operation queued on a channel: one per page of
+/// every admitted request and GC copy still waiting for its channel, so
+/// a backlog costs this size per queued page (24 bytes).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageOp {
-    pub vssd: usize,
-    pub read: bool,
-    pub bytes: u64,
+    /// Dense index of the vSSD whose queue holds the op.
+    pub vssd: u32,
     pub chip: u16,
-    /// Slab handle of the host request this op belongs to, if any.
-    pub req: Option<Handle>,
-    /// Slab handle of the GC job this op belongs to, if any (mutually
-    /// exclusive with `req`).
-    pub gc: Option<Handle>,
+    pub read: bool,
+    /// Bytes moved: at most one page.
+    pub bytes: u32,
+    /// Who the op belongs to, packed as the `PageDone` tag that carries
+    /// it back: a host request's slab handle, or a GC job's with
+    /// [`GC_OP_BIT`] set.
+    pub owner: u64,
+}
+
+/// High bit of a page op's owner marks a GC job (low bits = its handle).
+/// A slab handle sets it only once its slot's generation reaches 2^31,
+/// which debug builds check.
+pub(crate) const GC_OP_BIT: u64 = 1 << 63;
+
+impl PageOp {
+    /// The owner word of host request `h`'s ops.
+    pub fn request_owner(h: Handle) -> u64 {
+        let bits = h.to_bits();
+        debug_assert!(bits & GC_OP_BIT == 0, "request handle collides with GC bit");
+        bits
+    }
+
+    /// The owner word of GC job `job`'s ops.
+    pub fn gc_owner(job: Handle) -> u64 {
+        let bits = job.to_bits();
+        debug_assert!(bits & GC_OP_BIT == 0, "gc handle collides with GC bit");
+        GC_OP_BIT | bits
+    }
+
+    /// Whether the op is GC traffic.
+    pub fn is_gc(&self) -> bool {
+        self.owner & GC_OP_BIT != 0
+    }
+
+    /// The host request the op belongs to, if it is not GC traffic.
+    pub fn request(&self) -> Option<Handle> {
+        (!self.is_gc()).then(|| Handle::from_bits(self.owner))
+    }
 }
 
 /// Per-channel dispatcher state.
@@ -164,8 +198,8 @@ pub(crate) enum Ev {
     Arrival {
         h: Handle,
     },
-    /// A page op completed on channel `ch`; `tag` is a packed completion
-    /// tag (see [`Engine::page_done_tag`]).
+    /// A page op completed on channel `ch`; `tag` is its
+    /// [`PageOp::owner`].
     PageDone {
         ch: u16,
         tag: u64,
@@ -205,21 +239,25 @@ pub(crate) struct GcJob {
     pub owns_chip_slot: bool,
 }
 
-/// An in-flight request's progress.
+/// An in-flight request's progress: one per request between submission
+/// and completion, so a backlog costs this size per request (48 bytes).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InflightReq {
     /// Sequential external request id ([`RequestId`]), carried on the
     /// completion record and observability events.
     pub ext_id: u64,
-    /// Index of the owning vSSD in `Engine::vssds` (its [`VssdId`] is
-    /// `vssds[idx].cfg.id`).
-    pub vssd_idx: u32,
-    pub op: IoOp,
     pub offset: u64,
     pub len: u64,
     pub arrival: SimTime,
+    /// When the first of its ops touched hardware: [`SimTime::MAX`] until
+    /// one is issued, then the minimum over its ops' starts.
+    pub first_start: SimTime,
     pub remaining: u32,
-    pub first_start: Option<SimTime>,
+    /// Index of the owning vSSD in `Engine::vssds` (its [`VssdId`] is
+    /// `vssds[idx].cfg.id`); [`Engine::new`] bounds the vSSD count so it
+    /// fits.
+    pub vssd_idx: u16,
+    pub op: IoOp,
 }
 
 /// RL-facing snapshot of a vSSD's non-window states.
@@ -346,11 +384,17 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if the engine or any vSSD configuration is invalid, a vSSD id
-    /// repeats, or a vSSD references a channel outside the device.
+    /// repeats, a vSSD references a channel outside the device, or there
+    /// are more than 65 536 vSSDs.
     pub fn new(cfg: EngineConfig, vssds: Vec<VssdConfig>) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid engine config: {e}");
         }
+        assert!(
+            vssds.len() <= usize::from(u16::MAX) + 1,
+            "{} vSSDs on one engine; in-flight requests index at most 65 536",
+            vssds.len()
+        );
         let device = FlashDevice::new(cfg.flash.clone());
         let n_channels = usize::from(cfg.flash.channels);
         let chip_slots = n_channels * usize::from(cfg.flash.chips_per_channel);
@@ -640,13 +684,13 @@ impl Engine {
         }
         let h = self.reqs.insert(InflightReq {
             ext_id: id,
-            vssd_idx: idx as u32,
-            op: req.op,
             offset: req.offset,
             len: req.len,
             arrival: req.arrival,
+            first_start: SimTime::MAX,
             remaining: 0,
-            first_start: None,
+            vssd_idx: idx as u16,
+            op: req.op,
         });
         self.events.push(req.arrival, Ev::Arrival { h });
         RequestId(id)
@@ -811,7 +855,7 @@ impl Engine {
         self.window_start[idx] = self.now;
         let summary = self.vssds[idx].window.finish(start, len);
         if self.obs_on {
-            self.obs.record(ObsEvent::WindowFlush {
+            self.obs.record(ObsEvent::WindowFlush(Box::new(WindowFlush {
                 at: self.now,
                 vssd: id.0,
                 avg_bandwidth: summary.avg_bandwidth,
@@ -821,7 +865,7 @@ impl Engine {
                 gc_busy_frac: summary.gc_busy_frac,
                 total_bytes: summary.total_bytes,
                 total_ops: summary.total_ops,
-            });
+            })));
             self.flush_window_metrics(id, &summary);
         }
         summary
@@ -926,6 +970,11 @@ impl Engine {
         self.cfg.flash.channel_peak_bytes_per_sec()
     }
 
+    /// Requests submitted and not yet completed, across all vSSDs.
+    pub fn requests_in_flight(&self) -> usize {
+        self.reqs.len()
+    }
+
     /// Total queued page operations for a vSSD across all channels
     /// (an instantaneous queue-depth signal).
     pub fn queued_ops(&self, id: VssdId) -> usize {
@@ -981,6 +1030,17 @@ mod tests {
         };
         let v = VssdConfig::hardware(VssdId(0), vec![ChannelId(0)]);
         let _ = Engine::new(cfg, vec![v.clone(), v]);
+    }
+
+    #[test]
+    #[should_panic(expected = "in-flight requests index at most 65 536")]
+    fn more_vssds_than_a_u16_index_panic() {
+        let cfg = EngineConfig {
+            flash: FlashConfig::small_test(),
+            ..Default::default()
+        };
+        let v = VssdConfig::hardware(VssdId(0), vec![ChannelId(0)]);
+        let _ = Engine::new(cfg, vec![v; 65_537]);
     }
 
     #[test]
@@ -1167,6 +1227,20 @@ mod tests {
             remaining: 0,
         });
         e.audit_sweep();
+    }
+
+    /// One queued page op and one in-flight request exist per queued page
+    /// and per request in flight, so under overload these sizes are the
+    /// engine's memory per unit of backlog.
+    #[test]
+    fn backlog_records_stay_small() {
+        let op = std::mem::size_of::<PageOp>();
+        assert!(op <= 24, "PageOp is {op} B; a queued page op must fit 24 B");
+        let slot = Slab::<InflightReq>::SLOT_BYTES;
+        assert!(
+            slot <= 56,
+            "an in-flight request's slab slot is {slot} B; it must fit 56 B"
+        );
     }
 
     #[test]

@@ -34,7 +34,9 @@ use fleetio_fleet::FleetSpec;
 use fleetio_model::{CheckpointMeta, ModelCheckpoint, RunAnchor, TypingIndex};
 use fleetio_obs::json;
 use fleetio_obs::wire::WireFormat;
-use fleetio_obs::{GsbKind, ModelKind, ObsEvent};
+use fleetio_obs::{
+    FleetMigration, GsbKind, MigrationCause, ModelKind, ObsEvent, SloWindow, WindowFlush,
+};
 use fleetio_rl::{MultiAgentEnv, PpoConfig, PpoPolicy, PpoTrainer, StepResult};
 use fleetio_store::Manifest;
 
@@ -99,7 +101,8 @@ fn event_v2(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
 }
 
 /// Events covering every field shape: wide and narrow integers and
-/// times, both arms of an `Option`, a string, and non-finite floats.
+/// times, both arms of an `Option`, a string, non-finite floats, and
+/// every row declared `boxed`.
 fn sample_events() -> Vec<ObsEvent> {
     vec![
         ObsEvent::RequestComplete {
@@ -134,7 +137,7 @@ fn sample_events() -> Vec<ObsEvent> {
             tag: "lc1-v2_ok".to_string(),
             update: 0,
         },
-        ObsEvent::WindowFlush {
+        ObsEvent::WindowFlush(Box::new(WindowFlush {
             at: SimTime::from_nanos(2_000_000_000),
             vssd: 0,
             avg_bandwidth: f64::NAN,
@@ -144,7 +147,35 @@ fn sample_events() -> Vec<ObsEvent> {
             gc_busy_frac: 0.25,
             total_bytes: 1 << 30,
             total_ops: 12_345,
-        },
+        })),
+        ObsEvent::SloWindow(Box::new(SloWindow {
+            at: SimTime::from_nanos(4_000_000_000),
+            tenant: 17,
+            window: u32::MAX,
+            ops: 0,
+            p95: fleetio_des::SimDuration::ZERO,
+            p99: fleetio_des::SimDuration::from_nanos(u64::MAX),
+            throughput: f64::INFINITY,
+            p95_ok: true,
+            p99_ok: false,
+            throughput_ok: true,
+            burn: 0.25,
+        })),
+        ObsEvent::FleetMigration(Box::new(FleetMigration {
+            at: SimTime::from_nanos(5_000_000_000),
+            window: 4,
+            tenant: 1 << 20,
+            from_shard: 2,
+            from_slot: 1,
+            to_shard: u32::MAX,
+            to_slot: 0,
+            cause: MigrationCause::SpreadFactor,
+            mean_util: 0.22,
+            src_util: f64::NAN,
+            dst_util: -0.0,
+            src_util_after: 0.44,
+            dst_util_after: f64::MIN_POSITIVE,
+        })),
     ]
 }
 
