@@ -1,5 +1,5 @@
 //! CLI entry point:
-//! `fleetio-audit check [--root DIR] [--json FILE] [--sarif FILE]` runs
+//! `fleetio-audit check [--root DIR] [--json FILE] [--quiet]` runs
 //! the full rule set; `fleetio-audit taint [--root DIR]` prints the
 //! call-graph/taint-analysis summary (the golden-test format).
 //!
@@ -11,8 +11,8 @@ use std::process::ExitCode;
 
 use fleetio_audit::{default_root, graph, report, run_check};
 
-const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE] [--sarif FILE] \
-                     [--quiet]\n       fleetio-audit taint [--root DIR]";
+const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE] [--quiet]\n       \
+                     fleetio-audit taint [--root DIR]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -29,7 +29,6 @@ fn main() -> ExitCode {
     }
     let mut root = default_root();
     let mut json_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
     let mut quiet = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -40,10 +39,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => return usage_error("--json needs a value"),
-            },
-            "--sarif" => match args.next() {
-                Some(v) => sarif_path = Some(PathBuf::from(v)),
-                None => return usage_error("--sarif needs a value"),
             },
             "--quiet" => quiet = true,
             other => return usage_error(&format!("unknown flag `{other}`")),
@@ -62,12 +57,6 @@ fn main() -> ExitCode {
     }
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report::render_json(&outcome)) {
-            eprintln!("fleetio-audit: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(path) = sarif_path {
-        if let Err(e) = std::fs::write(&path, report::render_sarif(&outcome)) {
             eprintln!("fleetio-audit: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }

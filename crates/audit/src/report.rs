@@ -1,5 +1,7 @@
 //! Human and machine-readable output for a check run.
 
+use fleetio_obs::json;
+
 use crate::CheckOutcome;
 
 /// Renders `file:line: [rule] message` diagnostics, grandfathered notes,
@@ -46,161 +48,47 @@ pub fn render_text(outcome: &CheckOutcome) -> String {
     out
 }
 
-/// Renders the outcome as a JSON document (hand-rolled; zero-dep crate).
+/// Renders the outcome as one compact JSON document.
 pub fn render_json(outcome: &CheckOutcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"fleetio-audit/2\",\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n",
-        outcome.files_scanned
-    ));
-    out.push_str(&format!("  \"clean\": {},\n", outcome.is_clean()));
-    out.push_str("  \"violations\": [");
-    for (i, d) in outcome.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let chain = d
-            .chain
-            .iter()
-            .map(|c| json_str(c))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"line\": {}, \"message\": {}, \"snippet\": {}, \
-             \"chain\": [{chain}]}}",
-            json_str(d.rule),
-            json_str(&d.path),
-            d.line,
-            json_str(&d.message),
-            json_str(&d.snippet)
-        ));
-    }
-    if !outcome.violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"grandfathered\": [");
-    for (i, (e, count)) in outcome.grandfathered.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}, \"count\": {}, \"max\": {}, \"reason\": {}}}",
-            json_str(&e.rule),
-            json_str(&e.path),
-            count,
-            e.max,
-            json_str(&e.reason)
-        ));
-    }
-    if !outcome.grandfathered.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"stale_allowlist\": [");
-    for (i, e) in outcome.stale_allowlist.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"path\": {}}}",
-            json_str(&e.rule),
-            json_str(&e.path)
-        ));
-    }
-    if !outcome.stale_allowlist.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Renders the outcome as a SARIF 2.1.0 log (hand-rolled; zero-dep
-/// crate), so CI can upload findings where code-scanning UIs annotate
-/// PRs. Violations map to `error` results; stale allowlist entries map to
-/// `warning` results anchored on `audit.toml`; taint chains ride in the
-/// result message (the chain fns have no resolved line numbers, so a full
-/// SARIF codeFlow would be fabricated location data).
-pub fn render_sarif(outcome: &CheckOutcome) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-    out.push_str("  \"version\": \"2.1.0\",\n");
-    out.push_str("  \"runs\": [{\n");
-    out.push_str("    \"tool\": {\"driver\": {\"name\": \"fleetio-audit\", \"rules\": [");
-    for (i, id) in crate::rules::RULE_IDS
-        .iter()
-        .chain(std::iter::once(&"stale-allowlist"))
-        .enumerate()
-    {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("{{\"id\": {}}}", json_str(id)));
-    }
-    out.push_str("]}},\n");
-    out.push_str("    \"results\": [");
-    let mut first = true;
-    let mut push_result =
-        |out: &mut String, rule: &str, level: &str, msg: &str, uri: &str, line: usize| {
-            if !first {
-                out.push(',');
+    let mut out = String::new();
+    json::object(&mut out, |o| {
+        o.key("schema").str("fleetio-audit/2");
+        o.key("files_scanned").u64(outcome.files_scanned as u64);
+        o.key("clean").bool(outcome.is_clean());
+        o.key("violations").arr(|a| {
+            for d in &outcome.violations {
+                a.item().obj(|v| {
+                    v.key("rule").str(d.rule);
+                    v.key("path").str(&d.path);
+                    v.key("line").u64(d.line as u64);
+                    v.key("message").str(&d.message);
+                    v.key("snippet").str(&d.snippet);
+                    v.key("chain")
+                        .arr(|c| d.chain.iter().for_each(|f| c.item().str(f)));
+                });
             }
-            first = false;
-            out.push_str(&format!(
-                "\n      {{\"ruleId\": {}, \"level\": {}, \"message\": {{\"text\": {}}}, \
-             \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
-             \"region\": {{\"startLine\": {}}}}}}}]}}",
-                json_str(rule),
-                json_str(level),
-                json_str(msg),
-                json_str(uri),
-                line.max(1)
-            ));
-        };
-    for d in &outcome.violations {
-        let msg = if d.chain.is_empty() {
-            d.message.clone()
-        } else {
-            format!("{}; call chain: {}", d.message, d.chain.join(" -> "))
-        };
-        push_result(&mut out, d.rule, "error", &msg, &d.path, d.line);
-    }
-    for s in &outcome.stale_allowlist {
-        let msg = format!(
-            "stale [[allow]] entry (rule \"{}\", path \"{}\"): no matching violations remain — \
-             delete it",
-            s.rule, s.path
-        );
-        push_result(
-            &mut out,
-            "stale-allowlist",
-            "warning",
-            &msg,
-            "audit.toml",
-            1,
-        );
-    }
-    if !first {
-        out.push_str("\n    ");
-    }
-    out.push_str("]\n  }]\n}\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+        });
+        o.key("grandfathered").arr(|a| {
+            for (e, count) in &outcome.grandfathered {
+                a.item().obj(|g| {
+                    g.key("rule").str(&e.rule);
+                    g.key("path").str(&e.path);
+                    g.key("count").u64(*count as u64);
+                    g.key("max").u64(e.max as u64);
+                    g.key("reason").str(&e.reason);
+                });
+            }
+        });
+        o.key("stale_allowlist").arr(|a| {
+            for e in &outcome.stale_allowlist {
+                a.item().obj(|s| {
+                    s.key("rule").str(&e.rule);
+                    s.key("path").str(&e.path);
+                });
+            }
+        });
+    });
+    out.push('\n');
     out
 }
 
@@ -274,18 +162,19 @@ mod tests {
             "{t}"
         );
         let j = render_json(&o);
-        assert!(j.contains("\"schema\": \"fleetio-audit/2\""), "{j}");
+        assert!(j.contains("\"schema\":\"fleetio-audit/2\""), "{j}");
         assert!(
-            j.contains("\"chain\": [\"Engine::dispatch_event\", \"Engine::helper\", \"leaf\"]"),
+            j.contains("\"chain\":[\"Engine::dispatch_event\",\"Engine::helper\",\"leaf\"]"),
             "{j}"
         );
         // Chain-less diagnostics serialize an empty array, not a missing key.
-        assert!(render_json(&outcome()).contains("\"chain\": []"));
+        assert!(render_json(&outcome()).contains("\"chain\":[]"));
     }
 
     #[test]
-    fn sarif_is_balanced_and_locates_results() {
-        let mut o = taint_outcome();
+    fn json_is_one_parseable_escaped_document() {
+        let mut o = outcome();
+        o.violations[0].snippet = "say \"hi\"".to_string();
         o.stale_allowlist.push(AllowEntry {
             rule: "no-println".to_string(),
             path: "crates/obs/src/main.rs".to_string(),
@@ -293,40 +182,26 @@ mod tests {
             reason: "r".to_string(),
             chain: None,
         });
-        let s = render_sarif(&o);
-        assert!(s.contains("\"version\": \"2.1.0\""), "{s}");
-        assert!(s.contains("\"ruleId\": \"determinism-taint\""), "{s}");
-        assert!(
-            s.contains("\"uri\": \"crates/vssd/src/engine/mod.rs\""),
-            "{s}"
-        );
-        assert!(s.contains("\"startLine\": 7"), "{s}");
-        assert!(s.contains("call chain: Engine::dispatch_event"), "{s}");
-        assert!(s.contains("\"ruleId\": \"stale-allowlist\""), "{s}");
-        assert!(s.contains("\"level\": \"warning\""), "{s}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(s.matches(open).count(), s.matches(close).count(), "{s}");
-        }
-        // An empty run still produces a well-formed log.
-        let empty = CheckOutcome {
-            files_scanned: 1,
-            violations: vec![],
-            grandfathered: vec![],
-            stale_allowlist: vec![],
-        };
-        let s = render_sarif(&empty);
-        assert!(s.contains("\"results\": []"), "{s}");
-    }
-
-    #[test]
-    fn json_is_balanced_and_escaped() {
-        let mut o = outcome();
-        o.violations[0].snippet = "say \"hi\"".to_string();
         let j = render_json(&o);
-        assert!(j.contains("\"rule\": \"no-unwrap\""), "{j}");
-        assert!(j.contains("say \\\"hi\\\""), "{j}");
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(j.matches(open).count(), j.matches(close).count(), "{j}");
-        }
+        assert_eq!(j.lines().count(), 1, "{j}");
+        let v = json::parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
+        let doc = v.as_object().unwrap();
+        assert_eq!(doc.get("files_scanned").and_then(|n| n.as_u64()), Some(3));
+        assert_eq!(doc.get("clean").and_then(|c| c.as_bool()), Some(false));
+        let violation = doc["violations"].as_array().unwrap()[0]
+            .as_object()
+            .unwrap();
+        assert_eq!(violation["rule"].as_str(), Some("no-unwrap"));
+        assert_eq!(violation["line"].as_u64(), Some(42));
+        assert_eq!(violation["snippet"].as_str(), Some("say \"hi\""));
+        let grandfathered = doc["grandfathered"].as_array().unwrap()[0]
+            .as_object()
+            .unwrap();
+        assert_eq!(grandfathered["count"].as_u64(), Some(1));
+        assert_eq!(grandfathered["max"].as_u64(), Some(2));
+        let stale = doc["stale_allowlist"].as_array().unwrap()[0]
+            .as_object()
+            .unwrap();
+        assert_eq!(stale["path"].as_str(), Some("crates/obs/src/main.rs"));
     }
 }

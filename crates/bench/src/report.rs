@@ -1,8 +1,6 @@
 //! Row-oriented result reporting (text tables + JSON).
 
-use std::fmt::Write as _;
-
-use fleetio_obs::json::write_str;
+use fleetio_obs::json;
 
 /// One figure's regenerated rows.
 #[derive(Debug, Clone)]
@@ -75,51 +73,28 @@ impl FigureReport {
         out
     }
 
-    /// Renders the report as JSON (hand-rolled; the workspace builds with
-    /// no external crates).
+    /// Renders the report as one compact JSON object (no trailing
+    /// newline), so a run's reports print as JSONL.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"id\": ");
-        write_str(&mut out, &self.id);
-        out.push_str(",\n  \"title\": ");
-        write_str(&mut out, &self.title);
-        out.push_str(",\n  \"columns\": [");
-        push_joined(&mut out, &self.columns, |out, c| write_str(out, c));
-        out.push_str("],\n  \"rows\": [");
-        for (i, (label, values)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"label\": ");
-            write_str(&mut out, label);
-            out.push_str(", \"values\": [");
-            push_joined(&mut out, values, |out, v| write_num(out, *v));
-            out.push_str("]}");
-        }
-        if !self.rows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"notes\": [");
-        push_joined(&mut out, &self.notes, |out, n| write_str(out, n));
-        out.push_str("]\n}\n");
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.key("id").str(&self.id);
+            o.key("title").str(&self.title);
+            o.key("columns")
+                .arr(|a| self.columns.iter().for_each(|c| a.item().str(c)));
+            o.key("rows").arr(|a| {
+                for (label, values) in &self.rows {
+                    a.item().obj(|row| {
+                        row.key("label").str(label);
+                        row.key("values")
+                            .arr(|a| values.iter().for_each(|v| a.item().f64(*v)));
+                    });
+                }
+            });
+            o.key("notes")
+                .arr(|a| self.notes.iter().for_each(|n| a.item().str(n)));
+        });
         out
-    }
-}
-
-/// Appends an f64 as a JSON number (JSON has no NaN/Inf — map to null).
-fn write_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_joined<T>(out: &mut String, items: &[T], mut write: impl FnMut(&mut String, &T)) {
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write(out, item);
     }
 }
 
@@ -140,21 +115,21 @@ mod tests {
     }
 
     #[test]
-    fn json_contains_fields_and_escapes() {
+    fn json_is_one_parseable_line() {
         let mut r = FigureReport::new("figY", "T \"quoted\"", &["c"]);
         r.row("r", vec![0.5]);
         r.row("nan", vec![f64::NAN]);
+        r.note("n".into());
         let j = r.to_json();
-        assert!(j.contains("\"id\": \"figY\""), "{j}");
-        assert!(j.contains("\"title\": \"T \\\"quoted\\\"\""), "{j}");
-        assert!(j.contains("\"label\": \"r\", \"values\": [0.5]"), "{j}");
-        assert!(j.contains("\"values\": [null]"), "{j}");
-        // Balanced braces/brackets as a cheap well-formedness check.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            let o = j.matches(open).count();
-            let c = j.matches(close).count();
-            assert_eq!(o, c, "unbalanced {open}{close} in {j}");
-        }
+        assert_eq!(
+            j,
+            "{\"id\":\"figY\",\"title\":\"T \\\"quoted\\\"\",\"columns\":[\"c\"],\
+             \"rows\":[{\"label\":\"r\",\"values\":[0.5]},{\"label\":\"nan\",\"values\":[0]}],\
+             \"notes\":[\"n\"]}"
+        );
+        let v = json::parse(&j).expect("report parses");
+        let title = v.as_object().and_then(|o| o.get("title"));
+        assert_eq!(title.and_then(|t| t.as_str()), Some("T \"quoted\""));
     }
 
     #[test]

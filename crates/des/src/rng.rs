@@ -48,11 +48,6 @@ pub fn stream(root: u64, label: &str) -> SmallRng {
     SmallRng::seed_from_u64(derive_seed(root, label))
 }
 
-/// Constructs a [`SmallRng`] from a root seed, label and index.
-pub fn stream_indexed(root: u64, label: &str, index: u64) -> SmallRng {
-    SmallRng::seed_from_u64(derive_seed_indexed(root, label, index))
-}
-
 /// The SplitMix64 output mixer.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -110,16 +110,6 @@ impl FlashDevice {
         &self.chips[self.chip_index(channel, chip)]
     }
 
-    /// Mutable block state of one chip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is out of range.
-    pub fn chip_mut(&mut self, channel: ChannelId, chip: u16) -> &mut ChipBlocks {
-        let i = self.chip_index(channel, chip);
-        &mut self.chips[i]
-    }
-
     /// Simulates a host read of `bytes` (≤ one page) from `chip` on
     /// `channel`.
     ///
@@ -471,13 +461,6 @@ impl FlashDevice {
     /// Total bytes moved over all channel buses so far.
     pub fn total_bytes_moved(&self) -> u64 {
         self.channels.iter().map(|c| c.bytes_moved()).sum()
-    }
-
-    /// Sum of bus-busy time across all channels.
-    pub fn total_bus_busy(&self) -> SimDuration {
-        self.channels
-            .iter()
-            .fold(SimDuration::ZERO, |acc, c| acc + c.bus_busy())
     }
 }
 

@@ -206,11 +206,6 @@ impl FleetObs {
         &self.series
     }
 
-    /// The SLO tracker of `tenant`, if it carries an SLO.
-    pub fn tracker(&self, tenant: u32) -> Option<&SloTracker> {
-        self.trackers[tenant as usize].as_ref()
-    }
-
     /// All window verdicts of `tenant` so far, window order.
     pub fn verdicts(&self, tenant: u32) -> &[WindowVerdict] {
         &self.verdicts[tenant as usize]

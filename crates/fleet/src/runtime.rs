@@ -23,9 +23,7 @@ use fleetio_des::par;
 use fleetio_des::rng::derive_seed_indexed;
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
-use fleetio_obs::{
-    FleetMigration, ObsEvent, ObsSink, SeriesSet, SloTracker, SloWindow, WindowVerdict,
-};
+use fleetio_obs::{FleetMigration, ObsEvent, ObsSink, SeriesSet, SloWindow, WindowVerdict};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::features::windowed_features;
@@ -251,11 +249,6 @@ impl FleetRuntime {
         self.obs.series()
     }
 
-    /// The SLO tracker of `tenant`, if it carries an SLO.
-    pub fn slo_tracker(&self, tenant: u32) -> Option<&SloTracker> {
-        self.obs.tracker(tenant)
-    }
-
     /// All of `tenant`'s window verdicts so far, window order.
     pub fn slo_verdicts(&self, tenant: u32) -> &[WindowVerdict] {
         self.obs.verdicts(tenant)
@@ -264,11 +257,6 @@ impl FleetRuntime {
     /// The slot `tenant` currently occupies.
     pub fn tenant_location(&self, tenant: u32) -> SlotAddr {
         self.tenants[tenant as usize].location
-    }
-
-    /// The model tag `tenant` currently runs.
-    pub fn model_tag_of(&self, tenant: u32) -> &str {
-        self.bank.tag_of(tenant)
     }
 
     /// Installs a [`FingerprintSink`] on every shard.

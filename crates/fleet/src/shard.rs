@@ -91,11 +91,6 @@ impl Shard {
         self.id
     }
 
-    /// Number of slots.
-    pub fn n_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The shard's engine: clock, event counter, capacities.
     pub fn engine(&self) -> &Engine {
         self.coloc.engine()

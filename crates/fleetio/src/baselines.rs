@@ -313,13 +313,6 @@ impl FleetIoPolicy {
             .collect();
         FleetIoPolicy { agents }
     }
-
-    /// Resets every agent's history (e.g. at a workload swap).
-    pub fn reset_agents(&mut self) {
-        for a in &mut self.agents {
-            a.reset();
-        }
-    }
 }
 
 impl WindowPolicy for FleetIoPolicy {

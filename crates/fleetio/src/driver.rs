@@ -42,12 +42,6 @@ impl TenantSpec {
             slo_spec: None,
         }
     }
-
-    /// Attaches a window-level SLO.
-    pub fn with_slo_spec(mut self, slo: fleetio_obs::SloSpec) -> Self {
-        self.slo_spec = Some(slo);
-        self
-    }
 }
 
 /// The polling step of the window loop: sources are fed and topped up

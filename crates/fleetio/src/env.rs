@@ -144,20 +144,6 @@ impl FleetIoEnv {
         &self.coloc
     }
 
-    /// Mutable access to the collocation.
-    pub fn colocation_mut(&mut self) -> &mut Colocation {
-        &mut self.coloc
-    }
-
-    /// Overrides one tenant's reward parameters (for α fine-tuning).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn set_reward_params(&mut self, idx: usize, params: RewardParams) {
-        self.rewards[idx] = params;
-    }
-
     /// Applies decoded actions and advances one window, returning the raw
     /// per-agent states alongside the step result (for deployment loops
     /// that need the un-normalized states).

@@ -49,14 +49,6 @@ pub fn alpha_for_kind(cfg: &FleetIoConfig, kind: WorkloadKind) -> f64 {
     alpha_for_type(cfg, canonical_type(kind))
 }
 
-/// Coarse α by category (used when only the category is known).
-pub fn alpha_for_category(cfg: &FleetIoConfig, category: WorkloadCategory) -> f64 {
-    match category {
-        WorkloadCategory::BandwidthIntensive => cfg.alpha_bi,
-        WorkloadCategory::LatencySensitive => cfg.alpha_lc1,
-    }
-}
-
 /// Feature transform applied before standardization: bandwidths and sizes
 /// span orders of magnitude across workload classes, so they enter the
 /// clustering in log space (entropy is already a log quantity). Without

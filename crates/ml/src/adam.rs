@@ -85,16 +85,6 @@ impl Adam {
         self.m.len()
     }
 
-    /// Updates the learning rate (e.g. for schedules).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lr` is strictly positive and finite.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Snapshots the optimizer for checkpointing.
     pub fn export_state(&self) -> AdamState {
         AdamState {

@@ -17,17 +17,15 @@
 //! names, and how a value looks in either form is a function of its
 //! Rust type alone (the private `Field` trait).
 //!
-//! JSON is hand-rolled (pure std): integers and `bool`s render exactly,
-//! `f64`s use Rust's shortest-roundtrip `Display` (valid JSON,
-//! deterministic) with non-finite values clamped to `0` so a line is
-//! always parseable, and strings go through [`json::write_str`]. On the
-//! wire integers take the payload's integer form (`wire::IntForm`):
-//! fixed-width little-endian in segment format 1, canonical LEB128 in
-//! format 2, with times as `u64` nanoseconds. `f64` travels as its IEEE
-//! bits, `Option` as a one-byte flag, sub-enums as one tag byte and
-//! strings behind a `u32` length, in every format.
-
-use std::fmt::Write as _;
+//! JSON goes through the workspace's one writer, [`json::object`], and
+//! its number rule: integers and `bool`s render exactly, `f64`s use
+//! Rust's shortest-roundtrip `Display` with non-finite values as `0`, so a
+//! line is always parseable. On the wire integers take the payload's
+//! integer form (`wire::IntForm`): fixed-width little-endian in segment
+//! format 1, canonical LEB128 in format 2, with times as `u64`
+//! nanoseconds. `f64` travels as its IEEE bits, `Option` as a one-byte
+//! flag, sub-enums as one tag byte and strings behind a `u32` length, in
+//! every format.
 
 use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::{SimDuration, SimTime};
@@ -46,8 +44,8 @@ pub(crate) trait Field: Sized {
     fn put<I: IntForm>(&self, e: &mut Enc<'_>);
     /// Reads the wire form back.
     fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
-    /// Appends the JSON value.
-    fn write_json(&self, out: &mut String);
+    /// Writes the JSON value into its slot.
+    fn write_json(&self, v: json::Val<'_>);
 }
 
 /// Integers: written in the payload's integer form, rendered with their
@@ -61,8 +59,8 @@ macro_rules! int_field {
             fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
                 I::$get(d)
             }
-            fn write_json(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+            fn write_json(&self, v: json::Val<'_>) {
+                v.u64(u64::from(*self));
             }
         }
     )+};
@@ -76,8 +74,8 @@ impl Field for bool {
     fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.bool()
     }
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(out, "{self}");
+    fn write_json(&self, v: json::Val<'_>) {
+        v.bool(*self);
     }
 }
 
@@ -91,8 +89,8 @@ macro_rules! nanos_field {
             fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
                 I::get_u64(d).map($t::from_nanos)
             }
-            fn write_json(&self, out: &mut String) {
-                self.as_nanos().write_json(out);
+            fn write_json(&self, v: json::Val<'_>) {
+                v.u64(self.as_nanos());
             }
         }
     )+};
@@ -106,12 +104,8 @@ impl Field for f64 {
     fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.f64()
     }
-    fn write_json(&self, out: &mut String) {
-        if self.is_finite() {
-            let _ = write!(out, "{self}");
-        } else {
-            out.push('0');
-        }
+    fn write_json(&self, v: json::Val<'_>) {
+        v.f64(*self);
     }
 }
 
@@ -122,8 +116,8 @@ impl Field for String {
     fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError> {
         d.str32(STR_CAP)
     }
-    fn write_json(&self, out: &mut String) {
-        json::write_str(out, self);
+    fn write_json(&self, v: json::Val<'_>) {
+        v.str(self);
     }
 }
 
@@ -141,10 +135,10 @@ impl<T: Field> Field for Option<T> {
             None
         })
     }
-    fn write_json(&self, out: &mut String) {
+    fn write_json(&self, v: json::Val<'_>) {
         match self {
-            Some(v) => v.write_json(out),
-            None => out.push_str("null"),
+            Some(x) => x.write_json(v),
+            None => v.null(),
         }
     }
 }
@@ -189,8 +183,8 @@ macro_rules! tagged_enum {
                     }),
                 }
             }
-            fn write_json(&self, out: &mut String) {
-                json::write_str(out, self.tag());
+            fn write_json(&self, v: json::Val<'_>) {
+                v.str(self.tag());
             }
         }
     };
@@ -441,21 +435,16 @@ macro_rules! obs_events {
             /// newline): `type`, then every field under its own name in
             /// declaration order.
             pub fn write_json(&self, out: &mut String) {
-                out.push_str("{\"type\":\"");
-                out.push_str(self.tag());
-                out.push('"');
-                match self {
-                    $( row_pat!($($boxed)? $variant row { $at, $($field,)* }) => {
-                        row_fields!($($boxed)? $variant row { $at, $($field,)* });
-                        out.push_str(concat!(",\"", stringify!($at), "\":"));
-                        $at.write_json(out);
-                        $(
-                            out.push_str(concat!(",\"", stringify!($field), "\":"));
-                            $field.write_json(out);
-                        )*
-                    } )+
-                }
-                out.push('}');
+                json::object(out, |o| {
+                    o.key("type").str(self.tag());
+                    match self {
+                        $( row_pat!($($boxed)? $variant row { $at, $($field,)* }) => {
+                            row_fields!($($boxed)? $variant row { $at, $($field,)* });
+                            $at.write_json(o.key(stringify!($at)));
+                            $( $field.write_json(o.key(stringify!($field))); )*
+                        } )+
+                    }
+                });
             }
 
             /// Appends the binary payload in integer form `I`

@@ -17,11 +17,12 @@
 //!   spans and per-window counter series.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt;
 
 use fleetio_des::SimTime;
 
 use crate::event::{FleetMigration, NandKind, ObsEvent, WindowFlush};
+use crate::json::{self, Arr};
 
 const PID_DEVICE: u32 = 1;
 const PID_BUS: u32 = 2;
@@ -41,65 +42,67 @@ where
     out
 }
 
-/// Writes a nanosecond timestamp as fractional microseconds (`ts` /
-/// `dur` fields) using integer math only.
-fn write_us(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1000, ns % 1000);
+/// A nanosecond timestamp as fractional microseconds (`ts` / `dur`
+/// fields), formatted with integer math only.
+struct Micros(u64);
+
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    }
 }
 
-fn span(out: &mut String, name: &str, pid: u32, tid: u64, start: SimTime, end: SimTime) {
-    let start_ns = start.as_nanos();
-    let dur_ns = end.saturating_since(start).as_nanos();
-    let _ = write!(
-        out,
-        "{{\"ph\":\"X\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-    );
-    write_us(out, start_ns);
-    out.push_str(",\"dur\":");
-    write_us(out, dur_ns);
-    out.push_str("},\n");
+fn span(a: &mut Arr<'_>, name: &str, pid: u32, tid: u64, start: SimTime, end: SimTime) {
+    a.item().obj(|o| {
+        o.key("ph").str("X");
+        o.key("name").str(name);
+        o.key("pid").u64(pid.into());
+        o.key("tid").u64(tid);
+        o.key("ts").num(Micros(start.as_nanos()));
+        o.key("dur")
+            .num(Micros(end.saturating_since(start).as_nanos()));
+    });
 }
 
-fn instant(out: &mut String, name: &str, pid: u32, tid: u64, at: SimTime) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"i\",\"s\":\"t\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-    );
-    write_us(out, at.as_nanos());
-    out.push_str("},\n");
+fn instant(a: &mut Arr<'_>, name: &str, pid: u32, tid: u64, at: SimTime) {
+    a.item().obj(|o| {
+        o.key("ph").str("i");
+        o.key("s").str("t");
+        o.key("name").str(name);
+        o.key("pid").u64(pid.into());
+        o.key("tid").u64(tid);
+        o.key("ts").num(Micros(at.as_nanos()));
+    });
 }
 
 fn counter(
-    out: &mut String,
+    a: &mut Arr<'_>,
     name: &str,
     pid: u32,
     tid: u64,
     at: SimTime,
-    series: &str,
+    series: &'static str,
     value: u64,
 ) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"C\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":"
-    );
-    write_us(out, at.as_nanos());
-    let _ = writeln!(out, ",\"args\":{{\"{series}\":{value}}}}},");
+    a.item().obj(|o| {
+        o.key("ph").str("C");
+        o.key("name").str(name);
+        o.key("pid").u64(pid.into());
+        o.key("tid").u64(tid);
+        o.key("ts").num(Micros(at.as_nanos()));
+        o.key("args").obj(|args| args.key(series).u64(value));
+    });
 }
 
-fn process_name(out: &mut String, pid: u32, name: &str) {
-    let _ = writeln!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-         \"args\":{{\"name\":\"{name}\"}}}},"
-    );
-}
-
-fn thread_name(out: &mut String, pid: u32, tid: u64, name: &str) {
-    let _ = writeln!(
-        out,
-        "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{name}\"}}}},"
-    );
+/// Name metadata: `what` is `process_name` or `thread_name`.
+fn name_meta(a: &mut Arr<'_>, what: &str, pid: u32, tid: u64, name: &str) {
+    a.item().obj(|o| {
+        o.key("ph").str("M");
+        o.key("name").str(what);
+        o.key("pid").u64(pid.into());
+        o.key("tid").u64(tid);
+        o.key("args").obj(|args| args.key("name").str(name));
+    });
 }
 
 /// Device-track thread id for a (channel, chip) pair.
@@ -116,11 +119,21 @@ pub fn chrome_trace<'a, I>(events: I) -> String
 where
     I: IntoIterator<Item = &'a ObsEvent>,
 {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    process_name(&mut out, PID_DEVICE, "device");
-    process_name(&mut out, PID_BUS, "bus");
-    process_name(&mut out, PID_GC, "gc");
-    process_name(&mut out, PID_REQUESTS, "requests");
+    let mut out = String::new();
+    json::object(&mut out, |doc| {
+        doc.key("traceEvents")
+            .lines(|a| trace_events(a, events.into_iter()))
+    });
+    out.push('\n');
+    out
+}
+
+/// The elements of [`chrome_trace`]'s `traceEvents` array.
+fn trace_events<'a>(out: &mut Arr<'_>, events: impl Iterator<Item = &'a ObsEvent>) {
+    name_meta(out, "process_name", PID_DEVICE, 0, "device");
+    name_meta(out, "process_name", PID_BUS, 0, "bus");
+    name_meta(out, "process_name", PID_GC, 0, "gc");
+    name_meta(out, "process_name", PID_REQUESTS, 0, "requests");
 
     // (pid, tid) pairs that need thread_name metadata, named lazily so
     // only tracks that carry events appear in the viewer.
@@ -144,7 +157,7 @@ where
                     named
                         .entry((PID_BUS, tid))
                         .or_insert_with(|| format!("chan{channel}"));
-                    span(&mut out, "bus_grant", PID_BUS, tid, start, end);
+                    span(out, "bus_grant", PID_BUS, tid, start, end);
                 }
                 _ => {
                     let tid = device_tid(channel, chip);
@@ -159,7 +172,7 @@ where
                         (NandKind::ChipOccupy, _) => "chip_occupy",
                         (NandKind::BusGrant, _) => unreachable!(),
                     };
-                    span(&mut out, name, PID_DEVICE, tid, start, end);
+                    span(out, name, PID_DEVICE, tid, start, end);
                 }
             },
             ObsEvent::GcStart {
@@ -178,7 +191,7 @@ where
                     Some(j) if !emergency => {
                         gc_open.insert(j, (at, channel, chip));
                     }
-                    _ => instant(&mut out, "gc_emergency", PID_GC, tid, at),
+                    _ => instant(out, "gc_emergency", PID_GC, tid, at),
                 }
             }
             ObsEvent::GcEnd {
@@ -189,9 +202,9 @@ where
                     .entry((PID_GC, tid))
                     .or_insert_with(|| format!("chan{channel}"));
                 if let Some((start, ch, _chip)) = gc_open.remove(&job) {
-                    span(&mut out, "gc", PID_GC, u64::from(ch), start, at);
+                    span(out, "gc", PID_GC, u64::from(ch), start, at);
                 } else {
-                    instant(&mut out, "gc_end", PID_GC, tid, at);
+                    instant(out, "gc_end", PID_GC, tid, at);
                 }
             }
             ObsEvent::RequestComplete {
@@ -206,14 +219,14 @@ where
                     .entry((PID_REQUESTS, tid))
                     .or_insert_with(|| format!("vssd{vssd}"));
                 let name = if read { "read_req" } else { "write_req" };
-                span(&mut out, name, PID_REQUESTS, tid, arrival, at);
+                span(out, name, PID_REQUESTS, tid, arrival, at);
             }
             ObsEvent::Throttle { at, channel, .. } => {
                 let tid = u64::from(channel);
                 named
                     .entry((PID_BUS, tid))
                     .or_insert_with(|| format!("chan{channel}"));
-                instant(&mut out, "throttle", PID_BUS, tid, at);
+                instant(out, "throttle", PID_BUS, tid, at);
             }
             ObsEvent::WindowFlush(ref w) => {
                 let WindowFlush {
@@ -228,7 +241,7 @@ where
                     .entry((PID_REQUESTS, tid))
                     .or_insert_with(|| format!("vssd{vssd}"));
                 counter(
-                    &mut out,
+                    out,
                     &format!("vssd{vssd}.window_ops"),
                     PID_REQUESTS,
                     tid,
@@ -237,7 +250,7 @@ where
                     total_ops,
                 );
                 counter(
-                    &mut out,
+                    out,
                     &format!("vssd{vssd}.window_bytes"),
                     PID_REQUESTS,
                     tid,
@@ -251,7 +264,7 @@ where
                 named
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());
-                instant(&mut out, &format!("gsb{gsb}_{}", kind.tag()), PID_GC, 0, at);
+                instant(out, &format!("gsb{gsb}_{}", kind.tag()), PID_GC, 0, at);
             }
             ObsEvent::ModelLifecycle { at, kind, .. } => {
                 // Model lifecycle events live on the GC process's tid 0
@@ -259,7 +272,7 @@ where
                 named
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());
-                instant(&mut out, &format!("model_{}", kind.tag()), PID_GC, 0, at);
+                instant(out, &format!("model_{}", kind.tag()), PID_GC, 0, at);
             }
             // Only violations are worth a mark in the timeline; the
             // JSONL export retains every verdict.
@@ -268,7 +281,7 @@ where
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());
                 instant(
-                    &mut out,
+                    out,
                     &format!("slo_violation_t{}_w{}", w.tenant, w.window),
                     PID_GC,
                     0,
@@ -287,7 +300,7 @@ where
                     .entry((PID_GC, 0))
                     .or_insert_with(|| "gsb".to_string());
                 instant(
-                    &mut out,
+                    out,
                     &format!("migrate_t{tenant}_s{from_shard}_to_s{to_shard}"),
                     PID_GC,
                     0,
@@ -304,20 +317,12 @@ where
 
     // GC jobs still open at export time render as instants.
     for (_, (start, ch, _chip)) in gc_open {
-        instant(&mut out, "gc_open", PID_GC, u64::from(ch), start);
+        instant(out, "gc_open", PID_GC, u64::from(ch), start);
     }
 
     for ((pid, tid), name) in named {
-        thread_name(&mut out, pid, tid, &name);
+        name_meta(out, "thread_name", pid, tid, &name);
     }
-
-    // Drop the final ",\n" and close the document.
-    if out.ends_with(",\n") {
-        out.truncate(out.len() - 2);
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
 }
 
 #[cfg(test)]
@@ -348,12 +353,8 @@ mod tests {
 
     #[test]
     fn microsecond_rendering_uses_integer_math() {
-        let mut s = String::new();
-        write_us(&mut s, 1_234_567);
-        assert_eq!(s, "1234.567");
-        s.clear();
-        write_us(&mut s, 999);
-        assert_eq!(s, "0.999");
+        assert_eq!(Micros(1_234_567).to_string(), "1234.567");
+        assert_eq!(Micros(999).to_string(), "0.999");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`export`] — JSONL event dumps, Chrome `trace_event` JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one track per
 //!   channel/chip) and a plain-text metrics snapshot.
-//! * [`TrainingSeries`] — per-update PPO telemetry (losses, entropy, KL,
-//!   clip fraction, reward) as a JSONL time series.
+//! * [`json`] — the workspace's one JSON writer, and the parser that
+//!   reads its output back.
 //! * [`prof`] — the host-time span profiler: RAII spans over per-thread
 //!   call trees, folded-stack and Chrome exporters, and (behind the
 //!   `prof-alloc` feature) per-span allocation accounting. The one
@@ -45,7 +45,6 @@ mod samples;
 pub mod series;
 pub mod sink;
 pub mod slo;
-pub mod training;
 pub mod wire;
 
 pub use event::{
@@ -56,4 +55,3 @@ pub use prof::{ProfReport, ProfSpan, SpanGuard, SpanStats};
 pub use series::{SeriesId, SeriesSet};
 pub use sink::{NullSink, ObsSink, RecordingSink};
 pub use slo::{SloSpec, SloTracker, WindowVerdict};
-pub use training::{TrainingRecord, TrainingSeries};

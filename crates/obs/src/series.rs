@@ -128,24 +128,27 @@ impl SeriesSet {
         let mut out = String::new();
         for (i, s) in self.series.iter().enumerate() {
             for (w, v) in self.points(SeriesId(i)) {
-                out.push_str("{\"series\":");
-                json::write_str(&mut out, &s.name);
-                let _ = writeln!(out, ",\"window\":{},\"value\":{}}}", w, finite(v));
+                json::object(&mut out, |o| {
+                    o.key("series").str(&s.name);
+                    o.key("window").u64(u64::from(w));
+                    o.key("value").f64(v);
+                });
+                out.push('\n');
             }
         }
         if self.total_dropped() > 0 {
-            let _ = writeln!(
-                out,
-                "{{\"meta\":\"series_dropped\",\"count\":{}}}",
-                self.total_dropped()
-            );
+            json::object(&mut out, |o| {
+                o.key("meta").str("series_dropped");
+                o.key("count").u64(self.total_dropped());
+            });
+            out.push('\n');
         }
         out
     }
 }
 
-/// Non-finite values have no JSON/CSV form; zero matches the event
-/// exporter's convention.
+/// Non-finite values have no CSV form; zero matches the JSON writer's
+/// rule.
 fn finite(v: f64) -> f64 {
     if v.is_finite() {
         v
@@ -215,6 +218,11 @@ mod tests {
         set.push(id, 0, f64::NAN);
         set.push(id, 1, f64::INFINITY);
         assert_eq!(set.to_csv(), "series,window,value\nm,0,0\nm,1,0\n");
+        assert_eq!(
+            set.to_jsonl(),
+            "{\"series\":\"m\",\"window\":0,\"value\":0}\n\
+             {\"series\":\"m\",\"window\":1,\"value\":0}\n"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::ObsEvent;
-use crate::export;
 use crate::metrics::MetricsRegistry;
+use crate::{export, json};
 
 /// Receiver for observability events and metrics.
 ///
@@ -104,11 +104,6 @@ impl RecordingSink {
         self.dropped
     }
 
-    /// Read access to the metrics registry.
-    pub fn metrics_ref(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Count of held [`ObsEvent::RequestComplete`] events.
     pub fn completed_requests(&self) -> u64 {
         self.events
@@ -125,10 +120,12 @@ impl RecordingSink {
         let mut out = export::jsonl(self.events.iter());
         if self.dropped > 0 {
             let at = self.events.front().map_or(0, |e| e.at().as_nanos());
-            out.push_str(&format!(
-                "{{\"type\":\"trace_truncated\",\"at\":{at},\"dropped\":{}}}\n",
-                self.dropped
-            ));
+            json::object(&mut out, |o| {
+                o.key("type").str("trace_truncated");
+                o.key("at").u64(at);
+                o.key("dropped").u64(self.dropped);
+            });
+            out.push('\n');
         }
         out
     }

@@ -105,9 +105,7 @@ pub struct PpoStats {
 /// optimizers, hyper-parameters, shuffle/sampling RNG, update counter and
 /// observation-normalizer statistics. Produced by
 /// [`PpoTrainer::export_state`], consumed by [`PpoTrainer::from_state`];
-/// resuming from the round trip continues training **bit-identically**
-/// (telemetry recording is the one thing not carried across — re-enable it
-/// after restoring if needed; it never affects training).
+/// resuming from the round trip continues training **bit-identically**.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerState {
     /// Actor/critic networks and head layout.
@@ -139,8 +137,6 @@ pub struct PpoTrainer {
     rng: SmallRng,
     /// Lifetime count of [`PpoTrainer::update`] calls that consumed data.
     updates: u64,
-    /// Per-update telemetry series, populated when enabled.
-    telemetry: Option<fleetio_obs::TrainingSeries>,
 }
 
 impl PpoTrainer {
@@ -163,7 +159,6 @@ impl PpoTrainer {
             cfg,
             rng: SmallRng::seed_from_u64(seed),
             updates: 0,
-            telemetry: None,
         }
     }
 
@@ -231,27 +226,7 @@ impl PpoTrainer {
             cfg: state.cfg,
             rng: SmallRng::from_state(state.rng),
             updates: state.updates,
-            telemetry: None,
         })
-    }
-
-    /// Starts recording one [`fleetio_obs::TrainingRecord`] per update.
-    /// Telemetry never affects training; it only mirrors the returned
-    /// [`PpoStats`].
-    pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(fleetio_obs::TrainingSeries::new());
-        }
-    }
-
-    /// The recorded telemetry series, when enabled.
-    pub fn telemetry(&self) -> Option<&fleetio_obs::TrainingSeries> {
-        self.telemetry.as_ref()
-    }
-
-    /// Removes and returns the telemetry series, disabling recording.
-    pub fn take_telemetry(&mut self) -> Option<fleetio_obs::TrainingSeries> {
-        self.telemetry.take()
     }
 
     /// Collects `steps` environment steps with the trainer's RNG, updating
@@ -337,18 +312,6 @@ impl PpoTrainer {
             stats.clip_fraction /= c;
         }
         self.updates += 1;
-        if let Some(series) = &mut self.telemetry {
-            series.push(fleetio_obs::TrainingRecord {
-                update: self.updates,
-                policy_loss: stats.policy_loss,
-                value_loss: stats.value_loss,
-                entropy: stats.entropy,
-                kl: stats.kl,
-                clip_fraction: stats.clip_fraction,
-                mean_reward: stats.mean_reward,
-                samples: n as u64,
-            });
-        }
         stats
     }
 
@@ -466,31 +429,8 @@ mod tests {
         let mut trainer = PpoTrainer::new(policy, 2, PpoConfig::default(), 0);
         let stats = trainer.update(RolloutBuffer::new());
         assert_eq!(stats.samples, 0);
-    }
-
-    #[test]
-    fn telemetry_mirrors_update_stats() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let policy = PpoPolicy::new(2, &[3], &[8], &mut rng);
-        let mut trainer = PpoTrainer::new(policy, 2, PpoConfig::default(), 3);
-        trainer.enable_telemetry();
-        let mut env = BanditEnv {
-            steps: 0,
-            horizon: 16,
-        };
-        let stats = trainer.train_iteration(&mut env, 32);
-        let series = trainer.take_telemetry().expect("telemetry enabled");
-        assert_eq!(series.len(), 1);
-        let rec = &series.records()[0];
-        assert_eq!(rec.update, 1);
-        assert_eq!(rec.samples as usize, stats.samples);
-        assert!((rec.policy_loss - stats.policy_loss).abs() < 1e-12);
-        assert!((rec.kl - stats.kl).abs() < 1e-12);
-        assert!(rec.kl.is_finite());
-        // Empty updates are not recorded and do not advance the counter.
-        trainer.enable_telemetry();
-        trainer.update(RolloutBuffer::new());
-        assert!(trainer.telemetry().expect("enabled").is_empty());
+        // An empty update does not advance the counter.
+        assert_eq!(trainer.updates(), 0);
     }
 
     #[test]

@@ -4,20 +4,22 @@
 //! `Make_Harvestable()` actions execute on the shared SSD through an
 //! admission-control stage that:
 //!
-//! 1. filters actions against provider-set per-vSSD permissions (e.g. spot
-//!    VMs may be forbidden from harvesting),
-//! 2. batches actions (50 ms batches by default) and reorders each batch to
-//!    run `Make_Harvestable()` before `Harvest()`, maximizing harvestable
-//!    supply and avoiding immediate reclamation,
-//! 3. when harvest demand exceeds supply, ranks harvesters so vSSDs with
+//! 1. batches actions ([`BATCH_INTERVAL`], the paper's 50 ms) and reorders
+//!    each batch to run `Make_Harvestable()` before `Harvest()`,
+//!    maximizing harvestable supply and avoiding immediate reclamation,
+//! 2. when harvest demand exceeds supply, ranks harvesters so vSSDs with
 //!    fewer already-harvested resources go first (the paper's default
 //!    fairness rule on top of FCFS).
-
-use std::collections::BTreeMap;
+//!
+//! The paper's provider-set per-vSSD permissions are not modelled: every
+//! tenant may take both actions, so every action is admitted.
 
 use fleetio_des::SimDuration;
 
 use crate::vssd::VssdId;
+
+/// How often a batch of admitted actions executes.
+pub const BATCH_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// A harvest-related action submitted by an RL agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,92 +59,17 @@ impl HarvestAction {
     }
 }
 
-/// Per-vSSD provider permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Permissions {
-    /// May this vSSD take `Harvest()` actions?
-    pub allow_harvest: bool,
-    /// May this vSSD take `Make_Harvestable()` actions?
-    pub allow_make_harvestable: bool,
-}
-
-impl Default for Permissions {
-    fn default() -> Self {
-        Permissions {
-            allow_harvest: true,
-            allow_make_harvestable: true,
-        }
-    }
-}
-
-/// Contention policy applied when harvest demand exceeds supply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContentionPolicy {
-    /// First-come-first-serve, breaking contention in favour of vSSDs with
-    /// fewer already-harvested resources (the paper's default).
-    #[default]
-    FcfsFewestHarvestedFirst,
-    /// Strict submission order regardless of current holdings.
-    StrictFcfs,
-}
-
 /// The admission-control stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionControl {
-    batch_interval: SimDuration,
-    policy: ContentionPolicy,
-    default_perms: Permissions,
-    perms: BTreeMap<VssdId, Permissions>,
     pending: Vec<HarvestAction>,
-    rejected: u64,
     admitted: u64,
 }
 
 impl AdmissionControl {
-    /// Creates an admission controller with the paper's 50 ms batches,
-    /// default-allow permissions and the default contention policy.
+    /// Creates an admission controller with no pending actions.
     pub fn new() -> Self {
-        AdmissionControl {
-            batch_interval: SimDuration::from_millis(50),
-            policy: ContentionPolicy::default(),
-            default_perms: Permissions::default(),
-            perms: BTreeMap::new(),
-            pending: Vec::new(),
-            rejected: 0,
-            admitted: 0,
-        }
-    }
-
-    /// Overrides the batch interval (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn with_batch_interval(mut self, interval: SimDuration) -> Self {
-        assert!(!interval.is_zero(), "batch interval must be positive");
-        self.batch_interval = interval;
-        self
-    }
-
-    /// Overrides the contention policy (builder style).
-    pub fn with_policy(mut self, policy: ContentionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets per-vSSD permissions; vSSDs without an entry use default-allow.
-    pub fn set_permissions(&mut self, vssd: VssdId, perms: Permissions) {
-        self.perms.insert(vssd, perms);
-    }
-
-    /// The configured batch interval.
-    pub fn batch_interval(&self) -> SimDuration {
-        self.batch_interval
-    }
-
-    /// Count of actions rejected by permission checks so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
+        Self::default()
     }
 
     /// Count of actions admitted so far.
@@ -155,30 +82,16 @@ impl AdmissionControl {
         self.pending.len()
     }
 
-    /// Enqueues an action for the next batch, applying permission checks
-    /// immediately. Returns whether the action was accepted into the batch.
-    pub fn submit(&mut self, action: HarvestAction) -> bool {
-        let perms = self
-            .perms
-            .get(&action.vssd())
-            .copied()
-            .unwrap_or(self.default_perms);
-        let allowed = match action {
-            HarvestAction::Harvest { .. } => perms.allow_harvest,
-            HarvestAction::MakeHarvestable { .. } => perms.allow_make_harvestable,
-        };
-        if allowed {
-            self.pending.push(action);
-        } else {
-            self.rejected += 1;
-        }
-        allowed
+    /// Enqueues an action for the next batch.
+    pub fn submit(&mut self, action: HarvestAction) {
+        self.pending.push(action);
     }
 
     /// Drains the current batch in execution order.
     ///
     /// `Make_Harvestable()` actions come first (submission order), then
-    /// `Harvest()` actions ranked per the contention policy;
+    /// `Harvest()` actions: in submission order while supply covers
+    /// demand, fewest-harvested first (stably) when it does not;
     /// `harvested_holdings` maps each vSSD to its currently harvested
     /// resource count (in gSB channels, sorted by id for binary search;
     /// absent vSSDs count as 0) and `supply_channels` is the total
@@ -200,7 +113,7 @@ impl AdmissionControl {
             .iter()
             .map(|a| (a.bytes_per_sec() / channel_bytes_per_sec).floor() as usize)
             .sum();
-        if demand > supply_channels && self.policy == ContentionPolicy::FcfsFewestHarvestedFirst {
+        if demand > supply_channels {
             // Stable sort keeps FCFS order among equal holders.
             harvests.sort_by_key(|a| {
                 harvested_holdings
@@ -211,12 +124,6 @@ impl AdmissionControl {
         self.admitted += (makes.len() + harvests.len()) as u64;
         makes.append(&mut harvests);
         makes
-    }
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -282,22 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn permissions_filter_actions() {
-        let mut ac = AdmissionControl::new();
-        ac.set_permissions(
-            VssdId(1),
-            Permissions {
-                allow_harvest: false,
-                allow_make_harvestable: true,
-            },
-        );
-        assert!(!ac.submit(harvest(1, CH_BW)));
-        assert!(ac.submit(make(1, CH_BW)));
-        assert_eq!(ac.rejected(), 1);
-        assert_eq!(ac.pending(), 1);
-    }
-
-    #[test]
     fn contention_ranks_fewest_holdings_first() {
         let mut ac = AdmissionControl::new();
         ac.submit(harvest(1, 2.0 * CH_BW));
@@ -321,21 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn strict_fcfs_ignores_holdings() {
-        let mut ac = AdmissionControl::new().with_policy(ContentionPolicy::StrictFcfs);
-        ac.submit(harvest(1, 2.0 * CH_BW));
-        ac.submit(harvest(2, 2.0 * CH_BW));
-        let holdings = [(VssdId(1), 9)];
-        let batch = ac.drain_batch(1, &holdings, CH_BW);
-        assert_eq!(batch[0].vssd(), VssdId(1));
-    }
-
-    #[test]
-    fn default_batch_interval_is_50ms() {
-        assert_eq!(
-            AdmissionControl::new().batch_interval(),
-            SimDuration::from_millis(50)
-        );
+    fn batch_interval_is_50ms() {
+        assert_eq!(BATCH_INTERVAL, SimDuration::from_millis(50));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use fleetio_flash::addr::{BlockAddr, ChannelId};
 
-use crate::admission::HarvestAction;
+use crate::admission::{HarvestAction, BATCH_INTERVAL};
 use crate::gsb::GsbId;
 use crate::vssd::VssdId;
 
@@ -370,7 +370,7 @@ impl Engine {
             self.set_harvestable_target(id, make);
             self.set_harvest_target(id, harvest);
         }
-        let next = self.now + self.admission.batch_interval();
+        let next = self.now + BATCH_INTERVAL;
         self.events.push(next, Ev::AdmissionTick);
     }
 }

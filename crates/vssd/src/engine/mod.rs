@@ -37,7 +37,7 @@ use fleetio_flash::config::FlashConfig;
 use fleetio_flash::device::FlashDevice;
 use fleetio_obs::{NullSink, ObsEvent, ObsSink, WindowFlush};
 
-use crate::admission::{AdmissionControl, HarvestAction};
+use crate::admission::{AdmissionControl, HarvestAction, BATCH_INTERVAL};
 use crate::gsb::GsbPool;
 use crate::hbt::HarvestedBlockTable;
 use crate::request::{CompletedRequest, IoOp, IoRequest, Priority, RequestId};
@@ -436,11 +436,7 @@ impl Engine {
             })
             .collect();
         let mut events = EventQueue::new();
-        let admission = AdmissionControl::new();
-        events.push(
-            SimTime::ZERO + admission.batch_interval(),
-            Ev::AdmissionTick,
-        );
+        events.push(SimTime::ZERO + BATCH_INTERVAL, Ev::AdmissionTick);
         let n_vssds = states.len();
         let hbt = HarvestedBlockTable::new(
             cfg.flash.channels,
@@ -457,7 +453,7 @@ impl Engine {
             chans,
             pool: GsbPool::new(n_channels),
             hbt,
-            admission,
+            admission: AdmissionControl::new(),
             block_meta: vec![None; total_blocks],
             n_block_meta: 0,
             chip_blocks: (0..chip_slots).map(|_| Vec::new()).collect(),
@@ -517,11 +513,6 @@ impl Engine {
     /// The underlying flash device (read-only).
     pub fn device(&self) -> &FlashDevice {
         &self.device
-    }
-
-    /// Admission-control stage (for configuring permissions/policies).
-    pub fn admission_mut(&mut self) -> &mut AdmissionControl {
-        &mut self.admission
     }
 
     /// Installs an observability sink, returning the previous one.
@@ -619,15 +610,6 @@ impl Engine {
     /// Ids of all hosted vSSDs in registration order.
     pub fn vssd_ids(&self) -> Vec<VssdId> {
         self.vssds.iter().map(|v| v.cfg.id).collect()
-    }
-
-    /// A vSSD's configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown.
-    pub fn vssd_config(&self, id: VssdId) -> &VssdConfig {
-        &self.vssds[self.idx(id)].cfg
     }
 
     /// Logical capacity of a vSSD in pages, derived from its channel share
@@ -793,18 +775,6 @@ impl Engine {
         self.vssds[idx].priority = priority;
     }
 
-    /// Sets (or clears) a vSSD's tail-latency SLO. Experiments measure the
-    /// SLO from a hardware-isolated calibration run (§3.3.1) and install it
-    /// here before the measured run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown.
-    pub fn set_slo(&mut self, id: VssdId, slo: Option<SimDuration>) {
-        let idx = self.idx(id);
-        self.vssds[idx].cfg.slo = slo;
-    }
-
     /// Re-weights a vSSD's stride-scheduling tickets on every channel it
     /// uses (the Adaptive baseline's proportional-share reallocation).
     ///
@@ -835,10 +805,9 @@ impl Engine {
     }
 
     /// Routes a harvest action through admission control. It executes at
-    /// the next 50 ms admission batch. Returns whether the action passed
-    /// the permission check.
-    pub fn submit_action(&mut self, action: HarvestAction) -> bool {
-        self.admission.submit(action)
+    /// the next 50 ms admission batch.
+    pub fn submit_action(&mut self, action: HarvestAction) {
+        self.admission.submit(action);
     }
 
     /// Freezes and returns the vSSD's statistics window covering

@@ -322,14 +322,14 @@ fn shrinking_harvestable_target_reclaims_available_gsbs() {
 fn admission_actions_execute_on_batch_tick() {
     let mut e = two_tenant_engine();
     let ch_bw = e.channel_peak_bytes_per_sec();
-    assert!(e.submit_action(HarvestAction::MakeHarvestable {
+    e.submit_action(HarvestAction::MakeHarvestable {
         vssd: VssdId(0),
         bytes_per_sec: 2.0 * ch_bw,
-    }));
-    assert!(e.submit_action(HarvestAction::Harvest {
+    });
+    e.submit_action(HarvestAction::Harvest {
         vssd: VssdId(1),
         bytes_per_sec: 2.0 * ch_bw,
-    }));
+    });
     // Before the 50 ms tick nothing happened.
     assert_eq!(e.snapshot(VssdId(1)).harvested_channels, 0);
     e.run_until(SimTime::from_millis(60));

@@ -257,21 +257,6 @@ impl ClosedLoopWorkload {
         self.spec.phases[self.phase_at(now)].concurrency
     }
 
-    /// Time when the current phase (at `now`) ends — the driver re-checks
-    /// concurrency then.
-    pub fn phase_end_after(&self, now: SimTime) -> SimTime {
-        let in_cycle = now.as_nanos() % self.cycle.as_nanos().max(1);
-        let cycle_start = now.as_nanos() - in_cycle;
-        let mut acc = 0u64;
-        for p in &self.spec.phases {
-            acc += p.duration.as_nanos();
-            if in_cycle < acc {
-                return SimTime::from_nanos(cycle_start + acc);
-            }
-        }
-        SimTime::from_nanos(cycle_start + self.cycle.as_nanos())
-    }
-
     /// Produces the next request for submission at `now`, using the phase
     /// active at that instant.
     pub fn make_request(&mut self, now: SimTime) -> TraceRecord {

@@ -2,8 +2,9 @@
 //!
 //! Default scale is `quick` (minutes, preserves orderings/crossovers);
 //! `--full` runs paper-length spans and a larger training budget. Every
-//! report is collected first and printed at the end of the run; stderr
-//! gets one line with the total wall-clock time. The run is not profiled
+//! report is collected first and printed at the end of the run, as text
+//! tables or, with `--json`, as JSONL (one compact object per report per
+//! line); stderr gets one line with the total wall-clock time. The run is not profiled
 //! (host time is the `benchmark/` workspace's job).
 
 use fleetio_bench::figures;

@@ -295,6 +295,18 @@ fn summarize(args: &Args) -> VerbResult {
     Ok(Output::ok(out))
 }
 
+/// One `slo_window` verdict, as `report` folds it.
+struct SloRow {
+    window: u64,
+    burn: f64,
+    p95: u64,
+    p99: u64,
+    throughput: f64,
+    ops: u64,
+    /// `p95_ok`, `p99_ok`, `throughput_ok`.
+    ok: [bool; 3],
+}
+
 /// One tenant's aggregated `slo_window` history.
 #[derive(Default)]
 struct TenantSloAgg {
@@ -302,10 +314,44 @@ struct TenantSloAgg {
     violations: u64,
     last_burn: f64,
     longest_streak: u64,
-    current_streak: u64,
     /// The worst violating window by p99, then earliest: its p99 and
     /// its rendered line.
     worst: Option<(u64, String)>,
+}
+
+impl TenantSloAgg {
+    /// Folds one tenant's verdicts, which must be in window order.
+    fn fold(tenant: u64, rows: &[SloRow]) -> Self {
+        let mut agg = TenantSloAgg::default();
+        let mut streak = 0;
+        for row in rows {
+            agg.windows += 1;
+            agg.last_burn = row.burn;
+            if row.ok == [true; 3] {
+                streak = 0;
+                continue;
+            }
+            agg.violations += 1;
+            streak += 1;
+            agg.longest_streak = agg.longest_streak.max(streak);
+            if agg.worst.as_ref().is_none_or(|(worst, _)| row.p99 > *worst) {
+                let line = format!(
+                    "t{tenant} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
+                     [p95_ok={} p99_ok={} tp_ok={}]",
+                    row.window,
+                    row.p95 as f64 / 1e6,
+                    row.p99 as f64 / 1e6,
+                    row.throughput / 1e6,
+                    row.ops,
+                    row.ok[0],
+                    row.ok[1],
+                    row.ok[2]
+                );
+                agg.worst = Some((row.p99, line));
+            }
+        }
+        agg
+    }
 }
 
 /// Renders the offline fleet-health dashboard from `slo_window` /
@@ -313,41 +359,21 @@ struct TenantSloAgg {
 /// into one view).
 fn report(args: &Args) -> VerbResult {
     let paths = &args.positionals;
-    let mut tenants: BTreeMap<u64, TenantSloAgg> = BTreeMap::new();
+    let mut slo_rows: BTreeMap<u64, Vec<SloRow>> = BTreeMap::new();
     // (window, tenant, from shard, from slot) and the rendered line.
     let mut migrations: Vec<([u64; 4], String)> = Vec::new();
     let mut window_flushes = 0u64;
     for path in paths {
         for_each_event(path, |ev| match ev.s("type") {
-            "slo_window" => {
-                let tenant = ev.u("tenant");
-                let agg = tenants.entry(tenant).or_default();
-                agg.windows += 1;
-                agg.last_burn = ev.f("burn");
-                if ev.b("p95_ok") && ev.b("p99_ok") && ev.b("throughput_ok") {
-                    agg.current_streak = 0;
-                    return;
-                }
-                agg.violations += 1;
-                agg.current_streak += 1;
-                agg.longest_streak = agg.longest_streak.max(agg.current_streak);
-                let p99 = ev.u("p99");
-                if agg.worst.as_ref().is_none_or(|(worst, _)| p99 > *worst) {
-                    let line = format!(
-                        "t{tenant} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
-                             [p95_ok={} p99_ok={} tp_ok={}]",
-                        ev.u("window"),
-                        ev.u("p95") as f64 / 1e6,
-                        p99 as f64 / 1e6,
-                        ev.f("throughput") / 1e6,
-                        ev.u("ops"),
-                        ev.b("p95_ok"),
-                        ev.b("p99_ok"),
-                        ev.b("throughput_ok")
-                    );
-                    agg.worst = Some((p99, line));
-                }
-            }
+            "slo_window" => slo_rows.entry(ev.u("tenant")).or_default().push(SloRow {
+                window: ev.u("window"),
+                burn: ev.f("burn"),
+                p95: ev.u("p95"),
+                p99: ev.u("p99"),
+                throughput: ev.f("throughput"),
+                ops: ev.u("ops"),
+                ok: ["p95_ok", "p99_ok", "throughput_ok"].map(|k| ev.b(k)),
+            }),
             "fleet_migration" => {
                 let key = ["window", "tenant", "from_shard", "from_slot"].map(|k| ev.u(k));
                 let line = format!(
@@ -373,6 +399,15 @@ fn report(args: &Args) -> VerbResult {
         })?;
     }
     migrations.sort_by_key(|(key, _)| *key);
+    // A fleet tenant's windows sit in the store of every shard it lived
+    // on, so fold them in window order, not input order.
+    let tenants: BTreeMap<u64, TenantSloAgg> = slo_rows
+        .into_iter()
+        .map(|(tenant, mut rows)| {
+            rows.sort_by_key(|r| r.window);
+            (tenant, TenantSloAgg::fold(tenant, &rows))
+        })
+        .collect();
 
     let observed: u64 = tenants.values().map(|t| t.windows).sum();
     let violated: u64 = tenants.values().map(|t| t.violations).sum();

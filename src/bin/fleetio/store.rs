@@ -11,7 +11,7 @@ use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 use fleetio::RunSpec;
-use fleetio_obs::ObsEvent;
+use fleetio_obs::{json, ObsEvent};
 use fleetio_store::{
     diff_stores, query_each, record_run, replay_run, DiffOutcome, EventFilter, RunStore,
     WindowAggregator, DEFAULT_SEGMENT_BYTES,
@@ -145,11 +145,14 @@ fn query_cmd(args: &Args) -> VerbResult {
     })
     .map_err(|e| io(format_args!("query: {e}")))?;
     for w in windows.map(WindowAggregator::finish).unwrap_or_default() {
-        let _ = writeln!(
-            stdout,
-            "{{\"window\":{},\"events\":{},\"bytes\":{}}}",
-            w.window, w.events, w.bytes
-        );
+        line.clear();
+        json::object(&mut line, |o| {
+            o.key("window").u64(w.window);
+            o.key("events").u64(w.events);
+            o.key("bytes").u64(w.bytes);
+        });
+        line.push('\n');
+        let _ = stdout.write_all(line.as_bytes());
     }
     let _ = stdout.flush();
     Ok(Output {

@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
-use fleetio_suite::des::SimTime;
-use fleetio_suite::obs::{ObsEvent, ObsSink};
+use fleetio_suite::des::{SimDuration, SimTime};
+use fleetio_suite::obs::{json, ObsEvent, ObsSink, SloWindow};
 use fleetio_suite::store::{segment_file_name, RunStore, StoreSink};
 
 const FIXTURE: &str = "crates/store/tests/fixtures/recorded-by-pr20";
@@ -53,9 +53,63 @@ fn goldens_are_reproduced_byte_for_byte() {
             "{name}: stdout differs from the golden:\n{}",
             String::from_utf8_lossy(&out.stdout)
         );
+        if args.contains(&"--json") {
+            let text = String::from_utf8(out.stdout).expect("utf-8 JSON");
+            for line in text.lines() {
+                json::parse(line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            }
+        }
         checked += 1;
     }
-    assert_eq!(checked, 13, "every golden case ran");
+    assert_eq!(checked, 14, "every golden case ran");
+}
+
+/// A fleet tenant's `slo_window` verdicts sit in the store of every
+/// shard it lived on. `obs report` folds them in window order, so the
+/// order of its inputs cannot move the streak or the burn column.
+#[test]
+fn report_folds_a_split_tenant_in_window_order() {
+    let dir = scratch_dir("report-order");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // Windows 0, 1 and 5 violate: the longest streak is 2 (windows 0-1),
+    // never 5-0-1, and the last burn is window 5's.
+    let line = |window: u32| {
+        let w = u64::from(window);
+        ObsEvent::SloWindow(Box::new(SloWindow {
+            at: SimTime::from_millis(100 * (w + 1)),
+            tenant: 5,
+            window,
+            ops: 1_000 + w,
+            p95: SimDuration::from_micros(500 + w),
+            p99: SimDuration::from_micros(900 + 10 * w),
+            throughput: 1e7,
+            p95_ok: true,
+            p99_ok: ![0, 1, 5].contains(&window),
+            throughput_ok: true,
+            burn: 0.1 * f64::from(window + 1),
+        }))
+        .to_json()
+            + "\n"
+    };
+    let (a, b) = (dir.join("shard1.jsonl"), dir.join("shard0.jsonl"));
+    std::fs::write(&a, (0..3).map(line).collect::<String>()).expect("write");
+    std::fs::write(&b, (3..6).map(line).collect::<String>()).expect("write");
+    let (a, b) = (a.to_str().expect("utf-8"), b.to_str().expect("utf-8"));
+    let forward = fleetio(&["obs", "report", a, b]);
+    let backward = fleetio(&["obs", "report", b, a]);
+    assert!(forward.status.success() && backward.status.success());
+    let text = String::from_utf8_lossy(&forward.stdout);
+    assert_eq!(text, String::from_utf8_lossy(&backward.stdout));
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("t5 "))
+        .expect("tenant row");
+    assert_eq!(
+        row.split_whitespace().collect::<Vec<_>>(),
+        ["t5", "6", "3", "50.0%", "2", "0.600"],
+        "{text}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
