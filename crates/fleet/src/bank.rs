@@ -99,11 +99,6 @@ impl PolicyBank {
         self.histories[tenant as usize].reset();
     }
 
-    /// The tag of the model `tenant` currently runs.
-    pub fn tag_of(&self, tenant: u32) -> &str {
-        &self.models[self.assignment[tenant as usize]].0
-    }
-
     /// Distinct models interned.
     pub fn n_models(&self) -> usize {
         self.models.len()
@@ -182,12 +177,12 @@ mod tests {
     fn assign_interns_by_tag_and_resets_history() {
         let mut bank = PolicyBank::new(default_model(3), 3, 3);
         assert_eq!(bank.n_models(), 1);
-        assert_eq!(bank.tag_of(1), DEFAULT_MODEL_TAG);
+        assert_eq!(bank.models[bank.assignment[1]].0, DEFAULT_MODEL_TAG);
         let other = default_model(99);
         bank.assign(1, "bi", other.clone());
         bank.assign(2, "bi", other.clone());
         assert_eq!(bank.n_models(), 2, "same tag interned once");
-        assert_eq!(bank.tag_of(1), "bi");
+        assert_eq!(bank.models[bank.assignment[1]].0, "bi");
         // Tenant 1's history restarted: its first post-assign decision
         // matches a fresh agent's first decision.
         let mut fresh = FleetIoAgent::new(&other, 3);

@@ -10,22 +10,27 @@
 //! table at the bottom of this file: wire tag, variant, JSON `type` tag,
 //! the field attributing it to a tenant, and its documented fields. The
 //! enum, [`ObsEvent::KIND_TAGS`], [`ObsEvent::kind_index`],
-//! [`ObsEvent::at`], [`ObsEvent::tenant`], the JSONL form
-//! ([`ObsEvent::write_json`]) and the binary form ([`crate::wire`]) are
-//! all generated from that row, so they cannot drift apart: fields
-//! appear in JSON and on the wire in declaration order under their own
-//! names, and how a value looks in either form is a function of its
-//! Rust type alone (the private `Field` trait).
+//! [`ObsEvent::at`], [`ObsEvent::tenant`], the JSONL form (written by
+//! [`ObsEvent::write_json`], read by [`ObsEvent::from_json`]) and the
+//! binary form ([`crate::wire`]) are all generated from that row, so they
+//! cannot drift apart: fields appear in JSON and on the wire in
+//! declaration order under their own names, and how a value looks in
+//! either form is a function of its Rust type alone (the private `Field`
+//! trait).
 //!
 //! JSON goes through the workspace's one writer, [`json::object`], and
 //! its number rule: integers and `bool`s render exactly, `f64`s use
 //! Rust's shortest-roundtrip `Display` with non-finite values as `0`, so a
-//! line is always parseable. On the wire integers take the payload's
-//! integer form (`wire::IntForm`): fixed-width little-endian in segment
-//! format 1, canonical LEB128 in format 2, with times as `u64`
-//! nanoseconds. `f64` travels as its IEEE bits, `Option` as a one-byte
-//! flag, sub-enums as one tag byte and strings behind a `u32` length, in
-//! every format.
+//! line is always parseable. Reading is as strict as the wire: an unknown
+//! `type`, a missing, extra or mistyped field, and an integer out of its
+//! type's range or at or above 2^53 (where `f64` stops being exact) are
+//! refused. On the wire integers take the payload's integer form
+//! (`wire::IntForm`): fixed-width little-endian in segment format 1,
+//! canonical LEB128 in format 2, with times as `u64` nanoseconds. `f64`
+//! travels as its IEEE bits, `Option` as a one-byte flag, sub-enums as
+//! one tag byte and strings behind a `u32` length, in every format.
+
+use std::collections::BTreeMap;
 
 use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::{SimDuration, SimTime};
@@ -46,6 +51,25 @@ pub(crate) trait Field: Sized {
     fn get<I: IntForm>(d: &mut Dec<'_>) -> Result<Self, DecodeError>;
     /// Writes the JSON value into its slot.
     fn write_json(&self, v: json::Val<'_>);
+    /// Reads the JSON value back; `None` when it is not this type's form.
+    fn read_json(v: &json::Value) -> Option<Self>;
+}
+
+/// Smallest integer a JSON number no longer holds exactly: `2^53 + 1`
+/// parses as `2^53`.
+const JSON_INT_LIMIT: u64 = 1 << 53;
+
+/// Field `name` of a `tag` line, read in its type's JSON form.
+fn read_field<T: Field>(
+    obj: &BTreeMap<String, json::Value>,
+    tag: &str,
+    name: &str,
+) -> Result<T, String> {
+    match obj.get(name).map(T::read_json) {
+        Some(Some(v)) => Ok(v),
+        Some(None) => Err(format!("{tag}: field `{name}` is mistyped or out of range")),
+        None => Err(format!("{tag}: missing field `{name}`")),
+    }
 }
 
 /// Integers: written in the payload's integer form, rendered with their
@@ -62,6 +86,10 @@ macro_rules! int_field {
             fn write_json(&self, v: json::Val<'_>) {
                 v.u64(u64::from(*self));
             }
+            fn read_json(v: &json::Value) -> Option<Self> {
+                let n = v.as_u64().filter(|n| *n < JSON_INT_LIMIT)?;
+                $t::try_from(n).ok()
+            }
         }
     )+};
 }
@@ -76,6 +104,9 @@ impl Field for bool {
     }
     fn write_json(&self, v: json::Val<'_>) {
         v.bool(*self);
+    }
+    fn read_json(v: &json::Value) -> Option<Self> {
+        v.as_bool()
     }
 }
 
@@ -92,6 +123,9 @@ macro_rules! nanos_field {
             fn write_json(&self, v: json::Val<'_>) {
                 v.u64(self.as_nanos());
             }
+            fn read_json(v: &json::Value) -> Option<Self> {
+                v.as_u64().filter(|n| *n < JSON_INT_LIMIT).map($t::from_nanos)
+            }
         }
     )+};
 }
@@ -107,6 +141,9 @@ impl Field for f64 {
     fn write_json(&self, v: json::Val<'_>) {
         v.f64(*self);
     }
+    fn read_json(v: &json::Value) -> Option<Self> {
+        v.as_f64()
+    }
 }
 
 impl Field for String {
@@ -118,6 +155,9 @@ impl Field for String {
     }
     fn write_json(&self, v: json::Val<'_>) {
         v.str(self);
+    }
+    fn read_json(v: &json::Value) -> Option<Self> {
+        v.as_str().map(str::to_owned)
     }
 }
 
@@ -141,10 +181,16 @@ impl<T: Field> Field for Option<T> {
             None => v.null(),
         }
     }
+    fn read_json(v: &json::Value) -> Option<Self> {
+        match v {
+            json::Value::Null => Some(None),
+            v => T::read_json(v).map(Some),
+        }
+    }
 }
 
-/// Declares a field-less enum that travels as one wire byte and renders
-/// as a lowercase tag: `wire-byte Variant "tag"` per row. Never renumber
+/// Declares a field-less enum that travels as one wire byte and is a
+/// lowercase tag in JSON: `wire-byte Variant "tag"` per row. Never renumber
 /// released wire bytes.
 macro_rules! tagged_enum {
     (
@@ -185,6 +231,12 @@ macro_rules! tagged_enum {
             }
             fn write_json(&self, v: json::Val<'_>) {
                 v.str(self.tag());
+            }
+            fn read_json(v: &json::Value) -> Option<Self> {
+                match v.as_str()? {
+                    $( $tag => Some($name::$variant), )+
+                    _ => None,
+                }
             }
         }
     };
@@ -445,6 +497,38 @@ macro_rules! obs_events {
                         } )+
                     }
                 });
+            }
+
+            /// Reads back one line written by [`ObsEvent::write_json`],
+            /// already parsed ([`json::parse`]): an object whose `type` is
+            /// a known tag and whose other keys are exactly that row's
+            /// fields, each in its type's JSON form. A non-finite `f64`
+            /// was written as `0` and reads back as `0`.
+            pub fn from_json(line: &json::Value) -> Result<Self, String> {
+                let obj = line.as_object().ok_or("not a JSON object")?;
+                let tag = obj
+                    .get("type")
+                    .and_then(json::Value::as_str)
+                    .ok_or("no string `type`")?;
+                let (ev, fields): (Self, &[&str]) = match tag {
+                    $( $tag => (
+                        row_new!($($boxed)? $variant {
+                            $at: read_field(obj, tag, stringify!($at))?,
+                            $( $field: read_field(obj, tag, stringify!($field))?, )*
+                        }),
+                        &[stringify!($at), $(stringify!($field)),*],
+                    ), )+
+                    _ => return Err(format!("unknown event type {tag:?}")),
+                };
+                // `type` and every field were read, so only a key too many
+                // can be wrong, and only when the count says so.
+                if obj.len() == fields.len() + 1 {
+                    return Ok(ev);
+                }
+                match obj.keys().find(|k| *k != "type" && !fields.contains(&k.as_str())) {
+                    Some(k) => Err(format!("{tag}: unknown field `{k}`")),
+                    None => Ok(ev),
+                }
             }
 
             /// Appends the binary payload in integer form `I`
@@ -764,6 +848,31 @@ mod tests {
         assert_eq!(ev.at(), SimTime::from_micros(3));
     }
 
+    /// `ev` with every non-finite `f64` as the `0` JSON writes for it.
+    fn finite(mut ev: ObsEvent) -> ObsEvent {
+        let floats = match &mut ev {
+            ObsEvent::WindowFlush(w) => vec![
+                &mut w.avg_bandwidth,
+                &mut w.avg_iops,
+                &mut w.slo_violation_rate,
+                &mut w.gc_busy_frac,
+            ],
+            ObsEvent::SloWindow(s) => vec![&mut s.throughput, &mut s.burn],
+            ObsEvent::FleetMigration(m) => vec![
+                &mut m.mean_util,
+                &mut m.src_util,
+                &mut m.dst_util,
+                &mut m.src_util_after,
+                &mut m.dst_util_after,
+            ],
+            _ => Vec::new(),
+        };
+        for x in floats.into_iter().filter(|x| !x.is_finite()) {
+            *x = 0.0;
+        }
+        ev
+    }
+
     #[test]
     fn every_event_parses_as_json() {
         for ev in sample_events() {
@@ -778,7 +887,62 @@ mod tests {
             let idx = usize::from(ev.kind_index());
             assert_eq!(ObsEvent::KIND_TAGS[idx], ev.tag());
             assert_eq!(ObsEvent::kind_index_of_tag(ev.tag()), Some(idx as u8));
+            let back = ObsEvent::from_json(&v).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_eq!(back, finite(ev), "{line}");
         }
+    }
+
+    /// A line is an event only when it is exactly one row's shape.
+    #[test]
+    fn from_json_refuses_what_is_not_an_event() {
+        let read = |line: &str| ObsEvent::from_json(&json::parse(line).expect("JSON"));
+        let throttle = r#""type":"throttle","at":5,"channel":3"#;
+        assert!(read(&format!("{{{throttle},\"until\":9}}")).is_ok());
+        for (line, why) in [
+            ("[1]".to_string(), "not a JSON object"),
+            ("{}".to_string(), "no string `type`"),
+            (
+                r#"{"type":"bogus","at":5}"#.to_string(),
+                "unknown event type",
+            ),
+            (format!("{{{throttle}}}"), "missing field `until`"),
+            (
+                format!("{{{throttle},\"until\":9,\"x\":1}}"),
+                "unknown field `x`",
+            ),
+            (
+                format!("{{{throttle},\"until\":\"9\"}}"),
+                "`until` is mistyped",
+            ),
+            (
+                format!("{{{throttle},\"until\":-1}}"),
+                "`until` is mistyped",
+            ),
+            (
+                format!("{{{throttle},\"until\":1.5}}"),
+                "`until` is mistyped",
+            ),
+            (
+                format!("{{{throttle},\"until\":9007199254740992}}"),
+                "`until` is mistyped",
+            ),
+            (
+                r#"{"type":"throttle","at":5,"channel":70000,"until":9}"#.to_string(),
+                "`channel` is mistyped",
+            ),
+            (
+                r#"{"type":"model","at":0,"kind":"eaten","tag":"t","update":1}"#.to_string(),
+                "`kind` is mistyped",
+            ),
+        ] {
+            let err = read(&line).expect_err(&line);
+            assert!(err.contains(why), "{line}: {err}");
+        }
+        let max = read(&format!("{{{throttle},\"until\":9007199254740991}}")).expect("2^53 - 1");
+        assert_eq!(
+            max.to_json(),
+            format!("{{{throttle},\"until\":9007199254740991}}")
+        );
     }
 
     /// `ObsEvent` is publicly constructible and the wire accepts any

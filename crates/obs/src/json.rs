@@ -10,12 +10,13 @@
 //! `f64`s use Rust's shortest-roundtrip `Display`, and a non-finite `f64`
 //! renders as `0`, so every line parses.
 //!
-//! [`parse`] exists so `fleetio obs summarize` and the exporter tests can
-//! read that JSON back without external crates. It supports the full
-//! grammar the writer produces: objects, arrays, strings with escapes,
-//! numbers (parsed as `f64`), booleans and `null`. It rejects trailing
-//! input, and nesting deeper than [`MAX_DEPTH`] (the parser recurses once
-//! per level, so unbounded nesting would overflow the stack).
+//! [`parse`] exists so `fleetio obs` (through `ObsEvent::from_json`) and
+//! the exporter tests can read that JSON back without external crates.
+//! It supports the full grammar the writer produces: objects, arrays,
+//! strings with escapes, numbers (parsed as `f64`), booleans and `null`.
+//! It rejects trailing input, and nesting deeper than [`MAX_DEPTH`] (the
+//! parser recurses once per level, so unbounded nesting would overflow
+//! the stack).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -379,12 +380,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar. The input is a valid &str, so a
-                // char boundary always exists here.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().unwrap_or('\u{fffd}');
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash whole. Both
+                // are ASCII, so in the valid &str input the run ends on a
+                // char boundary.
+                let len = b[*pos..]
+                    .iter()
+                    .position(|c| matches!(c, b'"' | b'\\'))
+                    .unwrap_or(b.len() - *pos);
+                let run = std::str::from_utf8(&b[*pos..*pos + len]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }

@@ -130,6 +130,16 @@ impl RecordingSink {
         out
     }
 
+    /// The eviction count of a parsed `trace_truncated` line
+    /// [`RecordingSink::to_jsonl`] wrote; `None` for any other line.
+    pub fn evicted_of(line: &json::Value) -> Option<u64> {
+        let obj = line.as_object()?;
+        let meta = obj.len() == 3
+            && obj.get("type")?.as_str()? == "trace_truncated"
+            && obj.get("at")?.as_u64().is_some();
+        obj.get("dropped")?.as_u64().filter(|_| meta)
+    }
+
     /// Held events as a Chrome `trace_event` JSON document.
     pub fn chrome_trace(&self) -> String {
         export::chrome_trace(self.events.iter())
@@ -219,6 +229,14 @@ mod tests {
             meta,
             "{\"type\":\"trace_truncated\",\"at\":2,\"dropped\":1}"
         );
+        let meta = json::parse(meta).expect("JSON");
+        assert_eq!(RecordingSink::evicted_of(&meta), Some(1));
+        assert!(
+            ObsEvent::from_json(&meta).is_err(),
+            "the meta line is no event"
+        );
+        let event = json::parse(jsonl.lines().next().expect("event")).expect("JSON");
+        assert_eq!(RecordingSink::evicted_of(&event), None);
         assert!(s.metrics_text().contains("1 events evicted (ring full)"));
     }
 

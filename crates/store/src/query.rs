@@ -113,8 +113,11 @@ pub struct WindowAggregate {
 ///
 /// I/O failure or damage in a segment the query had to read.
 pub fn query(store: &RunStore, filter: &EventFilter) -> Result<QueryResult, StoreError> {
-    let mut events = Vec::new();
+    // Reserved once (at most 2^20 events; untouched pages cost nothing): a
+    // result copied as it grows leaves a peak that varies with heap state.
+    let mut events = Vec::with_capacity(store.manifest().total_events.min(1 << 20) as usize);
     let segments_scanned = query_each(store, filter, |ev| events.push(ev))?;
+    events.shrink_to_fit();
     Ok(QueryResult {
         events,
         segments_scanned,

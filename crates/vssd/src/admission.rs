@@ -63,23 +63,12 @@ impl HarvestAction {
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionControl {
     pending: Vec<HarvestAction>,
-    admitted: u64,
 }
 
 impl AdmissionControl {
     /// Creates an admission controller with no pending actions.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Count of actions admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Number of actions waiting for the next batch.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
     }
 
     /// Enqueues an action for the next batch.
@@ -121,7 +110,6 @@ impl AdmissionControl {
                     .map_or(0, |pos| harvested_holdings[pos].1)
             });
         }
-        self.admitted += (makes.len() + harvests.len()) as u64;
         makes.append(&mut harvests);
         makes
     }
@@ -184,8 +172,10 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(ac.pending(), 0);
-        assert_eq!(ac.admitted(), 4);
+        assert!(
+            ac.drain_batch(10, &[], CH_BW).is_empty(),
+            "a batch drains once"
+        );
     }
 
     #[test]

@@ -848,15 +848,15 @@ impl Engine {
         if !self.obs_on {
             return;
         }
+        let Some(reg) = self.obs.metrics() else {
+            return;
+        };
         let chan_obs = self.device.channel_obs(self.now);
         let queue_depths: Vec<u32> = self
             .chans
             .iter()
             .map(|c| c.pending.iter().sum::<u32>() + c.in_flight)
             .collect();
-        let Some(reg) = self.obs.metrics() else {
-            return;
-        };
         let vssd = id.0;
         let ops = reg.counter(&format!("vssd{vssd}.ops"));
         reg.add(ops, summary.total_ops);

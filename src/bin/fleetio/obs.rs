@@ -1,12 +1,14 @@
 //! `fleetio obs`: turn an event trace into a readable report.
 //!
-//! The input is either a JSONL trace file, read one line at a time, or a
-//! run-store directory, read one segment at a time through
-//! [`query_each`] with each event rendered as its JSONL line; both are
-//! folded through the exact same JSON aggregation path, so memory stays
-//! flat whatever the run's length. A malformed line (reported by line
-//! number) or a damaged store exits 2; `fleetio store verify` localizes
-//! the damage.
+//! The input is either a run-store directory, whose typed events come
+//! straight out of its segments through [`query_each`], or a JSONL trace
+//! file, read one line at a time through [`json::parse`] and
+//! [`ObsEvent::from_json`]; both are folded as the same [`ObsEvent`]s,
+//! so memory stays flat whatever the run's length. A line that is not
+//! JSON or not an event (reported by line number) or a damaged store
+//! exits 2; `fleetio store verify` localizes the damage. A
+//! `RecordingSink` trace's `trace_truncated` meta line counts as the
+//! number of evicted events, not as an event.
 //!
 //! `summarize` aggregates per-type event counts, request latency
 //! percentiles, per-vSSD traffic, GC activity, throttles and window
@@ -22,8 +24,9 @@ use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 
-use fleetio_des::{LatencyHistogram, SimDuration};
-use fleetio_obs::json::{self, Value};
+use fleetio_des::{LatencyHistogram, SimDuration, SimTime};
+use fleetio_obs::json;
+use fleetio_obs::{FleetMigration, ObsEvent, RecordingSink, SloWindow};
 use fleetio_store::{query_each, EventFilter, RunStore};
 
 use crate::args::Args;
@@ -39,167 +42,105 @@ pub static VERBS: [Verb; 2] = [
     Verb::new("obs", "report", "<trace.jsonl|store-dir>...", report),
 ];
 
-/// One trace line: a JSON object with typed, defaulted field access.
-struct Event(BTreeMap<String, Value>);
-
-impl Event {
-    fn opt(&self, key: &str) -> Option<u64> {
-        self.0.get(key).and_then(Value::as_u64)
-    }
-
-    fn u(&self, key: &str) -> u64 {
-        self.opt(key).unwrap_or(0)
-    }
-
-    fn f(&self, key: &str) -> f64 {
-        self.0.get(key).and_then(Value::as_f64).unwrap_or(0.0)
-    }
-
-    fn b(&self, key: &str) -> bool {
-        self.0.get(key).and_then(Value::as_bool) == Some(true)
-    }
-
-    fn s(&self, key: &str) -> &str {
-        self.0.get(key).and_then(Value::as_str).unwrap_or("unknown")
-    }
-}
-
-/// Parses line `idx` (0-based) of input `path`.
-fn parse_line(path: &str, idx: usize, line: &str) -> Result<Event, Failure> {
-    match json::parse(line) {
-        Ok(Value::Obj(map)) => Ok(Event(map)),
-        Ok(_) => Err(io(format_args!(
-            "{path}:{}: line is not a JSON object",
-            idx + 1
-        ))),
-        Err(e) => Err(io(format_args!("{path}:{}: invalid JSON: {e}", idx + 1))),
-    }
-}
-
-/// Hands every event of one input to `visit`, in line order: a store one
-/// segment at a time, each event as its JSONL line parses, and a JSONL
-/// file one line at a time. Blank lines are skipped but counted.
-fn for_each_event(path: &str, mut visit: impl FnMut(&Event)) -> Result<(), Failure> {
+/// Hands every event of one input to `visit`, in order, and returns the
+/// number of events a JSONL trace's `trace_truncated` line says were
+/// evicted. A store is read one segment at a time; a JSONL file one line
+/// at a time, blank lines skipped but counted.
+fn for_each_event(path: &str, mut visit: impl FnMut(ObsEvent)) -> Result<u64, Failure> {
     if Path::new(path).is_dir() {
         let store = RunStore::open(Path::new(path)).map_err(|e| io(format_args!("{path}: {e}")))?;
-        let (mut line, mut idx, mut failure) = (String::new(), 0, None);
-        query_each(&store, &EventFilter::default(), |ev| {
-            if failure.is_none() {
-                line.clear();
-                ev.write_json(&mut line);
-                match parse_line(path, idx, &line) {
-                    Ok(ev) => visit(&ev),
-                    Err(e) => failure = Some(e),
-                }
-            }
-            idx += 1;
-        })
-        .map_err(|e| io(format_args!("{path}: {e}")))?;
-        return failure.map_or(Ok(()), Err);
+        query_each(&store, &EventFilter::default(), visit)
+            .map_err(|e| io(format_args!("{path}: {e}")))?;
+        return Ok(0);
     }
     let cannot_read = |e: std::io::Error| io(format_args!("cannot read {path}: {e}"));
     let lines = BufReader::new(File::open(path).map_err(cannot_read)?).lines();
+    let mut evicted = 0;
     for (idx, line) in lines.enumerate() {
         let line = line.map_err(cannot_read)?;
-        if !line.is_empty() {
-            visit(&parse_line(path, idx, &line)?);
+        if line.is_empty() {
+            continue;
+        }
+        let bad = |e: String| io(format_args!("{path}:{}: {e}", idx + 1));
+        let value = json::parse(&line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+        match ObsEvent::from_json(&value) {
+            Ok(ev) => visit(ev),
+            Err(e) => evicted += RecordingSink::evicted_of(&value).ok_or_else(|| bad(e))?,
         }
     }
-    Ok(())
+    Ok(evicted)
 }
 
-/// Adds one to `key`'s count.
-fn count(counts: &mut BTreeMap<String, u64>, key: &str) {
-    match counts.get_mut(key) {
-        Some(n) => *n += 1,
-        None => {
-            counts.insert(key.to_string(), 1);
-        }
-    }
-}
-
+/// One vSSD's completed requests; the exact-bucket latencies and the
+/// span from first arrival to last completion feed `--by-tenant`.
 #[derive(Default)]
 struct VssdStats {
     completed: u64,
     bytes: u64,
     reads: u64,
-}
-
-/// Per-tenant exact-bucket accumulation for `--by-tenant`.
-struct TenantStats {
     hist: LatencyHistogram,
-    bytes: u64,
-    first_arrival: u64,
-    last_complete: u64,
-}
-
-impl Default for TenantStats {
-    fn default() -> Self {
-        TenantStats {
-            hist: LatencyHistogram::new(),
-            bytes: 0,
-            first_arrival: u64::MAX,
-            last_complete: 0,
-        }
-    }
+    first_arrival: SimTime,
+    last_complete: SimTime,
 }
 
 fn summarize(args: &Args) -> VerbResult {
     let path = &args.positionals[0];
     let by_tenant = args.has("--by-tenant");
 
-    let mut events = 0u64;
-    let mut type_counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut kind_counts = [0u64; ObsEvent::KIND_COUNT];
     let mut latency = LatencyHistogram::new();
     let mut queue_delay = LatencyHistogram::new();
-    let mut per_vssd: BTreeMap<u64, VssdStats> = BTreeMap::new();
-    let mut per_tenant: BTreeMap<u64, TenantStats> = BTreeMap::new();
+    let mut per_vssd: BTreeMap<u32, VssdStats> = BTreeMap::new();
     let (mut gc_starts, mut gc_emergencies, mut gc_busy_ns, mut gc_live_pages) = (0u64, 0, 0, 0);
-    let mut gsb: BTreeMap<String, u64> = BTreeMap::new();
-    let (mut throttles, mut windows, mut evicted, mut last_ns) = (0u64, 0u64, 0, 0);
+    let mut gsb: BTreeMap<&str, u64> = BTreeMap::new();
+    let (mut throttles, mut windows, mut last_ns) = (0u64, 0u64, 0);
 
-    for_each_event(path, |ev| {
-        events += 1;
-        let ty = ev.s("type");
-        count(&mut type_counts, ty);
-        for key in ["at", "end", "start"] {
-            last_ns = ev.opt(key).map_or(last_ns, |ns| ns.max(last_ns));
-        }
-        match ty {
-            "request_complete" => {
-                let at = ev.u("at");
-                let arrival = ev.opt("arrival").unwrap_or(at);
-                let service = ev.opt("service_start").unwrap_or(at);
-                let request_latency = SimDuration::from_nanos(at.saturating_sub(arrival));
+    let evicted = for_each_event(path, |ev| {
+        kind_counts[usize::from(ev.kind_index())] += 1;
+        last_ns = last_ns.max(ev.at().as_nanos());
+        match ev {
+            ObsEvent::RequestComplete {
+                at,
+                vssd,
+                read,
+                bytes,
+                arrival,
+                service_start,
+                ..
+            } => {
+                let request_latency = at.saturating_since(arrival);
                 latency.record(request_latency);
-                queue_delay.record(SimDuration::from_nanos(service.saturating_sub(arrival)));
-                let (vssd, bytes) = (ev.u("vssd"), ev.u("bytes"));
-                let entry = per_vssd.entry(vssd).or_default();
-                entry.completed += 1;
-                entry.bytes += bytes;
-                entry.reads += u64::from(ev.b("read"));
-                if by_tenant {
-                    let t = per_tenant.entry(vssd).or_default();
-                    t.hist.record(request_latency);
-                    t.bytes += bytes;
-                    t.first_arrival = t.first_arrival.min(arrival);
-                    t.last_complete = t.last_complete.max(at);
-                }
+                queue_delay.record(service_start.saturating_since(arrival));
+                let s = per_vssd.entry(vssd).or_insert_with(|| VssdStats {
+                    first_arrival: arrival,
+                    ..VssdStats::default()
+                });
+                s.completed += 1;
+                s.bytes += bytes;
+                s.reads += u64::from(read);
+                s.hist.record(request_latency);
+                s.first_arrival = s.first_arrival.min(arrival);
+                s.last_complete = s.last_complete.max(at);
             }
-            "gc_start" => {
+            ObsEvent::NandOp { end, .. } => last_ns = last_ns.max(end.as_nanos()),
+            ObsEvent::GcStart {
+                live_pages,
+                emergency,
+                ..
+            } => {
                 gc_starts += 1;
-                gc_emergencies += u64::from(ev.b("emergency"));
-                gc_live_pages += ev.u("live_pages");
+                gc_emergencies += u64::from(emergency);
+                gc_live_pages += u64::from(live_pages);
             }
-            "gc_end" => gc_busy_ns += ev.u("busy"),
-            "gsb" => count(&mut gsb, ev.s("kind")),
-            "throttle" => throttles += 1,
-            "window_flush" => windows += 1,
-            "trace_truncated" => evicted += ev.u("dropped"),
+            ObsEvent::GcEnd { busy, .. } => gc_busy_ns += busy.as_nanos(),
+            ObsEvent::GsbTransition { kind, .. } => *gsb.entry(kind.tag()).or_default() += 1,
+            ObsEvent::Throttle { .. } => throttles += 1,
+            ObsEvent::WindowFlush(_) => windows += 1,
             _ => {}
         }
     })?;
 
+    let events: u64 = kind_counts.iter().sum();
     let mut out = format!(
         "trace: {path}\n  {events} events, sim end {:.3} ms\n",
         last_ns as f64 / 1e6
@@ -211,7 +152,13 @@ fn summarize(args: &Args) -> VerbResult {
         );
     }
     out += "\nevent counts:\n";
-    for (ty, n) in &type_counts {
+    let mut type_counts: Vec<(&str, u64)> = ObsEvent::KIND_TAGS
+        .into_iter()
+        .zip(kind_counts)
+        .filter(|(_, n)| *n > 0)
+        .collect();
+    type_counts.sort_unstable();
+    for (ty, n) in type_counts {
         let _ = writeln!(out, "  {ty:<18} {n}");
     }
     if !latency.is_empty() {
@@ -234,11 +181,7 @@ fn summarize(args: &Args) -> VerbResult {
     if !per_vssd.is_empty() {
         out += "\nper-vSSD completions:\n";
         for (id, s) in &per_vssd {
-            let read_pct = if s.completed > 0 {
-                100.0 * s.reads as f64 / s.completed as f64
-            } else {
-                0.0
-            };
+            let read_pct = 100.0 * s.reads as f64 / s.completed as f64;
             let _ = writeln!(
                 out,
                 "  vssd{id}: {} requests, {:.1} MiB, {read_pct:.0}% reads",
@@ -254,9 +197,9 @@ fn summarize(args: &Args) -> VerbResult {
              {:<8}{:>10}{:>12}{:>12}{:>12}{:>12}",
             "tenant", "ops", "p50 ms", "p95 ms", "p99 ms", "MB/s"
         );
-        for (id, t) in &per_tenant {
+        for (id, t) in &per_vssd {
             let p = |pct| t.hist.percentile(pct).unwrap_or(SimDuration::ZERO);
-            let span_s = t.last_complete.saturating_sub(t.first_arrival) as f64 / 1e9;
+            let span_s = t.last_complete.saturating_since(t.first_arrival).as_nanos() as f64 / 1e9;
             let mbps = if span_s > 0.0 {
                 t.bytes as f64 / span_s / 1e6
             } else {
@@ -295,18 +238,6 @@ fn summarize(args: &Args) -> VerbResult {
     Ok(Output::ok(out))
 }
 
-/// One `slo_window` verdict, as `report` folds it.
-struct SloRow {
-    window: u64,
-    burn: f64,
-    p95: u64,
-    p99: u64,
-    throughput: f64,
-    ops: u64,
-    /// `p95_ok`, `p99_ok`, `throughput_ok`.
-    ok: [bool; 3],
-}
-
 /// One tenant's aggregated `slo_window` history.
 #[derive(Default)]
 struct TenantSloAgg {
@@ -314,40 +245,27 @@ struct TenantSloAgg {
     violations: u64,
     last_burn: f64,
     longest_streak: u64,
-    /// The worst violating window by p99, then earliest: its p99 and
-    /// its rendered line.
-    worst: Option<(u64, String)>,
+    /// The worst violating window by p99, then earliest.
+    worst: Option<SloWindow>,
 }
 
 impl TenantSloAgg {
     /// Folds one tenant's verdicts, which must be in window order.
-    fn fold(tenant: u64, rows: &[SloRow]) -> Self {
+    fn fold(rows: Vec<SloWindow>) -> Self {
         let mut agg = TenantSloAgg::default();
         let mut streak = 0;
         for row in rows {
             agg.windows += 1;
             agg.last_burn = row.burn;
-            if row.ok == [true; 3] {
+            if row.p95_ok && row.p99_ok && row.throughput_ok {
                 streak = 0;
                 continue;
             }
             agg.violations += 1;
             streak += 1;
             agg.longest_streak = agg.longest_streak.max(streak);
-            if agg.worst.as_ref().is_none_or(|(worst, _)| row.p99 > *worst) {
-                let line = format!(
-                    "t{tenant} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
-                     [p95_ok={} p99_ok={} tp_ok={}]",
-                    row.window,
-                    row.p95 as f64 / 1e6,
-                    row.p99 as f64 / 1e6,
-                    row.throughput / 1e6,
-                    row.ops,
-                    row.ok[0],
-                    row.ok[1],
-                    row.ok[2]
-                );
-                agg.worst = Some((row.p99, line));
+            if agg.worst.as_ref().is_none_or(|worst| row.p99 > worst.p99) {
+                agg.worst = Some(row);
             }
         }
         agg
@@ -359,53 +277,25 @@ impl TenantSloAgg {
 /// into one view).
 fn report(args: &Args) -> VerbResult {
     let paths = &args.positionals;
-    let mut slo_rows: BTreeMap<u64, Vec<SloRow>> = BTreeMap::new();
-    // (window, tenant, from shard, from slot) and the rendered line.
-    let mut migrations: Vec<([u64; 4], String)> = Vec::new();
+    let mut slo_rows: BTreeMap<u32, Vec<SloWindow>> = BTreeMap::new();
+    let mut migrations: Vec<FleetMigration> = Vec::new();
     let mut window_flushes = 0u64;
     for path in paths {
-        for_each_event(path, |ev| match ev.s("type") {
-            "slo_window" => slo_rows.entry(ev.u("tenant")).or_default().push(SloRow {
-                window: ev.u("window"),
-                burn: ev.f("burn"),
-                p95: ev.u("p95"),
-                p99: ev.u("p99"),
-                throughput: ev.f("throughput"),
-                ops: ev.u("ops"),
-                ok: ["p95_ok", "p99_ok", "throughput_ok"].map(|k| ev.b(k)),
-            }),
-            "fleet_migration" => {
-                let key = ["window", "tenant", "from_shard", "from_slot"].map(|k| ev.u(k));
-                let line = format!(
-                    "w{}: t{} {}/{} -> {}/{} cause={} mean={:.3} src {:.3}->{:.3} \
-                         dst {:.3}->{:.3}",
-                    key[0],
-                    key[1],
-                    key[2],
-                    key[3],
-                    ev.u("to_shard"),
-                    ev.u("to_slot"),
-                    ev.s("cause"),
-                    ev.f("mean_util"),
-                    ev.f("src_util"),
-                    ev.f("src_util_after"),
-                    ev.f("dst_util"),
-                    ev.f("dst_util_after")
-                );
-                migrations.push((key, line));
-            }
-            "window_flush" => window_flushes += 1,
+        for_each_event(path, |ev| match ev {
+            ObsEvent::SloWindow(row) => slo_rows.entry(row.tenant).or_default().push(*row),
+            ObsEvent::FleetMigration(m) => migrations.push(*m),
+            ObsEvent::WindowFlush(_) => window_flushes += 1,
             _ => {}
         })?;
     }
-    migrations.sort_by_key(|(key, _)| *key);
+    migrations.sort_by_key(|m| (m.window, m.tenant, m.from_shard, m.from_slot));
     // A fleet tenant's windows sit in the store of every shard it lived
     // on, so fold them in window order, not input order.
-    let tenants: BTreeMap<u64, TenantSloAgg> = slo_rows
+    let tenants: BTreeMap<u32, TenantSloAgg> = slo_rows
         .into_iter()
         .map(|(tenant, mut rows)| {
             rows.sort_by_key(|r| r.window);
-            (tenant, TenantSloAgg::fold(tenant, &rows))
+            (tenant, TenantSloAgg::fold(rows))
         })
         .collect();
 
@@ -449,23 +339,48 @@ fn report(args: &Args) -> VerbResult {
         );
     }
     out += "\nWORST WINDOWS (per tenant, by p99)\n";
-    let worst: Vec<&str> = tenants
-        .values()
-        .filter_map(|a| a.worst.as_ref())
-        .map(|(_, l)| l.as_str())
-        .collect();
-    if worst.is_empty() {
+    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
+    let mut worst = tenants.values().filter_map(|a| a.worst.as_ref()).peekable();
+    if worst.peek().is_none() {
         out += "(no violations)\n";
     }
-    for line in worst {
-        let _ = writeln!(out, "{line}");
+    for w in worst {
+        let _ = writeln!(
+            out,
+            "t{} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
+             [p95_ok={} p99_ok={} tp_ok={}]",
+            w.tenant,
+            w.window,
+            ms(w.p95),
+            ms(w.p99),
+            w.throughput / 1e6,
+            w.ops,
+            w.p95_ok,
+            w.p99_ok,
+            w.throughput_ok
+        );
     }
     out += "\nMIGRATION TIMELINE\n";
     if migrations.is_empty() {
         out += "(none)\n";
     }
-    for (_, line) in &migrations {
-        let _ = writeln!(out, "{line}");
+    for m in &migrations {
+        let _ = writeln!(
+            out,
+            "w{}: t{} {}/{} -> {}/{} cause={} mean={:.3} src {:.3}->{:.3} dst {:.3}->{:.3}",
+            m.window,
+            m.tenant,
+            m.from_shard,
+            m.from_slot,
+            m.to_shard,
+            m.to_slot,
+            m.cause.tag(),
+            m.mean_util,
+            m.src_util,
+            m.src_util_after,
+            m.dst_util,
+            m.dst_util_after
+        );
     }
     Ok(Output::ok(out))
 }

@@ -1,15 +1,16 @@
 //! The `fleetio` binary end to end: every golden under `tests/golden/cli`
 //! reproduced byte for byte, every malformed line refused with exit 2,
-//! `store verify` exiting 1 on a damaged store, and a `store record`
-//! killed mid-run leaving a readable store. Only the kill test simulates,
-//! and only until its store holds ten segments.
+//! `obs` reading a store and its JSONL alike and refusing JSONL lines
+//! that are not events, `store verify` exiting 1 on a damaged store, and
+//! a `store record` killed mid-run leaving a readable store. Only the
+//! kill test simulates, and only until its store holds ten segments.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
 use fleetio_suite::des::{SimDuration, SimTime};
-use fleetio_suite::obs::{json, ObsEvent, ObsSink, SloWindow};
+use fleetio_suite::obs::{json, ObsEvent, ObsSink, RecordingSink, SloWindow};
 use fleetio_suite::store::{segment_file_name, RunStore, StoreSink};
 
 const FIXTURE: &str = "crates/store/tests/fixtures/recorded-by-pr20";
@@ -109,6 +110,106 @@ fn report_folds_a_split_tenant_in_window_order() {
         ["t5", "6", "3", "50.0%", "2", "0.600"],
         "{text}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `obs summarize` and `obs report` fold a store's typed events and the
+/// JSONL `store query` renders from them into the same report: only the
+/// `trace:` line, which names the input, may differ.
+#[test]
+fn obs_reads_a_store_and_its_jsonl_alike() {
+    let dir = scratch_dir("store-vs-jsonl");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let query = fleetio(&["store", "query", FIXTURE]);
+    assert!(query.status.success(), "store query");
+    let jsonl = dir.join("fixture.jsonl");
+    std::fs::write(&jsonl, &query.stdout).expect("write");
+    let jsonl = jsonl.to_str().expect("utf-8");
+    for verb in [
+        &["summarize"][..],
+        &["summarize", "--by-tenant"],
+        &["report"],
+    ] {
+        let run = |input: &str| {
+            let mut args = vec!["obs", verb[0], input];
+            args.extend(&verb[1..]);
+            let out = fleetio(&args);
+            assert!(out.status.success(), "obs {verb:?} {input}");
+            let text = String::from_utf8(out.stdout).expect("utf-8");
+            text.replace(&format!("trace: {input}\n"), "trace: <input>\n")
+        };
+        assert_eq!(run(FIXTURE), run(jsonl), "obs {verb:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A JSONL line that parses but is not an event, or not one the row
+/// table declares, exits 2 and names the file and line.
+#[test]
+fn obs_refuses_jsonl_lines_that_are_not_events() {
+    let dir = scratch_dir("strict-jsonl");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let good = ObsEvent::Throttle {
+        at: SimTime::from_nanos(5),
+        channel: 3,
+        until: SimTime::from_nanos(9),
+    }
+    .to_json();
+    let bad = [
+        r#"{"type":"bogus","at":5}"#,
+        "{}",
+        r#"{"type":"gc_start","at":"x","live_pages":-3}"#,
+        r#"{"type":"throttle","at":5,"channel":70000,"until":9}"#,
+        r#"{"type":"throttle","at":5,"channel":3,"until":9007199254740993}"#,
+        r#"{"type":"throttle","at":5,"channel":3}"#,
+        r#"{"type":"throttle","at":5,"channel":3,"until":9,"extra":1}"#,
+    ];
+    for (i, line) in bad.iter().enumerate() {
+        let path = dir.join(format!("bad{i}.jsonl"));
+        std::fs::write(&path, format!("{good}\n\n{line}\n{good}\n")).expect("write");
+        let path = path.to_str().expect("utf-8");
+        for verb in ["summarize", "report"] {
+            let out = fleetio(&["obs", verb, path]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "obs {verb} accepted {line}");
+            assert!(out.stdout.is_empty(), "obs {verb} printed for {line}");
+            assert!(stderr.contains(&format!("{path}:3: ")), "{line}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A ring that overflowed ends its JSONL in a `trace_truncated` meta
+/// line: `summarize` reports its eviction count and does not count it as
+/// an event.
+#[test]
+fn a_truncated_trace_counts_evictions_not_a_meta_event() {
+    let dir = scratch_dir("truncated");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut sink = RecordingSink::with_capacity(2);
+    for i in 0..3u64 {
+        sink.record(ObsEvent::Throttle {
+            at: SimTime::from_nanos(10 * i),
+            channel: 1,
+            until: SimTime::from_nanos(10 * i + 5),
+        });
+    }
+    let path = dir.join("trace.jsonl");
+    std::fs::write(&path, sink.to_jsonl()).expect("write");
+    let out = fleetio(&["obs", "summarize", path.to_str().expect("utf-8")]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("\n  2 events, sim end 0.000 ms\n"), "{text}");
+    assert!(
+        text.contains("\n  1 events evicted (trace truncated, ring full)\n"),
+        "{text}"
+    );
+    assert!(text.contains("\n  throttle           2\n"), "{text}");
+    assert!(!text.contains("trace_truncated"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -12,13 +12,15 @@
 //! inside a container whose CRC was recomputed to match, so the payload
 //! decoder sees damage the CRC would otherwise stop; damaged containers
 //! go through `decode_container` and each type's `from_container`.
-//! Mutated and deeply nested JSON goes to `obs::json::parse`. Oracles:
+//! Mutated and deeply nested JSON goes to `obs::json::parse`, and every
+//! mutated document that still parses to `ObsEvent::from_json`. Oracles:
 //!
 //! * nothing panics or aborts;
 //! * an undamaged value decodes and re-encodes to its exact bytes, bare
 //!   and in its container;
 //! * an event payload that decodes, damaged or not, re-encodes to its
-//!   exact bytes: each format spells each event one way only.
+//!   exact bytes: each format spells each event one way only;
+//! * an undamaged event line reads back as the event it was written from.
 //!
 //! The seed is fixed and the rounds bounded, so a failure reproduces
 //! exactly and the test stays in tier 1.
@@ -442,8 +444,9 @@ fn decoders_never_panic_on_damaged_payloads_and_containers() {
     );
 }
 
-/// Real JSON: the workspace's own event rendering, plus a document with
-/// every value kind, escapes and non-ASCII text.
+/// Real JSON: the workspace's own event rendering, of every field shape
+/// [`sample_events`] covers too, plus a document with every value kind,
+/// escapes and non-ASCII text.
 fn json_documents() -> Vec<String> {
     let at = SimTime::from_nanos(1_234_567);
     let events = [
@@ -466,6 +469,7 @@ fn json_documents() -> Vec<String> {
     ];
     let mut docs: Vec<String> = events.iter().map(ObsEvent::to_json).collect();
     docs.push(format!("[{}]", docs.join(",")));
+    docs.extend(sample_events().iter().map(ObsEvent::to_json));
     docs.push(
         r#"{"a":[1,2.5,-3e-2,0],"b":{"c":true,"d":null,"e":false},"s":"x\ny\"\\\/é\ud83d","t":"café é 😀","n":[[],{}]}"#
             .to_string(),
@@ -483,11 +487,14 @@ const JSON_TOKENS: [&str; 16] = [
 fn json_parse_never_panics_on_damaged_documents() {
     let mut rng = SmallRng::seed_from_u64(0x15_0a);
     let mut panics = Vec::new();
+    let mut events_read = 0;
     for doc in json_documents() {
-        assert!(
-            json::parse(&doc).is_ok(),
-            "an undamaged document parses: {doc}"
-        );
+        let parsed = json::parse(&doc)
+            .unwrap_or_else(|e| panic!("an undamaged document parses: {doc}: {e}"));
+        if let Ok(ev) = ObsEvent::from_json(&parsed) {
+            assert_eq!(ev.to_json(), doc, "an event line reads back as itself");
+            events_read += 1;
+        }
         for round in 0..ROUNDS {
             let mut text =
                 String::from_utf8_lossy(&damage(&mut rng, doc.clone().into_bytes())).into_owned();
@@ -502,10 +509,15 @@ fn json_parse_never_panics_on_damaged_documents() {
             }
             let what = || format!("round {round}: {text:?}");
             no_panic(&mut panics, what, || {
-                let _ = json::parse(&text);
+                if let Ok(value) = json::parse(&text) {
+                    let _ = ObsEvent::from_json(&value);
+                }
             });
         }
     }
+    // Every event line but the two holding a time above 2^53, which JSON
+    // cannot carry exactly.
+    assert_eq!(events_read, 7, "undamaged event lines read back");
     // Nesting far deeper than any document the workspace writes must be
     // refused, not overflow the parser's stack.
     for open in ["[", "{\"k\":"] {
