@@ -64,8 +64,14 @@ pub struct PretrainOptions {
     /// them, and every later iteration collects from all scenarios.
     pub warmup_iterations: usize,
     /// Run behaviour-cloning collection on one worker per scenario
-    /// instead of one worker. Either way the trained model is the same;
-    /// PPO rounds always run one worker per scenario.
+    /// instead of one worker. BC runs in waves of that many scenarios:
+    /// the calling thread builds a wave's environments, the workers run
+    /// all their rounds, and the wave is then kept for PPO (when
+    /// `iterations > 0`) or dropped before the next wave is built, so
+    /// serial BC-only training holds one warmed device at a time. Either
+    /// way the trained model is the same. PPO rounds always run one
+    /// worker per scenario; with `bc_rounds: 0` their environments are
+    /// built just before the first one.
     pub parallel: bool,
     /// Learning-rate override for scaled-down training budgets. The paper
     /// trains 2 000 iterations × batch 256 at 1e-4; shorter budgets need a
@@ -150,26 +156,27 @@ pub fn pretrain_trainer(
     let mut trainer = PpoTrainer::new(policy, cfg.obs_dim(), ppo_cfg, seed ^ 0x5151);
 
     let horizon = opts.windows_per_rollout;
-    let mut envs: Vec<FleetIoEnv> = scenarios
-        .iter()
-        .enumerate()
-        .map(|(i, tenants)| {
-            let rewards = FleetIoEnv::default_rewards(cfg, tenants);
-            FleetIoEnv::new(
-                cfg.clone(),
-                tenants.clone(),
-                rewards,
-                warm_fraction,
-                horizon,
-                seed.wrapping_add(i as u64),
-            )
-        })
-        .collect();
+    let n_envs = scenarios.len();
+    // Built on this thread, where the device's memory is freed back to:
+    // a worker's allocator arena would keep it (DESIGN.md).
+    let build_env = |i: usize| {
+        let tenants = &scenarios[i];
+        FleetIoEnv::new(
+            cfg.clone(),
+            tenants.clone(),
+            FleetIoEnv::default_rewards(cfg, tenants),
+            warm_fraction,
+            horizon,
+            seed.wrapping_add(i as u64),
+        )
+    };
+    // The environments PPO continues, built when a phase first needs
+    // them; empty when there is no PPO.
+    let mut envs: Vec<FleetIoEnv> = Vec::new();
 
     // Behaviour-cloning warm-start: collect reference-policy rollouts
     // (DAgger-style: ε-greedy execution, reference labels at the visited
     // states), then fit the actor by cross-entropy.
-    let n_envs = envs.len();
     if opts.bc_rounds > 0 {
         use fleetio_des::rng::Rng;
         // `bc_rng` never reads the simulation, so every ε-greedy override
@@ -189,15 +196,32 @@ pub fn pretrain_trainer(
                 }
             }
         }
+        // Waves of `workers` scenarios: each wave's environments run all
+        // their rounds, then stay for PPO or are dropped before the next
+        // wave is built, so BC alone holds one warmed device per worker.
         let workers = if opts.parallel { n_envs } else { 1 };
-        let mut collected = par::map_mut(&mut envs, workers, 0..n_envs, |ei, env| {
-            let _prof = fleetio_obs::prof::span("rollout.bc");
-            let mut draws = overrides[ei].iter().copied();
-            let rounds: Vec<Vec<BcSample>> = (0..opts.bc_rounds)
-                .map(|_| bc_rollout(cfg, &scenarios[ei], env, horizon, &mut draws))
-                .collect();
-            rounds.into_iter()
-        });
+        let mut collected = Vec::with_capacity(n_envs);
+        for first in (0..n_envs).step_by(workers) {
+            let wave = first..n_envs.min(first + workers);
+            let mut wave_envs: Vec<FleetIoEnv> = wave.clone().map(build_env).collect();
+            collected.extend(par::map_mut(
+                &mut wave_envs,
+                workers,
+                0..wave.len(),
+                |i, env| {
+                    let _prof = fleetio_obs::prof::span("rollout.bc");
+                    let ei = first + i;
+                    let mut draws = overrides[ei].iter().copied();
+                    let rounds: Vec<Vec<BcSample>> = (0..opts.bc_rounds)
+                        .map(|_| bc_rollout(cfg, &scenarios[ei], env, horizon, &mut draws))
+                        .collect();
+                    rounds.into_iter()
+                },
+            ));
+            if opts.iterations > 0 {
+                envs.append(&mut wave_envs);
+            }
+        }
         // The running normalizer is order-sensitive: feed it serially in
         // (round, env, step, agent) order, whatever the workers did.
         let mut raw_pairs: Vec<BcSample> = Vec::new();
@@ -216,6 +240,9 @@ pub fn pretrain_trainer(
         trainer
             .policy
             .imitate(&samples, 40, cfg.batch_size, 3e-3, seed ^ 0xBC1);
+    }
+    if opts.iterations > 0 && envs.is_empty() {
+        envs = (0..n_envs).map(build_env).collect();
     }
 
     // PPO: the first `warmup_iterations` collect serially and feed the
@@ -542,6 +569,69 @@ mod tests {
             "BC collection drifted from the pre-queue trainer state"
         );
         assert_eq!(train(false, 3), train(true, 3), "workers changed PPO");
+    }
+
+    /// A third scenario, so one worker runs BC in three waves.
+    fn third_scenario() -> Vec<TenantSpec> {
+        vec![
+            TenantSpec::new(
+                VssdConfig::hardware(VssdId(0), vec![ChannelId(0), ChannelId(1)])
+                    .with_slo(SimDuration::from_millis(2)),
+                WorkloadKind::Ycsb,
+                5,
+            ),
+            TenantSpec::new(
+                VssdConfig::hardware(VssdId(1), vec![ChannelId(2), ChannelId(3)]),
+                WorkloadKind::BatchAnalytics,
+                6,
+            ),
+        ]
+    }
+
+    /// FNV-1a of the trainer states of
+    /// `environments_built_per_phase_leave_trainers_bit_identical`, captured
+    /// at the parent of the commit that ran BC in waves and built
+    /// environments only for the phases that use them: three scenarios
+    /// BC-only, the same with two PPO iterations after BC, and two PPO
+    /// iterations without BC.
+    const GOLDEN_THREE_SCENARIOS_BC: u64 = 0x3ee7_7213_6723_88af;
+    const GOLDEN_THREE_SCENARIOS_BC_PPO: u64 = 0x0635_396d_c74c_4af3;
+    const GOLDEN_PPO_ONLY: u64 = 0xe0ea_c6ab_96b1_5ad2;
+
+    /// One worker runs BC over three scenarios in three waves, each
+    /// dropped after its rounds or kept for PPO; `parallel` runs them in
+    /// one wave. Without BC the environments are built just before PPO.
+    /// Every trainer state is the one of the parent, which built every
+    /// environment before BC.
+    #[test]
+    fn environments_built_per_phase_leave_trainers_bit_identical() {
+        let cfg = tiny_cfg();
+        let scenarios = [scenario(), other_scenario(), third_scenario()];
+        let train = |parallel, bc_rounds, iterations| {
+            let opts = PretrainOptions {
+                iterations,
+                windows_per_rollout: 3,
+                bc_rounds,
+                bc_epsilon: 0.3,
+                parallel,
+                ..quick_opts()
+            };
+            let trainer = pretrain_trainer(&cfg, &scenarios, 0.0, opts, 16);
+            fleetio_des::hash::fnv1a64(format!("{:?}", trainer.export_state()).as_bytes())
+        };
+        for (bc_rounds, iterations, golden) in [
+            (2, 0, GOLDEN_THREE_SCENARIOS_BC),
+            (2, 2, GOLDEN_THREE_SCENARIOS_BC_PPO),
+            (0, 2, GOLDEN_PPO_ONLY),
+        ] {
+            for parallel in [false, true] {
+                assert_eq!(
+                    train(parallel, bc_rounds, iterations),
+                    golden,
+                    "bc_rounds {bc_rounds}, iterations {iterations}, parallel {parallel}"
+                );
+            }
+        }
     }
 
     #[test]

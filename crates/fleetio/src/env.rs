@@ -23,7 +23,9 @@ pub struct FleetIoEnv {
     tenants: Vec<TenantSpec>,
     warm_fraction: f64,
     horizon_windows: usize,
-    coloc: Colocation,
+    /// The device; `None` only while `reset` replaces it, so the old one
+    /// is gone before the new one is built and warmed.
+    coloc: Option<Colocation>,
     histories: Vec<StateHistory>,
     rewards: Vec<RewardParams>,
     windows_done: usize,
@@ -77,7 +79,7 @@ impl FleetIoEnv {
             tenants,
             warm_fraction,
             horizon_windows,
-            coloc,
+            coloc: Some(coloc),
             histories,
             rewards,
             windows_done: 0,
@@ -141,7 +143,11 @@ impl FleetIoEnv {
 
     /// The underlying collocation (e.g. for metric collection).
     pub fn colocation(&self) -> &Colocation {
-        &self.coloc
+        self.coloc.as_ref().expect("a device outside of a rebuild")
+    }
+
+    fn colocation_mut(&mut self) -> &mut Colocation {
+        self.coloc.as_mut().expect("a device outside of a rebuild")
     }
 
     /// Applies decoded actions and advances one window, returning the raw
@@ -149,13 +155,14 @@ impl FleetIoEnv {
     /// that need the un-normalized states).
     pub fn step_decoded(&mut self, actions: &[AgentAction]) -> (Vec<StateVector>, StepResult) {
         assert_eq!(actions.len(), self.tenants.len(), "one action per agent");
-        for (id, action) in self.coloc.tenant_ids().into_iter().zip(actions) {
-            action.apply(self.coloc.engine_mut(), id);
+        let coloc = self.colocation_mut();
+        for (id, action) in coloc.tenant_ids().into_iter().zip(actions) {
+            action.apply(coloc.engine_mut(), id);
         }
-        let summaries = self.coloc.run_window();
+        let summaries = coloc.run_window();
+        let states = extract_states(coloc.engine(), &summaries);
         self.windows_done += 1;
 
-        let states = extract_states(self.coloc.engine(), &summaries);
         let mut rewards = Vec::with_capacity(states.len());
         for (i, ((_, window), state)) in summaries.iter().zip(&states).enumerate() {
             self.histories[i].push(*state);
@@ -195,16 +202,18 @@ impl MultiAgentEnv for FleetIoEnv {
     fn reset(&mut self) -> Vec<Vec<f32>> {
         self.episode += 1;
         // Only a device that has run is replaced; `new` built episode 1's.
-        let used = self.coloc.engine().now() > SimTime::ZERO;
+        let used = self.colocation().engine().now() > SimTime::ZERO;
         if (!self.persistent || self.episode == 1) && used {
-            self.coloc = Self::build(
+            // Never two warmed devices at once: drop the old one first.
+            self.coloc = None;
+            self.coloc = Some(Self::build(
                 &self.cfg.engine,
                 &self.tenants,
                 self.cfg.decision_interval,
                 self.warm_fraction,
                 self.seed,
                 self.episode,
-            );
+            ));
         }
         self.windows_done = 0;
         for h in &mut self.histories {

@@ -531,6 +531,29 @@ macro_rules! obs_events {
                 }
             }
 
+            /// Reads one JSONL line in exactly the form
+            /// [`ObsEvent::write_json`] writes it — `type` first, then
+            /// every field in declaration order, compact — matching each
+            /// expected key in place (`json::InOrder`), so no map and no
+            /// owned key is built. `None` for every other line; hand it
+            /// to [`json::parse`] and [`ObsEvent::from_json`], which
+            /// accept any order and say what is wrong. An event read here
+            /// is the one those two read from the same line.
+            pub fn from_json_line(line: &str) -> Option<Self> {
+                let mut obj = json::InOrder::new(line)?;
+                // Struct-literal fields are read in the order written,
+                // which is the row's order.
+                let ev = match obj.str("type")? {
+                    $( $tag => row_new!($($boxed)? $variant {
+                        $at: Field::read_json(&obj.value(stringify!($at))?)?,
+                        $( $field: Field::read_json(&obj.value(stringify!($field))?)?, )*
+                    }), )+
+                    _ => return None,
+                };
+                obj.finish()?;
+                Some(ev)
+            }
+
             /// Appends the binary payload in integer form `I`
             /// ([`crate::wire::WireFormat::encode`]): the kind byte, then
             /// every field in declaration order.
@@ -889,15 +912,20 @@ mod tests {
             assert_eq!(ObsEvent::kind_index_of_tag(ev.tag()), Some(idx as u8));
             let back = ObsEvent::from_json(&v).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, finite(ev), "{line}");
+            assert_eq!(ObsEvent::from_json_line(&line), Some(back), "{line}");
         }
     }
 
     /// A line is an event only when it is exactly one row's shape.
     #[test]
     fn from_json_refuses_what_is_not_an_event() {
-        let read = |line: &str| ObsEvent::from_json(&json::parse(line).expect("JSON"));
+        // The in-place reader takes none of these lines and leaves each to
+        // `from_json`.
+        let read = |line: &str| {
+            assert_eq!(ObsEvent::from_json_line(line), None, "{line}");
+            ObsEvent::from_json(&json::parse(line).expect("JSON"))
+        };
         let throttle = r#""type":"throttle","at":5,"channel":3"#;
-        assert!(read(&format!("{{{throttle},\"until\":9}}")).is_ok());
         for (line, why) in [
             ("[1]".to_string(), "not a JSON object"),
             ("{}".to_string(), "no string `type`"),
@@ -938,7 +966,27 @@ mod tests {
             let err = read(&line).expect_err(&line);
             assert!(err.contains(why), "{line}: {err}");
         }
-        let max = read(&format!("{{{throttle},\"until\":9007199254740991}}")).expect("2^53 - 1");
+        // Another order, spacing, an escaped or a repeated key (the last
+        // value wins) is still the event, read by `from_json` alone.
+        let want = ObsEvent::Throttle {
+            at: SimTime::from_nanos(5),
+            channel: 3,
+            until: SimTime::from_nanos(7),
+        };
+        for line in [
+            format!("{{\"until\":7,{throttle}}}"),
+            format!("{{ {throttle},\"until\":7}}"),
+            format!("{{{throttle},\"until\": 7 }}"),
+            format!("{{{throttle},\"unt\\u0069l\":7}}"),
+            format!("{{{throttle},\"until\":9,\"until\":7}}"),
+        ] {
+            assert_eq!(read(&line).as_ref(), Ok(&want), "{line}");
+        }
+        let written = format!("{{{throttle},\"until\":7}}");
+        assert_eq!(ObsEvent::from_json_line(&written), Some(want));
+        assert_eq!(ObsEvent::from_json_line(&format!("{written} ")), None);
+        let max = ObsEvent::from_json_line(&format!("{{{throttle},\"until\":9007199254740991}}"))
+            .expect("2^53 - 1");
         assert_eq!(
             max.to_json(),
             format!("{{{throttle},\"until\":9007199254740991}}")
@@ -962,6 +1010,7 @@ mod tests {
         let obj = v.as_object().expect("object");
         assert_eq!(obj.get("tag").and_then(|t| t.as_str()), Some(tag.as_str()));
         assert_eq!(obj.get("update").and_then(|u| u.as_u64()), Some(1));
+        assert_eq!(ObsEvent::from_json_line(&line), Some(ev), "{line}");
     }
 
     /// A recorder or a query result holds one `ObsEvent` per event, so a

@@ -16,7 +16,9 @@
 //! strings with escapes, numbers (parsed as `f64`), booleans and `null`.
 //! It rejects trailing input, and nesting deeper than [`MAX_DEPTH`] (the
 //! parser recurses once per level, so unbounded nesting would overflow
-//! the stack).
+//! the stack). `InOrder` reads an object whose keys and their order are
+//! known — an event line as the writer wrote it — in place, for
+//! `ObsEvent::from_json_line`; any other text is left to [`parse`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -291,6 +293,67 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(value)
 }
 
+/// Reads one object whose keys are known in advance and stand in a known
+/// order, in the compact form [`object`] writes them (`{"a":1,"b":"x"}`),
+/// without building a map. Each step names the key it expects; any other
+/// text — whitespace outside a value, another key or order, an escaped
+/// key, a repeated or a missing one — makes it return `None`, and the
+/// caller falls back to [`parse`]. So an object read here is one [`parse`]
+/// reads to the same keys and values.
+pub(crate) struct InOrder<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> InOrder<'a> {
+    /// Opens `input`, which must start with `{`.
+    pub(crate) fn new(input: &'a str) -> Option<Self> {
+        let b = input.as_bytes();
+        (b.first() == Some(&b'{')).then_some(InOrder { b, pos: 1 })
+    }
+
+    /// Steps past `"key":`, preceded by a `,` unless it is the first key.
+    fn key(&mut self, key: &str) -> Option<()> {
+        if self.pos > 1 {
+            self.expect(b",")?;
+        }
+        self.expect(b"\"")?;
+        self.expect(key.as_bytes())?;
+        self.expect(b"\":")
+    }
+
+    fn expect(&mut self, text: &[u8]) -> Option<()> {
+        let end = self.pos + text.len();
+        (self.b.get(self.pos..end)? == text).then(|| self.pos = end)
+    }
+
+    /// The value of the next member, which must be `key`.
+    pub(crate) fn value(&mut self, key: &str) -> Option<Value> {
+        self.key(key)?;
+        parse_value(self.b, &mut self.pos, MAX_DEPTH - 1).ok()
+    }
+
+    /// The next member's string value, borrowed from the input, when the
+    /// member is `key` and its value a string without escapes.
+    pub(crate) fn str(&mut self, key: &str) -> Option<&'a str> {
+        self.key(key)?;
+        self.expect(b"\"")?;
+        let len = self.b[self.pos..]
+            .iter()
+            .position(|c| matches!(c, b'"' | b'\\'))?;
+        let start = self.pos;
+        self.pos += len;
+        self.expect(b"\"")?;
+        std::str::from_utf8(&self.b[start..start + len]).ok()
+    }
+
+    /// Closes the object: `}` and the end of the input.
+    pub(crate) fn finish(mut self) -> Option<()> {
+        self.expect(b"}")?;
+        (self.pos == self.b.len()).then_some(())
+    }
+}
+
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -331,6 +394,20 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     let start = *pos;
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
+    }
+    // A short run of plain digits, which is every integer the workspace
+    // writes, is read as it is scanned: below 10^15 < 2^53 every integer
+    // is an exact f64, the very value `str::parse` rounds it to.
+    let digits = *pos;
+    let mut n = 0u64;
+    while let Some(d) = b.get(*pos).filter(|c| c.is_ascii_digit()) {
+        n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+        *pos += 1;
+    }
+    let integer = !matches!(b.get(*pos), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+    if integer && (1..=15).contains(&(*pos - digits)) {
+        let n = n as f64;
+        return Ok(Value::Num(if digits > start { -n } else { n }));
     }
     while *pos < b.len()
         && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
@@ -477,6 +554,35 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("").is_err());
+    }
+
+    /// Short plain integers skip `str::parse`, to the same value.
+    #[test]
+    fn numbers_read_as_str_parse_reads_them() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "007",
+            "-42",
+            "123456789012345",
+            "999999999999999",
+            "1234567890123456",
+            "9007199254740993",
+            "-9007199254740993",
+            "5.5",
+            "1e3",
+            "-1E-2",
+            "2.",
+            "1e309",
+        ] {
+            let want: f64 = text.parse().expect("a number");
+            let got = parse(text).expect("parses").as_f64().expect("a number");
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        for bad in ["-", "1-2", "1e", "--1", "1.2.3"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

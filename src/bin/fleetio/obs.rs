@@ -2,11 +2,12 @@
 //!
 //! The input is either a run-store directory, whose typed events come
 //! straight out of its segments through [`query_each`], or a JSONL trace
-//! file, read one line at a time through [`json::parse`] and
-//! [`ObsEvent::from_json`]; both are folded as the same [`ObsEvent`]s,
-//! so memory stays flat whatever the run's length. A line that is not
-//! JSON or not an event (reported by line number) or a damaged store
-//! exits 2; `fleetio store verify` localizes the damage. A
+//! file, read one line at a time through [`ObsEvent::from_json_line`]
+//! (the writer's own form, read in place) or else [`json::parse`] and
+//! [`ObsEvent::from_json`]; both are folded as the same
+//! [`ObsEvent`]s, so memory stays flat whatever the run's length. A line
+//! that is not JSON or not an event (reported by line number) or a
+//! damaged store exits 2; `fleetio store verify` localizes the damage. A
 //! `RecordingSink` trace's `trace_truncated` meta line counts as the
 //! number of evicted events, not as an event.
 //!
@@ -54,15 +55,30 @@ fn for_each_event(path: &str, mut visit: impl FnMut(ObsEvent)) -> Result<u64, Fa
         return Ok(0);
     }
     let cannot_read = |e: std::io::Error| io(format_args!("cannot read {path}: {e}"));
-    let lines = BufReader::new(File::open(path).map_err(cannot_read)?).lines();
+    let mut reader = BufReader::new(File::open(path).map_err(cannot_read)?);
+    // One buffer for every line, cut as `BufRead::lines` cuts them.
+    let mut buf = String::new();
     let mut evicted = 0;
-    for (idx, line) in lines.enumerate() {
-        let line = line.map_err(cannot_read)?;
+    for line_no in 1u64.. {
+        buf.clear();
+        if reader.read_line(&mut buf).map_err(cannot_read)? == 0 {
+            break;
+        }
+        let line = match buf.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => &buf,
+        };
         if line.is_empty() {
             continue;
         }
-        let bad = |e: String| io(format_args!("{path}:{}: {e}", idx + 1));
-        let value = json::parse(&line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
+        let bad = |e: String| io(format_args!("{path}:{line_no}: {e}"));
+        // A line as the writer wrote it is read in place; any other goes
+        // through the whole parse.
+        if let Some(ev) = ObsEvent::from_json_line(line) {
+            visit(ev);
+            continue;
+        }
+        let value = json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
         match ObsEvent::from_json(&value) {
             Ok(ev) => visit(ev),
             Err(e) => evicted += RecordingSink::evicted_of(&value).ok_or_else(|| bad(e))?,

@@ -13,14 +13,18 @@
 //! decoder sees damage the CRC would otherwise stop; damaged containers
 //! go through `decode_container` and each type's `from_container`.
 //! Mutated and deeply nested JSON goes to `obs::json::parse`, and every
-//! mutated document that still parses to `ObsEvent::from_json`. Oracles:
+//! mutated document that still parses to `ObsEvent::from_json`; every
+//! mutated document also goes to `ObsEvent::from_json_line`. Oracles:
 //!
 //! * nothing panics or aborts;
 //! * an undamaged value decodes and re-encodes to its exact bytes, bare
 //!   and in its container;
 //! * an event payload that decodes, damaged or not, re-encodes to its
 //!   exact bytes: each format spells each event one way only;
-//! * an undamaged event line reads back as the event it was written from.
+//! * an undamaged event line reads back as the event it was written from,
+//!   through either reader;
+//! * a line `from_json_line` reads, damaged or not, is one `json::parse`
+//!   and `from_json` read as the same event.
 //!
 //! The seed is fixed and the rounds bounded, so a failure reproduces
 //! exactly and the test stays in tier 1.
@@ -493,6 +497,11 @@ fn json_parse_never_panics_on_damaged_documents() {
             .unwrap_or_else(|e| panic!("an undamaged document parses: {doc}: {e}"));
         if let Ok(ev) = ObsEvent::from_json(&parsed) {
             assert_eq!(ev.to_json(), doc, "an event line reads back as itself");
+            assert_eq!(
+                ObsEvent::from_json_line(&doc).as_ref(),
+                Some(&ev),
+                "the writer's form is read in place: {doc}"
+            );
             events_read += 1;
         }
         for round in 0..ROUNDS {
@@ -508,11 +517,16 @@ fn json_parse_never_panics_on_damaged_documents() {
                 text.insert_str(at, JSON_TOKENS[rng.gen_range(0..JSON_TOKENS.len())]);
             }
             let what = || format!("round {round}: {text:?}");
+            let mut read = None;
             no_panic(&mut panics, what, || {
-                if let Ok(value) = json::parse(&text) {
-                    let _ = ObsEvent::from_json(&value);
-                }
+                let parsed = json::parse(&text).ok().map(|v| ObsEvent::from_json(&v));
+                read = Some((ObsEvent::from_json_line(&text), parsed));
             });
+            // The in-place reader takes only lines the whole parse reads,
+            // and as the same event.
+            if let Some((Some(ev), parsed)) = read {
+                assert_eq!(parsed, Some(Ok(ev)), "{}", what());
+            }
         }
     }
     // Every event line but the two holding a time above 2^53, which JSON
