@@ -2,13 +2,13 @@
 //! little-endian primitive writer/reader under every on-disk record.
 //!
 //! It lives beside [`crate::hash`] at the bottom of the dependency
-//! graph so that everything that serializes — model checkpoints and
-//! run anchors (`fleetio-model`), run and fleet specs, the run-store
-//! manifest, and the observability event wire (`fleetio_obs::wire`) —
+//! graph so that everything that serializes — model checkpoints
+//! (`fleetio-model`), run and fleet specs, the run-store manifest, and the observability event wire (`fleetio_obs::wire`) —
 //! shares one [`Enc`]/[`Dec`] pair and one [`DecodeError`].
 //!
 //! Every standalone artifact (trainer checkpoint, workload-typing
-//! index, run anchor, store manifest) is one container:
+//! index, store manifest, and the run anchor older stores hold) is one
+//! container:
 //!
 //! ```text
 //! offset  size  field
@@ -55,9 +55,9 @@ pub enum PayloadKind {
     ModelCheckpoint,
     /// The workload-typing index (`fleetio_model::TypingIndex`).
     TypingIndex,
-    /// A run-store replay anchor (`fleetio_model::RunAnchor`): the
-    /// sim-time position and stream fingerprint a recorded run can be
-    /// re-verified from.
+    /// A run-store replay-anchor file, `anchor-<window>.fiom`, as stores
+    /// written by older builds hold. Only its framing is read:
+    /// `fleetio model verify|inspect` CRC-check it.
     RunAnchor,
     /// A run-store manifest (`fleetio-store`). Like every payload layout it is
     /// owned by the crate that writes it; this module only frames and
@@ -564,9 +564,8 @@ mod tests {
     /// flips inside the one-byte kind tag, which the payload CRC does
     /// not cover — re-tags the container as a *different* valid kind.
     /// Mis-tagging is caught one level up: every typed reader
-    /// (`ModelCheckpoint::decode` via the registry, `RunAnchor::
-    /// from_container`, the store's manifest loader) checks the kind
-    /// before touching the payload.
+    /// (`ModelCheckpoint::decode` via the registry, the store's
+    /// manifest loader) checks the kind before touching the payload.
     #[test]
     fn every_bit_flip_rejected() {
         let payload = enc(|e| {

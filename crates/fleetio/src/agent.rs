@@ -15,6 +15,7 @@ use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
 use fleetio_rl::parallel::collect_parallel_envs;
 use fleetio_rl::{MultiAgentEnv, ObsNormalizer, PpoConfig, PpoPolicy, PpoTrainer};
+use fleetio_workloads::WorkloadKind;
 
 use crate::actions::AgentAction;
 use crate::config::FleetIoConfig;
@@ -286,16 +287,9 @@ fn bc_rollout(
     horizon: usize,
     overrides: &mut impl Iterator<Item = Option<usize>>,
 ) -> Vec<BcSample> {
-    let ch_bw = cfg.engine.flash.channel_peak_bytes_per_sec();
     let params: Vec<ReferenceParams> = tenants
         .iter()
-        .map(|t| ReferenceParams {
-            bw_guarantee: t.config.channels.len() as f64 * ch_bw,
-            slo_vio_guarantee: cfg.slo_violation_guarantee,
-            max_channels: cfg.max_action_channels,
-            alpha: crate::typing::alpha_for_kind(cfg, t.kind),
-            altruistic: cfg.beta < 0.999,
-        })
+        .map(|t| ReferenceParams::new(cfg, t.config.channels.len(), t.kind))
         .collect();
     let mut samples = Vec::new();
     let _ = env.reset();
@@ -335,6 +329,21 @@ pub struct ReferenceParams {
     /// (β = 1) has no incentive to offer resources — exactly the
     /// FleetIO-Customized-Local ablation finding of Figure 15.
     pub altruistic: bool,
+}
+
+impl ReferenceParams {
+    /// The parameters for a tenant of `kind` holding `channels` channels
+    /// under `cfg`: its guaranteed bandwidth, the configured SLO-violation
+    /// guarantee and action width, its type's α, and β-altruism.
+    pub fn new(cfg: &FleetIoConfig, channels: usize, kind: WorkloadKind) -> Self {
+        ReferenceParams {
+            bw_guarantee: channels as f64 * cfg.engine.flash.channel_peak_bytes_per_sec(),
+            slo_vio_guarantee: cfg.slo_violation_guarantee,
+            max_channels: cfg.max_action_channels,
+            alpha: crate::typing::alpha_for_kind(cfg, kind),
+            altruistic: cfg.beta < 0.999,
+        }
+    }
 }
 
 /// The scripted reference policy used to warm-start PPO (and as the
@@ -457,7 +466,6 @@ mod tests {
     use fleetio_flash::addr::ChannelId;
     use fleetio_flash::config::FlashConfig;
     use fleetio_vssd::vssd::{VssdConfig, VssdId};
-    use fleetio_workloads::WorkloadKind;
 
     fn tiny_cfg() -> FleetIoConfig {
         let mut cfg = FleetIoConfig::default();

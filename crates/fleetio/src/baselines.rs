@@ -265,16 +265,9 @@ impl HeuristicPolicy {
     /// Builds the policy for tenants with the given per-tenant channel
     /// counts and workload kinds (α from the paper's per-type values).
     pub fn new(cfg: FleetIoConfig, tenants: &[(usize, fleetio_workloads::WorkloadKind)]) -> Self {
-        let ch_bw = cfg.engine.flash.channel_peak_bytes_per_sec();
         let params = tenants
             .iter()
-            .map(|(channels, kind)| crate::agent::ReferenceParams {
-                bw_guarantee: *channels as f64 * ch_bw,
-                slo_vio_guarantee: cfg.slo_violation_guarantee,
-                max_channels: cfg.max_action_channels,
-                alpha: crate::typing::alpha_for_kind(&cfg, *kind),
-                altruistic: cfg.beta < 0.999,
-            })
+            .map(|&(channels, kind)| crate::agent::ReferenceParams::new(&cfg, channels, kind))
             .collect();
         HeuristicPolicy { params }
     }

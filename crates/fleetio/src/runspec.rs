@@ -5,9 +5,9 @@
 //! tenant's vSSD configuration + workload + seed, the decision window,
 //! warm-up fraction, window count and checkpoint cadence. The spec is
 //! embedded (binary-encoded via the `FIOM` payload codec) in the run
-//! manifest, and its CRC-32 [`RunSpec::fingerprint`] is pinned in every
-//! replay anchor — so `replay` can refuse to "verify" a store against a
-//! run built from different parameters.
+//! manifest beside its CRC-32 [`RunSpec::fingerprint`] — so a store
+//! whose spec blob disagrees with its fingerprint is refused before
+//! `replay` rebuilds a run from it.
 //!
 //! Only *presets* of the engine configuration are serialized (the flash
 //! geometry enum plus engine defaults), not arbitrary `EngineConfig`
@@ -299,7 +299,7 @@ impl RunSpec {
     }
 
     /// CRC-32 of the spec's encoding — the config fingerprint stored in
-    /// the run manifest and every replay anchor.
+    /// the run manifest.
     pub fn fingerprint(&self) -> u32 {
         fleetio_des::hash::crc32(&self.encode())
     }

@@ -56,13 +56,17 @@ pub fn alpha_for_kind(cfg: &FleetIoConfig, kind: WorkloadKind) -> f64 {
 /// bandwidth-intensive windows instead of separating YCSB's low-entropy
 /// cluster.
 pub fn log_features(f: &WindowFeatures) -> Vec<f64> {
-    vec![
+    let features: [f64; LOG_FEATURES] = [
         (1.0 + f.read_bw).ln(),
         (1.0 + f.write_bw).ln(),
         f.lpa_entropy,
         (1.0 + f.avg_io_size).ln(),
-    ]
+    ];
+    features.to_vec()
 }
+
+/// Features per window in [`log_features`].
+pub const LOG_FEATURES: usize = 4;
 
 /// A fitted workload-typing model.
 #[derive(Debug, Clone)]
@@ -178,9 +182,11 @@ impl TypingModel {
     ///
     /// # Errors
     ///
-    /// Returns a message when the parts are mutually inconsistent:
-    /// centroid dimensionality differing from the scaler's, a
-    /// cluster-type list of the wrong length, or out-of-range scalars.
+    /// Returns a message when the parts cannot classify a window or are
+    /// mutually inconsistent: a scaler not over the [`LOG_FEATURES`]
+    /// features of [`log_features`], centroid dimensionality differing
+    /// from the scaler's, a cluster-type list of the wrong length, or
+    /// out-of-range scalars.
     pub fn from_parts(
         scaler: StandardScaler,
         kmeans: KMeans,
@@ -189,6 +195,11 @@ impl TypingModel {
         unknown_distance: f64,
     ) -> Result<TypingModel, String> {
         let dim = scaler.mean().len();
+        if dim != LOG_FEATURES {
+            return Err(format!(
+                "scaler over {dim} features, a window has {LOG_FEATURES}"
+            ));
+        }
         let centroids = kmeans.centroids();
         if centroids.iter().any(|c| c.len() != dim) {
             return Err(format!(

@@ -28,7 +28,7 @@ use fleetio_rl::PpoTrainer;
 use fleetio_workloads::WindowFeatures;
 
 use crate::agent::{FleetIoAgent, PretrainedModel};
-use crate::typing::{log_features, TypingModel, WorkloadType};
+use crate::typing::{TypingModel, WorkloadType};
 
 /// The registry tag for a workload type.
 pub fn type_tag(t: WorkloadType) -> &'static str {
@@ -97,18 +97,26 @@ pub fn checkpoint_from_trainer(trainer: &PpoTrainer, seed: u64, tag: &str) -> Mo
     }
 }
 
-/// Classifies a feature window through the registry's stored typing
-/// index, returning the tag to warm-start from (`None` = unknown
-/// workload).
+/// Classifies a feature window with the typing model rebuilt from the
+/// registry's stored typing index, returning the tag to warm-start from
+/// (`None` = unknown workload).
 ///
 /// # Errors
 ///
-/// Missing or corrupt typing index.
+/// Missing or corrupt typing index, or one [`typing_model_from_index`]
+/// refuses (an unknown tag, a feature dimension other than
+/// [`LOG_FEATURES`](crate::typing::LOG_FEATURES)).
 pub fn classify_tag(
     registry: &ModelRegistry,
     features: &WindowFeatures,
 ) -> Result<Option<String>, RegistryError> {
-    registry.select(&log_features(features))
+    let model = typing_model_from_index(&registry.load_typing()?, 1.0).map_err(|msg| {
+        RegistryError::Corrupt {
+            path: registry.typing_path(),
+            error: DecodeError::Malformed(msg),
+        }
+    })?;
+    Ok(model.classify(*features).map(|t| type_tag(t).to_string()))
 }
 
 /// Loads the checkpoint for `tag` (with `last_good` fallback) and builds
@@ -203,6 +211,7 @@ pub fn warm_start_model(
 mod tests {
     use super::*;
     use crate::states::StateVector;
+    use crate::typing::{log_features, LOG_FEATURES};
     use fleetio_workloads::WorkloadKind;
     use std::path::PathBuf;
 
@@ -269,6 +278,63 @@ mod tests {
         let mut index = typing_index(&model);
         index.cluster_tags[0] = "nope".to_string();
         assert!(typing_model_from_index(&index, 1.0).is_err());
+    }
+
+    /// A hand-made index over raw log-features (zero mean, unit
+    /// deviation): a BI-like and a YCSB-like centroid.
+    fn two_centroid_index() -> TypingIndex {
+        TypingIndex {
+            scaler_mean: vec![0.0; LOG_FEATURES],
+            scaler_std: vec![1.0; LOG_FEATURES],
+            centroids: vec![
+                log_features(&feat(3e8, 2e8, 7.6, 1e6)),
+                log_features(&feat(2.5e7, 1e6, 2.1, 6e3)),
+            ],
+            cluster_tags: vec!["bi".to_string(), "lc2".to_string()],
+            unknown_distance: 1.0,
+        }
+    }
+
+    #[test]
+    fn classify_tag_picks_the_nearest_centroid_or_none() {
+        let registry = ModelRegistry::open(scratch("nearest")).expect("registry opens");
+        assert!(matches!(
+            classify_tag(&registry, &feat(3e8, 2e8, 7.6, 1e6)),
+            Err(RegistryError::Missing(_))
+        ));
+        registry
+            .save_typing(&two_centroid_index())
+            .expect("typing saves");
+        let tag = |f| classify_tag(&registry, &f).expect("classify succeeds");
+        // Exactly on a centroid, and near one.
+        assert_eq!(tag(feat(3e8, 2e8, 7.6, 1e6)).as_deref(), Some("bi"));
+        assert_eq!(tag(feat(2.5e7, 1e6, 2.2, 6e3)).as_deref(), Some("lc2"));
+        // Far from both in scaled space: unknown.
+        assert_eq!(tag(feat(9e9, 9e9, 0.0, 64e6)), None);
+    }
+
+    /// An index over another feature dimension never reaches the scaler's
+    /// dimension assert: warm-start gets an error and keeps its model.
+    #[test]
+    fn classify_tag_refuses_an_index_of_another_dimension() {
+        let registry = ModelRegistry::open(scratch("dimension")).expect("registry opens");
+        let index = TypingIndex {
+            scaler_mean: vec![1.0, 2.0],
+            scaler_std: vec![0.5, 1.0],
+            centroids: vec![vec![-1.0, 0.0], vec![1.0, 0.0]],
+            cluster_tags: vec!["lc1".to_string(), "bi".to_string()],
+            unknown_distance: 2.0,
+        };
+        assert!(typing_model_from_index(&index, 1.0).is_err());
+        registry.save_typing(&index).expect("typing saves");
+        assert!(matches!(
+            classify_tag(&registry, &feat(3e8, 2e8, 7.6, 1e6)),
+            Err(RegistryError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            warm_start_model(&registry, &feat(3e8, 2e8, 7.6, 1e6)),
+            Err(RegistryError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -252,36 +252,6 @@ impl TypingIndex {
         Ok(())
     }
 
-    /// Nearest-centroid selection: scales `features` (raw log-feature
-    /// space, same as `fleetio::typing` uses) and returns the tag of the
-    /// closest centroid, or `None` when the sample's squared distance to
-    /// every centroid exceeds `unknown_distance`. Mirrors
-    /// `TypingModel::classify` exactly (same zero-variance guard, same
-    /// squared-distance threshold) so registry selection and in-process
-    /// classification never disagree.
-    pub fn select(&self, features: &[f64]) -> Option<&str> {
-        if features.len() != self.scaler_mean.len() {
-            return None;
-        }
-        let scaled: Vec<f64> = features
-            .iter()
-            .zip(self.scaler_mean.iter().zip(&self.scaler_std))
-            .map(|(x, (m, s))| if *s > 1e-12 { (x - m) / s } else { 0.0 })
-            .collect();
-        let mut best: Option<(usize, f64)> = None;
-        for (i, c) in self.centroids.iter().enumerate() {
-            let d2: f64 = scaled.iter().zip(c).map(|(a, b)| (a - b) * (a - b)).sum();
-            if best.is_none_or(|(_, bd)| d2 < bd) {
-                best = Some((i, d2));
-            }
-        }
-        let (idx, d2) = best?;
-        if d2 > self.unknown_distance {
-            return None;
-        }
-        Some(&self.cluster_tags[idx])
-    }
-
     /// Serializes the typing-index payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -436,19 +406,6 @@ mod tests {
         let idx = sample_index();
         let back = TypingIndex::decode(&idx.encode()).expect("fresh index decodes");
         assert_eq!(idx, back);
-    }
-
-    #[test]
-    fn typing_index_select_nearest_and_unknown() {
-        let idx = sample_index();
-        // Raw [0.5, 2.0] scales to [-1, 0]: exactly centroid 0.
-        assert_eq!(idx.select(&[0.5, 2.0]), Some("lc1"));
-        // Raw [1.5, 2.0] scales to [1, 0]: exactly centroid 1.
-        assert_eq!(idx.select(&[1.5, 2.0]), Some("bi"));
-        // Far away in scaled space: unknown.
-        assert_eq!(idx.select(&[100.0, 2.0]), None);
-        // Wrong dimensionality: unknown.
-        assert_eq!(idx.select(&[0.5]), None);
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //!   type, with a `last_good` slot per tag and crash-safe writes via
 //!   [`atomic_write`] (the only sanctioned file-writing path in the
 //!   simulation crates; see the `atomic-io` audit rule).
-//! * [`RunAnchor`] — the run store's replay anchor (`crates/store`):
-//!   window position, event count and stream fingerprint pinned at a
-//!   decision-window boundary, riding the same `FIOM` container so the
-//!   CLI can inspect/verify anchors alongside checkpoints.
 //! * [`FineTuneManager`] — guarded online fine-tuning: autosave on a
 //!   simulated-time cadence, promote to `last_good` while the windowed
 //!   mean reward holds the baseline, roll back when it regresses past a
@@ -39,13 +35,11 @@
 //! nonzero on any corrupt container, which CI uses to prove corruption
 //! detection end to end.
 
-pub mod anchor;
 pub mod atomic;
 pub mod checkpoint;
 pub mod finetune;
 pub mod registry;
 
-pub use anchor::RunAnchor;
 pub use atomic::{atomic_write, AtomicBatch};
 pub use checkpoint::{CheckpointMeta, ModelCheckpoint, TypingIndex};
 pub use finetune::{FineTuneAction, FineTuneConfig, FineTuneManager};

@@ -13,8 +13,8 @@
 //!
 //! Checkpoints are keyed by workload-type tag (`[a-z0-9_-]`, at most 64
 //! characters — the same alphabet `fleetio-obs` JSONL emits unescaped).
-//! At vSSD attach time, [`ModelRegistry::select`] runs nearest-centroid
-//! classification over the stored typing index and names the tag to
+//! At vSSD attach time, `fleetio::warmstart::classify_tag` rebuilds the
+//! typing model from the stored typing index and names the tag to
 //! warm-start from. All writes go through [`crate::atomic_write`]; loads
 //! verify the container CRC before any field is interpreted.
 
@@ -240,18 +240,6 @@ impl ModelRegistry {
         TypingIndex::decode(payload).map_err(|error| RegistryError::Corrupt { path, error })
     }
 
-    /// Classifies raw log-features via the stored typing index and
-    /// returns the registry tag to warm-start from (`None` = unknown
-    /// workload, train from scratch).
-    ///
-    /// # Errors
-    ///
-    /// Missing or corrupt typing index.
-    pub fn select(&self, features: &[f64]) -> Result<Option<String>, RegistryError> {
-        let index = self.load_typing()?;
-        Ok(index.select(features).map(str::to_string))
-    }
-
     /// All `*.ckpt` files in the registry, sorted by file name.
     ///
     /// # Errors
@@ -422,15 +410,11 @@ mod tests {
     }
 
     #[test]
-    fn typing_roundtrip_and_select() {
+    fn typing_roundtrip() {
         let reg = ModelRegistry::open(scratch("typing")).expect("registry opens");
         assert!(matches!(reg.load_typing(), Err(RegistryError::Missing(_))));
         reg.save_typing(&index()).expect("typing saves");
-        assert_eq!(
-            reg.select(&[-1.0, 0.0]).expect("select succeeds"),
-            Some("lc1".to_string())
-        );
-        assert_eq!(reg.select(&[99.0, 0.0]).expect("select succeeds"), None);
+        assert_eq!(reg.load_typing().expect("typing loads"), index());
     }
 
     #[test]

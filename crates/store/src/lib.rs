@@ -5,7 +5,8 @@
 //! plus a `FIOM` manifest carrying provenance (seed, serialized
 //! [`fleetio::RunSpec`], its fingerprint), a sparse per-segment index
 //! (min/max sim-time, tenant bitmap, event-kind bitmap) and the
-//! sim-time of every replay anchor written during the run.
+//! sim-time and stream position of every replay anchor recorded during
+//! the run.
 //!
 //! Because the engine is deterministic, the stored byte stream is a
 //! *complete, checkable* record:
@@ -17,15 +18,15 @@
 //! * [`diff_stores`] compares two same-seed runs
 //!   byte-for-byte and pinpoints the first divergent event;
 //! * [`replay_run`] re-simulates to a target sim-time
-//!   and proves the regenerated stream is the stored one, using the
-//!   nearest anchor's fingerprint for the prefix and byte equality for
-//!   the suffix;
+//!   and proves the regenerated stream is the stored one, byte-comparing
+//!   every event from stream index 0;
 //! * [`RunStore::verify`](read::RunStore::verify) survives truncated
 //!   or bit-flipped segments, isolating damage and reporting the
 //!   sim-time ranges that remain recoverable.
 //!
-//! Layout: `manifest.fiom`, `seg-<seq:05>.seg`, `anchor-<w:05>.fiom`.
-//! All writes go through `fleetio_model::atomic_write`. From the
+//! Layout: `manifest.fiom` and `seg-<seq:05>.seg` (stores written by
+//! older builds also hold an `anchor-<w:05>.fiom` per anchor, which
+//! nothing reads). All writes go through `fleetio_model::atomic_write`. From the
 //! command line, `fleetio store record|info|query|diff|replay|verify`.
 
 pub mod diff;
@@ -37,8 +38,7 @@ pub mod sink;
 
 pub use diff::{diff_stores, DiffOutcome, Divergence};
 pub use manifest::{
-    anchor_file_name, segment_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE,
-    STORE_VERSION,
+    segment_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE, STORE_VERSION,
 };
 pub use query::{query, query_each, EventFilter, QueryResult, WindowAggregate, WindowAggregator};
 pub use read::{PayloadCursor, RunStore, SegmentVerify, StoreError, VerifyReport};

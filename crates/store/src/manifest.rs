@@ -10,8 +10,8 @@
 //! * the per-segment sparse index ([`SegmentMeta`]: event count, byte
 //!   size, running first-event index, min/max sim-time, tenant bitmap,
 //!   event-kind bitmap) that lets `query` skip segments wholesale,
-//! * every replay anchor written during the run ([`AnchorMeta`], the
-//!   sim-times of `fleetio-model` checkpoints), and
+//! * every replay anchor recorded during the run ([`AnchorMeta`]: the
+//!   window, its sim-time and the events before it), and
 //! * stream totals (`total_events`, FNV-1a `stream_fingerprint`) plus a
 //!   `sealed` flag distinguishing a finished run from a crashed one.
 //!
@@ -69,12 +69,7 @@ pub fn segment_file_name(seq: u32) -> String {
     format!("seg-{seq:05}.seg")
 }
 
-/// The deterministic file name of the anchor taken after `window`.
-pub fn anchor_file_name(window: u64) -> String {
-    format!("anchor-{window:05}.fiom")
-}
-
-/// Manifest entry for one replay anchor written during the run.
+/// Manifest entry for one replay anchor recorded during the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnchorMeta {
     /// Decision windows completed at the anchor.
@@ -254,14 +249,6 @@ impl Manifest {
     pub fn segment_path(&self, dir: &Path, seq: u32) -> PathBuf {
         dir.join(segment_file_name(seq))
     }
-
-    /// The nearest anchor at-or-before `target_ns`, if any.
-    pub fn nearest_anchor(&self, target_ns: u64) -> Option<&AnchorMeta> {
-        self.anchors
-            .iter()
-            .filter(|a| a.at_ns <= target_ns)
-            .max_by_key(|a| a.at_ns)
-    }
 }
 
 #[cfg(test)]
@@ -323,15 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_anchor_picks_latest_at_or_before() {
-        let m = sample();
-        assert_eq!(m.nearest_anchor(999_999_999), None);
-        assert_eq!(m.nearest_anchor(1_000_000_000).map(|a| a.window), Some(2));
-        assert_eq!(m.nearest_anchor(1_999_999_999).map(|a| a.window), Some(2));
-        assert_eq!(m.nearest_anchor(u64::MAX).map(|a| a.window), Some(4));
-    }
-
-    #[test]
     fn corruption_never_panics_and_is_rejected() {
         let bytes = sample().to_container();
         for cut in 0..bytes.len() {
@@ -353,6 +331,5 @@ mod tests {
     fn file_names_are_stable() {
         assert_eq!(segment_file_name(0), "seg-00000.seg");
         assert_eq!(segment_file_name(42), "seg-00042.seg");
-        assert_eq!(anchor_file_name(3), "anchor-00003.fiom");
     }
 }

@@ -21,11 +21,12 @@
 //!   and a recorder that needs an empty batch blocks until one returns.
 //! * **Encoding** frames, fingerprints, indexes and seals, filling one of
 //!   `SEGMENT_BUFFERS` segment buffers; the writer hands each back once
-//!   its file is written, so no seal allocates a buffer. Anchors, the
-//!   final seal and [`StoreSink::error`] are round trips through it.
-//! * **Writing** makes each segment or anchor file durable as it arrives
-//!   and, once per group, syncs the directory and writes the group's one
-//!   manifest snapshot. A group ends at every `GROUP_SEALS`-th seal,
+//!   its file is written, so no seal allocates a buffer. Anchors are
+//!   queued to it like batches; the final seal and [`StoreSink::error`]
+//!   are round trips through it.
+//! * **Writing** makes each segment file durable as it arrives and, once
+//!   per group, syncs the directory and writes the group's one manifest
+//!   snapshot. A group ends at every `GROUP_SEALS`-th seal,
 //!   at every anchor and at the final seal — positions in the stream, not
 //!   queue timing. The writer keeps the manifest itself and updates it
 //!   only for files already written, so the manifest on disk only ever
@@ -51,13 +52,11 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::{self, JoinHandle};
 
 use fleetio_des::hash::Fnv64;
-use fleetio_model::{AtomicBatch, RunAnchor};
+use fleetio_model::AtomicBatch;
 use fleetio_obs::wire::{self, WireFormat};
 use fleetio_obs::{ObsEvent, ObsSink};
 
-use crate::manifest::{
-    anchor_file_name, AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE, STORE_VERSION,
-};
+use crate::manifest::{AnchorMeta, Manifest, SegmentMeta, MANIFEST_FILE, STORE_VERSION};
 
 /// Default segment target size (256 KiB ≈ a few thousand events).
 pub const DEFAULT_SEGMENT_BYTES: usize = 256 * 1024;
@@ -87,9 +86,8 @@ pub struct StoreSink {
     batch: Vec<ObsEvent>,
     /// Emptied batches coming back from the encoder.
     empties: Receiver<Vec<ObsEvent>>,
-    /// The encoder's answers to round trips: the anchor it took, or
-    /// `None` for a sync.
-    answers: Receiver<Option<RunAnchor>>,
+    /// The encoder's answers to [`ToEncoder::Sync`].
+    synced: Receiver<()>,
     encoder: Stage<ToEncoder, Option<Manifest>>,
     total_events: u64,
     /// First I/O failure; latches the sink into a no-op.
@@ -100,11 +98,7 @@ pub struct StoreSink {
 #[derive(Debug)]
 enum ToEncoder {
     Batch(Vec<ObsEvent>),
-    Anchor {
-        window: u64,
-        at_ns: u64,
-        model_tag: String,
-    },
+    Anchor(AnchorMeta),
     /// Answered once every earlier write has been made or has failed.
     Sync,
     Finish,
@@ -165,8 +159,6 @@ impl StoreSink {
             next_seq: 0,
             total_events: 0,
             fp: Fnv64::new(),
-            seed,
-            spec_fingerprint,
             written,
             synced,
             writer,
@@ -177,14 +169,14 @@ impl StoreSink {
             // Cannot fail: `empties` is alive.
             let _ = give_empty.send(Vec::with_capacity(BATCH_EVENTS));
         }
-        let (answer, answers) = mpsc::channel();
+        let (answer, synced) = mpsc::channel();
         let encoder = Stage::spawn("store-encoder", move |queue| {
             encode(enc, queue, &give_empty, &answer)
         })?;
         Ok(StoreSink {
             batch: Vec::with_capacity(BATCH_EVENTS),
             empties,
-            answers,
+            synced,
             encoder,
             total_events: 0,
             error: None,
@@ -200,9 +192,9 @@ impl StoreSink {
     /// every event recorded so far is encoded and every file it filled
     /// has been written or has failed, so a failure is never missed.
     pub fn error(&mut self) -> Option<&str> {
-        if self.error.is_none() {
-            // A failure is latched in `self.error`.
-            let _ = self.ask(ToEncoder::Sync);
+        if self.send(ToEncoder::Sync).is_ok() && self.synced.recv().is_err() {
+            // Latches the failure in `self.error`.
+            let _ = self.encoder_failed();
         }
         self.error.as_deref()
     }
@@ -224,16 +216,17 @@ impl StoreSink {
         }
     }
 
-    /// Flushes, sends `request` and waits for the encoder's answer.
-    fn ask(&mut self, request: ToEncoder) -> io::Result<Option<RunAnchor>> {
+    /// Flushes, then queues `msg` behind the events recorded so far.
+    fn send(&mut self, msg: ToEncoder) -> io::Result<()> {
         if let Some(e) = &self.error {
             return Err(io::Error::other(e.clone()));
         }
         self.flush()?;
-        if !self.encoder.send(request) {
-            return Err(self.encoder_failed());
+        if self.encoder.send(msg) {
+            Ok(())
+        } else {
+            Err(self.encoder_failed())
         }
-        self.answers.recv().map_err(|_| self.encoder_failed())
     }
 
     /// Joins the encoder, which has stopped on its first failure (or the
@@ -247,23 +240,23 @@ impl StoreSink {
         io::Error::other(e)
     }
 
-    /// Writes a replay anchor at the current stream position: an
-    /// `anchor-<window>.fiom` container (via `fleetio-model`) plus a
-    /// manifest entry, queued behind the segments sealed so far. Call
-    /// between windows, never mid-window.
+    /// Records a replay anchor at the current stream position: a
+    /// manifest entry (window, sim-time, events so far), queued behind the
+    /// events recorded so far. Its manifest snapshot ends a commit group.
+    /// Call between windows, never mid-window.
     ///
     /// # Errors
     ///
-    /// A previously latched failure, or the encoder or writer having
-    /// stopped on one. A failure of the anchor's own writes surfaces at
-    /// a later call or at [`StoreSink::finish`].
-    pub fn anchor(&mut self, window: u64, at_ns: u64, model_tag: &str) -> io::Result<RunAnchor> {
-        let anchor = self.ask(ToEncoder::Anchor {
+    /// A previously latched failure, or the encoder having stopped on
+    /// one. A failure of the writes it queues surfaces at a later call or
+    /// at [`StoreSink::finish`].
+    pub fn anchor(&mut self, window: u64, at_ns: u64) -> io::Result<()> {
+        let meta = AnchorMeta {
             window,
             at_ns,
-            model_tag: model_tag.to_string(),
-        })?;
-        Ok(anchor.expect("the encoder answers an anchor request with the anchor"))
+            event_count: self.total_events,
+        };
+        self.send(ToEncoder::Anchor(meta))
     }
 
     /// Seals the final segment, marks the manifest sealed, waits for the
@@ -275,13 +268,7 @@ impl StoreSink {
     /// The first write failure of the run, naming what it was writing —
     /// either way the on-disk manifest stays `sealed = false`.
     pub fn finish(mut self) -> io::Result<Manifest> {
-        if let Some(e) = self.error.take() {
-            return Err(io::Error::other(e));
-        }
-        self.flush()?;
-        if !self.encoder.send(ToEncoder::Finish) {
-            return Err(self.encoder_failed());
-        }
+        self.send(ToEncoder::Finish)?;
         self.encoder
             .close()?
             .ok_or_else(|| io::Error::other("the store encoder stopped before sealing"))
@@ -394,8 +381,6 @@ struct Encoder {
     next_seq: u32,
     total_events: u64,
     fp: Fnv64,
-    seed: u64,
-    spec_fingerprint: u32,
     /// Segment buffers coming back once written.
     written: Receiver<Vec<u8>>,
     /// The writer's answers to [`Job::Sync`].
@@ -403,13 +388,13 @@ struct Encoder {
     writer: Stage<Job, Manifest>,
 }
 
-/// The encoder thread: encodes each batch and answers each request in
-/// queue order, handing every batch back emptied.
+/// The encoder thread: encodes each batch and queues each anchor in
+/// queue order, handing every batch back emptied and answering each sync.
 fn encode(
     mut enc: Encoder,
     queue: Receiver<ToEncoder>,
     empties: &Sender<Vec<ObsEvent>>,
-    answers: &Sender<Option<RunAnchor>>,
+    synced: &Sender<()>,
 ) -> io::Result<Option<Manifest>> {
     enc.seg_buf = Vec::with_capacity(enc.seg_capacity);
     enc.begin_segment();
@@ -423,17 +408,13 @@ fn encode(
                 events.clear();
                 let _ = empties.send(events);
             }
-            ToEncoder::Anchor {
-                window,
-                at_ns,
-                model_tag,
-            } => {
-                let anchor = enc.anchor(window, at_ns, model_tag)?;
-                let _ = answers.send(Some(anchor));
-            }
+            ToEncoder::Anchor(meta) => enc.queue(Job::Anchor(meta))?,
             ToEncoder::Sync => {
-                enc.sync()?;
-                let _ = answers.send(None);
+                enc.queue(Job::Sync)?;
+                if enc.synced.recv().is_err() {
+                    return Err(enc.writer_failed());
+                }
+                let _ = synced.send(());
             }
             ToEncoder::Finish => return enc.finish().map(Some),
         }
@@ -497,15 +478,12 @@ impl Encoder {
             tenant_bits: self.seg_tenant_bits,
             kind_bits: self.seg_kind_bits,
         };
-        let job = Job::Segment {
+        self.queue(Job::Segment {
             bytes,
             meta,
             fingerprint: self.fp.finish(),
             commit: (seq + 1).is_multiple_of(GROUP_SEALS),
-        };
-        if !self.writer.send(job) {
-            return Err(self.writer_failed());
-        }
+        })?;
         self.next_seq += 1;
         self.begin_segment();
         Ok(())
@@ -520,35 +498,13 @@ impl Encoder {
         }
     }
 
-    /// The replay anchor at the current stream position, queued behind
-    /// the segments sealed so far.
-    fn anchor(&mut self, window: u64, at_ns: u64, model_tag: String) -> io::Result<RunAnchor> {
-        let anchor = RunAnchor {
-            window,
-            at_ns,
-            event_count: self.total_events,
-            stream_fingerprint: self.fp.finish(),
-            spec_fingerprint: self.spec_fingerprint,
-            seed: self.seed,
-            model_tag,
-        };
-        let job = Job::Anchor {
-            bytes: anchor.to_container(),
-            meta: AnchorMeta {
-                window,
-                at_ns,
-                event_count: self.total_events,
-            },
-        };
-        if !self.writer.send(job) {
-            return Err(self.writer_failed());
-        }
-        Ok(anchor)
-    }
-
-    /// Waits for the writer to make or fail every write queued so far.
-    fn sync(&mut self) -> io::Result<()> {
-        if self.writer.send(Job::Sync) && self.synced.recv().is_ok() {
+    /// Queues `job` behind the segments sealed so far.
+    ///
+    /// # Errors
+    ///
+    /// The writer has stopped on a failure.
+    fn queue(&mut self, job: Job) -> io::Result<()> {
+        if self.writer.send(job) {
             Ok(())
         } else {
             Err(self.writer_failed())
@@ -558,13 +514,10 @@ impl Encoder {
     /// Seals the final segment and the manifest and waits for the writer.
     fn finish(mut self) -> io::Result<Manifest> {
         self.seal_segment()?;
-        let job = Job::Seal {
+        self.queue(Job::Seal {
             total_events: self.total_events,
             fingerprint: self.fp.finish(),
-        };
-        if !self.writer.send(job) {
-            return Err(self.writer_failed());
-        }
+        })?;
         self.writer.close()
     }
 }
@@ -581,8 +534,8 @@ enum Job {
         fingerprint: u64,
         commit: bool,
     },
-    /// A replay anchor's container; ends a group.
-    Anchor { bytes: Vec<u8>, meta: AnchorMeta },
+    /// A replay anchor's manifest entry; ends a group.
+    Anchor(AnchorMeta),
     /// The end of the run; ends the last group with the sealed manifest.
     Seal { total_events: u64, fingerprint: u64 },
     /// Answered on the writer's `synced` channel.
@@ -606,8 +559,7 @@ impl Job {
                 manifest.stream_fingerprint = *fingerprint;
                 *commit
             }
-            Job::Anchor { bytes, meta } => {
-                files.write(&anchor_file_name(meta.window), bytes)?;
+            Job::Anchor(meta) => {
                 manifest.anchors.push(meta.clone());
                 true
             }
@@ -632,7 +584,7 @@ impl Job {
     fn what(&self) -> String {
         match self {
             Job::Segment { meta, .. } => format!("sealing segment {}", meta.seq),
-            Job::Anchor { meta, .. } => format!("writing anchor {}", meta.window),
+            Job::Anchor(meta) => format!("committing anchor {}", meta.window),
             Job::Seal { .. } => "sealing the manifest".to_string(),
             Job::Sync => "syncing".to_string(),
         }
@@ -669,7 +621,7 @@ fn write_jobs(
             Job::Sync => {
                 let _ = synced.send(());
             }
-            Job::Anchor { .. } | Job::Seal { .. } => {}
+            Job::Anchor(_) | Job::Seal { .. } => {}
         }
     }
     // Closed without a seal: list what was written.
@@ -708,7 +660,7 @@ mod tests {
         for i in 0..200u64 {
             sink.record(throttle(i));
         }
-        let _ = sink.anchor(1, 150, "").expect("anchor");
+        sink.anchor(1, 150).expect("anchor");
         for i in 200..300u64 {
             sink.record(throttle(i));
         }
@@ -726,15 +678,15 @@ mod tests {
             assert_eq!(s.tenant_bits, 0, "throttle names no tenant");
             expect += s.events;
         }
-        assert_eq!(manifest.anchors.len(), 1);
-        assert_eq!(manifest.anchors[0].event_count, 200);
+        let anchor = AnchorMeta {
+            window: 1,
+            at_ns: 150,
+            event_count: 200,
+        };
+        assert_eq!(manifest.anchors, [anchor]);
         // Reload from disk: identical.
         let back = Manifest::load(&dir).expect("manifest reloads");
         assert_eq!(back, manifest);
-        // Anchor file verifies via fleetio-model.
-        let anchor = RunAnchor::load(&dir.join(anchor_file_name(1))).expect("anchor loads");
-        assert_eq!(anchor.event_count, 200);
-        assert_eq!(anchor.spec_fingerprint, 0xAB);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,12 +19,18 @@
 //! integers) by the commit that introduced it: the same 337 events in
 //! fewer bytes.
 //!
-//! The format-1 fixtures must open, verify, diff `Identical` against a
-//! fresh recording of their spec and replay for as long as this build
-//! reads format 1. A fresh recording must equal the newest fixture file
-//! by file, which also pins simulated behaviour, like every other golden:
-//! a PR that intentionally re-baselines the goldens, or changes the
-//! format writers write, keeps the old fixtures and adds a new one.
+//! These three also hold an `anchor-00002.fiom` beside the manifest,
+//! which nothing reads. `fixtures/recorded-by-pr44/` is the same run
+//! recorded once anchors became manifest entries only: the manifest and
+//! segments of `recorded-by-pr37`, byte for byte, and no anchor file.
+//!
+//! Every fixture must open, verify, diff `Identical` against a fresh
+//! recording of its spec and replay with every event compared for as
+//! long as this build reads its format. A fresh recording must equal the
+//! newest fixture file by file, which also pins simulated behaviour, like
+//! every other golden: a PR that intentionally re-baselines the goldens,
+//! or changes the files writers write, keeps the old fixtures and adds a
+//! new one.
 
 use std::path::{Path, PathBuf};
 
@@ -104,6 +110,7 @@ fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
         ("recorded-by-pr13", 299),
         ("recorded-by-pr20", 337),
         ("recorded-by-pr37", 337),
+        ("recorded-by-pr44", 337),
     ] {
         let fixture = fixture(name);
         let old = RunStore::open(&fixture).expect("open fixture");
@@ -116,18 +123,19 @@ fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
             DiffOutcome::Identical { events: n } => assert_eq!(n, events, "{name}"),
             DiffOutcome::Diverged(d) => panic!("{name}: fresh recording diverged at {}", d.index),
         }
-        // And this build regenerates the recorded stream from its anchor,
-        // in the fixture's own format.
+        // And this build regenerates the recorded stream past its anchor,
+        // every event compared in the fixture's own format.
         let anchor_ns = old.manifest().anchors[0].at_ns;
         let replay = replay_run(&fixture, anchor_ns + 1).expect("replay fixture");
         assert!(replay.ok(), "{name}: {replay:?}");
-        assert!(replay.compared > 0);
+        assert_eq!(replay.compared, replay.events_replayed, "{name}");
+        assert!(replay.events_replayed > old.manifest().anchors[0].event_count);
         std::fs::remove_dir_all(&fresh).ok();
     }
 
-    // Segments, manifest and anchor of the newest fixture: the same files
-    // with the same bytes.
-    let fixture = fixture("recorded-by-pr37");
+    // Segments and manifest of the newest fixture: the same files with
+    // the same bytes.
+    let fixture = fixture("recorded-by-pr44");
     let spec = RunStore::open(&fixture)
         .and_then(|s| s.spec())
         .expect("fixture spec");
@@ -138,10 +146,27 @@ fn fresh_recording_equals_parent_recorded_fixture_file_by_file() {
         assert_eq!(
             std::fs::read(fresh.join(file)).expect("read fresh file"),
             std::fs::read(fixture.join(file)).expect("read fixture file"),
-            "recorded-by-pr37/{file} differs from the recorded bytes"
+            "recorded-by-pr44/{file} differs from the recorded bytes"
         );
     }
     std::fs::remove_dir_all(&fresh).ok();
+}
+
+/// Dropping the anchor files changed no other byte: the newest fixture
+/// is `recorded-by-pr37` without its anchor file.
+#[test]
+fn pr44_fixture_is_pr37_without_its_anchor_file() {
+    let (pr37, pr44) = (fixture("recorded-by-pr37"), fixture("recorded-by-pr44"));
+    let mut names = file_names(&pr37);
+    names.retain(|n| !n.starts_with("anchor-"));
+    assert_eq!(file_names(&pr44), names);
+    for file in &names {
+        assert_eq!(
+            std::fs::read(pr44.join(file)).expect("read pr44 file"),
+            std::fs::read(pr37.join(file)).expect("read pr37 file"),
+            "{file}"
+        );
+    }
 }
 
 /// One run in both formats: the same spec, the same events, and format 2

@@ -5,8 +5,10 @@
 //! * perturbed seed → `diff` reports the first divergent event;
 //! * indexed `query` returns exactly what a full linear scan returns,
 //!   while reading strictly fewer segments;
-//! * `replay` from the nearest checkpoint anchor regenerates the
-//!   stored stream exactly;
+//! * `replay` regenerates the stored stream exactly, byte-comparing
+//!   every event from stream index 0, and names the index of a record
+//!   forged before the first anchor, or where the shorter stream ends
+//!   when the run and its spec differ in length;
 //! * the streaming diff's edges: differently segmented stores, a
 //!   one-event-shorter stream, and damage in the last segment (an error
 //!   from `diff` and `replay`, never a partial answer).
@@ -15,11 +17,12 @@ use std::path::PathBuf;
 
 use fleetio::RunSpec;
 use fleetio_des::SimTime;
+use fleetio_obs::wire::WireFormat;
 use fleetio_obs::{ObsEvent, ObsSink};
 use fleetio_store::diff::CONTEXT_EVENTS;
 use fleetio_store::{
-    diff_stores, query, record_run, replay_run, DiffOutcome, EventFilter, RunStore, StoreSink,
-    DEFAULT_SEGMENT_BYTES,
+    diff_stores, query, record_run, replay_run, DiffOutcome, EventFilter, Manifest, RunStore,
+    StoreSink, DEFAULT_SEGMENT_BYTES,
 };
 
 /// Small segments force a multi-segment store quickly.
@@ -140,30 +143,91 @@ fn query_matches_linear_scan_and_skips_segments() {
 }
 
 #[test]
-fn replay_from_anchor_regenerates_stored_stream() {
+fn replay_compares_every_event_with_the_stored_stream() {
     let dir = record("replay", 31, 4, 2);
     let store = RunStore::open(&dir).expect("open");
-    let anchors = &store.manifest().anchors;
-    assert!(!anchors.is_empty(), "run must have written an anchor");
-    let anchor = &anchors[anchors.len() - 1];
+    let total = store.manifest().total_events;
+    let anchor = store.manifest().anchors.last().expect("an anchor").clone();
     assert!(anchor.window > 0);
 
-    // Target just past the anchor: replay must pick it, verify the
-    // prefix by fingerprint, and byte-compare the rest.
-    let report = replay_run(&dir, anchor.at_ns + 1).expect("replay");
-    assert_eq!(report.anchor_window, Some(anchor.window));
-    assert_eq!(report.anchor_event_count, anchor.event_count);
-    assert!(report.prefix_ok, "prefix fingerprint mismatch");
-    assert_eq!(report.mismatch, None, "replayed stream diverged");
-    assert!(report.compared > 0, "no events were byte-compared");
-    assert!(report.ok());
-
-    // Target before any anchor: full byte comparison, still exact.
-    let early = replay_run(&dir, 0).expect("replay from start");
-    assert_eq!(early.anchor_window, None);
-    assert!(early.ok());
-    assert!(early.compared > 0);
+    // At the start, just past the last anchor and past the end: every
+    // regenerated event is byte-compared, the prefix included.
+    let mut replayed = Vec::new();
+    for target in [0, anchor.at_ns + 1, u64::MAX] {
+        let report = replay_run(&dir, target).expect("replay");
+        assert!(report.ok(), "{report:?}");
+        assert_eq!(report.compared, report.events_replayed, "{report:?}");
+        replayed.push(report.events_replayed);
+    }
+    assert!(replayed[0] > 0);
+    assert!(replayed[1] > anchor.event_count.max(replayed[0]));
+    assert_eq!(replayed[2], total);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A record before the first anchor, changed and re-framed with a valid
+/// CRC, so that only the byte comparison can find it: replay names its
+/// stream index.
+#[test]
+fn replay_names_a_forged_record_before_the_first_anchor() {
+    let dir = record("forged", 31, 4, 2);
+    let store = RunStore::open(&dir).expect("open");
+    let manifest = store.manifest().clone();
+    let anchor = manifest.anchors[0].clone();
+    let mut events = Vec::new();
+    let mut cursor = store.payload_cursor();
+    while let Some((format, payload)) = cursor.next_payload().expect("intact store") {
+        assert_eq!(format, WireFormat::CURRENT);
+        events.push(format.decode(payload).expect("a stored event decodes"));
+    }
+    // The last completion before the anchor, deep inside the prefix.
+    let forged = (0..anchor.event_count as usize)
+        .rev()
+        .find(|&i| matches!(events[i], ObsEvent::RequestComplete { .. }))
+        .expect("a completion before the first anchor");
+    assert!(forged > 0);
+    if let ObsEvent::RequestComplete { read, .. } = &mut events[forged] {
+        *read = !*read;
+    }
+    let seg = manifest
+        .segments
+        .iter()
+        .find(|s| s.first_event + s.events > forged as u64)
+        .expect("the segment holding it");
+    let mut bytes = Vec::new();
+    WireFormat::CURRENT.push_segment_header(&mut bytes, seg.seq);
+    let first = seg.first_event as usize;
+    for ev in &events[first..first + seg.events as usize] {
+        WireFormat::CURRENT.push_event_record(&mut bytes, ev);
+    }
+    std::fs::write(manifest.segment_path(&dir, seg.seq), bytes).expect("write the forged segment");
+
+    let report = replay_run(&dir, anchor.at_ns + 1).expect("a forged store reads clean");
+    assert_eq!(report.mismatch, Some(forged as u64), "{report:?}");
+    assert!(!report.ok());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store whose embedded spec runs one window more, or one fewer, than
+/// the run it holds: replaying the whole spec names the index where the
+/// shorter of the two streams ends.
+#[test]
+fn replay_names_where_the_shorter_stream_ends() {
+    for (tag, recorded, claimed) in [("spec-longer", 2, 3), ("spec-shorter", 3, 2)] {
+        let dir = record(tag, 31, recorded, 0);
+        let spec = RunSpec::demo(31, claimed, 0);
+        let mut manifest = Manifest::load(&dir).expect("manifest");
+        manifest.spec = spec.encode();
+        manifest.spec_fingerprint = spec.fingerprint();
+        manifest.save(&dir).expect("rewrite the manifest");
+        let report = replay_run(&dir, u64::MAX).expect("replay the whole spec");
+        assert_eq!(report.windows_replayed, claimed, "{tag}");
+        let shorter = report.events_replayed.min(manifest.total_events);
+        assert!(shorter < report.events_replayed.max(manifest.total_events));
+        assert_eq!(report.mismatch, Some(shorter), "{tag}: {report:?}");
+        assert_eq!(report.compared, shorter, "{tag}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //!   the manifest on disk stays unsealed;
 //! * a write failing in the middle of a group leaves a manifest listing
 //!   exactly the files written before it;
-//! * many seals and anchors interleaved on one queue run to completion.
+//! * many seals and anchors interleaved on one queue run to completion,
+//!   each anchor a manifest entry and no file.
 
 use std::path::{Path, PathBuf};
 
@@ -17,9 +18,7 @@ use fleetio::RunSpec;
 use fleetio_des::SimTime;
 use fleetio_model::atomic::tmp_path;
 use fleetio_obs::{ObsEvent, ObsSink};
-use fleetio_store::{
-    anchor_file_name, record_run, segment_file_name, Manifest, RunStore, StoreSink,
-};
+use fleetio_store::{record_run, segment_file_name, Manifest, RunStore, StoreSink};
 
 /// A 2 KiB target: a few dozen events per segment.
 const SEG_BYTES: usize = 2 * 1024;
@@ -60,7 +59,7 @@ fn reference(tag: &str, events: u64) -> Manifest {
     manifest
 }
 
-fn temp_files(dir: &Path) -> Vec<String> {
+fn file_names(dir: &Path) -> Vec<String> {
     std::fs::read_dir(dir)
         .expect("list the store")
         .map(|e| {
@@ -69,8 +68,13 @@ fn temp_files(dir: &Path) -> Vec<String> {
                 .to_string_lossy()
                 .into_owned()
         })
-        .filter(|name| name.ends_with(".tmp"))
         .collect()
+}
+
+fn temp_files(dir: &Path) -> Vec<String> {
+    let mut names = file_names(dir);
+    names.retain(|name| name.ends_with(".tmp"));
+    names
 }
 
 #[test]
@@ -208,12 +212,20 @@ fn anchors_every_window_interleave_with_many_seals() {
         "{} segments",
         manifest.segments.len()
     );
-    assert_eq!(manifest.anchors.len(), 3);
-    for meta in &manifest.anchors {
-        let anchor = fleetio_model::RunAnchor::load(&dir.join(anchor_file_name(meta.window)))
-            .expect("every anchor is on disk");
-        assert_eq!(anchor.event_count, meta.event_count);
+    let windows: Vec<u64> = manifest.anchors.iter().map(|a| a.window).collect();
+    assert_eq!(windows, [1, 2, 3]);
+    let mut last = (0, 0);
+    for a in &manifest.anchors {
+        assert!(
+            a.at_ns > last.0 && a.event_count > last.1,
+            "{a:?} after {last:?}"
+        );
+        last = (a.at_ns, a.event_count);
     }
+    assert!(last.1 < manifest.total_events);
+    // An anchor is a manifest entry only.
+    let names = file_names(&dir);
+    assert!(names.iter().all(|n| !n.starts_with("anchor-")), "{names:?}");
     let on_disk = Manifest::load(&dir).expect("manifest");
     assert_eq!(&on_disk, manifest);
     assert!(temp_files(&dir).is_empty());

@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 use fleetio_des::codec::{decode_container, PayloadKind};
-use fleetio_model::{ModelCheckpoint, ModelRegistry, RunAnchor, TypingIndex};
+use fleetio_model::{ModelCheckpoint, ModelRegistry, TypingIndex};
 
 use crate::args::Args;
 use crate::{io, Output, Verb, VerbResult};
@@ -22,10 +22,11 @@ pub static VERBS: [Verb; 3] = [
 enum Loaded {
     Model(Box<ModelCheckpoint>),
     Typing(TypingIndex),
-    Anchor(RunAnchor),
-    /// A store manifest: the payload layout belongs to `fleetio-store`,
-    /// so only the container framing + CRC are verified here.
-    Manifest {
+    /// A run-store file (a manifest, or an older store's anchor): the
+    /// payload layout belongs to `fleetio-store`, so only the container
+    /// framing + CRC are verified here.
+    Store {
+        kind: PayloadKind,
         payload_len: usize,
     },
 }
@@ -41,10 +42,8 @@ fn load(path: &str) -> Result<(Loaded, usize), String> {
         PayloadKind::TypingIndex => {
             Loaded::Typing(TypingIndex::decode(payload).map_err(|e| e.to_string())?)
         }
-        PayloadKind::RunAnchor => {
-            Loaded::Anchor(RunAnchor::decode(payload).map_err(|e| e.to_string())?)
-        }
-        PayloadKind::StoreManifest => Loaded::Manifest {
+        PayloadKind::RunAnchor | PayloadKind::StoreManifest => Loaded::Store {
+            kind,
             payload_len: payload.len(),
         },
     };
@@ -102,32 +101,12 @@ fn describe(path: &str, loaded: &Loaded, file_len: usize) -> String {
             idx.cluster_tags.join(", "),
             idx.unknown_distance
         ),
-        Loaded::Anchor(a) => format!(
-            "{path}: run-anchor ({file_len} bytes)\n  \
-             window       {}\n  \
-             at           {} ns\n  \
-             events       {}\n  \
-             stream_fp    {:#018x}\n  \
-             spec_fp      {:#010x}\n  \
-             seed         {}\n  \
-             model_tag    {}\n",
-            a.window,
-            a.at_ns,
-            a.event_count,
-            a.stream_fingerprint,
-            a.spec_fingerprint,
-            a.seed,
-            if a.model_tag.is_empty() {
-                "(none)"
-            } else {
-                &a.model_tag
-            }
-        ),
         // The hint's wording is pinned by the CLI goldens.
-        Loaded::Manifest { payload_len } => format!(
-            "{path}: store-manifest ({file_len} bytes)\n  \
+        Loaded::Store { kind, payload_len } => format!(
+            "{path}: {} ({file_len} bytes)\n  \
              payload      {payload_len} bytes (CRC OK)\n  \
-             use `fleetio store` to query this run\n"
+             use `fleetio store` to query this run\n",
+            kind.name()
         ),
     }
 }
@@ -153,8 +132,7 @@ fn verify(args: &Args) -> VerbResult {
                 let what = match loaded {
                     Loaded::Model(ckpt) => format!("model-checkpoint tag={}", ckpt.meta.tag),
                     Loaded::Typing(_) => "typing-index".to_string(),
-                    Loaded::Anchor(a) => format!("run-anchor window={}", a.window),
-                    Loaded::Manifest { .. } => "store-manifest".to_string(),
+                    Loaded::Store { kind, .. } => kind.name().to_string(),
                 };
                 writeln!(out, "{path}: OK ({what})")
             }
@@ -190,13 +168,8 @@ fn ls(args: &Args) -> VerbResult {
                 idx.centroids.len(),
                 idx.cluster_tags.join(", ")
             ),
-            Ok((Loaded::Anchor(a), len)) => writeln!(
-                out,
-                "  {name:<28} anchor window={} events={} ({len} bytes)",
-                a.window, a.event_count
-            ),
-            Ok((Loaded::Manifest { .. }, len)) => {
-                writeln!(out, "  {name:<28} store-manifest ({len} bytes)")
+            Ok((Loaded::Store { kind, .. }, len)) => {
+                writeln!(out, "  {name:<28} {} ({len} bytes)", kind.name())
             }
             Err(e) => writeln!(out, "  {name:<28} CORRUPT ({e})"),
         };

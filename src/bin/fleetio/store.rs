@@ -191,24 +191,13 @@ fn replay(args: &Args) -> VerbResult {
     let target_ns = number(&args.positionals[1], "<target-ns>")?;
     let report = replay_run(Path::new(&args.positionals[0]), target_ns)
         .map_err(|e| io(format_args!("replay: {e}")))?;
-    let mut out = match report.anchor_window {
-        Some(w) => format!(
-            "anchor: window {w} ({} events fingerprint-verified)\n",
-            report.anchor_event_count
-        ),
-        None => "anchor: none before target; full byte comparison\n".to_string(),
-    };
-    let _ = writeln!(
-        out,
-        "replayed {} windows, {} events ({} byte-compared) to t={} ns",
+    let mut out = format!(
+        "replayed {} windows, {} events ({} byte-compared) to t={} ns\n",
         report.windows_replayed, report.events_replayed, report.compared, report.target_ns
     );
     if report.ok() {
         out += "replay matches the stored stream exactly\n";
         return Ok(Output::ok(out));
-    }
-    if !report.prefix_ok {
-        out += "MISMATCH: prefix fingerprint differs from anchor\n";
     }
     if let Some(i) = report.mismatch {
         let _ = writeln!(out, "MISMATCH: first divergent event at stream index {i}");

@@ -3,15 +3,15 @@
 //! of `obs::json::parse`.
 //!
 //! Real values — a fleet spec, a run spec, a trained model checkpoint and
-//! a typing index, the replay anchor and manifest of the committed store
-//! fixture, and events of every integer, `Option`, string and float
+//! a typing index, the manifest of the committed store fixture, and events of every integer, `Option`, string and float
 //! shape in segment formats 1 and 2 — are encoded, then damaged: bit flips, truncations,
 //! appended bytes, stored bytes, cut and repeated ranges, and length
 //! fields that lie. Each result is fed to `decode_container` and to the
-//! type's own `decode` — bare, and for the four container kinds also
+//! type's own `decode` — bare, and for the three container kinds also
 //! inside a container whose CRC was recomputed to match, so the payload
 //! decoder sees damage the CRC would otherwise stop; damaged containers
-//! go through `decode_container` and each type's `from_container`.
+//! go through `decode_container`, the decoder of the kind they name, and
+//! `Manifest::from_container`.
 //! Mutated and deeply nested JSON goes to `obs::json::parse`, and every
 //! mutated document that still parses to `ObsEvent::from_json`; every
 //! mutated document also goes to `ObsEvent::from_json_line`. Oracles:
@@ -37,7 +37,7 @@ use fleetio_des::codec::{decode_container, encode_container, DecodeError, Payloa
 use fleetio_des::rng::{Rng, SmallRng};
 use fleetio_des::SimTime;
 use fleetio_fleet::FleetSpec;
-use fleetio_model::{CheckpointMeta, ModelCheckpoint, RunAnchor, TypingIndex};
+use fleetio_model::{CheckpointMeta, ModelCheckpoint, TypingIndex};
 use fleetio_obs::json;
 use fleetio_obs::wire::WireFormat;
 use fleetio_obs::{
@@ -77,8 +77,9 @@ fn typing_index(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
     TypingIndex::decode(p).map(|t| t.encode())
 }
 
-fn anchor(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
-    RunAnchor::decode(p).map(|a| a.encode())
+/// A framed-only kind: nothing reads the payload.
+fn framed(p: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    Ok(p.to_vec())
 }
 
 /// A manifest, and the run spec it carries when that decodes.
@@ -190,7 +191,7 @@ fn decoder(kind: PayloadKind) -> Decode {
     match kind {
         PayloadKind::ModelCheckpoint => checkpoint,
         PayloadKind::TypingIndex => typing_index,
-        PayloadKind::RunAnchor => anchor,
+        PayloadKind::RunAnchor => framed,
         PayloadKind::StoreManifest => manifest,
     }
 }
@@ -287,12 +288,6 @@ fn subjects() -> Vec<Subject> {
             kind: Some(PayloadKind::TypingIndex),
             payload: index.encode(),
             decode: typing_index,
-        },
-        Subject {
-            name: "run anchor",
-            kind: Some(PayloadKind::RunAnchor),
-            payload: fixture_payload("anchor-00002.fiom", PayloadKind::RunAnchor),
-            decode: anchor,
         },
         Subject {
             name: "store manifest",
@@ -435,7 +430,6 @@ fn decoders_never_panic_on_damaged_payloads_and_containers() {
                 if let Ok((kind, inner)) = decode_container(&bytes) {
                     let _ = decoder(kind)(inner);
                 }
-                let _ = RunAnchor::from_container(&bytes);
                 let _ = Manifest::from_container(&bytes);
             });
         }
