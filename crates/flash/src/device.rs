@@ -16,7 +16,7 @@ use crate::config::FlashConfig;
 use crate::stats::DeviceStats;
 
 /// Point-in-time occupancy snapshot of one channel, taken via
-/// [`FlashDevice::channel_obs`] for observability gauges.
+/// [`FlashDevice::channel_obs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChannelObs {
     /// Chips booked past the snapshot time.
@@ -440,8 +440,9 @@ impl FlashDevice {
     }
 
     /// Point-in-time occupancy snapshot of every channel, in channel
-    /// order. Read-only: built for observability gauges at window
-    /// boundaries, never consulted by the simulation itself.
+    /// order. Read-only and never consulted by the simulation itself:
+    /// the engine's lockstep reference test compares two devices'
+    /// channels through it.
     pub fn channel_obs(&self, now: SimTime) -> Vec<ChannelObs> {
         self.channels
             .iter()

@@ -1,13 +1,14 @@
-//! Fleet-wide SLO accounting and the health-report surface.
+//! Fleet-wide SLO accounting and windowed time-series.
 //!
 //! [`FleetObs`] is the measurement side of the control plane: it owns
 //! one [`SloTracker`] per SLO-carrying tenant, the fixed-capacity
-//! windowed time-series ([`fleetio_obs::SeriesSet`]), the fleet-wide
-//! merged latency histogram, and the annotated migration log. The
-//! runtime feeds it once per window from the **serial** merge — inputs
-//! arrive in shard-index order and every fold below preserves that
-//! order, so a same-seed run renders a byte-identical health report and
-//! series export for any worker count.
+//! windowed time-series ([`fleetio_obs::SeriesSet`]) and the fleet-wide
+//! merged latency histogram. The runtime feeds it once per window from
+//! the **serial** merge — inputs arrive in shard-index order and every
+//! fold below preserves that order, so a same-seed run produces
+//! byte-identical verdicts and series export for any worker count. The
+//! health report is not kept here: it is
+//! [`fleetio_obs::slo::health_report`] over the rows the runtime emits.
 //!
 //! Overhead envelope: one histogram clone per slot per window (done in
 //! the parallel shard phase), one `merge` + two percentile scans per
@@ -17,10 +18,8 @@
 //! count.
 
 use fleetio_des::{LatencyHistogram, SimDuration};
-use fleetio_obs::slo::BURN_WINDOWS;
 use fleetio_obs::{SeriesId, SeriesSet, SloTracker, WindowVerdict};
 
-use crate::control::MigrationDecision;
 use crate::shard::ShardWindowReport;
 use crate::spec::FleetSpec;
 
@@ -42,8 +41,8 @@ pub struct SloOutcome {
     pub burn: f64,
 }
 
-/// Fleet observability state: per-tenant SLO trackers, windowed series,
-/// and the annotated migration history. See the module docs.
+/// Fleet observability state: per-tenant SLO trackers and windowed
+/// series. See the module docs.
 #[derive(Debug)]
 pub struct FleetObs {
     window_len: SimDuration,
@@ -64,8 +63,6 @@ pub struct FleetObs {
     fleet_migrations: SeriesId,
     /// Scratch for the cross-shard histogram merge (cleared per window).
     fleet_hist: LatencyHistogram,
-    /// Executed migrations, execution order, with cause annotations.
-    migrations: Vec<MigrationDecision>,
 }
 
 impl FleetObs {
@@ -113,7 +110,6 @@ impl FleetObs {
             fleet_harvested,
             fleet_migrations,
             fleet_hist: LatencyHistogram::new(),
-            migrations: Vec::new(),
         }
     }
 
@@ -195,12 +191,6 @@ impl FleetObs {
         outcomes
     }
 
-    /// Appends executed migrations (execution order) to the annotated
-    /// timeline.
-    pub fn record_migrations(&mut self, executed: &[MigrationDecision]) {
-        self.migrations.extend_from_slice(executed);
-    }
-
     /// The recorded time-series.
     pub fn series(&self) -> &SeriesSet {
         &self.series
@@ -209,128 +199,5 @@ impl FleetObs {
     /// All window verdicts of `tenant` so far, window order.
     pub fn verdicts(&self, tenant: u32) -> &[WindowVerdict] {
         &self.verdicts[tenant as usize]
-    }
-
-    /// Renders the text fleet-health dashboard: header, per-tenant SLO
-    /// attainment table, worst-window drill-down, migration timeline
-    /// and series inventory. Pure function of recorded state —
-    /// byte-identical for same-seed runs.
-    pub fn render_report(&self, spec: &FleetSpec) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let tracked: Vec<(u32, &SloTracker)> = self
-            .trackers
-            .iter()
-            .enumerate()
-            .filter_map(|(t, tr)| tr.as_ref().map(|tr| (t as u32, tr)))
-            .collect();
-        let observed: u32 = tracked.iter().map(|(_, tr)| tr.observed()).sum();
-        let violated: u32 = tracked.iter().map(|(_, tr)| tr.violations()).sum();
-        let fleet_att = if observed == 0 {
-            1.0
-        } else {
-            f64::from(observed - violated) / f64::from(observed)
-        };
-        let _ = writeln!(out, "FLEET HEALTH REPORT");
-        let _ = writeln!(out, "===================");
-        let _ = writeln!(
-            out,
-            "shards: {}  slots/shard: {}  tenants: {} ({} tracked)  window: {} ms",
-            spec.shards,
-            spec.slots_per_shard,
-            spec.tenants.len(),
-            tracked.len(),
-            spec.window.as_millis_f64()
-        );
-        let _ = writeln!(
-            out,
-            "tracked windows: {observed}  violations: {violated}  fleet attainment: {:.1}%  \
-             migrations: {}",
-            fleet_att * 100.0,
-            self.migrations.len()
-        );
-        let _ = writeln!(out);
-
-        let _ = writeln!(out, "PER-TENANT SLO ATTAINMENT");
-        let _ = writeln!(
-            out,
-            "{:<8}{:<16}{:>8}{:>8}{:>8}{:>9}{:>8}",
-            "tenant", "kind", "windows", "viol", "att%", "streak", "burn"
-        );
-        for (t, tr) in &tracked {
-            let _ = writeln!(
-                out,
-                "{:<8}{:<16}{:>8}{:>8}{:>7.1}%{:>9}{:>8.3}",
-                format!("t{t}"),
-                spec.tenants[*t as usize].kind.name(),
-                tr.observed(),
-                tr.violations(),
-                tr.attainment() * 100.0,
-                tr.longest_streak(),
-                tr.burn_rate()
-            );
-        }
-        let _ = writeln!(out);
-
-        let _ = writeln!(out, "WORST WINDOWS (top 5 by miss ratio)");
-        let mut worst: Vec<(u32, f64, &WindowVerdict)> = tracked
-            .iter()
-            .filter_map(|(t, tr)| {
-                tr.worst_severity()
-                    .zip(tr.worst_window())
-                    .map(|(s, v)| (*t, s, v))
-            })
-            .collect();
-        // Severity descending, tenant index ascending on exact ties.
-        worst.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if worst.is_empty() {
-            let _ = writeln!(out, "(no violations)");
-        }
-        for (t, severity, v) in worst.iter().take(5) {
-            let _ = writeln!(
-                out,
-                "t{t} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops, miss x{:.2} \
-                 [p95_ok={} p99_ok={} tp_ok={}]",
-                v.window,
-                v.p95.as_millis_f64(),
-                v.p99.as_millis_f64(),
-                v.throughput / 1e6,
-                v.ops,
-                severity,
-                v.p95_ok,
-                v.p99_ok,
-                v.throughput_ok
-            );
-        }
-        let _ = writeln!(out);
-
-        let _ = writeln!(out, "MIGRATION TIMELINE");
-        if self.migrations.is_empty() {
-            let _ = writeln!(out, "(none)");
-        }
-        for m in &self.migrations {
-            let _ = writeln!(
-                out,
-                "w{}: t{} {} -> {} cause={} mean={:.3} src {:.3}->{:.3} dst {:.3}->{:.3}",
-                m.window,
-                m.tenant,
-                m.from,
-                m.to,
-                m.cause.tag(),
-                m.mean_util,
-                m.src_util,
-                m.src_util_after,
-                m.dst_util,
-                m.dst_util_after
-            );
-        }
-        let _ = writeln!(out);
-        let _ = writeln!(
-            out,
-            "series: {} registered, {} points dropped (burn horizon: {BURN_WINDOWS} windows)",
-            self.series.n_series(),
-            self.series.total_dropped()
-        );
-        out
     }
 }

@@ -23,6 +23,7 @@ use fleetio_des::par;
 use fleetio_des::rng::derive_seed_indexed;
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
+use fleetio_obs::slo::health_report;
 use fleetio_obs::{FleetMigration, ObsEvent, ObsSink, SeriesSet, SloWindow, WindowVerdict};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
@@ -120,6 +121,11 @@ pub struct FleetRuntime {
     slot_hold: Vec<Vec<u32>>,
     migration_log: Vec<MigrationDecision>,
     obs: FleetObs,
+    /// Every `slo_window` and `fleet_migration` row emitted into the
+    /// shard sinks so far, in emission order: the input of
+    /// [`FleetRuntime::health_report`].
+    slo_rows: Vec<SloWindow>,
+    migration_rows: Vec<FleetMigration>,
 }
 
 impl FleetRuntime {
@@ -200,6 +206,8 @@ impl FleetRuntime {
             slot_hold: vec![vec![0; spec.slots_per_shard as usize]; spec.shards as usize],
             migration_log: Vec::new(),
             obs: FleetObs::new(spec),
+            slo_rows: Vec::new(),
+            migration_rows: Vec::new(),
             spec: spec.clone(),
         }
     }
@@ -237,10 +245,15 @@ impl FleetRuntime {
         &self.obs
     }
 
-    /// Renders the text fleet-health dashboard for the run so far.
-    /// Byte-identical for same-seed runs at any worker count.
+    /// Renders the fleet health report for the run so far from the
+    /// rows emitted into the shard sinks: byte-identical to
+    /// `fleetio obs report` over the per-shard stores, and for same-seed
+    /// runs at any worker count.
     pub fn health_report(&self) -> String {
-        self.obs.render_report(&self.spec)
+        health_report(
+            self.slo_rows.iter().cloned(),
+            self.migration_rows.iter().cloned(),
+        )
     }
 
     /// The recorded windowed time-series (util, queue depth, latency
@@ -364,7 +377,7 @@ impl FleetRuntime {
             // stream — this phase is serial, so the stream stays
             // deterministic across worker counts.
             let engine = self.shards[m.from.shard as usize].engine_mut();
-            engine.emit_obs(ObsEvent::FleetMigration(Box::new(FleetMigration {
+            let row = FleetMigration {
                 at: engine.now(),
                 window: m.window,
                 tenant: m.tenant,
@@ -378,7 +391,9 @@ impl FleetRuntime {
                 dst_util: m.dst_util,
                 src_util_after: m.src_util_after,
                 dst_util_after: m.dst_util_after,
-            })));
+            };
+            engine.emit_obs(ObsEvent::FleetMigration(Box::new(row.clone())));
+            self.migration_rows.push(row);
             self.migration_log.push(m);
             executed.push(m);
         }
@@ -557,13 +572,12 @@ impl FleetRuntime {
         // SLO accounting + time-series, then per-tenant verdict events
         // into each tenant's resident shard. Still inside the serial
         // merge: stream content is worker-count independent.
-        self.obs.record_migrations(&executed);
         let outcomes = self
             .obs
             .record_window(self.window_idx, reports, &utils, executed.len());
         for o in outcomes {
             let engine = self.shards[o.shard as usize].engine_mut();
-            engine.emit_obs(ObsEvent::SloWindow(Box::new(SloWindow {
+            let row = SloWindow {
                 at: engine.now(),
                 tenant: o.tenant,
                 window: o.verdict.window,
@@ -575,7 +589,9 @@ impl FleetRuntime {
                 p99_ok: o.verdict.p99_ok,
                 throughput_ok: o.verdict.throughput_ok,
                 burn: o.burn,
-            })));
+            };
+            engine.emit_obs(ObsEvent::SloWindow(Box::new(row.clone())));
+            self.slo_rows.push(row);
         }
 
         FleetWindowReport {

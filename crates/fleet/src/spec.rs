@@ -29,7 +29,8 @@ pub struct FleetTenantSpec {
     pub seed: u64,
     /// The tenant's service-level objective, evaluated every decision
     /// window at the fleet merge. `None` exempts the tenant from SLO
-    /// accounting (it still appears in the health report as untracked).
+    /// accounting: it emits no `slo_window` rows, so the health report
+    /// leaves it out.
     pub slo: Option<SloSpec>,
     /// Phases to rotate the workload's cycle left at attach: the tenant
     /// starts mid-job instead of at its first phase, so a fleet of

@@ -13,11 +13,13 @@
 //!   [`TypingIndex`] the registry stores,
 //! * [`checkpoint_from_trainer`] — wraps a (pre-)trained `PpoTrainer`
 //!   as a tagged [`ModelCheckpoint`],
-//! * [`agent_from_checkpoint`] — loads a checkpoint (falling back to
-//!   `last_good` when the current file is corrupt) and instantiates a
-//!   frozen deployment [`FleetIoAgent`] from it,
-//! * [`warm_start`] — the full attach path: classify → select tag →
-//!   load agent; `Ok(None)` means the workload fits no learned cluster
+//! * [`model_from_checkpoint`] — loads a checkpoint (falling back to
+//!   `last_good` when the current file is corrupt) as frozen
+//!   [`PretrainedModel`] weights, from which a caller builds a deployment
+//!   [`FleetIoAgent`](crate::agent::FleetIoAgent) or hands them to a
+//!   fleet's batched policy bank,
+//! * [`warm_start_model`] — the full attach path: classify → select tag →
+//!   load model; `Ok(None)` means the workload fits no learned cluster
 //!   and the caller should fall back to the unified model or train from
 //!   scratch.
 
@@ -27,7 +29,7 @@ use fleetio_model::{CheckpointMeta, ModelCheckpoint, ModelRegistry, RegistryErro
 use fleetio_rl::PpoTrainer;
 use fleetio_workloads::WindowFeatures;
 
-use crate::agent::{FleetIoAgent, PretrainedModel};
+use crate::agent::PretrainedModel;
 use crate::typing::{TypingModel, WorkloadType};
 
 /// The registry tag for a workload type.
@@ -119,29 +121,12 @@ pub fn classify_tag(
     Ok(model.classify(*features).map(|t| type_tag(t).to_string()))
 }
 
-/// Loads the checkpoint for `tag` (with `last_good` fallback) and builds
-/// a frozen deployment agent from it. The second return is whether the
-/// fallback fired.
-///
-/// # Errors
-///
-/// No usable checkpoint under `tag`, or a checkpoint whose components
-/// fail `PpoTrainer::from_state` cross-validation.
-pub fn agent_from_checkpoint(
-    registry: &ModelRegistry,
-    tag: &str,
-    history_windows: usize,
-) -> Result<(FleetIoAgent, bool), RegistryError> {
-    let (model, fell_back) = model_from_checkpoint(registry, tag)?;
-    Ok((FleetIoAgent::new(&model, history_windows), fell_back))
-}
-
 /// Loads the checkpoint for `tag` (with `last_good` fallback) as a
 /// frozen [`PretrainedModel`]. The second return is whether the
-/// fallback fired. This is [`agent_from_checkpoint`] without the
-/// per-vSSD history wrapper — the form fleet-level callers need when
-/// they batch many tenants' inferences through one matrix pass and
-/// keep per-tenant histories outside the agent.
+/// fallback fired. A deployment agent is
+/// `FleetIoAgent::new(&model, history_windows)`; fleet-level callers
+/// keep the bare weights to batch many tenants' inferences through one
+/// matrix pass, with per-tenant histories outside the agent.
 ///
 /// # Errors
 ///
@@ -168,29 +153,10 @@ pub fn model_from_checkpoint(
 }
 
 /// The full vSSD-attach warm-start path: classify `features` via the
-/// stored typing index, then load the matching checkpoint as a frozen
-/// agent. Returns `Ok(None)` for unknown workloads (caller falls back to
-/// the unified model / from-scratch training) and the tag + agent +
-/// fallback flag otherwise.
-///
-/// # Errors
-///
-/// Missing/corrupt typing index, or a selected tag with no usable
-/// checkpoint.
-pub fn warm_start(
-    registry: &ModelRegistry,
-    features: &WindowFeatures,
-    history_windows: usize,
-) -> Result<Option<(String, FleetIoAgent, bool)>, RegistryError> {
-    let Some(tag) = classify_tag(registry, features)? else {
-        return Ok(None);
-    };
-    let (agent, fell_back) = agent_from_checkpoint(registry, &tag, history_windows)?;
-    Ok(Some((tag, agent, fell_back)))
-}
-
-/// [`warm_start`] in model form: classify `features`, then load the
-/// matching checkpoint as frozen weights via [`model_from_checkpoint`].
+/// stored typing index, then load the matching checkpoint as frozen
+/// weights via [`model_from_checkpoint`]. Returns `Ok(None)` for unknown
+/// workloads (caller falls back to the unified model / from-scratch
+/// training) and the tag + model + fallback flag otherwise.
 ///
 /// # Errors
 ///
@@ -210,6 +176,7 @@ pub fn warm_start_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::FleetIoAgent;
     use crate::states::StateVector;
     use crate::typing::{log_features, LOG_FEATURES};
     use fleetio_workloads::WorkloadKind;
@@ -404,12 +371,12 @@ mod tests {
             .expect("model saves");
 
         // A BI-looking window selects the "bi" model and loads it.
-        let (tag, mut agent, fell_back) =
-            warm_start(&registry, &feat(3e8, 2e8, 7.6, 1e6), cfg.history_windows)
-                .expect("warm start succeeds")
-                .expect("window classifies");
+        let (tag, model, fell_back) = warm_start_model(&registry, &feat(3e8, 2e8, 7.6, 1e6))
+            .expect("warm start succeeds")
+            .expect("window classifies");
         assert_eq!(tag, "bi");
         assert!(!fell_back);
+        let mut agent = FleetIoAgent::new(&model, cfg.history_windows);
         // The loaded agent behaves identically to one built directly from
         // the trainer's weights.
         let mut trainer = trainer;
@@ -423,14 +390,12 @@ mod tests {
         assert_eq!(agent.decide(state), direct_agent.decide(state));
 
         // An unknown window warm-starts nothing.
-        assert!(
-            warm_start(&registry, &feat(9e9, 9e9, 0.0, 64e6), cfg.history_windows)
-                .expect("warm start succeeds")
-                .is_none()
-        );
+        assert!(warm_start_model(&registry, &feat(9e9, 9e9, 0.0, 64e6))
+            .expect("warm start succeeds")
+            .is_none());
         // A known window whose tag has no checkpoint errors.
         assert!(matches!(
-            warm_start(&registry, &feat(2.5e7, 1e6, 2.1, 6e3), cfg.history_windows),
+            warm_start_model(&registry, &feat(2.5e7, 1e6, 2.1, 6e3)),
             Err(RegistryError::Missing(_))
         ));
     }

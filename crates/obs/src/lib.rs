@@ -9,13 +9,14 @@
 //! * [`ObsSink`] — the cheap trait the engine calls on its hot path. The
 //!   default [`NullSink`] makes every hook a predictable no-op branch;
 //!   installing a [`RecordingSink`] turns the same hooks into a bounded
-//!   ring of typed [`ObsEvent`] records plus a [`MetricsRegistry`].
-//! * [`MetricsRegistry`] — counters, gauges and latency histograms
-//!   ([`fleetio_des::LatencyHistogram`], the workspace's one histogram)
-//!   with typed handles registered per vSSD / per channel / per chip.
-//! * [`export`] — JSONL event dumps, Chrome `trace_event` JSON
+//!   ring of typed [`ObsEvent`] records. The event stream is the only
+//!   thing a sink receives.
+//! * [`export`] — JSONL event dumps and Chrome `trace_event` JSON
 //!   (loadable in `chrome://tracing` / Perfetto, one track per
-//!   channel/chip) and a plain-text metrics snapshot.
+//!   channel/chip).
+//! * [`slo`] — per-tenant SLO verdicts, and the fleet health report
+//!   folded from their `slo_window` / `fleet_migration` rows, live or
+//!   read back from a store.
 //! * [`json`] — the workspace's one JSON writer, and the parser that
 //!   reads its output back.
 //! * [`prof`] — the host-time span profiler: RAII spans over per-thread
@@ -33,12 +34,12 @@
 //!
 //! `fleetio obs summarize trace.jsonl` (the workspace's `fleetio` binary)
 //! validates a JSONL trace line by line and renders a human-readable
-//! report.
+//! report; `fleetio obs report` renders [`slo::health_report`] from
+//! stores or traces.
 
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod prof;
 #[cfg(test)]
 mod samples;
@@ -50,7 +51,6 @@ pub mod wire;
 pub use event::{
     FleetMigration, GsbKind, MigrationCause, ModelKind, NandKind, ObsEvent, SloWindow, WindowFlush,
 };
-pub use metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 pub use prof::{ProfReport, ProfSpan, SpanGuard, SpanStats};
 pub use series::{SeriesId, SeriesSet};
 pub use sink::{NullSink, ObsSink, RecordingSink};

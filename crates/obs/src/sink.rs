@@ -3,18 +3,16 @@
 //! The engine owns a `Box<dyn ObsSink>` and calls [`ObsSink::enabled`]
 //! before building any event — with the default [`NullSink`] installed
 //! every hook is a single predictable branch and no allocation happens.
-//! [`RecordingSink`] captures events into a bounded ring plus a
-//! [`MetricsRegistry`].
+//! [`RecordingSink`] captures events into a bounded ring.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::ObsEvent;
-use crate::metrics::MetricsRegistry;
 use crate::{export, json};
 
-/// Receiver for observability events and metrics.
+/// Receiver for observability events.
 ///
 /// Implementations must never influence simulation state: the engine
 /// produces identical event streams and identical results whether a
@@ -30,11 +28,6 @@ pub trait ObsSink: fmt::Debug + Send {
     /// Accepts one event. The default discards it.
     fn record(&mut self, ev: ObsEvent) {
         let _ = ev;
-    }
-
-    /// The sink's metrics registry, when it keeps one.
-    fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
-        None
     }
 
     /// Downcast support for retrieving a concrete sink after a run.
@@ -58,7 +51,7 @@ impl ObsSink for NullSink {
     }
 }
 
-/// Ring-buffered in-memory sink with a metrics registry.
+/// Ring-buffered in-memory sink.
 ///
 /// Memory is bounded: once `cap` events are held, each new event evicts
 /// the oldest and increments [`RecordingSink::dropped`]. The default
@@ -69,7 +62,6 @@ pub struct RecordingSink {
     events: VecDeque<ObsEvent>,
     cap: usize,
     dropped: u64,
-    metrics: MetricsRegistry,
 }
 
 impl Default for RecordingSink {
@@ -90,7 +82,6 @@ impl RecordingSink {
             events: VecDeque::new(),
             cap: cap.max(1),
             dropped: 0,
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -144,16 +135,6 @@ impl RecordingSink {
     pub fn chrome_trace(&self) -> String {
         export::chrome_trace(self.events.iter())
     }
-
-    /// Metrics snapshot as plain text, sorted by name, plus an eviction
-    /// note when the ring overflowed.
-    pub fn metrics_text(&self) -> String {
-        let mut out = self.metrics.render_text();
-        if self.dropped > 0 {
-            out.push_str(&format!("{} events evicted (ring full)\n", self.dropped));
-        }
-        out
-    }
 }
 
 impl ObsSink for RecordingSink {
@@ -167,10 +148,6 @@ impl ObsSink for RecordingSink {
             self.dropped += 1;
         }
         self.events.push_back(ev);
-    }
-
-    fn metrics(&mut self) -> Option<&mut MetricsRegistry> {
-        Some(&mut self.metrics)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -196,11 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_metricless() {
+    fn null_sink_is_disabled() {
         let mut s = NullSink;
         assert!(!s.enabled());
         s.record(throttle(0));
-        assert!(s.metrics().is_none());
     }
 
     #[test]
@@ -221,8 +197,9 @@ mod tests {
         let mut s = RecordingSink::with_capacity(1);
         s.record(throttle(1));
         assert!(!s.to_jsonl().contains("trace_truncated"));
-        assert!(!s.metrics_text().contains("evicted"));
+        assert_eq!(s.dropped(), 0);
         s.record(throttle(2));
+        assert_eq!(s.dropped(), 1, "one event evicted");
         let jsonl = s.to_jsonl();
         let meta = jsonl.lines().last().expect("meta line");
         assert_eq!(
@@ -237,7 +214,6 @@ mod tests {
         );
         let event = json::parse(jsonl.lines().next().expect("event")).expect("JSON");
         assert_eq!(RecordingSink::evicted_of(&event), None);
-        assert!(s.metrics_text().contains("1 events evicted (ring full)"));
     }
 
     #[test]

@@ -835,51 +835,8 @@ impl Engine {
                 total_bytes: summary.total_bytes,
                 total_ops: summary.total_ops,
             })));
-            self.flush_window_metrics(id, &summary);
         }
         summary
-    }
-
-    /// Updates the sink's metrics registry at a window boundary: per-vSSD
-    /// traffic counters and window-P99 histogram, plus per-channel
-    /// queue-depth / occupancy gauges sampled from the dispatcher and the
-    /// device.
-    fn flush_window_metrics(&mut self, id: VssdId, summary: &WindowSummary) {
-        if !self.obs_on {
-            return;
-        }
-        let Some(reg) = self.obs.metrics() else {
-            return;
-        };
-        let chan_obs = self.device.channel_obs(self.now);
-        let queue_depths: Vec<u32> = self
-            .chans
-            .iter()
-            .map(|c| c.pending.iter().sum::<u32>() + c.in_flight)
-            .collect();
-        let vssd = id.0;
-        let ops = reg.counter(&format!("vssd{vssd}.ops"));
-        reg.add(ops, summary.total_ops);
-        let bytes = reg.counter(&format!("vssd{vssd}.bytes"));
-        reg.add(bytes, summary.total_bytes);
-        let gc_events = reg.counter(&format!("vssd{vssd}.gc_events"));
-        reg.add(gc_events, summary.gc_events);
-        let p99 = reg.histogram(&format!("vssd{vssd}.window_p99_ns"));
-        reg.observe(p99, summary.p99_latency);
-        for (ch, (obs, qd)) in chan_obs.iter().zip(&queue_depths).enumerate() {
-            let g = reg.gauge(&format!("chan{ch}.queue_depth"));
-            reg.set(g, i64::from(*qd));
-            let g = reg.gauge(&format!("chan{ch}.busy_chips"));
-            reg.set(g, i64::from(obs.busy_chips));
-            let g = reg.gauge(&format!("chan{ch}.bus_backlog_ns"));
-            reg.set(g, obs.bus_backlog.as_nanos() as i64);
-            let g = reg.gauge(&format!("chan{ch}.bytes_moved"));
-            reg.set(g, obs.bytes_moved as i64);
-            for (chip, backlog) in obs.chip_backlog.iter().enumerate() {
-                let g = reg.gauge(&format!("chan{ch}.chip{chip}.backlog_ns"));
-                reg.set(g, backlog.as_nanos() as i64);
-            }
-        }
     }
 
     /// RL-facing snapshot of a vSSD's non-window states.

@@ -120,6 +120,11 @@ fn main() {
     std::fs::write("target/fleet/health.txt", &health).expect("write health report");
     std::fs::write("target/fleet/series.csv", rt.series().to_csv()).expect("write series CSV");
     std::fs::write("target/fleet/series.jsonl", rt.series().to_jsonl()).expect("write series");
+    println!(
+        "series: {} registered, {} points dropped",
+        rt.series().n_series(),
+        rt.series().total_dropped()
+    );
 
     // The story the report must tell: tenant 3, the latency-sensitive
     // victim packed onto shard 0 with the three heavies, violates its

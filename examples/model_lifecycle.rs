@@ -19,12 +19,12 @@ use fleetio_suite::des::codec::{decode_container, DecodeError};
 use fleetio_suite::des::{SimDuration, SimTime};
 use fleetio_suite::flash::addr::ChannelId;
 use fleetio_suite::flash::config::FlashConfig;
-use fleetio_suite::fleetio::agent::{pretrain_trainer, PretrainOptions};
+use fleetio_suite::fleetio::agent::{pretrain_trainer, FleetIoAgent, PretrainOptions};
 use fleetio_suite::fleetio::driver::TenantSpec;
 use fleetio_suite::fleetio::env::FleetIoEnv;
 use fleetio_suite::fleetio::experiment::{hardware_layout, workload_feature_windows};
 use fleetio_suite::fleetio::typing::TypingModel;
-use fleetio_suite::fleetio::warmstart::{checkpoint_from_trainer, typing_index, warm_start};
+use fleetio_suite::fleetio::warmstart::{checkpoint_from_trainer, typing_index, warm_start_model};
 use fleetio_suite::fleetio::FleetIoConfig;
 use fleetio_suite::model::{FineTuneConfig, FineTuneManager, ModelRegistry};
 use fleetio_suite::obs::{ObsEvent, RecordingSink};
@@ -133,11 +133,14 @@ fn build() -> ExitCode {
     //    load the matching checkpoint as a frozen deployment agent.
     println!("\nwarm-start at vSSD attach:");
     for (kind, f) in &probe_windows {
-        match warm_start(&registry, f, cfg.history_windows).expect("warm start runs") {
-            Some((tag, _agent, fell_back)) => println!(
-                "  {:10} -> model {tag:4} (fell back: {fell_back})",
-                kind.name()
-            ),
+        match warm_start_model(&registry, f).expect("warm start runs") {
+            Some((tag, model, fell_back)) => {
+                let _agent = FleetIoAgent::new(&model, cfg.history_windows);
+                println!(
+                    "  {:10} -> model {tag:4} (fell back: {fell_back})",
+                    kind.name()
+                );
+            }
             None => println!("  {:10} -> unknown type, no warm start", kind.name()),
         }
     }

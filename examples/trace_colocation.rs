@@ -1,6 +1,6 @@
 //! Traced colocation: run four tenants on a small device with a recording
-//! observability sink, then export the run as JSONL events, a Chrome
-//! `trace_event` file, and a plain-text metrics snapshot.
+//! observability sink, then export the run as JSONL events and a Chrome
+//! `trace_event` file.
 //!
 //! ```sh
 //! cargo run --release --example trace_colocation
@@ -12,7 +12,6 @@
 //!   `fleetio obs summarize target/obs/events.jsonl`).
 //! * `trace.json` — load in `chrome://tracing` or <https://ui.perfetto.dev>;
 //!   one track per channel/chip plus GC and per-request tracks.
-//! * `metrics.txt` — final counter/gauge/histogram snapshot.
 //!
 //! The example double-checks the trace against the engine: the number of
 //! `request_complete` events must equal the engine's own cumulative
@@ -73,7 +72,6 @@ fn main() {
     std::fs::create_dir_all(dir).expect("create target/obs");
     std::fs::write(dir.join("events.jsonl"), sink.to_jsonl()).expect("write events.jsonl");
     std::fs::write(dir.join("trace.json"), sink.chrome_trace()).expect("write trace.json");
-    std::fs::write(dir.join("metrics.txt"), sink.metrics_text()).expect("write metrics.txt");
 
     println!(
         "traced {} events ({} request completions, engine agrees)",
@@ -82,5 +80,4 @@ fn main() {
     );
     println!("  target/obs/events.jsonl — fleetio obs summarize target/obs/events.jsonl");
     println!("  target/obs/trace.json   — load in chrome://tracing or ui.perfetto.dev");
-    println!("  target/obs/metrics.txt  — final metrics snapshot");
 }

@@ -14,10 +14,11 @@
 //! `summarize` aggregates per-type event counts, request latency
 //! percentiles, per-vSSD traffic, GC activity, throttles and window
 //! flushes; `--by-tenant` adds an exact-bucket per-tenant
-//! latency/throughput breakdown. `report` renders the fleet-health
-//! view of `slo_window` / `fleet_migration` events — the offline twin
-//! of `FleetRuntime::health_report` — and accepts several inputs at
-//! once so per-shard run stores aggregate into one fleet dashboard.
+//! latency/throughput breakdown. `report` renders the fleet health
+//! report of `slo_window` / `fleet_migration` events through
+//! [`health_report`], the function `FleetRuntime::health_report` calls,
+//! and accepts several inputs at once so per-shard run stores aggregate
+//! into one fleet dashboard identical to the live one.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -27,6 +28,7 @@ use std::path::Path;
 
 use fleetio_des::{LatencyHistogram, SimDuration, SimTime};
 use fleetio_obs::json;
+use fleetio_obs::slo::health_report;
 use fleetio_obs::{FleetMigration, ObsEvent, RecordingSink, SloWindow};
 use fleetio_store::{query_each, EventFilter, RunStore};
 
@@ -254,149 +256,17 @@ fn summarize(args: &Args) -> VerbResult {
     Ok(Output::ok(out))
 }
 
-/// One tenant's aggregated `slo_window` history.
-#[derive(Default)]
-struct TenantSloAgg {
-    windows: u64,
-    violations: u64,
-    last_burn: f64,
-    longest_streak: u64,
-    /// The worst violating window by p99, then earliest.
-    worst: Option<SloWindow>,
-}
-
-impl TenantSloAgg {
-    /// Folds one tenant's verdicts, which must be in window order.
-    fn fold(rows: Vec<SloWindow>) -> Self {
-        let mut agg = TenantSloAgg::default();
-        let mut streak = 0;
-        for row in rows {
-            agg.windows += 1;
-            agg.last_burn = row.burn;
-            if row.p95_ok && row.p99_ok && row.throughput_ok {
-                streak = 0;
-                continue;
-            }
-            agg.violations += 1;
-            streak += 1;
-            agg.longest_streak = agg.longest_streak.max(streak);
-            if agg.worst.as_ref().is_none_or(|worst| row.p99 > worst.p99) {
-                agg.worst = Some(row);
-            }
-        }
-        agg
-    }
-}
-
-/// Renders the offline fleet-health dashboard from `slo_window` /
-/// `fleet_migration` events across all inputs (per-shard stores merge
-/// into one view).
+/// Renders [`health_report`] over the `slo_window` / `fleet_migration`
+/// events of all inputs (per-shard stores merge into one view).
 fn report(args: &Args) -> VerbResult {
-    let paths = &args.positionals;
-    let mut slo_rows: BTreeMap<u32, Vec<SloWindow>> = BTreeMap::new();
+    let mut slo_rows: Vec<SloWindow> = Vec::new();
     let mut migrations: Vec<FleetMigration> = Vec::new();
-    let mut window_flushes = 0u64;
-    for path in paths {
+    for path in &args.positionals {
         for_each_event(path, |ev| match ev {
-            ObsEvent::SloWindow(row) => slo_rows.entry(row.tenant).or_default().push(*row),
+            ObsEvent::SloWindow(row) => slo_rows.push(*row),
             ObsEvent::FleetMigration(m) => migrations.push(*m),
-            ObsEvent::WindowFlush(_) => window_flushes += 1,
             _ => {}
         })?;
     }
-    migrations.sort_by_key(|m| (m.window, m.tenant, m.from_shard, m.from_slot));
-    // A fleet tenant's windows sit in the store of every shard it lived
-    // on, so fold them in window order, not input order.
-    let tenants: BTreeMap<u32, TenantSloAgg> = slo_rows
-        .into_iter()
-        .map(|(tenant, mut rows)| {
-            rows.sort_by_key(|r| r.window);
-            (tenant, TenantSloAgg::fold(rows))
-        })
-        .collect();
-
-    let observed: u64 = tenants.values().map(|t| t.windows).sum();
-    let violated: u64 = tenants.values().map(|t| t.violations).sum();
-    let attainment = |windows: u64, violations: u64| {
-        if windows == 0 {
-            100.0
-        } else {
-            (windows - violations) as f64 / windows as f64 * 100.0
-        }
-    };
-    let mut out = format!(
-        "FLEET HEALTH REPORT (offline)\n\
-         =============================\n\
-         inputs: {}  tracked tenants: {}  slo windows: {observed}  violations: {violated}  \
-         attainment: {:.1}%  migrations: {}  window flushes: {window_flushes}\n\
-         \nPER-TENANT SLO ATTAINMENT\n\
-         {:<8}{:>8}{:>8}{:>8}{:>9}{:>8}\n",
-        paths.len(),
-        tenants.len(),
-        attainment(observed, violated),
-        migrations.len(),
-        "tenant",
-        "windows",
-        "viol",
-        "att%",
-        "streak",
-        "burn"
-    );
-    for (t, agg) in &tenants {
-        let _ = writeln!(
-            out,
-            "{:<8}{:>8}{:>8}{:>7.1}%{:>9}{:>8.3}",
-            format!("t{t}"),
-            agg.windows,
-            agg.violations,
-            attainment(agg.windows, agg.violations),
-            agg.longest_streak,
-            agg.last_burn
-        );
-    }
-    out += "\nWORST WINDOWS (per tenant, by p99)\n";
-    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
-    let mut worst = tenants.values().filter_map(|a| a.worst.as_ref()).peekable();
-    if worst.peek().is_none() {
-        out += "(no violations)\n";
-    }
-    for w in worst {
-        let _ = writeln!(
-            out,
-            "t{} w{}: p95 {:.3} ms, p99 {:.3} ms, {:.1} MB/s, {} ops \
-             [p95_ok={} p99_ok={} tp_ok={}]",
-            w.tenant,
-            w.window,
-            ms(w.p95),
-            ms(w.p99),
-            w.throughput / 1e6,
-            w.ops,
-            w.p95_ok,
-            w.p99_ok,
-            w.throughput_ok
-        );
-    }
-    out += "\nMIGRATION TIMELINE\n";
-    if migrations.is_empty() {
-        out += "(none)\n";
-    }
-    for m in &migrations {
-        let _ = writeln!(
-            out,
-            "w{}: t{} {}/{} -> {}/{} cause={} mean={:.3} src {:.3}->{:.3} dst {:.3}->{:.3}",
-            m.window,
-            m.tenant,
-            m.from_shard,
-            m.from_slot,
-            m.to_shard,
-            m.to_slot,
-            m.cause.tag(),
-            m.mean_util,
-            m.src_util,
-            m.src_util_after,
-            m.dst_util,
-            m.dst_util_after
-        );
-    }
-    Ok(Output::ok(out))
+    Ok(Output::ok(health_report(slo_rows, migrations)))
 }
