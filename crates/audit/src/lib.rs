@@ -23,6 +23,14 @@
 //!   `OpenOptions` in simulation crates; persistent state (checkpoints,
 //!   registries) goes through `fleetio_model::atomic_write` so a crash can
 //!   never leave a half-written file behind.
+//! * [`hot-path-collections`](rules) and [`unchecked-ops`](rules) — no
+//!   node-based maps or unchecked ops in the engine's event-handler scope.
+//! * [`determinism-taint`](graph) — no nondeterminism source reachable
+//!   from a simulation root through the call graph.
+//!
+//! Each source is lexed once ([`token`]); every rule, the test and audit
+//! region map ([`scan`]), the item extractor ([`items`]) and the call
+//! graph read that one token stream.
 //!
 //! Run `cargo run -p fleetio-audit -- check` from anywhere in the
 //! workspace; `audit.toml` at the repo root grandfathers legacy sites with

@@ -1,14 +1,17 @@
 //! The repo-specific lint rules.
 //!
-//! Each rule is a conservative, line-oriented pattern check over a
-//! [`ScannedFile`] (comments/strings masked, test regions excluded). Rules
-//! are scoped by path: the simulator core (`des`, `flash`, `vssd`) carries
-//! the strictest rules; wall-clock crates (`bench`, `audit` itself) are
-//! exempt from the simulated-time and entropy rules because they
-//! legitimately measure host time.
+//! Each rule is a conservative pattern check over a [`ScannedFile`]'s
+//! token stream, so comments and literals never match. The seven line
+//! rules read it line by line with test regions excluded and report a
+//! line at most once per name; `hot-path-collections` and
+//! `unchecked-ops` also skip audit-only regions. Rules are scoped by path:
+//! the simulator core (`des`, `flash`, `vssd`) carries the strictest
+//! rules; wall-clock crates (`bench`, `audit` itself) are exempt from the
+//! simulated-time and entropy rules because they legitimately measure
+//! host time.
 
-use crate::scan::{identifiers, ScannedFile};
-use crate::token::TokKind;
+use crate::scan::ScannedFile;
+use crate::token::{Tok, TokKind};
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,12 +122,45 @@ pub fn check_file(file: &ScannedFile) -> Vec<Diagnostic> {
     out
 }
 
+/// A `rule` finding at 1-based `line`, with that line as its snippet.
+fn diag(file: &ScannedFile, rule: &'static str, line: usize, message: String) -> Diagnostic {
+    Diagnostic {
+        rule,
+        path: file.path.clone(),
+        line,
+        message,
+        snippet: file.snippet(line),
+        chain: Vec::new(),
+    }
+}
+
+/// Whether the tokens from `line[k]` on spell `parts` (two or more) the
+/// way a substring of the source would: each token touches the next with
+/// no space or comment between, the first ends with the first part, the
+/// last starts with the last part and the ones between equal theirs.
+fn spelled_at(line: &[Tok], k: usize, parts: &[&str]) -> bool {
+    let Some(w) = line.get(k..k + parts.len()) else {
+        return false;
+    };
+    let last = parts.len() - 1;
+    w.windows(2)
+        .all(|p| p[0].offset + p[0].text.len() == p[1].offset)
+        && w[0].text.ends_with(parts[0])
+        && w[last].text.starts_with(parts[last])
+        && (1..last).all(|i| w[i].text == parts[i])
+}
+
+/// The index of the first token of `line` that starts a spelling of `parts`.
+fn spelled(line: &[Tok], parts: &[&str]) -> Option<usize> {
+    (0..line.len()).find(|&k| spelled_at(line, k, parts))
+}
+
 /// `raw-time-arith`: nanoseconds-per-second literals used in time
 /// arithmetic outside `crates/des/src/time.rs`. All simulated-time
 /// conversion belongs in `SimTime`/`SimDuration`, so f64-seconds math
 /// cannot silently drift from the canonical nanosecond representation.
 ///
-/// A line is flagged when it contains an `1e9`-scale literal *and* a
+/// A line is flagged when it holds an `1e9`-scale literal *and* a
 /// time-unit identifier (`*_ns`, `secs`, `latency_*`, ...). The identifier
 /// requirement keeps byte-scale literals (`bytes as f64 / 1e9` for GB)
 /// out of scope.
@@ -135,31 +171,30 @@ fn raw_time_arith(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
         return;
     }
     const NS_LITERALS: [&str; 5] = ["1_000_000_000", "1e9", "1E9", "1e+9", "999_999_999"];
-    for (line_no, masked, raw) in file.code_lines() {
-        if !NS_LITERALS.iter().any(|l| masked.contains(l)) {
-            continue;
-        }
-        if identifiers(masked).iter().any(|id| is_time_identifier(id)) {
-            out.push(Diagnostic {
-                rule: "raw-time-arith",
-                path: file.path.clone(),
-                line: line_no,
-                message: "raw f64 seconds/ns arithmetic outside des::time; convert via \
-                          SimTime/SimDuration instead"
+    for (line, toks) in file.code_lines() {
+        let literal = toks
+            .iter()
+            .any(|t| NS_LITERALS.iter().any(|l| t.text.contains(l)));
+        if literal && toks.iter().any(|t| is_time_identifier(&t.text)) {
+            out.push(diag(
+                file,
+                "raw-time-arith",
+                line,
+                "raw f64 seconds/ns arithmetic outside des::time; convert via \
+                 SimTime/SimDuration instead"
                     .to_string(),
-                snippet: raw.trim().to_string(),
-                chain: Vec::new(),
-            });
+            ));
         }
     }
 }
 
-/// Whether an identifier names a time quantity.
+/// Whether a token names a time quantity (case-insensitively).
 fn is_time_identifier(id: &str) -> bool {
     const SUBSTRINGS: [&str; 7] = [
         "nano", "micro", "milli", "time", "duration", "latency", "deadline",
     ];
     const SEGMENTS: [&str; 8] = ["ns", "us", "ms", "sec", "secs", "msec", "usec", "nsec"];
+    let id = id.to_ascii_lowercase();
     SUBSTRINGS.iter().any(|s| id.contains(s)) || id.split('_').any(|seg| SEGMENTS.contains(&seg))
 }
 
@@ -172,77 +207,76 @@ fn no_unwrap(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_core(&file.path) {
         return;
     }
-    for (line_no, masked, raw) in file.code_lines() {
-        if masked.contains(".unwrap()") {
-            out.push(Diagnostic {
-                rule: "no-unwrap",
-                path: file.path.clone(),
-                line: line_no,
-                message: "unwrap() in simulator core; return a typed error or use expect() \
-                          with an invariant-documenting message"
+    for (line, toks) in file.code_lines() {
+        if spelled(toks, &[".", "unwrap", "(", ")"]).is_some() {
+            out.push(diag(
+                file,
+                "no-unwrap",
+                line,
+                "unwrap() in simulator core; return a typed error or use expect() \
+                 with an invariant-documenting message"
                     .to_string(),
-                snippet: raw.trim().to_string(),
-                chain: Vec::new(),
-            });
+            ));
         }
-        if let Some(col) = masked.find(".expect(") {
-            match expect_message(file, line_no - 1, col) {
-                Some(msg) if msg.chars().count() >= MIN_EXPECT_MESSAGE => {}
-                Some(msg) => out.push(Diagnostic {
-                    rule: "no-unwrap",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "expect() message \"{msg}\" too short to document an invariant \
-                         (need >= {MIN_EXPECT_MESSAGE} chars)"
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                }),
-                None => out.push(Diagnostic {
-                    rule: "no-unwrap",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: "expect() without a literal invariant-documenting message".to_string(),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                }),
-            }
-        }
+        let Some(k) = spelled(toks, &[".", "expect", "("]) else {
+            continue;
+        };
+        let message = match expect_message(&file.source[toks[k].offset..]) {
+            Some(msg) if msg.chars().count() >= MIN_EXPECT_MESSAGE => continue,
+            Some(msg) => format!(
+                "expect() message \"{msg}\" too short to document an invariant \
+                 (need >= {MIN_EXPECT_MESSAGE} chars)"
+            ),
+            None => "expect() without a literal invariant-documenting message".to_string(),
+        };
+        out.push(diag(file, "no-unwrap", line, message));
     }
 }
 
 /// Minimum length of an `.expect(...)` message in the simulator core.
 pub const MIN_EXPECT_MESSAGE: usize = 12;
 
-/// Extracts the string literal following `.expect(` at `(line_idx, col)`,
-/// looking up to two raw lines ahead for rustfmt-wrapped messages.
-fn expect_message(file: &ScannedFile, line_idx: usize, col: usize) -> Option<String> {
-    for (i, raw) in file.raw_lines.iter().enumerate().skip(line_idx).take(3) {
-        let hay = if i == line_idx {
-            raw.get(col..)?
-        } else {
-            raw.as_str()
-        };
-        if let Some(start) = hay.find('"') {
-            let rest = &hay[start + 1..];
-            let mut msg = String::new();
-            let mut chars = rest.chars();
-            while let Some(c) = chars.next() {
-                match c {
-                    '"' => return Some(msg),
-                    '\\' => {
-                        if let Some(esc) = chars.next() {
-                            msg.push(esc);
-                        }
-                    }
-                    c => msg.push(c),
-                }
-            }
-            return Some(msg);
+/// Extracts the string literal following an `.expect(` at the start of
+/// `rest`, looking up to two lines ahead for rustfmt-wrapped messages.
+fn expect_message(rest: &str) -> Option<String> {
+    let body = rest
+        .lines()
+        .take(3)
+        .find_map(|l| l.find('"').map(|start| &l[start + 1..]))?;
+    let mut msg = String::new();
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => break,
+            '\\' => msg.extend(chars.next()),
+            c => msg.push(c),
         }
     }
-    None
+    Some(msg)
+}
+
+/// Pushes one `rule` finding per line and per name in `names` that
+/// `found(line's tokens, name)` reports, with the message `message(name)`.
+fn line_rule(
+    file: &ScannedFile,
+    rule: &'static str,
+    names: &[&str],
+    found: impl Fn(&[Tok], &str) -> bool,
+    message: impl Fn(&str) -> String,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (line, toks) in file.code_lines() {
+        for name in names {
+            if found(toks, name) {
+                out.push(diag(file, rule, line, message(name)));
+            }
+        }
+    }
+}
+
+/// Whether `toks` hold the identifier `name`.
+fn uses_ident(toks: &[Tok], name: &str) -> bool {
+    toks.iter().any(|t| t.is_ident(name))
 }
 
 /// `hash-iteration`: `HashMap`/`HashSet` in the simulator core. Their
@@ -253,24 +287,15 @@ fn hash_iteration(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_core(&file.path) {
         return;
     }
-    for (line_no, masked, raw) in file.code_lines() {
-        for ty in ["HashMap", "HashSet"] {
-            if contains_identifier(masked, ty) {
-                out.push(Diagnostic {
-                    rule: "hash-iteration",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "{ty} in simulator core: iteration order is nondeterministic; use \
-                         BTree{} or sorted iteration",
-                        &ty[4..]
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
+    let message = |ty: &str| {
+        format!(
+            "{ty} in simulator core: iteration order is nondeterministic; use \
+             BTree{} or sorted iteration",
+            &ty[4..]
+        )
+    };
+    let types = ["HashMap", "HashSet"];
+    line_rule(file, "hash-iteration", &types, uses_ident, message, out);
 }
 
 /// `entropy`: ambient randomness in simulation crates. Every random
@@ -280,24 +305,14 @@ fn entropy(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_sim(&file.path) || file.path == "crates/des/src/rng.rs" {
         return;
     }
-    const SOURCES: [&str; 3] = ["thread_rng", "from_entropy", "getrandom"];
-    for (line_no, masked, raw) in file.code_lines() {
-        for src in SOURCES {
-            if contains_identifier(masked, src) {
-                out.push(Diagnostic {
-                    rule: "entropy",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "entropy source `{src}` outside des::rng; seed explicitly via \
-                         fleetio_des::rng"
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
+    let message = |src: &str| {
+        format!(
+            "entropy source `{src}` outside des::rng; seed explicitly via \
+             fleetio_des::rng"
+        )
+    };
+    let sources = ["thread_rng", "from_entropy", "getrandom"];
+    line_rule(file, "entropy", &sources, uses_ident, message, out);
 }
 
 /// `host-time-scope`: wall-clock reads (`Instant`, `SystemTime`) in the
@@ -308,52 +323,37 @@ fn host_time_scope(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_sim(&file.path) || is_prof_path(&file.path) {
         return;
     }
-    const SOURCES: [&str; 2] = ["Instant", "SystemTime"];
-    for (line_no, masked, raw) in file.code_lines() {
-        for src in SOURCES {
-            if contains_identifier(masked, src) {
-                out.push(Diagnostic {
-                    rule: "host-time-scope",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "wall-clock source `{src}` outside crates/bench and obs::prof; take \
-                         time from fleetio_des::SimTime or profile via fleetio_obs::prof"
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
+    let message = |src: &str| {
+        format!(
+            "wall-clock source `{src}` outside crates/bench and obs::prof; take \
+             time from fleetio_des::SimTime or profile via fleetio_obs::prof"
+        )
+    };
+    let sources = ["Instant", "SystemTime"];
+    line_rule(file, "host-time-scope", &sources, uses_ident, message, out);
 }
 
 /// `no-println`: ad-hoc stdout/stderr writes in quiet library crates.
 /// Structured output belongs in `fleetio-obs` events/metrics; stray
 /// `println!` in the hot path skews timing-sensitive benchmarks and
 /// pollutes exporter streams. Terminal output belongs in the `fleetio` CLI.
+/// A call is the macro's name as a whole identifier with `!` touching it,
+/// so `print` matches neither `println!` nor `self.print()`.
 fn no_println(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_quiet(&file.path) {
         return;
     }
-    const MACROS: [&str; 5] = ["println", "eprintln", "print", "eprint", "dbg"];
-    for (line_no, masked, raw) in file.code_lines() {
-        for mac in MACROS {
-            if contains_macro_call(masked, mac) {
-                out.push(Diagnostic {
-                    rule: "no-println",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "`{mac}!` in a quiet library crate; emit a fleetio-obs event or \
-                         metric instead (terminal output belongs in the fleetio CLI)"
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
+    let called = |toks: &[Tok], mac: &str| {
+        (0..toks.len()).any(|k| toks[k].is_ident(mac) && spelled_at(toks, k, &[mac, "!"]))
+    };
+    let message = |mac: &str| {
+        format!(
+            "`{mac}!` in a quiet library crate; emit a fleetio-obs event or \
+             metric instead (terminal output belongs in the fleetio CLI)"
+        )
+    };
+    let macros = ["println", "eprintln", "print", "eprint", "dbg"];
+    line_rule(file, "no-println", &macros, called, message, out);
 }
 
 /// `atomic-io`: direct file-writing APIs in simulation crates. A crash
@@ -368,29 +368,19 @@ fn atomic_io(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_sim(&file.path) || file.path == "crates/model/src/atomic.rs" {
         return;
     }
-    const APIS: [&str; 3] = ["fs::write", "File::create", "OpenOptions"];
-    for (line_no, masked, raw) in file.code_lines() {
-        for api in APIS {
-            let hit = match api {
-                // Path-qualified call: substring is unambiguous.
-                "fs::write" | "File::create" => masked.contains(api),
-                _ => contains_identifier(masked, api),
-            };
-            if hit {
-                out.push(Diagnostic {
-                    rule: "atomic-io",
-                    path: file.path.clone(),
-                    line: line_no,
-                    message: format!(
-                        "direct file write via `{api}` in a simulation crate; persist \
-                         through fleetio_model::atomic_write (crash-safe tmp+rename)"
-                    ),
-                    snippet: raw.trim().to_string(),
-                    chain: Vec::new(),
-                });
-            }
-        }
-    }
+    // A path-qualified call matches as it is spelled in the source.
+    let used = |toks: &[Tok], api: &str| match api.split_once("::") {
+        Some((head, tail)) => spelled(toks, &[head, "::", tail]).is_some(),
+        None => uses_ident(toks, api),
+    };
+    let message = |api: &str| {
+        format!(
+            "direct file write via `{api}` in a simulation crate; persist \
+             through fleetio_model::atomic_write (crash-safe tmp+rename)"
+        )
+    };
+    let apis = ["fs::write", "File::create", "OpenOptions"];
+    line_rule(file, "atomic-io", &apis, used, message, out);
 }
 
 /// `hot-path-collections`: node-based map/set types in the engine's
@@ -459,18 +449,16 @@ fn hot_path_collections(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
             continue;
         }
         if let Some(ty) = TYPES.iter().find(|ty| t.text == **ty) {
-            out.push(Diagnostic {
-                rule: "hot-path-collections",
-                path: file.path.clone(),
-                line: t.line as usize,
-                message: format!(
+            out.push(diag(
+                file,
+                "hot-path-collections",
+                t.line as usize,
+                format!(
                     "{ty} in the engine event-handler scope: per-event lookups must \
                      use slab/dense-vec storage indexed by handle; cold control-plane \
                      maps go through audit.toml"
                 ),
-                snippet: file.snippet(t.line as usize),
-                chain: Vec::new(),
-            });
+            ));
             continue;
         }
         let is_op = OPS.contains(&t.text.as_str())
@@ -481,19 +469,17 @@ fn hot_path_collections(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
         if is_op {
             let recv = &toks[k - 2].text;
             if let Some((_, ty)) = bindings.iter().find(|(n, _)| n == recv) {
-                out.push(Diagnostic {
-                    rule: "hot-path-collections",
-                    path: file.path.clone(),
-                    line: t.line as usize,
-                    message: format!(
+                out.push(diag(
+                    file,
+                    "hot-path-collections",
+                    t.line as usize,
+                    format!(
                         "per-event `.{}()` on map-typed binding `{recv}` ({ty}) in the \
                          engine event-handler scope; move this state to slab/dense-vec \
                          storage indexed by handle",
                         t.text
                     ),
-                    snippet: file.snippet(t.line as usize),
-                    chain: Vec::new(),
-                });
+                ));
             }
         }
     }
@@ -516,65 +502,18 @@ fn unchecked_ops(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
             continue;
         }
         if t.text.ends_with("_unchecked") || t.text.starts_with("unchecked_") {
-            out.push(Diagnostic {
-                rule: "unchecked-ops",
-                path: file.path.clone(),
+            out.push(diag(
+                file,
+                "unchecked-ops",
                 line,
-                message: format!(
+                format!(
                     "`{}` in the engine event-handler scope: keep the bounds/overflow \
                      check; unchecked ops turn index bugs into silent state corruption",
                     t.text
                 ),
-                snippet: file.snippet(line),
-                chain: Vec::new(),
-            });
+            ));
         }
     }
-}
-
-/// Whether `hay` invokes the macro `name` (`name` as a whole identifier
-/// immediately followed by `!`). The whole-identifier requirement keeps
-/// `print` from matching inside `println` or `eprint`.
-fn contains_macro_call(hay: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(p) = hay.get(from..).and_then(|h| h.find(name)) {
-        let start = from + p;
-        let end = start + name.len();
-        let before_ok = start == 0
-            || !hay[..start]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && hay[end..].starts_with('!') {
-            return true;
-        }
-        from = end;
-    }
-    false
-}
-
-/// Whether `needle` occurs in `hay` as a whole identifier (not as part of
-/// a longer identifier).
-fn contains_identifier(hay: &str, needle: &str) -> bool {
-    let mut from = 0;
-    while let Some(p) = hay.get(from..).and_then(|h| h.find(needle)) {
-        let start = from + p;
-        let end = start + needle.len();
-        let before_ok = start == 0
-            || !hay[..start]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        let after_ok = !hay[end..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = end;
-    }
-    false
 }
 
 #[cfg(test)]
@@ -759,13 +698,25 @@ mod tests {
     fn println_allowed_in_tests_and_ignores_lookalikes() {
         let in_test = "#[cfg(test)]\nmod tests {\n fn t() { println!(\"x\"); }\n}\n";
         assert!(diags("crates/des/src/queue.rs", in_test).is_empty());
-        // Not a macro call: identifier without `!`, or part of a longer name.
-        assert!(!contains_macro_call("self.print_report();", "print"));
-        assert!(!contains_macro_call("my_println!(\"x\")", "println"));
-        // `print` must not fire inside `println!`/`eprint!`.
-        assert!(!contains_macro_call("println!(\"x\")", "print"));
-        assert!(!contains_macro_call("eprint!(\"x\")", "print"));
-        assert!(contains_macro_call("eprintln!(\"x\")", "eprintln"));
+        // Not a macro call: identifier without `!`, part of a longer name,
+        // `!` not touching the name, or `print` inside `println!`/`eprint!`.
+        for src in [
+            "self.print_report(); print(x);",
+            "my_println!(\"x\");",
+            "println !(\"x\");",
+            "if dbg != 0 {}",
+        ] {
+            assert!(diags("crates/des/src/queue.rs", src).is_empty(), "{src}");
+        }
+        let d = diags(
+            "crates/des/src/queue.rs",
+            "println!(\"x\"); eprint!(\"y\");",
+        );
+        let macs: Vec<_> = d
+            .iter()
+            .map(|d| &d.message[..d.message.find('!').unwrap_or(0)])
+            .collect();
+        assert_eq!(macs, ["`println", "`eprint"], "{d:?}");
     }
 
     #[test]
@@ -807,11 +758,26 @@ mod tests {
 
     #[test]
     fn identifier_match_is_whole_word() {
-        assert!(contains_identifier("let x: HashMap<u8, u8>;", "HashMap"));
-        assert!(!contains_identifier(
-            "let x = MyHashMapLike::new();",
-            "HashMap"
-        ));
-        assert!(!contains_identifier("instantaneous", "Instant"));
+        let core = "crates/des/src/queue.rs";
+        assert_eq!(diags(core, "let x: HashMap<u8, u8>;").len(), 1);
+        assert!(diags(core, "let x = MyHashMapLike::new();").is_empty());
+        assert!(diags(core, "let instantaneous = Instant_like;").is_empty());
+    }
+
+    #[test]
+    fn paths_and_method_calls_are_spelled_without_gaps() {
+        let core = "crates/des/src/queue.rs";
+        for src in [
+            "x . unwrap();",
+            "x./* why */unwrap();",
+            "x.unwrap ();",
+            "std::fs :: write(p, b);",
+        ] {
+            assert!(diags(core, src).is_empty(), "{src}");
+        }
+        // As in the source text, `fs::write` also matches inside a longer path segment.
+        let d = diags(core, "x.unwrap(); tmpfs::write_all(p);");
+        let rules: Vec<_> = d.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["no-unwrap", "atomic-io"], "{d:?}");
     }
 }

@@ -1,17 +1,13 @@
-//! Source-text preprocessing for the lint rules.
+//! Source preprocessing for the lint rules.
 //!
-//! Each file is scanned once into three coordinated views:
-//!
-//! * **Masked lines** — comments and string/char literals blanked out
-//!   (replaced by spaces, newlines kept) so substring rules cannot match
-//!   prose. Masking is byte-for-byte: offsets and line/column positions in
-//!   the masked text equal those in the raw text.
-//! * **Tokens** — the [`crate::token`] lexer's stream, for the item
-//!   extractor, call graph, and flow-aware rules.
-//! * **Line classes** — every line is classified as test code (covered by
-//!   a `#[cfg(test)]` / `#[test]` attribute's item) and/or audit-only code
-//!   (covered by `#[cfg(feature = "audit")]`), by brace-matching from the
-//!   attribute to the end of the item it gates.
+//! Each file is lexed once by [`crate::token`]; every rule, the item
+//! extractor and the call graph read that one token stream. Beside it the
+//! scan keeps two line classes: test code (covered by a `#[cfg(test)]` /
+//! `#[test]` attribute's item) and audit-only code (covered by
+//! `#[cfg(feature = "audit")]`). An attribute counts where a `#` token's
+//! source text starts with it, so one spelled inside a comment or string
+//! (which has no tokens) never opens a region; the region runs by
+//! brace-matching on `{`/`}`/`;` tokens to the end of the item it gates.
 
 use crate::token::{tokenize, Tok};
 
@@ -20,10 +16,8 @@ use crate::token::{tokenize, Tok};
 pub struct ScannedFile {
     /// Workspace-relative path with forward slashes, e.g. `crates/des/src/time.rs`.
     pub path: String,
-    /// Raw source lines (for snippets and string-literal inspection).
-    pub raw_lines: Vec<String>,
-    /// Masked source lines (comments and literals blanked).
-    pub masked_lines: Vec<String>,
+    /// The source text (for snippets and string-literal inspection).
+    pub source: String,
     /// `true` for lines inside `#[cfg(test)]` / `#[test]` regions.
     pub is_test_line: Vec<bool>,
     /// `true` for lines inside `#[cfg(feature = "audit")]` regions — code
@@ -37,31 +31,24 @@ pub struct ScannedFile {
 impl ScannedFile {
     /// Scans a single source text.
     pub fn new(path: &str, source: &str) -> ScannedFile {
-        let masked = mask_source(source);
-        let raw_lines: Vec<String> = source.lines().map(str::to_string).collect();
-        let masked_lines: Vec<String> = masked.lines().map(str::to_string).collect();
-        let n = raw_lines.len();
-        let is_test_line = attr_item_map(source, &masked, &["#[cfg(test)]", "#[test]"], n);
-        let is_audit_line = attr_item_map(source, &masked, &["#[cfg(feature = \"audit\")]"], n);
         let toks = tokenize(source);
+        let n = source.lines().count();
         ScannedFile {
             path: path.to_string(),
-            raw_lines,
-            masked_lines,
-            is_test_line,
-            is_audit_line,
+            source: source.to_string(),
+            is_test_line: attr_item_map(source, &toks, &["#[cfg(test)]", "#[test]"], n),
+            is_audit_line: attr_item_map(source, &toks, &["#[cfg(feature = \"audit\")]"], n),
             toks,
         }
     }
 
-    /// Iterates `(1-based line number, masked line, raw line)` over non-test lines.
-    pub fn code_lines(&self) -> impl Iterator<Item = (usize, &str, &str)> {
-        self.masked_lines
-            .iter()
-            .zip(&self.raw_lines)
-            .enumerate()
-            .filter(|(i, _)| !self.is_test_line.get(*i).copied().unwrap_or(false))
-            .map(|(i, (m, r))| (i + 1, m.as_str(), r.as_str()))
+    /// Iterates `(1-based line number, the tokens starting on it)` over
+    /// the non-test lines that hold a token.
+    pub fn code_lines(&self) -> impl Iterator<Item = (usize, &[Tok])> {
+        self.toks
+            .chunk_by(|a, b| a.line == b.line)
+            .map(|line| (line[0].line as usize, line))
+            .filter(|(line, _)| !self.line_is_test(*line))
     }
 
     /// Whether 1-based `line` is inside a test region.
@@ -76,322 +63,51 @@ impl ScannedFile {
 
     /// The raw text of 1-based `line`, trimmed, for diagnostics.
     pub fn snippet(&self, line: usize) -> String {
-        self.raw_lines
-            .get(line.saturating_sub(1))
+        self.source
+            .lines()
+            .nth(line.saturating_sub(1))
             .map(|l| l.trim().to_string())
             .unwrap_or_default()
     }
 }
 
-/// Replaces comments and string/char literals with spaces, preserving
-/// newlines (and total byte length) so line/column positions survive.
-pub fn mask_source(src: &str) -> String {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(u32),
-        Char,
-    }
-    let b = src.as_bytes();
-    let mut out = Vec::with_capacity(b.len());
-    let mut st = St::Code;
-    let mut i = 0;
-    // Last raw byte emitted in Code state; a literal prefix (`r"`, `b"`)
-    // is only a prefix when it starts an identifier, so `herb"x"` keeps
-    // its `b`.
-    let mut prev_code = b' ';
-    while i < b.len() {
-        let c = b[i];
-        match st {
-            St::Code => {
-                let after_ident = prev_code.is_ascii_alphanumeric() || prev_code == b'_';
-                if c == b'/' && b.get(i + 1) == Some(&b'/') {
-                    st = St::LineComment;
-                    out.push(b' ');
-                } else if c == b'/' && b.get(i + 1) == Some(&b'*') {
-                    st = St::BlockComment(1);
-                    out.push(b' ');
-                } else if c == b'"' {
-                    st = St::Str;
-                    out.push(b' ');
-                } else if (c == b'r' || c == b'b') && !after_ident {
-                    // Possible raw/byte string start: r", r#", br", b"...
-                    let mut j = i + 1;
-                    if c == b'b' && b.get(j) == Some(&b'r') {
-                        j += 1;
-                    }
-                    let mut hashes = 0u32;
-                    while b.get(j) == Some(&b'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if b.get(j) == Some(&b'"') && (j > i + 1 || c == b'r') {
-                        out.extend(std::iter::repeat_n(b' ', j - i + 1));
-                        i = j;
-                        st = St::RawStr(hashes);
-                    } else if c == b'b' && b.get(i + 1) == Some(&b'"') {
-                        out.push(b' ');
-                    } else {
-                        out.push(c);
-                    }
-                } else if c == b'\'' {
-                    // Char literal vs lifetime: a literal is one escape or
-                    // one scalar (of any UTF-8 width) followed by a
-                    // closing quote; a lifetime has no closing quote.
-                    let is_char = match b.get(i + 1) {
-                        Some(b'\\') => true,
-                        Some(&n) => {
-                            let w = match n {
-                                0x00..=0x7f => 1,
-                                0xc0..=0xdf => 2,
-                                0xe0..=0xef => 3,
-                                _ => 4,
-                            };
-                            b.get(i + 1 + w) == Some(&b'\'')
-                        }
-                        None => false,
-                    };
-                    if is_char {
-                        st = St::Char;
-                    }
-                    out.push(if is_char { b' ' } else { c });
-                } else {
-                    out.push(c);
-                }
-                prev_code = c;
-            }
-            St::LineComment => {
-                if c == b'\n' {
-                    st = St::Code;
-                    out.push(b'\n');
-                } else {
-                    out.push(b' ');
-                }
-            }
-            St::BlockComment(depth) => {
-                if c == b'/' && b.get(i + 1) == Some(&b'*') {
-                    st = St::BlockComment(depth + 1);
-                    out.push(b' ');
-                    out.push(b' ');
-                    i += 1;
-                } else if c == b'*' && b.get(i + 1) == Some(&b'/') {
-                    st = if depth == 1 {
-                        St::Code
-                    } else {
-                        St::BlockComment(depth - 1)
-                    };
-                    out.push(b' ');
-                    out.push(b' ');
-                    i += 1;
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                }
-            }
-            St::Str => {
-                if c == b'\\' {
-                    out.push(b' ');
-                    if let Some(&n) = b.get(i + 1) {
-                        out.push(if n == b'\n' { b'\n' } else { b' ' });
-                        i += 1;
-                    }
-                } else if c == b'"' {
-                    st = St::Code;
-                    out.push(b' ');
-                    prev_code = b' ';
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                }
-            }
-            St::RawStr(hashes) => {
-                if c == b'"' {
-                    let mut j = i + 1;
-                    let mut seen = 0u32;
-                    while seen < hashes && b.get(j) == Some(&b'#') {
-                        seen += 1;
-                        j += 1;
-                    }
-                    if seen == hashes {
-                        out.extend(std::iter::repeat_n(b' ', j - i));
-                        i = j - 1;
-                        st = St::Code;
-                        prev_code = b' ';
-                    } else {
-                        out.push(b' ');
-                    }
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                }
-            }
-            St::Char => {
-                if c == b'\\' {
-                    out.push(b' ');
-                    if b.get(i + 1).is_some() {
-                        out.push(b' ');
-                        i += 1;
-                    }
-                } else if c == b'\'' {
-                    st = St::Code;
-                    out.push(b' ');
-                    prev_code = b' ';
-                } else {
-                    out.push(if c == b'\n' { b'\n' } else { b' ' });
-                }
-            }
-        }
-        i += 1;
-    }
-    String::from_utf8(out).expect("masking preserves UTF-8: replaced bytes are ASCII spaces")
-}
-
-/// Marks every line covered by one of `attrs`'s items (attribute line
-/// through the item's closing brace, or through the `;` for brace-less
-/// items).
-///
-/// Attributes are located in the raw text (they may contain string
-/// literals, which masking blanks) and validated against the masked text
-/// (an attribute spelled inside a comment or string is masked to spaces
-/// there, so it cannot match). Brace matching runs on the masked text,
-/// where braces inside strings and comments do not exist.
-fn attr_item_map(raw: &str, masked: &str, attrs: &[&str], n_lines: usize) -> Vec<bool> {
+/// Marks every line covered by one of `attrs`'s items: from the
+/// attribute's `#` through the `}` that closes the item's first brace, or
+/// through the `;` of a brace-less item (the last line if neither comes).
+fn attr_item_map(source: &str, toks: &[Tok], attrs: &[&str], n_lines: usize) -> Vec<bool> {
     let mut map = vec![false; n_lines];
-    let bytes = masked.as_bytes();
-    for attr in attrs {
-        let mut from = 0;
-        while let Some(pos) = find_from(raw, attr, from) {
-            from = pos + attr.len();
-            // Inside a comment or string, masking blanked the `#`.
-            if bytes.get(pos) != Some(&b'#') {
-                continue;
+    for (k, hash) in toks.iter().enumerate() {
+        let rest = &source[hash.offset..];
+        if !hash.is_punct("#") || !attrs.iter().any(|a| rest.starts_with(a)) {
+            continue;
+        }
+        // The attribute's own tokens hold no brace or semicolon.
+        let (mut depth, mut started) = (0i32, false);
+        let end = toks[k + 1..].iter().find(|t| match t.text.as_str() {
+            "{" => {
+                depth += 1;
+                started = true;
+                false
             }
-            let start_line = line_of(bytes, pos);
-            let mut depth = 0i32;
-            let mut started = false;
-            let mut end = bytes.len().saturating_sub(1);
-            let mut j = pos + attr.len();
-            while j < bytes.len() {
-                match bytes[j] {
-                    b'{' => {
-                        depth += 1;
-                        started = true;
-                    }
-                    b'}' => {
-                        depth -= 1;
-                        if started && depth == 0 {
-                            end = j;
-                            break;
-                        }
-                    }
-                    b';' if !started && depth == 0 => {
-                        end = j;
-                        break;
-                    }
-                    _ => {}
-                }
-                j += 1;
+            "}" => {
+                depth -= 1;
+                started && depth == 0
             }
-            let end_line = line_of(bytes, end.min(bytes.len().saturating_sub(1)));
-            let last = end_line.min(n_lines.saturating_sub(1));
-            if start_line <= last {
-                map[start_line..=last].fill(true);
-            }
+            ";" => !started && depth == 0,
+            _ => false,
+        });
+        let end_line = end.map_or(n_lines, |t| t.line as usize);
+        let (first, last) = (hash.line as usize - 1, end_line.min(n_lines));
+        if first < last {
+            map[first..last].fill(true);
         }
     }
     map
 }
 
-fn find_from(hay: &str, needle: &str, from: usize) -> Option<usize> {
-    hay.get(from..)
-        .and_then(|h| h.find(needle))
-        .map(|p| p + from)
-}
-
-/// 0-based line index containing byte offset `pos`.
-fn line_of(bytes: &[u8], pos: usize) -> usize {
-    bytes[..pos.min(bytes.len())]
-        .iter()
-        .filter(|&&c| c == b'\n')
-        .count()
-}
-
-/// Splits a masked line into lowercase identifier tokens.
-pub fn identifiers(line: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for c in line.chars() {
-        if c.is_alphanumeric() || c == '_' {
-            cur.push(c.to_ascii_lowercase());
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn masks_comments_and_strings() {
-        let src =
-            "let x = 1; // HashMap here\nlet s = \"thread_rng\"; /* SystemTime */ let y = 2;\n";
-        let m = mask_source(src);
-        assert!(!m.contains("HashMap"));
-        assert!(!m.contains("thread_rng"));
-        assert!(!m.contains("SystemTime"));
-        assert!(m.contains("let x = 1;"));
-        assert!(m.contains("let y = 2;"));
-        assert_eq!(m.lines().count(), src.lines().count());
-    }
-
-    #[test]
-    fn masks_raw_strings_and_chars() {
-        let src = "let r = r#\"unwrap() inside\"#; let c = 'x'; let lt: &'static str = id;";
-        let m = mask_source(src);
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains("'static"), "lifetime survived: {m}");
-    }
-
-    #[test]
-    fn masking_preserves_byte_length() {
-        for src in [
-            "let r = r#\"unwrap()\"#; /* c /* d */ */ let c = '\\u{41}';",
-            "b\"bytes\"; br##\"raw\"## ; \"esc\\\"aped\"",
-        ] {
-            assert_eq!(mask_source(src).len(), src.len(), "{src}");
-        }
-    }
-
-    #[test]
-    fn masks_multibyte_char_literal_as_char() {
-        // 'é' is two bytes: an ASCII-only closing-quote check would
-        // misread it as a lifetime and leak the rest of the line.
-        let src = "let c = 'é'; let x = unwrap_me;";
-        let m = mask_source(src);
-        assert!(m.contains("unwrap_me"), "{m}");
-        assert!(!m.contains('é'), "{m}");
-    }
-
-    #[test]
-    fn ident_ending_in_b_keeps_its_last_letter() {
-        let src = "let herb\"x\" = 1;";
-        let m = mask_source(src);
-        assert!(m.contains("herb"), "{m}");
-    }
-
-    #[test]
-    fn masks_nested_block_comments() {
-        let src = "/* outer /* inner unwrap() */ still comment */ let z = 3;";
-        let m = mask_source(src);
-        assert!(!m.contains("unwrap"));
-        assert!(m.contains("let z = 3;"));
-    }
 
     #[test]
     fn test_regions_cover_cfg_test_mod() {
@@ -419,6 +135,13 @@ mod tests {
     }
 
     #[test]
+    fn unclosed_region_runs_to_the_last_line() {
+        let src = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n";
+        let f = ScannedFile::new("x.rs", src);
+        assert_eq!(f.is_test_line, [false, true, true, true]);
+    }
+
+    #[test]
     fn audit_regions_cover_gated_items() {
         let src = "#[cfg(feature = \"audit\")]\nfn sweep() {\n    check();\n}\nfn hot() {}\n";
         let f = ScannedFile::new("x.rs", src);
@@ -434,22 +157,24 @@ mod tests {
 
     #[test]
     fn attr_inside_string_or_comment_is_ignored() {
-        let src = "let s = \"#[cfg(test)]\";\n// #[cfg(test)]\nfn prod() { x.unwrap(); }\n";
+        for src in [
+            "let s = \"#[cfg(test)]\";\nfn prod() { x.unwrap(); }\n",
+            "// #[cfg(test)]\nfn prod() { x.unwrap(); }\n",
+            "/* #[cfg(test)] */\nfn prod() { x.unwrap(); }\n",
+            "let s = r#\"#[cfg(test)]\"#;\nfn prod() { x.unwrap(); }\n",
+            "let s = \"#[cfg(feature = \\\"audit\\\")]\";\nfn prod() {}\n",
+        ] {
+            let f = ScannedFile::new("x.rs", src);
+            assert_eq!(f.is_test_line, [false, false], "{src}");
+            assert_eq!(f.is_audit_line, [false, false], "{src}");
+        }
+    }
+
+    #[test]
+    fn code_lines_group_tokens_and_skip_tests() {
+        let src = "fn a() {\n\n    \"multi\nline\" }\n#[test]\nfn t() {}\n";
         let f = ScannedFile::new("x.rs", src);
-        assert!(f.is_test_line.iter().all(|t| !t), "{:?}", f.is_test_line);
-    }
-
-    #[test]
-    fn identifiers_tokenize() {
-        assert_eq!(
-            identifiers("bus_ns_per_kib = x9 + Foo::BAR"),
-            ["bus_ns_per_kib", "x9", "foo", "bar"]
-        );
-    }
-
-    #[test]
-    fn scanned_file_carries_tokens() {
-        let f = ScannedFile::new("x.rs", "fn f() { g(); }\n");
-        assert!(f.toks.iter().any(|t| t.is_ident("g")));
+        let lines: Vec<(usize, usize)> = f.code_lines().map(|(n, t)| (n, t.len())).collect();
+        assert_eq!(lines, [(1, 5), (3, 1), (4, 1)]);
     }
 }

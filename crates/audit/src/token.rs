@@ -1,14 +1,14 @@
-//! A token-level lexer for Rust source.
+//! The one Rust lexer of the static pass.
 //!
-//! The line-oriented rules in [`crate::rules`] work on masked text; the
-//! item extractor ([`crate::items`]), the call graph ([`crate::graph`]) and
-//! the flow-aware rules need real tokens: identifiers, literals and
-//! punctuation with line positions. This lexer is deliberately smaller
-//! than rustc's — it does not interpret literal values and it folds every
-//! string flavour into one `Str` kind — but it must *classify* correctly:
-//! a lifetime is not a char literal, a raw string's body is not code, and
-//! a nested block comment ends where rustc says it ends. The corpus test
-//! (`tests/corpus.rs`) pins those edge cases.
+//! Every rule in [`crate::rules`], the test and audit region map in
+//! [`crate::scan`], the item extractor ([`crate::items`]) and the call
+//! graph ([`crate::graph`]) read its tokens: identifiers, literals and
+//! punctuation with their line and byte offset. It is deliberately
+//! smaller than rustc's — it does not interpret literal values and it
+//! folds every string flavour into one `Str` kind — but it must
+//! *classify* correctly: a lifetime is not a char literal, a raw string's
+//! body is not code, and a nested block comment ends where rustc says it
+//! ends. The corpus test (`tests/corpus.rs`) pins those edge cases.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +32,15 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token with its 1-based source line.
+/// One lexed token with its 1-based source line and the byte offset of
+/// its first byte in the source (the `r` of `r#match`, the opening quote
+/// or prefix of a literal).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tok {
     pub kind: TokKind,
     pub text: String,
     pub line: u32,
+    pub offset: usize,
 }
 
 impl Tok {
@@ -64,7 +67,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
     let mut i = 0usize;
     let mut line = 1u32;
     while i < b.len() {
-        let c = b[i];
+        let (c, offset) = (b[i], i);
         match c {
             b'\n' => {
                 line += 1;
@@ -101,6 +104,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind: TokKind::Str,
                     text: String::new(),
                     line: start_line,
+                    offset,
                 });
             }
             b'\'' => {
@@ -112,6 +116,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         kind: TokKind::Char,
                         text: String::new(),
                         line,
+                        offset,
                     });
                     line += count_newlines(&b[i..end]);
                     i = end;
@@ -126,6 +131,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         kind: TokKind::Lifetime,
                         text,
                         line,
+                        offset,
                     });
                     i = j.max(i + 1);
                 }
@@ -136,6 +142,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind,
                     text: src[i..end].to_string(),
                     line,
+                    offset,
                 });
                 i = end;
             }
@@ -148,6 +155,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         kind,
                         text: String::new(),
                         line: start_line,
+                        offset,
                     });
                     i = end;
                     continue;
@@ -165,6 +173,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind: TokKind::Ident,
                     text: src[start..j].to_string(),
                     line,
+                    offset,
                 });
                 i = j;
             }
@@ -173,6 +182,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind: TokKind::Punct,
                     text: "::".to_string(),
                     line,
+                    offset,
                 });
                 i += 2;
             }
@@ -181,6 +191,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind: TokKind::Punct,
                     text: "+=".to_string(),
                     line,
+                    offset,
                 });
                 i += 2;
             }
@@ -189,6 +200,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     kind: TokKind::Punct,
                     text: (c as char).to_string(),
                     line,
+                    offset,
                 });
                 i += 1;
             }
@@ -207,16 +219,10 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
 fn char_literal_end(b: &[u8], i: usize) -> Option<usize> {
     match b.get(i + 1) {
         Some(b'\\') => {
-            // Escape: scan to the closing quote (handles \', \u{…}).
-            let mut j = i + 2;
-            if b.get(j).is_some() {
-                j += 1; // the escaped character itself
-            }
-            if b.get(i + 2) == Some(&b'u') && b.get(i + 3) == Some(&b'{') {
-                j = i + 4;
-                while j < b.len() && b[j] != b'}' {
-                    j += 1;
-                }
+            // Escape: past the escaped character (which may be a quote),
+            // scan to the closing quote on the same line (`\x41`, `\u{…}`).
+            let mut j = i + 3;
+            while j < b.len() && !matches!(b[j], b'\'' | b'\n') {
                 j += 1;
             }
             (b.get(j) == Some(&b'\'')).then_some(j + 1)
@@ -422,7 +428,7 @@ mod tests {
         assert_eq!(t.iter().filter(|(k, _)| *k == TokKind::Char).count(), 1);
         assert!(!t.iter().any(|(k, _)| *k == TokKind::Lifetime));
         // Escapes, including the escaped quote.
-        for src in ["'\\''", "'\\n'", "'\\u{1F600}'"] {
+        for src in ["'\\''", "'\\n'", "'\\u{1F600}'", "'\\x41'"] {
             let t = kinds(src);
             assert_eq!(t, vec![(TokKind::Char, String::new())], "{src}");
         }
@@ -590,27 +596,31 @@ mod tests {
         s
     }
 
-    /// Lexes `src` and checks what must hold of any input: every token
-    /// consumed at least one byte, and lines only count newlines.
+    /// Lexes, scans and checks `src` and asserts what must hold of any
+    /// input: every token consumed at least one byte and starts on a char
+    /// boundary after the one before it, and lines only count newlines.
+    /// The engine path puts every per-file rule in scope.
     fn lex(src: &str) {
         let toks = tokenize(src);
-        assert!(
-            toks.len() <= src.len(),
-            "{} tokens from {} bytes",
-            toks.len(),
-            src.len()
-        );
         let lines = src.bytes().filter(|&b| b == b'\n').count() as u32 + 1;
         assert!(
-            toks.iter().all(|t| (1..=lines).contains(&t.line)),
+            toks.iter().all(|t| (1..=lines).contains(&t.line)
+                && t.offset < src.len()
+                && src.is_char_boundary(t.offset)),
             "{src:?}"
         );
+        assert!(
+            toks.windows(2).all(|w| w[0].offset < w[1].offset),
+            "{src:?}"
+        );
+        let file = crate::scan::ScannedFile::new("crates/vssd/src/engine/probe.rs", src);
+        let _ = crate::rules::check_file(&file);
     }
 
     /// Seeded random strings and this workspace's own sources, truncated,
-    /// spliced and edited at char boundaries: the lexer never panics and
-    /// always returns (the whole corpus must finish within a minute on a
-    /// helper thread).
+    /// spliced and edited at char boundaries: the lexer, the scan and the
+    /// rules never panic and always return (the whole corpus must finish
+    /// within a minute on a helper thread).
     #[test]
     fn fuzzed_sources_never_panic() {
         let (done, finished) = std::sync::mpsc::channel();
@@ -635,7 +645,7 @@ mod tests {
         let returned = finished.recv_timeout(std::time::Duration::from_secs(60));
         assert!(
             returned != Err(timeout),
-            "the lexer did not return within a minute"
+            "the lexer, scan or rules did not return within a minute"
         );
         // Finished, or disconnected by a panic: re-raise it.
         if let Err(panic) = fuzz.join() {

@@ -1,88 +1,5 @@
 //! Small numeric summaries used throughout the experiment harness.
 
-/// Online mean/variance accumulator (Welford's algorithm).
-///
-/// # Example
-///
-/// ```
-/// use fleetio_des::summary::Running;
-///
-/// let mut r = Running::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     r.push(x);
-/// }
-/// assert_eq!(r.mean(), 2.5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Running {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance, or 0 with fewer than two observations.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 /// Exact percentile of a slice using linear interpolation between ranks.
 ///
 /// Returns `None` for an empty slice.
@@ -126,41 +43,6 @@ mod tests {
     use crate::rng::{Rng, SmallRng};
 
     #[test]
-    fn running_mean_and_std() {
-        let mut r = Running::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            r.push(x);
-        }
-        assert!((r.mean() - 5.0).abs() < 1e-12);
-        assert!((r.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(r.min(), Some(2.0));
-        assert_eq!(r.max(), Some(9.0));
-        assert_eq!(r.count(), 8);
-    }
-
-    #[test]
-    fn empty_running_is_safe() {
-        let r = Running::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
-        assert_eq!(r.std_dev(), 0.0);
-        assert_eq!(r.count(), 0);
-        // No observations: min/max must be None, never a sentinel value.
-        assert_eq!(r.min(), None);
-        assert_eq!(r.max(), None);
-    }
-
-    #[test]
-    fn single_observation_min_max_coincide() {
-        let mut r = Running::new();
-        r.push(-3.5);
-        assert_eq!(r.min(), Some(-3.5));
-        assert_eq!(r.max(), Some(-3.5));
-        assert_eq!(r.mean(), -3.5);
-        assert_eq!(r.variance(), 0.0);
-    }
-
-    #[test]
     fn percentile_interpolates() {
         let v = [10.0, 20.0, 30.0, 40.0];
         assert_eq!(percentile(&v, 0.0), Some(10.0));
@@ -174,22 +56,6 @@ mod tests {
         assert_eq!(geo_mean(&[2.0, 8.0]), Some(4.0));
         assert_eq!(geo_mean(&[]), None);
         assert_eq!(geo_mean(&[1.0, 0.0]), None);
-    }
-
-    /// Property: Welford's online mean agrees with the naive sum.
-    #[test]
-    fn prop_running_mean_matches_naive() {
-        let mut rng = SmallRng::seed_from_u64(0x50_44);
-        for _case in 0..256 {
-            let n = rng.gen_range(1usize..100);
-            let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6f64..1e6)).collect();
-            let mut r = Running::new();
-            for x in &xs {
-                r.push(*x);
-            }
-            let naive = xs.iter().sum::<f64>() / xs.len() as f64;
-            assert!((r.mean() - naive).abs() < 1e-6 * (1.0 + naive.abs()));
-        }
     }
 
     /// Property: any percentile of a sample lies within its min/max.

@@ -50,9 +50,6 @@ use crate::event::ObsEvent;
 /// Magic bytes opening every segment file.
 pub const SEG_MAGIC: [u8; 4] = *b"FSG1";
 
-/// Segment format version this build writes ([`WireFormat::CURRENT`]).
-pub const SEG_VERSION: u32 = 2;
-
 /// Segment header length: magic + version + sequence number.
 pub const SEG_HEADER_LEN: usize = 12;
 

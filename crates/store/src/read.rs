@@ -136,19 +136,25 @@ impl RunStore {
     ///
     /// # Errors
     ///
-    /// A spec blob that fails to decode or whose fingerprint disagrees
-    /// with the manifest.
+    /// [`StoreError::Corrupt`] when the spec blob's CRC-32 disagrees with
+    /// the manifest's fingerprint; [`StoreError::Unusable`] when the blob
+    /// is intact but not a [`RunSpec`] (a fleet shard store holds its
+    /// `FleetSpec`), since only `fleetio store record` runs can be rebuilt.
     pub fn spec(&self) -> Result<RunSpec, StoreError> {
-        let spec = RunSpec::decode(&self.manifest.spec)
-            .map_err(|e| StoreError::Corrupt(format!("embedded run spec: {e}")))?;
-        if spec.fingerprint() != self.manifest.spec_fingerprint {
+        let blob = &self.manifest.spec;
+        let fingerprint = fleetio_des::hash::crc32(blob);
+        if fingerprint != self.manifest.spec_fingerprint {
             return Err(StoreError::Corrupt(format!(
-                "spec fingerprint mismatch: manifest {:#010x}, spec {:#010x}",
+                "spec fingerprint mismatch: manifest {:#010x}, spec {fingerprint:#010x}",
                 self.manifest.spec_fingerprint,
-                spec.fingerprint()
             )));
         }
-        Ok(spec)
+        RunSpec::decode(blob).map_err(|e| {
+            StoreError::Unusable(format!(
+                "the store holds a spec that is not a run spec ({e}); fleet shard stores \
+                 hold their FleetSpec, and replay rebuilds `fleetio store record` runs only"
+            ))
+        })
     }
 
     /// A read-ahead pass over the segments `metas`, in order.

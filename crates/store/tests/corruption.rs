@@ -11,7 +11,9 @@ use std::path::{Path, PathBuf};
 
 use fleetio_des::SimTime;
 use fleetio_obs::{ObsEvent, ObsSink};
-use fleetio_store::{segment_file_name, RunStore, StoreSink, MANIFEST_FILE};
+use fleetio_store::{
+    replay_run, segment_file_name, RunStore, StoreError, StoreSink, MANIFEST_FILE,
+};
 
 /// Deterministic pseudo-random stream (no external crates, no host
 /// entropy — failures reproduce exactly).
@@ -162,4 +164,44 @@ fn corrupt_manifest_is_a_graceful_error() {
     std::fs::write(&path, &bytes).expect("restore manifest");
     assert!(RunStore::open(&dir).is_ok());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sealed store whose spec blob is intact (its CRC-32 is the manifest's
+/// fingerprint) but not a `RunSpec` — a fleet shard store holds its
+/// `FleetSpec` — cannot be replayed, and says so; one whose blob disagrees
+/// with the fingerprint is corrupt.
+#[test]
+fn a_foreign_spec_is_unusable_and_a_wrong_fingerprint_corrupt() {
+    let blob = vec![7, 7, 7];
+    let intact = fleetio_des::hash::crc32(&blob);
+    for (tag, fingerprint) in [("foreign-spec", intact), ("wrong-fingerprint", intact ^ 1)] {
+        let dir = std::env::temp_dir().join(format!("fleetio-store-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut sink =
+            StoreSink::create(&dir, blob.clone(), fingerprint, 99, 1_000, 2_048).expect("create");
+        sink.record(ObsEvent::Throttle {
+            at: SimTime::from_nanos(5),
+            channel: 0,
+            until: SimTime::from_nanos(9),
+        });
+        sink.finish().expect("finish");
+        let store = RunStore::open(&dir).expect("a sealed store opens");
+        assert!(store.verify().clean(), "{tag}: the segments are undamaged");
+        for err in [
+            store.spec().map(|_| ()),
+            replay_run(&dir, 1_000).map(|_| ()),
+        ] {
+            match (tag, err) {
+                ("foreign-spec", Err(StoreError::Unusable(msg))) => {
+                    assert!(msg.contains("not a run spec"), "{msg}");
+                    assert!(msg.contains("fleetio store record"), "{msg}");
+                }
+                ("wrong-fingerprint", Err(StoreError::Corrupt(msg))) => {
+                    assert!(msg.contains("fingerprint mismatch"), "{msg}");
+                }
+                (_, other) => panic!("{tag}: {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

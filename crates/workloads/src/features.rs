@@ -7,9 +7,6 @@
 
 use crate::gen::TraceRecord;
 
-/// The paper's per-window trace size.
-pub const WINDOW_REQUESTS: usize = 10_000;
-
 /// Number of equal address-space bins used for the LPA entropy histogram.
 const ENTROPY_BINS: usize = 256;
 
