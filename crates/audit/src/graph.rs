@@ -146,7 +146,8 @@ pub fn build(files: &[ScannedFile], deps: &DepGraph) -> Workspace {
     let mut fns: Vec<FnNode> = Vec::new();
     let mut node_of: Vec<Vec<usize>> = Vec::with_capacity(files.len());
     for (fi, (file, ext)) in files.iter().zip(&extracted).enumerate() {
-        let file_sanctioned = is_prof_file(&file.path) || audit_gated.contains(&file.path);
+        let file_sanctioned =
+            crate::rules::is_prof_path(&file.path) || audit_gated.contains(&file.path);
         let mut ids = Vec::with_capacity(ext.fns.len());
         for item in &ext.fns {
             ids.push(fns.len());
@@ -246,10 +247,6 @@ fn audit_gated_files(files: &[ScannedFile], extracted: &[items::FileItems]) -> V
         }
     }
     out
-}
-
-fn is_prof_file(path: &str) -> bool {
-    path.starts_with("crates/obs/src/prof")
 }
 
 /// The crate a workspace-relative path belongs to (`crates/<name>/...`).

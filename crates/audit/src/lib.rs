@@ -33,15 +33,15 @@
 //! graph read that one token stream.
 //!
 //! Run `cargo run -p fleetio-audit -- check` from anywhere in the
-//! workspace; `audit.toml` at the repo root grandfathers legacy sites with
-//! shrink-only caps (see [`config`]). The runtime half of the audit layer
-//! (the `SimAuditor` invariant hooks) lives in the simulator crates behind
-//! their `audit` cargo feature; this crate only covers what can be checked
-//! without running the simulator.
+//! workspace. Every rule is exception-free: a site that must be exempt
+//! is left out of the rule's scope in [`rules`], where review sees it,
+//! as the profiler is for `host-time-scope`. The runtime half of the
+//! audit layer (the `SimAuditor` invariant hooks) lives in the simulator
+//! crates behind their `audit` cargo feature; this crate only covers
+//! what can be checked without running the simulator.
 
 use std::path::{Path, PathBuf};
 
-pub mod config;
 pub mod graph;
 pub mod items;
 pub mod report;
@@ -49,7 +49,6 @@ pub mod rules;
 pub mod scan;
 pub mod token;
 
-use config::AllowEntry;
 use rules::Diagnostic;
 
 /// Result of a full check run, before rendering.
@@ -57,54 +56,41 @@ use rules::Diagnostic;
 pub struct CheckOutcome {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Violations not covered by the allowlist.
+    /// Every diagnostic [`analyze`] reported.
     pub violations: Vec<Diagnostic>,
-    /// Allowlist entries that matched, with their current counts.
-    pub grandfathered: Vec<(AllowEntry, usize)>,
-    /// Allowlist entries that matched nothing (must be deleted).
-    pub stale_allowlist: Vec<AllowEntry>,
 }
 
 impl CheckOutcome {
-    /// Whether the tree passes: no violations and no stale allowlist entries.
+    /// Whether the tree passes: no violations.
     pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.stale_allowlist.is_empty()
+        self.violations.is_empty()
     }
 }
 
-/// Errors from a check run (I/O or allowlist parse failures).
+/// A source file or directory that could not be read.
 #[derive(Debug)]
 pub enum CheckError {
     /// Reading a source file or directory failed.
     Io(PathBuf, std::io::Error),
-    /// `audit.toml` is malformed.
-    Allowlist(config::ParseError),
 }
 
 impl std::fmt::Display for CheckError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckError::Io(p, e) => write!(f, "{}: {e}", p.display()),
-            CheckError::Allowlist(e) => write!(f, "{e}"),
         }
     }
 }
 
-/// Runs the full static pass over the workspace rooted at `root`.
-///
-/// `root` must contain `crates/`; `audit.toml` beside it is optional (a
-/// missing file means an empty allowlist).
+/// Runs the full static pass over the workspace rooted at `root`, which
+/// must contain `crates/`.
 pub fn run_check(root: &Path) -> Result<CheckOutcome, CheckError> {
-    let allowlist = match std::fs::read_to_string(root.join("audit.toml")) {
-        Ok(text) => config::parse_allowlist(&text).map_err(CheckError::Allowlist)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(CheckError::Io(root.join("audit.toml"), e)),
-    };
-
     let scanned = scan_workspace(root)?;
     let deps = parse_dep_graph(root)?;
-    let diagnostics = analyze(&scanned, &deps);
-    Ok(apply_allowlist(scanned.len(), diagnostics, allowlist))
+    Ok(CheckOutcome {
+        files_scanned: scanned.len(),
+        violations: analyze(&scanned, &deps),
+    })
 }
 
 /// Scans every `.rs` file under `root/crates/` in sorted path order.
@@ -188,49 +174,6 @@ pub fn parse_dep_graph(root: &Path) -> Result<graph::DepGraph, CheckError> {
     Ok(graph::DepGraph::new(&edges))
 }
 
-/// Splits raw diagnostics into suppressed (grandfathered) and failing
-/// sets according to the allowlist, and spots stale entries.
-pub fn apply_allowlist(
-    files_scanned: usize,
-    diagnostics: Vec<Diagnostic>,
-    allowlist: Vec<AllowEntry>,
-) -> CheckOutcome {
-    let mut violations = Vec::new();
-    let mut counts: Vec<usize> = vec![0; allowlist.len()];
-    for d in diagnostics {
-        let chain_str = d.chain.join(" -> ");
-        match allowlist.iter().position(|e| {
-            e.rule == d.rule
-                && e.path == d.path
-                && e.chain.as_ref().is_none_or(|frag| chain_str.contains(frag))
-        }) {
-            Some(i) => {
-                counts[i] += 1;
-                if counts[i] > allowlist[i].max {
-                    violations.push(d);
-                }
-            }
-            None => violations.push(d),
-        }
-    }
-    let mut grandfathered = Vec::new();
-    let mut stale = Vec::new();
-    for (entry, count) in allowlist.into_iter().zip(counts) {
-        if count == 0 {
-            stale.push(entry);
-        } else {
-            let capped = count.min(entry.max);
-            grandfathered.push((entry, capped));
-        }
-    }
-    CheckOutcome {
-        files_scanned,
-        violations,
-        grandfathered,
-        stale_allowlist: stale,
-    }
-}
-
 /// Recursively collects `.rs` files under each crate's `src/` directory.
 /// `tests/`, `benches/` and `examples/` trees are test code by definition
 /// and out of scope.
@@ -291,46 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_caps_and_stale_detection() {
-        let d = |rule: &'static str, path: &str, line: usize| Diagnostic {
-            rule,
-            path: path.to_string(),
-            line,
-            message: String::new(),
-            snippet: String::new(),
-            chain: Vec::new(),
-        };
-        let allow = vec![
-            AllowEntry {
-                rule: "no-unwrap".to_string(),
-                path: "crates/des/src/queue.rs".to_string(),
-                max: 1,
-                reason: "r".to_string(),
-                chain: None,
-            },
-            AllowEntry {
-                rule: "entropy".to_string(),
-                path: "crates/rl/src/ppo.rs".to_string(),
-                max: 3,
-                reason: "r".to_string(),
-                chain: None,
-            },
-        ];
-        let diags = vec![
-            d("no-unwrap", "crates/des/src/queue.rs", 1),
-            d("no-unwrap", "crates/des/src/queue.rs", 2),
-            d("hash-iteration", "crates/vssd/src/gsb.rs", 3),
-        ];
-        let outcome = apply_allowlist(10, diags, allow);
-        // Second queue.rs unwrap exceeds the cap; gsb.rs has no entry;
-        // the ppo.rs entry is stale.
-        assert_eq!(outcome.violations.len(), 2);
-        assert_eq!(outcome.stale_allowlist.len(), 1);
-        assert_eq!(outcome.grandfathered.len(), 1);
-        assert!(!outcome.is_clean());
-    }
-
-    #[test]
     fn seeded_violation_is_caught() {
         // Acceptance criterion: introducing a violation must fail the
         // check. Simulate by scanning a poisoned source in-memory.
@@ -338,41 +241,9 @@ mod tests {
             "crates/des/src/queue.rs",
             "pub fn pop(&mut self) { self.heap.pop().unwrap(); }\n",
         );
-        let outcome = apply_allowlist(1, rules::check_file(&scanned), Vec::new());
-        assert!(!outcome.is_clean());
-        assert_eq!(outcome.violations[0].line, 1);
-        assert_eq!(outcome.violations[0].rule, "no-unwrap");
-    }
-
-    #[test]
-    fn chain_entries_only_match_their_fragment() {
-        let taint = |chain: &[&str]| Diagnostic {
-            rule: "determinism-taint",
-            path: "crates/rl/src/parallel.rs".to_string(),
-            line: 1,
-            message: String::new(),
-            snippet: String::new(),
-            chain: chain.iter().map(|s| s.to_string()).collect(),
-        };
-        let allow = vec![AllowEntry {
-            rule: "determinism-taint".to_string(),
-            path: "crates/rl/src/parallel.rs".to_string(),
-            max: 1,
-            reason: "r".to_string(),
-            chain: Some("collect_parallel_envs -> merge".to_string()),
-        }];
-        // Matching chain is grandfathered; a different path through the
-        // same file is not absorbed by the entry.
-        let outcome = apply_allowlist(
-            1,
-            vec![
-                taint(&["collect_parallel_envs", "merge", "leaf"]),
-                taint(&["collect_frozen", "other"]),
-            ],
-            allow,
-        );
-        assert_eq!(outcome.violations.len(), 1);
-        assert_eq!(outcome.violations[0].chain[0], "collect_frozen");
-        assert_eq!(outcome.grandfathered.len(), 1);
+        let violations = rules::check_file(&scanned);
+        assert_eq!(violations.len(), 1, "{violations:#?}");
+        assert_eq!(violations[0].line, 1);
+        assert_eq!(violations[0].rule, "no-unwrap");
     }
 }

@@ -1,17 +1,16 @@
 //! CLI entry point:
-//! `fleetio-audit check [--root DIR] [--json FILE] [--quiet]` runs
-//! the full rule set; `fleetio-audit taint [--root DIR]` prints the
+//! `fleetio-audit check [--root DIR] [--json FILE]` runs the full rule
+//! set; `fleetio-audit taint [--root DIR]` prints the
 //! call-graph/taint-analysis summary (the golden-test format).
 //!
-//! Exit codes: 0 clean, 1 violations (or stale allowlist entries),
-//! 2 usage / IO / allowlist-parse errors.
+//! Exit codes: 0 clean, 1 any violation, 2 usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fleetio_audit::{default_root, graph, report, run_check};
 
-const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE] [--quiet]\n       \
+const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE]\n       \
                      fleetio-audit taint [--root DIR]";
 
 fn main() -> ExitCode {
@@ -29,7 +28,6 @@ fn main() -> ExitCode {
     }
     let mut root = default_root();
     let mut json_path: Option<PathBuf> = None;
-    let mut quiet = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -40,7 +38,6 @@ fn main() -> ExitCode {
                 Some(v) => json_path = Some(PathBuf::from(v)),
                 None => return usage_error("--json needs a value"),
             },
-            "--quiet" => quiet = true,
             other => return usage_error(&format!("unknown flag `{other}`")),
         }
     }
@@ -52,9 +49,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !quiet {
-        print!("{}", report::render_text(&outcome));
-    }
+    print!("{}", report::render_text(&outcome));
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, report::render_json(&outcome)) {
             eprintln!("fleetio-audit: writing {}: {e}", path.display());

@@ -75,8 +75,9 @@ pub(crate) fn in_sim(path: &str) -> bool {
 
 /// The host-time profiler sources (`crates/obs/src/prof.rs` and any
 /// future `prof/` submodules): the one sanctioned home for wall-clock
-/// measurement inside the simulation scope.
-fn is_prof_path(path: &str) -> bool {
+/// measurement inside the simulation scope, and a sink the
+/// determinism-taint search never enters.
+pub(crate) fn is_prof_path(path: &str) -> bool {
     path.starts_with("crates/obs/src/prof")
 }
 
@@ -390,8 +391,9 @@ fn atomic_io(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
 /// belongs in slab/dense-vec storage indexed by handle (see
 /// `vssd::engine::vstate` and `vssd::stride::DenseStride`). `HashMap`/
 /// `HashSet` are additionally nondeterministic (also `hash-iteration`).
-/// Genuinely cold control-plane maps (vSSD create/destroy, per-admission-
-/// tick snapshots) are grandfathered per-file in `audit.toml`.
+/// Cold control-plane state (vSSD create/destroy, per-admission-tick
+/// snapshots) is kept in sorted or dense vectors too: the rule has no
+/// exceptions.
 fn hot_path_collections(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     if !in_engine_hot_path(&file.path) {
         return;

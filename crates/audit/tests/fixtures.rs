@@ -138,12 +138,7 @@ fn clean_fixture_is_clean() {
 #[test]
 fn real_workspace_is_clean() {
     // The acceptance bar for the whole pipeline: the actual tree passes
-    // with the taint rule enabled (and the checked-in allowlist).
+    // with the taint rule enabled.
     let outcome = fleetio_audit::run_check(&fleetio_audit::default_root()).unwrap();
-    assert!(
-        outcome.is_clean(),
-        "violations: {:#?}\nstale: {:#?}",
-        outcome.violations,
-        outcome.stale_allowlist
-    );
+    assert!(outcome.is_clean(), "violations: {:#?}", outcome.violations);
 }

@@ -13,9 +13,8 @@
 //! Overhead envelope: one histogram clone per slot per window (done in
 //! the parallel shard phase), one `merge` + two percentile scans per
 //! slot at the serial merge, and one ring write per registered series.
-//! Nothing here allocates in the steady state except the verdict
-//! history, whose capacity is reserved up front for the spec's window
-//! count.
+//! Past the returned outcome list, nothing here allocates in the steady
+//! state.
 
 use fleetio_des::{LatencyHistogram, SimDuration};
 use fleetio_obs::{SeriesId, SeriesSet, SloTracker, WindowVerdict};
@@ -48,9 +47,6 @@ pub struct FleetObs {
     window_len: SimDuration,
     /// One tracker per tenant; `None` = tenant has no SLO.
     trackers: Vec<Option<SloTracker>>,
-    /// Per-tenant verdict history, window order (capacity reserved for
-    /// the spec's window count).
-    verdicts: Vec<Vec<WindowVerdict>>,
     series: SeriesSet,
     tenant_p95: Vec<SeriesId>,
     tenant_p99: Vec<SeriesId>,
@@ -95,9 +91,6 @@ impl FleetObs {
                 .tenants
                 .iter()
                 .map(|t| t.slo.map(SloTracker::new))
-                .collect(),
-            verdicts: (0..spec.tenants.len())
-                .map(|_| Vec::with_capacity(cap))
                 .collect(),
             series,
             tenant_p95,
@@ -144,7 +137,6 @@ impl FleetObs {
                 };
                 let bytes = report.summaries[slot].1.total_bytes;
                 let verdict = tracker.observe(window, hist, bytes, self.window_len);
-                self.verdicts[tenant as usize].push(verdict);
                 self.series.push(
                     self.tenant_p95[tenant as usize],
                     window,
@@ -194,10 +186,5 @@ impl FleetObs {
     /// The recorded time-series.
     pub fn series(&self) -> &SeriesSet {
         &self.series
-    }
-
-    /// All window verdicts of `tenant` so far, window order.
-    pub fn verdicts(&self, tenant: u32) -> &[WindowVerdict] {
-        &self.verdicts[tenant as usize]
     }
 }

@@ -24,7 +24,7 @@ use fleetio_des::rng::derive_seed_indexed;
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
 use fleetio_obs::slo::health_report;
-use fleetio_obs::{FleetMigration, ObsEvent, ObsSink, SeriesSet, SloWindow, WindowVerdict};
+use fleetio_obs::{FleetMigration, ObsEvent, ObsSink, SeriesSet, SloWindow};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::features::windowed_features;
@@ -123,7 +123,7 @@ pub struct FleetRuntime {
     obs: FleetObs,
     /// Every `slo_window` and `fleet_migration` row emitted into the
     /// shard sinks so far, in emission order: the input of
-    /// [`FleetRuntime::health_report`].
+    /// [`FleetRuntime::health_report`] and [`FleetRuntime::slo_verdicts`].
     slo_rows: Vec<SloWindow>,
     migration_rows: Vec<FleetMigration>,
 }
@@ -262,9 +262,9 @@ impl FleetRuntime {
         self.obs.series()
     }
 
-    /// All of `tenant`'s window verdicts so far, window order.
-    pub fn slo_verdicts(&self, tenant: u32) -> &[WindowVerdict] {
-        self.obs.verdicts(tenant)
+    /// All of `tenant`'s SLO window rows so far, window order.
+    pub fn slo_verdicts(&self, tenant: u32) -> impl Iterator<Item = &SloWindow> {
+        self.slo_rows.iter().filter(move |row| row.tenant == tenant)
     }
 
     /// The slot `tenant` currently occupies.

@@ -94,15 +94,15 @@ pub struct ModelRegistry {
 }
 
 impl ModelRegistry {
-    /// Opens (creating if necessary) a registry directory.
+    /// Opens the registry at `dir`. Opening touches nothing on disk: the
+    /// first save creates the directory, and a read of a registry that
+    /// does not exist fails naming it.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`] when the directory cannot be created.
+    /// None: opening reads nothing.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, RegistryError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, &e))?;
-        Ok(ModelRegistry { dir })
+        Ok(ModelRegistry { dir: dir.into() })
     }
 
     /// The registry directory.
@@ -134,7 +134,7 @@ impl ModelRegistry {
         validate_tag(&ckpt.meta.tag)?;
         let path = self.model_path(&ckpt.meta.tag);
         let bytes = encode_container(PayloadKind::ModelCheckpoint, &ckpt.encode());
-        atomic_write(&path, &bytes).map_err(|e| io_err(&path, &e))?;
+        self.write(&path, &bytes)?;
         Ok(path)
     }
 
@@ -151,7 +151,7 @@ impl ModelRegistry {
         let bytes = read_ckpt_bytes(&src)?;
         verify_model_bytes(&src, &bytes)?;
         let dst = self.last_good_path(tag);
-        atomic_write(&dst, &bytes).map_err(|e| io_err(&dst, &e))?;
+        self.write(&dst, &bytes)?;
         Ok(dst)
     }
 
@@ -212,7 +212,7 @@ impl ModelRegistry {
         }
         let path = self.typing_path();
         let bytes = encode_container(PayloadKind::TypingIndex, &index.encode());
-        atomic_write(&path, &bytes).map_err(|e| io_err(&path, &e))?;
+        self.write(&path, &bytes)?;
         Ok(path)
     }
 
@@ -240,11 +240,19 @@ impl ModelRegistry {
         TypingIndex::decode(payload).map_err(|error| RegistryError::Corrupt { path, error })
     }
 
+    /// Atomically writes `bytes` to `path` in the registry, creating the
+    /// directory on the registry's first write.
+    fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), RegistryError> {
+        fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, &e))?;
+        atomic_write(path, bytes).map_err(|e| io_err(path, &e))
+    }
+
     /// All `*.ckpt` files in the registry, sorted by file name.
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Io`] when the directory cannot be read.
+    /// [`RegistryError::Io`] when the directory cannot be read, a
+    /// missing registry among them.
     pub fn ls(&self) -> Result<Vec<PathBuf>, RegistryError> {
         let mut out = Vec::new();
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, &e))?;
@@ -423,14 +431,16 @@ mod tests {
         // decode as the wrong kind.
         let reg = ModelRegistry::open(scratch("kind_confusion")).expect("registry opens");
         let bytes = encode_container(PayloadKind::TypingIndex, &index().encode());
-        atomic_write(&reg.model_path("lc1"), &bytes).expect("plant succeeds");
+        reg.write(&reg.model_path("lc1"), &bytes)
+            .expect("plant succeeds");
         assert!(matches!(
             reg.load_model("lc1"),
             Err(RegistryError::Corrupt { .. })
         ));
         let c = ckpt("x", 1);
         let bytes = encode_container(PayloadKind::ModelCheckpoint, &c.encode());
-        atomic_write(&reg.typing_path(), &bytes).expect("plant succeeds");
+        reg.write(&reg.typing_path(), &bytes)
+            .expect("plant succeeds");
         assert!(matches!(
             reg.load_typing(),
             Err(RegistryError::Corrupt { .. })
@@ -450,5 +460,21 @@ mod tests {
             .filter_map(|p| p.file_name().and_then(|n| n.to_str()).map(str::to_string))
             .collect();
         assert_eq!(names, ["bi.ckpt", "lc2.ckpt", "typing.ckpt"]);
+    }
+
+    #[test]
+    fn opening_and_listing_a_missing_registry_creates_nothing() {
+        let dir = scratch("missing");
+        let reg = ModelRegistry::open(&dir).expect("registry opens");
+        match reg.ls() {
+            Err(RegistryError::Io(msg)) => {
+                assert!(msg.contains(&dir.display().to_string()), "{msg}")
+            }
+            other => panic!("expected an i/o error, got {other:?}"),
+        }
+        assert!(!dir.exists(), "a reader creates no directory");
+        reg.save_model(&ckpt("bi", 1))
+            .expect("the first save creates it");
+        assert_eq!(reg.ls().expect("ls succeeds").len(), 1);
     }
 }

@@ -98,6 +98,13 @@ impl WindowVerdict {
     }
 }
 
+impl SloWindow {
+    /// All three objectives held.
+    pub fn attained(&self) -> bool {
+        self.p95_ok && self.p99_ok && self.throughput_ok
+    }
+}
+
 /// Running SLO account for one tenant. Feed it one window at a time
 /// (in window order) via [`SloTracker::observe`].
 #[derive(Debug, Clone)]
@@ -191,7 +198,7 @@ impl TenantSlo {
         for row in rows {
             agg.windows += 1;
             agg.last_burn = row.burn;
-            if row.p95_ok && row.p99_ok && row.throughput_ok {
+            if row.attained() {
                 streak = 0;
                 continue;
             }

@@ -28,6 +28,8 @@ use std::path::{Path, PathBuf};
 use fleetio_des::codec::{decode_container, encode_container, Dec, DecodeError, Enc, PayloadKind};
 use fleetio_model::atomic_write;
 
+use crate::read::StoreError;
+
 /// Store format version carried in the manifest payload.
 pub const STORE_VERSION: u32 = 1;
 
@@ -236,13 +238,15 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// A missing/unreadable file surfaces as `Malformed` with the OS
-    /// message; corruption as the underlying decode error.
-    pub fn load(dir: &Path) -> Result<Self, DecodeError> {
+    /// [`StoreError::Io`] when the file cannot be read (a missing store
+    /// among them); [`StoreError::Corrupt`] when it is read but fails
+    /// its container check. Both name the file.
+    pub fn load(dir: &Path) -> Result<Self, StoreError> {
         let path = dir.join(MANIFEST_FILE);
-        let bytes = std::fs::read(&path)
-            .map_err(|e| DecodeError::Malformed(format!("cannot read {}: {e}", path.display())))?;
+        let bytes =
+            std::fs::read(&path).map_err(|e| StoreError::Io(format!("{}: {e}", path.display())))?;
         Manifest::from_container(&bytes)
+            .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
     }
 
     /// Path of segment `seq` under `dir`.

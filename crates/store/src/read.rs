@@ -30,7 +30,7 @@ use fleetio_des::hash::Fnv64;
 use fleetio_obs::wire::{self, SegmentDamage, SegmentScan, WireFormat};
 use fleetio_obs::ObsEvent;
 
-use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE};
+use crate::manifest::{Manifest, SegmentMeta};
 
 /// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,10 +112,10 @@ impl RunStore {
     ///
     /// # Errors
     ///
-    /// Missing/unreadable/corrupt manifest.
+    /// [`StoreError::Io`] for a missing or unreadable manifest,
+    /// [`StoreError::Corrupt`] for one that fails its container check.
     pub fn open(dir: &Path) -> Result<Self, StoreError> {
-        let manifest = Manifest::load(dir)
-            .map_err(|e| StoreError::Corrupt(format!("{}/{MANIFEST_FILE}: {e}", dir.display())))?;
+        let manifest = Manifest::load(dir)?;
         Ok(RunStore {
             dir: dir.to_path_buf(),
             manifest,

@@ -166,6 +166,40 @@ fn corrupt_manifest_is_a_graceful_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A directory without a manifest is not a store: opening it is an I/O
+/// error naming the file, never a corrupt store.
+#[test]
+fn a_missing_manifest_is_an_io_error() {
+    let dir = std::env::temp_dir().join(format!("fleetio-store-none-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    match RunStore::open(&dir) {
+        Err(StoreError::Io(msg)) => {
+            assert!(
+                msg.contains(&dir.join(MANIFEST_FILE).display().to_string()),
+                "{msg}"
+            )
+        }
+        other => panic!("expected an i/o error, got {other:?}"),
+    }
+    assert!(!dir.exists(), "opening creates nothing");
+}
+
+/// A manifest that reads but fails its container check stays corrupt.
+#[test]
+fn an_unreadable_container_is_corrupt() {
+    let dir = build_store("truncated-manifest");
+    let path = dir.join(MANIFEST_FILE);
+    let bytes = std::fs::read(&path).expect("read manifest");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate manifest");
+    match RunStore::open(&dir) {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains(&path.display().to_string()), "{msg}")
+        }
+        other => panic!("expected a corrupt store, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A sealed store whose spec blob is intact (its CRC-32 is the manifest's
 /// fingerprint) but not a `RunSpec` — a fleet shard store holds its
 /// `FleetSpec` — cannot be replayed, and says so; one whose blob disagrees

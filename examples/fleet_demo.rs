@@ -132,7 +132,7 @@ fn main() {
     // away.
     let victim = 3u32;
     let first_boundary = report.migrations[0].window;
-    let verdicts = rt.slo_verdicts(victim);
+    let verdicts: Vec<_> = rt.slo_verdicts(victim).collect();
     let pre_violations = verdicts
         .iter()
         .filter(|v| v.window <= first_boundary && !v.attained())

@@ -24,7 +24,7 @@ pub static VERBS: [Verb; 6] = [
     Verb::new(
         "store",
         "record",
-        "<dir> [--seed N] [--windows N] [--checkpoint-every N] [--segment-bytes N]",
+        "<dir> [--seed N] [--windows N] [--checkpoint-every N]",
         record,
     ),
     Verb::new("store", "info", "<dir>", info),
@@ -48,11 +48,8 @@ fn record(args: &Args) -> VerbResult {
     let seed = args.number("--seed")?.unwrap_or(42);
     let windows = args.number("--windows")?.unwrap_or(6);
     let every = args.number("--checkpoint-every")?.unwrap_or(2);
-    let segment_bytes = args
-        .number("--segment-bytes")?
-        .unwrap_or(DEFAULT_SEGMENT_BYTES);
     let spec = RunSpec::demo(seed, windows, every);
-    let report = record_run(&spec, Path::new(dir), segment_bytes)
+    let report = record_run(&spec, Path::new(dir), DEFAULT_SEGMENT_BYTES)
         .map_err(|e| io(format_args!("record: {e}")))?;
     Ok(Output::ok(format!(
         "recorded {} events in {} segments over {} windows ({} anchors) -> {dir}\n\

@@ -1,9 +1,10 @@
 //! The `fleetio` binary end to end: every golden under `tests/golden/cli`
 //! reproduced byte for byte, every malformed line refused with exit 2,
 //! `obs` reading a store and its JSONL alike and refusing JSONL lines
-//! that are not events, `store verify` exiting 1 on a damaged store, and
-//! a `store record` killed mid-run leaving a readable store. Only the
-//! kill test simulates, and only until its store holds ten segments.
+//! that are not events, `store verify` exiting 1 on a damaged store, a
+//! missing store or registry named with exit 2, and a `store record`
+//! killed mid-run leaving a readable store. Only the kill test
+//! simulates, and only until its store holds ten segments.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -62,7 +63,7 @@ fn goldens_are_reproduced_byte_for_byte() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 14, "every golden case ran");
+    assert_eq!(checked, 16, "every golden case ran");
 }
 
 /// A fleet tenant's `slo_window` verdicts sit in the store of every
@@ -217,8 +218,9 @@ fn a_truncated_trace_counts_evictions_not_a_meta_event() {
 fn malformed_lines_exit_two_and_print_nothing() {
     let dir = scratch_dir("usage");
     let tmp = dir.to_str().expect("utf-8 temp path");
-    let rows: [&[&str]; 11] = [
+    let rows: [&[&str]; 12] = [
         &["store", "record", tmp, "--sed", "7"],
+        &["store", "record", tmp, "--segment-bytes", "0"],
         &["store", "record", tmp, "--windows", "4294967297"],
         &["store", "record", "--seed", "4", tmp],
         &["store", "query", FIXTURE, "--tenant", "4294967296"],
@@ -239,6 +241,40 @@ fn malformed_lines_exit_two_and_print_nothing() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(!root.join("--seed").exists(), "a flag became a directory");
     assert!(!dir.exists(), "a refused record wrote a store");
+}
+
+/// A directory that holds no store is an i/o error naming its manifest,
+/// not a corrupt store; a registry that is not there is named, not listed
+/// as empty, and listing it creates nothing.
+#[test]
+fn missing_stores_and_registries_exit_two_naming_the_path() {
+    let dir = scratch_dir("missing");
+    std::fs::create_dir_all(&dir).expect("create empty dir");
+    let tmp = dir.to_str().expect("utf-8 temp path");
+    let manifest = dir.join("manifest.fiom");
+    let manifest = manifest.to_str().expect("utf-8 temp path");
+    for verb in [
+        ["store", "info"],
+        ["store", "verify"],
+        ["store", "query"],
+        ["obs", "summarize"],
+        ["obs", "report"],
+    ] {
+        let out = fleetio(&[verb[0], verb[1], tmp]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{verb:?} printed to stdout");
+        assert!(stderr.contains(manifest), "{verb:?}: {stderr}");
+        assert!(!stderr.contains("corrupt"), "{verb:?}: {stderr}");
+    }
+    let registry = dir.join("no-such-registry");
+    let out = fleetio(&["model", "ls", registry.to_str().expect("utf-8 temp path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "model ls: {stderr}");
+    assert!(out.stdout.is_empty(), "model ls printed to stdout");
+    assert!(stderr.contains(&*registry.to_string_lossy()), "{stderr}");
+    assert!(!registry.exists(), "model ls created the registry");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
