@@ -457,8 +457,8 @@ fn hot_path_collections(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
                 t.line as usize,
                 format!(
                     "{ty} in the engine event-handler scope: per-event lookups must \
-                     use slab/dense-vec storage indexed by handle; cold control-plane \
-                     maps go through audit.toml"
+                     use slab/dense-vec storage indexed by handle; for cold control-plane \
+                     maps, keep them in sorted or dense vectors"
                 ),
             ));
             continue;

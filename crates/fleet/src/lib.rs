@@ -20,8 +20,8 @@
 //! 2. apply the previous window's per-tenant RL actions,
 //! 3. advance every shard one window on a scoped worker pool,
 //! 4. merge reports **in shard-index order** (never thread or host-time
-//!    order): extract per-tenant states, run all policy inferences as
-//!    grouped matrix passes ([`fleetio_ml::Mlp::forward_batch`]), detect
+//!    order): extract per-tenant states, decide every tenant through one
+//!    [`PolicyBank`] (`fleetio::bank`: one batched pass per model), detect
 //!    hotspots, and plan next-boundary migrations (Serifos-style
 //!    consolidation: move the heaviest movable tenant off an overloaded
 //!    SSD onto the least-loaded one with a free slot).
@@ -29,7 +29,6 @@
 //! Same seed + same spec ⇒ byte-identical per-shard observability
 //! streams and identical migration logs for *any* worker-thread count.
 
-pub mod bank;
 pub mod control;
 pub mod health;
 pub mod runtime;
@@ -37,10 +36,10 @@ pub mod shard;
 pub mod sink;
 pub mod spec;
 
-pub use bank::{default_model, PolicyBank};
 pub use control::{plan_migrations, ControlConfig, MigrationDecision, SlotAddr, SlotLoad};
+pub use fleetio::bank::PolicyBank;
 pub use health::{FleetObs, SloOutcome};
-pub use runtime::{FleetReport, FleetRuntime, FleetWindowReport};
+pub use runtime::{default_model, FleetReport, FleetRuntime, FleetWindowReport};
 pub use shard::{Shard, ShardWindowReport};
 pub use sink::FingerprintSink;
 pub use spec::{FleetSpec, FleetTenantSpec, Placement};

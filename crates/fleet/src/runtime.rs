@@ -16,21 +16,22 @@
 
 use fleetio::actions::AgentAction;
 use fleetio::agent::PretrainedModel;
+use fleetio::bank::PolicyBank;
 use fleetio::config::FleetIoConfig;
 use fleetio::states::StateVector;
 use fleetio::warmstart::warm_start_model;
 use fleetio_des::par;
-use fleetio_des::rng::derive_seed_indexed;
+use fleetio_des::rng::{derive_seed_indexed, SmallRng};
 use fleetio_flash::addr::ChannelId;
 use fleetio_model::ModelRegistry;
 use fleetio_obs::slo::health_report;
 use fleetio_obs::{FleetMigration, ObsEvent, ObsSink, SeriesSet, SloWindow};
+use fleetio_rl::{ObsNormalizer, PpoPolicy};
 use fleetio_vssd::engine::EngineConfig;
 use fleetio_vssd::vssd::{VssdConfig, VssdId};
 use fleetio_workloads::features::windowed_features;
 use fleetio_workloads::{TraceRecord, WorkloadKind};
 
-use crate::bank::PolicyBank;
 use crate::control::{plan_migrations, ControlConfig, MigrationDecision, SlotAddr, SlotLoad};
 use crate::health::FleetObs;
 use crate::shard::{Shard, ShardWindowReport};
@@ -98,6 +99,24 @@ pub struct FleetReport {
     pub events_processed: u64,
     /// Operations completed fleet-wide over the run.
     pub total_ops: u64,
+}
+
+/// A frozen fallback model with FleetIO's deployment dimensions and a
+/// passthrough normalizer — a fleet's model zero when no pre-trained
+/// checkpoint is supplied. Seeded, so fleets are reproducible without a
+/// registry on disk.
+pub fn default_model(seed: u64) -> PretrainedModel {
+    let cfg = FleetIoConfig::default();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let policy = PpoPolicy::new(
+        cfg.obs_dim(),
+        &cfg.action_dims(),
+        &cfg.hidden_layers,
+        &mut rng,
+    );
+    let mut normalizer = ObsNormalizer::new(cfg.obs_dim(), 10.0);
+    normalizer.freeze();
+    PretrainedModel { policy, normalizer }
 }
 
 /// Many shards + control plane. See the module docs.
@@ -609,7 +628,6 @@ impl FleetRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bank::default_model;
     use crate::spec::{FleetSpec, FleetTenantSpec, Placement};
 
     /// A 2-shard × 2-slot miniature with an engineered hot shard: two
@@ -715,7 +733,7 @@ mod tests {
             let dir = std::env::temp_dir()
                 .join(format!("fleetio-runtime-registry-{}", std::process::id()));
             if registry {
-                rt.set_registry(ModelRegistry::open(&dir).expect("registry opens"));
+                rt.set_registry(ModelRegistry::open(&dir));
             }
             rt.run_window();
             let _ = std::fs::remove_dir_all(&dir);

@@ -8,8 +8,9 @@
 //! `warmup_iterations` of those collect from one scenario at a time and
 //! feed the running observation normalizer; after them the normalizer
 //! freezes and each round collects from every scenario at once on the
-//! work queue (the Ray stand-in). [`FleetIoAgent`] wraps the frozen model
-//! for per-window greedy inference.
+//! work queue (the Ray stand-in). [`FleetIoAgent`] is one vSSD's
+//! per-window greedy inference over the frozen model: a one-tenant
+//! [`PolicyBank`].
 
 use fleetio_des::par;
 use fleetio_des::rng::SmallRng;
@@ -18,10 +19,11 @@ use fleetio_rl::{MultiAgentEnv, ObsNormalizer, PpoConfig, PpoPolicy, PpoTrainer}
 use fleetio_workloads::WorkloadKind;
 
 use crate::actions::AgentAction;
+use crate::bank::PolicyBank;
 use crate::config::FleetIoConfig;
 use crate::driver::TenantSpec;
 use crate::env::FleetIoEnv;
-use crate::states::{StateHistory, StateVector};
+use crate::states::StateVector;
 
 /// A pre-trained FleetIO model: policy weights plus frozen observation
 /// statistics.
@@ -425,37 +427,30 @@ pub fn reference_action(state: &StateVector, params: &ReferenceParams) -> AgentA
     }
 }
 
-/// A deployed per-vSSD agent: frozen model + per-agent state history.
+/// A deployed per-vSSD agent: a one-tenant [`PolicyBank`] over a copy
+/// of the frozen model.
 #[derive(Debug, Clone)]
 pub struct FleetIoAgent {
-    policy: PpoPolicy,
-    normalizer: ObsNormalizer,
-    history: StateHistory,
+    bank: PolicyBank,
 }
 
 impl FleetIoAgent {
     /// Instantiates an agent from a pre-trained model.
     pub fn new(model: &PretrainedModel, history_windows: usize) -> Self {
-        let mut normalizer = model.normalizer.clone();
-        normalizer.freeze();
         FleetIoAgent {
-            policy: model.policy.clone(),
-            normalizer,
-            history: StateHistory::new(history_windows),
+            bank: PolicyBank::new(model.clone(), 1, history_windows),
         }
     }
 
     /// Feeds the newest window state and returns the greedy action
     /// (deployment inference, §3.8: ~1 ms per window on one core).
     pub fn decide(&mut self, state: StateVector) -> AgentAction {
-        self.history.push(state);
-        let obs = self.normalizer.normalize(&self.history.observation());
-        AgentAction::from_heads(&self.policy.act_greedy(&obs))
+        self.bank.decide_all(&[(0, state)])[0].1
     }
 
     /// Clears the agent's window history (workload swap, redeployment).
     pub fn reset(&mut self) {
-        self.history.reset();
+        self.bank.reset_history(0);
     }
 }
 

@@ -10,7 +10,7 @@
 //! * **SSDKeeper** — a DNN predicts each workload's demanded channel count
 //!   from its I/O features; the partition is static hardware isolation.
 //! * **FleetIO** — one RL agent per vSSD taking Table 2 actions through
-//!   admission control every window.
+//!   admission control every window, all decided by one batched pass.
 
 use std::collections::BTreeMap;
 
@@ -20,10 +20,11 @@ use fleetio_ml::{Activation, Adam, Mlp, StandardScaler};
 use fleetio_vssd::vssd::VssdId;
 use fleetio_workloads::WindowFeatures;
 
-use crate::agent::{FleetIoAgent, PretrainedModel};
+use crate::agent::PretrainedModel;
+use crate::bank::PolicyBank;
 use crate::config::FleetIoConfig;
 use crate::driver::Colocation;
-use crate::states::extract_states;
+use crate::states::{extract_states, StateVector};
 
 /// A runtime policy invoked after every decision window.
 pub trait WindowPolicy: std::fmt::Debug {
@@ -292,19 +293,24 @@ impl WindowPolicy for HeuristicPolicy {
 }
 
 /// The FleetIO runtime policy: one agent per vSSD, greedy inference,
-/// harvest actions through admission control.
+/// harvest actions through admission control. The agents share one copy
+/// of the model in one [`PolicyBank`], which decides them all in one
+/// batched pass per window.
 #[derive(Debug)]
 pub struct FleetIoPolicy {
-    agents: Vec<FleetIoAgent>,
+    bank: PolicyBank,
 }
 
 impl FleetIoPolicy {
     /// Deploys one agent per tenant from the shared pre-trained model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_tenants` is zero.
     pub fn new(cfg: FleetIoConfig, model: &PretrainedModel, n_tenants: usize) -> Self {
-        let agents = (0..n_tenants)
-            .map(|_| FleetIoAgent::new(model, cfg.history_windows))
-            .collect();
-        FleetIoPolicy { agents }
+        FleetIoPolicy {
+            bank: PolicyBank::new(model.clone(), n_tenants, cfg.history_windows),
+        }
     }
 }
 
@@ -314,10 +320,16 @@ impl WindowPolicy for FleetIoPolicy {
     }
 
     fn on_window(&mut self, coloc: &mut Colocation, summaries: &[(VssdId, WindowSummary)]) {
-        assert_eq!(summaries.len(), self.agents.len(), "one agent per tenant");
-        let states = extract_states(coloc.engine(), summaries);
-        for ((agent, (id, _)), state) in self.agents.iter_mut().zip(summaries).zip(states) {
-            agent.decide(state).apply(coloc.engine_mut(), *id);
+        assert_eq!(
+            summaries.len(),
+            self.bank.n_tenants(),
+            "one agent per tenant"
+        );
+        let states: Vec<(u32, StateVector)> = (0..)
+            .zip(extract_states(coloc.engine(), summaries))
+            .collect();
+        for ((_, action), (id, _)) in self.bank.decide_all(&states).into_iter().zip(summaries) {
+            action.apply(coloc.engine_mut(), *id);
         }
     }
 }

@@ -13,6 +13,8 @@
 //! * [`typing`] — workload-type clustering and per-type α fine-tuning
 //!   (§3.4, Figure 6),
 //! * [`agent`] — per-vSSD deployment agents and offline pre-training,
+//! * [`bank`] — the one frozen-model decider: per-tenant histories over
+//!   shared models, every window's decisions in one batched pass,
 //! * [`warmstart`] — registry-backed model selection at vSSD attach
 //!   time (typing index + checkpoint loading via `fleetio-model`),
 //! * [`runspec`] — serializable run descriptions the deterministic run
@@ -24,6 +26,7 @@
 
 pub mod actions;
 pub mod agent;
+pub mod bank;
 pub mod baselines;
 pub mod config;
 pub mod driver;
@@ -38,6 +41,7 @@ pub mod warmstart;
 
 pub use actions::AgentAction;
 pub use agent::{pretrain, pretrain_trainer, FleetIoAgent, PretrainedModel};
+pub use bank::PolicyBank;
 pub use config::FleetIoConfig;
 pub use driver::{Colocation, TenantSpec};
 pub use env::FleetIoEnv;

@@ -15,9 +15,10 @@
 //!   as a tagged [`ModelCheckpoint`],
 //! * [`model_from_checkpoint`] — loads a checkpoint (falling back to
 //!   `last_good` when the current file is corrupt) as frozen
-//!   [`PretrainedModel`] weights, from which a caller builds a deployment
-//!   [`FleetIoAgent`](crate::agent::FleetIoAgent) or hands them to a
-//!   fleet's batched policy bank,
+//!   [`PretrainedModel`] weights, which a caller hands to a
+//!   [`PolicyBank`](crate::bank::PolicyBank): a fleet's shared bank, or
+//!   the one-tenant bank of a
+//!   [`FleetIoAgent`](crate::agent::FleetIoAgent),
 //! * [`warm_start_model`] — the full attach path: classify → select tag →
 //!   load model; `Ok(None)` means the workload fits no learned cluster
 //!   and the caller should fall back to the unified model or train from
@@ -123,10 +124,10 @@ pub fn classify_tag(
 
 /// Loads the checkpoint for `tag` (with `last_good` fallback) as a
 /// frozen [`PretrainedModel`]. The second return is whether the
-/// fallback fired. A deployment agent is
-/// `FleetIoAgent::new(&model, history_windows)`; fleet-level callers
-/// keep the bare weights to batch many tenants' inferences through one
-/// matrix pass, with per-tenant histories outside the agent.
+/// fallback fired. Every deployment decision runs it through a
+/// [`PolicyBank`](crate::bank::PolicyBank): a fleet assigns it to its
+/// migrated tenants, one vSSD wraps it in
+/// `FleetIoAgent::new(&model, history_windows)`.
 ///
 /// # Errors
 ///
@@ -264,7 +265,7 @@ mod tests {
 
     #[test]
     fn classify_tag_picks_the_nearest_centroid_or_none() {
-        let registry = ModelRegistry::open(scratch("nearest")).expect("registry opens");
+        let registry = ModelRegistry::open(scratch("nearest"));
         assert!(matches!(
             classify_tag(&registry, &feat(3e8, 2e8, 7.6, 1e6)),
             Err(RegistryError::Missing(_))
@@ -284,7 +285,7 @@ mod tests {
     /// dimension assert: warm-start gets an error and keeps its model.
     #[test]
     fn classify_tag_refuses_an_index_of_another_dimension() {
-        let registry = ModelRegistry::open(scratch("dimension")).expect("registry opens");
+        let registry = ModelRegistry::open(scratch("dimension"));
         let index = TypingIndex {
             scaler_mean: vec![1.0, 2.0],
             scaler_std: vec![0.5, 1.0],
@@ -307,7 +308,7 @@ mod tests {
     #[test]
     fn registry_select_agrees_with_typing_model() {
         let model = TypingModel::fit(&samples(), 7);
-        let registry = ModelRegistry::open(scratch("select_agrees")).expect("registry opens");
+        let registry = ModelRegistry::open(scratch("select_agrees"));
         registry
             .save_typing(&typing_index(&model))
             .expect("typing saves");
@@ -362,7 +363,7 @@ mod tests {
         };
         let trainer = pretrain_trainer(&cfg, &[scenario], 0.0, opts, 21);
 
-        let registry = ModelRegistry::open(scratch("warm_start")).expect("registry opens");
+        let registry = ModelRegistry::open(scratch("warm_start"));
         registry
             .save_typing(&typing_index(&TypingModel::fit(&samples(), 7)))
             .expect("typing saves");

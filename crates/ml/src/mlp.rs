@@ -1,8 +1,9 @@
 //! Dense multi-layer perceptrons with manual backpropagation.
 //!
 //! The networks in FleetIO are small enough (≈9 K parameters) that plain
-//! per-sample forward/backward passes over `Vec<f32>` weights are both
-//! simple and fast; there is no tensor machinery here on purpose.
+//! row-major passes over `Vec<f32>` weights are both simple and fast;
+//! there is no tensor machinery here on purpose. Every forward pass, one
+//! row or many, runs the one batched layer kernel.
 
 use fleetio_des::rng::Rng;
 
@@ -92,18 +93,9 @@ impl Dense {
         }
     }
 
-    fn forward(&self, x: &[f32], out: &mut Vec<f32>) {
-        out.clear();
-        for o in 0..self.out_dim {
-            let row = &self.w[o * self.in_dim..(o + 1) * self.in_dim];
-            let z: f32 = row.iter().zip(x).map(|(w, x)| w * x).sum::<f32>() + self.b[o];
-            out.push(self.act.apply(z));
-        }
-    }
-
-    /// Forward pass over `rows` row-major inputs at once. Each row's
-    /// accumulation is the exact expression [`Dense::forward`] uses, so
-    /// every output bit-matches the per-row pass; the batch form only
+    /// Forward pass over `rows` row-major inputs at once, the layer's
+    /// only kernel. Each row accumulates on its own, so a row's output
+    /// does not depend on its neighbours in the batch; the batch only
     /// amortizes buffer management and keeps the weight matrix hot
     /// across consecutive rows.
     fn forward_batch(&self, xs: &[f32], rows: usize, out: &mut Vec<f32>) {
@@ -275,28 +267,23 @@ impl Mlp {
         self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
-    /// Runs a forward pass, returning the output.
+    /// Runs a forward pass over one input, returning the output: a
+    /// one-row [`Mlp::forward_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x` does not match the input dimension.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.in_dim(), "input dimension mismatch");
-        let mut cur = x.to_vec();
-        let mut next = Vec::new();
-        for layer in &self.layers {
-            layer.forward(&cur, &mut next);
-            std::mem::swap(&mut cur, &mut next);
-        }
-        cur
+        self.forward_batch(x, 1)
     }
 
     /// Runs one forward pass over a whole batch: `xs` holds `rows`
     /// observations row-major (`rows × in_dim`), the result is row-major
-    /// `rows × out_dim`. Bit-identical per row to calling
-    /// [`Mlp::forward`] on each row — the batch form exists so N small
-    /// per-agent inferences collapse into one matrix-shaped pass (one
-    /// buffer round trip per *layer* instead of per *sample*).
+    /// `rows × out_dim`. Each row's output is bit-identical to a one-row
+    /// pass over it, so N small per-agent inferences collapse into one
+    /// matrix-shaped pass (one buffer round trip per *layer* instead of
+    /// per *sample*) without changing any of them.
     ///
     /// # Panics
     ///
@@ -325,10 +312,10 @@ impl Mlp {
         assert_eq!(x.len(), self.in_dim(), "input dimension mismatch");
         let mut acts = Vec::with_capacity(self.layers.len() + 1);
         acts.push(x.to_vec());
-        let mut next = Vec::new();
         for layer in &self.layers {
-            layer.forward(acts.last().expect("non-empty"), &mut next);
-            acts.push(next.clone());
+            let mut next = Vec::new();
+            layer.forward_batch(acts.last().expect("non-empty"), 1, &mut next);
+            acts.push(next);
         }
         MlpCache { acts }
     }
@@ -410,19 +397,6 @@ impl Mlp {
                 f(idx, *g);
                 idx += 1;
             }
-        }
-    }
-
-    /// Copies all parameters from `other` (same architecture).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the architectures differ.
-    pub fn copy_from(&mut self, other: &Mlp) {
-        assert_eq!(self.n_params(), other.n_params(), "architecture mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.w.copy_from_slice(&b.w);
-            a.b.copy_from_slice(&b.b);
         }
     }
 
@@ -634,16 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_clones_behaviour() {
-        let mut r = rng();
-        let a = Mlp::new(&[2, 4, 2], Activation::Tanh, Activation::Linear, &mut r);
-        let mut b = Mlp::new(&[2, 4, 2], Activation::Tanh, Activation::Linear, &mut r);
-        assert_ne!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
-        b.copy_from(&a);
-        assert_eq!(a.forward(&[0.5, 0.5]), b.forward(&[0.5, 0.5]));
-    }
-
-    #[test]
     fn state_roundtrip_is_bit_exact() {
         let net = Mlp::new(&[3, 5, 2], Activation::Relu, Activation::Linear, &mut rng());
         let state = net.export_state();
@@ -680,10 +644,11 @@ mod tests {
         let _ = net.forward(&[1.0]);
     }
 
-    /// Property: over seeded random shapes, activations and inputs, the
-    /// batched pass is bit-exact against the per-row pass — compared on
-    /// the raw bit patterns, not float equality, so a "harmless"
-    /// reassociation of the accumulation would fail here.
+    /// Property: over seeded random shapes, activations and inputs, a
+    /// row's output from a batched pass is bit-exact against a one-row
+    /// pass over it — compared on the raw bit patterns, not float
+    /// equality, so a kernel that let batch neighbours into a row's
+    /// accumulation would fail here.
     #[test]
     fn forward_batch_is_bit_exact_per_row() {
         let mut r = SmallRng::seed_from_u64(0xBA7C);
@@ -703,7 +668,7 @@ mod tests {
             let batched = net.forward_batch(&xs, rows);
             assert_eq!(batched.len(), rows * net.out_dim(), "case {case}");
             for (row, x) in xs.chunks_exact(net.in_dim().max(1)).enumerate() {
-                let single = net.forward(x);
+                let single = net.forward_batch(x, 1);
                 let b = &batched[row * net.out_dim()..(row + 1) * net.out_dim()];
                 for (i, (a, e)) in b.iter().zip(&single).enumerate() {
                     assert_eq!(

@@ -339,7 +339,7 @@ mod tests {
     }
 
     fn manager(name: &str) -> FineTuneManager {
-        let registry = ModelRegistry::open(scratch(name)).expect("registry opens");
+        let registry = ModelRegistry::open(scratch(name));
         let cfg = FineTuneConfig {
             autosave_interval: SimDuration::from_secs(10),
             reward_window: 2,
@@ -439,7 +439,7 @@ mod tests {
     fn resume_falls_back_when_current_corrupt() {
         let name = "resume_fallback";
         let mgr = manager(name);
-        let registry = ModelRegistry::open(scratch_keep(name)).expect("registry reopens");
+        let registry = ModelRegistry::open(scratch_keep(name));
         drop(mgr);
         // Corrupt the current checkpoint on disk.
         let path = registry.model_path("lc1");

@@ -97,12 +97,8 @@ impl ModelRegistry {
     /// Opens the registry at `dir`. Opening touches nothing on disk: the
     /// first save creates the directory, and a read of a registry that
     /// does not exist fails naming it.
-    ///
-    /// # Errors
-    ///
-    /// None: opening reads nothing.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, RegistryError> {
-        Ok(ModelRegistry { dir: dir.into() })
+    pub fn open(dir: impl Into<PathBuf>) -> Self {
+        ModelRegistry { dir: dir.into() }
     }
 
     /// The registry directory.
@@ -343,7 +339,7 @@ mod tests {
 
     #[test]
     fn save_load_roundtrip() {
-        let reg = ModelRegistry::open(scratch("save_load")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("save_load"));
         let c = ckpt("lc1", 7);
         reg.save_model(&c).expect("save succeeds");
         let back = reg.load_model("lc1").expect("load succeeds");
@@ -356,7 +352,7 @@ mod tests {
 
     #[test]
     fn tags_are_validated() {
-        let reg = ModelRegistry::open(scratch("tags")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("tags"));
         for bad in ["", "UPPER", "dots.bad", "spaces no", "../escape"] {
             assert!(
                 matches!(reg.load_model(bad), Err(RegistryError::InvalidTag(_))),
@@ -371,7 +367,7 @@ mod tests {
 
     #[test]
     fn corrupt_current_falls_back_to_last_good() {
-        let reg = ModelRegistry::open(scratch("fallback")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("fallback"));
         let good = ckpt("lc1", 3);
         reg.save_model(&good).expect("save succeeds");
         reg.promote_last_good("lc1").expect("promote succeeds");
@@ -403,7 +399,7 @@ mod tests {
 
     #[test]
     fn promote_refuses_corrupt_current() {
-        let reg = ModelRegistry::open(scratch("promote_corrupt")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("promote_corrupt"));
         reg.save_model(&ckpt("bi", 9)).expect("save succeeds");
         let path = reg.model_path("bi");
         let mut bytes = fs::read(&path).expect("checkpoint readable");
@@ -419,7 +415,7 @@ mod tests {
 
     #[test]
     fn typing_roundtrip() {
-        let reg = ModelRegistry::open(scratch("typing")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("typing"));
         assert!(matches!(reg.load_typing(), Err(RegistryError::Missing(_))));
         reg.save_typing(&index()).expect("typing saves");
         assert_eq!(reg.load_typing().expect("typing loads"), index());
@@ -429,7 +425,7 @@ mod tests {
     fn kind_confusion_rejected() {
         // A typing container under a model name (and vice versa) must not
         // decode as the wrong kind.
-        let reg = ModelRegistry::open(scratch("kind_confusion")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("kind_confusion"));
         let bytes = encode_container(PayloadKind::TypingIndex, &index().encode());
         reg.write(&reg.model_path("lc1"), &bytes)
             .expect("plant succeeds");
@@ -449,7 +445,7 @@ mod tests {
 
     #[test]
     fn ls_sorted() {
-        let reg = ModelRegistry::open(scratch("ls")).expect("registry opens");
+        let reg = ModelRegistry::open(scratch("ls"));
         reg.save_model(&ckpt("lc2", 2)).expect("save succeeds");
         reg.save_model(&ckpt("bi", 1)).expect("save succeeds");
         reg.save_typing(&index()).expect("typing saves");
@@ -465,7 +461,7 @@ mod tests {
     #[test]
     fn opening_and_listing_a_missing_registry_creates_nothing() {
         let dir = scratch("missing");
-        let reg = ModelRegistry::open(&dir).expect("registry opens");
+        let reg = ModelRegistry::open(&dir);
         match reg.ls() {
             Err(RegistryError::Io(msg)) => {
                 assert!(msg.contains(&dir.display().to_string()), "{msg}")

@@ -20,8 +20,8 @@
 //! * [`json`] — the workspace's one JSON writer, and the parser that
 //!   reads its output back.
 //! * [`prof`] — the host-time span profiler: RAII spans over per-thread
-//!   call trees, folded-stack and Chrome exporters, and (behind the
-//!   `prof-alloc` feature) per-span allocation accounting. The one
+//!   call trees rendered as a text tree or as folded stacks, and (behind
+//!   the `prof-alloc` feature) per-span allocation accounting. The one
 //!   sanctioned home for wall-clock measurement outside `crates/bench`.
 //!
 //! # Determinism

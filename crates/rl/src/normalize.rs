@@ -90,32 +90,24 @@ impl ObsNormalizer {
         }
     }
 
-    /// Standardizes one observation using the current statistics.
+    /// Standardizes one observation using the current statistics: a
+    /// one-row [`ObsNormalizer::normalize_batch`].
     ///
     /// # Panics
     ///
     /// Panics if the dimension does not match.
     pub fn normalize(&self, obs: &[f32]) -> Vec<f32> {
         assert_eq!(obs.len(), self.mean.len(), "dimension mismatch");
-        if self.count < 2 {
-            return obs.to_vec();
-        }
-        obs.iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let var = self.m2[i] / self.count as f64;
-                let std = var.sqrt().max(1e-8);
-                let z = (f64::from(x) - self.mean[i]) / std;
-                z.clamp(-self.clip, self.clip) as f32
-            })
-            .collect()
+        let mut out = Vec::with_capacity(obs.len());
+        self.normalize_batch(obs, &mut out);
+        out
     }
 
-    /// Standardizes `rows` observations held row-major in one flat
-    /// slice, appending the standardized rows to `out`. Each row goes
-    /// through the exact per-feature expression [`ObsNormalizer::normalize`]
-    /// uses (including the `count < 2` passthrough), so the batched form
-    /// is bit-identical to normalizing row by row.
+    /// Standardizes observations held row-major in one flat slice,
+    /// appending the standardized rows to `out`: the normalizer's only
+    /// per-feature loop. Fewer than two observations folded in pass rows
+    /// through unchanged. Each feature is standardized on its own, so a
+    /// row's result does not depend on the other rows.
     ///
     /// # Panics
     ///
@@ -259,8 +251,9 @@ mod tests {
         assert!(ObsNormalizer::from_state(bad).is_err());
     }
 
-    /// The batched apply must be bit-exact against the per-row apply,
-    /// both warmed and in the `count < 2` passthrough regime.
+    /// A row standardized in a batch must be bit-exact against the same
+    /// row standardized alone, both warmed and in the `count < 2`
+    /// passthrough regime.
     #[test]
     fn normalize_batch_is_bit_exact_per_row() {
         let mut n = ObsNormalizer::new(3, 5.0);

@@ -28,8 +28,8 @@ use crate::policy::PpoPolicy;
 /// buffer is GAE-ready.
 ///
 /// All per-agent inferences in a step run as one batched actor pass and
-/// one batched critic pass; both are bit-identical per row to per-agent
-/// inference, and the RNG draws keep the per-agent order.
+/// one batched critic pass; a row's result does not depend on the other
+/// agents' rows, and the RNG draws keep the per-agent order.
 pub(crate) fn rollout<E: MultiAgentEnv>(
     env: &mut E,
     policy: &PpoPolicy,
@@ -216,12 +216,11 @@ mod tests {
             );
             trainer.update(buf);
         }
-        let a0 = trainer
-            .policy
-            .act_greedy(&trainer.normalizer.normalize(&[1.0, 0.0]));
-        let a1 = trainer
-            .policy
-            .act_greedy(&trainer.normalizer.normalize(&[0.0, 1.0]));
+        let greedy = |obs: &[f32]| {
+            let norm = trainer.normalizer.normalize(obs);
+            trainer.policy.act_greedy_batch(&norm, 1).remove(0)
+        };
+        let (a0, a1) = (greedy(&[1.0, 0.0]), greedy(&[0.0, 1.0]));
         assert_eq!((a0, a1), (vec![0], vec![1]));
     }
 }

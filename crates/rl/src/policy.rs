@@ -5,7 +5,8 @@ use fleetio_ml::mlp::{log_softmax, softmax};
 use fleetio_ml::{Activation, Mlp, MlpState};
 
 /// A PPO actor-critic: one MLP produces the concatenated logits of every
-/// discrete action head, a second MLP estimates the state value.
+/// discrete action head, a second MLP estimates the state value. Every
+/// inference takes a row-major batch of observations, one row or many.
 ///
 /// # Example
 ///
@@ -14,10 +15,12 @@ use fleetio_ml::{Activation, Mlp, MlpState};
 ///
 /// let mut rng = fleetio_des::rng::SmallRng::seed_from_u64(0);
 /// let policy = PpoPolicy::new(4, &[5, 3], &[50, 50], &mut rng);
-/// let obs = [0.1, 0.2, -0.1, 0.0];
-/// let (action, logp) = policy.sample(&obs, &mut rng);
+/// let obs = [0.1, 0.2, -0.1, 0.0, 0.3, -0.2, 0.0, 0.1];
+/// let sampled = policy.sample_batch(&obs, 2, &mut rng);
+/// let (action, logp) = &sampled[0];
 /// assert_eq!(action.len(), 2);
-/// assert!(logp < 0.0);
+/// assert!(*logp < 0.0);
+/// assert_eq!(policy.act_greedy_batch(&obs, 2).len(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PpoPolicy {
@@ -134,16 +137,12 @@ impl PpoPolicy {
         out
     }
 
-    /// Samples an action per head; returns `(action, log_prob)`.
-    pub fn sample<R: Rng>(&self, obs: &[f32], rng: &mut R) -> (Vec<usize>, f64) {
-        self.sample_logits(&self.actor.forward(obs), rng)
-    }
-
-    /// Samples actions for a whole row-major batch of observations with
-    /// one actor pass. RNG draws happen row by row, head by head — the
-    /// exact consumption order of calling [`PpoPolicy::sample`] on each
-    /// row in turn — and `Mlp::forward_batch` is bit-identical per row,
-    /// so batched collection reproduces serial collection byte for byte.
+    /// Samples an action per head for a whole row-major batch of
+    /// observations with one actor pass; returns `(action, log_prob)` per
+    /// row. RNG draws happen row by row, head by head, one per head, so
+    /// the batch consumes the stream exactly as one-row calls on each row
+    /// in turn would, and `Mlp::forward_batch` gives each row the logits
+    /// a one-row pass gives it.
     pub fn sample_batch<R: Rng>(
         &self,
         obs: &[f32],
@@ -181,23 +180,8 @@ impl PpoPolicy {
         (action, logp)
     }
 
-    /// Greedy (argmax) action, used at deployment time.
-    pub fn act_greedy(&self, obs: &[f32]) -> Vec<usize> {
-        let logits = self.actor.forward(obs);
-        self.split_heads(&logits)
-            .into_iter()
-            .map(|head| {
-                head.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                    .map(|(i, _)| i)
-                    .expect("non-empty head")
-            })
-            .collect()
-    }
-
-    /// Greedy actions for a row-major batch with one actor pass;
-    /// per-row results match [`PpoPolicy::act_greedy`] exactly.
+    /// Greedy (argmax) actions for a row-major batch with one actor
+    /// pass: the deployment-time decision.
     pub fn act_greedy_batch(&self, obs: &[f32], rows: usize) -> Vec<Vec<usize>> {
         let logits = self.actor.forward_batch(obs, rows);
         let width = self.actor.out_dim();
@@ -218,46 +202,8 @@ impl PpoPolicy {
             .collect()
     }
 
-    /// Log-probability of `action` under the current policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the action shape or indices are invalid.
-    pub fn log_prob(&self, obs: &[f32], action: &[usize]) -> f64 {
-        assert_eq!(action.len(), self.action_dims.len(), "action head mismatch");
-        let logits = self.actor.forward(obs);
-        self.split_heads(&logits)
-            .iter()
-            .zip(action)
-            .map(|(head, &a)| f64::from(log_softmax(head)[a]))
-            .sum()
-    }
-
-    /// Mean entropy across heads for `obs`.
-    pub fn entropy(&self, obs: &[f32]) -> f64 {
-        let logits = self.actor.forward(obs);
-        let heads = self.split_heads(&logits);
-        let n = heads.len() as f64;
-        heads
-            .into_iter()
-            .map(|head| {
-                let p = softmax(head);
-                -p.iter()
-                    .filter(|x| **x > 0.0)
-                    .map(|x| f64::from(*x * x.ln()))
-                    .sum::<f64>()
-            })
-            .sum::<f64>()
-            / n
-    }
-
-    /// Critic value estimate for `obs`.
-    pub fn value(&self, obs: &[f32]) -> f64 {
-        f64::from(self.critic.forward(obs)[0])
-    }
-
-    /// Critic values for a row-major batch with one critic pass;
-    /// per-row results match [`PpoPolicy::value`] exactly.
+    /// Critic value estimates for a row-major batch with one critic
+    /// pass.
     pub fn value_batch(&self, obs: &[f32], rows: usize) -> Vec<f64> {
         self.critic
             .forward_batch(obs, rows)
@@ -288,8 +234,6 @@ impl PpoPolicy {
         lr: f32,
         seed: u64,
     ) -> f64 {
-        use fleetio_ml::mlp::{log_softmax, softmax};
-
         assert!(!samples.is_empty(), "behaviour cloning needs samples");
         assert!(
             epochs > 0 && minibatch > 0,
@@ -349,30 +293,35 @@ mod tests {
     #[test]
     fn sample_respects_head_sizes() {
         let (p, mut rng) = policy();
-        for _ in 0..50 {
-            let (a, logp) = p.sample(&[0.1, 0.2, 0.3], &mut rng);
+        let obs: Vec<f32> = [0.1, 0.2, 0.3].repeat(50);
+        for (a, logp) in p.sample_batch(&obs, 50, &mut rng) {
             assert!(a[0] < 4 && a[1] < 2);
             assert!(logp <= 0.0);
         }
+    }
+
+    /// Head probabilities: the softmax of each head's actor logits.
+    fn head_probs(p: &PpoPolicy, obs: &[f32]) -> Vec<Vec<f32>> {
+        let logits = p.actor.forward(obs);
+        p.split_heads(&logits).into_iter().map(softmax).collect()
     }
 
     #[test]
     fn log_prob_matches_sampling_distribution() {
         let (p, mut rng) = policy();
         let obs = [0.5, -0.5, 0.0];
+        let probs = head_probs(&p, &obs);
         let mut counts = [0usize; 4];
         let n = 40_000;
-        for _ in 0..n {
-            let (a, _) = p.sample(&obs, &mut rng);
+        for (a, logp) in p.sample_batch(&obs.repeat(n), n, &mut rng) {
             counts[a[0]] += 1;
+            // Heads are independent: the joint log-probability is the
+            // sum of the heads'.
+            let analytic = f64::from(probs[0][a[0]].ln() + probs[1][a[1]].ln());
+            assert!((logp - analytic).abs() < 1e-5, "{logp} vs {analytic}");
         }
         for (a0, &count) in counts.iter().enumerate() {
-            // Marginal of head 0: sum over head 1.
-            let lp0 = p.log_prob(&obs, &[a0, 0]);
-            let lp1 = p.log_prob(&obs, &[a0, 1]);
-            // p(head0 = a0) = exp(lp(a0,0)) / p(head1=0|...) — heads are
-            // independent, so marginal is exp(lp0) + exp(lp1) over head 1.
-            let marginal = lp0.exp() + lp1.exp();
+            let marginal = f64::from(probs[0][a0]);
             let freq = count as f64 / n as f64;
             assert!(
                 (marginal - freq).abs() < 0.02,
@@ -383,37 +332,23 @@ mod tests {
 
     #[test]
     fn greedy_picks_max_probability_action() {
-        let (p, mut rng) = policy();
+        let (p, _) = policy();
         let obs = [0.2, 0.8, -0.3];
-        let greedy = p.act_greedy(&obs);
-        // The greedy action must have the highest log-prob among all.
-        let mut best = f64::NEG_INFINITY;
+        let greedy = p.act_greedy_batch(&obs, 1).remove(0);
+        let probs = head_probs(&p, &obs);
+        // The greedy action must have the highest joint probability.
+        let mut best = f32::NEG_INFINITY;
         let mut best_a = vec![0, 0];
         for a0 in 0..4 {
             for a1 in 0..2 {
-                let lp = p.log_prob(&obs, &[a0, a1]);
-                if lp > best {
-                    best = lp;
+                let joint = probs[0][a0] * probs[1][a1];
+                if joint > best {
+                    best = joint;
                     best_a = vec![a0, a1];
                 }
             }
         }
         assert_eq!(greedy, best_a);
-        let _ = &mut rng;
-    }
-
-    #[test]
-    fn entropy_is_positive_and_bounded() {
-        let (p, _) = policy();
-        let h = p.entropy(&[0.0, 0.0, 0.0]);
-        // Max mean entropy = (ln 4 + ln 2) / 2 ≈ 1.04.
-        assert!(h > 0.0 && h <= 1.05, "entropy {h}");
-    }
-
-    #[test]
-    fn value_is_finite() {
-        let (p, _) = policy();
-        assert!(p.value(&[1.0, -1.0, 0.5]).is_finite());
     }
 
     #[test]
@@ -427,8 +362,10 @@ mod tests {
         ];
         let ce = p.imitate(&samples, 300, 2, 1e-2, 5);
         assert!(ce < 0.1, "final cross-entropy {ce}");
-        assert_eq!(p.act_greedy(&[1.0, 0.0]), vec![2, 0]);
-        assert_eq!(p.act_greedy(&[0.0, 1.0]), vec![0, 1]);
+        assert_eq!(
+            p.act_greedy_batch(&[1.0, 0.0, 0.0, 1.0], 2),
+            vec![vec![2, 0], vec![0, 1]]
+        );
     }
 
     #[test]
@@ -436,9 +373,10 @@ mod tests {
         let (p, _) = policy();
         let back = PpoPolicy::from_state(p.export_state()).expect("valid state");
         let obs = [0.4, -0.1, 0.9];
-        assert_eq!(p.act_greedy(&obs), back.act_greedy(&obs));
-        assert_eq!(p.value(&obs), back.value(&obs));
-        assert_eq!(p.log_prob(&obs, &[1, 0]), back.log_prob(&obs, &[1, 0]));
+        assert_eq!(p.act_greedy_batch(&obs, 1), back.act_greedy_batch(&obs, 1));
+        assert_eq!(p.value_batch(&obs, 1), back.value_batch(&obs, 1));
+        let sample = |q: &PpoPolicy| q.sample_batch(&obs, 1, &mut SmallRng::seed_from_u64(4));
+        assert_eq!(sample(&p), sample(&back));
         assert_eq!(back.export_state(), p.export_state());
     }
 
@@ -456,9 +394,9 @@ mod tests {
         assert!(PpoPolicy::from_state(bad).is_err());
     }
 
-    /// Batched sample/value/greedy must reproduce the serial calls
-    /// exactly: same actions from the same RNG stream, bit-equal logps
-    /// and values.
+    /// A row's sample, value and greedy action must not depend on its
+    /// batch neighbours: one-row calls on each row in turn give the same
+    /// actions from the same RNG stream, bit-equal logps and values.
     #[test]
     fn batch_inference_matches_serial_calls() {
         let (p, _) = policy();
@@ -471,7 +409,7 @@ mod tests {
         let mut rng_b = SmallRng::seed_from_u64(99);
         let batched = p.sample_batch(&flat, rows.len(), &mut rng_a);
         for (row, (ba, blp)) in rows.iter().zip(&batched) {
-            let (sa, slp) = p.sample(row, &mut rng_b);
+            let (sa, slp) = p.sample_batch(row, 1, &mut rng_b).remove(0);
             assert_eq!(*ba, sa);
             assert_eq!(blp.to_bits(), slp.to_bits());
         }
@@ -481,8 +419,8 @@ mod tests {
         let values = p.value_batch(&flat, rows.len());
         let greedy = p.act_greedy_batch(&flat, rows.len());
         for ((row, v), g) in rows.iter().zip(&values).zip(&greedy) {
-            assert_eq!(v.to_bits(), p.value(row).to_bits());
-            assert_eq!(*g, p.act_greedy(row));
+            assert_eq!(v.to_bits(), p.value_batch(row, 1)[0].to_bits());
+            assert_eq!(*g, p.act_greedy_batch(row, 1)[0]);
         }
     }
 

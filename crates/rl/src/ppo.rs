@@ -504,12 +504,11 @@ mod tests {
         // Near-perfect reward (each agent picks its own id).
         assert!(last.mean_reward > 0.9, "mean reward {}", last.mean_reward);
         // Greedy deployment behaviour matches.
-        let a0 = trainer
-            .policy
-            .act_greedy(&trainer.normalizer.normalize(&[1.0, 0.0]));
-        let a1 = trainer
-            .policy
-            .act_greedy(&trainer.normalizer.normalize(&[0.0, 1.0]));
+        let greedy = |obs: &[f32]| {
+            let norm = trainer.normalizer.normalize(obs);
+            trainer.policy.act_greedy_batch(&norm, 1).remove(0)
+        };
+        let (a0, a1) = (greedy(&[1.0, 0.0]), greedy(&[0.0, 1.0]));
         assert_eq!(a0, vec![0]);
         assert_eq!(a1, vec![1]);
     }

@@ -56,7 +56,7 @@ fn main() -> ExitCode {
 fn build() -> ExitCode {
     let dir = PathBuf::from(REGISTRY_DIR);
     let _ = std::fs::remove_dir_all(&dir);
-    let registry = ModelRegistry::open(&dir).expect("registry dir creatable");
+    let registry = ModelRegistry::open(&dir);
 
     // 1. Typing index: per-window I/O features from solo runs of one
     //    workload per Figure-6 type, clustered with k-means.
@@ -154,7 +154,7 @@ fn build() -> ExitCode {
         regression_threshold: 0.2,
     };
     let (mut mgr, fell_back) = FineTuneManager::resume(
-        ModelRegistry::open(&dir).expect("registry reopens"),
+        ModelRegistry::open(&dir),
         "bi",
         ft_cfg,
         SimTime::ZERO,
@@ -195,7 +195,7 @@ fn build() -> ExitCode {
     println!("\ncorruption drill (scratch registry):");
     let scratch = PathBuf::from("target/model-registry-scratch");
     let _ = std::fs::remove_dir_all(&scratch);
-    let sreg = ModelRegistry::open(&scratch).expect("scratch registry opens");
+    let sreg = ModelRegistry::open(&scratch);
     sreg.save_model(&checkpoint_from_trainer(&trainer, SEED, "bi"))
         .expect("checkpoint saves");
     sreg.promote_last_good("bi").expect("last-good promotes");
@@ -224,13 +224,7 @@ fn build() -> ExitCode {
 /// Reopens the registry and loads the `bi` model through the fallback
 /// path, reporting (for CI to grep) whether the fallback fired.
 fn resume() -> ExitCode {
-    let registry = match ModelRegistry::open(REGISTRY_DIR) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("model_lifecycle resume: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let registry = ModelRegistry::open(REGISTRY_DIR);
     let (mgr, fell_back) = match FineTuneManager::resume(
         registry,
         "bi",

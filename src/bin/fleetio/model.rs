@@ -147,9 +147,7 @@ fn verify(args: &Args) -> VerbResult {
 
 fn ls(args: &Args) -> VerbResult {
     let dir = &args.positionals[0];
-    let paths = ModelRegistry::open(dir)
-        .and_then(|registry| registry.ls())
-        .map_err(io)?;
+    let paths = ModelRegistry::open(dir).ls().map_err(io)?;
     if paths.is_empty() {
         return Ok(Output::ok(format!("{dir}: empty registry\n")));
     }
