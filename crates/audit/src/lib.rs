@@ -40,6 +40,8 @@
 //! crates behind their `audit` cargo feature; this crate only covers
 //! what can be checked without running the simulator.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 pub mod graph;

@@ -5,6 +5,8 @@
 //!
 //! Exit codes: 0 clean, 1 any violation, 2 usage or I/O errors.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

@@ -12,6 +12,8 @@
 //! here; `tests/alloc_gates.rs` holds the wall-clock-free allocation
 //! ceilings that a noisy CI runner can still gate on.
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod figures;
 pub mod report;

@@ -1,5 +1,6 @@
-//! Wall-clock-free perf gates: heap allocations and the bytes they request
-//! on six hot paths, each held under a ceiling constant. The counts repeat
+//! Wall-clock-free perf gates: seven tests that hold heap allocations and
+//! the bytes they request on six hot paths under ceiling constants,
+//! counted by the global allocator this file installs. The counts repeat
 //! run after run, in the debug and the release profile alike — to the last
 //! digit on one thread, within a few allocations where the work runs on
 //! the store's helper threads and is counted process-wide — so they need
@@ -9,6 +10,9 @@
 //! by at most 5 %. A change that lowers a count should lower its ceiling in
 //! the same PR; a new wall-clock-free proxy is one more `#[test]` here.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use fleetio::baselines::StaticPolicy;
@@ -17,7 +21,6 @@ use fleetio::{Colocation, FleetIoConfig};
 use fleetio_des::{SimDuration, SimTime};
 use fleetio_flash::addr::ChannelId;
 use fleetio_flash::config::FlashConfig;
-use fleetio_obs::prof::alloc::{counters, process_counters, CountingAllocator};
 use fleetio_obs::{NandKind, ObsEvent, ObsSink};
 use fleetio_store::{diff_stores, DiffOutcome, RunStore, StoreSink, DEFAULT_SEGMENT_BYTES};
 use fleetio_vssd::engine::{Engine, EngineConfig};
@@ -27,10 +30,73 @@ use fleetio_workloads::WorkloadKind;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// Delegates to [`System`] while counting allocations and the bytes they
+/// request, per thread and for the whole process. Deallocation is free
+/// (the counters are cumulative, not live).
+struct CountingAllocator;
+
+thread_local! {
+    static COUNT: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+static PROCESS_COUNT: AtomicU64 = AtomicU64::new(0);
+static PROCESS_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates allocation to `System` unchanged; the counters are
+// plain thread-local cells and statics that publish no other data (hence
+// `Relaxed`), and never allocate themselves.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as u64);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as u64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as u64);
+        System.alloc_zeroed(layout)
+    }
+}
+
+#[inline]
+fn note(bytes: u64) {
+    // try_with: allocations during TLS teardown are simply uncounted.
+    let _ = COUNT.try_with(|c| c.set(c.get().wrapping_add(1)));
+    let _ = BYTES.try_with(|b| b.set(b.get().wrapping_add(bytes)));
+    PROCESS_COUNT.fetch_add(1, Ordering::Relaxed);
+    PROCESS_BYTES.fetch_add(bytes, Ordering::Relaxed);
+}
+
+/// This thread's cumulative (allocation count, bytes requested).
+fn counters() -> (u64, u64) {
+    (
+        COUNT.try_with(Cell::get).unwrap_or(0),
+        BYTES.try_with(Cell::get).unwrap_or(0),
+    )
+}
+
+/// Every thread's cumulative (allocation count, bytes requested).
+fn process_counters() -> (u64, u64) {
+    (
+        PROCESS_COUNT.load(Ordering::Relaxed),
+        PROCESS_BYTES.load(Ordering::Relaxed),
+    )
+}
+
 /// Allocations per completed request of a colocation run with no obs sink
-/// (measured 0.04545219771706007: 880 allocations over 19 361 requests,
-/// 870 before each per-page table also had a chunk list; 894 while every
-/// tenant's trace ring grew).
+/// (measured 0.04550384794173855: 881 allocations over 19 361 requests,
+/// one of them the sorted copy of vSSD ids `Engine::new` checks for
+/// duplicates; 870 before each per-page table also had a chunk list; 894
+/// while every tenant's trace ring grew).
 /// Per request, not per simulated event: how many events a request costs
 /// is the engine's business, whereas the requests a seeded run completes
 /// do not move.
@@ -57,13 +123,13 @@ const OPEN_LOOP_ALLOCS_MAX: u64 = 116;
 const BYTES_PER_REQUEST_MAX: f64 = 45.9;
 
 /// Allocations of `Engine::new` plus a half-capacity warm-up (measured
-/// 1 507): most are the 16 KiB page-state and L2P chunks the warm-up's
+/// 1 508): most are the 16 KiB page-state and L2P chunks the warm-up's
 /// writes allocate, one per chunk first written (651 while those tables
 /// were allocated whole). A `Vec` allocated per block opened made it
 /// 8 035.
 const ENGINE_BUILD_ALLOCS_MAX: f64 = 1_580.0;
 
-/// Bytes those allocations request (measured 15 044 968). Nearly all of it
+/// Bytes those allocations request (measured 15 044 976). Nearly all of it
 /// is per-page state: the chunks holding the pages the warm-up wrote, 4
 /// bytes per page-state slot and per L2P entry. Allocated whole — a slot
 /// per physical page (16 MiB) and an entry per logical page of each vSSD

@@ -131,36 +131,6 @@ impl LatencyHistogram {
         Some(SimDuration::from_nanos(self.max_nanos))
     }
 
-    /// Fraction of samples strictly greater than `threshold`, in `[0, 1]`.
-    ///
-    /// This is the paper's "percentage of SLO violations" when `threshold`
-    /// is the vSSD's SLO latency. Returns 0 when empty.
-    pub fn fraction_above(&self, threshold: SimDuration) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let t = threshold.as_nanos();
-        let mut above = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            // Count the bucket as "above" when its low edge exceeds the
-            // threshold; the boundary bucket is split proportionally.
-            let (range, sub) = (i / SUB_COUNT, i % SUB_COUNT);
-            let lo = Self::bucket_low(range, sub);
-            let hi = Self::bucket_high(range, sub);
-            if lo > t {
-                above += c;
-            } else if hi > t {
-                let width = (hi - lo).max(1) as f64;
-                let frac = (hi - t) as f64 / width;
-                above += (c as f64 * frac).round() as u64;
-            }
-        }
-        above as f64 / self.count as f64
-    }
-
     /// Merges another histogram's samples into `self`.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -226,7 +196,6 @@ mod tests {
         assert!(h.is_empty());
         assert_eq!(h.mean(), None);
         assert_eq!(h.percentile(99.0), None);
-        assert_eq!(h.fraction_above(SimDuration::from_micros(1)), 0.0);
     }
 
     #[test]
@@ -253,16 +222,6 @@ mod tests {
             let err = (got - want_us).abs() / want_us;
             assert!(err < 0.03, "pct {pct}: got {got}, want {want_us}");
         }
-    }
-
-    #[test]
-    fn fraction_above_matches_exact_count() {
-        let mut h = LatencyHistogram::new();
-        for us in 1..=1000u64 {
-            h.record(SimDuration::from_micros(us));
-        }
-        let frac = h.fraction_above(SimDuration::from_micros(900));
-        assert!((frac - 0.10).abs() < 0.02, "frac {frac}");
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! assert_eq!(q.pop().map(|e| e.payload), Some("now"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 #[cfg(feature = "audit")]
 pub mod audit;
 pub mod chunked;

@@ -388,32 +388,6 @@ impl ChipBlocks {
             );
         }
     }
-
-    /// The non-free block with the fewest live pages among `candidates`,
-    /// preferring lower ids on ties. Returns `None` when no candidate is
-    /// eligible (free blocks and fully-valid open blocks are skipped only
-    /// if `skip_open` is set).
-    pub fn greedy_victim<I>(&self, candidates: I, skip_open: bool) -> Option<u32>
-    where
-        I: IntoIterator<Item = u32>,
-    {
-        let mut best: Option<(u32, u32)> = None;
-        for id in candidates {
-            let b = &self.blocks[id as usize];
-            if b.phase() == BlockPhase::Free {
-                continue;
-            }
-            if skip_open && b.phase() == BlockPhase::Open {
-                continue;
-            }
-            let key = b.valid_count();
-            match best {
-                Some((_, k)) if k <= key => {}
-                _ => best = Some((id, key)),
-            }
-        }
-        best.map(|(id, _)| id)
-    }
 }
 
 #[cfg(test)]
@@ -689,37 +663,6 @@ mod tests {
         let mut c = ChipBlocks::new(1, 1);
         assert!(c.allocate().is_some());
         assert!(c.allocate().is_none());
-    }
-
-    #[test]
-    fn greedy_victim_prefers_fewest_valid() {
-        let mut c = ChipBlocks::new(3, 4);
-        for _ in 0..3 {
-            c.allocate();
-        }
-        // Block 0: 4 valid; block 1: 1 valid; block 2: 2 valid.
-        for i in 0..4 {
-            c.append(0, Lpa(i));
-        }
-        for i in 0..4 {
-            c.append(1, Lpa(10 + i));
-        }
-        for p in 0..3 {
-            c.invalidate(1, p);
-        }
-        for i in 0..4 {
-            c.append(2, Lpa(20 + i));
-        }
-        for p in 0..2 {
-            c.invalidate(2, p);
-        }
-        assert_eq!(c.greedy_victim(0..3, false), Some(1));
-    }
-
-    #[test]
-    fn greedy_victim_skips_free_blocks() {
-        let c = ChipBlocks::new(3, 4);
-        assert_eq!(c.greedy_victim(0..3, false), None);
     }
 
     #[cfg(feature = "audit")]

@@ -105,11 +105,6 @@ impl FlashConfig {
         self.total_blocks() * self.block_bytes()
     }
 
-    /// Logical capacity exposed after over-provisioning.
-    pub fn logical_bytes(&self) -> u64 {
-        (self.raw_bytes() as f64 * (1.0 - self.overprovisioning)) as u64
-    }
-
     /// Blocks per chip after subtracting the over-provisioned share
     /// (rounded down, minimum 1).
     pub fn logical_blocks_per_chip(&self) -> u32 {
@@ -207,7 +202,6 @@ mod tests {
         assert_eq!(c.total_chips(), 8);
         assert_eq!(c.total_blocks(), 128);
         assert_eq!(c.raw_bytes(), 128 * 32 * 16 * 1024);
-        assert!(c.logical_bytes() < c.raw_bytes());
     }
 
     #[test]

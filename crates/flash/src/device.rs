@@ -458,11 +458,6 @@ impl FlashDevice {
             })
             .collect()
     }
-
-    /// Total bytes moved over all channel buses so far.
-    pub fn total_bytes_moved(&self) -> u64 {
-        self.channels.iter().map(|c| c.bytes_moved()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -489,7 +484,6 @@ mod tests {
         assert_eq!(s.host_read_bytes, 4096);
         assert_eq!(s.host_write_bytes, 8192);
         assert_eq!(s.flash_write_bytes, 8192);
-        assert_eq!(d.total_bytes_moved(), 4096 + 8192);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! assert!(op.end > op.start);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod block;
 pub mod channel;

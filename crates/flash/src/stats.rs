@@ -31,11 +31,6 @@ impl DeviceStats {
         (self.host_write_bytes > 0)
             .then(|| self.flash_write_bytes as f64 / self.host_write_bytes as f64)
     }
-
-    /// Total host bytes moved in both directions.
-    pub fn host_bytes(&self) -> u64 {
-        self.host_read_bytes + self.host_write_bytes
-    }
 }
 
 #[cfg(test)]
@@ -49,15 +44,5 @@ mod tests {
         s.host_write_bytes = 100;
         s.flash_write_bytes = 150;
         assert_eq!(s.waf(), Some(1.5));
-    }
-
-    #[test]
-    fn host_bytes_sums_directions() {
-        let s = DeviceStats {
-            host_read_bytes: 3,
-            host_write_bytes: 4,
-            ..Default::default()
-        };
-        assert_eq!(s.host_bytes(), 7);
     }
 }

@@ -29,6 +29,8 @@
 //! Same seed + same spec ⇒ byte-identical per-shard observability
 //! streams and identical migration logs for *any* worker-thread count.
 
+#![forbid(unsafe_code)]
+
 pub mod control;
 pub mod health;
 pub mod runtime;

@@ -24,6 +24,8 @@
 //! * [`experiment`] — the evaluation harness reproducing every figure,
 //! * [`mixes`] — Table 5 scalability mixes.
 
+#![forbid(unsafe_code)]
+
 pub mod actions;
 pub mod agent;
 pub mod bank;

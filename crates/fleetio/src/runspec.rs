@@ -204,11 +204,6 @@ impl RunSpec {
         let flash = FlashPreset::from_tag(dec.u8()?)?;
         let window = SimDuration::from_nanos(dec.u64()?);
         let warm_fraction = dec.f64()?;
-        if !(0.0..=1.0).contains(&warm_fraction) {
-            return Err(DecodeError::Malformed(format!(
-                "warm fraction {warm_fraction}"
-            )));
-        }
         let windows = dec.u32()?;
         let checkpoint_every = dec.u32()?;
         let seed = dec.u64()?;
@@ -254,11 +249,6 @@ impl RunSpec {
             let rate_limit = if dec.bool()? { Some(dec.f64()?) } else { None };
             let tickets = dec.u32()?;
             let capacity_share = dec.f64()?;
-            if !(capacity_share > 0.0 && capacity_share <= 1.0) {
-                return Err(DecodeError::Malformed(format!(
-                    "capacity share {capacity_share}"
-                )));
-            }
             let slo_spec = if dec.bool()? {
                 let s = fleetio_obs::SloSpec {
                     p95_target: SimDuration::from_nanos(dec.u64()?),
@@ -287,7 +277,7 @@ impl RunSpec {
             tenants.push(tenant);
         }
         dec.finish()?;
-        Ok(RunSpec {
+        let spec = RunSpec {
             flash,
             tenants,
             window,
@@ -295,7 +285,35 @@ impl RunSpec {
             windows,
             checkpoint_every,
             seed,
-        })
+        };
+        spec.validate().map_err(DecodeError::Malformed)?;
+        Ok(spec)
+    }
+
+    /// Whether [`RunSpec::build`] can build this spec: a positive window,
+    /// a warm-up fraction in `[0, 1]`, and tenants the engine accepts
+    /// ([`EngineConfig::validate_vssds`]). [`RunSpec::decode`] goes
+    /// through here, so replay refuses a spec it could not rebuild.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window.is_zero() {
+            return Err("window must be positive".to_string());
+        }
+        if !(0.0..=1.0).contains(&self.warm_fraction) {
+            return Err(format!("warm fraction {}", self.warm_fraction));
+        }
+        let configs: Vec<VssdConfig> = self.tenants.iter().map(|t| t.config.clone()).collect();
+        self.engine_config().validate_vssds(&configs)
+    }
+
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            flash: self.flash.config(),
+            ..EngineConfig::default()
+        }
     }
 
     /// CRC-32 of the spec's encoding — the config fingerprint stored in
@@ -311,14 +329,9 @@ impl RunSpec {
     ///
     /// # Panics
     ///
-    /// Panics on configurations the engine rejects (mismatched
-    /// channels, zero window — see [`Colocation::new`]).
+    /// Panics on a spec [`RunSpec::validate`] refuses.
     pub fn build(&self) -> Colocation {
-        let engine_cfg = EngineConfig {
-            flash: self.flash.config(),
-            ..EngineConfig::default()
-        };
-        Colocation::new(engine_cfg, self.tenants.clone(), self.window)
+        Colocation::new(self.engine_config(), self.tenants.clone(), self.window)
     }
 }
 

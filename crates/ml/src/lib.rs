@@ -14,6 +14,8 @@
 //! * [`scaler`] — feature standardization,
 //! * [`dataset`] — deterministic train/test splitting.
 
+#![forbid(unsafe_code)]
+
 pub mod adam;
 pub mod dataset;
 pub mod kmeans;

@@ -11,7 +11,6 @@ use fleetio_des::rng::Rng;
 pub struct Pca {
     mean: Vec<f64>,
     components: Vec<Vec<f64>>,
-    explained: Vec<f64>,
 }
 
 impl Pca {
@@ -57,7 +56,6 @@ impl Pca {
         }
 
         let mut components = Vec::with_capacity(n_components);
-        let mut explained = Vec::with_capacity(n_components);
         let mut work = cov;
         for _ in 0..n_components {
             let (vec_, val) = power_iteration(&work, rng);
@@ -68,18 +66,8 @@ impl Pca {
                 }
             }
             components.push(vec_);
-            explained.push(val.max(0.0));
         }
-        Pca {
-            mean,
-            components,
-            explained,
-        }
-    }
-
-    /// Per-component explained variance (eigenvalues), largest first.
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.explained
+        Pca { mean, components }
     }
 
     /// The fitted component directions (unit vectors).
@@ -168,9 +156,6 @@ mod tests {
         let c0 = &pca.components()[0];
         let slope = (c0[1] / c0[0]).abs();
         assert!((slope - 2.0).abs() < 0.05, "slope {slope}");
-        // First component explains almost everything.
-        let ev = pca.explained_variance();
-        assert!(ev[0] > 100.0 * ev[1].max(1e-12), "{ev:?}");
     }
 
     #[test]

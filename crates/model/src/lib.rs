@@ -35,6 +35,8 @@
 //! nonzero on any corrupt container, which CI uses to prove corruption
 //! detection end to end.
 
+#![forbid(unsafe_code)]
+
 pub mod atomic;
 pub mod checkpoint;
 pub mod finetune;

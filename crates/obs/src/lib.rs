@@ -20,8 +20,8 @@
 //! * [`json`] — the workspace's one JSON writer, and the parser that
 //!   reads its output back.
 //! * [`prof`] — the host-time span profiler: RAII spans over per-thread
-//!   call trees rendered as a text tree or as folded stacks, and (behind
-//!   the `prof-alloc` feature) per-span allocation accounting. The one
+//!   call trees, merged into a report of call counts, total and child
+//!   time per span path, and rendered as folded stacks. The one
 //!   sanctioned home for wall-clock measurement outside `crates/bench`.
 //!
 //! # Determinism
@@ -36,6 +36,8 @@
 //! validates a JSONL trace line by line and renders a human-readable
 //! report; `fleetio obs report` renders [`slo::health_report`] from
 //! stores or traces.
+
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod export;

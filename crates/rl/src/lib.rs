@@ -16,6 +16,8 @@
 //! * [`parallel`] — parallel rollout collection on `fleetio_des::par` (the
 //!   stand-in for the paper's Ray pre-training cluster).
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod env;
 pub mod normalize;

@@ -29,6 +29,8 @@
 //! nothing reads). All writes go through `fleetio_model::atomic_write`. From the
 //! command line, `fleetio store record|info|query|diff|replay|verify`.
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod manifest;
 pub mod query;

@@ -151,8 +151,9 @@ impl RunStore {
         }
         RunSpec::decode(blob).map_err(|e| {
             StoreError::Unusable(format!(
-                "the store holds a spec that is not a run spec ({e}); fleet shard stores \
-                 hold their FleetSpec, and replay rebuilds `fleetio store record` runs only"
+                "the store holds a spec that is not a run spec replay can build ({e}); fleet \
+                 shard stores hold their FleetSpec, and replay rebuilds `fleetio store record` \
+                 runs only"
             ))
         })
     }

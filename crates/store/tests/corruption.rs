@@ -9,7 +9,8 @@
 
 use std::path::{Path, PathBuf};
 
-use fleetio_des::SimTime;
+use fleetio::RunSpec;
+use fleetio_des::{SimDuration, SimTime};
 use fleetio_obs::{ObsEvent, ObsSink};
 use fleetio_store::{
     replay_run, segment_file_name, RunStore, StoreError, StoreSink, MANIFEST_FILE,
@@ -238,4 +239,89 @@ fn a_foreign_spec_is_unusable_and_a_wrong_fingerprint_corrupt() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A sealed one-event store whose manifest holds `spec` under its true
+/// fingerprint.
+fn store_with_spec(tag: &str, spec: &RunSpec) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fleetio-store-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let blob = spec.encode();
+    let fingerprint = fleetio_des::hash::crc32(&blob);
+    let mut sink = StoreSink::create(&dir, blob, fingerprint, 99, 1_000, 2_048).expect("create");
+    sink.record(ObsEvent::Throttle {
+        at: SimTime::from_nanos(5),
+        channel: 0,
+        until: SimTime::from_nanos(9),
+    });
+    sink.finish().expect("finish");
+    dir
+}
+
+/// Stores the demo spec as `break_spec` leaves it: intact (its
+/// fingerprint matches) and decodable field by field, but not buildable.
+/// Opening its spec and replaying it must both be unusable, with `why`
+/// in the message, never a panic inside the build.
+fn assert_unusable(tag: &str, break_spec: impl FnOnce(&mut RunSpec), why: &str) {
+    let mut spec = RunSpec::demo(3, 2, 0);
+    break_spec(&mut spec);
+    let dir = store_with_spec(tag, &spec);
+    let store = RunStore::open(&dir).expect("a sealed store opens");
+    assert!(store.verify().clean(), "{tag}: the segments are undamaged");
+    for err in [
+        store.spec().map(|_| ()),
+        replay_run(&dir, 1_000).map(|_| ()),
+    ] {
+        match err {
+            Err(StoreError::Unusable(msg)) => assert!(msg.contains(why), "{tag}: {msg}"),
+            other => panic!("{tag}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_zero_window_spec_is_unusable() {
+    assert_unusable(
+        "zero-window",
+        |s| s.window = SimDuration::ZERO,
+        "window must be positive",
+    );
+}
+
+#[test]
+fn a_tenant_without_tickets_is_unusable() {
+    assert_unusable(
+        "zero-tickets",
+        |s| s.tenants[1].config.tickets = 0,
+        "no stride tickets",
+    );
+}
+
+#[test]
+fn a_tenant_without_channels_is_unusable() {
+    assert_unusable(
+        "no-channels",
+        |s| s.tenants[2].config.channels.clear(),
+        "has no channels",
+    );
+}
+
+#[test]
+fn a_channel_beyond_the_preset_is_unusable() {
+    // The demo's training-test preset has channels 0..4.
+    assert_unusable(
+        "channel-off-device",
+        |s| s.tenants[3].config.channels[0].0 = 4,
+        "outside the device",
+    );
+}
+
+#[test]
+fn a_duplicate_vssd_id_is_unusable() {
+    assert_unusable(
+        "duplicate-id",
+        |s| s.tenants[1].config.id = s.tenants[0].config.id,
+        "duplicate vssd id",
+    );
 }

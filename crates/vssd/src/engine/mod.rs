@@ -101,6 +101,34 @@ impl EngineConfig {
         }
         Ok(())
     }
+
+    /// Checks the vSSDs an engine on this device would host: at most
+    /// 65 536 of them (in-flight requests index them with a `u16`), each
+    /// configuration valid, every channel on the device and no id twice.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offence.
+    pub fn validate_vssds(&self, vssds: &[VssdConfig]) -> Result<(), String> {
+        if vssds.len() > usize::from(u16::MAX) + 1 {
+            return Err(format!(
+                "{} vSSDs on one engine; in-flight requests index at most 65 536",
+                vssds.len()
+            ));
+        }
+        for vc in vssds {
+            vc.validate()?;
+            if let Some(ch) = vc.channels.iter().find(|c| c.0 >= self.flash.channels) {
+                return Err(format!("{} references {ch} outside the device", vc.id));
+            }
+        }
+        let mut ids: Vec<VssdId> = vssds.iter().map(|v| v.id).collect();
+        ids.sort_unstable();
+        match ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(format!("duplicate vssd id {}", pair[0])),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Logical capacity in pages of a vSSD with configuration `v` on a device
@@ -383,18 +411,15 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if the engine or any vSSD configuration is invalid, a vSSD id
-    /// repeats, a vSSD references a channel outside the device, or there
-    /// are more than 65 536 vSSDs.
+    /// Panics if the engine configuration is invalid or
+    /// [`EngineConfig::validate_vssds`] refuses `vssds`.
     pub fn new(cfg: EngineConfig, vssds: Vec<VssdConfig>) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid engine config: {e}");
         }
-        assert!(
-            vssds.len() <= usize::from(u16::MAX) + 1,
-            "{} vSSDs on one engine; in-flight requests index at most 65 536",
-            vssds.len()
-        );
+        if let Err(e) = cfg.validate_vssds(&vssds) {
+            panic!("invalid vssd config: {e}");
+        }
         let device = FlashDevice::new(cfg.flash.clone());
         let n_channels = usize::from(cfg.flash.channels);
         let chip_slots = n_channels * usize::from(cfg.flash.chips_per_channel);
@@ -406,25 +431,11 @@ impl Engine {
         let mut states = Vec::with_capacity(vssds.len());
         let mut id_to_idx = Vec::with_capacity(vssds.len());
         for (idx, vc) in vssds.into_iter().enumerate() {
-            if let Err(e) = vc.validate() {
-                panic!("invalid vssd config: {e}");
-            }
-            for ch in &vc.channels {
-                assert!(
-                    usize::from(ch.0) < n_channels,
-                    "{} references {} outside the device",
-                    vc.id,
-                    ch
-                );
-            }
             id_to_idx.push((vc.id, idx));
             let map = PageMap::new(layout, logical_pages(&cfg.flash, &vc));
             states.push(VssdState::new(vc, chip_slots, map));
         }
         id_to_idx.sort_unstable_by_key(|(id, _)| *id);
-        for pair in id_to_idx.windows(2) {
-            assert!(pair[0].0 != pair[1].0, "duplicate vssd id {}", pair[0].0);
-        }
         let chans = (0..n_channels)
             .map(|_| ChanState {
                 queues: (0..states.len()).map(|_| Default::default()).collect(),

@@ -28,6 +28,8 @@
 //! discrete-event model, so the pool uses plain indexed lists with identical
 //! ordering semantics (insert at head, best-fit search smaller-first).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod engine;
 pub mod gsb;

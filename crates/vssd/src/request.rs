@@ -78,12 +78,6 @@ impl IoRequest {
         let last = (self.offset + self.len - 1) / page_bytes;
         (first, last)
     }
-
-    /// Number of logical pages touched.
-    pub fn page_count(&self, page_bytes: u64) -> u64 {
-        let (first, last) = self.page_span(page_bytes);
-        last - first + 1
-    }
 }
 
 /// A completed request with its measured service quality.
@@ -137,21 +131,18 @@ mod tests {
     fn page_span_aligned() {
         let r = req(0, 16384);
         assert_eq!(r.page_span(16384), (0, 0));
-        assert_eq!(r.page_count(16384), 1);
     }
 
     #[test]
     fn page_span_crossing_boundary() {
         let r = req(16000, 1000);
         assert_eq!(r.page_span(16384), (0, 1));
-        assert_eq!(r.page_count(16384), 2);
     }
 
     #[test]
     fn page_span_large_request() {
         let r = req(32768, 65536);
         assert_eq!(r.page_span(16384), (2, 5));
-        assert_eq!(r.page_count(16384), 4);
     }
 
     #[test]

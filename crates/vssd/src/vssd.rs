@@ -114,7 +114,7 @@ impl VssdConfig {
     /// # Errors
     ///
     /// Returns a message when the vSSD has no channels or duplicated
-    /// channels.
+    /// channels, no stride tickets, or a capacity share outside `(0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         if self.channels.is_empty() {
             return Err(format!("{} has no channels", self.id));
@@ -124,6 +124,15 @@ impl VssdConfig {
         sorted.dedup();
         if sorted.len() != self.channels.len() {
             return Err(format!("{} has duplicate channels", self.id));
+        }
+        if self.tickets == 0 {
+            return Err(format!("{} has no stride tickets", self.id));
+        }
+        if !(self.capacity_share > 0.0 && self.capacity_share <= 1.0) {
+            return Err(format!(
+                "{} has capacity share {}, outside (0, 1]",
+                self.id, self.capacity_share
+            ));
         }
         Ok(())
     }
@@ -158,6 +167,21 @@ mod tests {
         assert!(c.validate().is_err());
         let c = VssdConfig::hardware(VssdId(0), vec![ChannelId(1), ChannelId(1)]);
         assert!(c.validate().unwrap_err().contains("duplicate"));
+    }
+
+    #[test]
+    fn validate_rejects_zero_tickets_and_shares_outside_the_unit_interval() {
+        let mut c = VssdConfig::hardware(VssdId(0), vec![ChannelId(0)]);
+        c.tickets = 0;
+        assert!(c.validate().unwrap_err().contains("tickets"));
+        for share in [0.0, -0.5, 1.5, f64::NAN] {
+            let mut c = VssdConfig::hardware(VssdId(0), vec![ChannelId(0)]);
+            c.capacity_share = share;
+            assert!(
+                c.validate().unwrap_err().contains("capacity share"),
+                "{share}"
+            );
+        }
     }
 
     #[test]

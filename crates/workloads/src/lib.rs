@@ -15,6 +15,8 @@
 //! * [`zipf`] — zipfian address sampling for key-value locality,
 //! * [`features`] — per-window feature extraction for workload typing.
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod gen;
 pub mod kind;

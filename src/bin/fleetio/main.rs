@@ -14,6 +14,8 @@
 //! Exit codes: 0 = OK; 1 = a *finding* (streams diverge, replay
 //! mismatch, store or checkpoint damage); 2 = usage or I/O error.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod figures;
 mod model;

@@ -3,6 +3,8 @@
 //! Re-exports every workspace crate so the `examples/` and `tests/` at the
 //! repository root can reach the whole system through one dependency.
 
+#![forbid(unsafe_code)]
+
 pub use fleetio;
 pub use fleetio_des as des;
 pub use fleetio_flash as flash;

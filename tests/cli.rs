@@ -2,7 +2,8 @@
 //! reproduced byte for byte, every malformed line refused with exit 2,
 //! `obs` reading a store and its JSONL alike and refusing JSONL lines
 //! that are not events, `store verify` exiting 1 on a damaged store, a
-//! missing store or registry named with exit 2, and a `store record`
+//! missing store or registry named with exit 2, `store replay` refusing
+//! a spec it cannot build with exit 2, and a `store record`
 //! killed mid-run leaving a readable store. Only the kill test
 //! simulates, and only until its store holds ten segments.
 
@@ -306,6 +307,35 @@ fn verify_exits_one_on_damage() {
     let stdout = String::from_utf8_lossy(&bad.stdout);
     assert_eq!(bad.status.code(), Some(1), "damage must exit 1 ({stdout})");
     assert!(stdout.contains("DAMAGED") || stdout.contains("SHORT"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store whose spec is intact but unbuildable (a zero window) is
+/// refused with exit 2 and the reason, before replay simulates anything.
+#[test]
+fn replay_refuses_an_unbuildable_spec_with_exit_two() {
+    let dir = scratch_dir("unbuildable");
+    let mut spec = fleetio_suite::fleetio::RunSpec::demo(3, 2, 0);
+    spec.window = SimDuration::ZERO;
+    let blob = spec.encode();
+    let fingerprint = fleetio_suite::des::hash::crc32(&blob);
+    let mut sink = StoreSink::create(&dir, blob, fingerprint, 99, 1_000, 2_048).expect("create");
+    sink.record(ObsEvent::Throttle {
+        at: SimTime::from_nanos(5),
+        channel: 0,
+        until: SimTime::from_nanos(9),
+    });
+    sink.finish().expect("finish");
+    let out = fleetio(&[
+        "store",
+        "replay",
+        dir.to_str().expect("utf-8 temp path"),
+        "1000",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty(), "replay printed to stdout");
+    assert!(stderr.contains("window must be positive"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
