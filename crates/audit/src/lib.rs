@@ -10,8 +10,8 @@
 //!   `crates/des/src/time.rs` (`SimTime`/`SimDuration`).
 //! * [`no-unwrap`](rules) — no `.unwrap()` in `des`/`flash`/`vssd` src;
 //!   `.expect()` needs an invariant-documenting message.
-//! * [`hash-iteration`](rules) — no `HashMap`/`HashSet` in the core;
-//!   iteration order must be deterministic.
+//! * [`hash-iteration`](rules) — no `HashMap`/`HashSet`/`RandomState` in
+//!   simulation crates; iteration order must be deterministic.
 //! * [`entropy`](rules) — randomness only via `des::rng` seeds.
 //! * [`host-time-scope`](rules) — wall clock (`Instant`/`SystemTime`)
 //!   only in `crates/bench` and the profiler (`crates/obs/src/prof*`);
@@ -25,12 +25,15 @@
 //!   never leave a half-written file behind.
 //! * [`hot-path-collections`](rules) and [`unchecked-ops`](rules) — no
 //!   node-based maps or unchecked ops in the engine's event-handler scope.
-//! * [`determinism-taint`](graph) — no nondeterminism source reachable
-//!   from a simulation root through the call graph.
+//! * [`host-state`](rules) — no process environment, thread identity,
+//!   channel polling or float reduction across joined threads in
+//!   simulation crates.
 //!
-//! Each source is lexed once ([`token`]); every rule, the test and audit
-//! region map ([`scan`]), the item extractor ([`items`]) and the call
-//! graph read that one token stream.
+//! The determinism rules are scoped by path to the simulation crates, so
+//! a source is a violation wherever it sits in them, whether or not
+//! today's call paths reach it. Each source is lexed once
+//! ([`token`]); every rule and the test and audit region map ([`scan`])
+//! read that one token stream.
 //!
 //! Run `cargo run -p fleetio-audit -- check` from anywhere in the
 //! workspace. Every rule is exception-free: a site that must be exempt
@@ -44,8 +47,6 @@
 
 use std::path::{Path, PathBuf};
 
-pub mod graph;
-pub mod items;
 pub mod report;
 pub mod rules;
 pub mod scan;
@@ -88,15 +89,14 @@ impl std::fmt::Display for CheckError {
 /// must contain `crates/`.
 pub fn run_check(root: &Path) -> Result<CheckOutcome, CheckError> {
     let scanned = scan_workspace(root)?;
-    let deps = parse_dep_graph(root)?;
     Ok(CheckOutcome {
         files_scanned: scanned.len(),
-        violations: analyze(&scanned, &deps),
+        violations: analyze(&scanned),
     })
 }
 
 /// Scans every `.rs` file under `root/crates/` in sorted path order.
-pub fn scan_workspace(root: &Path) -> Result<Vec<scan::ScannedFile>, CheckError> {
+fn scan_workspace(root: &Path) -> Result<Vec<scan::ScannedFile>, CheckError> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files)?;
     files.sort();
@@ -108,72 +108,10 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<scan::ScannedFile>, CheckError>
     Ok(scanned)
 }
 
-/// Runs the full rule set — per-file rules plus the workspace-level
-/// determinism-taint reachability analysis — over already-scanned files.
-/// This is the shared entry point for `run_check` and the fixture tests.
-pub fn analyze(scanned: &[scan::ScannedFile], deps: &graph::DepGraph) -> Vec<Diagnostic> {
-    let ws = graph::build(scanned, deps);
-    let mut diagnostics = Vec::new();
-    for file in scanned {
-        diagnostics.extend(rules::check_file(file));
-    }
-    // Cost-based rules do not apply to whole files that are compiled only
-    // under the `audit` feature (gated at their `mod` declaration): that
-    // code is absent from release/perf builds, so it is never hot.
-    diagnostics.retain(|d| {
-        !(ws.file_is_audit_gated(&d.path)
-            && (d.rule == "hot-path-collections" || d.rule == "unchecked-ops"))
-    });
-    diagnostics.extend(graph::determinism_taint(&ws));
-    diagnostics
-}
-
-/// Builds the analyzed workspace (call graph + taint sources) alone, for
-/// the summary/golden-test path.
-pub fn build_workspace(scanned: &[scan::ScannedFile], deps: &graph::DepGraph) -> graph::Workspace {
-    graph::build(scanned, deps)
-}
-
-/// Parses every `crates/*/Cargo.toml` `[dependencies]` section into the
-/// crate dependency graph used to direction-restrict call resolution.
-/// Only `fleetio-*` entries matter; dev-dependencies are excluded (test
-/// code is outside the graph anyway, and dev edges may be cyclic).
-pub fn parse_dep_graph(root: &Path) -> Result<graph::DepGraph, CheckError> {
-    let crates_dir = root.join("crates");
-    let entries =
-        std::fs::read_dir(&crates_dir).map_err(|e| CheckError::Io(crates_dir.clone(), e))?;
-    let mut edges: Vec<(String, Vec<String>)> = Vec::new();
-    for entry in entries {
-        let entry = entry.map_err(|e| CheckError::Io(crates_dir.clone(), e))?;
-        let manifest = entry.path().join("Cargo.toml");
-        let Ok(text) = std::fs::read_to_string(&manifest) else {
-            continue;
-        };
-        let name = entry.file_name().to_string_lossy().to_string();
-        let mut deps = Vec::new();
-        let mut in_deps = false;
-        for line in text.lines() {
-            let line = line.trim();
-            if line.starts_with('[') {
-                in_deps = line == "[dependencies]";
-                continue;
-            }
-            if in_deps {
-                let key: String = line
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == '-')
-                    .collect();
-                if let Some(dep) = key.strip_prefix("fleetio-") {
-                    deps.push(dep.to_string());
-                } else if key == "fleetio" {
-                    deps.push(key);
-                }
-            }
-        }
-        edges.push((name, deps));
-    }
-    edges.sort();
-    Ok(graph::DepGraph::new(&edges))
+/// Runs every rule over already-scanned files, in file order. This is
+/// the shared entry point for `run_check` and the fixture tests.
+pub fn analyze(scanned: &[scan::ScannedFile]) -> Vec<Diagnostic> {
+    scanned.iter().flat_map(rules::check_file).collect()
 }
 
 /// Recursively collects `.rs` files under each crate's `src/` directory.

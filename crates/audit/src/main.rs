@@ -1,7 +1,6 @@
 //! CLI entry point:
 //! `fleetio-audit check [--root DIR] [--json FILE]` runs the full rule
-//! set; `fleetio-audit taint [--root DIR]` prints the
-//! call-graph/taint-analysis summary (the golden-test format).
+//! set.
 //!
 //! Exit codes: 0 clean, 1 any violation, 2 usage or I/O errors.
 
@@ -10,10 +9,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fleetio_audit::{default_root, graph, report, run_check};
+use fleetio_audit::{default_root, report, run_check};
 
-const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE]\n       \
-                     fleetio-audit taint [--root DIR]";
+const USAGE: &str = "usage: fleetio-audit check [--root DIR] [--json FILE]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -21,9 +19,6 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if cmd == "taint" {
-        return taint_summary_cmd(args);
-    }
     if cmd != "check" {
         eprintln!("unknown command `{cmd}`\n{USAGE}");
         return ExitCode::from(2);
@@ -63,36 +58,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::from(1)
     }
-}
-
-fn taint_summary_cmd(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut root = default_root();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = PathBuf::from(v),
-                None => return usage_error("--root needs a value"),
-            },
-            other => return usage_error(&format!("unknown flag `{other}`")),
-        }
-    }
-    let scanned = match fleetio_audit::scan_workspace(&root) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fleetio-audit: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let deps = match fleetio_audit::parse_dep_graph(&root) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("fleetio-audit: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let ws = fleetio_audit::build_workspace(&scanned, &deps);
-    print!("{}", graph::taint_summary(&ws));
-    ExitCode::SUCCESS
 }
 
 fn usage_error(msg: &str) -> ExitCode {

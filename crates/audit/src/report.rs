@@ -13,9 +13,6 @@ pub fn render_text(outcome: &CheckOutcome) -> String {
             "{}:{}: [{}] {}\n    {}\n",
             d.path, d.line, d.rule, d.message, d.snippet
         ));
-        if !d.chain.is_empty() {
-            out.push_str(&format!("    call chain: {}\n", d.chain.join(" -> ")));
-        }
     }
     out.push_str(&format!(
         "fleetio-audit: {} file(s) scanned, {} violation(s) — {}\n",
@@ -30,7 +27,7 @@ pub fn render_text(outcome: &CheckOutcome) -> String {
 pub fn render_json(outcome: &CheckOutcome) -> String {
     let mut out = String::new();
     json::object(&mut out, |o| {
-        o.key("schema").str("fleetio-audit/3");
+        o.key("schema").str("fleetio-audit/4");
         o.key("files_scanned").u64(outcome.files_scanned as u64);
         o.key("clean").bool(outcome.is_clean());
         o.key("violations").arr(|a| {
@@ -41,8 +38,6 @@ pub fn render_json(outcome: &CheckOutcome) -> String {
                     v.key("line").u64(d.line as u64);
                     v.key("message").str(&d.message);
                     v.key("snippet").str(&d.snippet);
-                    v.key("chain")
-                        .arr(|c| d.chain.iter().for_each(|f| c.item().str(f)));
                 });
             }
         });
@@ -65,27 +60,6 @@ mod tests {
                 line: 42,
                 message: "unwrap() in simulator core".to_string(),
                 snippet: "x.unwrap()".to_string(),
-                chain: Vec::new(),
-            }],
-        }
-    }
-
-    fn taint_outcome() -> CheckOutcome {
-        CheckOutcome {
-            files_scanned: 3,
-            violations: vec![Diagnostic {
-                rule: "determinism-taint",
-                path: "crates/vssd/src/engine/mod.rs".to_string(),
-                line: 7,
-                message: "nondeterminism source `Instant` (host-time) reachable from \
-                          `Engine::dispatch_event`"
-                    .to_string(),
-                snippet: "in fn leaf".to_string(),
-                chain: vec![
-                    "Engine::dispatch_event".to_string(),
-                    "Engine::helper".to_string(),
-                    "leaf".to_string(),
-                ],
             }],
         }
     }
@@ -98,24 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn text_and_json_carry_the_call_chain() {
-        let o = taint_outcome();
-        let t = render_text(&o);
-        assert!(
-            t.contains("call chain: Engine::dispatch_event -> Engine::helper -> leaf"),
-            "{t}"
-        );
-        let j = render_json(&o);
-        assert!(j.contains("\"schema\":\"fleetio-audit/3\""), "{j}");
-        assert!(
-            j.contains("\"chain\":[\"Engine::dispatch_event\",\"Engine::helper\",\"leaf\"]"),
-            "{j}"
-        );
-        // Chain-less diagnostics serialize an empty array, not a missing key.
-        assert!(render_json(&outcome()).contains("\"chain\":[]"));
-    }
-
-    #[test]
     fn json_is_one_parseable_escaped_document() {
         let mut o = outcome();
         o.violations[0].snippet = "say \"hi\"".to_string();
@@ -123,6 +79,7 @@ mod tests {
         assert_eq!(j.lines().count(), 1, "{j}");
         let v = json::parse(&j).unwrap_or_else(|e| panic!("{e}: {j}"));
         let doc = v.as_object().unwrap();
+        assert_eq!(doc["schema"].as_str(), Some("fleetio-audit/4"));
         assert_eq!(doc.get("files_scanned").and_then(|n| n.as_u64()), Some(3));
         assert_eq!(doc.get("clean").and_then(|c| c.as_bool()), Some(false));
         let violation = doc["violations"].as_array().unwrap()[0]
@@ -131,5 +88,6 @@ mod tests {
         assert_eq!(violation["rule"].as_str(), Some("no-unwrap"));
         assert_eq!(violation["line"].as_u64(), Some(42));
         assert_eq!(violation["snippet"].as_str(), Some("say \"hi\""));
+        assert_eq!(violation.len(), 5, "{j}");
     }
 }

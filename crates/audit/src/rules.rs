@@ -1,14 +1,14 @@
 //! The repo-specific lint rules.
 //!
 //! Each rule is a conservative pattern check over a [`ScannedFile`]'s
-//! token stream, so comments and literals never match. The seven line
+//! token stream, so comments and literals never match. The eight line
 //! rules read it line by line with test regions excluded and report a
 //! line at most once per name; `hot-path-collections` and
 //! `unchecked-ops` also skip audit-only regions. Rules are scoped by path:
 //! the simulator core (`des`, `flash`, `vssd`) carries the strictest
-//! rules; wall-clock crates (`bench`, `audit` itself) are exempt from the
-//! simulated-time and entropy rules because they legitimately measure
-//! host time.
+//! rules, and every simulation crate (`in_sim`) is held to the
+//! determinism rules; wall-clock crates (`bench`, `audit` itself) are
+//! exempt from them because they legitimately measure host time.
 
 use crate::scan::ScannedFile;
 use crate::token::{Tok, TokKind};
@@ -26,9 +26,6 @@ pub struct Diagnostic {
     pub message: String,
     /// The offending source line, trimmed.
     pub snippet: String,
-    /// For reachability findings (`determinism-taint`): the call chain
-    /// from the root to the fn containing the source. Empty otherwise.
-    pub chain: Vec<String>,
 }
 
 /// Stable identifiers for every rule, in reporting order.
@@ -42,7 +39,7 @@ pub const RULE_IDS: [&str; 10] = [
     "atomic-io",
     "hot-path-collections",
     "unchecked-ops",
-    "determinism-taint",
+    "host-state",
 ];
 
 /// Simulator core: the crates whose sources model the device and must be
@@ -55,7 +52,7 @@ fn in_core(path: &str) -> bool {
 
 /// Crates that participate in *simulated* time and seeded randomness.
 /// `bench` (wall-clock harness) and `audit` are exempt.
-pub(crate) fn in_sim(path: &str) -> bool {
+fn in_sim(path: &str) -> bool {
     [
         "crates/des/src/",
         "crates/flash/src/",
@@ -75,17 +72,18 @@ pub(crate) fn in_sim(path: &str) -> bool {
 
 /// The host-time profiler sources (`crates/obs/src/prof.rs` and any
 /// future `prof/` submodules): the one sanctioned home for wall-clock
-/// measurement inside the simulation scope, and a sink the
-/// determinism-taint search never enters.
-pub(crate) fn is_prof_path(path: &str) -> bool {
+/// measurement and its worker threads inside the simulation scope.
+fn is_prof_path(path: &str) -> bool {
     path.starts_with("crates/obs/src/prof")
 }
 
 /// The engine's event-handler scope: every source under
 /// `crates/vssd/src/engine/` runs (transitively) from `dispatch_event`,
-/// so per-event work there is the simulator's hot path.
+/// so per-event work there is the simulator's hot path. The invariant
+/// sweep (`engine/audit.rs`) is compiled only under the `audit` feature,
+/// so it is never hot and is left out.
 fn in_engine_hot_path(path: &str) -> bool {
-    path.starts_with("crates/vssd/src/engine/")
+    path.starts_with("crates/vssd/src/engine/") && path != "crates/vssd/src/engine/audit.rs"
 }
 
 /// Library crates whose sources must stay silent on stdout/stderr: the
@@ -120,6 +118,7 @@ pub fn check_file(file: &ScannedFile) -> Vec<Diagnostic> {
     atomic_io(file, &mut out);
     hot_path_collections(file, &mut out);
     unchecked_ops(file, &mut out);
+    host_state(file, &mut out);
     out
 }
 
@@ -131,7 +130,6 @@ fn diag(file: &ScannedFile, rule: &'static str, line: usize, message: String) ->
         line,
         message,
         snippet: file.snippet(line),
-        chain: Vec::new(),
     }
 }
 
@@ -280,22 +278,22 @@ fn uses_ident(toks: &[Tok], name: &str) -> bool {
     toks.iter().any(|t| t.is_ident(name))
 }
 
-/// `hash-iteration`: `HashMap`/`HashSet` in the simulator core. Their
-/// iteration order varies per process and per instance, so any use risks
-/// feeding a simulation decision; the core must use `BTreeMap`/`BTreeSet`
-/// (or sorted vectors).
+/// `hash-iteration`: `HashMap`/`HashSet` and their per-process seed,
+/// `RandomState`, in the simulation crates. Their iteration order varies
+/// per process and per instance, so any use risks feeding a simulation
+/// decision; simulation code uses `BTreeMap`/`BTreeSet` (or sorted
+/// vectors).
 fn hash_iteration(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
-    if !in_core(&file.path) {
+    if !in_sim(&file.path) || is_prof_path(&file.path) {
         return;
     }
     let message = |ty: &str| {
         format!(
-            "{ty} in simulator core: iteration order is nondeterministic; use \
-             BTree{} or sorted iteration",
-            &ty[4..]
+            "{ty} in a simulation crate: iteration order is seeded per process; \
+             use BTreeMap/BTreeSet or sorted iteration"
         )
     };
-    let types = ["HashMap", "HashSet"];
+    let types = ["HashMap", "HashSet", "RandomState"];
     line_rule(file, "hash-iteration", &types, uses_ident, message, out);
 }
 
@@ -518,6 +516,58 @@ fn unchecked_ops(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
+/// `host-state`: host process and scheduler state in the simulation
+/// crates, which two same-seed runs need not share: the process
+/// environment (`std::env`, or `env::var`, `vars`, `var_os`, `args` or
+/// `args_os` after a `use std::env`), thread identity
+/// (`thread::current`), unordered channel polling (`try_recv`), and a
+/// float reduction across joined threads — a no-argument `.join()` in a
+/// file with float evidence (`f32`/`f64`, a float literal or `+=`), whose
+/// sum would depend on join order. The RL environment module
+/// (`crate::env::MultiAgentEnv`) is not process state and does not match.
+/// The float-join check skips `crates/store/src/`, whose writer threads
+/// count integers with `+=` beside their joins and which no other
+/// simulation crate depends on.
+fn host_state(file: &ScannedFile, out: &mut Vec<Diagnostic>) {
+    if !in_sim(&file.path) || is_prof_path(&file.path) {
+        return;
+    }
+    let message = |src: &str| {
+        format!(
+            "host state `{src}` in a simulation crate: same-seed runs must not \
+             read the process environment, thread identity, channel timing or \
+             join order; pass it in as configuration or merge by index"
+        )
+    };
+    // The last part of a spelling matches as a prefix, so `env::var`
+    // also covers `vars` and `var_os`, and `env::args` covers `args_os`.
+    let used = |toks: &[Tok], src: &str| match src {
+        "std::env" => [
+            ["std", "::", "env"],
+            ["env", "::", "var"],
+            ["env", "::", "args"],
+        ]
+        .iter()
+        .any(|parts| spelled(toks, parts).is_some()),
+        "thread::current" => spelled(toks, &["thread", "::", "current"]).is_some(),
+        _ => uses_ident(toks, src),
+    };
+    let sources = ["std::env", "thread::current", "try_recv"];
+    line_rule(file, "host-state", &sources, used, message, out);
+    let float = file.code_lines().flat_map(|(_, toks)| toks).any(|t| {
+        t.is_ident("f64") || t.is_ident("f32") || t.kind == TokKind::Float || t.is_punct("+=")
+    });
+    if !float || file.path.starts_with("crates/store/src/") {
+        return;
+    }
+    for (line, toks) in file.code_lines() {
+        if spelled(toks, &[".", "join", "(", ")"]).is_some() {
+            let src = "float reduction across joined threads";
+            out.push(diag(file, "host-state", line, message(src)));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,10 +639,11 @@ mod tests {
     }
 
     #[test]
-    fn hashmap_flagged_in_core() {
+    fn hashmap_flagged_in_sim_crates() {
         let src = "use std::collections::HashMap;\n";
         assert_eq!(diags("crates/vssd/src/gsb.rs", src).len(), 1);
         assert!(diags("crates/bench/src/context.rs", src).is_empty());
+        assert!(diags("crates/obs/src/prof.rs", src).is_empty());
         // Inside the engine scope the same line also trips the hot-path rule.
         let d = diags("crates/vssd/src/engine/mod.rs", src);
         assert_eq!(d.len(), 2, "{d:?}");
@@ -781,5 +832,97 @@ mod tests {
         let d = diags(core, "x.unwrap(); tmpfs::write_all(p);");
         let rules: Vec<_> = d.iter().map(|d| d.rule).collect();
         assert_eq!(rules, ["no-unwrap", "atomic-io"], "{d:?}");
+    }
+
+    /// The rules of a file under `crates/fleetio/src/` (simulation scope)
+    /// whose one function no simulation entry point calls.
+    fn unreached(body: &str) -> Vec<(usize, &'static str)> {
+        let src = format!("fn unreached() {{\n{body}\n}}\n");
+        diags("crates/fleetio/src/unreached.rs", &src)
+            .into_iter()
+            .map(|d| (d.line, d.rule))
+            .collect()
+    }
+
+    #[test]
+    fn every_determinism_source_is_flagged_without_a_caller() {
+        for (body, rule) in [
+            ("let n = std::env::var(\"N\");", "host-state"),
+            ("let n = env::args().count();", "host-state"),
+            ("let id = std::thread::current().id();", "host-state"),
+            ("let x = rx.try_recv();", "host-state"),
+            ("let s = std::hash::RandomState::new();", "hash-iteration"),
+            ("let m: HashMap<u8, u8> = HashMap::new();", "hash-iteration"),
+            ("let t = Instant::now();", "host-time-scope"),
+        ] {
+            assert_eq!(unreached(body), [(2, rule)], "{body}");
+        }
+    }
+
+    #[test]
+    fn float_join_needs_a_join_and_float_evidence_in_the_file() {
+        let join = "for h in handles { out.push(h.join()); }";
+        assert_eq!(
+            unreached(&format!("{join}\nlet total = 0.0;")),
+            [(2, "host-state")]
+        );
+        for evidence in ["let avg: f32 = 1;", "let n = 1.5e3;", "n += 1;"] {
+            assert_eq!(
+                unreached(&format!("{join}\n{evidence}")),
+                [(2, "host-state")],
+                "{evidence}"
+            );
+        }
+        // Float evidence in another function of the same file counts.
+        let src = "fn merge() { for h in hs { h.join(); } }\nfn mean(x: f64) -> f64 { x }\n";
+        let d = diags("crates/rl/src/parallel.rs", src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].line, d[0].rule), (1, "host-state"));
+        // A join with no float beside it, a join with an argument, and a
+        // float-summing join in test code are not reductions.
+        assert!(unreached(join).is_empty());
+        assert!(unreached("let p = dir.join(name);\nlet avg = 0.5f64;").is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n fn t() { s += h.join().unwrap(); }\n}\n";
+        assert!(diags("crates/rl/src/parallel.rs", in_test).is_empty());
+    }
+
+    #[test]
+    fn the_rl_environment_and_the_store_writers_stay_clean() {
+        for src in [
+            "use crate::env::MultiAgentEnv;\n",
+            "pub use env::{MultiAgentEnv, StepResult};\n",
+            "use fleetio_rl::env::{MultiAgentEnv, StepResult};\n",
+            "fn f(e: &mut env::FleetIoEnv) { let s = env::State::new(); }\n",
+            "let home = env!(\"CARGO_MANIFEST_DIR\");\n",
+        ] {
+            assert!(diags("crates/rl/src/lib.rs", src).is_empty(), "{src}");
+        }
+        let writer = "fn write(&mut self) {\n    self.bytes += n;\n    \
+                      let _ = self.thread.join();\n    let r = 0.5;\n}\n";
+        assert!(diags("crates/store/src/sink.rs", writer).is_empty());
+        assert_eq!(diags("crates/fleet/src/runtime.rs", writer).len(), 1);
+        // The store still answers to every other source.
+        let polled = "fn poll(&self) { let _ = self.rx.try_recv(); }\n";
+        assert_eq!(diags("crates/store/src/read.rs", polled).len(), 1);
+    }
+
+    #[test]
+    fn host_state_skips_the_profiler_and_wall_clock_crates() {
+        let src = "fn f() { let id = std::thread::current().id(); let s = 0.0; h.join(); }\n";
+        assert!(diags("crates/obs/src/prof.rs", src).is_empty());
+        assert!(diags("crates/bench/src/figures.rs", src).is_empty());
+        assert!(diags("crates/audit/src/lib.rs", src).is_empty());
+        let d = diags("crates/obs/src/sink.rs", src);
+        assert_eq!(d.len(), 2, "{d:?}");
+    }
+
+    #[test]
+    fn the_audit_sweep_is_outside_the_engine_hot_path() {
+        let src = "#[cfg(feature = \"audit\")]\nuse std::collections::BTreeSet;\n\
+                   fn sweep(s: &BTreeSet<u64>) -> bool { s.contains(&0) }\n";
+        assert!(diags("crates/vssd/src/engine/audit.rs", src).is_empty());
+        let d = diags("crates/vssd/src/engine/arbiter.rs", src);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].line, d[0].rule), (3, "hot-path-collections"));
     }
 }

@@ -1,13 +1,13 @@
 //! Source preprocessing for the lint rules.
 //!
-//! Each file is lexed once by [`crate::token`]; every rule, the item
-//! extractor and the call graph read that one token stream. Beside it the
-//! scan keeps two line classes: test code (covered by a `#[cfg(test)]` /
-//! `#[test]` attribute's item) and audit-only code (covered by
-//! `#[cfg(feature = "audit")]`). An attribute counts where a `#` token's
-//! source text starts with it, so one spelled inside a comment or string
-//! (which has no tokens) never opens a region; the region runs by
-//! brace-matching on `{`/`}`/`;` tokens to the end of the item it gates.
+//! Each file is lexed once by [`crate::token`]; every rule reads that one
+//! token stream. Beside it the scan keeps two line classes: test code
+//! (covered by a `#[cfg(test)]` / `#[test]` attribute's item) and
+//! audit-only code (covered by `#[cfg(feature = "audit")]`). An attribute
+//! counts where a `#` token's source text starts with it, so one spelled
+//! inside a comment or string (which has no tokens) never opens a region;
+//! the region runs by brace-matching on `{`/`}`/`;` tokens to the end of
+//! the item it gates.
 
 use crate::token::{tokenize, Tok};
 

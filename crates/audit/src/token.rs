@@ -1,8 +1,7 @@
 //! The one Rust lexer of the static pass.
 //!
-//! Every rule in [`crate::rules`], the test and audit region map in
-//! [`crate::scan`], the item extractor ([`crate::items`]) and the call
-//! graph ([`crate::graph`]) read its tokens: identifiers, literals and
+//! Every rule in [`crate::rules`] and the test and audit region map in
+//! [`crate::scan`] read its tokens: identifiers, literals and
 //! punctuation with their line and byte offset. It is deliberately
 //! smaller than rustc's — it does not interpret literal values and it
 //! folds every string flavour into one `Str` kind — but it must

@@ -1,9 +1,8 @@
 //! scan-as: crates/vssd/src/engine/taint_fixture.rs
 //!
-//! Synthetic taint chain: a nondeterminism source (`Instant::now`) two
-//! calls below `Engine::dispatch_event`. The taint rule must report the
-//! source line with the full root-to-source call chain; the line-local
-//! `host-time-scope` rule fires on the same line independently.
+//! A nondeterminism source (`Instant::now`) two calls below
+//! `Engine::dispatch_event`. The simulation scope covers the whole file,
+//! so `host-time-scope` reports the source line whatever reaches it.
 
 pub struct Engine;
 
@@ -18,6 +17,6 @@ impl Engine {
 }
 
 fn leaf_timestamp() -> u64 {
-    let t = std::time::Instant::now(); //~ host-time-scope //~ determinism-taint
+    let t = std::time::Instant::now(); //~ host-time-scope
     t.elapsed().as_nanos() as u64
 }

@@ -100,11 +100,6 @@ impl FlashConfig {
         u64::from(self.pages_per_block) * u64::from(self.page_bytes)
     }
 
-    /// Raw device capacity in bytes.
-    pub fn raw_bytes(&self) -> u64 {
-        self.total_blocks() * self.block_bytes()
-    }
-
     /// Blocks per chip after subtracting the over-provisioned share
     /// (rounded down, minimum 1).
     pub fn logical_blocks_per_chip(&self) -> u32 {
@@ -192,7 +187,7 @@ mod tests {
         assert_eq!(c.queue_depth, 16);
         assert!((c.overprovisioning - 0.20).abs() < 1e-12);
         // 1 TiB raw capacity, 4 MiB blocks.
-        assert_eq!(c.raw_bytes(), 1 << 40);
+        assert_eq!(c.total_blocks() * c.block_bytes(), 1 << 40);
         assert_eq!(c.block_bytes(), 4 << 20);
     }
 
@@ -201,7 +196,7 @@ mod tests {
         let c = FlashConfig::small_test();
         assert_eq!(c.total_chips(), 8);
         assert_eq!(c.total_blocks(), 128);
-        assert_eq!(c.raw_bytes(), 128 * 32 * 16 * 1024);
+        assert_eq!(c.block_bytes(), 32 * 16 * 1024);
     }
 
     #[test]

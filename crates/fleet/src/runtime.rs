@@ -350,8 +350,7 @@ impl FleetRuntime {
 
     /// One decision window: execute the previous merge's migrations,
     /// apply its actions, advance every shard in parallel, then merge
-    /// serially in shard-index order. This is the determinism-taint
-    /// root of the fleet layer.
+    /// serially in shard-index order.
     pub fn run_window(&mut self) -> FleetWindowReport {
         let _prof = fleetio_obs::prof::span("fleet.window");
         let executed = self.execute_pending_migrations();

@@ -88,11 +88,6 @@ impl PolicyBank {
         self.histories.len()
     }
 
-    /// Distinct models interned.
-    pub fn n_models(&self) -> usize {
-        self.models.len()
-    }
-
     /// Feeds each tenant's newest window state and returns every
     /// tenant's greedy action, in ascending tenant order. Tenants are
     /// grouped by model; each group is one batched normalizer apply and
@@ -201,13 +196,13 @@ mod tests {
     #[test]
     fn assign_interns_by_tag_and_resets_history() {
         let mut bank = PolicyBank::new(model(3), 3, 3);
-        assert_eq!(bank.n_models(), 1);
+        assert_eq!(bank.models.len(), 1);
         assert_eq!(bank.models[bank.assignment[1]].0, DEFAULT_MODEL_TAG);
         let _ = bank.decide_all(&[(1, state(40))]);
         let other = model(99);
         bank.assign(1, "bi", other.clone());
         bank.assign(2, "bi", other.clone());
-        assert_eq!(bank.n_models(), 2, "same tag interned once");
+        assert_eq!(bank.models.len(), 2, "same tag interned once");
         assert_eq!(bank.models[bank.assignment[1]].0, "bi");
         // Tenant 1's history restarted: its first post-assign decision
         // matches a fresh agent's first decision.

@@ -348,8 +348,8 @@ impl Colocation {
     /// The window loop: feeds every workload across one decision window
     /// in 1 ms ticks, leaving the engine's per-window accumulators
     /// (`window_latency`, `queued_ops`) readable until
-    /// [`Colocation::flush`]. This is the determinism-taint root of
-    /// every driven run.
+    /// [`Colocation::flush`]. Every driven run (figures, rollouts, store
+    /// records and replays) steps through this loop.
     pub fn advance(&mut self) {
         let end = self.engine.now() + self.window;
         while self.engine.now() < end {

@@ -154,11 +154,6 @@ impl StateHistory {
         debug_assert_eq!(self.windows.len(), self.depth);
     }
 
-    /// The newest window.
-    pub fn latest(&self) -> StateVector {
-        *self.windows.back().expect("history non-empty")
-    }
-
     /// The concatenated observation (`depth × 11` floats, oldest first).
     pub fn observation(&self) -> Vec<f32> {
         let mut obs = Vec::with_capacity(self.depth * STATES_PER_WINDOW);
@@ -234,7 +229,7 @@ mod tests {
         // Oldest two windows are zero-padded, newest fills the tail.
         assert_eq!(obs[0], 0.0);
         assert_eq!(obs[22], 1e6);
-        assert_eq!(h.latest(), s);
+        assert_eq!(obs[22..], s.to_features());
     }
 
     #[test]

@@ -173,11 +173,6 @@ impl GsbPool {
         self.gsbs.get_mut(&id)
     }
 
-    /// Number of available (unharvested) gSBs with exactly `n_chls`.
-    pub fn available_with(&self, n_chls: usize) -> usize {
-        self.lists.get(n_chls.wrapping_sub(1)).map_or(0, Vec::len)
-    }
-
     /// Sum of `n_chls` over all available (unharvested) gSBs — the pool's
     /// harvestable channel supply.
     pub fn available_channels_total(&self) -> usize {
@@ -334,7 +329,7 @@ mod tests {
         let mut p = pool();
         let a = p.create(VssdId(0), vec![ChannelId(0)], blocks(0, 4));
         let b = p.create(VssdId(0), vec![ChannelId(1)], blocks(1, 4));
-        assert_eq!(p.available_with(1), 2);
+        assert_eq!(p.available_channels_total(), 2);
         // Head insertion: harvesting takes the newest (b) first.
         let got = p.harvest(VssdId(1), 1).unwrap();
         assert_eq!(got, b);

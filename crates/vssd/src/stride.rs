@@ -80,11 +80,6 @@ impl<K: Ord + Clone> StrideScheduler<K> {
         self.clients.contains_key(key)
     }
 
-    /// Removes a client.
-    pub fn remove_client(&mut self, key: &K) {
-        self.clients.remove(key);
-    }
-
     /// Number of registered clients.
     pub fn len(&self) -> usize {
         self.clients.len()
@@ -387,7 +382,6 @@ mod tests {
         assert!(s.is_empty());
         s.add_client(1, 1);
         assert_eq!(s.len(), 1);
-        s.remove_client(&1);
-        assert!(s.is_empty());
+        assert_eq!(s.pick([9]), None);
     }
 }

@@ -98,17 +98,6 @@ impl VssdConfig {
         self
     }
 
-    /// Sets the stride tickets (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tickets` is zero.
-    pub fn with_tickets(mut self, tickets: u32) -> Self {
-        assert!(tickets > 0, "tickets must be positive");
-        self.tickets = tickets;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -146,12 +135,10 @@ mod tests {
     fn builders_compose() {
         let c = VssdConfig::hardware(VssdId(1), vec![ChannelId(0), ChannelId(1)])
             .with_slo(SimDuration::from_millis(1))
-            .with_rate_limit(1e6)
-            .with_tickets(50);
+            .with_rate_limit(1e6);
         assert_eq!(c.isolation, IsolationMode::Hardware);
         assert_eq!(c.slo, Some(SimDuration::from_millis(1)));
         assert_eq!(c.rate_limit, Some(1e6));
-        assert_eq!(c.tickets, 50);
         assert!(c.validate().is_ok());
     }
 
@@ -182,12 +169,6 @@ mod tests {
                 "{share}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tickets must be positive")]
-    fn zero_tickets_panics() {
-        let _ = VssdConfig::hardware(VssdId(0), vec![ChannelId(0)]).with_tickets(0);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl SyntheticWorkload {
         &self.spec
     }
 
-    /// Bytes of logical space this workload touches.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.capacity
-    }
-
     fn phase(&self) -> &PhaseSpec {
         &self.spec.phases[self.phase_idx]
     }
@@ -501,7 +496,7 @@ mod tests {
         let mut spec = steady_spec(1000.0);
         spec.footprint = 0.25;
         let mut w = SyntheticWorkload::new(spec, 1 << 30, 6);
-        let cap = w.footprint_bytes();
+        let cap = 1 << 28;
         for _ in 0..2000 {
             let r = w.next_request();
             assert!(

@@ -122,20 +122,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Mean offered load across one full cycle, bytes/second.
-    pub fn mean_offered_bytes_per_sec(&self) -> f64 {
-        let total_time: f64 = self.phases.iter().map(|p| p.duration.as_secs_f64()).sum();
-        if total_time <= 0.0 {
-            return 0.0;
-        }
-        let total_bytes: f64 = self
-            .phases
-            .iter()
-            .map(|p| p.offered_bytes_per_sec() * p.duration.as_secs_f64())
-            .sum();
-        total_bytes / total_time
-    }
-
     /// Validates the specification.
     ///
     /// # Errors
@@ -215,14 +201,6 @@ mod tests {
     fn offered_load_math() {
         let p = phase(1000.0, 1);
         assert_eq!(p.offered_bytes_per_sec(), 1_000_000.0);
-        let spec = WorkloadSpec {
-            name: "t",
-            phases: vec![phase(1000.0, 1), phase(0.0, 1)],
-            footprint: 0.5,
-            regions: 1,
-        };
-        // 1 MB/s for half the cycle.
-        assert_eq!(spec.mean_offered_bytes_per_sec(), 500_000.0);
     }
 
     #[test]
@@ -233,12 +211,13 @@ mod tests {
             footprint: 0.5,
             regions: 1,
         };
-        let mean = spec.mean_offered_bytes_per_sec();
+        let mut expected = spec.phases.clone();
+        expected.rotate_left(1);
         spec.rotate_phases(1);
         assert_eq!(spec.phases[0].arrival_rate, 200.0);
         assert_eq!(spec.phases[2].arrival_rate, 100.0);
-        // The cycle is unchanged, so so is its mean offered load.
-        assert_eq!(spec.mean_offered_bytes_per_sec(), mean);
+        // The cycle is unchanged: each phase keeps its own duration.
+        assert_eq!(spec.phases, expected);
         // Modulo the phase count: a full-cycle rotation is the identity.
         spec.rotate_phases(3);
         assert_eq!(spec.phases[0].arrival_rate, 200.0);

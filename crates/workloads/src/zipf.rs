@@ -73,17 +73,6 @@ impl ZipfSampler {
     }
 }
 
-/// Scrambles a zipf rank into the address space so hot items are spread
-/// out (YCSB's scrambled-zipfian), keeping hot-set size but avoiding a
-/// single hot region.
-pub fn scramble(rank: u64, n: u64) -> u64 {
-    // SplitMix-style mix, folded into range.
-    let mut z = rank.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (z ^ (z >> 31)) % n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,15 +111,6 @@ mod tests {
         let approx = ZipfSampler::zeta(20_000, 0.9);
         // ζ(20000) > ζ(10000), and the tail adds roughly n^{0.1} terms.
         assert!(approx > exact && approx < exact * 1.2);
-    }
-
-    #[test]
-    fn scramble_is_a_stable_spread() {
-        let a = scramble(0, 1000);
-        let b = scramble(1, 1000);
-        assert_ne!(a, b);
-        assert_eq!(a, scramble(0, 1000));
-        assert!(a < 1000 && b < 1000);
     }
 
     #[test]

@@ -121,6 +121,14 @@ fn query_cmd(args: &Args) -> VerbResult {
         to_ns: args.number("--to")?,
         kind,
     };
+    if let (Some(from), Some(to)) = (filter.from_ns, filter.to_ns) {
+        if from >= to {
+            return Err(format!(
+                "empty time range: --from {from} is not below --to {to} (events match from <= at < to)"
+            )
+            .into());
+        }
+    }
     let store = open(&args.positionals[0])?;
     let mut windows = args
         .has("--windows")

@@ -64,7 +64,7 @@ fn goldens_are_reproduced_byte_for_byte() {
         }
         checked += 1;
     }
-    assert_eq!(checked, 16, "every golden case ran");
+    assert_eq!(checked, 17, "every golden case ran");
 }
 
 /// A fleet tenant's `slo_window` verdicts sit in the store of every
@@ -238,6 +238,16 @@ fn malformed_lines_exit_two_and_print_nothing() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
         assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
         assert!(!out.stderr.is_empty(), "{args:?} explained nothing");
+    }
+    // The time filter is half-open, so `--from` at or past `--to` could
+    // match nothing: it is refused, naming both values.
+    for (from, to) in [("5000", "5000"), ("9", "3")] {
+        let out = fleetio(&["store", "query", FIXTURE, "--from", from, "--to", to]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{from}..{to}: {stderr}");
+        assert!(out.stdout.is_empty(), "{from}..{to} printed to stdout");
+        let named = [format!("--from {from}"), format!("--to {to}")];
+        assert!(named.iter().all(|f| stderr.contains(f)), "{stderr}");
     }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(!root.join("--seed").exists(), "a flag became a directory");
