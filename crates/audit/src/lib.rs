@@ -18,7 +18,7 @@
 //!   simulation crates take time from `SimTime`.
 //! * [`no-println`](rules) — no `println!`/`eprintln!`/`print!`/`eprint!`/
 //!   `dbg!` in quiet library crates (`des`/`flash`/`vssd`/`ml`/`rl`/`model`/
-//!   `obs`); reporting goes through `fleetio-obs` sinks and exporters.
+//!   `obs`); reporting goes through `fleetio-obs` sinks and their JSONL.
 //! * [`atomic-io`](rules) — no direct `fs::write`/`File::create`/
 //!   `OpenOptions` in simulation crates; persistent state (checkpoints,
 //!   registries) goes through `fleetio_model::atomic_write` so a crash can

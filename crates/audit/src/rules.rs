@@ -88,7 +88,7 @@ fn in_engine_hot_path(path: &str) -> bool {
 
 /// Library crates whose sources must stay silent on stdout/stderr: the
 /// simulator core plus the ML/RL stack and the observability layer. All
-/// reporting goes through `fleetio-obs` sinks/exporters, and terminal
+/// reporting goes through `fleetio-obs` sinks and their JSONL, and terminal
 /// output through the `fleetio` CLI, which lives outside `crates/`.
 fn in_quiet(path: &str) -> bool {
     [
@@ -724,7 +724,7 @@ mod tests {
     fn prof_path_exempt_from_raw_time_arith() {
         let src = "let s = total_ns / 1_000_000_000.0;\n";
         assert!(diags("crates/obs/src/prof.rs", src).is_empty());
-        assert_eq!(diags("crates/obs/src/export.rs", src).len(), 1);
+        assert_eq!(diags("crates/obs/src/series.rs", src).len(), 1);
     }
 
     #[test]

@@ -6,8 +6,10 @@ use crate::timing::FlashTiming;
 /// Full configuration of a simulated flash device.
 ///
 /// The defaults mirror Table 3 of the paper: 1 TB capacity, 16 channels,
-/// 4 chips per channel, 16 KB pages, a maximum queue depth of 16 and a 20 %
-/// over-provisioning ratio, with 4 MB flash blocks (§3.7).
+/// 4 chips per channel, 16 KB pages and a 20 % over-provisioning ratio,
+/// with 4 MB flash blocks (§3.7). Table 3's maximum queue depth of 16 is
+/// not a device parameter here: how many page ops the engine keeps in
+/// flight per channel is `EngineConfig::dispatch_ahead` in `fleetio-vssd`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlashConfig {
     /// Number of independent flash channels.
@@ -20,8 +22,6 @@ pub struct FlashConfig {
     pub pages_per_block: u32,
     /// Page size in bytes.
     pub page_bytes: u32,
-    /// Maximum outstanding segments per channel (NVMe-style queue depth).
-    pub queue_depth: u32,
     /// Fraction of raw capacity reserved as over-provisioning (not exposed
     /// through logical capacity).
     pub overprovisioning: f64,
@@ -40,7 +40,6 @@ impl FlashConfig {
             blocks_per_chip: 4096,
             pages_per_block: 256,
             page_bytes: 16 * 1024,
-            queue_depth: 16,
             overprovisioning: 0.20,
             timing: FlashTiming::default(),
         }
@@ -79,7 +78,6 @@ impl FlashConfig {
             blocks_per_chip: 16,
             pages_per_block: 32,
             page_bytes: 16 * 1024,
-            queue_depth: 16,
             overprovisioning: 0.20,
             timing: FlashTiming::default(),
         }
@@ -158,9 +156,6 @@ impl FlashConfig {
         if self.page_bytes == 0 {
             return Err("page_bytes must be positive".into());
         }
-        if self.queue_depth == 0 {
-            return Err("queue_depth must be positive".into());
-        }
         if !(0.0..=0.9).contains(&self.overprovisioning) {
             return Err("overprovisioning must be in [0, 0.9]".into());
         }
@@ -184,7 +179,6 @@ mod tests {
         assert_eq!(c.channels, 16);
         assert_eq!(c.chips_per_channel, 4);
         assert_eq!(c.page_bytes, 16 * 1024);
-        assert_eq!(c.queue_depth, 16);
         assert!((c.overprovisioning - 0.20).abs() < 1e-12);
         // 1 TiB raw capacity, 4 MiB blocks.
         assert_eq!(c.total_blocks() * c.block_bytes(), 1 << 40);

@@ -33,8 +33,6 @@ pub struct FleetIoConfig {
     pub alpha_lc2: f64,
     /// Fine-tuned α for the bandwidth-intensive cluster (§3.8: 0).
     pub alpha_bi: f64,
-    /// SLO-violation ceiling used when binary-searching α (§3.4: 5 %).
-    pub tuning_violation_threshold: f64,
     /// Maximum channels a single Harvest/Make_Harvestable action can name
     /// (sets the discrete action-head sizes).
     pub max_action_channels: usize,
@@ -56,7 +54,6 @@ impl Default for FleetIoConfig {
             alpha_lc1: 2.5e-2,
             alpha_lc2: 5e-3,
             alpha_bi: 0.0,
-            tuning_violation_threshold: 0.05,
             max_action_channels: 8,
         }
     }

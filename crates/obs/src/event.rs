@@ -11,7 +11,7 @@
 //! the field attributing it to a tenant, and its documented fields. The
 //! enum, [`ObsEvent::KIND_TAGS`], [`ObsEvent::kind_index`],
 //! [`ObsEvent::at`], [`ObsEvent::tenant`], the JSONL form (written by
-//! [`ObsEvent::write_json`], read by [`ObsEvent::from_json`]) and the
+//! [`ObsEvent::write_json`], read by [`ObsEvent::from_json_line`]) and the
 //! binary form ([`crate::wire`]) are all generated from that row, so they
 //! cannot drift apart: fields appear in JSON and on the wire in
 //! declaration order under their own names, and how a value looks in
@@ -21,16 +21,15 @@
 //! JSON goes through the workspace's one writer, [`json::object`], and
 //! its number rule: integers and `bool`s render exactly, `f64`s use
 //! Rust's shortest-roundtrip `Display` with non-finite values as `0`, so a
-//! line is always parseable. Reading is as strict as the wire: an unknown
-//! `type`, a missing, extra or mistyped field, and an integer out of its
-//! type's range or at or above 2^53 (where `f64` stops being exact) are
-//! refused. On the wire integers take the payload's integer form
+//! line is always parseable. Reading is as strict as the wire: a line not
+//! in exactly the writer's form (its keys in declaration order, compact),
+//! an unknown `type`, a missing, extra or mistyped field, and an integer
+//! out of its type's range or at or above 2^53 (where `f64` stops being
+//! exact) are refused. On the wire integers take the payload's integer form
 //! (`wire::IntForm`): fixed-width little-endian in segment format 1,
 //! canonical LEB128 in format 2, with times as `u64` nanoseconds. `f64`
 //! travels as its IEEE bits, `Option` as a one-byte flag, sub-enums as
 //! one tag byte and strings behind a `u32` length, in every format.
-
-use std::collections::BTreeMap;
 
 use fleetio_des::codec::{Dec, DecodeError, Enc};
 use fleetio_des::{SimDuration, SimTime};
@@ -58,19 +57,6 @@ pub(crate) trait Field: Sized {
 /// Smallest integer a JSON number no longer holds exactly: `2^53 + 1`
 /// parses as `2^53`.
 const JSON_INT_LIMIT: u64 = 1 << 53;
-
-/// Field `name` of a `tag` line, read in its type's JSON form.
-fn read_field<T: Field>(
-    obj: &BTreeMap<String, json::Value>,
-    tag: &str,
-    name: &str,
-) -> Result<T, String> {
-    match obj.get(name).map(T::read_json) {
-        Some(Some(v)) => Ok(v),
-        Some(None) => Err(format!("{tag}: field `{name}` is mistyped or out of range")),
-        None => Err(format!("{tag}: missing field `{name}`")),
-    }
-}
 
 /// Integers: written in the payload's integer form, rendered with their
 /// `Display`.
@@ -499,46 +485,13 @@ macro_rules! obs_events {
                 });
             }
 
-            /// Reads back one line written by [`ObsEvent::write_json`],
-            /// already parsed ([`json::parse`]): an object whose `type` is
-            /// a known tag and whose other keys are exactly that row's
-            /// fields, each in its type's JSON form. A non-finite `f64`
-            /// was written as `0` and reads back as `0`.
-            pub fn from_json(line: &json::Value) -> Result<Self, String> {
-                let obj = line.as_object().ok_or("not a JSON object")?;
-                let tag = obj
-                    .get("type")
-                    .and_then(json::Value::as_str)
-                    .ok_or("no string `type`")?;
-                let (ev, fields): (Self, &[&str]) = match tag {
-                    $( $tag => (
-                        row_new!($($boxed)? $variant {
-                            $at: read_field(obj, tag, stringify!($at))?,
-                            $( $field: read_field(obj, tag, stringify!($field))?, )*
-                        }),
-                        &[stringify!($at), $(stringify!($field)),*],
-                    ), )+
-                    _ => return Err(format!("unknown event type {tag:?}")),
-                };
-                // `type` and every field were read, so only a key too many
-                // can be wrong, and only when the count says so.
-                if obj.len() == fields.len() + 1 {
-                    return Ok(ev);
-                }
-                match obj.keys().find(|k| *k != "type" && !fields.contains(&k.as_str())) {
-                    Some(k) => Err(format!("{tag}: unknown field `{k}`")),
-                    None => Ok(ev),
-                }
-            }
-
             /// Reads one JSONL line in exactly the form
             /// [`ObsEvent::write_json`] writes it — `type` first, then
-            /// every field in declaration order, compact — matching each
-            /// expected key in place (`json::InOrder`), so no map and no
-            /// owned key is built. `None` for every other line; hand it
-            /// to [`json::parse`] and [`ObsEvent::from_json`], which
-            /// accept any order and say what is wrong. An event read here
-            /// is the one those two read from the same line.
+            /// every field in declaration order under its own name, each
+            /// in its type's JSON form, compact — matching each expected
+            /// key in place (`json::InOrder`), so no map and no owned key
+            /// is built. `None` for every other line. A non-finite `f64`
+            /// was written as `0` and reads back as `0`.
             pub fn from_json_line(line: &str) -> Option<Self> {
                 let mut obj = json::InOrder::new(line)?;
                 // Struct-literal fields are read in the order written,
@@ -677,8 +630,7 @@ obs_events! {
         /// First time any of its ops touched hardware.
         service_start: SimTime,
     }
-    /// A NAND-level occupancy span (device timing, one track per
-    /// channel/chip in the Chrome exporter).
+    /// A NAND-level occupancy span (device timing on one channel/chip).
     4 NandOp "nand_op" tenant(vssd) {
         /// When the op began occupying its first resource.
         start: SimTime,
@@ -910,78 +862,50 @@ mod tests {
             let idx = usize::from(ev.kind_index());
             assert_eq!(ObsEvent::KIND_TAGS[idx], ev.tag());
             assert_eq!(ObsEvent::kind_index_of_tag(ev.tag()), Some(idx as u8));
-            let back = ObsEvent::from_json(&v).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let back = ObsEvent::from_json_line(&line).unwrap_or_else(|| panic!("{line}"));
             assert_eq!(back, finite(ev), "{line}");
-            assert_eq!(ObsEvent::from_json_line(&line), Some(back), "{line}");
         }
     }
 
-    /// A line is an event only when it is exactly one row's shape.
+    /// A line is an event only when it is exactly one row's shape, in the
+    /// writer's form.
     #[test]
-    fn from_json_refuses_what_is_not_an_event() {
-        // The in-place reader takes none of these lines and leaves each to
-        // `from_json`.
-        let read = |line: &str| {
-            assert_eq!(ObsEvent::from_json_line(line), None, "{line}");
-            ObsEvent::from_json(&json::parse(line).expect("JSON"))
-        };
+    fn from_json_line_refuses_what_is_not_an_event() {
         let throttle = r#""type":"throttle","at":5,"channel":3"#;
-        for (line, why) in [
-            ("[1]".to_string(), "not a JSON object"),
-            ("{}".to_string(), "no string `type`"),
-            (
-                r#"{"type":"bogus","at":5}"#.to_string(),
-                "unknown event type",
-            ),
-            (format!("{{{throttle}}}"), "missing field `until`"),
-            (
-                format!("{{{throttle},\"until\":9,\"x\":1}}"),
-                "unknown field `x`",
-            ),
-            (
-                format!("{{{throttle},\"until\":\"9\"}}"),
-                "`until` is mistyped",
-            ),
-            (
-                format!("{{{throttle},\"until\":-1}}"),
-                "`until` is mistyped",
-            ),
-            (
-                format!("{{{throttle},\"until\":1.5}}"),
-                "`until` is mistyped",
-            ),
-            (
-                format!("{{{throttle},\"until\":9007199254740992}}"),
-                "`until` is mistyped",
-            ),
-            (
-                r#"{"type":"throttle","at":5,"channel":70000,"until":9}"#.to_string(),
-                "`channel` is mistyped",
-            ),
-            (
-                r#"{"type":"model","at":0,"kind":"eaten","tag":"t","update":1}"#.to_string(),
-                "`kind` is mistyped",
-            ),
+        for line in [
+            // Not an object, or no `type`.
+            "[1]".to_string(),
+            "{}".to_string(),
+            // An unknown `type`.
+            r#"{"type":"bogus","at":5}"#.to_string(),
+            // A missing or an extra field.
+            format!("{{{throttle}}}"),
+            format!("{{{throttle},\"until\":9,\"x\":1}}"),
+            // A mistyped field, or an integer out of its type's range or
+            // at 2^53.
+            format!("{{{throttle},\"until\":\"9\"}}"),
+            format!("{{{throttle},\"until\":-1}}"),
+            format!("{{{throttle},\"until\":1.5}}"),
+            format!("{{{throttle},\"until\":9007199254740992}}"),
+            r#"{"type":"throttle","at":5,"channel":70000,"until":9}"#.to_string(),
+            r#"{"type":"model","at":0,"kind":"eaten","tag":"t","update":1}"#.to_string(),
+            // The event's keys and values in another form: another order,
+            // spacing, an escaped or a repeated key.
+            format!("{{\"until\":7,{throttle}}}"),
+            format!("{{ {throttle},\"until\":7}}"),
+            format!("{{{throttle},\"until\": 7}}"),
+            format!("{{{throttle},\"until\": 7 }}"),
+            format!("{{{throttle},\"unt\\u0069l\":7}}"),
+            format!("{{{throttle},\"until\":9,\"until\":7}}"),
         ] {
-            let err = read(&line).expect_err(&line);
-            assert!(err.contains(why), "{line}: {err}");
+            json::parse(&line).expect("JSON");
+            assert_eq!(ObsEvent::from_json_line(&line), None, "{line}");
         }
-        // Another order, spacing, an escaped or a repeated key (the last
-        // value wins) is still the event, read by `from_json` alone.
         let want = ObsEvent::Throttle {
             at: SimTime::from_nanos(5),
             channel: 3,
             until: SimTime::from_nanos(7),
         };
-        for line in [
-            format!("{{\"until\":7,{throttle}}}"),
-            format!("{{ {throttle},\"until\":7}}"),
-            format!("{{{throttle},\"until\": 7 }}"),
-            format!("{{{throttle},\"unt\\u0069l\":7}}"),
-            format!("{{{throttle},\"until\":9,\"until\":7}}"),
-        ] {
-            assert_eq!(read(&line).as_ref(), Ok(&want), "{line}");
-        }
         let written = format!("{{{throttle},\"until\":7}}");
         assert_eq!(ObsEvent::from_json_line(&written), Some(want));
         assert_eq!(ObsEvent::from_json_line(&format!("{written} ")), None);

@@ -2,23 +2,23 @@
 //! parser (pure std).
 //!
 //! Every JSON document the workspace emits outside `benchmark/` — event
-//! lines, Chrome traces, series, CLI output, figure reports, the audit
-//! report — is written through [`object`]: a compact writer that appends
+//! lines, series, CLI output, figure reports, the audit report — is
+//! written through [`object`]: a compact writer that appends
 //! into the caller's `String`, escapes every string and key, and
 //! separates fields itself, so no caller formats a quote, comma or brace.
 //! Numbers follow one rule: integers and `bool`s render exactly, finite
 //! `f64`s use Rust's shortest-roundtrip `Display`, and a non-finite `f64`
 //! renders as `0`, so every line parses.
 //!
-//! [`parse`] exists so `fleetio obs` (through `ObsEvent::from_json`) and
-//! the exporter tests can read that JSON back without external crates.
-//! It supports the full grammar the writer produces: objects, arrays,
-//! strings with escapes, numbers (parsed as `f64`), booleans and `null`.
-//! It rejects trailing input, and nesting deeper than [`MAX_DEPTH`] (the
-//! parser recurses once per level, so unbounded nesting would overflow
-//! the stack). `InOrder` reads an object whose keys and their order are
-//! known — an event line as the writer wrote it — in place, for
-//! `ObsEvent::from_json_line`; any other text is left to [`parse`].
+//! [`parse`] reads that JSON back without external crates, for tests and
+//! the benchmark's result files. It supports the full grammar the writer
+//! produces: objects, arrays, strings with escapes, numbers (parsed as
+//! `f64`), booleans and `null`. It rejects trailing input, and nesting
+//! deeper than [`MAX_DEPTH`] (the parser recurses once per level, so
+//! unbounded nesting would overflow the stack). `InOrder` reads an object
+//! whose keys and their order are known — an event line as the writer
+//! wrote it — in place: `ObsEvent::from_json_line` and
+//! `RecordingSink::evicted_of` read every JSONL line through it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -170,24 +170,17 @@ impl Obj<'_> {
     }
 }
 
-/// The elements of an array being written by [`Val::arr`] or
-/// [`Val::lines`].
+/// The elements of an array being written by [`Val::arr`].
 pub struct Arr<'a> {
     out: &'a mut String,
     first: bool,
-    /// Each element on a line of its own (`[\n a,\n b\n]`).
-    lines: bool,
 }
 
 impl Arr<'_> {
     /// Starts the next element; the returned [`Val`] writes it.
     pub fn item(&mut self) -> Val<'_> {
-        let first = std::mem::take(&mut self.first);
-        match (first, self.lines) {
-            (true, false) => {}
-            (false, false) => self.out.push(','),
-            (true, true) => self.out.push('\n'),
-            (false, true) => self.out.push_str(",\n"),
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
         }
         Val(self.out)
     }
@@ -234,9 +227,8 @@ impl Val<'_> {
         self.0.push_str("null");
     }
 
-    /// Number text the caller has already formatted, written verbatim
-    /// (for example fixed-point microseconds computed in integers).
-    pub fn num(self, text: impl std::fmt::Display) {
+    /// A number, written with its `Display`.
+    fn num(self, text: impl std::fmt::Display) {
         let _ = write!(self.0, "{text}");
     }
 
@@ -252,26 +244,11 @@ impl Val<'_> {
 
     /// A nested array; `fill` writes its elements.
     pub fn arr(self, fill: impl FnOnce(&mut Arr<'_>)) {
-        self.array(false, fill);
-    }
-
-    /// A nested array with each element on a line of its own, for
-    /// documents a person reads in a text editor (Chrome traces).
-    pub fn lines(self, fill: impl FnOnce(&mut Arr<'_>)) {
-        self.array(true, fill);
-    }
-
-    fn array(self, lines: bool, fill: impl FnOnce(&mut Arr<'_>)) {
         self.0.push('[');
-        let mut arr = Arr {
+        fill(&mut Arr {
             out: &mut *self.0,
             first: true,
-            lines,
-        };
-        fill(&mut arr);
-        if lines && !arr.first {
-            self.0.push('\n');
-        }
+        });
         self.0.push(']');
     }
 }
@@ -297,9 +274,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 /// order, in the compact form [`object`] writes them (`{"a":1,"b":"x"}`),
 /// without building a map. Each step names the key it expects; any other
 /// text — whitespace outside a value, another key or order, an escaped
-/// key, a repeated or a missing one — makes it return `None`, and the
-/// caller falls back to [`parse`]. So an object read here is one [`parse`]
-/// reads to the same keys and values.
+/// key, a repeated or a missing one — makes it return `None`. So an
+/// object read here is one [`parse`] reads to the same keys and values.
 pub(crate) struct InOrder<'a> {
     b: &'a [u8],
     pos: usize,
@@ -327,9 +303,13 @@ impl<'a> InOrder<'a> {
         (self.b.get(self.pos..end)? == text).then(|| self.pos = end)
     }
 
-    /// The value of the next member, which must be `key`.
+    /// The value of the next member, which must be `key`, starting right
+    /// after its `:`.
     pub(crate) fn value(&mut self, key: &str) -> Option<Value> {
         self.key(key)?;
+        if matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            return None;
+        }
         parse_value(self.b, &mut self.pos, MAX_DEPTH - 1).ok()
     }
 
@@ -636,24 +616,18 @@ mod tests {
                 a.item().obj(|o| o.key("k").bool(false));
                 a.item().arr(|_| {});
             });
-            o.key("l").lines(|a| {
-                a.item().u64(1);
-                a.item().u64(2);
-            });
-            o.key("e").lines(|_| {});
         });
         let doc = out.strip_prefix("prefix ").unwrap();
         assert_eq!(
             doc,
             "{\"s\":\"a\\\"b\",\"u\":18446744073709551615,\"i\":-7,\"f\":0.25,\"t\":true,\
-             \"n\":null,\"raw\":12.005,\"o\":{},\"a\":[1,{\"k\":false},[]],\"l\":[\n1,\n2\n],\
-             \"e\":[]}"
+             \"n\":null,\"raw\":12.005,\"o\":{},\"a\":[1,{\"k\":false},[]]}"
         );
         let v = parse(doc).unwrap();
         let obj = v.as_object().unwrap();
         assert_eq!(obj.get("s").unwrap().as_str(), Some("a\"b"));
         assert_eq!(obj.get("raw").unwrap().as_f64(), Some(12.005));
-        assert_eq!(obj.get("l").unwrap().as_array().unwrap().len(), 2);
+        assert_eq!(obj.get("a").unwrap().as_array().unwrap().len(), 3);
     }
 
     #[test]

@@ -10,15 +10,13 @@
 //!   default [`NullSink`] makes every hook a predictable no-op branch;
 //!   installing a [`RecordingSink`] turns the same hooks into a bounded
 //!   ring of typed [`ObsEvent`] records. The event stream is the only
-//!   thing a sink receives.
-//! * [`export`] — JSONL event dumps and Chrome `trace_event` JSON
-//!   (loadable in `chrome://tracing` / Perfetto, one track per
-//!   channel/chip).
+//!   thing a sink receives, and its one text form is JSONL
+//!   ([`RecordingSink::to_jsonl`]).
 //! * [`slo`] — per-tenant SLO verdicts, and the fleet health report
 //!   folded from their `slo_window` / `fleet_migration` rows, live or
 //!   read back from a store.
-//! * [`json`] — the workspace's one JSON writer, and the parser that
-//!   reads its output back.
+//! * [`json`] — the workspace's one JSON writer, the parser that reads
+//!   its output back, and the in-place reader of JSONL event lines.
 //! * [`prof`] — the host-time span profiler: RAII spans over per-thread
 //!   call trees, merged into a report of call counts, total and child
 //!   time per span path, and rendered as folded stacks. The one
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod export;
 pub mod json;
 pub mod prof;
 #[cfg(test)]

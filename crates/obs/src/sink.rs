@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::event::ObsEvent;
-use crate::{export, json};
+use crate::json;
 
 /// Receiver for observability events.
 ///
@@ -103,12 +103,16 @@ impl RecordingSink {
             .count() as u64
     }
 
-    /// Held events as a JSONL string (one event per line). When the ring
-    /// evicted events, a final `trace_truncated` meta line records how
-    /// many, so downstream tooling can tell a short run from a clipped
-    /// one. Untruncated traces are byte-identical to the plain export.
+    /// Held events as a JSONL string, one [`ObsEvent::write_json`] line
+    /// per event in emission order. When the ring evicted events, a final
+    /// `trace_truncated` meta line records how many, so downstream tooling
+    /// can tell a short run from a clipped one.
     pub fn to_jsonl(&self) -> String {
-        let mut out = export::jsonl(self.events.iter());
+        let mut out = String::new();
+        for ev in &self.events {
+            ev.write_json(&mut out);
+            out.push('\n');
+        }
         if self.dropped > 0 {
             let at = self.events.front().map_or(0, |e| e.at().as_nanos());
             json::object(&mut out, |o| {
@@ -121,19 +125,19 @@ impl RecordingSink {
         out
     }
 
-    /// The eviction count of a parsed `trace_truncated` line
-    /// [`RecordingSink::to_jsonl`] wrote; `None` for any other line.
-    pub fn evicted_of(line: &json::Value) -> Option<u64> {
-        let obj = line.as_object()?;
-        let meta = obj.len() == 3
-            && obj.get("type")?.as_str()? == "trace_truncated"
-            && obj.get("at")?.as_u64().is_some();
-        obj.get("dropped")?.as_u64().filter(|_| meta)
-    }
-
-    /// Held events as a Chrome `trace_event` JSON document.
-    pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(self.events.iter())
+    /// The eviction count of a `trace_truncated` line exactly as
+    /// [`RecordingSink::to_jsonl`] writes it, read in place as
+    /// [`ObsEvent::from_json_line`] reads an event; `None` for any other
+    /// line.
+    pub fn evicted_of(line: &str) -> Option<u64> {
+        let mut obj = json::InOrder::new(line)?;
+        if obj.str("type")? != "trace_truncated" {
+            return None;
+        }
+        obj.value("at")?.as_u64()?;
+        let dropped = obj.value("dropped")?.as_u64()?;
+        obj.finish()?;
+        Some(dropped)
     }
 }
 
@@ -193,6 +197,19 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_is_one_line_per_event() {
+        let mut s = RecordingSink::new();
+        s.record(throttle(10));
+        s.record(throttle(30));
+        let text = s.to_jsonl();
+        assert_eq!(text.lines().count(), 2);
+        for (line, ev) in text.lines().zip(s.events()) {
+            json::parse(line).expect("line parses");
+            assert_eq!(ObsEvent::from_json_line(line).as_ref(), Some(ev));
+        }
+    }
+
+    #[test]
     fn jsonl_appends_truncation_meta_only_when_dropped() {
         let mut s = RecordingSink::with_capacity(1);
         s.record(throttle(1));
@@ -206,14 +223,24 @@ mod tests {
             meta,
             "{\"type\":\"trace_truncated\",\"at\":2,\"dropped\":1}"
         );
-        let meta = json::parse(meta).expect("JSON");
-        assert_eq!(RecordingSink::evicted_of(&meta), Some(1));
-        assert!(
-            ObsEvent::from_json(&meta).is_err(),
+        assert_eq!(RecordingSink::evicted_of(meta), Some(1));
+        assert_eq!(
+            ObsEvent::from_json_line(meta),
+            None,
             "the meta line is no event"
         );
-        let event = json::parse(jsonl.lines().next().expect("event")).expect("JSON");
-        assert_eq!(RecordingSink::evicted_of(&event), None);
+        let event = jsonl.lines().next().expect("event");
+        assert_eq!(RecordingSink::evicted_of(event), None);
+        // Only the writer's form is read: another order, spacing or an
+        // extra key is no meta line.
+        for other in [
+            "{\"type\":\"trace_truncated\",\"dropped\":1,\"at\":2}",
+            "{\"type\":\"trace_truncated\",\"at\": 2,\"dropped\":1}",
+            "{\"type\":\"trace_truncated\",\"at\":2,\"dropped\":1,\"x\":0}",
+            "{\"type\":\"trace_truncated\",\"at\":2,\"dropped\":-1}",
+        ] {
+            assert_eq!(RecordingSink::evicted_of(other), None, "{other}");
+        }
     }
 
     #[test]

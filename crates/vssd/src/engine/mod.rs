@@ -542,11 +542,6 @@ impl Engine {
         std::mem::replace(&mut self.obs, Box::new(NullSink))
     }
 
-    /// The installed observability sink.
-    pub fn obs_sink(&self) -> &dyn ObsSink {
-        self.obs.as_ref()
-    }
-
     /// Records an externally-produced event (e.g. the fleet control
     /// plane's SLO verdicts and migrations) into the installed sink, so
     /// one per-engine stream carries both device and control-plane

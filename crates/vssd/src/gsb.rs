@@ -192,11 +192,6 @@ impl GsbPool {
             .sum()
     }
 
-    /// Total available (unharvested) gSBs.
-    pub fn available_total(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
-    }
-
     /// Ids of every gSB (available or harvested) whose home is `home`.
     pub fn of_home(&self, home: VssdId) -> Vec<GsbId> {
         let mut ids: Vec<GsbId> = self
@@ -370,7 +365,7 @@ mod tests {
         assert!(g.in_use());
         assert_eq!(g.harvester, Some(VssdId(2)));
         assert_eq!(g.home, VssdId(0));
-        assert_eq!(p.available_total(), 0);
+        assert_eq!(p.available_channels_total(), 0);
     }
 
     #[test]
@@ -378,7 +373,7 @@ mod tests {
         let mut p = pool();
         let id = p.create(VssdId(0), vec![ChannelId(0)], blocks(0, 4));
         assert!(p.destroy_available(id).is_some());
-        assert_eq!(p.available_total(), 0);
+        assert_eq!(p.available_channels_total(), 0);
 
         let id2 = p.create(VssdId(0), vec![ChannelId(0)], blocks(0, 4));
         p.harvest(VssdId(1), 1).unwrap();

@@ -40,7 +40,6 @@ pub struct HarvestedBlockTable {
     bits: Vec<u64>,
     chips_per_channel: u16,
     blocks_per_chip: u32,
-    count: usize,
 }
 
 impl HarvestedBlockTable {
@@ -53,7 +52,6 @@ impl HarvestedBlockTable {
             bits: vec![0; blocks.div_ceil(64)],
             chips_per_channel,
             blocks_per_chip,
-            count: 0,
         }
     }
 
@@ -80,26 +78,13 @@ impl HarvestedBlockTable {
     /// every block of a gSB at creation time.
     pub fn mark_harvested(&mut self, block: BlockAddr) {
         let i = self.index(block);
-        let (word, mask) = (i / 64, 1u64 << (i % 64));
-        if self.bits[word] & mask == 0 {
-            self.bits[word] |= mask;
-            self.count += 1;
-        }
+        self.bits[i / 64] |= 1 << (i % 64);
     }
 
     /// Marks `block` regular again. GC calls this after erasing the block.
     pub fn mark_regular(&mut self, block: BlockAddr) {
         let i = self.index(block);
-        let (word, mask) = (i / 64, 1u64 << (i % 64));
-        if self.bits[word] & mask != 0 {
-            self.bits[word] &= !mask;
-            self.count -= 1;
-        }
-    }
-
-    /// Number of blocks currently marked harvested/reclaimed.
-    pub fn harvested_count(&self) -> usize {
-        self.count
+        self.bits[i / 64] &= !(1 << (i % 64));
     }
 }
 
@@ -120,11 +105,29 @@ mod tests {
         }
     }
 
+    /// Blocks of [`table`]'s geometry the table classes as harvested.
+    fn harvested(hbt: &HarvestedBlockTable) -> usize {
+        let mut n = 0;
+        for channel in 0..2 {
+            for chip in 0..2 {
+                for block in 0..32 {
+                    let addr = BlockAddr {
+                        channel: ChannelId(channel),
+                        chip,
+                        block,
+                    };
+                    n += usize::from(hbt.class(addr) == BlockClass::Harvested);
+                }
+            }
+        }
+        n
+    }
+
     #[test]
     fn default_class_is_regular() {
         let hbt = table();
         assert_eq!(hbt.class(blk(0)), BlockClass::Regular);
-        assert_eq!(hbt.harvested_count(), 0);
+        assert_eq!(harvested(&hbt), 0);
     }
 
     #[test]
@@ -132,7 +135,7 @@ mod tests {
         let mut hbt = table();
         hbt.mark_harvested(blk(1));
         hbt.mark_harvested(blk(2));
-        assert_eq!(hbt.harvested_count(), 2);
+        assert_eq!(harvested(&hbt), 2);
         assert_eq!(hbt.class(blk(1)), BlockClass::Harvested);
         hbt.mark_regular(blk(1));
         assert_eq!(hbt.class(blk(1)), BlockClass::Regular);
@@ -144,10 +147,10 @@ mod tests {
         let mut hbt = table();
         hbt.mark_harvested(blk(1));
         hbt.mark_harvested(blk(1));
-        assert_eq!(hbt.harvested_count(), 1);
+        assert_eq!(harvested(&hbt), 1);
         hbt.mark_regular(blk(1));
         hbt.mark_regular(blk(1));
-        assert_eq!(hbt.harvested_count(), 0);
+        assert_eq!(harvested(&hbt), 0);
     }
 
     #[test]

@@ -123,8 +123,14 @@ fn overwrite(overprovisioning: f64, gc_free_threshold: f64, seed: u64) -> Steady
     let total = (WARM_PASSES + MEASURED_PASSES) * logical;
     while written < total || outstanding > 0 {
         if written >= WARM_PASSES * logical && before.is_none() {
-            let probe = e.obs_sink().as_any().downcast_ref::<VictimProbe>();
-            let seen = probe.expect("probe installed").live_pages.len();
+            let probe = e.take_obs_sink();
+            let seen = probe
+                .as_any()
+                .downcast_ref::<VictimProbe>()
+                .expect("probe installed")
+                .live_pages
+                .len();
+            e.set_obs_sink(probe);
             before = Some((e.device().stats(), seen));
         }
         while outstanding < QUEUE_DEPTH && written < total {

@@ -17,25 +17,6 @@ pub enum SizeDist {
     Choice(Vec<(u64, f64)>),
 }
 
-impl SizeDist {
-    /// Mean request size in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or zero-weight choice list.
-    pub fn mean(&self) -> f64 {
-        match self {
-            SizeDist::Fixed(b) => *b as f64,
-            SizeDist::Choice(items) => {
-                assert!(!items.is_empty(), "empty size choice");
-                let total: f64 = items.iter().map(|(_, w)| w).sum();
-                assert!(total > 0.0, "zero total weight");
-                items.iter().map(|(b, w)| *b as f64 * w).sum::<f64>() / total
-            }
-        }
-    }
-}
-
 /// Address-selection pattern within a phase.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AddrPattern {
@@ -80,13 +61,6 @@ pub struct PhaseSpec {
     /// how real bandwidth-intensive applications behave. Zero means
     /// open-loop Poisson arrivals at `arrival_rate`.
     pub concurrency: u32,
-}
-
-impl PhaseSpec {
-    /// Offered load of this phase in bytes/second.
-    pub fn offered_bytes_per_sec(&self) -> f64 {
-        self.arrival_rate * self.size.mean()
-    }
 }
 
 impl WorkloadSpec {
@@ -186,21 +160,6 @@ mod tests {
             addr: AddrPattern::UniformRandom,
             concurrency: 0,
         }
-    }
-
-    #[test]
-    fn size_means() {
-        assert_eq!(SizeDist::Fixed(4096).mean(), 4096.0);
-        let c = SizeDist::Choice(vec![(100, 1.0), (300, 1.0)]);
-        assert_eq!(c.mean(), 200.0);
-        let w = SizeDist::Choice(vec![(100, 3.0), (300, 1.0)]);
-        assert_eq!(w.mean(), 150.0);
-    }
-
-    #[test]
-    fn offered_load_math() {
-        let p = phase(1000.0, 1);
-        assert_eq!(p.offered_bytes_per_sec(), 1_000_000.0);
     }
 
     #[test]

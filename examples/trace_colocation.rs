@@ -1,17 +1,12 @@
 //! Traced colocation: run four tenants on a small device with a recording
-//! observability sink, then export the run as JSONL events and a Chrome
-//! `trace_event` file.
+//! observability sink, then write the run as JSONL events.
 //!
 //! ```sh
 //! cargo run --release --example trace_colocation
 //! ```
 //!
-//! Outputs land in `target/obs/`:
-//!
-//! * `events.jsonl` — one structured event per line (see
-//!   `fleetio obs summarize target/obs/events.jsonl`).
-//! * `trace.json` — load in `chrome://tracing` or <https://ui.perfetto.dev>;
-//!   one track per channel/chip plus GC and per-request tracks.
+//! The output is `target/obs/events.jsonl`, one structured event per line
+//! (see `fleetio obs summarize target/obs/events.jsonl`).
 //!
 //! The example double-checks the trace against the engine: the number of
 //! `request_complete` events must equal the engine's own cumulative
@@ -71,7 +66,6 @@ fn main() {
     let dir = std::path::Path::new("target/obs");
     std::fs::create_dir_all(dir).expect("create target/obs");
     std::fs::write(dir.join("events.jsonl"), sink.to_jsonl()).expect("write events.jsonl");
-    std::fs::write(dir.join("trace.json"), sink.chrome_trace()).expect("write trace.json");
 
     println!(
         "traced {} events ({} request completions, engine agrees)",
@@ -79,5 +73,4 @@ fn main() {
         sink.completed_requests()
     );
     println!("  target/obs/events.jsonl — fleetio obs summarize target/obs/events.jsonl");
-    println!("  target/obs/trace.json   — load in chrome://tracing or ui.perfetto.dev");
 }

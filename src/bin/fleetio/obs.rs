@@ -2,14 +2,14 @@
 //!
 //! The input is either a run-store directory, whose typed events come
 //! straight out of its segments through [`query_each`], or a JSONL trace
-//! file, read one line at a time through [`ObsEvent::from_json_line`]
-//! (the writer's own form, read in place) or else [`json::parse`] and
-//! [`ObsEvent::from_json`]; both are folded as the same
-//! [`ObsEvent`]s, so memory stays flat whatever the run's length. A line
-//! that is not JSON or not an event (reported by line number) or a
-//! damaged store exits 2; `fleetio store verify` localizes the damage. A
-//! `RecordingSink` trace's `trace_truncated` meta line counts as the
-//! number of evicted events, not as an event.
+//! file, read one line at a time through [`ObsEvent::from_json_line`] in
+//! the form `RecordingSink::to_jsonl` and `fleetio store query` write;
+//! both are folded as the same [`ObsEvent`]s, so memory stays flat
+//! whatever the run's length. A `RecordingSink` trace's
+//! `trace_truncated` meta line ([`RecordingSink::evicted_of`]) counts as
+//! the number of evicted events, not as an event. Any other line
+//! (reported by line number) or a damaged store exits 2; `fleetio store
+//! verify` localizes the damage.
 //!
 //! `summarize` aggregates per-type event counts, request latency
 //! percentiles, per-vSSD traffic, GC activity, throttles and window
@@ -27,7 +27,6 @@ use std::io::{BufRead, BufReader};
 use std::path::Path;
 
 use fleetio_des::{LatencyHistogram, SimDuration, SimTime};
-use fleetio_obs::json;
 use fleetio_obs::slo::health_report;
 use fleetio_obs::{FleetMigration, ObsEvent, RecordingSink, SloWindow};
 use fleetio_store::{query_each, EventFilter, RunStore};
@@ -73,17 +72,14 @@ fn for_each_event(path: &str, mut visit: impl FnMut(ObsEvent)) -> Result<u64, Fa
         if line.is_empty() {
             continue;
         }
-        let bad = |e: String| io(format_args!("{path}:{line_no}: {e}"));
-        // A line as the writer wrote it is read in place; any other goes
-        // through the whole parse.
         if let Some(ev) = ObsEvent::from_json_line(line) {
             visit(ev);
-            continue;
-        }
-        let value = json::parse(line).map_err(|e| bad(format!("invalid JSON: {e}")))?;
-        match ObsEvent::from_json(&value) {
-            Ok(ev) => visit(ev),
-            Err(e) => evicted += RecordingSink::evicted_of(&value).ok_or_else(|| bad(e))?,
+        } else if let Some(n) = RecordingSink::evicted_of(line) {
+            evicted += n;
+        } else {
+            return Err(io(format_args!(
+                "{path}:{line_no}: not an event line as `fleetio store query` writes it"
+            )));
         }
     }
     Ok(evicted)

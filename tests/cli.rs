@@ -145,8 +145,9 @@ fn obs_reads_a_store_and_its_jsonl_alike() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A JSONL line that parses but is not an event, or not one the row
-/// table declares, exits 2 and names the file and line.
+/// A JSONL line that parses but is not an event, not one the row table
+/// declares, or not in the form the writer gives it, exits 2 and names
+/// the file and line.
 #[test]
 fn obs_refuses_jsonl_lines_that_are_not_events() {
     let dir = scratch_dir("strict-jsonl");
@@ -165,6 +166,11 @@ fn obs_refuses_jsonl_lines_that_are_not_events() {
         r#"{"type":"throttle","at":5,"channel":3,"until":9007199254740993}"#,
         r#"{"type":"throttle","at":5,"channel":3}"#,
         r#"{"type":"throttle","at":5,"channel":3,"until":9,"extra":1}"#,
+        // The event in a form other than the writer's.
+        r#"{"until":9,"type":"throttle","at":5,"channel":3}"#,
+        r#"{"type":"throttle","at": 5,"channel":3,"until":9}"#,
+        r#"{"type":"throttle","at":5,"channel":3,"unt\u0069l":9}"#,
+        r#"{"type":"throttle","at":5,"channel":3,"until":7,"until":9}"#,
     ];
     for (i, line) in bad.iter().enumerate() {
         let path = dir.join(format!("bad{i}.jsonl"));
